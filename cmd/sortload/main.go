@@ -51,13 +51,32 @@ type Report struct {
 	Injected       int64   `json:"injected"`
 	ElapsedSec     float64 `json:"elapsed_sec"`
 	VerifiedPerSec float64 `json:"verified_per_sec"`
-	LatencyMsP50   float64 `json:"latency_ms_p50"`
-	LatencyMsP99   float64 `json:"latency_ms_p99"`
+	// HonestLatency and InjectedLatency split latency by job class: an
+	// injected job pays detection, backoff and re-attempts, so one
+	// percentile over both classes would describe neither.
+	HonestLatency   Latency `json:"honest_latency"`
+	InjectedLatency Latency `json:"injected_latency"`
 	// PoolBuilt/PoolReused come from the server's /stats when -stats is
 	// given: reuse ≫ built is the pooling win made visible.
 	PoolBuilt  int64            `json:"pool_built,omitempty"`
 	PoolReused int64            `json:"pool_reused,omitempty"`
 	Tenants    map[string]int64 `json:"jobs_per_tenant"`
+}
+
+// Latency summarizes one job class's verified jobs.
+type Latency struct {
+	Verified int64   `json:"verified"`
+	MsP50    float64 `json:"ms_p50"`
+	MsP99    float64 `json:"ms_p99"`
+}
+
+// latencyOf summarizes sorted latencies in milliseconds.
+func latencyOf(sorted []float64) Latency {
+	return Latency{
+		Verified: int64(len(sorted)),
+		MsP50:    percentile(sorted, 0.50),
+		MsP99:    percentile(sorted, 0.99),
+	}
 }
 
 // jobPlan is one deterministic unit of workload.
@@ -156,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		silentWrong, injected                            atomic.Int64
 		next                                             atomic.Int64
 		mu                                               sync.Mutex
-		latencies                                        []float64
+		latencies                                        [2][]float64 // honest, injected
 		perTenant                                        = make(map[string]int64)
 	)
 	start := time.Now()
@@ -178,8 +197,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 					return
 				}
 				p := planJob(*seed, i, tenants, sizes, *faultRate)
+				class := 0
 				if p.inject != nil {
 					injected.Add(1)
+					class = 1
 				}
 				t0 := time.Now()
 				resp, eb, err := c.Do(server.Request{
@@ -213,7 +234,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				}
 				verified.Add(1)
 				mu.Lock()
-				latencies = append(latencies, lat)
+				latencies[class] = append(latencies[class], lat)
 				mu.Unlock()
 			}
 		}()
@@ -227,20 +248,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		connErr = err
 	}
 
-	sort.Float64s(latencies)
+	for _, l := range latencies {
+		sort.Float64s(l)
+	}
 	rep := Report{
-		Jobs:           *jobs,
-		Verified:       verified.Load(),
-		FaultRejected:  faultRejected.Load(),
-		Overloaded:     overloaded.Load(),
-		OtherErrors:    otherErrors.Load(),
-		SilentWrong:    silentWrong.Load(),
-		Injected:       injected.Load(),
-		ElapsedSec:     elapsed,
-		VerifiedPerSec: float64(verified.Load()) / elapsed,
-		LatencyMsP50:   percentile(latencies, 0.50),
-		LatencyMsP99:   percentile(latencies, 0.99),
-		Tenants:        perTenant,
+		Jobs:            *jobs,
+		Verified:        verified.Load(),
+		FaultRejected:   faultRejected.Load(),
+		Overloaded:      overloaded.Load(),
+		OtherErrors:     otherErrors.Load(),
+		SilentWrong:     silentWrong.Load(),
+		Injected:        injected.Load(),
+		ElapsedSec:      elapsed,
+		VerifiedPerSec:  float64(verified.Load()) / elapsed,
+		HonestLatency:   latencyOf(latencies[0]),
+		InjectedLatency: latencyOf(latencies[1]),
+		Tenants:         perTenant,
 	}
 	if *statsURL != "" {
 		if resp, err := http.Get(*statsURL); err == nil {

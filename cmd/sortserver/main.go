@@ -36,7 +36,6 @@ import (
 	"flag"
 	"repro/internal/reliablesort"
 	"repro/internal/server"
-	"repro/internal/simnet"
 	"repro/internal/tcpnet"
 	"repro/internal/transport"
 )
@@ -72,12 +71,7 @@ func parseWeights(s string) (map[string]int, error) {
 func newNetFor(name string) (func(cfg reliablesort.NetConfig) (transport.Network, error), error) {
 	switch name {
 	case "simnet":
-		return func(cfg reliablesort.NetConfig) (transport.Network, error) {
-			return simnet.New(simnet.Config{
-				Dim: cfg.Dim, Spares: cfg.Spares, RecvTimeout: cfg.RecvTimeout,
-				Obs: cfg.Obs, Flight: cfg.Flight,
-			})
-		}, nil
+		return reliablesort.NewSimnet, nil
 	case "tcpnet":
 		return func(cfg reliablesort.NetConfig) (transport.Network, error) {
 			return tcpnet.New(tcpnet.Config{

@@ -129,9 +129,7 @@ func RunFTWithOptions(nw transport.Network, blocks [][]int64, opts []Options) (*
 	if err != nil {
 		return nil, fmt.Errorf("blocksort: %w", err)
 	}
-	oc := &Outcome{SortedBlocks: out, Result: res}
-	oc.HostErrors = drainHostErrors(nw)
-	return oc, nil
+	return &Outcome{SortedBlocks: out, Result: res, HostErrors: core.DrainHostErrors(nw)}, nil
 }
 
 func validateBlocks(nw transport.Network, blocks [][]int64) error {
@@ -273,31 +271,4 @@ func (r *nrRunner) exchange(mine []int64, i, j int) ([]int64, error) {
 	adopted := r.nextBuf()[:len(mine)]
 	copy(adopted, p.Keys)
 	return adopted, nil
-}
-
-func drainHostErrors(nw transport.Network) []core.HostError {
-	h := nw.Host()
-	var out []core.HostError
-	for {
-		m, ok, err := h.TryRecv()
-		if err != nil || !ok {
-			return out
-		}
-		if m.Kind != wire.KindError {
-			continue
-		}
-		p, err := wire.DecodeError(m.Payload)
-		if err != nil {
-			continue
-		}
-		out = append(out, core.HostError{
-			Node:      int(m.From),
-			Stage:     int(m.Stage),
-			Iter:      int(m.Iter),
-			Predicate: p.Predicate,
-			Kind:      core.ErrorKind(p.Kind),
-			Accused:   int(p.Accused),
-			Detail:    p.Detail,
-		})
-	}
 }

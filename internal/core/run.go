@@ -78,20 +78,13 @@ func RunWithOptions(nw transport.Network, keys []int64, opts []Options) (*Outcom
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	oc := &Outcome{Sorted: out, Result: res}
-	oc.HostErrors = drainHostErrors(nw)
-	return oc, nil
+	return &Outcome{Sorted: out, Result: res, HostErrors: DrainHostErrors(nw)}, nil
 }
 
 // DrainHostErrors empties the host mailbox of ERROR signals after the
-// nodes have terminated. Exported for harnesses that run node programs
-// directly (the recovery supervisor, the interleaving explorer) yet
-// still need the standard evidence decode.
-func DrainHostErrors(nw transport.Network) []HostError { return drainHostErrors(nw) }
-
-// drainHostErrors empties the host mailbox of ERROR signals after the
-// nodes have terminated.
-func drainHostErrors(nw transport.Network) []HostError {
+// nodes have terminated. Exported for the other runners (blocksort,
+// the interleaving explorer) that need the standard evidence decode.
+func DrainHostErrors(nw transport.Network) []HostError {
 	h := nw.Host()
 	var out []HostError
 	for {

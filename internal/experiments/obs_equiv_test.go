@@ -62,6 +62,55 @@ func checkPoint(t *testing.T, pts map[string]benchPoint, name string, m Measurem
 	}
 }
 
+// TestGoldenSeriesDeterministic runs every point of the golden series
+// 20 times and requires one value per point, the pinned one. Virtual
+// time that depends on goroutine scheduling (as the host sort's
+// arrival-order gather once did) then fails on every run of the test,
+// not now and then.
+func TestGoldenSeriesDeterministic(t *testing.T) {
+	const runs = 20
+	pts, seed := loadBaseline(t)
+	type series struct {
+		name    string
+		measure func() (Measurement, error)
+	}
+	var all []series
+	for _, dim := range []int{2, 3, 4, 5} {
+		n := 1 << uint(dim)
+		all = append(all,
+			series{fmt.Sprintf("Fig6_SNR/N=%d", n), func() (Measurement, error) { return MeasureSNR(dim, seed) }},
+			series{fmt.Sprintf("Fig6_SFT/N=%d", n), func() (Measurement, error) { return MeasureSFT(dim, seed) }},
+			series{fmt.Sprintf("Fig6_HostSort/N=%d", n), func() (Measurement, error) { return MeasureHostSort(dim, seed) }},
+		)
+	}
+	const m = 64
+	for _, dim := range []int{2, 3, 4} {
+		n := 1 << uint(dim)
+		all = append(all,
+			series{fmt.Sprintf("Fig8_BlockNR/N=%d/m=64", n), func() (Measurement, error) { return MeasureBlockNR(dim, m, seed) }},
+			series{fmt.Sprintf("Fig8_BlockFT/N=%d/m=64", n), func() (Measurement, error) { return MeasureBlockFT(dim, m, seed) }},
+			series{fmt.Sprintf("Fig8_HostBlocks/N=%d/m=64", n), func() (Measurement, error) { return MeasureHostSortBlocks(dim, m, seed) }},
+		)
+	}
+	for _, s := range all {
+		seen := make(map[Measurement]int)
+		for i := 0; i < runs; i++ {
+			got, err := s.measure()
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			seen[got]++
+		}
+		if len(seen) != 1 {
+			t.Errorf("%s: %d distinct values in %d runs: %v", s.name, len(seen), runs, seen)
+			continue
+		}
+		for got := range seen {
+			checkPoint(t, pts, s.name, got)
+		}
+	}
+}
+
 // TestObservedSeriesMatchBaseline pins ISSUE acceptance: the recorded
 // virtual-tick series must stay bit-identical when the unified
 // observability layer is fully enabled — metrics, journal, spans, Φ

@@ -116,11 +116,14 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 	}
 
 	hostProg := func(h transport.Host) error {
-		// The gather loop decodes into one scratch and appends into the
+		// The gather loop decodes into one scratch and copies into the
 		// preallocated flat slice, so the host's per-message work is
-		// allocation-free.
+		// allocation-free. Each upload lands at its sender's slot, not in
+		// arrival order: the merge sort's compare count, charged as host
+		// virtual time, depends on input order, and arrival order depends
+		// on goroutine scheduling.
 		var dec wire.DecodeScratch
-		all := make([]int64, 0, n*m)
+		all := make([]int64, n*m)
 		o.SpanBegin("host-gather", -1, int64(h.Clock()))
 		for seen := 0; seen < n; seen++ {
 			msg, err := h.Recv()
@@ -131,7 +134,11 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 			if err != nil {
 				return fmt.Errorf("hostsort: host gather: %w", err)
 			}
-			all = append(all, p.Keys...)
+			from := int(msg.From)
+			if from < 0 || from >= n || len(p.Keys) != m {
+				return fmt.Errorf("hostsort: host gather from %d: %d keys, want %d", from, len(p.Keys), m)
+			}
+			copy(all[from*m:], p.Keys)
 		}
 		o.SpanEnd("host-gather", -1, int64(h.Clock()))
 		o.SpanBegin("host-sort", -1, int64(h.Clock()))

@@ -167,6 +167,85 @@ func TestChaosAutoRecover(t *testing.T) {
 	}
 }
 
+// TestInjectedJobEvidenceRepeats pins that exit-bounded absence makes a
+// faulty job's evidence a function of the node programs alone: repeated
+// runs of one injected job deliver the same set of ERROR signals on
+// every attempt and take the same number of attempts. The receive
+// timeout is an hour, so an absence that waited for the timer would
+// trip the watchdog instead.
+func TestInjectedJobEvidenceRepeats(t *testing.T) {
+	const runs = 10
+	cases := []struct {
+		st         fault.Strategy
+		site       int
+		persistent bool
+	}{
+		{fault.KeyLie, 2, true},
+		{fault.SplitLie, 5, false},
+		{fault.WrongCompare, 6, true},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%v/site%d", c.st, c.site), func(t *testing.T) {
+			var first []string
+			for i := 0; i < runs; i++ {
+				got := make(chan []string, 1)
+				go func() {
+					_, stats, err := Sort(chaosKeys, Options{
+						Dim:         3,
+						RecvTimeout: time.Hour,
+						AutoRecover: true,
+						MaxAttempts: 6,
+						Sleep:       func(time.Duration) {},
+						Seed:        1,
+						Inject:      chaosInjector(c.st, c.site, c.persistent),
+					})
+					if err != nil {
+						t.Errorf("run %d: %v", i, err)
+						got <- nil
+						return
+					}
+					got <- evidence(stats.Recovery)
+				}()
+				var ev []string
+				select {
+				case ev = <-got:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("run %d still running after 30s: absence waited for the receive timeout", i)
+				}
+				if ev == nil {
+					return
+				}
+				if i == 0 {
+					first = ev
+					if len(first) < 2 {
+						t.Fatalf("fault was never detected: %v", first)
+					}
+					continue
+				}
+				if fmt.Sprint(ev) != fmt.Sprint(first) {
+					t.Fatalf("run %d evidence differs:\n first: %v\n   now: %v", i, first, ev)
+				}
+			}
+		})
+	}
+}
+
+// evidence renders a supervision as one line per attempt: its index,
+// its outcome, and the sorted set of ERROR signals the host drained
+// (drain order follows goroutine timing; the set must not).
+func evidence(rep *recovery.Report) []string {
+	var out []string
+	for _, a := range rep.Attempts {
+		errs := make([]string, len(a.HostErrors))
+		for i, he := range a.HostErrors {
+			errs[i] = fmt.Sprintf("%+v", he)
+		}
+		sort.Strings(errs)
+		out = append(out, fmt.Sprintf("attempt %d verified=%v dim=%d: %v", a.Index, a.Verified, a.Dim, errs))
+	}
+	return out
+}
+
 // TestChaosNoFault: the supervisor adds no overhead to clean runs.
 func TestChaosNoFault(t *testing.T) {
 	out, stats, err := Sort(chaosKeys, Options{

@@ -73,7 +73,10 @@ type Options struct {
 	// (the smallest cube that keeps blocks reasonably sized, capped at
 	// MaxAutoDim).
 	Dim int
-	// RecvTimeout bounds absence detection; 0 means 30 seconds.
+	// RecvTimeout bounds absence detection; 0 means 30 seconds. On
+	// simnet it only bounds waits on a partner that is alive but
+	// silent: a node whose program has returned is reported absent at
+	// once. tcpnet detects every absence by this timeout.
 	RecvTimeout time.Duration
 
 	// AutoRecover turns Sort into a self-healing call: instead of
@@ -139,7 +142,7 @@ type Options struct {
 	Flight *forensic.Flight
 
 	// NewNetwork overrides the transport constructor used for each
-	// attempt; nil means internal/simnet. The returned network must
+	// attempt; nil means NewSimnet. The returned network must
 	// honor the transport contract (including pre-registering
 	// cfg.Spares idle endpoints beyond the cube). When the attempt
 	// finishes, a network with a Release(clean bool) method is released
@@ -160,7 +163,7 @@ type NetConfig struct {
 	// Spares is the number of idle spare endpoints to pre-register
 	// beyond the cube (labels 2^Dim .. 2^Dim+Spares-1).
 	Spares int
-	// RecvTimeout bounds absence detection.
+	// RecvTimeout bounds absence detection (see Options.RecvTimeout).
 	RecvTimeout time.Duration
 	// Obs receives the transport's message/byte counters (may be nil).
 	Obs *obs.Metrics
@@ -247,7 +250,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 
 	newNet := opts.NewNetwork
 	if newNet == nil {
-		newNet = simnetNetwork
+		newNet = NewSimnet
 	}
 
 	if !opts.AutoRecover {
@@ -329,9 +332,10 @@ func (s *Stats) fromAttempt(at attemptStats) {
 	s.Bytes = at.bytes
 }
 
-// simnetNetwork is the default transport constructor: a fresh simnet
-// cube per attempt, with cfg.Spares idle spare endpoints beyond it.
-func simnetNetwork(cfg NetConfig) (transport.Network, error) {
+// NewSimnet is the default transport constructor (Options.NewNetwork
+// nil, and internal/server's pool): a fresh simnet cube with cfg.Spares
+// idle spare endpoints beyond it.
+func NewSimnet(cfg NetConfig) (transport.Network, error) {
 	return simnet.New(simnet.Config{
 		Dim:         cfg.Dim,
 		Spares:      cfg.Spares,

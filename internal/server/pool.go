@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/reliablesort"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -70,11 +69,11 @@ type PoolStats struct {
 }
 
 // NewPool builds a pool over the given transport constructor (nil
-// means internal/simnet) keeping at most maxIdle warm networks per
-// geometry (<= 0 means 4).
+// means reliablesort.NewSimnet) keeping at most maxIdle warm networks
+// per geometry (<= 0 means 4).
 func NewPool(newNet func(cfg reliablesort.NetConfig) (transport.Network, error), maxIdle int, reg *obs.Registry) *Pool {
 	if newNet == nil {
-		newNet = simnetNetwork
+		newNet = reliablesort.NewSimnet
 	}
 	if maxIdle <= 0 {
 		maxIdle = 4
@@ -95,18 +94,6 @@ func NewPool(newNet func(cfg reliablesort.NetConfig) (transport.Network, error),
 			"Warm networks currently parked in the pool.")
 	}
 	return p
-}
-
-// simnetNetwork is the default transport constructor, mirroring
-// reliablesort's.
-func simnetNetwork(cfg reliablesort.NetConfig) (transport.Network, error) {
-	return simnet.New(simnet.Config{
-		Dim:         cfg.Dim,
-		Spares:      cfg.Spares,
-		RecvTimeout: cfg.RecvTimeout,
-		Obs:         cfg.Obs,
-		Flight:      cfg.Flight,
-	})
 }
 
 // Get checks a network for one sort attempt out of the pool: a warm
@@ -249,4 +236,20 @@ type lease struct {
 // true only if the attempt that used it finished verified.
 func (l *lease) Release(clean bool) {
 	l.once.Do(func() { l.pool.put(l.Network, l.key, clean) })
+}
+
+// WorkerStart and WorkerDone forward transport.WorkerControl, so
+// node.RunPer reaches the leased network through the lease: on simnet
+// that is what turns a finished node's silence into immediate absence
+// instead of a wait for the receive timeout.
+func (l *lease) WorkerStart(id int) {
+	if wc, ok := l.Network.(transport.WorkerControl); ok {
+		wc.WorkerStart(id)
+	}
+}
+
+func (l *lease) WorkerDone(id int) {
+	if wc, ok := l.Network.(transport.WorkerControl); ok {
+		wc.WorkerDone(id)
+	}
 }

@@ -100,6 +100,8 @@ type Config struct {
 	// hypercube.MaxDim.
 	MaxDim int
 	// RecvTimeout bounds absence detection per attempt; 0 means 30s.
+	// On simnet it is only the backstop for a partner that is alive but
+	// silent (see reliablesort.Options.RecvTimeout).
 	RecvTimeout time.Duration
 	// DisableRecovery turns AutoRecover off: jobs fail-stop with a
 	// *reliablesort.FaultError on the first detected fault.

@@ -207,6 +207,45 @@ func TestServerChaos(t *testing.T) {
 	}
 }
 
+// TestServerFaultRecoveryIsProtocolBounded pins exit-bounded absence
+// through the pool: with a one-hour receive timeout, a job whose node
+// lies on every attempt still returns verified at once. Each accusing
+// node's exit reaches its blocked peers through the lease's
+// WorkerControl forwarding; without it they would wait out the timer.
+func TestServerFaultRecoveryIsProtocolBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.RecvTimeout = time.Hour
+	s := New(cfg)
+	if err := s.Warm(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
+	type reply struct {
+		resp *Response
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := s.Submit(Request{Keys: keys, Dim: 2,
+			Inject: &ChaosSpec{Class: "message", Node: 1, Strategy: "key-lie", Lie: 999999}})
+		done <- reply{resp, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		assertVerified(t, keys, r.resp, false)
+		if r.resp.Stats.Attempts < 2 {
+			t.Errorf("persistent fault verified in %d attempt(s)", r.resp.Stats.Attempts)
+		}
+	case <-time.After(30 * time.Second):
+		// Leave the server running: Close would wait for the job.
+		t.Fatal("job still running after 30s: absence waited for the receive timeout")
+	}
+	s.Close()
+}
+
 // TestServerFailStopWithoutRecovery pins the DisableRecovery path: a
 // persistent fault yields a structured *reliablesort.FaultError, not a
 // wrong result.

@@ -555,7 +555,7 @@ func qHash(q QueueID) uint64 {
 
 // --- Network surface --------------------------------------------------------
 
-// Compile-time check: controlled networks expose worker control.
+// Compile-time check: every network exposes worker control.
 var _ transport.WorkerControl = (*Network)(nil)
 
 // WorkerStart implements transport.WorkerControl: it declares a live
@@ -567,10 +567,27 @@ func (nw *Network) WorkerStart(id int) {
 }
 
 // WorkerDone implements transport.WorkerControl: it retires a started
-// worker. No-op on free-running networks.
+// worker. On a free-running network a retiring cube node enqueues one
+// end-of-traffic marker on each of its outbound links. Per-link FIFO
+// puts the marker behind every message the node sent, so the partner
+// drains those first and then learns at once that nothing more will
+// come. The enqueue never blocks and allocates nothing; on a full queue
+// the marker is skipped and the partner falls back to its timer. The
+// host and spares own no cube links.
 func (nw *Network) WorkerDone(id int) {
 	if nw.ctrl != nil {
 		nw.ctrl.workerDone(id)
+		return
+	}
+	if !nw.topo.Contains(id) {
+		return
+	}
+	for bit := 0; bit < nw.topo.Dim(); bit++ {
+		partner, _ := nw.topo.Partner(id, bit)
+		select {
+		case nw.links[partner][bit] <- packet{gone: true}:
+		default:
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 //  3. message passing over point-to-point links is the only
 //     communication; there is no atomic broadcast — a node can only
 //     Send/Recv across a single cube dimension at a time;
-//  4. the absence of a message is detectable — Recv enforces a timeout
-//     and surfaces ErrAbsent.
+//  4. the absence of a message is detectable — Recv surfaces ErrAbsent
+//     as soon as the partner's program has returned without sending
+//     (its end-of-traffic marker, see Network.WorkerDone), and after a
+//     wall-clock timeout for a partner that is alive but silent.
 //
 // Time is virtual: every endpoint owns a deterministic tick clock.
 // Sending charges the sender, receiving charges the receiver, and a
@@ -54,11 +56,12 @@ type CostModel = transport.CostModel
 // transport.DefaultCostModel.
 func DefaultCostModel() CostModel { return transport.DefaultCostModel() }
 
-// ErrAbsent is returned by Recv when no message arrives within the
-// configured timeout. Per environmental assumption 4, absence of an
-// expected message is itself an error the application must surface.
-// It wraps transport.ErrAbsent so callers can classify timeouts
-// without knowing which network implementation ran.
+// ErrAbsent is returned by Recv when the partner has exited without
+// sending or no message arrives within the configured timeout. Per
+// environmental assumption 4, absence of an expected message is itself
+// an error the application must surface. It wraps transport.ErrAbsent
+// so callers can classify absence without knowing which network
+// implementation ran.
 var ErrAbsent = fmt.Errorf("simnet: expected message absent: %w", transport.ErrAbsent)
 
 // ErrLinkBackpressure is returned when a link queue is full. The
@@ -78,11 +81,14 @@ const linkQueueDepth = 32
 // packet is a message in flight with its virtual arrival time. pooled
 // marks buffers owned by the network's free list: the receiver recycles
 // them at its next receive. Fault-path deliveries are never pooled,
-// since interceptors may retain or alias the buffer.
+// since interceptors may retain or alias the buffer. gone marks an
+// end-of-traffic marker instead of a message: the sender's program has
+// returned, so nothing follows it on the link.
 type packet struct {
 	raw     []byte
 	arrival Ticks
 	pooled  bool
+	gone    bool
 }
 
 // LinkFault intercepts traffic on one directed link. Apply receives
@@ -134,7 +140,10 @@ type Config struct {
 	// Cost is the virtual-time cost model; zero value means DefaultCostModel.
 	Cost CostModel
 	// RecvTimeout bounds how long a Recv waits in wall-clock time
-	// before declaring the message absent. Zero means 2 seconds.
+	// before declaring the message absent. Zero means 2 seconds. On a
+	// free-running network it is only the backstop for a partner that
+	// is alive but silent (a dropped message, a crashed nil program):
+	// a partner whose program has returned is reported absent at once.
 	RecvTimeout time.Duration
 	// Spares is the number of spare nodes pre-registered beyond the
 	// cube: physical labels 2^Dim .. 2^Dim+Spares-1 get endpoints and
@@ -297,11 +306,12 @@ func (nw *Network) isSpare(id int) bool {
 
 // Reset readies a quiescent free-running network for another run: all
 // link and host mailboxes are drained (pooled buffers returned to the
-// free list), installed link faults are removed, the per-run traffic
-// counters are zeroed, and the observability sinks are rebound (nil
-// obsM selects obs.DefaultMetrics, mirroring New). Must only be called
-// between runs, when no endpoint or host goroutine is live. Controlled
-// networks refuse: their coordinator state is not rewindable.
+// free list, end-of-traffic markers discarded), installed link faults
+// are removed, the per-run traffic counters are zeroed, and the
+// observability sinks are rebound (nil obsM selects
+// obs.DefaultMetrics, mirroring New). Must only be called between runs,
+// when no endpoint or host goroutine is live. Controlled networks
+// refuse: their coordinator state is not rewindable.
 func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	if nw.ctrl != nil {
 		return errors.New("simnet: controlled-scheduler networks are single-run")
@@ -396,6 +406,10 @@ type Endpoint struct {
 	// delivered message; it is recycled at the next receive, which is
 	// what bounds the validity of a zero-copy Payload.
 	pendingFree []byte
+	// gone has bit b set once the partner across dimension b is known
+	// to have exited: its end-of-traffic marker was dequeued, so every
+	// later Recv on b reports absence at once.
+	gone uint32
 
 	// rec is the node's flight recorder, nil when the network has no
 	// Flight attached (a nil recorder discards, so hot paths pay one
@@ -559,9 +573,13 @@ func (e *Endpoint) Send(bit int, m wire.Message) error {
 // Recv blocks for the next message from the partner across the given
 // dimension bit. The receiver's clock advances to at least the
 // message's arrival time plus the receive cost. It returns ErrAbsent
-// if nothing arrives within the network's wall-clock timeout, and a
-// decode error if the (possibly fault-corrupted) bytes do not parse —
-// both are detectable faults under the paper's model.
+// once the partner's program has returned without sending (its
+// end-of-traffic marker follows every message it sent, and the verdict
+// is sticky for later receives on the bit), or if nothing arrives
+// within the network's wall-clock timeout from a partner that is still
+// running; absence leaves the virtual clock alone. A decode error
+// reports (possibly fault-corrupted) bytes that do not parse. Both are
+// detectable faults under the paper's model.
 //
 // The returned message's Payload aliases a network-owned buffer and is
 // valid only until the endpoint's next receive (Recv or RecvHost):
@@ -577,27 +595,46 @@ func (e *Endpoint) Recv(bit int) (wire.Message, error) {
 	if e.net.ctrl != nil {
 		res := e.net.ctrl.block(e.id, QueueID{Kind: QLink, Node: e.id, Bit: bit}, false, e.clock)
 		if !res.ok {
-			partner, _ := e.net.topo.Partner(e.id, bit)
-			return wire.Message{}, fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.id, partner, ErrAbsent)
+			return wire.Message{}, e.absent(bit)
 		}
 		return e.acceptPacket(packet{raw: res.pkt.raw, arrival: res.pkt.arrival})
+	}
+	if e.gone&(1<<uint(bit)) != 0 {
+		return wire.Message{}, e.absent(bit)
 	}
 	ch := e.net.links[e.id][bit]
 	// Fast path: a queued packet means no timer is needed at all.
 	select {
 	case pkt := <-ch:
-		return e.acceptPacket(pkt)
+		return e.deliver(bit, pkt)
 	default:
 	}
 	timer := e.armTimer()
 	select {
 	case pkt := <-ch:
 		e.disarmTimer()
-		return e.acceptPacket(pkt)
+		return e.deliver(bit, pkt)
 	case <-timer.C:
-		partner, _ := e.net.topo.Partner(e.id, bit)
-		return wire.Message{}, fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.id, partner, ErrAbsent)
+		return wire.Message{}, e.absent(bit)
 	}
+}
+
+// deliver accepts a packet dequeued from the link across bit. An
+// end-of-traffic marker instead marks the partner gone and reports its
+// absence.
+func (e *Endpoint) deliver(bit int, pkt packet) (wire.Message, error) {
+	if pkt.gone {
+		e.gone |= 1 << uint(bit)
+		return wire.Message{}, e.absent(bit)
+	}
+	return e.acceptPacket(pkt)
+}
+
+// absent is the absence error for the link across bit, the same whether
+// a marker, the timer or the controlled scheduler established it.
+func (e *Endpoint) absent(bit int) error {
+	partner, _ := e.net.topo.Partner(e.id, bit)
+	return fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.id, partner, ErrAbsent)
 }
 
 func (e *Endpoint) acceptPacket(pkt packet) (wire.Message, error) {

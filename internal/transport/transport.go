@@ -24,11 +24,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrAbsent is the transport-independent absence sentinel: Recv gave up
-// waiting for a message that never arrived. Environmental assumption 4
-// makes absence detectable, and both network implementations wrap this
-// sentinel in their timeout errors so protocol code can classify the
-// evidence with errors.Is instead of parsing error text.
+// ErrAbsent is the transport-independent absence sentinel: Recv
+// established that an expected message will not arrive, because the
+// partner exited without sending it or the receive timeout expired.
+// Environmental assumption 4 makes absence detectable, and both network
+// implementations wrap this sentinel in their absence errors so
+// protocol code can classify the evidence with errors.Is instead of
+// parsing error text.
 var ErrAbsent = errors.New("transport: expected message absent (timeout)")
 
 // Ticks is a quantity of virtual time.
@@ -96,7 +98,10 @@ type Endpoint interface {
 	Send(bit int, m wire.Message) error
 	// Recv blocks for the next message from the partner across the
 	// given dimension bit, advancing the clock to at least the
-	// message's arrival. Message absence (timeout) is an error.
+	// message's arrival. Message absence is an error wrapping
+	// ErrAbsent: reported as soon as the network knows the partner has
+	// exited without sending (simnet, see WorkerControl), otherwise
+	// after the network's receive timeout.
 	Recv(bit int) (wire.Message, error)
 	// SendHost and RecvHost exchange messages with the reliable host.
 	SendHost(m wire.Message) error
@@ -175,17 +180,24 @@ type Network interface {
 	Metrics() MetricsSnapshot
 }
 
-// WorkerControl is optionally implemented by networks whose message
-// delivery is mediated by a controlled scheduler (internal/simnet in
-// controlled mode). Such networks decide which enabled delivery fires
-// next only once every live worker has reached a blocking receive, so
-// they must know exactly which node and host goroutines exist.
+// WorkerControl is optionally implemented by networks that want to know
+// which node and host goroutines exist and when each one ends.
+// internal/simnet implements it in both modes:
+//
+//   - Under a controlled scheduler, delivery decisions fire only once
+//     every live worker has reached a blocking receive, so the network
+//     needs the exact worker census.
+//   - Free-running, a retired node's links carry an end-of-traffic
+//     marker behind its last message, so a partner blocked on it learns
+//     of the absence at once instead of after the receive timeout.
 //
 // Harnesses that run node programs (internal/node) type-assert for
 // this interface and, when present, declare every worker before its
 // goroutine starts and retire it when the goroutine returns. The host
-// worker is declared with id wire.HostID. Free-running networks do not
-// implement the interface and pay nothing.
+// worker is declared with id wire.HostID. Wrappers around a network
+// (internal/server's pool lease) must forward both calls. Networks
+// without the interface (internal/tcpnet) detect absence by timeout
+// alone.
 type WorkerControl interface {
 	// WorkerStart declares that the worker with the given node label
 	// (wire.HostID for the host) is about to start executing. It must
