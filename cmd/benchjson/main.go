@@ -12,7 +12,9 @@
 //
 // With -baseline pointing at a committed report, the run additionally
 // fails if any Fig6_SFT or Fig8_BlockFT point's allocs_per_op regressed
-// against it — the CI bench-regression gate.
+// against it — the CI bench-regression gate. A gated point's
+// allocs_per_op and bytes_per_op are the fewest any one of gateRuns
+// single sorts made, not the benchmark's mean (see gateRuns).
 //
 // See EXPERIMENTS.md ("Performance methodology") for how to read the
 // output and why the virtual-tick columns must only change when a PR
@@ -78,6 +80,17 @@ type Report struct {
 }
 
 const benchSeed = 1989
+
+// gateRuns is how many single sorts a gated point's alloc counts are
+// the minimum of. Extra allocations only ever add to a sort's count:
+// the Go runtime refills its goroutine and sudog caches after a GC,
+// and simnet regrows a pooled buffer when a large frame happens to
+// draw a small one, which depends on goroutine scheduling. The
+// benchmark's mean carries that noise. The sorts run on one P, which
+// makes the schedule, and so the buffer reuse, nearly the same every
+// time and independent of the machine's CPU count; the minimum over
+// them is the program's own count.
+const gateRuns = 100
 
 // baseline holds the pre-optimization numbers for the acceptance
 // points, measured immediately before the digest fast path and the
@@ -239,6 +252,10 @@ func main() {
 				last = m
 			}
 		})
+		allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+		if runErr == nil && gated(c.name) {
+			allocs, bytes, runErr = minAllocs(c.run)
+		}
 		if runErr != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", c.name, runErr)
 			os.Exit(1)
@@ -249,8 +266,8 @@ func main() {
 			M:           c.m,
 			Iters:       r.N,
 			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: allocs,
+			BytesPerOp:  bytes,
 			VTicks:      int64(last.Makespan),
 			VComm:       int64(last.Comm),
 			VComp:       int64(last.Comp),
@@ -312,10 +329,39 @@ func main() {
 	}
 }
 
-// gateAllocs fails when any Fig6_SFT or Fig8_BlockFT point allocates
-// more per op than the committed baseline report says it did. Alloc
-// counts are deterministic (unlike ns/op), so exceeding the committed
-// number is a real regression, not noise.
+// gated reports whether a point's allocs_per_op is gated against the
+// baseline report.
+func gated(name string) bool {
+	return strings.HasPrefix(name, "Fig6_SFT") || strings.HasPrefix(name, "Fig8_BlockFT")
+}
+
+// minAllocs runs a point's sort gateRuns times on one P and returns
+// the fewest heap allocations and bytes any single run made.
+func minAllocs(run func() (experiments.Measurement, error)) (allocs, bytes int64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i := 0; i < gateRuns; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := run(); err != nil {
+			return 0, 0, err
+		}
+		runtime.ReadMemStats(&after)
+		a, b := int64(after.Mallocs-before.Mallocs), int64(after.TotalAlloc-before.TotalAlloc)
+		if i == 0 || a < allocs {
+			allocs = a
+		}
+		if i == 0 || b < bytes {
+			bytes = b
+		}
+	}
+	return allocs, bytes, nil
+}
+
+// gateAllocs fails when any gated point allocates more per op than the
+// committed baseline report says it did. A gated point's count is the
+// minimum over gateRuns sorts, which strips allocations that only some
+// sorts make, so exceeding the committed number is a real regression,
+// not noise.
 func gateAllocs(path string, points []Point) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -331,7 +377,7 @@ func gateAllocs(path string, points []Point) error {
 	}
 	var bad []string
 	for _, p := range points {
-		if !strings.HasPrefix(p.Name, "Fig6_SFT") && !strings.HasPrefix(p.Name, "Fig8_BlockFT") {
+		if !gated(p.Name) {
 			continue
 		}
 		b, ok := want[p.Name]

@@ -1,11 +1,16 @@
 package blocksort
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/bitonic"
 	"repro/internal/checker"
+	"repro/internal/core"
 	"repro/internal/hypercube"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -277,32 +282,257 @@ func TestFTNeverSilentlyWrong(t *testing.T) {
 	}
 }
 
-func TestBlockViewFlattenHelpers(t *testing.T) {
-	topo := hypercube.MustNew(2)
-	sc, err := topo.HomeSubcube(2, 0)
+// TestBlockViewArenaIsSlotSequence pins the arena invariant the FT
+// runner reads its stage sequences through: slots are consecutive
+// m-key slices of one arena, so data[lo*m:hi*m] is the slot-order
+// sequence of slots [lo, hi), also after a reset to a smaller subcube
+// reuses the arena.
+func TestBlockViewArenaIsSlotSequence(t *testing.T) {
+	topo := hypercube.MustNew(3)
+	full, err := topo.HomeSubcube(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bv := newBlockView(sc, 2)
-	bv.set(0, []int64{1, 2})
-	bv.set(1, []int64{3, 4})
-	bv.set(2, []int64{5, 6})
-	bv.set(3, []int64{7, 8})
-	got := bv.flatten(0, 4)
-	want := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flatten = %v", got)
+	half, err := topo.HomeSubcube(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 3
+	bv := newBlockView(full, m)
+	for _, sc := range []hypercube.Subcube{full, half} {
+		bv.reset(sc, m)
+		want := make([]int64, 0, sc.Size()*m)
+		for slot := 0; slot < sc.Size(); slot++ {
+			b := []int64{int64(10 * slot), int64(10*slot + 1), int64(10*slot + 2)}
+			bv.set(sc.Start+slot, b)
+			want = append(want, b...)
+		}
+		if !bv.complete() {
+			t.Fatalf("%v: complete() = false on full view", sc)
+		}
+		for lo := 0; lo <= sc.Size(); lo++ {
+			for hi := lo; hi <= sc.Size(); hi++ {
+				got := bv.seq(lo, hi)
+				if !equalKeys(got, want[lo*m:hi*m]) {
+					t.Fatalf("%v: seq(%d, %d) = %v, want %v", sc, lo, hi, got, want[lo*m:hi*m])
+				}
+				if lo < hi && &got[0] != &bv.data[lo*m] {
+					t.Fatalf("%v: seq(%d, %d) is a copy, not the arena's data[%d:%d]", sc, lo, hi, lo*m, hi*m)
+				}
+			}
+		}
+		if d := bv.rangeDigest(0, sc.Size()); d != wire.DigestOf(want) {
+			t.Fatalf("%v: rangeDigest = %v, want digest of the sequence %v", sc, d, wire.DigestOf(want))
 		}
 	}
-	rev := bv.flattenReversed(2, 4)
-	wantRev := []int64{7, 8, 5, 6}
-	for i := range wantRev {
-		if rev[i] != wantRev[i] {
-			t.Fatalf("flattenReversed = %v", rev)
+}
+
+// progressBlocksRef is Φ_P for blocks as the flatten-then-scan code
+// wrote it before seam checking: it builds each concatenation and
+// tests it with bitonic.IsSorted. ProgressBlocks must agree with it,
+// error text included, on every input.
+func progressBlocksRef(blocks [][]int64, final bool) error {
+	for i, b := range blocks {
+		if !bitonic.IsSorted(b, true) {
+			return fmt.Errorf("block %d not internally sorted: %w", i, core.ErrProgress)
 		}
 	}
-	if !bv.complete() {
-		t.Error("complete() = false on full view")
+	flat := func(lo, hi int, rev bool) []int64 {
+		var out []int64
+		if rev {
+			for i := hi - 1; i >= lo; i-- {
+				out = append(out, blocks[i]...)
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				out = append(out, blocks[i]...)
+			}
+		}
+		return out
+	}
+	if final {
+		if !bitonic.IsSorted(flat(0, len(blocks), false), true) {
+			return fmt.Errorf("final block concatenation not ascending: %w", core.ErrProgress)
+		}
+		return nil
+	}
+	if len(blocks)%2 != 0 {
+		return fmt.Errorf("odd block count %d: %w", len(blocks), core.ErrProgress)
+	}
+	half := len(blocks) / 2
+	if !bitonic.IsSorted(flat(0, half, false), true) {
+		return fmt.Errorf("lower half block concatenation not ascending: %w", core.ErrProgress)
+	}
+	if !bitonic.IsSorted(flat(half, len(blocks), true), true) {
+		return fmt.Errorf("upper half reverse concatenation not ascending: %w", core.ErrProgress)
+	}
+	return nil
+}
+
+// progressCase builds a block set in the shape Φ_P accepts (a sorted
+// run split into blocks, the upper half's block order reversed for a
+// stage), then perturbs it at random so seams, block interiors and
+// lengths all get broken some of the time. Keys come from a small span
+// so equal keys straddle seams.
+func progressCase(rng *rand.Rand, final bool) [][]int64 {
+	n := 1 + rng.Intn(8)
+	m := 1 + rng.Intn(4)
+	keys := make([]int64, n*m)
+	for i := range keys {
+		keys[i] = int64(rng.Intn(6))
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	blocks := make([][]int64, n)
+	for i := range blocks {
+		blocks[i] = keys[i*m : (i+1)*m]
+	}
+	if !final {
+		half := n / 2
+		lower := append([]int64{}, keys[:half*m]...)
+		upper := append([]int64{}, keys[half*m:]...)
+		for i := 0; i < half; i++ {
+			blocks[i] = lower[i*m : (i+1)*m]
+		}
+		for i := half; i < n; i++ {
+			k := n - 1 - i
+			blocks[i] = upper[k*m : (k+1)*m]
+		}
+	}
+	switch rng.Intn(6) {
+	case 0: // leave well-formed
+	case 1: // swap two blocks
+		i, j := rng.Intn(n), rng.Intn(n)
+		blocks[i], blocks[j] = blocks[j], blocks[i]
+	case 2: // move one key
+		b := blocks[rng.Intn(n)]
+		b[rng.Intn(m)] = int64(rng.Intn(8) - 1)
+	case 3: // shift one block up or down, keeping it internally sorted
+		b := blocks[rng.Intn(n)]
+		d := int64(rng.Intn(5) - 2)
+		for k := range b {
+			b[k] += d
+		}
+	case 4: // empty one block
+		blocks[rng.Intn(n)] = nil
+	case 5: // one single-key block
+		i := rng.Intn(n)
+		blocks[i] = blocks[i][:1]
+	}
+	return blocks
+}
+
+func TestProgressBlocksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	fixed := []struct {
+		blocks [][]int64
+		final  bool
+	}{
+		{[][]int64{{4, 4}}, true},
+		{[][]int64{{4, 4}}, false},
+		{[][]int64{{1}, {1}, {1}, {1}}, false},
+		{[][]int64{{1}, {2}, {2}, {3}}, true},
+		{[][]int64{{1, 3}, {3, 3}, {5, 5}, {3, 5}}, false},
+		{[][]int64{{1, 3}, {}, {2, 3}}, true},
+		{[][]int64{{}, {}}, false},
+		{nil, true},
+		{nil, false},
+	}
+	for _, tc := range fixed {
+		want, got := progressBlocksRef(tc.blocks, tc.final), ProgressBlocks(tc.blocks, tc.final)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ProgressBlocks(%v, final=%v) = %v, reference %v", tc.blocks, tc.final, got, want)
+		}
+	}
+	failed := map[bool]int{}
+	for trial := 0; trial < 4000; trial++ {
+		final := trial%2 == 0
+		blocks := progressCase(rng, final)
+		want, got := progressBlocksRef(blocks, final), ProgressBlocks(blocks, final)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: ProgressBlocks(%v, final=%v) = %v, reference %v", trial, blocks, final, got, want)
+		}
+		if got != nil && !errors.Is(got, core.ErrProgress) {
+			t.Fatalf("trial %d: %v does not wrap ErrProgress", trial, got)
+		}
+		if got != nil {
+			failed[final]++
+		}
+	}
+	// Both verdicts must be well represented in both modes, or the
+	// comparison above proves little.
+	for _, final := range []bool{false, true} {
+		if n := failed[final]; n < 400 || n > 1600 {
+			t.Errorf("final=%v: %d of 2000 cases rejected; generator is lopsided", final, n)
+		}
+	}
+}
+
+// TestProgressBlocksZeroAllocs pins Φ_P's accepting path at zero
+// allocations: the concatenations are checked at their seams, never
+// built.
+func TestProgressBlocksZeroAllocs(t *testing.T) {
+	stage := [][]int64{{1, 2}, {2, 4}, {9, 10}, {5, 6}}
+	final := [][]int64{{1, 2}, {2, 4}, {5, 6}, {9, 10}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if ProgressBlocks(stage, false) != nil || ProgressBlocks(final, true) != nil {
+			t.Fatal("well-formed blocks rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ProgressBlocks: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFTFeasibilityDigestMissEvidence drives Φ_F off its digest fast
+// path: a memory fault raises or lowers one resident key at a stage
+// boundary, keeping every block and seam ordered, so only the
+// permutation test can catch it. Every node whose previous sequence
+// covers the corrupted node misses the digest and runs the
+// element-level scan over a slot range of its view; the evidence text
+// and the (absent) accusation are pinned.
+func TestFTFeasibilityDigestMissEvidence(t *testing.T) {
+	const detail = "value %d appears more often than in previous stage: core: feasibility predicate violated"
+	for _, tc := range []struct {
+		name      string
+		node      int
+		stage     int
+		corrupt   func(keys []int64)
+		wantNodes []int
+		wantValue int64
+	}{
+		// Stage 1: node 2's previous subcube is the upper slot range
+		// [2, 4) of its view, so the scan reads a sub-slice at an offset.
+		{"stage upper half", 2, 1, func(keys []int64) { keys[len(keys)-1] = 1000 }, []int{2, 3}, 1000},
+		// Final round: the scan reads the whole final view.
+		{"final round", 0, 2, func(keys []int64) { keys[0] = -1000 }, []int{0, 1, 2, 3}, -1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blocks := [][]int64{{40, 7, 19, 3}, {12, 5, 33, 28}, {9, 21, 1, 16}, {30, 2, 25, 14}}
+			opts := make([]Options, len(blocks))
+			opts[tc.node] = Options{CorruptMemory: func(s int, keys []int64) {
+				if s == tc.stage {
+					tc.corrupt(keys)
+				}
+			}}
+			oc, err := RunFTWithOptions(newFaultNet(t, 2), blocks, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []int
+			for _, he := range oc.HostErrors {
+				if he.Predicate != core.PredicateName(core.ErrFeasibility) {
+					continue
+				}
+				nodes = append(nodes, he.Node)
+				if he.Stage != tc.stage || he.Iter != -1 || he.Kind != core.KindShape || he.Accused != -1 ||
+					he.Detail != fmt.Sprintf(detail, tc.wantValue) {
+					t.Errorf("node %d evidence %+v", he.Node, he)
+				}
+			}
+			sort.Ints(nodes)
+			if fmt.Sprint(nodes) != fmt.Sprint(tc.wantNodes) {
+				t.Fatalf("feasibility reported by nodes %v, want %v (host errors %+v)", nodes, tc.wantNodes, oc.HostErrors)
+			}
+		})
 	}
 }

@@ -17,8 +17,10 @@ import (
 
 // blockView is the block-sorting analogue of the core package's
 // gathered LBS: one sorted block per subcube slot plus the knowledge
-// mask. Blocks are slices into one flat arena (data) so a view reset
-// between stages reuses storage instead of reallocating per slot.
+// mask. Blocks are consecutive m-key slices of one flat arena (data),
+// so a view reset between stages reuses storage instead of
+// reallocating per slot, and the slot-order sequence of any slot range
+// is a sub-slice of the arena (seq) rather than a copy.
 // slotDig holds the multiset digest of each held slot's block, always
 // computed locally from the adopted bytes (never taken from a sender's
 // claim), so folding a slot into an aggregate check is O(1) and the
@@ -87,39 +89,16 @@ func (g *blockView) rangeDigest(lo, hi int) wire.Digest {
 
 func (g *blockView) complete() bool { return g.have.Full() }
 
-// flatten concatenates the blocks of the slot range [lo, hi) in slot
-// order; valid only when those slots are known.
-func (g *blockView) flatten(lo, hi int) []int64 {
-	return g.flattenInto(nil, lo, hi)
-}
+// seq returns the slot-order concatenation of slots [lo, hi) as a
+// sub-slice of the arena; valid only when those slots are held, and
+// only until the view is next written.
+func (g *blockView) seq(lo, hi int) []int64 { return g.data[lo*g.m : hi*g.m] }
 
-// flattenInto is flatten appending into a caller-owned scratch
-// (normally dst[:0] of a reused buffer).
-func (g *blockView) flattenInto(dst []int64, lo, hi int) []int64 {
-	for i := lo; i < hi; i++ {
-		dst = append(dst, g.blocks[i]...)
-	}
-	return dst
-}
-
-// flattenReversed concatenates blocks in reverse slot order (each
-// block kept in its internal ascending order).
-func (g *blockView) flattenReversed(lo, hi int) []int64 {
-	out := make([]int64, 0, (hi-lo)*g.m)
-	for i := hi - 1; i >= lo; i-- {
-		out = append(out, g.blocks[i]...)
-	}
-	return out
-}
-
-func (g *blockView) wireView() wire.View {
-	return g.wireViewInto(nil)
-}
-
-// wireViewInto is wireView with a caller-owned Vals scratch. The
-// result's Mask shares the working view's storage and its Vals share
-// the scratch, so it must be encoded before either changes — which
-// every send path does immediately.
+// wireViewInto converts the view to its wire form, staging the held
+// blocks in a caller-owned Vals scratch. The result's Mask shares the
+// working view's storage and its Vals share the scratch, so it must be
+// encoded before either changes — which every send path does
+// immediately.
 func (g *blockView) wireViewInto(scratch []int64) wire.View {
 	vals := scratch[:0]
 	var dig wire.Digest
@@ -227,28 +206,18 @@ func (g *blockView) mergeLenient(rv wire.View) {
 // ascending; for a regular stage the lower half's node-order
 // concatenation and the upper half's reverse-node-order concatenation
 // must both be globally ascending; at the final verification the whole
-// node-order concatenation must be ascending.
+// node-order concatenation must be ascending. Once every block is
+// known to be ascending, a concatenation is ascending exactly when each
+// seam between consecutive non-empty blocks is ordered, so the
+// concatenations are checked at their seams and never built.
 func ProgressBlocks(blocks [][]int64, final bool) error {
 	for i, b := range blocks {
 		if !bitonic.IsSorted(b, true) {
 			return fmt.Errorf("block %d not internally sorted: %w", i, core.ErrProgress)
 		}
 	}
-	flat := func(lo, hi int, rev bool) []int64 {
-		var out []int64
-		if rev {
-			for i := hi - 1; i >= lo; i-- {
-				out = append(out, blocks[i]...)
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				out = append(out, blocks[i]...)
-			}
-		}
-		return out
-	}
 	if final {
-		if !bitonic.IsSorted(flat(0, len(blocks), false), true) {
+		if !seamsAscending(blocks, false) {
 			return fmt.Errorf("final block concatenation not ascending: %w", core.ErrProgress)
 		}
 		return nil
@@ -257,13 +226,36 @@ func ProgressBlocks(blocks [][]int64, final bool) error {
 		return fmt.Errorf("odd block count %d: %w", len(blocks), core.ErrProgress)
 	}
 	half := len(blocks) / 2
-	if !bitonic.IsSorted(flat(0, half, false), true) {
+	if !seamsAscending(blocks[:half], false) {
 		return fmt.Errorf("lower half block concatenation not ascending: %w", core.ErrProgress)
 	}
-	if !bitonic.IsSorted(flat(half, len(blocks), true), true) {
+	if !seamsAscending(blocks[half:], true) {
 		return fmt.Errorf("upper half reverse concatenation not ascending: %w", core.ErrProgress)
 	}
 	return nil
+}
+
+// seamsAscending reports whether the concatenation of internally
+// ascending blocks, taken in slice order or reversed, is ascending:
+// every non-empty block must start at or above the last key of the
+// non-empty block before it.
+func seamsAscending(blocks [][]int64, reversed bool) bool {
+	var last int64
+	seen := false
+	for k := range blocks {
+		b := blocks[k]
+		if reversed {
+			b = blocks[len(blocks)-1-k]
+		}
+		if len(b) == 0 {
+			continue
+		}
+		if seen && b[0] < last {
+			return false
+		}
+		last, seen = b[len(b)-1], true
+	}
+	return true
 }
 
 // nodeProgramFT is the fault-tolerant block sort node program.
@@ -285,21 +277,26 @@ type ftRunner struct {
 	m    int
 
 	// Per-node arenas reused across every stage and iteration: payload
-	// encoding scratch, zero-copy decode scratch, the block view, the
-	// wire-view Vals staging area, the keep·give send staging buffer,
-	// the two alternating merge-split buffers, the merge-split
-	// verification scratch, the flatten scratches, and the vect_mask
-	// prediction scratch.
+	// encoding scratch, zero-copy decode scratch, the two block views,
+	// the wire-view Vals staging area, the keep·give send staging
+	// buffer, the two alternating merge-split buffers, the merge-split
+	// verification scratch, and the vect_mask prediction scratch. All
+	// but the decode scratch and the mask are sized when the run
+	// starts, so no stage grows them.
+	//
+	// Stage s gathers into views[s%2] (view points at it), and the final
+	// round into views[n%2]. Alternating leaves the previous stage's
+	// verified sequence intact in the other view's arena, where Φ_F and
+	// the stage-view stream read it as a sub-slice instead of a copy.
 	enc      []byte
 	dec      wire.DecodeScratch
-	view     blockView
+	views    [2]blockView
+	view     *blockView
 	wvVals   []int64
 	keyStage []int64
 	bufs     [2][]int64
 	cur      int
 	msCheck  []int64
-	halfBuf  []int64
-	prevBuf  []int64
 	expect   bitset.Set
 }
 
@@ -308,20 +305,8 @@ type ftRunner struct {
 // two buffers lets MergeSplitInto write its output while reading the
 // current block from the other.
 func (r *ftRunner) nextBuf() []int64 {
-	i := 1 - r.cur
-	if cap(r.bufs[i]) < 2*r.m {
-		r.bufs[i] = make([]int64, 0, 2*r.m)
-	}
-	r.cur = i
-	return r.bufs[i][:0]
-}
-
-// ensureCap returns s emptied, reallocated if its capacity is below n.
-func ensureCap(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, 0, n)
-	}
-	return s[:0]
+	r.cur = 1 - r.cur
+	return r.bufs[r.cur][:0]
 }
 
 // fail constructs the node's predicate error with no specific accused
@@ -391,8 +376,24 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 	if n == 0 {
 		return mine, nil
 	}
+	scAll, err := topo.HomeSubcube(n, id)
+	if err != nil {
+		return nil, fmt.Errorf("blocksort: %w", err)
+	}
+	// Size every arena once: the views and the wire-view staging for
+	// the whole cube, since each stage's subcube is a slot range of it;
+	// the encode buffer for the largest payload, a full view plus the
+	// 2m keys of a merge-split reply; the merge-split scratches for 2m.
+	for i := range r.views {
+		r.views[i].reset(scAll, r.m)
+	}
+	r.wvVals = make([]int64, 0, scAll.Size()*r.m)
+	r.enc = make([]byte, 0, 4+8*2*r.m+wire.ViewEncodedSize(scAll.Size(), scAll.Size(), r.m))
+	for _, buf := range []*[]int64{&r.bufs[0], &r.bufs[1], &r.keyStage, &r.msCheck} {
+		*buf = make([]int64, 0, 2*r.m)
+	}
 
-	var prevFlat []int64 // verified previous sequence, flattened (LLBS · m)
+	var prevFlat []int64 // verified previous sequence (LLBS · m), in the other view's arena
 	var prevSC hypercube.Subcube
 	var prevDig wire.Digest // multiset digest of prevFlat, saved at the stage boundary
 
@@ -409,7 +410,8 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("blocksort: %w", err)
 		}
-		view := &r.view
+		view := &r.views[s%2]
+		r.view = view
 		view.reset(sc, r.m)
 		view.set(id, mine)
 		for j := s; j >= 0; j-- {
@@ -426,8 +428,6 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 				"stage gather incomplete: mask %s", view.have.String())
 		}
 		if s > 0 && !r.opts.SkipChecks {
-			// ProgressBlocks only reads, so the view's slots are passed
-			// directly rather than defensively copied.
 			r.ep.ChargeCompare(sc.Size() * r.m)
 			perr := ProgressBlocks(view.blocks, false)
 			r.phiCheck(obs.PhiP, s, -1, perr == nil)
@@ -449,19 +449,15 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 			} else {
 				r.opts.Obs.DigestCheck(false)
 				r.opts.Obs.DigestSlowScan()
-				r.halfBuf = view.flattenInto(r.halfBuf[:0], lo, lo+prevSC.Size())
 				r.ep.ChargeCompare(2 * len(prevFlat))
-				ferr = core.Feasibility(prevFlat, r.halfBuf)
+				ferr = core.Feasibility(prevFlat, view.seq(lo, lo+prevSC.Size()))
 			}
 			r.phiCheck(obs.PhiF, s, -1, ferr == nil)
 			if ferr != nil {
 				return nil, r.fail(core.ErrFeasibility, s, -1, "%v", ferr)
 			}
 		}
-		// prevFlat from the previous stage has been consumed above, so
-		// its buffer can be overwritten with this stage's sequence.
-		r.prevBuf = view.flattenInto(r.prevBuf[:0], 0, sc.Size())
-		prevFlat = r.prevBuf
+		prevFlat = view.seq(0, sc.Size())
 		prevDig = view.rangeDigest(0, sc.Size())
 		r.ep.ChargeKeyMove(len(prevFlat))
 		r.opts.Obs.StageEnd(id, s, false, stageVT, int64(r.ep.Clock()))
@@ -483,11 +479,8 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 	// Final verification round.
 	finalVT := int64(r.ep.Clock())
 	r.opts.Obs.StageBegin(id, n, true, finalVT)
-	scAll, err := topo.HomeSubcube(n, id)
-	if err != nil {
-		return nil, fmt.Errorf("blocksort: %w", err)
-	}
-	view := &r.view
+	view := &r.views[n%2]
+	r.view = view
 	view.reset(scAll, r.m)
 	view.set(id, mine)
 	for j := n - 1; j >= 0; j-- {
@@ -518,9 +511,8 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 		} else {
 			r.opts.Obs.DigestCheck(false)
 			r.opts.Obs.DigestSlowScan()
-			r.halfBuf = view.flattenInto(r.halfBuf[:0], 0, scAll.Size())
 			r.ep.ChargeCompare(2 * len(prevFlat))
-			ferr = core.Feasibility(prevFlat, r.halfBuf)
+			ferr = core.Feasibility(prevFlat, view.seq(0, scAll.Size()))
 		}
 		r.phiCheck(obs.PhiF, n, -1, ferr == nil)
 		if ferr != nil {
@@ -528,17 +520,12 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 		}
 	}
 	r.opts.Obs.StageEnd(id, n, true, finalVT, int64(r.ep.Clock()))
-	if r.opts.Obs != nil {
-		// Flatten explicitly rather than reusing halfBuf, which is
-		// stale when SkipChecks bypassed the final predicates.
-		r.halfBuf = view.flattenInto(r.halfBuf[:0], 0, scAll.Size())
-		r.opts.Obs.PublishStage(obs.StageView{
-			Node: id, Stage: n, Final: true,
-			SubcubeStart: scAll.Start, SubcubeSize: scAll.Size(),
-			BlockLen: r.m, Assembled: r.halfBuf,
-			Causal: r.opts.Forensic.LastID(),
-		})
-	}
+	r.opts.Obs.PublishStage(obs.StageView{
+		Node: id, Stage: n, Final: true,
+		SubcubeStart: scAll.Start, SubcubeSize: scAll.Size(),
+		BlockLen: r.m, Assembled: view.seq(0, scAll.Size()),
+		Causal: r.opts.Forensic.LastID(),
+	})
 	return mine, nil
 }
 
@@ -615,7 +602,7 @@ func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, e
 		if !ascending {
 			keep, give = hi, lo
 		}
-		r.keyStage = append(append(ensureCap(r.keyStage, 2*r.m), keep...), give...)
+		r.keyStage = append(append(r.keyStage[:0], keep...), give...)
 		v := view.wireViewInto(r.wvVals)
 		r.wvVals = v.Vals
 		if err := r.sendFT(j, wire.Message{
@@ -679,8 +666,7 @@ func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, e
 		// merge-split is verifiable.
 		if j == s {
 			if idx := partner - view.sc.Start; view.have.Has(idx) {
-				r.msCheck = ensureCap(r.msCheck, 2*r.m)
-				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck, mine, view.blocks[idx], r.opts.Parallelism)
+				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, view.blocks[idx], r.opts.Parallelism)
 				if merr == nil {
 					wantKeep, wantGive := wantLo, wantHi
 					if !ascending {

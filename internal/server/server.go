@@ -18,6 +18,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,8 @@ type JobStats struct {
 	// Attempts is the total sort attempts (1 = clean first try).
 	Attempts int `json:"attempts"`
 	// Quarantined lists physical nodes dropped or substituted during
-	// recovery; Accused lists nodes implicated by Φ evidence.
+	// recovery; Accused lists, ascending, the physical nodes any
+	// attempt's Φ evidence accused.
 	Quarantined []int `json:"quarantined,omitempty"`
 	Accused     []int `json:"accused,omitempty"`
 	// QueueMillis and RunMillis split the job's wall-clock latency
@@ -384,26 +386,28 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	}
 	if st.Recovery != nil {
 		stats.Quarantined = st.Recovery.Quarantined
+		stats.Accused = accusedNodes(st.Recovery.Attempts)
 	}
-	stats.Accused = accusedNodes(jobObs.J)
 	return &Response{JobID: j.id, Tenant: j.tenant, Sorted: sorted, Stats: stats}, nil
 }
 
-// accusedNodes extracts the distinct accused physical labels from a
-// per-job journal, in first-accusation order.
-func accusedNodes(j *obs.Journal) []int {
+// accusedNodes lists, in ascending order, the distinct physical labels
+// that any attempt's ERROR evidence accused. Evidence names logical
+// labels of its own attempt's cube, so each is mapped through that
+// attempt's Physical table.
+func accusedNodes(attempts []recovery.Attempt) []int {
 	var out []int
-	seen := make(map[int]bool)
-	for _, ev := range j.Events() {
-		if ev.Kind != obs.EvAccusation {
-			continue
-		}
-		accused := int(ev.Aux)
-		if !seen[accused] {
-			seen[accused] = true
-			out = append(out, accused)
+	for _, at := range attempts {
+		for _, he := range at.HostErrors {
+			if he.Accused < 0 || he.Accused >= len(at.Physical) {
+				continue
+			}
+			if p := at.Physical[he.Accused]; !slices.Contains(out, p) {
+				out = append(out, p)
+			}
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/recovery"
 	"repro/internal/reliablesort"
 )
 
@@ -244,6 +247,60 @@ func TestServerFaultRecoveryIsProtocolBounded(t *testing.T) {
 		t.Fatal("job still running after 30s: absence waited for the receive timeout")
 	}
 	s.Close()
+}
+
+// TestServerAccusedOnRecoveredDim6Job pins JobStats.Accused on a
+// recovered 64-node job: the failed attempt's evidence must survive a
+// verified retry whose honest run emits thousands of journal events,
+// and it must name the liar by its physical label.
+func TestServerAccusedOnRecoveredDim6Job(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	keys := make([]int64, 256)
+	rng := rand.New(rand.NewSource(6))
+	for i := range keys {
+		keys[i] = rng.Int63n(100000) - 50000
+	}
+	resp, err := s.Submit(Request{Keys: keys, Dim: 6,
+		Inject: &ChaosSpec{Class: "message", Node: 1, Strategy: "key-lie", Lie: 999999, Transient: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertVerified(t, keys, resp, false)
+	st := resp.Stats
+	if st.Nodes != 64 || st.Attempts != 2 {
+		t.Fatalf("nodes %d attempts %d, want 64 nodes and 2 attempts", st.Nodes, st.Attempts)
+	}
+	if !slices.Contains(st.Accused, 1) {
+		t.Errorf("Accused %v does not name the lying node 1", st.Accused)
+	}
+	for i, a := range st.Accused {
+		if a < 0 || a >= 64 {
+			t.Errorf("Accused %v holds %d, not a physical label of the 64-node cube", st.Accused, a)
+		}
+		if i > 0 && st.Accused[i-1] >= a {
+			t.Errorf("Accused %v not strictly ascending", st.Accused)
+		}
+	}
+}
+
+// TestAccusedNodesMapsToPhysical pins the label translation: each
+// attempt's evidence is in that attempt's logical labels, and Accused
+// reports physical ones, deduplicated and ascending.
+func TestAccusedNodesMapsToPhysical(t *testing.T) {
+	attempts := []recovery.Attempt{
+		{Physical: []int{0, 1, 2, 3}, HostErrors: []core.HostError{
+			{Node: 0, Accused: 3}, {Node: 2, Accused: -1}, {Node: 1, Accused: 3},
+		}},
+		// Physical node 3 was replaced by spare 5 at logical slot 3.
+		{Physical: []int{0, 1, 2, 5}, HostErrors: []core.HostError{
+			{Node: 0, Accused: 3}, {Node: 3, Accused: 2},
+		}},
+		{Physical: []int{0, 1, 2, 5}, Verified: true},
+	}
+	if got, want := accusedNodes(attempts), []int{2, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("accusedNodes = %v, want %v", got, want)
+	}
 }
 
 // TestServerFailStopWithoutRecovery pins the DisableRecovery path: a
