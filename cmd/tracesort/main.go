@@ -52,9 +52,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// The recorder consumes the unified stage-view stream (rather than
-	// the deprecated core.Options.Trace hook) so each event carries the
-	// causal id that joins it against forensic dumps.
+	// The recorder subscribes to the stage-view stream; each event
+	// carries the causal id that joins it against forensic dumps.
 	var rec trace.Recorder
 	observer := obs.New(obs.NewRegistry(), 0)
 	observer.Subscribe(&rec)
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprint(out, rec.Render())
 	if *causal {
 		fmt.Fprintf(out, "Causal event ids (node, stage -> flight-recorder id):\n")
-		for _, ev := range rec.CausalEvents() {
+		for _, ev := range rec.Events() {
 			fmt.Fprintf(out, "  node %d stage %d: %d\n", ev.Node, ev.Stage, uint64(ev.Causal))
 		}
 		fmt.Fprintln(out)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -313,7 +314,7 @@ func TestBlockViewArenaIsSlotSequence(t *testing.T) {
 		for lo := 0; lo <= sc.Size(); lo++ {
 			for hi := lo; hi <= sc.Size(); hi++ {
 				got := bv.seq(lo, hi)
-				if !equalKeys(got, want[lo*m:hi*m]) {
+				if !slices.Equal(got, want[lo*m:hi*m]) {
 					t.Fatalf("%v: seq(%d, %d) = %v, want %v", sc, lo, hi, got, want[lo*m:hi*m])
 				}
 				if lo < hi && &got[0] != &bv.data[lo*m] {

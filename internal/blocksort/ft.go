@@ -1,16 +1,14 @@
 package blocksort
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitonic"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/hypercube"
 	"repro/internal/node"
-	"repro/internal/obs"
-	"repro/internal/obs/forensic"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -261,8 +259,7 @@ func seamsAscending(blocks [][]int64, reversed bool) bool {
 // nodeProgramFT is the fault-tolerant block sort node program.
 func nodeProgramFT(block []int64, out *[]int64, opts Options) node.Program {
 	return func(ep transport.Endpoint) error {
-		r := &ftRunner{ep: ep, opts: opts, m: len(block)}
-		b, err := r.run(block)
+		b, err := newFTRunner(ep, opts, len(block)).run(block)
 		if err != nil {
 			return err
 		}
@@ -271,33 +268,63 @@ func nodeProgramFT(block []int64, out *[]int64, opts Options) node.Program {
 	}
 }
 
+// newFTRunner returns the runner for the node at ep holding m keys,
+// with its protocol shell bound to it.
+func newFTRunner(ep transport.Endpoint, opts Options, m int) *ftRunner {
+	r := &ftRunner{ep: ep, opts: opts, m: m}
+	r.Protocol = core.NewProtocol(ep, r, core.Options{
+		Tamper: opts.Tamper, SkipChecks: opts.SkipChecks,
+		Obs: opts.Obs, Forensic: opts.Forensic,
+	})
+	return r
+}
+
+// ftRunner is the block sort's kernel over the shared core.Protocol
+// shell: m keys per node, so its view holds one block per subcube slot
+// and each exchange is a merge-split of 2m keys.
 type ftRunner struct {
+	core.Protocol
 	ep   transport.Endpoint
 	opts Options
 	m    int
 
-	// Per-node arenas reused across every stage and iteration: payload
-	// encoding scratch, zero-copy decode scratch, the two block views,
-	// the wire-view Vals staging area, the keep·give send staging
-	// buffer, the two alternating merge-split buffers, the merge-split
-	// verification scratch, and the vect_mask prediction scratch. All
-	// but the decode scratch and the mask are sized when the run
-	// starts, so no stage grows them.
+	// Per-node arenas reused across every stage and iteration: the two
+	// block views, the keep·give send staging buffer, the two
+	// alternating merge-split buffers, and the merge-split verification
+	// scratch (the shell holds the codec scratch and the wire-view
+	// staging). All are sized when the run starts, so no stage grows
+	// them.
 	//
 	// Stage s gathers into views[s%2] (view points at it), and the final
 	// round into views[n%2]. Alternating leaves the previous stage's
 	// verified sequence intact in the other view's arena, where Φ_F and
 	// the stage-view stream read it as a sub-slice instead of a copy.
-	enc      []byte
-	dec      wire.DecodeScratch
 	views    [2]blockView
 	view     *blockView
-	wvVals   []int64
 	keyStage []int64
 	bufs     [2][]int64
 	cur      int
 	msCheck  []int64
-	expect   bitset.Set
+}
+
+// WireView, MergeView and ViewDigest implement core.Kernel over the
+// current block view.
+func (r *ftRunner) WireView(scratch []int64) wire.View { return r.view.wireViewInto(scratch) }
+
+func (r *ftRunner) ViewDigest() wire.Digest { return r.view.rangeDigest(0, r.view.sc.Size()) }
+
+// reserve sizes every arena once: the views and the wire-view staging
+// for the whole cube scAll, since each stage's subcube is a slot range
+// of it; the encode buffer for the largest payload, a full view plus
+// the 2m keys of a merge-split reply; the merge-split scratches for 2m.
+func (r *ftRunner) reserve(scAll hypercube.Subcube) {
+	for i := range r.views {
+		r.views[i].reset(scAll, r.m)
+	}
+	r.Reserve(scAll.Size()*r.m, 4+8*2*r.m+wire.ViewEncodedSize(scAll.Size(), scAll.Size(), r.m))
+	for _, buf := range []*[]int64{&r.bufs[0], &r.bufs[1], &r.keyStage, &r.msCheck} {
+		*buf = make([]int64, 0, 2*r.m)
+	}
 }
 
 // nextBuf flips to the merge-split buffer NOT holding the node's
@@ -307,62 +334,6 @@ type ftRunner struct {
 func (r *ftRunner) nextBuf() []int64 {
 	r.cur = 1 - r.cur
 	return r.bufs[r.cur][:0]
-}
-
-// fail constructs the node's predicate error with no specific accused
-// node (shape evidence); failFrom implicates a sender, failAbsent
-// reports a missing message. Mirrors the core package's S_FT runner.
-func (r *ftRunner) fail(kind error, stage, iter int, format string, args ...any) error {
-	return r.failEvidence(kind, core.KindShape, stage, iter, -1, format, args...)
-}
-
-func (r *ftRunner) failFrom(kind error, stage, iter, accused int, format string, args ...any) error {
-	return r.failEvidence(kind, core.KindValue, stage, iter, accused, format, args...)
-}
-
-func (r *ftRunner) failAbsent(kind error, stage, iter, accused int, format string, args ...any) error {
-	return r.failEvidence(kind, core.KindAbsence, stage, iter, accused, format, args...)
-}
-
-func (r *ftRunner) failEvidence(kind error, ev core.ErrorKind, stage, iter, accused int, format string, args ...any) error {
-	if accused >= 0 {
-		r.opts.Obs.Accusation(r.ep.ID(), stage, iter, accused, int64(r.ep.Clock()))
-	}
-	pe := &core.PredicateError{
-		Node:     r.ep.ID(),
-		Stage:    stage,
-		Iter:     iter,
-		Kind:     kind,
-		Evidence: ev,
-		Accused:  accused,
-		Detail:   fmt.Sprintf(format, args...),
-	}
-	// Record the accusation (and take the forensic dump) before the
-	// ERROR signal leaves, mirroring the core runner.
-	r.opts.Forensic.Accuse(forensic.PredCode(core.PredicateName(kind)), uint8(ev),
-		int32(stage), int32(iter), int32(accused), pe.Detail, int64(r.ep.Clock()))
-	_ = r.ep.SendHost(wire.Message{
-		Kind:  wire.KindError,
-		Stage: int32(stage),
-		Iter:  int32(iter),
-		Payload: wire.EncodeError(wire.ErrorPayload{
-			Predicate: core.PredicateName(kind),
-			Kind:      uint8(ev),
-			Accused:   int32(accused),
-			Detail:    pe.Detail,
-		}),
-	})
-	return pe
-}
-
-// phiCheck reports one constraint-predicate evaluation to the
-// observer and the flight recorder. A no-op without either.
-func (r *ftRunner) phiCheck(p obs.Phi, stage, iter int, pass bool) {
-	r.opts.Obs.PhiCheck(p, r.ep.ID(), stage, iter, pass, int64(r.ep.Clock()))
-	if r.opts.Forensic != nil {
-		r.opts.Forensic.Phi(core.PhiPred(p), int32(stage), int32(iter), pass,
-			r.view.rangeDigest(0, r.view.sc.Size()), int64(r.ep.Clock()))
-	}
 }
 
 func (r *ftRunner) run(block []int64) ([]int64, error) {
@@ -380,18 +351,7 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blocksort: %w", err)
 	}
-	// Size every arena once: the views and the wire-view staging for
-	// the whole cube, since each stage's subcube is a slot range of it;
-	// the encode buffer for the largest payload, a full view plus the
-	// 2m keys of a merge-split reply; the merge-split scratches for 2m.
-	for i := range r.views {
-		r.views[i].reset(scAll, r.m)
-	}
-	r.wvVals = make([]int64, 0, scAll.Size()*r.m)
-	r.enc = make([]byte, 0, 4+8*2*r.m+wire.ViewEncodedSize(scAll.Size(), scAll.Size(), r.m))
-	for _, buf := range []*[]int64{&r.bufs[0], &r.bufs[1], &r.keyStage, &r.msCheck} {
-		*buf = make([]int64, 0, 2*r.m)
-	}
+	r.reserve(scAll)
 
 	var prevFlat []int64 // verified previous sequence (LLBS · m), in the other view's arena
 	var prevSC hypercube.Subcube
@@ -404,8 +364,7 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 		if r.opts.CorruptMemory != nil && s > 0 {
 			r.opts.CorruptMemory(s, mine)
 		}
-		stageVT := int64(r.ep.Clock())
-		r.opts.Obs.StageBegin(id, s, false, stageVT)
+		stageVT := r.BeginStage(s)
 		sc, err := topo.HomeSubcube(s+1, id)
 		if err != nil {
 			return nil, fmt.Errorf("blocksort: %w", err)
@@ -416,57 +375,32 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 		view.set(id, mine)
 		for j := s; j >= 0; j-- {
 			r.opts.Obs.RoundBegin(id, s, j, int64(r.ep.Clock()))
-			mine, err = r.exchange(view, mine, s, j)
+			mine, err = r.exchange(mine, s, j)
 			if err != nil {
 				return nil, err
 			}
 			r.opts.Obs.RoundEnd(id, s, j, int64(r.ep.Clock()))
 		}
-		if !view.complete() && !r.opts.SkipChecks {
-			r.phiCheck(obs.PhiC, s, -1, false)
-			return nil, r.fail(core.ErrConsistency, s, -1,
-				"stage gather incomplete: mask %s", view.have.String())
+		if err := r.CheckGather(view.have, s); err != nil {
+			return nil, err
 		}
 		if s > 0 && !r.opts.SkipChecks {
-			r.ep.ChargeCompare(sc.Size() * r.m)
-			perr := ProgressBlocks(view.blocks, false)
-			r.phiCheck(obs.PhiP, s, -1, perr == nil)
-			if perr != nil {
-				return nil, r.fail(core.ErrProgress, s, -1, "%v", perr)
+			if err := r.CheckProgress(s, sc.Size()*r.m, ProgressBlocks(view.blocks, false)); err != nil {
+				return nil, err
 			}
-			// Φ_F fast path: the previous home subcube is a contiguous
-			// slot range of this stage's view, so its multiset digest
-			// folds from the stored per-slot digests in O(slots) and the
-			// permutation test is a digest comparison. A mismatch proves
-			// a real difference (equal multisets always digest equally);
-			// the element-level scan then runs only to produce today's
-			// attribution evidence, and remains authoritative.
+			// Φ_F: the previous home subcube is a contiguous slot range
+			// of this stage's view, so its multiset digest folds from
+			// the stored per-slot digests in O(slots).
 			lo := prevSC.Start - sc.Start
-			r.ep.ChargeCompare(wire.DigestCompareCost)
-			var ferr error
-			if view.rangeDigest(lo, lo+prevSC.Size()) == prevDig {
-				r.opts.Obs.DigestCheck(true)
-			} else {
-				r.opts.Obs.DigestCheck(false)
-				r.opts.Obs.DigestSlowScan()
-				r.ep.ChargeCompare(2 * len(prevFlat))
-				ferr = core.Feasibility(prevFlat, view.seq(lo, lo+prevSC.Size()))
-			}
-			r.phiCheck(obs.PhiF, s, -1, ferr == nil)
-			if ferr != nil {
-				return nil, r.fail(core.ErrFeasibility, s, -1, "%v", ferr)
+			hi := lo + prevSC.Size()
+			if err := r.CheckFeasibility(s, view.rangeDigest(lo, hi), prevDig, prevFlat, view.seq(lo, hi)); err != nil {
+				return nil, err
 			}
 		}
 		prevFlat = view.seq(0, sc.Size())
 		prevDig = view.rangeDigest(0, sc.Size())
 		r.ep.ChargeKeyMove(len(prevFlat))
-		r.opts.Obs.StageEnd(id, s, false, stageVT, int64(r.ep.Clock()))
-		r.opts.Obs.PublishStage(obs.StageView{
-			Node: id, Stage: s,
-			SubcubeStart: sc.Start, SubcubeSize: sc.Size(),
-			BlockLen: r.m, Assembled: prevFlat,
-			Causal: r.opts.Forensic.LastID(),
-		})
+		r.EndStage(s, stageVT, sc, r.m, prevFlat)
 		prevSC = sc
 	}
 
@@ -477,59 +411,33 @@ func (r *ftRunner) run(block []int64) ([]int64, error) {
 	}
 
 	// Final verification round.
-	finalVT := int64(r.ep.Clock())
-	r.opts.Obs.StageBegin(id, n, true, finalVT)
+	finalVT := r.BeginStage(n)
 	view := &r.views[n%2]
 	r.view = view
 	view.reset(scAll, r.m)
 	view.set(id, mine)
-	for j := n - 1; j >= 0; j-- {
-		r.opts.Obs.RoundBegin(id, n, j, int64(r.ep.Clock()))
-		if err := r.verifyExchange(view, n-1, j); err != nil {
-			return nil, err
-		}
-		r.opts.Obs.RoundEnd(id, n, j, int64(r.ep.Clock()))
+	if err := r.VerifyRound(n); err != nil {
+		return nil, err
 	}
-	if !view.complete() && !r.opts.SkipChecks {
-		r.phiCheck(obs.PhiC, n, -1, false)
-		return nil, r.fail(core.ErrConsistency, n, -1,
-			"final gather incomplete: mask %s", view.have.String())
+	if err := r.CheckGather(view.have, n); err != nil {
+		return nil, err
 	}
 	if !r.opts.SkipChecks {
-		r.ep.ChargeCompare(scAll.Size() * r.m)
-		perr := ProgressBlocks(view.blocks, true)
-		r.phiCheck(obs.PhiP, n, -1, perr == nil)
-		if perr != nil {
-			return nil, r.fail(core.ErrProgress, n, -1, "%v", perr)
+		if err := r.CheckProgress(n, scAll.Size()*r.m, ProgressBlocks(view.blocks, true)); err != nil {
+			return nil, err
 		}
 		// Final Φ_F: the verification round re-gathers the whole cube,
 		// so the full range digest stands in for the permutation scan.
-		r.ep.ChargeCompare(wire.DigestCompareCost)
-		var ferr error
-		if view.rangeDigest(0, scAll.Size()) == prevDig {
-			r.opts.Obs.DigestCheck(true)
-		} else {
-			r.opts.Obs.DigestCheck(false)
-			r.opts.Obs.DigestSlowScan()
-			r.ep.ChargeCompare(2 * len(prevFlat))
-			ferr = core.Feasibility(prevFlat, view.seq(0, scAll.Size()))
-		}
-		r.phiCheck(obs.PhiF, n, -1, ferr == nil)
-		if ferr != nil {
-			return nil, r.fail(core.ErrFeasibility, n, -1, "%v", ferr)
+		if err := r.CheckFeasibility(n, view.rangeDigest(0, scAll.Size()), prevDig,
+			prevFlat, view.seq(0, scAll.Size())); err != nil {
+			return nil, err
 		}
 	}
-	r.opts.Obs.StageEnd(id, n, true, finalVT, int64(r.ep.Clock()))
-	r.opts.Obs.PublishStage(obs.StageView{
-		Node: id, Stage: n, Final: true,
-		SubcubeStart: scAll.Start, SubcubeSize: scAll.Size(),
-		BlockLen: r.m, Assembled: view.seq(0, scAll.Size()),
-		Causal: r.opts.Forensic.LastID(),
-	})
+	r.EndStage(n, finalVT, scAll, r.m, view.seq(0, scAll.Size()))
 	return mine, nil
 }
 
-func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, error) {
+func (r *ftRunner) exchange(mine []int64, s, j int) ([]int64, error) {
 	id := r.ep.ID()
 	topo := r.ep.Topology()
 	partner, err := topo.Partner(id, j)
@@ -539,38 +447,32 @@ func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, e
 	ascending := topo.Ascending(s, id)
 
 	if hypercube.Active(id, j) {
-		m, ok, err := r.recvChecked(j, wire.KindFTExchange, s, j, partner)
+		p, ok, err := r.RecvFT(j, s, partner)
 		if err != nil {
 			return nil, err
 		}
 		theirs := mine // degenerate fallback for SkipChecks nodes
 		if ok {
-			p, derr := wire.DecodeFTExchangeInto(&r.dec, m.Payload)
-			switch {
-			case derr != nil && r.opts.SkipChecks:
-			case derr != nil:
-				return nil, r.failFrom(core.ErrProtocol, s, j, partner, "undecodable exchange from %d: %v", partner, derr)
-			case len(p.Keys) != r.m && !r.opts.SkipChecks:
-				return nil, r.failFrom(core.ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", r.m, partner, len(p.Keys))
-			default:
-				if len(p.Keys) == r.m {
-					theirs = p.Keys
-				}
-				if err := r.mergeView(view, p.View, s, j, partner, false); err != nil {
-					return nil, err
-				}
-				if !r.opts.SkipChecks && !bitonic.IsSorted(theirs, true) {
-					return nil, r.failFrom(core.ErrProtocol, s, j, partner, "block from %d not sorted", partner)
-				}
-				// At the stage's first iteration the sender's block and
-				// its own relayed view entry are both its stage-start
-				// block; disagreement proves the sender lied about one
-				// of them (Φ_C, with the liar named).
-				if !r.opts.SkipChecks && j == s {
-					if idx := partner - view.sc.Start; view.have.Has(idx) && !equalKeys(theirs, view.blocks[idx]) {
-						return nil, r.failFrom(core.ErrConsistency, s, j, partner,
-							"stage-start keys from %d disagree with its relayed view entry", partner)
-					}
+			if len(p.Keys) != r.m && !r.opts.SkipChecks {
+				return nil, r.FailFrom(core.ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", r.m, partner, len(p.Keys))
+			}
+			if len(p.Keys) == r.m {
+				theirs = p.Keys
+			}
+			if err := r.MergeView(p.View, s, j, partner, false); err != nil {
+				return nil, err
+			}
+			if !r.opts.SkipChecks && !bitonic.IsSorted(theirs, true) {
+				return nil, r.FailFrom(core.ErrProtocol, s, j, partner, "block from %d not sorted", partner)
+			}
+			// At the stage's first iteration the sender's block and its
+			// own relayed view entry are both its stage-start block;
+			// disagreement proves the sender lied about one of them
+			// (Φ_C, with the liar named).
+			if !r.opts.SkipChecks && j == s {
+				if idx := partner - r.view.sc.Start; r.view.have.Has(idx) && !slices.Equal(theirs, r.view.blocks[idx]) {
+					return nil, r.FailFrom(core.ErrConsistency, s, j, partner,
+						"stage-start keys from %d disagree with its relayed view entry", partner)
 				}
 			}
 		}
@@ -603,77 +505,66 @@ func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, e
 			keep, give = hi, lo
 		}
 		r.keyStage = append(append(r.keyStage[:0], keep...), give...)
-		v := view.wireViewInto(r.wvVals)
-		r.wvVals = v.Vals
-		if err := r.sendFT(j, wire.Message{
-			Kind:  wire.KindFTExchange,
-			Stage: int32(s),
-			Iter:  int32(j),
-		}, wire.FTExchangePayload{Keys: r.keyStage, View: v}); err != nil {
+		if err := r.SendFT(j, s, r.keyStage); err != nil {
 			return nil, err
 		}
 		return keep, nil
 	}
 
-	// Passive side.
-	v := view.wireViewInto(r.wvVals)
-	r.wvVals = v.Vals
-	if err := r.sendFT(j, wire.Message{
-		Kind:  wire.KindFTExchange,
-		Stage: int32(s),
-		Iter:  int32(j),
-	}, wire.FTExchangePayload{Keys: mine, View: v}); err != nil {
+	// Passive side: send our block and current view, then adopt the
+	// returned half after validating the merge-split.
+	if err := r.SendFT(j, s, mine); err != nil {
 		return nil, err
 	}
-	m, ok, err := r.recvChecked(j, wire.KindFTExchange, s, j, partner)
+	return r.passiveReply(mine, s, j, partner, ascending)
+}
+
+// passiveReply receives the active partner's merge-split reply,
+// merges its echoed view, and validates both halves before adopting
+// the one the schedule gives us.
+func (r *ftRunner) passiveReply(mine []int64, s, j, partner int, ascending bool) ([]int64, error) {
+	p, ok, err := r.RecvFT(j, s, partner)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return mine, nil
 	}
-	p, derr := wire.DecodeFTExchangeInto(&r.dec, m.Payload)
-	if derr != nil {
-		if r.opts.SkipChecks {
-			return mine, nil
-		}
-		return nil, r.failFrom(core.ErrProtocol, s, j, partner, "undecodable exchange from %d: %v", partner, derr)
-	}
 	if len(p.Keys) != 2*r.m {
 		if r.opts.SkipChecks {
 			return mine, nil
 		}
-		return nil, r.failFrom(core.ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", 2*r.m, partner, len(p.Keys))
+		return nil, r.FailFrom(core.ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", 2*r.m, partner, len(p.Keys))
 	}
-	if err := r.mergeView(view, p.View, s, j, partner, true); err != nil {
+	if err := r.MergeView(p.View, s, j, partner, true); err != nil {
 		return nil, err
 	}
 	keep, give := p.Keys[:r.m], p.Keys[r.m:]
 	if !r.opts.SkipChecks {
 		if !bitonic.IsSorted(keep, true) || !bitonic.IsSorted(give, true) {
-			return nil, r.failFrom(core.ErrProtocol, s, j, partner, "merge-split reply from %d has unsorted halves", partner)
+			return nil, r.FailFrom(core.ErrProtocol, s, j, partner, "merge-split reply from %d has unsorted halves", partner)
 		}
 		if ascending && keep[r.m-1] > give[0] {
-			return nil, r.failFrom(core.ErrProtocol, s, j, partner,
+			return nil, r.FailFrom(core.ErrProtocol, s, j, partner,
 				"ascending merge-split reply from %d misordered (%d > %d)", partner, keep[r.m-1], give[0])
 		}
 		if !ascending && keep[0] < give[r.m-1] {
-			return nil, r.failFrom(core.ErrProtocol, s, j, partner,
+			return nil, r.FailFrom(core.ErrProtocol, s, j, partner,
 				"descending merge-split reply from %d misordered (%d < %d)", partner, keep[0], give[r.m-1])
 		}
 		// At the stage's first iteration both input blocks are known
 		// (the partner's is its seeded view entry), so the whole
 		// merge-split is verifiable.
 		if j == s {
-			if idx := partner - view.sc.Start; view.have.Has(idx) {
-				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, view.blocks[idx], r.opts.Parallelism)
+			if idx := partner - r.view.sc.Start; r.view.have.Has(idx) {
+				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, r.view.blocks[idx], r.opts.Parallelism)
 				if merr == nil {
 					wantKeep, wantGive := wantLo, wantHi
 					if !ascending {
 						wantKeep, wantGive = wantHi, wantLo
 					}
-					if !equalKeys(keep, wantKeep) || !equalKeys(give, wantGive) {
-						return nil, r.failFrom(core.ErrProtocol, s, j, partner,
+					if !slices.Equal(keep, wantKeep) || !slices.Equal(give, wantGive) {
+						return nil, r.FailFrom(core.ErrProtocol, s, j, partner,
 							"merge-split by %d returned wrong halves", partner)
 					}
 				}
@@ -687,78 +578,11 @@ func (r *ftRunner) exchange(view *blockView, mine []int64, s, j int) ([]int64, e
 	return adopted, nil
 }
 
-func equalKeys(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *ftRunner) verifyExchange(view *blockView, s, j int) error {
-	id := r.ep.ID()
-	partner, err := r.ep.Topology().Partner(id, j)
-	if err != nil {
-		return fmt.Errorf("blocksort: %w", err)
-	}
-	stageLabel := s + 1
-
-	if hypercube.Active(id, j) {
-		m, ok, err := r.recvChecked(j, wire.KindVerify, stageLabel, j, partner)
-		if err != nil {
-			return err
-		}
-		if ok {
-			p, derr := wire.DecodeVerifyInto(&r.dec, m.Payload)
-			if derr != nil && !r.opts.SkipChecks {
-				return r.failFrom(core.ErrProtocol, stageLabel, j, partner, "undecodable verify from %d: %v", partner, derr)
-			}
-			if derr == nil {
-				if err := r.mergeView(view, p.View, s, j, partner, false); err != nil {
-					return err
-				}
-			}
-		}
-		v := view.wireViewInto(r.wvVals)
-		r.wvVals = v.Vals
-		return r.sendVerify(j, wire.Message{
-			Kind:  wire.KindVerify,
-			Stage: int32(stageLabel),
-			Iter:  int32(j),
-		}, wire.VerifyPayload{View: v})
-	}
-
-	v := view.wireViewInto(r.wvVals)
-	r.wvVals = v.Vals
-	if err := r.sendVerify(j, wire.Message{
-		Kind:  wire.KindVerify,
-		Stage: int32(stageLabel),
-		Iter:  int32(j),
-	}, wire.VerifyPayload{View: v}); err != nil {
-		return err
-	}
-	m, ok, err := r.recvChecked(j, wire.KindVerify, stageLabel, j, partner)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	p, derr := wire.DecodeVerifyInto(&r.dec, m.Payload)
-	if derr != nil {
-		if r.opts.SkipChecks {
-			return nil
-		}
-		return r.failFrom(core.ErrProtocol, stageLabel, j, partner, "undecodable verify from %d: %v", partner, derr)
-	}
-	return r.mergeView(view, p.View, s, j, partner, true)
-}
-
-func (r *ftRunner) mergeView(view *blockView, rv wire.View, s, j, sender int, postExchange bool) error {
+// MergeView folds a received view into the current one under Φ_C: the
+// sender's mask must match the vect_mask prediction and every block
+// already held must equal its relayed copy.
+func (r *ftRunner) MergeView(rv wire.View, s, j, sender int, postExchange bool) error {
+	view := r.view
 	// The sender's claimed aggregate digest fingerprints the merged view
 	// in the flight recorder.
 	r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
@@ -768,21 +592,15 @@ func (r *ftRunner) mergeView(view *blockView, rv wire.View, s, j, sender int, po
 		view.mergeLenient(rv)
 		return nil
 	}
-	var expected bitset.Set
-	var err error
-	if postExchange {
-		expected, err = core.VectMaskInto(&r.expect, s, j, sender, view.sc)
-	} else {
-		expected, err = core.VectMaskBeforeInto(&r.expect, s, j, sender, view.sc)
-	}
+	expected, err := r.ExpectedMask(s, j, sender, view.sc, postExchange)
 	if err != nil {
-		return fmt.Errorf("blocksort: %w", err)
+		return err
 	}
 	outcome, merr := view.mergeChecked(rv, expected)
 	// Charge what the merge actually did: a hit folds one stored digest
 	// per relayed slot plus the aggregate comparison; a miss pays the
 	// key-for-key walk on top; a merge that failed validation before
-	// the digest pass charges the legacy walk cost.
+	// the digest pass charges the key-for-key walk.
 	switch outcome {
 	case core.DigestHit:
 		r.ep.ChargeCompare(rv.Mask.Count() + wire.DigestCompareCost)
@@ -794,89 +612,5 @@ func (r *ftRunner) mergeView(view *blockView, rv wire.View, s, j, sender int, po
 	default:
 		r.ep.ChargeCompare(rv.Mask.Count() * int(rv.BlockLen))
 	}
-	r.phiCheck(obs.PhiC, s, j, merr == nil)
-	if merr != nil {
-		return r.failFrom(core.ErrConsistency, s, j, sender, "view from %d: %v", sender, merr)
-	}
-	return nil
-}
-
-func (r *ftRunner) recvChecked(bit int, kind wire.Kind, stage, iter, partner int) (wire.Message, bool, error) {
-	m, err := r.ep.Recv(bit)
-	if err != nil {
-		if r.opts.SkipChecks {
-			return wire.Message{}, false, nil
-		}
-		if errors.Is(err, transport.ErrAbsent) {
-			return wire.Message{}, false, r.failAbsent(core.ErrProtocol, stage, iter, partner, "receive from %d: %v", partner, err)
-		}
-		return wire.Message{}, false, r.failFrom(core.ErrProtocol, stage, iter, partner, "receive from %d: %v", partner, err)
-	}
-	if m.Kind != kind || int(m.Stage) != stage || int(m.Iter) != iter ||
-		int(m.From) != partner || int(m.To) != r.ep.ID() {
-		if r.opts.SkipChecks {
-			return wire.Message{}, false, nil
-		}
-		return wire.Message{}, false, r.failFrom(core.ErrProtocol, stage, iter, partner,
-			"unexpected header kind=%v stage=%d iter=%d from=%d (want kind=%v stage=%d iter=%d from=%d)",
-			m.Kind, m.Stage, m.Iter, m.From, kind, stage, iter, partner)
-	}
-	return m, true, nil
-}
-
-// sendFT and sendVerify encode into the runner's scratch buffer and
-// transmit. They are typed (rather than one method taking `any`)
-// because interface boxing of a payload struct would allocate on every
-// send.
-
-func (r *ftRunner) sendFT(bit int, m wire.Message, p wire.FTExchangePayload) error {
-	buf, err := wire.AppendFTExchange(r.enc[:0], p)
-	if err != nil {
-		return fmt.Errorf("blocksort: encode: %w", err)
-	}
-	r.enc = buf
-	m.Payload = buf
-	return r.transmit(bit, m)
-}
-
-func (r *ftRunner) sendVerify(bit int, m wire.Message, p wire.VerifyPayload) error {
-	buf, err := wire.AppendVerify(r.enc[:0], p)
-	if err != nil {
-		return fmt.Errorf("blocksort: encode: %w", err)
-	}
-	r.enc = buf
-	m.Payload = buf
-	return r.transmit(bit, m)
-}
-
-// transmit applies the Byzantine tamper hook if any and sends. The
-// transport copies the payload into its own buffer before returning,
-// so the runner's encode scratch is immediately reusable. The tamper
-// path lives in its own method: Tamper takes the message's address,
-// which would otherwise force every honest send's message to the heap.
-func (r *ftRunner) transmit(bit int, m wire.Message) error {
-	if r.opts.Tamper != nil {
-		return r.transmitTampered(bit, m)
-	}
-	if err := r.ep.Send(bit, m); err != nil {
-		return fmt.Errorf("blocksort: send: %w", err)
-	}
-	return nil
-}
-
-func (r *ftRunner) transmitTampered(bit int, m wire.Message) error {
-	partner, perr := r.ep.Topology().Partner(r.ep.ID(), bit)
-	if perr != nil {
-		return fmt.Errorf("blocksort: %w", perr)
-	}
-	m.From = int32(r.ep.ID())
-	m.To = int32(partner)
-	out := r.opts.Tamper(&m)
-	if out == nil {
-		return nil
-	}
-	if err := r.ep.Send(bit, *out); err != nil {
-		return fmt.Errorf("blocksort: send: %w", err)
-	}
-	return nil
+	return r.CheckMerge(s, j, sender, merr)
 }

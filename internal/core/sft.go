@@ -18,10 +18,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/hypercube"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -29,30 +27,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// TraceEvent reports a node's assembled, verified sequence at the end
-// of a stage; cmd/tracesort uses it to reproduce the paper's Figure 5
-// worked example.
-//
-// Deprecated: subscribe to obs.StageView through Options.Obs instead;
-// stage views carry the same assembled sequence plus the causal event
-// id that joins them against forensic dumps. TraceEvent remains for
-// compatibility and will receive no new fields.
-type TraceEvent struct {
-	// Node is the reporting node.
-	Node int
-	// Stage is the completed stage index, or Dim for the final
-	// verification round.
-	Stage int
-	// Final marks the final verification round.
-	Final bool
-	// Subcube is the home subcube the sequence covers.
-	Subcube hypercube.Subcube
-	// Assembled is the gathered sequence (the verified LBS): the
-	// output of stage Stage-1 for regular stages, the final sorted
-	// sequence when Final.
-	Assembled []int64
-}
 
 // Options tunes one node's S_FT program. The zero value is the honest
 // protocol.
@@ -82,13 +56,6 @@ type Options struct {
 	// malicious processor does not report itself. Honest peers are
 	// the ones expected to detect it.
 	SkipChecks bool
-	// Trace, when non-nil, receives a TraceEvent at the end of every
-	// stage and after the final verification.
-	//
-	// Deprecated: use Options.Obs with a StageSubscriber; published
-	// stage views additionally carry the causal event id forensic
-	// dumps key on.
-	Trace func(ev TraceEvent)
 	// Forensic, when non-nil, is this node's flight recorder: predicate
 	// evaluations, view merges, and accusations are recorded alongside
 	// the transport's send/recv events, and a predicate failure
@@ -106,14 +73,6 @@ type Options struct {
 	// allocation-free, so the steady-state exchange path stays
 	// zero-allocation.
 	Obs *obs.Observer
-	// Parallelism caps the worker count for data-parallel merge paths
-	// (bitonic.MergeSplitParallelInto and friends). <= 0 means
-	// GOMAXPROCS. The scalar S_FT sort exchanges a single key per round
-	// so it has no parallel merge site of its own; the knob lives here
-	// because Options is the shared tuning surface the block variants
-	// (blocksort, reliablesort) mirror and thread through to their
-	// merge-split calls.
-	Parallelism int
 
 	// The remaining flags are ablation switches used to quantify how
 	// much each mechanism of the paradigm contributes (DESIGN.md §5).
@@ -143,7 +102,8 @@ type Options struct {
 // *out (each node writes only its own slot).
 func NodeProgram(key int64, out *int64, opts Options) node.Program {
 	return func(ep transport.Endpoint) error {
-		r := &sftRunner{ep: ep, opts: opts}
+		r := &sftRunner{}
+		r.Protocol = NewProtocol(ep, r, opts)
 		a, err := r.run(key)
 		if err != nil {
 			return err
@@ -153,98 +113,25 @@ func NodeProgram(key int64, out *int64, opts Options) node.Program {
 	}
 }
 
+// sftRunner is S_FT's kernel over the shared Protocol shell: one key
+// per node, so its view holds one value per subcube slot and each
+// exchange is a compare-exchange of two keys.
 type sftRunner struct {
-	ep   transport.Endpoint
-	opts Options
+	Protocol // also holds the node's Options (r.opts)
 
 	// Per-node arenas reused across every stage and iteration so the
-	// steady-state exchange path performs no allocation: payload
-	// encoding scratch, zero-copy decode scratch, the gather view
-	// itself, the wire-view Vals staging area, the two-key send buffer,
-	// and the vect_mask prediction scratch.
-	enc    []byte
-	dec    wire.DecodeScratch
+	// steady-state exchange path performs no allocation: the gather
+	// view and the two-key send buffer (the shell holds the codec
+	// scratch).
 	view   gatherView
-	wvVals []int64
 	keyBuf [2]int64
-	expect bitset.Set
 }
 
-// fail constructs the node's predicate error with no specific accused
-// node (shape evidence); failFrom is the variant used when the
-// evidence implicates a sender, failAbsent when the evidence is a
-// missing message.
-func (r *sftRunner) fail(kind error, stage, iter int, format string, args ...any) error {
-	return r.failEvidence(kind, KindShape, stage, iter, -1, format, args...)
-}
+// WireView, MergeView and ViewDigest implement Kernel over the gather
+// view.
+func (r *sftRunner) WireView(scratch []int64) wire.View { return r.view.wireViewInto(scratch) }
 
-func (r *sftRunner) failFrom(kind error, stage, iter, accused int, format string, args ...any) error {
-	return r.failEvidence(kind, KindValue, stage, iter, accused, format, args...)
-}
-
-func (r *sftRunner) failAbsent(kind error, stage, iter, accused int, format string, args ...any) error {
-	return r.failEvidence(kind, KindAbsence, stage, iter, accused, format, args...)
-}
-
-// failEvidence constructs the node's predicate error, signals ERROR
-// (with the evidence kind and accused node) to the host — the reliable
-// diagnostic channel of the paradigm — and returns the error so the
-// node fail-stops.
-func (r *sftRunner) failEvidence(kind error, ev ErrorKind, stage, iter, accused int, format string, args ...any) error {
-	if accused >= 0 {
-		r.opts.Obs.Accusation(r.ep.ID(), stage, iter, accused, int64(r.ep.Clock()))
-	}
-	pe := &PredicateError{
-		Node:     r.ep.ID(),
-		Stage:    stage,
-		Iter:     iter,
-		Kind:     kind,
-		Evidence: ev,
-		Accused:  accused,
-		Detail:   fmt.Sprintf(format, args...),
-	}
-	// The accusation is recorded (and the forensic dump taken) before
-	// the ERROR signal leaves, so the report's rings cannot contain the
-	// signalling itself — only the evidence that led to it.
-	r.opts.Forensic.Accuse(forensic.PredCode(PredicateName(kind)), uint8(ev),
-		int32(stage), int32(iter), int32(accused), pe.Detail, int64(r.ep.Clock()))
-	// Host signalling is best-effort: the host link is reliable by
-	// assumption, but a full mailbox must not mask the local error.
-	_ = r.ep.SendHost(wire.Message{
-		Kind:  wire.KindError,
-		Stage: int32(stage),
-		Iter:  int32(iter),
-		Payload: wire.EncodeError(wire.ErrorPayload{
-			Predicate: PredicateName(kind),
-			Kind:      uint8(ev),
-			Accused:   int32(accused),
-			Detail:    pe.Detail,
-		}),
-	})
-	return pe
-}
-
-// phiCheck reports one constraint-predicate evaluation to the
-// observer and the flight recorder. A no-op without either.
-func (r *sftRunner) phiCheck(p obs.Phi, stage, iter int, pass bool) {
-	r.opts.Obs.PhiCheck(p, r.ep.ID(), stage, iter, pass, int64(r.ep.Clock()))
-	r.opts.Forensic.Phi(PhiPred(p), int32(stage), int32(iter), pass,
-		r.view.viewDigest(), int64(r.ep.Clock()))
-}
-
-// PhiPred maps an obs predicate label to its forensic record code.
-func PhiPred(p obs.Phi) uint8 {
-	switch p {
-	case obs.PhiP:
-		return forensic.PredProgress
-	case obs.PhiF:
-		return forensic.PredFeasibility
-	case obs.PhiC:
-		return forensic.PredConsistency
-	default:
-		return forensic.PredNone
-	}
-}
+func (r *sftRunner) ViewDigest() wire.Digest { return r.view.viewDigest() }
 
 func (r *sftRunner) run(key int64) (int64, error) {
 	id := r.ep.ID()
@@ -268,84 +155,48 @@ func (r *sftRunner) run(key int64) (int64, error) {
 		// stages (never before the first exchange, per environmental
 		// assumption 5 — a stage-0 corruption would be different input).
 		if r.opts.CorruptMemory != nil && s > 0 {
-			r.keyBuf[0] = a
-			r.opts.CorruptMemory(s, r.keyBuf[:1])
-			a = r.keyBuf[0]
+			a = r.corrupt(s, a)
 		}
-		stageVT := int64(r.ep.Clock())
-		r.opts.Obs.StageBegin(id, s, false, stageVT)
+		stageVT := r.BeginStage(s)
 		sc, err := topo.HomeSubcube(s+1, id)
 		if err != nil {
 			return 0, fmt.Errorf("core: %w", err)
 		}
-		view := &r.view
-		view.reset(sc)
-		view.set(id, a) // seed LBS with this stage's starting value
+		r.view.reset(sc)
+		r.view.set(id, a) // seed LBS with this stage's starting value
 		for j := s; j >= 0; j-- {
 			r.opts.Obs.RoundBegin(id, s, j, int64(r.ep.Clock()))
-			a, err = r.ftExchange(view, a, s, j)
+			a, err = r.ftExchange(a, s, j)
 			if err != nil {
 				return 0, err
 			}
 			r.opts.Obs.RoundEnd(id, s, j, int64(r.ep.Clock()))
 		}
-		if !view.complete() && !r.opts.SkipChecks {
-			r.phiCheck(obs.PhiC, s, -1, false)
-			return 0, r.fail(ErrConsistency, s, -1,
-				"stage gather incomplete: mask %s", view.have.String())
+		if err := r.CheckGather(r.view.have, s); err != nil {
+			return 0, err
 		}
-		assembled := view.values()
+		assembled := r.view.values()
 		if s > 0 && !r.opts.SkipChecks {
 			// bit_compare: Φ_P over the assembled previous-stage
 			// output, Φ_F over this node's half against LLBS. The
-			// charges reflect Lemma 8's O(2^i) bound.
-			r.ep.ChargeCompare(len(assembled))
-			perr := Progress(assembled, false)
-			r.phiCheck(obs.PhiP, s, -1, perr == nil)
-			if perr != nil {
-				return 0, r.fail(ErrProgress, s, -1, "%v", perr)
+			// charges reflect Lemma 8's O(2^i) bound. The view keeps one
+			// digest per half of the home subcube, and prevSC is exactly
+			// one of those halves.
+			if err := r.CheckProgress(s, len(assembled), Progress(assembled, false)); err != nil {
+				return 0, err
 			}
-			myHalf := halfContaining(assembled, sc, prevSC)
-			// Φ_F fast path: the view maintains one digest per half of
-			// the home subcube, and prevSC is exactly one of those
-			// halves, so the permutation test is a digest comparison.
-			// Equal multisets always digest equally, so a mismatch
-			// proves a real difference and the element-level scan runs
-			// only to produce today's attribution evidence (it remains
-			// authoritative: whatever it reports is the verdict).
-			halfIdx := 1
+			half := 1
 			if prevSC.Start == sc.Start {
-				halfIdx = 0
+				half = 0
 			}
-			r.ep.ChargeCompare(wire.DigestCompareCost)
-			var ferr error
-			if view.halfDig(halfIdx) == prevDig {
-				r.opts.Obs.DigestCheck(true)
-			} else {
-				r.opts.Obs.DigestCheck(false)
-				r.opts.Obs.DigestSlowScan()
-				r.ep.ChargeCompare(2 * len(prevSeq))
-				ferr = Feasibility(prevSeq, myHalf)
-			}
-			r.phiCheck(obs.PhiF, s, -1, ferr == nil)
-			if ferr != nil {
-				return 0, r.fail(ErrFeasibility, s, -1, "%v", ferr)
+			if err := r.CheckFeasibility(s, r.view.halfDig(half), prevDig,
+				prevSeq, halfContaining(assembled, sc, prevSC)); err != nil {
+				return 0, err
 			}
 		}
 		r.ep.ChargeKeyMove(len(assembled)) // LLBS update
-		if r.opts.Trace != nil {
-			r.opts.Trace(TraceEvent{Node: id, Stage: s, Subcube: sc, Assembled: assembled})
-		}
-		r.opts.Obs.StageEnd(id, s, false, stageVT, int64(r.ep.Clock()))
-		r.opts.Obs.PublishStage(obs.StageView{
-			Node: id, Stage: s,
-			SubcubeStart: sc.Start, SubcubeSize: sc.Size(),
-			BlockLen: 1, Assembled: assembled,
-			Causal: r.opts.Forensic.LastID(),
-		})
-		prevSeq = assembled
-		prevSC = sc
-		prevDig = view.viewDigest()
+		r.EndStage(s, stageVT, sc, 1, assembled)
+		prevSeq, prevSC, prevDig = assembled, sc, r.view.viewDigest()
 	}
 
 	if r.opts.SkipFinalVerification {
@@ -357,70 +208,44 @@ func (r *sftRunner) run(key int64) (int64, error) {
 	// final verification round — the corruption Theorem 3's extra
 	// round exists to expose.
 	if r.opts.CorruptMemory != nil {
-		r.keyBuf[0] = a
-		r.opts.CorruptMemory(n, r.keyBuf[:1])
-		a = r.keyBuf[0]
+		a = r.corrupt(n, a)
 	}
 
 	// Final verification: a pure exchange of the final sorted values
 	// over the whole cube, then the last bit_compare.
-	finalVT := int64(r.ep.Clock())
-	r.opts.Obs.StageBegin(id, n, true, finalVT)
+	finalVT := r.BeginStage(n)
 	scAll, err := topo.HomeSubcube(n, id)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	view := &r.view
-	view.reset(scAll)
-	view.set(id, a)
-	for j := n - 1; j >= 0; j-- {
-		r.opts.Obs.RoundBegin(id, n, j, int64(r.ep.Clock()))
-		if err := r.verifyExchange(view, n-1, j); err != nil {
-			return 0, err
-		}
-		r.opts.Obs.RoundEnd(id, n, j, int64(r.ep.Clock()))
+	r.view.reset(scAll)
+	r.view.set(id, a)
+	if err := r.VerifyRound(n); err != nil {
+		return 0, err
 	}
-	if !view.complete() && !r.opts.SkipChecks {
-		r.phiCheck(obs.PhiC, n, -1, false)
-		return 0, r.fail(ErrConsistency, n, -1,
-			"final gather incomplete: mask %s", view.have.String())
+	if err := r.CheckGather(r.view.have, n); err != nil {
+		return 0, err
 	}
-	finalSeq := view.values()
+	finalSeq := r.view.values()
 	if !r.opts.SkipChecks {
-		r.ep.ChargeCompare(len(finalSeq))
-		perr := Progress(finalSeq, true)
-		r.phiCheck(obs.PhiP, n, -1, perr == nil)
-		if perr != nil {
-			return 0, r.fail(ErrProgress, n, -1, "%v", perr)
+		if err := r.CheckProgress(n, len(finalSeq), Progress(finalSeq, true)); err != nil {
+			return 0, err
 		}
 		// Final Φ_F: the verification round re-gathers the whole cube,
 		// so the full view digest stands in for the permutation scan.
-		r.ep.ChargeCompare(wire.DigestCompareCost)
-		var ferr error
-		if view.viewDigest() == prevDig {
-			r.opts.Obs.DigestCheck(true)
-		} else {
-			r.opts.Obs.DigestCheck(false)
-			r.opts.Obs.DigestSlowScan()
-			r.ep.ChargeCompare(2 * len(prevSeq))
-			ferr = Feasibility(prevSeq, finalSeq)
-		}
-		r.phiCheck(obs.PhiF, n, -1, ferr == nil)
-		if ferr != nil {
-			return 0, r.fail(ErrFeasibility, n, -1, "%v", ferr)
+		if err := r.CheckFeasibility(n, r.view.viewDigest(), prevDig, prevSeq, finalSeq); err != nil {
+			return 0, err
 		}
 	}
-	if r.opts.Trace != nil {
-		r.opts.Trace(TraceEvent{Node: id, Stage: n, Final: true, Subcube: scAll, Assembled: finalSeq})
-	}
-	r.opts.Obs.StageEnd(id, n, true, finalVT, int64(r.ep.Clock()))
-	r.opts.Obs.PublishStage(obs.StageView{
-		Node: id, Stage: n, Final: true,
-		SubcubeStart: scAll.Start, SubcubeSize: scAll.Size(),
-		BlockLen: 1, Assembled: finalSeq,
-		Causal: r.opts.Forensic.LastID(),
-	})
+	r.EndStage(n, finalVT, scAll, 1, finalSeq)
 	return a, nil
+}
+
+// corrupt passes the resident key through the faulty-memory hook.
+func (r *sftRunner) corrupt(stage int, a int64) int64 {
+	r.keyBuf[0] = a
+	r.opts.CorruptMemory(stage, r.keyBuf[:1])
+	return r.keyBuf[0]
 }
 
 // halfContaining slices the assembled sequence (over sc) down to the
@@ -434,7 +259,7 @@ func halfContaining(assembled []int64, sc, prevSC hypercube.Subcube) []int64 {
 // ftExchange performs the stage-s iteration-j compare-exchange of
 // Figure 3, with the piggybacked view merge (Φ_C) on both sides, and
 // returns the node's new key.
-func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, error) {
+func (r *sftRunner) ftExchange(a int64, s, j int) (int64, error) {
 	id := r.ep.ID()
 	topo := r.ep.Topology()
 	partner, err := topo.Partner(id, j)
@@ -454,24 +279,22 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 		var data int64
 		haveData := false
 		if ok {
-			switch {
-			case len(keys) != 1 && !r.opts.SkipChecks:
-				return 0, r.failFrom(ErrProtocol, s, j, partner, "expected 1 key from %d, got %d", partner, len(keys))
-			default:
-				if len(keys) == 1 {
-					data = keys[0]
-					haveData = true
-				}
-				if err := r.mergeView(view, rv, s, j, partner, false); err != nil {
-					return 0, err
-				}
-				// At the stage's first iteration the passive node's key
-				// must match its seeded view entry: its stage-start value.
-				if j == s && !r.opts.SkipChecks && haveData {
-					if idx := partner - view.sc.Start; view.have.Has(idx) && view.vals[idx] != data {
-						return 0, r.failFrom(ErrProtocol, s, j, partner,
-							"node %d sent key %d but its view claims %d", partner, data, view.vals[idx])
-					}
+			if len(keys) != 1 && !r.opts.SkipChecks {
+				return 0, r.FailFrom(ErrProtocol, s, j, partner, "expected 1 key from %d, got %d", partner, len(keys))
+			}
+			if len(keys) == 1 {
+				data = keys[0]
+				haveData = true
+			}
+			if err := r.MergeView(rv, s, j, partner, false); err != nil {
+				return 0, err
+			}
+			// At the stage's first iteration the passive node's key must
+			// match its seeded view entry: its stage-start value.
+			if j == s && !r.opts.SkipChecks && haveData {
+				if idx := partner - r.view.sc.Start; r.view.have.Has(idx) && r.view.vals[idx] != data {
+					return 0, r.FailFrom(ErrProtocol, s, j, partner,
+						"node %d sent key %d but its view claims %d", partner, data, r.view.vals[idx])
 				}
 			}
 		}
@@ -494,7 +317,7 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 			keep, give = hi, lo
 		}
 		r.keyBuf[0], r.keyBuf[1] = keep, give
-		if err := r.sendParts(j, s, r.keyBuf[:2], view); err != nil {
+		if err := r.sendParts(j, s, r.keyBuf[:2]); err != nil {
 			return 0, err
 		}
 		return keep, nil
@@ -503,9 +326,16 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 	// Passive side: send our key and current view, then adopt the
 	// returned key after validating the pair.
 	r.keyBuf[0] = a
-	if err := r.sendParts(j, s, r.keyBuf[:1], view); err != nil {
+	if err := r.sendParts(j, s, r.keyBuf[:1]); err != nil {
 		return 0, err
 	}
+	return r.passiveReply(a, s, j, partner, ascending)
+}
+
+// passiveReply receives the active partner's reply to our key, merges
+// its echoed view, and validates the returned pair before adopting the
+// key the schedule gives us.
+func (r *sftRunner) passiveReply(a int64, s, j, partner int, ascending bool) (int64, error) {
 	keys, rv, ok, err := r.recvParts(j, s, partner)
 	if err != nil {
 		return 0, err
@@ -517,9 +347,9 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 		if r.opts.SkipChecks {
 			return a, nil
 		}
-		return 0, r.failFrom(ErrProtocol, s, j, partner, "expected 2 keys from %d, got %d", partner, len(keys))
+		return 0, r.FailFrom(ErrProtocol, s, j, partner, "expected 2 keys from %d, got %d", partner, len(keys))
 	}
-	if err := r.mergeView(view, rv, s, j, partner, true); err != nil {
+	if err := r.MergeView(rv, s, j, partner, true); err != nil {
 		return 0, err
 	}
 	keep, give := keys[0], keys[1]
@@ -527,23 +357,23 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 		// The returned pair must contain our contributed key and be
 		// oriented per the schedule's direction.
 		if keep != a && give != a {
-			return 0, r.failFrom(ErrProtocol, s, j, partner,
+			return 0, r.FailFrom(ErrProtocol, s, j, partner,
 				"compare-exchange reply (%d,%d) from %d lost our key %d", keep, give, partner, a)
 		}
 		if ascending && keep > give {
-			return 0, r.failFrom(ErrProtocol, s, j, partner,
+			return 0, r.FailFrom(ErrProtocol, s, j, partner,
 				"ascending compare-exchange reply (%d,%d) from %d misordered", keep, give, partner)
 		}
 		if !ascending && keep < give {
-			return 0, r.failFrom(ErrProtocol, s, j, partner,
+			return 0, r.FailFrom(ErrProtocol, s, j, partner,
 				"descending compare-exchange reply (%d,%d) from %d misordered", keep, give, partner)
 		}
 		// At the stage's first iteration we also know the active
 		// node's stage-start value from the echoed view, so the whole
 		// compare-exchange is verifiable.
 		if j == s {
-			if idx := partner - view.sc.Start; view.have.Has(idx) {
-				other := view.vals[idx]
+			if idx := partner - r.view.sc.Start; r.view.have.Has(idx) {
+				other := r.view.vals[idx]
 				lo, hi := other, a
 				if lo > hi {
 					lo, hi = hi, lo
@@ -553,7 +383,7 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 					wantKeep, wantGive = hi, lo
 				}
 				if keep != wantKeep || give != wantGive {
-					return 0, r.failFrom(ErrProtocol, s, j, partner,
+					return 0, r.FailFrom(ErrProtocol, s, j, partner,
 						"compare-exchange of (%d,%d) by %d returned (%d,%d), want (%d,%d)",
 						other, a, partner, keep, give, wantKeep, wantGive)
 				}
@@ -563,149 +393,46 @@ func (r *sftRunner) ftExchange(view *gatherView, a int64, s, j int) (int64, erro
 	return give, nil
 }
 
-// verifyExchange performs one iteration of the final pure-exchange
-// verification round.
-func (r *sftRunner) verifyExchange(view *gatherView, s, j int) error {
-	id := r.ep.ID()
-	partner, err := r.ep.Topology().Partner(id, j)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	stageLabel := s + 1 // distinguishes the final round in message headers
-
-	if hypercube.Active(id, j) {
-		m, ok, err := r.recvChecked(j, wire.KindVerify, stageLabel, j, partner)
-		if err != nil {
-			return err
-		}
-		if ok {
-			p, derr := wire.DecodeVerifyInto(&r.dec, m.Payload)
-			if derr != nil && !r.opts.SkipChecks {
-				return r.failFrom(ErrProtocol, stageLabel, j, partner, "undecodable verify from %d: %v", partner, derr)
-			}
-			if derr == nil {
-				if err := r.mergeView(view, p.View, s, j, partner, false); err != nil {
-					return err
-				}
-			}
-		}
-		v := view.wireViewInto(r.wvVals)
-		r.wvVals = v.Vals
-		return r.sendVerify(j, wire.Message{
-			Kind:  wire.KindVerify,
-			Stage: int32(stageLabel),
-			Iter:  int32(j),
-		}, wire.VerifyPayload{View: v})
-	}
-
-	v := view.wireViewInto(r.wvVals)
-	r.wvVals = v.Vals
-	if err := r.sendVerify(j, wire.Message{
-		Kind:  wire.KindVerify,
-		Stage: int32(stageLabel),
-		Iter:  int32(j),
-	}, wire.VerifyPayload{View: v}); err != nil {
-		return err
-	}
-	m, ok, err := r.recvChecked(j, wire.KindVerify, stageLabel, j, partner)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	p, derr := wire.DecodeVerifyInto(&r.dec, m.Payload)
-	if derr != nil {
-		if r.opts.SkipChecks {
-			return nil
-		}
-		return r.failFrom(ErrProtocol, stageLabel, j, partner, "undecodable verify from %d: %v", partner, derr)
-	}
-	return r.mergeView(view, p.View, s, j, partner, true)
-}
-
 // sendParts transmits one compare-exchange leg: keys plus view,
 // piggybacked in one message normally, or as two messages under the
-// SeparateCheckMessages ablation. The wire view is staged in the
-// runner's scratch and encoded immediately, so nothing it aliases can
-// change under it.
-func (r *sftRunner) sendParts(bit, s int, keys []int64, view *gatherView) error {
-	v := view.wireViewInto(r.wvVals)
-	r.wvVals = v.Vals
+// SeparateCheckMessages ablation.
+func (r *sftRunner) sendParts(bit, s int, keys []int64) error {
 	if !r.opts.SeparateCheckMessages {
-		return r.sendFT(bit, wire.Message{
-			Kind:  wire.KindFTExchange,
-			Stage: int32(s),
-			Iter:  int32(bit),
-		}, wire.FTExchangePayload{Keys: keys, View: v})
+		return r.SendFT(bit, s, keys)
 	}
-	if err := r.sendExchange(bit, wire.Message{
-		Kind:  wire.KindExchange,
-		Stage: int32(s),
-		Iter:  int32(bit),
-	}, keys); err != nil {
+	if err := r.sendKeys(bit, s, keys); err != nil {
 		return err
 	}
-	return r.sendVerify(bit, wire.Message{
-		Kind:  wire.KindVerify,
-		Stage: int32(s),
-		Iter:  int32(bit),
-	}, wire.VerifyPayload{View: v})
+	return r.sendVerify(bit, s)
 }
 
 // recvParts receives one compare-exchange leg in whichever framing the
 // run uses. ok is false only for SkipChecks nodes tolerating garbage.
-// Returned keys and view alias the runner's decode scratch; both are
+// Returned keys and view alias the shell's decode scratch; both are
 // consumed before the next receive.
 func (r *sftRunner) recvParts(bit, s, partner int) (keys []int64, v wire.View, ok bool, err error) {
 	if !r.opts.SeparateCheckMessages {
-		m, ok, err := r.recvChecked(bit, wire.KindFTExchange, s, bit, partner)
-		if err != nil || !ok {
-			return nil, wire.View{}, false, err
-		}
-		p, derr := wire.DecodeFTExchangeInto(&r.dec, m.Payload)
-		if derr != nil {
-			if r.opts.SkipChecks {
-				return nil, wire.View{}, false, nil
-			}
-			return nil, wire.View{}, false, r.failFrom(ErrProtocol, s, bit, partner, "undecodable exchange from %d: %v", partner, derr)
-		}
-		return p.Keys, p.View, true, nil
+		p, ok, err := r.RecvFT(bit, s, partner)
+		return p.Keys, p.View, ok, err
 	}
-	m1, ok, err := r.recvChecked(bit, wire.KindExchange, s, bit, partner)
+	// The keys land in the scratch's key buffer and the view in its
+	// separate view buffers, so the second decode does not clobber the
+	// first.
+	kp, ok, err := recvPayload(&r.Protocol, bit, wire.KindExchange, s, partner, "keys", wire.DecodeExchangeInto)
 	if err != nil || !ok {
 		return nil, wire.View{}, false, err
 	}
-	// The keys land in the scratch's key buffer and the view (below) in
-	// its separate view buffers, so the second decode does not clobber
-	// the first.
-	kp, derr := wire.DecodeExchangeInto(&r.dec, m1.Payload)
-	if derr != nil {
-		if r.opts.SkipChecks {
-			return nil, wire.View{}, false, nil
-		}
-		return nil, wire.View{}, false, r.failFrom(ErrProtocol, s, bit, partner, "undecodable keys from %d: %v", partner, derr)
-	}
-	m2, ok, err := r.recvChecked(bit, wire.KindVerify, s, bit, partner)
-	if err != nil || !ok {
-		return nil, wire.View{}, false, err
-	}
-	vp, derr := wire.DecodeVerifyInto(&r.dec, m2.Payload)
-	if derr != nil {
-		if r.opts.SkipChecks {
-			return nil, wire.View{}, false, nil
-		}
-		return nil, wire.View{}, false, r.failFrom(ErrProtocol, s, bit, partner, "undecodable view from %d: %v", partner, derr)
-	}
-	return kp.Keys, vp.View, true, nil
+	vp, ok, err := recvPayload(&r.Protocol, bit, wire.KindVerify, s, partner, "view", wire.DecodeVerifyInto)
+	return kp.Keys, vp.View, ok, err
 }
 
-// mergeView folds a received view into the local one under Φ_C. The
+// MergeView folds a received view into the local one under Φ_C. The
 // expected knowledge mask is the vect_mask prediction: pre-exchange
 // knowledge when the sender is the passive party (postExchange false),
 // post-exchange knowledge when the sender is the active party echoing
 // its merged view (postExchange true).
-func (r *sftRunner) mergeView(view *gatherView, rv wire.View, s, j, sender int, postExchange bool) error {
+func (r *sftRunner) MergeView(rv wire.View, s, j, sender int, postExchange bool) error {
+	view := &r.view
 	if r.opts.SkipChecks {
 		// Φ_C work is linear in the received entries plus the
 		// vect_mask evaluation (Lemma 9's O(2^{j+1} + 2^{i-j}) bound).
@@ -717,25 +444,21 @@ func (r *sftRunner) mergeView(view *gatherView, rv wire.View, s, j, sender int, 
 	}
 	if r.opts.TrustSenderMasks {
 		// Ablation: believe any claimed mask; only overlap conflicts
-		// are still checked, entry by entry as before digests.
+		// are still checked, entry by entry.
 		r.ep.ChargeCompare(rv.Mask.Count())
 		merr := view.mergeTrusting(rv)
 		r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
 			view.viewDigest(), int64(r.ep.Clock()))
-		r.phiCheck(obs.PhiC, s, j, merr == nil)
-		if merr != nil {
-			return r.failFrom(ErrConsistency, s, j, sender, "view from %d: %v", sender, merr)
-		}
-		return nil
+		return r.CheckMerge(s, j, sender, merr)
 	}
-	expected, eErr := r.expectedMask(s, j, sender, view.sc, postExchange)
-	if eErr != nil {
-		return fmt.Errorf("core: %w", eErr)
+	expected, err := r.ExpectedMask(s, j, sender, view.sc, postExchange)
+	if err != nil {
+		return err
 	}
 	outcome, merr := view.mergeChecked(rv, expected)
 	// Charge what the merge actually did: a digest hit replaces the
 	// entry walk with two word comparisons; a miss pays both; when the
-	// fast path does not apply the cost is the entry walk, as before.
+	// fast path does not apply the cost is the entry walk.
 	switch outcome {
 	case DigestHit:
 		r.ep.ChargeCompare(wire.DigestCompareCost)
@@ -749,106 +472,5 @@ func (r *sftRunner) mergeView(view *gatherView, rv wire.View, s, j, sender int, 
 	}
 	r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
 		view.viewDigest(), int64(r.ep.Clock()))
-	r.phiCheck(obs.PhiC, s, j, merr == nil)
-	if merr != nil {
-		return r.failFrom(ErrConsistency, s, j, sender, "view from %d: %v", sender, merr)
-	}
-	return nil
-}
-
-func (r *sftRunner) expectedMask(s, j, sender int, sc hypercube.Subcube, postExchange bool) (bitset.Set, error) {
-	if postExchange {
-		return VectMaskInto(&r.expect, s, j, sender, sc)
-	}
-	return VectMaskBeforeInto(&r.expect, s, j, sender, sc)
-}
-
-// recvChecked receives from the given link and validates the header
-// against the expected kind, stage, iteration, and sender. For
-// SkipChecks nodes every validation failure degrades to ok == false
-// rather than an error: a Byzantine node never fail-stops itself.
-func (r *sftRunner) recvChecked(bit int, kind wire.Kind, stage, iter, partner int) (wire.Message, bool, error) {
-	m, err := r.ep.Recv(bit)
-	if err != nil {
-		if r.opts.SkipChecks {
-			return wire.Message{}, false, nil
-		}
-		if errors.Is(err, transport.ErrAbsent) {
-			return wire.Message{}, false, r.failAbsent(ErrProtocol, stage, iter, partner, "receive from %d: %v", partner, err)
-		}
-		return wire.Message{}, false, r.failFrom(ErrProtocol, stage, iter, partner, "receive from %d: %v", partner, err)
-	}
-	if m.Kind != kind || int(m.Stage) != stage || int(m.Iter) != iter ||
-		int(m.From) != partner || int(m.To) != r.ep.ID() {
-		if r.opts.SkipChecks {
-			return wire.Message{}, false, nil
-		}
-		return wire.Message{}, false, r.failFrom(ErrProtocol, stage, iter, partner,
-			"unexpected header kind=%v stage=%d iter=%d from=%d to=%d (want kind=%v stage=%d iter=%d from=%d)",
-			m.Kind, m.Stage, m.Iter, m.From, m.To, kind, stage, iter, partner)
-	}
-	return m, true, nil
-}
-
-// sendFT, sendVerify, and sendExchange encode their payload into the
-// runner's scratch buffer and transmit. They are typed (rather than one
-// method taking `any`) because interface boxing of a payload struct
-// would allocate on every send.
-
-func (r *sftRunner) sendFT(bit int, m wire.Message, p wire.FTExchangePayload) error {
-	buf, err := wire.AppendFTExchange(r.enc[:0], p)
-	if err != nil {
-		return fmt.Errorf("core: encode: %w", err)
-	}
-	r.enc = buf
-	m.Payload = buf
-	return r.transmit(bit, m)
-}
-
-func (r *sftRunner) sendVerify(bit int, m wire.Message, p wire.VerifyPayload) error {
-	buf, err := wire.AppendVerify(r.enc[:0], p)
-	if err != nil {
-		return fmt.Errorf("core: encode: %w", err)
-	}
-	r.enc = buf
-	m.Payload = buf
-	return r.transmit(bit, m)
-}
-
-func (r *sftRunner) sendExchange(bit int, m wire.Message, keys []int64) error {
-	r.enc = wire.AppendExchange(r.enc[:0], keys)
-	m.Payload = r.enc
-	return r.transmit(bit, m)
-}
-
-// transmit applies the Byzantine tamper hook if any and sends. The
-// transport copies the payload into its own buffer before returning, so
-// the runner's encode scratch is immediately reusable. The tamper path
-// lives in its own method: Tamper takes the message's address, which
-// would otherwise force every honest send's message to the heap.
-func (r *sftRunner) transmit(bit int, m wire.Message) error {
-	if r.opts.Tamper != nil {
-		return r.transmitTampered(bit, m)
-	}
-	if err := r.ep.Send(bit, m); err != nil {
-		return fmt.Errorf("core: send: %w", err)
-	}
-	return nil
-}
-
-func (r *sftRunner) transmitTampered(bit int, m wire.Message) error {
-	partner, perr := r.ep.Topology().Partner(r.ep.ID(), bit)
-	if perr != nil {
-		return fmt.Errorf("core: %w", perr)
-	}
-	m.From = int32(r.ep.ID())
-	m.To = int32(partner)
-	out := r.opts.Tamper(&m)
-	if out == nil {
-		return nil // Byzantine silence
-	}
-	if err := r.ep.Send(bit, *out); err != nil {
-		return fmt.Errorf("core: send: %w", err)
-	}
-	return nil
+	return r.CheckMerge(s, j, sender, merr)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/checker"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -162,19 +163,30 @@ func TestBytesExceedSNR(t *testing.T) {
 	}
 }
 
+// stageViewsByNode collects the published stage views of a run per
+// node, copying each sequence (the producer reuses its storage).
+type stageViewsByNode struct {
+	mu    sync.Mutex
+	views map[int][]obs.StageView
+}
+
+func (c *stageViewsByNode) OnStageView(v obs.StageView) {
+	v.Assembled = append([]int64(nil), v.Assembled...)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.views[v.Node] = append(c.views[v.Node], v)
+}
+
 func TestTraceEventsCoverAllStages(t *testing.T) {
 	dim := 3
 	n := 1 << uint(dim)
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
-	var mu sync.Mutex
-	events := map[int][]TraceEvent{}
+	rec := &stageViewsByNode{views: map[int][]obs.StageView{}}
+	o := obs.New(obs.NewRegistry(), 0)
+	o.Subscribe(rec)
 	opts := make([]Options, n)
 	for id := 0; id < n; id++ {
-		opts[id] = Options{Trace: func(ev TraceEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			events[ev.Node] = append(events[ev.Node], ev)
-		}}
+		opts[id] = Options{Obs: o}
 	}
 	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
@@ -184,13 +196,13 @@ func TestTraceEventsCoverAllStages(t *testing.T) {
 		t.Fatal("spurious detection")
 	}
 	for id := 0; id < n; id++ {
-		evs := events[id]
+		evs := rec.views[id]
 		if len(evs) != dim+1 {
-			t.Fatalf("node %d: %d trace events, want %d", id, len(evs), dim+1)
+			t.Fatalf("node %d: %d stage views, want %d", id, len(evs), dim+1)
 		}
 		last := evs[len(evs)-1]
 		if !last.Final || len(last.Assembled) != n {
-			t.Fatalf("node %d: final event %+v", id, last)
+			t.Fatalf("node %d: final view %+v", id, last)
 		}
 		want := []int64{2, 3, 4, 5, 7, 8, 9, 10}
 		for i := range want {
@@ -198,11 +210,11 @@ func TestTraceEventsCoverAllStages(t *testing.T) {
 				t.Fatalf("node %d final assembled = %v", id, last.Assembled)
 			}
 		}
-		// Stage events carry the previous stage's output over
+		// Stage views carry the previous stage's output over
 		// growing subcubes.
 		for s, ev := range evs[:dim] {
 			if ev.Stage != s || len(ev.Assembled) != 1<<uint(s+1) {
-				t.Fatalf("node %d stage event %+v", id, ev)
+				t.Fatalf("node %d stage view %+v", id, ev)
 			}
 		}
 	}

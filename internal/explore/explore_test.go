@@ -53,6 +53,25 @@ func TestExhaustiveDim1(t *testing.T) {
 	}
 }
 
+// TestExhaustiveDim2Totals pins the full dim-2 sweep's totals: every
+// interleaving of every single-fault case on the 2-cube, 97 cases and
+// 432 branches, none unverified and unescalated. A change to the
+// protocol, its evidence or the scheduler that alters which
+// interleavings are distinguishable moves the branch count; it must
+// then be re-pinned on purpose.
+func TestExhaustiveDim2Totals(t *testing.T) {
+	res, err := Run(Config{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("violation: case %s broke %s: %s", v.Case, v.Invariant, v.Detail)
+	}
+	if len(res.Cases) != 97 || res.Branches != 432 {
+		t.Errorf("dim-2 sweep: %d branches across %d cases, want 432 across 97", res.Branches, len(res.Cases))
+	}
+}
+
 // keyLieCase is the canonical detected dim-2 case used across tests:
 // a key lie at node 1 from stage 1, caught by honest partners.
 func keyLieCase() fault.Case {

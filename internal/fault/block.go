@@ -6,10 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blocksort"
-	"repro/internal/checker"
-	"repro/internal/hostsort"
-	"repro/internal/obs/forensic"
-	"repro/internal/simnet"
 )
 
 // InjectBlockFT runs the fault-tolerant block sort with one Byzantine
@@ -17,41 +13,12 @@ import (
 // counterpart of InjectSFT, validating the paper's claim that "each of
 // the predicates Φ scales by m" without losing coverage.
 func InjectBlockFT(dim int, blocks [][]int64, spec Spec, timeout time.Duration) (Result, error) {
-	n := 1 << uint(dim)
-	if err := spec.Validate(n); err != nil {
+	if err := spec.Validate(1 << uint(dim)); err != nil {
 		return Result{}, err
 	}
-	if len(blocks) != n {
-		return Result{}, fmt.Errorf("fault: %d blocks for %d nodes", len(blocks), n)
-	}
-	flight := forensic.New(0)
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
-	if err != nil {
-		return Result{}, err
-	}
-	opts := make([]blocksort.Options, n)
-	opts[spec.Node] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
-	for i := range opts {
-		opts[i].Forensic = flight.Node(i)
-	}
-	oc, err := blocksort.RunFTWithOptions(nw, blocks, opts)
-	if err != nil {
-		return Result{}, err
-	}
+	o := blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
 	res := Result{Spec: spec, Class: spec.Strategy.Class(), Label: spec.Strategy.String()}
-	if oc.Detected() {
-		res.classify(true, oc.HostErrors)
-		res.attachForensic(flight, oc.HostErrors)
-		return res, nil
-	}
-	all := hostsort.SortedBlocksFlat(blocks)
-	got := hostsort.SortedBlocksFlat(oc.SortedBlocks)
-	if cerr := checker.Verify(all, got, true); cerr != nil {
-		res.Verdict = SilentWrong
-	} else {
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
+	return injectBlockFTWith(dim, blocks, spec.Node, o, timeout, res)
 }
 
 // CoverageBlockFT sweeps the given strategies over every node against

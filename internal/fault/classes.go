@@ -81,11 +81,12 @@ func (s Strategy) Class() Class {
 	return ClassMessage
 }
 
-// --- comparison- and memory-fault injection drivers ------------------------
+// --- injection drivers -------------------------------------------------------
 
 // injectSFTWith runs S_FT with the given options at one faulty node
-// and classifies the outcome into res (whose Class/Label the caller
-// pre-fills).
+// and classifies the outcome into res (whose Spec/Class/Label the
+// caller pre-fills). Every single-fault S_FT injector (message,
+// comparison, memory) runs through it.
 func injectSFTWith(dim int, keys []int64, faulty int, o core.Options, timeout time.Duration, res Result) (Result, error) {
 	n := 1 << uint(dim)
 	if len(keys) != n {

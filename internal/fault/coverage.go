@@ -154,39 +154,12 @@ func (r *Result) attachForensic(flight *forensic.Flight, errs []core.HostError) 
 // absence detection waits; keep it short (tens of milliseconds) since
 // fail-stop cascades serialize on it.
 func InjectSFT(dim int, keys []int64, spec Spec, timeout time.Duration) (Result, error) {
-	n := 1 << uint(dim)
-	if err := spec.Validate(n); err != nil {
+	if err := spec.Validate(1 << uint(dim)); err != nil {
 		return Result{}, err
 	}
-	if len(keys) != n {
-		return Result{}, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
-	}
-	flight := forensic.New(0)
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
-	if err != nil {
-		return Result{}, err
-	}
-	opts := make([]core.Options, n)
-	opts[spec.Node] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-	for i := range opts {
-		opts[i].Forensic = flight.Node(i)
-	}
-	oc, err := core.RunWithOptions(nw, keys, opts)
-	if err != nil {
-		return Result{}, err
-	}
+	o := core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 	res := Result{Spec: spec, Class: spec.Strategy.Class(), Label: spec.Strategy.String()}
-	if oc.Detected() {
-		res.classify(true, oc.HostErrors)
-		res.attachForensic(flight, oc.HostErrors)
-		return res, nil
-	}
-	if cerr := checker.Verify(keys, oc.Sorted, true); cerr != nil {
-		res.Verdict = SilentWrong
-	} else {
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
+	return injectSFTWith(dim, keys, spec.Node, o, timeout, res)
 }
 
 // injectWithTamper runs S_FT with an arbitrary tamper hook at one node

@@ -3,8 +3,7 @@ package trace
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/hypercube"
+	"repro/internal/obs"
 )
 
 // populate fills a recorder the way a dim-6 block run would: nodes×
@@ -12,12 +11,10 @@ import (
 func populate(b *testing.B, nodes, stages int) *Recorder {
 	b.Helper()
 	rec := &Recorder{}
-	hook := rec.Hook()
 	buf := []int64{1, 2, 3, 4}
 	for s := 0; s < stages; s++ {
-		sc := hypercube.Subcube{Dim: 1, Start: 0, End: 1}
 		for id := 0; id < nodes; id++ {
-			hook(core.TraceEvent{Node: id, Stage: s, Subcube: sc, Assembled: buf})
+			rec.OnStageView(obs.StageView{Node: id, Stage: s, SubcubeStart: 0, SubcubeSize: 2, BlockLen: 1, Assembled: buf})
 		}
 	}
 	return rec

@@ -1,12 +1,8 @@
-// Package trace collects the per-node stage events S_FT emits into a
-// thread-safe, queryable recording — the machinery behind
-// cmd/tracesort's reproduction of the paper's Figure 5 worked example,
-// and a debugging aid for protocol tests.
-//
-// The recorder consumes either event source: the legacy
-// core.Options.Trace hook (Hook), or the unified observability stream
-// (the Recorder is an obs.StageSubscriber — pass it to
-// obs.Observer.Subscribe and both the one-key and block sorts feed it).
+// Package trace collects the per-node stage views S_FT and the block
+// sort publish into a thread-safe, queryable recording — the machinery
+// behind cmd/tracesort's reproduction of the paper's Figure 5 worked
+// example, and a debugging aid for protocol tests. A Recorder is an
+// obs.StageSubscriber: pass it to obs.Observer.Subscribe.
 package trace
 
 import (
@@ -16,18 +12,30 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/hypercube"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// Event is one recorded stage view: the legacy TraceEvent fields plus
-// the causal flight-recorder event id the publishing node held at
-// publish time. Causal is the join key against forensic dump chains
-// (zero for untraced runs and events fed through the deprecated Hook).
+// Event is one recorded stage view: a node's assembled, verified
+// sequence at the end of a stage or of the final verification round.
 type Event struct {
-	core.TraceEvent
+	// Node is the reporting node.
+	Node int
+	// Stage is the completed stage index, or the cube dimension for
+	// the final verification round.
+	Stage int
+	// Final marks the final verification round.
+	Final bool
+	// Subcube is the home subcube the sequence covers.
+	Subcube hypercube.Subcube
+	// Assembled is the gathered sequence (the verified LBS): the
+	// output of stage Stage-1 for regular stages, the final sorted
+	// sequence when Final.
+	Assembled []int64
+	// Causal is the flight-recorder event id the publishing node held
+	// at publish time, the join key against forensic dump chains (zero
+	// for untraced runs).
 	Causal wire.EventID
 }
 
@@ -41,61 +49,28 @@ type Recorder struct {
 // Recorder subscribes to the unified stage-view stream.
 var _ obs.StageSubscriber = (*Recorder)(nil)
 
-// Hook returns the function to install as core.Options.Trace. The same
-// hook may be shared by every node.
-//
-// Deprecated: subscribe the Recorder through obs.Observer.Subscribe
-// instead; the stage-view stream carries the causal event id the hook
-// path cannot.
-func (r *Recorder) Hook() func(core.TraceEvent) {
-	return func(ev core.TraceEvent) { r.record(Event{TraceEvent: ev}) }
-}
-
-// OnStageView implements obs.StageSubscriber: it adapts the unified
-// event stream's stage views into trace events, so an observer-wired
-// run needs no separate Trace hook.
+// OnStageView implements obs.StageSubscriber: it records the stage
+// view, copying its sequence (the producer reuses its storage).
 func (r *Recorder) OnStageView(v obs.StageView) {
-	r.record(Event{
-		TraceEvent: core.TraceEvent{
-			Node:  v.Node,
-			Stage: v.Stage,
-			Final: v.Final,
-			Subcube: hypercube.Subcube{
-				Dim:   bits.Len(uint(v.SubcubeSize)) - 1,
-				Start: v.SubcubeStart,
-				End:   v.SubcubeStart + v.SubcubeSize - 1,
-			},
-			Assembled: v.Assembled,
+	ev := Event{
+		Node:  v.Node,
+		Stage: v.Stage,
+		Final: v.Final,
+		Subcube: hypercube.Subcube{
+			Dim:   bits.Len(uint(v.SubcubeSize)) - 1,
+			Start: v.SubcubeStart,
+			End:   v.SubcubeStart + v.SubcubeSize - 1,
 		},
-		Causal: v.Causal,
-	})
-}
-
-func (r *Recorder) record(ev Event) {
-	// Copy the assembled slice: the producer reuses its scratch.
-	cp := ev
-	cp.Assembled = append([]int64{}, ev.Assembled...)
+		Assembled: append([]int64{}, v.Assembled...),
+		Causal:    v.Causal,
+	}
 	r.mu.Lock()
-	r.events = append(r.events, cp)
+	r.events = append(r.events, ev)
 	r.mu.Unlock()
 }
 
-// Events returns a copy of all recorded events in arrival order,
-// stripped to the legacy TraceEvent shape. Use CausalEvents for the
-// forensic join key.
-func (r *Recorder) Events() []core.TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]core.TraceEvent, len(r.events))
-	for i, ev := range r.events {
-		out[i] = ev.TraceEvent
-	}
-	return out
-}
-
-// CausalEvents returns a copy of all recorded events in arrival order,
-// including their causal flight-recorder ids.
-func (r *Recorder) CausalEvents() []Event {
+// Events returns a copy of all recorded events in arrival order.
+func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event{}, r.events...)
@@ -104,12 +79,12 @@ func (r *Recorder) CausalEvents() []Event {
 // ByNode returns node id's events sorted by stage. The recording is
 // filtered under one lock acquisition, without copying the full event
 // slice the way Events does.
-func (r *Recorder) ByNode(id int) []core.TraceEvent {
+func (r *Recorder) ByNode(id int) []Event {
 	r.mu.Lock()
-	var out []core.TraceEvent
+	var out []Event
 	for _, ev := range r.events {
 		if ev.Node == id {
-			out = append(out, ev.TraceEvent)
+			out = append(out, ev)
 		}
 	}
 	r.mu.Unlock()

@@ -8,15 +8,32 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypercube"
 	"repro/internal/obs"
+	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
 )
 
+// publisher returns a function that publishes one-key stage views
+// through an Observer rec is subscribed to, the way a run's nodes do.
+func publisher(rec *Recorder) func(node, stage int, sc hypercube.Subcube, assembled []int64) {
+	o := obs.New(obs.NewRegistry(), 0)
+	o.Subscribe(rec)
+	return func(node, stage int, sc hypercube.Subcube, assembled []int64) {
+		o.PublishStage(obs.StageView{
+			Node: node, Stage: stage,
+			SubcubeStart: sc.Start, SubcubeSize: sc.Size(),
+			BlockLen: 1, Assembled: assembled,
+		})
+	}
+}
+
 func TestRecorderCollectsAndDeduplicates(t *testing.T) {
 	var rec Recorder
+	o := obs.New(obs.NewRegistry(), 0)
+	o.Subscribe(&rec)
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
 	opts := make([]core.Options, len(keys))
 	for id := range opts {
-		opts[id] = core.Options{Trace: rec.Hook()}
+		opts[id] = core.Options{Obs: o}
 	}
 	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
 	if err != nil {
@@ -73,20 +90,21 @@ func TestRecorderCollectsAndDeduplicates(t *testing.T) {
 	}
 }
 
-// TestRecorderAsStageSubscriber drives the same honest run through the
-// unified observability stream instead of the legacy Trace hook: the
-// recorder subscribed to an obs.Observer must collect the identical
-// per-stage views.
+// TestRecorderAsStageSubscriber runs the stream with a flight recorder
+// attached, as cmd/tracesort does: every recorded event carries the
+// causal id its node held at publish time, and the final view covers
+// the whole cube.
 func TestRecorderAsStageSubscriber(t *testing.T) {
 	var rec Recorder
 	o := obs.New(obs.NewRegistry(), 0)
 	o.Subscribe(&rec)
+	flight := forensic.New(0)
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
 	opts := make([]core.Options, len(keys))
 	for id := range opts {
-		opts[id] = core.Options{Obs: o}
+		opts[id] = core.Options{Obs: o, Forensic: flight.Node(id)}
 	}
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
+	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second, Flight: flight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +115,14 @@ func TestRecorderAsStageSubscriber(t *testing.T) {
 	if oc.Detected() {
 		t.Fatal("spurious detection")
 	}
-	if got := len(rec.Events()); got != 32 {
-		t.Fatalf("events = %d, want 32", got)
+	evs := rec.Events()
+	if len(evs) != 32 {
+		t.Fatalf("events = %d, want 32", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Causal == 0 {
+			t.Fatalf("node %d stage %d: no causal id under a flight recorder", ev.Node, ev.Stage)
+		}
 	}
 	finals := rec.Stage(3)
 	if len(finals) != 1 || !finals[0].Final || !finals[0].Agreed {
@@ -129,10 +153,10 @@ func TestSubscriberCopiesAssembled(t *testing.T) {
 
 func TestRecorderRender(t *testing.T) {
 	var rec Recorder
-	hook := rec.Hook()
+	publish := publisher(&rec)
 	sc := hypercube.Subcube{Dim: 1, Start: 0, End: 1}
-	hook(core.TraceEvent{Node: 0, Stage: 0, Subcube: sc, Assembled: []int64{5, 1}})
-	hook(core.TraceEvent{Node: 1, Stage: 0, Subcube: sc, Assembled: []int64{5, 1}})
+	publish(0, 0, sc, []int64{5, 1})
+	publish(1, 0, sc, []int64{5, 1})
 	out := rec.Render()
 	if !strings.Contains(out, "End of stage 0") || !strings.Contains(out, "SC[0..1]") {
 		t.Errorf("Render = %q", out)
@@ -144,10 +168,10 @@ func TestRecorderRender(t *testing.T) {
 
 func TestRecorderFlagsDisagreement(t *testing.T) {
 	var rec Recorder
-	hook := rec.Hook()
+	publish := publisher(&rec)
 	sc := hypercube.Subcube{Dim: 1, Start: 2, End: 3}
-	hook(core.TraceEvent{Node: 2, Stage: 1, Subcube: sc, Assembled: []int64{1, 2}})
-	hook(core.TraceEvent{Node: 3, Stage: 1, Subcube: sc, Assembled: []int64{1, 99}})
+	publish(2, 1, sc, []int64{1, 2})
+	publish(3, 1, sc, []int64{1, 99})
 	views := rec.Stage(1)
 	if len(views) != 1 || views[0].Agreed {
 		t.Fatalf("views = %+v", views)
@@ -157,9 +181,9 @@ func TestRecorderFlagsDisagreement(t *testing.T) {
 	}
 	// Length mismatch is also disagreement.
 	var rec2 Recorder
-	h2 := rec2.Hook()
-	h2(core.TraceEvent{Node: 2, Stage: 1, Subcube: sc, Assembled: []int64{1, 2}})
-	h2(core.TraceEvent{Node: 3, Stage: 1, Subcube: sc, Assembled: []int64{1}})
+	publish2 := publisher(&rec2)
+	publish2(2, 1, sc, []int64{1, 2})
+	publish2(3, 1, sc, []int64{1})
 	if rec2.Stage(1)[0].Agreed {
 		t.Error("length mismatch not flagged")
 	}
@@ -167,9 +191,8 @@ func TestRecorderFlagsDisagreement(t *testing.T) {
 
 func TestRecorderCopiesAssembled(t *testing.T) {
 	var rec Recorder
-	hook := rec.Hook()
 	buf := []int64{7, 8}
-	hook(core.TraceEvent{Node: 0, Stage: 0, Subcube: hypercube.Subcube{Dim: 1, Start: 0, End: 1}, Assembled: buf})
+	publisher(&rec)(0, 0, hypercube.Subcube{Dim: 1, Start: 0, End: 1}, buf)
 	buf[0] = -1 // producer reuses its buffer
 	if rec.Events()[0].Assembled[0] != 7 {
 		t.Error("recorder did not copy the assembled slice")
