@@ -1,8 +1,9 @@
 // Command faultcoverage measures the detection-coverage matrix: every
 // adversary class (Byzantine messages, absence, lying comparators,
 // corrupting memory) swept across fault rates, cube dimensions, and
-// both fault-tolerant algorithms (S_FT and the block sort), with each
-// run classified as detected, correct-despite-fault, or SILENT-WRONG.
+// two block lengths of the fault-tolerant sort (S_FT's one key per
+// node and -blocklen keys per node), with each run classified as
+// detected, correct-despite-fault, or SILENT-WRONG.
 //
 // The run self-checks Theorem 3: any SILENT-WRONG cell fails the
 // command with a non-zero exit. The measured per-class detection

@@ -45,7 +45,7 @@ func run(args []string, out io.Writer) error {
 	keys := experiments.Keys(n, *seed)
 
 	fmt.Fprintf(out, "Error coverage (Section 4) — S_FT, %d nodes, one Byzantine node per run\n\n", n)
-	results, err := fault.Coverage(*dim, keys, fault.AllStrategies(), *lie, *timeout)
+	results, err := fault.Coverage(*dim, keys, 1, fault.AllStrategies(), *lie, *timeout)
 	if err != nil {
 		return err
 	}

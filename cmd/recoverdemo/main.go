@@ -17,7 +17,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/recovery"
@@ -81,15 +81,15 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n\n")
 
-	inject := func(attempt, d int, physical []int) []blocksort.Options {
-		opts := make([]blocksort.Options, 1<<uint(d))
+	inject := func(attempt, d int, physical []int) []core.Options {
+		opts := make([]core.Options, 1<<uint(d))
 		if !*persistent && attempt > 0 {
 			return opts
 		}
 		for logical, ph := range physical {
 			if ph == *site {
 				spec := fault.Spec{Node: logical, Strategy: st, ActivateStage: 1, LieValue: *lie}
-				opts[logical] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+				opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 			}
 		}
 		return opts

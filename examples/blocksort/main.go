@@ -15,11 +15,12 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/blocksort"
 	"repro/internal/checker"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hostsort"
 	"repro/internal/simnet"
+	"repro/internal/sortnr"
 )
 
 const (
@@ -31,7 +32,7 @@ const (
 func main() {
 	n := 1 << dim
 	blocks := experiments.Blocks(n, blockSize, seed)
-	all := hostsort.SortedBlocksFlat(blocks)
+	all := hostsort.SortedBlocksFlat(blocks) // node id's block is all[id*blockSize:(id+1)*blockSize]
 
 	type row struct {
 		name     string
@@ -43,27 +44,27 @@ func main() {
 
 	{ // Unreliable block bitonic sort.
 		nw := mustNet()
-		out, res, err := blocksort.RunNR(nw, blocks)
+		out, res, err := sortnr.RunBlocks(nw, all, blockSize)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := res.AnyErr(); err != nil {
 			log.Fatal(err)
 		}
-		mustSorted(all, hostsort.SortedBlocksFlat(out))
+		mustSorted(all, out)
 		rows = append(rows, row{"block S_NR (unreliable)", int64(res.Makespan()),
 			res.Metrics.TotalMsgs(), res.Metrics.TotalBytes()})
 	}
 	{ // Fault-tolerant block bitonic sort.
 		nw := mustNet()
-		oc, err := blocksort.RunFT(nw, blocks)
+		oc, err := core.RunBlocks(nw, all, blockSize, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if oc.Detected() {
 			log.Fatalf("spurious detection: %v", oc.HostErrors)
 		}
-		mustSorted(all, hostsort.SortedBlocksFlat(oc.SortedBlocks))
+		mustSorted(all, oc.Sorted)
 		rows = append(rows, row{"block S_FT (fault-tolerant)", int64(oc.Result.Makespan()),
 			oc.Result.Metrics.TotalMsgs(), oc.Result.Metrics.TotalBytes()})
 	}

@@ -10,8 +10,9 @@
 // on the slow host channel; instead the nodes run the fault-tolerant
 // block bitonic sort in place, after which the global order statistics
 // are addressable by (node, offset) — the k-th smallest of the N·m
-// samples lives at node k/m, offset k mod m — and the result is
-// end-to-end verified by the constraint predicate.
+// samples lives at node k/m, offset k mod m, which is position k of the
+// node-order output — and the result is end-to-end verified by the
+// constraint predicate.
 package main
 
 import (
@@ -20,7 +21,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/simnet"
 )
 
@@ -35,14 +36,13 @@ func main() {
 
 	// Measurement phase: data is born distributed. Simulate a heavy-
 	// tailed latency distribution, different on every node.
+	// Node id's samples are samples[id*blockSize:(id+1)*blockSize].
 	rng := rand.New(rand.NewSource(7))
-	blocks := make([][]int64, n)
-	for id := range blocks {
-		blocks[id] = make([]int64, blockSize)
+	samples := make([]int64, total)
+	for id := 0; id < n; id++ {
 		base := int64(100 + 10*id)
-		for j := range blocks[id] {
-			sample := base + int64(rng.ExpFloat64()*250)
-			blocks[id][j] = sample
+		for j := 0; j < blockSize; j++ {
+			samples[id*blockSize+j] = base + int64(rng.ExpFloat64()*250)
 		}
 	}
 
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oc, err := blocksort.RunFT(nw, blocks)
+	oc, err := core.RunBlocks(nw, samples, blockSize, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	// Exact order statistics, addressed by (node, offset).
 	percentile := func(p float64) int64 {
 		k := int(p * float64(total-1))
-		return oc.SortedBlocks[k/blockSize][k%blockSize]
+		return oc.Sorted[k]
 	}
 	fmt.Printf("global latency distribution over %d samples on %d nodes:\n", total, n)
 	for _, p := range []float64{0.50, 0.90, 0.99, 0.999} {

@@ -24,7 +24,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/reliablesort"
 )
@@ -34,15 +34,15 @@ func run(title string, persistent bool) {
 	const culprit = 6
 
 	fmt.Printf("=== %s ===\n", title)
-	inject := func(attempt, dim int, physical []int) []blocksort.Options {
-		opts := make([]blocksort.Options, 1<<uint(dim))
+	inject := func(attempt, dim int, physical []int) []core.Options {
+		opts := make([]core.Options, 1<<uint(dim))
 		if !persistent && attempt > 0 {
 			return opts // the episode has passed
 		}
 		for logical, ph := range physical {
 			if ph == culprit {
 				spec := fault.Spec{Node: logical, Strategy: fault.ViewLie, ActivateStage: 1, LieValue: -404}
-				opts[logical] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+				opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 			}
 		}
 		return opts

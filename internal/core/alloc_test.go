@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,11 +11,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// tracedPair returns the S_FT runners of a 2-node cube, node 0 (the
-// active side of link 0) and node 1 (the passive side), with an
-// observer and 64-slot flight recorders attached, as a traced service
-// job runs them.
-func tracedPair(t *testing.T) (active, passive *sftRunner, flight *forensic.Flight) {
+// pairCube is the whole 2-node cube the alloc tests run on.
+var pairCube = hypercube.Subcube{Dim: 1, Start: 0, End: 1}
+
+// tracedPair returns the runners of a 2-node cube holding m keys each,
+// node 0 (the active side of link 0) and node 1 (the passive side),
+// with an observer and 64-slot flight recorders attached, as a traced
+// service job runs them, and their blocks: node id holds 2k+id.
+func tracedPair(t *testing.T, m int) (active, passive *runner, blocks [2][]int64, flight *forensic.Flight) {
 	t.Helper()
 	o := obs.New(obs.NewRegistry(), 512)
 	flight = forensic.New(64)
@@ -22,87 +26,96 @@ func tracedPair(t *testing.T) (active, passive *sftRunner, flight *forensic.Flig
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := func(id int) *sftRunner {
+	var runners [2]*runner
+	for id := range runners {
 		ep, err := nw.Endpoint(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &sftRunner{}
-		r.Protocol = NewProtocol(ep, r, Options{Obs: o, Forensic: flight.Node(id)})
-		return r
+		r := &runner{ep: ep, opts: Options{Obs: o, Forensic: flight.Node(id)}, m: m}
+		r.reserve(pairCube)
+		r.view = &r.views[0]
+		runners[id] = r
+		blocks[id] = make([]int64, m)
+		for k := range blocks[id] {
+			blocks[id][k] = int64(2*k + id)
+		}
 	}
-	return runner(0), runner(1), flight
+	return runners[0], runners[1], blocks, flight
 }
 
-// TestSFTExchangeRoundZeroAllocs pins one steady-state S_FT
-// compare-exchange round at zero allocations: the passive send leg
-// (key plus view), the active side's receive, Φ_C merge, compare and
-// reply, and the passive side's receive, merge and reply checks. Both
-// endpoints run on one goroutine — the passive side sends before the
-// active side receives, so no step blocks. Warm-up runs past the ring
-// capacity, so the window measures the rings' overwrite path.
-func TestSFTExchangeRoundZeroAllocs(t *testing.T) {
-	active, passive, flight := tracedPair(t)
-	sc := hypercube.Subcube{Dim: 1, Start: 0, End: 1}
-	ascending := passive.ep.Topology().Ascending(0, 1)
-	var got int64
-	step := func() {
-		active.view.reset(sc)
-		active.view.set(0, 7)
-		passive.view.reset(sc)
-		passive.view.set(1, 3)
-		passive.keyBuf[0] = 3
-		if err := passive.sendParts(0, 0, passive.keyBuf[:1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := active.ftExchange(7, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if got, err = passive.passiveReply(3, 0, 0, 0, ascending); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 80; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("S_FT exchange round: %v allocs/op, want 0", n)
-	}
-	if got != 7 || !passive.view.complete() || flight.Node(1).Len() == 0 {
-		t.Errorf("round did not complete: passive adopted %d, view %s", got, passive.view.have.String())
-	}
-}
-
-// TestSFTVerifyRoundZeroAllocs pins one steady-state exchange of the
-// final verification round at zero allocations: the passive side's
-// view, the active side's receive, Φ_C merge and echo, and the passive
-// side's receive and merge.
-func TestSFTVerifyRoundZeroAllocs(t *testing.T) {
-	active, passive, flight := tracedPair(t)
-	sc := hypercube.Subcube{Dim: 1, Start: 0, End: 1}
-	step := func() {
-		active.view.reset(sc)
-		active.view.set(0, 3)
-		passive.view.reset(sc)
-		passive.view.set(1, 7)
-		if err := passive.sendVerify(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := active.verifyExchange(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := passive.mergeVerify(0, 0, 0, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 80; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("S_FT verification round: %v allocs/op, want 0", n)
-	}
-	if !passive.view.complete() || !active.view.complete() || flight.Node(1).Len() == 0 {
-		t.Error("round did not complete")
+// TestFTRoundZeroAllocs pins one steady-state round of the runner at
+// zero allocations, with an observer and flight recorders attached, for
+// one key per node (S_FT) and for Figure 8's m = 64:
+//
+//   - exchange: the passive send leg (block plus view), the active
+//     side's receive, Φ_C merge, merge-split and reply, and the passive
+//     side's receive, merge, reply checks and adoption;
+//   - verify: one exchange of the final verification round, the passive
+//     side's view, the active side's receive, Φ_C merge and echo, and
+//     the passive side's receive and merge.
+//
+// Both endpoints run on one goroutine — the passive side sends before
+// the active side receives, so no step blocks. Warm-up runs past the
+// ring capacity, so the window measures the rings' overwrite path.
+func TestFTRoundZeroAllocs(t *testing.T) {
+	for _, m := range []int{1, 64} {
+		t.Run(fmt.Sprintf("exchange/m=%d", m), func(t *testing.T) {
+			active, passive, blocks, flight := tracedPair(t, m)
+			ascending := passive.ep.Topology().Ascending(0, 1)
+			var got []int64
+			step := func() {
+				active.view.reset(pairCube, m)
+				active.view.set(0, blocks[0])
+				passive.view.reset(pairCube, m)
+				passive.view.set(1, blocks[1])
+				if err := passive.sendParts(0, 0, blocks[1]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := active.exchange(blocks[0], 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if got, err = passive.passiveReply(blocks[1], 0, 0, 0, ascending); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 80; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Errorf("exchange round: %v allocs/op, want 0", n)
+			}
+			if len(got) != m || got[0] != int64(m) || !passive.view.complete() || flight.Node(1).Len() == 0 {
+				t.Errorf("round did not complete: passive adopted %v, view %s", got, passive.view.have.String())
+			}
+		})
+		t.Run(fmt.Sprintf("verify/m=%d", m), func(t *testing.T) {
+			active, passive, blocks, flight := tracedPair(t, m)
+			step := func() {
+				active.view.reset(pairCube, m)
+				active.view.set(0, blocks[0])
+				passive.view.reset(pairCube, m)
+				passive.view.set(1, blocks[1])
+				if err := passive.sendVerify(0, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := active.verifyExchange(0, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := passive.mergeVerify(0, 0, 0, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 80; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Errorf("verification round: %v allocs/op, want 0", n)
+			}
+			if !passive.view.complete() || !active.view.complete() || flight.Node(1).Len() == 0 {
+				t.Error("round did not complete")
+			}
+		})
 	}
 }

@@ -109,41 +109,43 @@ func TestDigestAcceptsIffFeasibilityAccepts(t *testing.T) {
 	}
 }
 
-// TestGatherViewDigestTracksValues pins the incremental maintenance:
-// after any interleaving of set and adopt, each half digest equals the
+// TestBlockViewDigestTracksValues pins the per-slot digest
+// maintenance at one key per slot: after any sequence of writes,
+// overwrites included, each half's folded digest equals the
 // from-scratch digest of that half's collected values.
-func TestGatherViewDigestTracksValues(t *testing.T) {
+func TestBlockViewDigestTracksValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := hypercube.Subcube{Dim: 3, Start: 8, End: 15}
-	g := newGatherView(sc)
+	g := newBlockView(sc, 1)
+	half := sc.Size() / 2
 	for step := 0; step < 200; step++ {
-		g.set(sc.Start+rng.Intn(sc.Size()), int64(rng.Intn(32)))
+		g.set(sc.Start+rng.Intn(sc.Size()), []int64{int64(rng.Intn(32))})
 		var want [2]wire.Digest
 		for slot := 0; slot < sc.Size(); slot++ {
 			if g.have.Has(slot) {
-				want[g.halfOf(slot)].Add(g.vals[slot])
+				want[slot/half].Add(g.blocks[slot][0])
 			}
 		}
-		if g.halfDig(0) != want[0] || g.halfDig(1) != want[1] {
+		if g.rangeDigest(0, half) != want[0] || g.rangeDigest(half, sc.Size()) != want[1] {
 			t.Fatalf("step %d: half digests diverged from recomputation", step)
 		}
-		if g.viewDigest() != want[0].Merged(want[1]) {
+		if g.digest() != want[0].Merged(want[1]) {
 			t.Fatalf("step %d: full digest != merged halves", step)
 		}
 	}
 }
 
 // TestMergeCheckedDigestHitZeroAllocs is the steady-state alloc gate
-// for the Φ_C fast path: once masks are equal, a merge resolves by the
-// O(1) digest comparison and must not allocate — the digest layer may
-// not undo the zero-allocation exchange guarantee.
+// for the Φ_C fast path at one key per slot: once every slot is held,
+// a merge resolves by folding stored digests and must not allocate —
+// the digest layer may not undo the zero-allocation exchange guarantee.
 func TestMergeCheckedDigestHitZeroAllocs(t *testing.T) {
 	sc := hypercube.Subcube{Dim: 3, Start: 0, End: 7}
-	src := newGatherView(sc)
-	dst := newGatherView(sc)
+	src := newBlockView(sc, 1)
+	dst := newBlockView(sc, 1)
 	for slot := 0; slot < sc.Size(); slot++ {
-		src.set(slot, int64(slot*3))
-		dst.set(slot, int64(slot*3))
+		src.set(slot, []int64{int64(slot * 3)})
+		dst.set(slot, []int64{int64(slot * 3)})
 	}
 	scratch := make([]int64, 0, sc.Size())
 	rv := src.wireViewInto(scratch)
@@ -170,13 +172,13 @@ func TestMergeCheckedDigestHitZeroAllocs(t *testing.T) {
 // inconsistency itself is Byzantine evidence against the sender.
 func TestMergeCheckedDigestInconsistencyAccusesSender(t *testing.T) {
 	sc := hypercube.Subcube{Dim: 2, Start: 0, End: 3}
-	src := newGatherView(sc)
-	dst := newGatherView(sc)
+	src := newBlockView(sc, 1)
+	dst := newBlockView(sc, 1)
 	for slot := 0; slot < sc.Size(); slot++ {
-		src.set(slot, int64(slot+10))
-		dst.set(slot, int64(slot+10))
+		src.set(slot, []int64{int64(slot + 10)})
+		dst.set(slot, []int64{int64(slot + 10)})
 	}
-	rv := src.wireView()
+	rv := src.wireViewInto(nil)
 	rv.Dig.Sum += 1 // lie about the aggregate, keep entries honest
 	outcome, err := dst.mergeChecked(rv, rv.Mask)
 	if outcome != DigestMiss {

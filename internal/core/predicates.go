@@ -2,9 +2,14 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/bitonic"
 )
 
-// Progress implements Φ_P (Figure 4a). At the end of a regular stage,
+// Progress is Φ_P as the paper states it for one key per node (Figure
+// 4a), over a flat sequence. The runner evaluates ProgressBlocks, its
+// scaling by m; Progress stays as the reference the m = 1 case of
+// ProgressBlocks is tested against. At the end of a regular stage,
 // the assembled sequence over the home subcube SC_{i+1} is the
 // previous stage's output: its lower half must be sorted ascending and
 // its upper half descending (the canonical bitonic form the schedule
@@ -48,6 +53,63 @@ func firstDisorder(seq []int64, ascending bool) int {
 	return -1
 }
 
+// ProgressBlocks is Φ_P scaled by m: each block must be internally
+// ascending; for a regular stage the lower half's node-order
+// concatenation must be ascending and the upper half's descending,
+// which for ascending blocks means its reverse-node-order concatenation
+// is ascending; at the final verification the whole node-order
+// concatenation must be ascending. Once every block is known to be
+// ascending, a concatenation is ascending exactly when each seam
+// between consecutive non-empty blocks is ordered, so the
+// concatenations are checked at their seams and never built.
+func ProgressBlocks(blocks [][]int64, final bool) error {
+	for i, b := range blocks {
+		if !bitonic.IsSorted(b, true) {
+			return fmt.Errorf("block %d not internally sorted: %w", i, ErrProgress)
+		}
+	}
+	if final {
+		if !seamsAscending(blocks, false) {
+			return fmt.Errorf("final block concatenation not ascending: %w", ErrProgress)
+		}
+		return nil
+	}
+	if len(blocks)%2 != 0 {
+		return fmt.Errorf("odd block count %d: %w", len(blocks), ErrProgress)
+	}
+	half := len(blocks) / 2
+	if !seamsAscending(blocks[:half], false) {
+		return fmt.Errorf("lower half block concatenation not ascending: %w", ErrProgress)
+	}
+	if !seamsAscending(blocks[half:], true) {
+		return fmt.Errorf("upper half reverse concatenation not ascending: %w", ErrProgress)
+	}
+	return nil
+}
+
+// seamsAscending reports whether the concatenation of internally
+// ascending blocks, taken in slice order or reversed, is ascending:
+// every non-empty block must start at or above the last key of the
+// non-empty block before it.
+func seamsAscending(blocks [][]int64, reversed bool) bool {
+	var last int64
+	seen := false
+	for k := range blocks {
+		b := blocks[k]
+		if reversed {
+			b = blocks[len(blocks)-1-k]
+		}
+		if len(b) == 0 {
+			continue
+		}
+		if seen && b[0] < last {
+			return false
+		}
+		last, seen = b[len(b)-1], true
+	}
+	return true
+}
+
 // Feasibility implements Φ_F (Figure 4b): the current stage's
 // assembled sequence, restricted to the checking node's half, must be
 // exactly the multiset of the previously verified sequence over that
@@ -81,15 +143,13 @@ func Feasibility(prev, cur []int64) error {
 	return nil
 }
 
-// DigestOutcome records how a digest-accelerated check resolved, for
-// virtual-time charging and observability. Both the scalar S_FT path
-// and the blocksort BlockFT path report one of these per check.
+// DigestOutcome records how a digest-accelerated Φ_C merge resolved,
+// for virtual-time charging and observability.
 type DigestOutcome int
 
 const (
-	// DigestNone: the digest fast path did not apply (e.g. masks
-	// differ on a view merge) and the check ran element-level work
-	// directly, as before digests existed.
+	// DigestNone: the view failed validation before the digest pass,
+	// and the check charges element-level work.
 	DigestNone DigestOutcome = iota
 	// DigestHit: digests agreed and the element-level scan was
 	// skipped.
@@ -125,18 +185,4 @@ func FeasibilityTwoPointer(prev, cur []int64) error {
 		}
 	}
 	return nil
-}
-
-// BitCompare is the paper's bit_compare: Φ_P over the full assembled
-// sequence followed by Φ_F over the checking node's half (or the whole
-// sequence at the final verification, where every node holds the full
-// previous sequence).
-func BitCompare(prev, assembled, myHalf []int64, final bool) error {
-	if err := Progress(assembled, final); err != nil {
-		return err
-	}
-	if final {
-		return Feasibility(prev, assembled)
-	}
-	return Feasibility(prev, myHalf)
 }

@@ -171,34 +171,6 @@ func TestFeasibilityVariantsAgreeProperty(t *testing.T) {
 	}
 }
 
-func TestBitCompare(t *testing.T) {
-	// Stage case: assembled over SC_{s+1} with my half = lower.
-	prev := []int64{3, 1} // previous verified sequence over my SC_s
-	assembled := []int64{1, 3, 9, 4}
-	if err := BitCompare(prev, assembled, assembled[:2], false); err != nil {
-		t.Errorf("valid bit_compare failed: %v", err)
-	}
-	// Progress failure dominates.
-	bad := []int64{3, 1, 9, 4}
-	if err := BitCompare(prev, bad, bad[:2], false); !errors.Is(err, ErrProgress) {
-		t.Errorf("want ErrProgress, got %v", err)
-	}
-	// Feasibility failure on my half.
-	sub := []int64{1, 4, 9, 4}
-	if err := BitCompare(prev, sub, sub[:2], false); !errors.Is(err, ErrFeasibility) {
-		t.Errorf("want ErrFeasibility, got %v", err)
-	}
-	// Final case: whole-sequence comparison.
-	finalPrev := []int64{4, 2, 3, 1}
-	finalSeq := []int64{1, 2, 3, 4}
-	if err := BitCompare(finalPrev, finalSeq, nil, true); err != nil {
-		t.Errorf("valid final bit_compare failed: %v", err)
-	}
-	if err := BitCompare(finalPrev, []int64{1, 2, 3, 5}, nil, true); !errors.Is(err, ErrFeasibility) {
-		t.Errorf("final substitution: want ErrFeasibility, got %v", err)
-	}
-}
-
 func TestPredicateErrorFormatting(t *testing.T) {
 	pe := &PredicateError{Node: 3, Stage: 2, Iter: 1, Kind: ErrConsistency, Detail: "copies differ"}
 	if !errors.Is(pe, ErrConsistency) {

@@ -27,10 +27,12 @@ type HostError struct {
 	Detail string
 }
 
-// Outcome aggregates an S_FT run.
+// Outcome aggregates a run.
 type Outcome struct {
-	// Sorted is the gathered output, out[id] = node id's final key.
-	// Trust it only when Detected() is false.
+	// Sorted is the gathered output: the node-order concatenation of
+	// the nodes' final blocks, node id's m keys at Sorted[id*m:(id+1)*m]
+	// (out[id] = node id's final key when m = 1). Trust it only when
+	// Detected() is false.
 	Sorted []int64
 	// Result carries per-node errors, virtual clocks, and traffic.
 	Result *node.Result
@@ -52,27 +54,36 @@ func (o *Outcome) Detected() bool {
 // Run executes S_FT with all-honest nodes: keys[id] is node id's
 // initial key.
 func Run(nw transport.Network, keys []int64) (*Outcome, error) {
-	return RunWithOptions(nw, keys, nil)
+	return RunBlocks(nw, keys, 1, nil)
 }
 
 // RunWithOptions executes S_FT with per-node options (fault injection,
 // tracing). opts may be nil (all honest) or have exactly one entry per
 // node.
 func RunWithOptions(nw transport.Network, keys []int64, opts []Options) (*Outcome, error) {
+	return RunBlocks(nw, keys, 1, opts)
+}
+
+// RunBlocks executes the fault-tolerant sort with m keys per node:
+// keys[id*m:(id+1)*m] is node id's initial block. opts may be nil (all
+// honest) or have exactly one entry per node.
+func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outcome, error) {
 	n := nw.Topology().Nodes()
-	if len(keys) != n {
-		return nil, fmt.Errorf("core: %d keys for %d nodes", len(keys), n)
+	if m < 1 || len(keys) != n*m {
+		return nil, fmt.Errorf("core: %d keys for %d nodes of %d keys each", len(keys), n, m)
 	}
-	if opts == nil {
-		opts = make([]Options, n)
-	}
-	if len(opts) != n {
+	if opts != nil && len(opts) != n {
 		return nil, fmt.Errorf("core: %d option sets for %d nodes", len(opts), n)
 	}
-	out := make([]int64, n)
+	out := make([]int64, n*m)
 	progs := make([]node.Program, n)
-	for id := 0; id < n; id++ {
-		progs[id] = NodeProgram(keys[id], &out[id], opts[id])
+	for id := range progs {
+		var o Options
+		if opts != nil {
+			o = opts[id]
+		}
+		block, dst := keys[id*m:(id+1)*m], out[id*m:(id+1)*m]
+		progs[id] = func(ep transport.Endpoint) error { return runNode(ep, block, dst, o) }
 	}
 	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
@@ -82,8 +93,8 @@ func RunWithOptions(nw transport.Network, keys []int64, opts []Options) (*Outcom
 }
 
 // DrainHostErrors empties the host mailbox of ERROR signals after the
-// nodes have terminated. Exported for the other runners (blocksort,
-// the interleaving explorer) that need the standard evidence decode.
+// nodes have terminated. Exported for the interleaving explorer, which
+// runs node programs itself and needs the standard evidence decode.
 func DrainHostErrors(nw transport.Network) []HostError {
 	h := nw.Host()
 	var out []HostError

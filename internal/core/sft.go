@@ -1,6 +1,7 @@
 // Package core implements S_FT, the paper's primary contribution: the
 // fault-tolerant distributed bitonic sort built with the
-// application-oriented fault tolerance paradigm (Figure 3).
+// application-oriented fault tolerance paradigm (Figure 3), together
+// with its Section 5 scaling to blocks of m keys per node.
 //
 // The algorithm runs the bitonic schedule of S_NR unchanged, but every
 // message additionally piggybacks the sender's partial view of the
@@ -15,11 +16,21 @@
 // behaviour from Byzantine parts: the sort completes correctly or some
 // honest node signals ERROR to the host and halts — it never silently
 // delivers a wrong permutation (Theorem 3).
+//
+// With m keys per node the message structure is the same: each
+// compare-exchange becomes a merge-split of 2m keys, each view slot
+// holds a node's whole block, and each predicate Φ scales by m. There
+// is one runner for every m; S_FT's one key per node is the m = 1
+// case (Run, RunWithOptions, NodeProgram) and RunBlocks takes m keys
+// per node.
 package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/bitonic"
+	"repro/internal/bitset"
 	"repro/internal/hypercube"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -28,7 +39,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tunes one node's S_FT program. The zero value is the honest
+// Options tunes one node's program. The zero value is the honest
 // protocol.
 type Options struct {
 	// Tamper, when non-nil, intercepts every outgoing message just
@@ -37,7 +48,7 @@ type Options struct {
 	// silent. From/To are stamped before the call so strategies can
 	// vary by receiver (the split-lie attack Φ_C exists to catch).
 	Tamper func(m *wire.Message) *wire.Message
-	// Compare, when non-nil, replaces the node's compare-exchange
+	// Compare, when non-nil, replaces the node's merge-split
 	// comparator: Compare(stage, a, b) reports whether a orders at or
 	// before b. A lying comparator models Geissmann et al.'s faulty
 	// comparisons — the node runs the schedule faithfully but routes
@@ -47,9 +58,9 @@ type Options struct {
 	Compare func(stage int, a, b int64) bool
 	// CorruptMemory, when non-nil, is invoked at every stage boundary
 	// (stages >= 1 and before the final verification round, with the
-	// cube dimension as the stage label) on the node's resident key
-	// slice, modelling Kopelowitz & Talmon's faulty memory: cells that
-	// corrupt between accesses. The hook may mutate the slice in
+	// cube dimension as the stage label) on the node's resident block,
+	// modelling Kopelowitz & Talmon's faulty memory: cells that
+	// corrupt between accesses. The hook may mutate the block in
 	// place; the node then proceeds honestly on the corrupted state.
 	CorruptMemory func(stage int, keys []int64)
 	// SkipChecks disables the node's own executable assertions: a
@@ -57,22 +68,28 @@ type Options struct {
 	// the ones expected to detect it.
 	SkipChecks bool
 	// Forensic, when non-nil, is this node's flight recorder: predicate
-	// evaluations, view merges, and accusations are recorded alongside
-	// the transport's send/recv events, and a predicate failure
-	// triggers a forensic dump of every ring. Use the same
-	// forensic.Flight the transport was configured with so causal
+	// evaluations, view merges, merge-splits and accusations are
+	// recorded alongside the transport's send/recv events, and a
+	// predicate failure triggers a forensic dump of every ring. Use the
+	// same forensic.Flight the transport was configured with so causal
 	// chains cross the wire. Recording reads the endpoint clock but
 	// never charges it, and appends are allocation-free, so attaching a
 	// recorder perturbs neither virtual time nor the zero-alloc
 	// exchange path.
 	Forensic *forensic.Recorder
 	// Obs, when non-nil, receives stage/round spans, Φ evaluations,
-	// accusations, and stage views. Recording reads the endpoint clock
-	// but never charges it, so virtual-time results are identical with
-	// and without an observer; all Observer methods are nil-safe and
-	// allocation-free, so the steady-state exchange path stays
-	// zero-allocation.
+	// merge-split compare counts, accusations, and stage views.
+	// Recording reads the endpoint clock but never charges it, so
+	// virtual-time results are identical with and without an observer;
+	// all Observer methods are nil-safe and allocation-free, so the
+	// steady-state exchange path stays zero-allocation.
 	Obs *obs.Observer
+	// Parallelism caps the worker count for the data-parallel
+	// merge-split and local-sort paths: <= 0 means GOMAXPROCS. Worker
+	// count never changes outputs or charged comparison counts — the
+	// parallel merges are bit-identical to their sequential
+	// counterparts — only wall-clock time.
+	Parallelism int
 
 	// The remaining flags are ablation switches used to quantify how
 	// much each mechanism of the paradigm contributes (DESIGN.md §5).
@@ -80,9 +97,9 @@ type Options struct {
 
 	// TrustSenderMasks skips the vect_mask validation of claimed
 	// knowledge masks in Φ_C: any mask the sender claims is believed.
-	// Detection of fabrication/withholding then falls to later
-	// conflict or completeness checks — the ablation measures the
-	// added detection latency.
+	// Detection of fabrication/withholding then falls to the conflict
+	// and digest checks or later completeness checks — the ablation
+	// measures the added detection latency.
 	TrustSenderMasks bool
 	// SkipFinalVerification drops the final pure-exchange round. The
 	// last stage's output is then unchecked, and a last-stage lie
@@ -90,387 +107,372 @@ type Options struct {
 	// paper adds the extra round.
 	SkipFinalVerification bool
 	// SeparateCheckMessages sends each view in its own message after
-	// the compare-exchange keys instead of piggybacking, doubling the
-	// main-loop message count. The ablation quantifies the messaging
-	// overhead piggybacking avoids. All nodes of a run must agree on
-	// this flag.
+	// the exchange keys instead of piggybacking, doubling the main-loop
+	// message count. The ablation quantifies the messaging overhead
+	// piggybacking avoids. All nodes of a run must agree on this flag.
 	SeparateCheckMessages bool
 }
 
 // NodeProgram returns the S_FT program for one node with initial key
-// key. On successful completion the node's final key is written to
-// *out (each node writes only its own slot).
+// key: the m = 1 case of the runner RunBlocks runs on every node. On
+// successful completion the node's final key is written to *out (each
+// node writes only its own slot).
 func NodeProgram(key int64, out *int64, opts Options) node.Program {
 	return func(ep transport.Endpoint) error {
-		r := &sftRunner{}
-		r.Protocol = NewProtocol(ep, r, opts)
-		a, err := r.run(key)
-		if err != nil {
+		b := [1]int64{key}
+		if err := runNode(ep, b[:], b[:], opts); err != nil {
 			return err
 		}
-		*out = a
+		*out = b[0]
 		return nil
 	}
 }
 
-// sftRunner is S_FT's kernel over the shared Protocol shell: one key
-// per node, so its view holds one value per subcube slot and each
-// exchange is a compare-exchange of two keys.
-type sftRunner struct {
-	Protocol // also holds the node's Options (r.opts)
-
-	// Per-node arenas reused across every stage and iteration so the
-	// steady-state exchange path performs no allocation: the gather
-	// view and the two-key send buffer (the shell holds the codec
-	// scratch).
-	view   gatherView
-	keyBuf [2]int64
+// runNode runs the node at ep holding block, m = len(block) keys, and
+// on success writes its sorted block to out (len m), its own slot of
+// the run's output; block and out may alias.
+func runNode(ep transport.Endpoint, block, out []int64, opts Options) error {
+	r := &runner{ep: ep, opts: opts, m: len(block)}
+	mine, err := r.run(block)
+	if err != nil {
+		return err
+	}
+	copy(out, mine)
+	return nil
 }
 
-// WireView, MergeView and ViewDigest implement Kernel over the gather
-// view.
-func (r *sftRunner) WireView(scratch []int64) wire.View { return r.view.wireViewInto(scratch) }
+// runner is one node's fault-tolerant sort: the stage loop, the
+// merge-split exchange with its reply checks, and (protocol.go) the
+// shell of evidence, framing, checked receive, Φ_C merge and the
+// verification round.
+type runner struct {
+	ep   transport.Endpoint
+	opts Options
+	m    int
 
-func (r *sftRunner) ViewDigest() wire.Digest { return r.view.viewDigest() }
+	// Per-node arenas reused across every stage and iteration, all
+	// sized once when the run starts, so the steady-state exchange path
+	// performs no allocation: the two block views, the two alternating
+	// merge-split buffers, the keep·give send staging buffer, the
+	// merge-split verification scratch, the wire-view Vals staging
+	// area, the payload encoding and zero-copy decode scratch, and the
+	// vect_mask prediction scratch.
+	//
+	// Stage s gathers into views[s%2] (view points at it), and the final
+	// round into views[n%2]. Alternating leaves the previous stage's
+	// verified sequence intact in the other view's arena, where Φ_F and
+	// the stage-view stream read it as a sub-slice instead of a copy.
+	views    [2]blockView
+	view     *blockView
+	bufs     [2][]int64
+	cur      int
+	keyStage []int64
+	msCheck  []int64
+	wvVals   []int64
+	enc      []byte
+	dec      wire.DecodeScratch
+	expect   bitset.Set
+}
 
-func (r *sftRunner) run(key int64) (int64, error) {
+// reserve sizes every arena once: the views and the wire-view staging
+// for the whole cube scAll, since each stage's subcube is a slot range
+// of it; the encode buffer for the largest payload, a full view plus
+// the 2m keys of a merge-split reply; the merge-split scratches for 2m.
+// One allocation holds every key arena, one both views' block headers
+// and one both views' slot digests.
+func (r *runner) reserve(scAll hypercube.Subcube) {
+	slots, m := scAll.Size(), r.m
+	keys := make([]int64, 3*slots*m+8*m)
+	blocks := make([][]int64, 2*slots)
+	digs := make([]wire.Digest, 2*slots)
+	carve := func(k int) []int64 {
+		s := keys[:k:k]
+		keys = keys[k:]
+		return s
+	}
+	for i := range r.views {
+		v := &r.views[i]
+		v.data = carve(slots * m)
+		v.blocks = blocks[i*slots : (i+1)*slots : (i+1)*slots]
+		v.slotDig = digs[i*slots : (i+1)*slots : (i+1)*slots]
+		v.reset(scAll, m)
+	}
+	r.wvVals = carve(slots * m)[:0]
+	r.bufs[0], r.bufs[1] = carve(2 * m)[:0], carve(2 * m)[:0]
+	r.keyStage, r.msCheck = carve(2 * m)[:0], carve(2 * m)[:0]
+	r.enc = make([]byte, 0, 4+8*2*m+wire.ViewEncodedSize(slots, slots, m))
+}
+
+// nextBuf flips to the merge-split buffer NOT holding the node's
+// current block and returns it (cap 2m, length 0). Alternating between
+// two buffers lets a merge-split write its output while reading the
+// current block from the other.
+func (r *runner) nextBuf() []int64 {
+	r.cur = 1 - r.cur
+	return r.bufs[r.cur][:0]
+}
+
+// localSort sorts the node's block ascending in place and charges the
+// endpoint the comparison cost. The charged count is identical for
+// every worker count.
+func (r *runner) localSort(b []int64) {
+	sorted, compares := bitonic.ParallelMergeSortCount(b, r.opts.Parallelism)
+	copy(b, sorted)
+	r.ep.ChargeCompare(compares)
+	r.ep.ChargeKeyMove(len(b))
+}
+
+func (r *runner) run(block []int64) ([]int64, error) {
 	id := r.ep.ID()
 	topo := r.ep.Topology()
 	n := topo.Dim()
-	a := key
+	scAll, err := topo.HomeSubcube(n, id)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	r.reserve(scAll)
+	mine := r.bufs[r.cur][:r.m]
+	copy(mine, block)
+	r.localSort(mine)
 	if n == 0 {
-		return a, nil // a single node is trivially sorted
+		return mine, nil // a single node is trivially sorted
 	}
 
-	// prevSeq is the verified output of stage s-2 over prevSC = SC_s,
-	// i.e. the paper's LLBS; prevDig is its multiset digest, saved at
-	// the previous stage boundary so Φ_F's common case is an O(1)
-	// digest comparison against the matching half of the current view.
-	var prevSeq []int64
+	var prevFlat []int64 // verified previous sequence (LLBS · m), in the other view's arena
 	var prevSC hypercube.Subcube
-	var prevDig wire.Digest
+	var prevDig wire.Digest // multiset digest of prevFlat, saved at the stage boundary
 
 	for s := 0; s < n; s++ {
-		// Faulty-memory hook: the resident key may corrupt between
+		// Faulty-memory hook: the resident block may corrupt between
 		// stages (never before the first exchange, per environmental
 		// assumption 5 — a stage-0 corruption would be different input).
 		if r.opts.CorruptMemory != nil && s > 0 {
-			a = r.corrupt(s, a)
+			r.opts.CorruptMemory(s, mine)
 		}
-		stageVT := r.BeginStage(s)
+		stageVT := r.beginStage(s)
 		sc, err := topo.HomeSubcube(s+1, id)
 		if err != nil {
-			return 0, fmt.Errorf("core: %w", err)
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		r.view.reset(sc)
-		r.view.set(id, a) // seed LBS with this stage's starting value
+		view := &r.views[s%2]
+		r.view = view
+		view.reset(sc, r.m)
+		view.set(id, mine) // seed LBS with this stage's starting block
 		for j := s; j >= 0; j-- {
 			r.opts.Obs.RoundBegin(id, s, j, int64(r.ep.Clock()))
-			a, err = r.ftExchange(a, s, j)
+			mine, err = r.exchange(mine, s, j)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			r.opts.Obs.RoundEnd(id, s, j, int64(r.ep.Clock()))
 		}
-		if err := r.CheckGather(r.view.have, s); err != nil {
-			return 0, err
+		if err := r.checkGather(s); err != nil {
+			return nil, err
 		}
-		assembled := r.view.values()
 		if s > 0 && !r.opts.SkipChecks {
-			// bit_compare: Φ_P over the assembled previous-stage
-			// output, Φ_F over this node's half against LLBS. The
-			// charges reflect Lemma 8's O(2^i) bound. The view keeps one
-			// digest per half of the home subcube, and prevSC is exactly
-			// one of those halves.
-			if err := r.CheckProgress(s, len(assembled), Progress(assembled, false)); err != nil {
-				return 0, err
+			// bit_compare: Φ_P over the assembled previous-stage output
+			// (Lemma 8's O(2^i·m) bound), Φ_F over this node's previous
+			// home subcube against LLBS. That subcube is a contiguous
+			// slot range of this stage's view, so its multiset digest
+			// folds from the stored per-slot digests in O(slots).
+			if err := r.checkProgress(s, sc.Size()*r.m, ProgressBlocks(view.blocks, false)); err != nil {
+				return nil, err
 			}
-			half := 1
-			if prevSC.Start == sc.Start {
-				half = 0
-			}
-			if err := r.CheckFeasibility(s, r.view.halfDig(half), prevDig,
-				prevSeq, halfContaining(assembled, sc, prevSC)); err != nil {
-				return 0, err
+			lo := prevSC.Start - sc.Start
+			hi := lo + prevSC.Size()
+			if err := r.checkFeasibility(s, view.rangeDigest(lo, hi), prevDig, prevFlat, view.seq(lo, hi)); err != nil {
+				return nil, err
 			}
 		}
-		r.ep.ChargeKeyMove(len(assembled)) // LLBS update
-		r.EndStage(s, stageVT, sc, 1, assembled)
-		prevSeq, prevSC, prevDig = assembled, sc, r.view.viewDigest()
+		prevFlat = view.seq(0, sc.Size())
+		prevDig = view.digest()
+		r.ep.ChargeKeyMove(len(prevFlat)) // LLBS update
+		r.endStage(s, stageVT, sc, prevFlat)
+		prevSC = sc
 	}
 
 	if r.opts.SkipFinalVerification {
 		// Ablation: the last stage's output goes unchecked.
-		return a, nil
+		return mine, nil
 	}
 
 	// Faulty memory can also strike between the last stage and the
 	// final verification round — the corruption Theorem 3's extra
 	// round exists to expose.
 	if r.opts.CorruptMemory != nil {
-		a = r.corrupt(n, a)
+		r.opts.CorruptMemory(n, mine)
 	}
 
-	// Final verification: a pure exchange of the final sorted values
+	// Final verification: a pure exchange of the final sorted blocks
 	// over the whole cube, then the last bit_compare.
-	finalVT := r.BeginStage(n)
-	scAll, err := topo.HomeSubcube(n, id)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+	finalVT := r.beginStage(n)
+	view := &r.views[n%2]
+	r.view = view
+	view.reset(scAll, r.m)
+	view.set(id, mine)
+	if err := r.verifyRound(n); err != nil {
+		return nil, err
 	}
-	r.view.reset(scAll)
-	r.view.set(id, a)
-	if err := r.VerifyRound(n); err != nil {
-		return 0, err
+	if err := r.checkGather(n); err != nil {
+		return nil, err
 	}
-	if err := r.CheckGather(r.view.have, n); err != nil {
-		return 0, err
-	}
-	finalSeq := r.view.values()
+	finalSeq := view.seq(0, scAll.Size())
 	if !r.opts.SkipChecks {
-		if err := r.CheckProgress(n, len(finalSeq), Progress(finalSeq, true)); err != nil {
-			return 0, err
+		if err := r.checkProgress(n, len(finalSeq), ProgressBlocks(view.blocks, true)); err != nil {
+			return nil, err
 		}
 		// Final Φ_F: the verification round re-gathers the whole cube,
 		// so the full view digest stands in for the permutation scan.
-		if err := r.CheckFeasibility(n, r.view.viewDigest(), prevDig, prevSeq, finalSeq); err != nil {
-			return 0, err
+		if err := r.checkFeasibility(n, view.digest(), prevDig, prevFlat, finalSeq); err != nil {
+			return nil, err
 		}
 	}
-	r.EndStage(n, finalVT, scAll, 1, finalSeq)
-	return a, nil
+	r.endStage(n, finalVT, scAll, finalSeq)
+	return mine, nil
 }
 
-// corrupt passes the resident key through the faulty-memory hook.
-func (r *sftRunner) corrupt(stage int, a int64) int64 {
-	r.keyBuf[0] = a
-	r.opts.CorruptMemory(stage, r.keyBuf[:1])
-	return r.keyBuf[0]
-}
-
-// halfContaining slices the assembled sequence (over sc) down to the
-// node's own previous home subcube prevSC.
-func halfContaining(assembled []int64, sc, prevSC hypercube.Subcube) []int64 {
-	lo := prevSC.Start - sc.Start
-	hi := lo + prevSC.Size()
-	return assembled[lo:hi]
-}
-
-// ftExchange performs the stage-s iteration-j compare-exchange of
-// Figure 3, with the piggybacked view merge (Φ_C) on both sides, and
-// returns the node's new key.
-func (r *sftRunner) ftExchange(a int64, s, j int) (int64, error) {
+// exchange performs the stage-s iteration-j merge-split of Figure 3
+// scaled by m, with the piggybacked view merge (Φ_C) on both sides, and
+// returns the node's new block.
+func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 	id := r.ep.ID()
 	topo := r.ep.Topology()
 	partner, err := topo.Partner(id, j)
 	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	ascending := topo.Ascending(s, id)
 
-	if hypercube.Active(id, j) {
-		// Active side: receive the partner's key and pre-merge view,
-		// run Φ_C, compare-exchange, and reply with both keys and the
-		// merged (echoed) view.
-		keys, rv, ok, err := r.recvParts(j, s, partner)
-		if err != nil {
-			return 0, err
+	if !hypercube.Active(id, j) {
+		// Passive side: send our block and current view, then adopt the
+		// returned half after validating the merge-split.
+		if err := r.sendParts(j, s, mine); err != nil {
+			return nil, err
 		}
-		var data int64
-		haveData := false
-		if ok {
-			if len(keys) != 1 && !r.opts.SkipChecks {
-				return 0, r.FailFrom(ErrProtocol, s, j, partner, "expected 1 key from %d, got %d", partner, len(keys))
-			}
-			if len(keys) == 1 {
-				data = keys[0]
-				haveData = true
-			}
-			if err := r.MergeView(rv, s, j, partner, false); err != nil {
-				return 0, err
-			}
-			// At the stage's first iteration the passive node's key must
-			// match its seeded view entry: its stage-start value.
-			if j == s && !r.opts.SkipChecks && haveData {
-				if idx := partner - r.view.sc.Start; r.view.have.Has(idx) && r.view.vals[idx] != data {
-					return 0, r.FailFrom(ErrProtocol, s, j, partner,
-						"node %d sent key %d but its view claims %d", partner, data, r.view.vals[idx])
-				}
-			}
-		}
-		if !haveData {
-			// No usable key (only possible for SkipChecks nodes);
-			// degrade to keeping our own value.
-			data = a
-		}
-		r.ep.ChargeCompare(1)
-		leq := data <= a
-		if r.opts.Compare != nil {
-			leq = r.opts.Compare(s, data, a)
-		}
-		lo, hi := data, a
-		if !leq {
-			lo, hi = a, data
-		}
-		keep, give := lo, hi
-		if !ascending {
-			keep, give = hi, lo
-		}
-		r.keyBuf[0], r.keyBuf[1] = keep, give
-		if err := r.sendParts(j, s, r.keyBuf[:2]); err != nil {
-			return 0, err
-		}
-		return keep, nil
+		return r.passiveReply(mine, s, j, partner, ascending)
 	}
 
-	// Passive side: send our key and current view, then adopt the
-	// returned key after validating the pair.
-	r.keyBuf[0] = a
-	if err := r.sendParts(j, s, r.keyBuf[:1]); err != nil {
-		return 0, err
-	}
-	return r.passiveReply(a, s, j, partner, ascending)
-}
-
-// passiveReply receives the active partner's reply to our key, merges
-// its echoed view, and validates the returned pair before adopting the
-// key the schedule gives us.
-func (r *sftRunner) passiveReply(a int64, s, j, partner int, ascending bool) (int64, error) {
+	// Active side: receive the partner's block and pre-merge view, run
+	// Φ_C, merge-split, and reply with both halves and the merged
+	// (echoed) view.
 	keys, rv, ok, err := r.recvParts(j, s, partner)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	theirs := mine // degenerate fallback for SkipChecks nodes
+	if ok {
+		if len(keys) != r.m && !r.opts.SkipChecks {
+			return nil, r.failFrom(ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", r.m, partner, len(keys))
+		}
+		if len(keys) == r.m {
+			theirs = keys
+		}
+		if err := r.mergeView(rv, s, j, partner, false); err != nil {
+			return nil, err
+		}
+		if !r.opts.SkipChecks && !bitonic.IsSorted(theirs, true) {
+			return nil, r.failFrom(ErrProtocol, s, j, partner, "block from %d not sorted", partner)
+		}
+		// At the stage's first iteration the sender's block and its own
+		// relayed view entry are both its stage-start block;
+		// disagreement proves the sender lied about one of them (Φ_C,
+		// with the liar named).
+		if !r.opts.SkipChecks && j == s {
+			if idx := partner - r.view.sc.Start; r.view.have.Has(idx) && !slices.Equal(theirs, r.view.blocks[idx]) {
+				return nil, r.failFrom(ErrConsistency, s, j, partner,
+					"stage-start keys from %d disagree with its relayed view entry", partner)
+			}
+		}
+	}
+	// Merge into the buffer not holding mine; theirs may still alias
+	// the decode scratch, which the merge-split only reads.
+	var lo, hi []int64
+	var compares int
+	var merr error
+	if r.opts.Compare != nil {
+		lo, hi, compares, merr = bitonic.MergeSplitFuncInto(r.nextBuf(), mine, theirs,
+			func(a, b int64) bool { return r.opts.Compare(s, a, b) })
+	} else {
+		lo, hi, compares, merr = bitonic.MergeSplitParallelInto(r.nextBuf(), mine, theirs, r.opts.Parallelism)
+	}
+	if merr != nil {
+		return nil, fmt.Errorf("core: %w", merr)
+	}
+	r.ep.ChargeCompare(compares)
+	r.opts.Obs.MergeCompares(compares)
+	if r.opts.Forensic != nil {
+		// The kept half's digest fingerprints the merge-split verdict
+		// in the flight recorder (wall-clock only; never charged).
+		r.opts.Forensic.Merge(int32(s), int32(j), int64(compares),
+			wire.DigestOf(lo), int64(r.ep.Clock()))
+	}
+	r.ep.ChargeKeyMove(2 * r.m)
+	keep, give := lo, hi
+	if !ascending {
+		keep, give = hi, lo
+	}
+	r.keyStage = append(append(r.keyStage[:0], keep...), give...)
+	if err := r.sendParts(j, s, r.keyStage); err != nil {
+		return nil, err
+	}
+	return keep, nil
+}
+
+// passiveReply receives the active partner's merge-split reply,
+// merges its echoed view, and validates both halves before adopting
+// the one the schedule gives us.
+func (r *runner) passiveReply(mine []int64, s, j, partner int, ascending bool) ([]int64, error) {
+	keys, rv, ok, err := r.recvParts(j, s, partner)
+	if err != nil {
+		return nil, err
 	}
 	if !ok {
-		return a, nil // SkipChecks node tolerating a dead partner
+		return mine, nil // SkipChecks node tolerating a dead partner
 	}
-	if len(keys) != 2 {
+	if len(keys) != 2*r.m {
 		if r.opts.SkipChecks {
-			return a, nil
+			return mine, nil
 		}
-		return 0, r.FailFrom(ErrProtocol, s, j, partner, "expected 2 keys from %d, got %d", partner, len(keys))
+		return nil, r.failFrom(ErrProtocol, s, j, partner, "expected %d keys from %d, got %d", 2*r.m, partner, len(keys))
 	}
-	if err := r.MergeView(rv, s, j, partner, true); err != nil {
-		return 0, err
+	if err := r.mergeView(rv, s, j, partner, true); err != nil {
+		return nil, err
 	}
-	keep, give := keys[0], keys[1]
+	keep, give := keys[:r.m], keys[r.m:]
 	if !r.opts.SkipChecks {
-		// The returned pair must contain our contributed key and be
-		// oriented per the schedule's direction.
-		if keep != a && give != a {
-			return 0, r.FailFrom(ErrProtocol, s, j, partner,
-				"compare-exchange reply (%d,%d) from %d lost our key %d", keep, give, partner, a)
+		if !bitonic.IsSorted(keep, true) || !bitonic.IsSorted(give, true) {
+			return nil, r.failFrom(ErrProtocol, s, j, partner, "merge-split reply from %d has unsorted halves", partner)
 		}
-		if ascending && keep > give {
-			return 0, r.FailFrom(ErrProtocol, s, j, partner,
-				"ascending compare-exchange reply (%d,%d) from %d misordered", keep, give, partner)
+		if ascending && keep[r.m-1] > give[0] {
+			return nil, r.failFrom(ErrProtocol, s, j, partner,
+				"ascending merge-split reply from %d misordered (%d > %d)", partner, keep[r.m-1], give[0])
 		}
-		if !ascending && keep < give {
-			return 0, r.FailFrom(ErrProtocol, s, j, partner,
-				"descending compare-exchange reply (%d,%d) from %d misordered", keep, give, partner)
+		if !ascending && keep[0] < give[r.m-1] {
+			return nil, r.failFrom(ErrProtocol, s, j, partner,
+				"descending merge-split reply from %d misordered (%d < %d)", partner, keep[0], give[r.m-1])
 		}
-		// At the stage's first iteration we also know the active
-		// node's stage-start value from the echoed view, so the whole
-		// compare-exchange is verifiable.
+		// At the stage's first iteration both input blocks are known
+		// (the partner's is its seeded view entry), so the whole
+		// merge-split is verifiable.
 		if j == s {
 			if idx := partner - r.view.sc.Start; r.view.have.Has(idx) {
-				other := r.view.vals[idx]
-				lo, hi := other, a
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				wantKeep, wantGive := lo, hi
-				if !ascending {
-					wantKeep, wantGive = hi, lo
-				}
-				if keep != wantKeep || give != wantGive {
-					return 0, r.FailFrom(ErrProtocol, s, j, partner,
-						"compare-exchange of (%d,%d) by %d returned (%d,%d), want (%d,%d)",
-						other, a, partner, keep, give, wantKeep, wantGive)
+				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, r.view.blocks[idx], r.opts.Parallelism)
+				if merr == nil {
+					wantKeep, wantGive := wantLo, wantHi
+					if !ascending {
+						wantKeep, wantGive = wantHi, wantLo
+					}
+					if !slices.Equal(keep, wantKeep) || !slices.Equal(give, wantGive) {
+						return nil, r.failFrom(ErrProtocol, s, j, partner,
+							"merge-split by %d returned wrong halves", partner)
+					}
 				}
 			}
 		}
 	}
-	return give, nil
-}
-
-// sendParts transmits one compare-exchange leg: keys plus view,
-// piggybacked in one message normally, or as two messages under the
-// SeparateCheckMessages ablation.
-func (r *sftRunner) sendParts(bit, s int, keys []int64) error {
-	if !r.opts.SeparateCheckMessages {
-		return r.SendFT(bit, s, keys)
-	}
-	if err := r.sendKeys(bit, s, keys); err != nil {
-		return err
-	}
-	return r.sendVerify(bit, s)
-}
-
-// recvParts receives one compare-exchange leg in whichever framing the
-// run uses. ok is false only for SkipChecks nodes tolerating garbage.
-// Returned keys and view alias the shell's decode scratch; both are
-// consumed before the next receive.
-func (r *sftRunner) recvParts(bit, s, partner int) (keys []int64, v wire.View, ok bool, err error) {
-	if !r.opts.SeparateCheckMessages {
-		p, ok, err := r.RecvFT(bit, s, partner)
-		return p.Keys, p.View, ok, err
-	}
-	// The keys land in the scratch's key buffer and the view in its
-	// separate view buffers, so the second decode does not clobber the
-	// first.
-	kp, ok, err := recvPayload(&r.Protocol, bit, wire.KindExchange, s, partner, "keys", wire.DecodeExchangeInto)
-	if err != nil || !ok {
-		return nil, wire.View{}, false, err
-	}
-	vp, ok, err := recvPayload(&r.Protocol, bit, wire.KindVerify, s, partner, "view", wire.DecodeVerifyInto)
-	return kp.Keys, vp.View, ok, err
-}
-
-// MergeView folds a received view into the local one under Φ_C. The
-// expected knowledge mask is the vect_mask prediction: pre-exchange
-// knowledge when the sender is the passive party (postExchange false),
-// post-exchange knowledge when the sender is the active party echoing
-// its merged view (postExchange true).
-func (r *sftRunner) MergeView(rv wire.View, s, j, sender int, postExchange bool) error {
-	view := &r.view
-	if r.opts.SkipChecks {
-		// Φ_C work is linear in the received entries plus the
-		// vect_mask evaluation (Lemma 9's O(2^{j+1} + 2^{i-j}) bound).
-		r.ep.ChargeCompare(rv.Mask.Count())
-		view.mergeLenient(rv)
-		r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
-			view.viewDigest(), int64(r.ep.Clock()))
-		return nil
-	}
-	if r.opts.TrustSenderMasks {
-		// Ablation: believe any claimed mask; only overlap conflicts
-		// are still checked, entry by entry.
-		r.ep.ChargeCompare(rv.Mask.Count())
-		merr := view.mergeTrusting(rv)
-		r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
-			view.viewDigest(), int64(r.ep.Clock()))
-		return r.CheckMerge(s, j, sender, merr)
-	}
-	expected, err := r.ExpectedMask(s, j, sender, view.sc, postExchange)
-	if err != nil {
-		return err
-	}
-	outcome, merr := view.mergeChecked(rv, expected)
-	// Charge what the merge actually did: a digest hit replaces the
-	// entry walk with two word comparisons; a miss pays both; when the
-	// fast path does not apply the cost is the entry walk.
-	switch outcome {
-	case DigestHit:
-		r.ep.ChargeCompare(wire.DigestCompareCost)
-		r.opts.Obs.DigestCheck(true)
-	case DigestMiss:
-		r.ep.ChargeCompare(wire.DigestCompareCost + rv.Mask.Count())
-		r.opts.Obs.DigestCheck(false)
-		r.opts.Obs.DigestSlowScan()
-	default:
-		r.ep.ChargeCompare(rv.Mask.Count())
-	}
-	r.opts.Forensic.Merge(int32(s), int32(j), int64(rv.Mask.Count()),
-		view.viewDigest(), int64(r.ep.Clock()))
-	return r.CheckMerge(s, j, sender, merr)
+	// give aliases the decode scratch, which the next receive will
+	// clobber; copy it into the buffer not holding mine.
+	adopted := r.nextBuf()[:r.m]
+	copy(adopted, give)
+	return adopted, nil
 }

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -64,52 +65,58 @@ func TestReportLists(t *testing.T) {
 // sweep, whenever the run is detected *with attributable evidence*,
 // the prime suspect must be the actually faulty node in the large
 // majority of runs (lies propagate, so occasionally a relay of the
-// lie is blamed first — that is inherent, not a bug).
+// lie is blamed first — that is inherent, not a bug). The sweep runs
+// at one key per node (S_FT) and at two (the block sort), with the
+// same thresholds.
 func TestDiagnosisAccuracyOverCoverageSweep(t *testing.T) {
 	dim := 3
 	n := 1 << uint(dim)
-	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
+	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
 	strategies := []fault.Strategy{
 		fault.KeyLie, fault.SplitLie, fault.ViewLie, fault.WrongCompare, fault.MaskInflation,
 	}
-	total, attributed, correct := 0, 0, 0
-	for _, st := range strategies {
-		for id := 0; id < n; id++ {
-			nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 60 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range []int{1, 2} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			total, attributed, correct := 0, 0, 0
+			for _, st := range strategies {
+				for id := 0; id < n; id++ {
+					nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 60 * time.Millisecond})
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec := fault.Spec{Node: id, Strategy: st, ActivateStage: 1, LieValue: 999}
+					opts := make([]core.Options, n)
+					opts[id] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
+					oc, err := core.RunBlocks(nw, keys[:n*m], m, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !oc.Detected() {
+						continue
+					}
+					total++
+					prime, ok := Prime(oc.HostErrors)
+					if !ok {
+						continue
+					}
+					attributed++
+					if prime.Node == id {
+						correct++
+					}
+				}
 			}
-			spec := fault.Spec{Node: id, Strategy: st, ActivateStage: 1, LieValue: 999}
-			opts := make([]core.Options, n)
-			opts[id] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-			oc, err := core.RunWithOptions(nw, keys, opts)
-			if err != nil {
-				t.Fatal(err)
+			if total == 0 {
+				t.Fatal("no detected runs to diagnose")
 			}
-			if !oc.Detected() {
-				continue
+			if attributed < total*3/4 {
+				t.Errorf("only %d/%d detected runs had attributable evidence", attributed, total)
 			}
-			total++
-			prime, ok := Prime(oc.HostErrors)
-			if !ok {
-				continue
+			accuracy := float64(correct) / float64(attributed)
+			t.Logf("diagnosis: %d detected, %d attributed, %d correct (%.0f%%)", total, attributed, correct, accuracy*100)
+			if accuracy < 0.8 {
+				t.Errorf("diagnosis accuracy %.2f below 0.8", accuracy)
 			}
-			attributed++
-			if prime.Node == id {
-				correct++
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no detected runs to diagnose")
-	}
-	if attributed < total*3/4 {
-		t.Errorf("only %d/%d detected runs had attributable evidence", attributed, total)
-	}
-	accuracy := float64(correct) / float64(attributed)
-	t.Logf("diagnosis: %d detected, %d attributed, %d correct (%.0f%%)", total, attributed, correct, accuracy*100)
-	if accuracy < 0.8 {
-		t.Errorf("diagnosis accuracy %.2f below 0.8", accuracy)
+		})
 	}
 }
 

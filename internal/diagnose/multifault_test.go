@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocksort"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/simnet"
@@ -67,14 +66,10 @@ func TestRankTwoFaultRuns(t *testing.T) {
 				}
 				sa := fault.Spec{Node: p[0], Strategy: c.a, ActivateStage: 1, LieValue: 999}
 				sb := fault.Spec{Node: p[1], Strategy: c.b, ActivateStage: 1, LieValue: 777}
-				opts := make([]blocksort.Options, 8)
-				opts[p[0]] = blocksort.Options{SkipChecks: true, Tamper: sa.Tamper()}
-				opts[p[1]] = blocksort.Options{SkipChecks: true, Tamper: sb.Tamper()}
-				blocks := make([][]int64, 8)
-				for i := range blocks {
-					blocks[i] = keys[i*2 : i*2+2]
-				}
-				oc, err := blocksort.RunFTWithOptions(nw, blocks, opts)
+				opts := make([]core.Options, 8)
+				opts[p[0]] = core.Options{SkipChecks: true, Tamper: sa.Tamper()}
+				opts[p[1]] = core.Options{SkipChecks: true, Tamper: sb.Tamper()}
+				oc, err := core.RunBlocks(nw, keys, 2, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

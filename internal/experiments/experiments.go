@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/blocksort"
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -199,16 +198,17 @@ func MeasureHostVerify(dim int, seed int64) (Measurement, error) {
 	}, nil
 }
 
-// MeasureBlockFT runs the fault-tolerant block sort with m keys/node.
+// MeasureBlockFT runs the fault-tolerant sort with m keys/node. Its
+// input, Keys(n*m, seed), is the node-order concatenation of
+// Blocks(n, m, seed), the host baseline's input.
 func MeasureBlockFT(dim, m int, seed int64) (Measurement, error) {
 	n := 1 << uint(dim)
-	blocks := Blocks(n, m, seed)
-	all := hostsort.SortedBlocksFlat(blocks)
+	keys := Keys(n*m, seed)
 	nw, err := newNet(dim)
 	if err != nil {
 		return Measurement{}, err
 	}
-	oc, err := blocksort.RunFT(nw, blocks)
+	oc, err := core.RunBlocks(nw, keys, m, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -216,7 +216,7 @@ func MeasureBlockFT(dim, m int, seed int64) (Measurement, error) {
 		return Measurement{}, fmt.Errorf("experiments: block S_FT spurious detection: %v / %v",
 			oc.Result.FirstNodeErr(), oc.HostErrors)
 	}
-	if err := checker.Verify(all, hostsort.SortedBlocksFlat(oc.SortedBlocks), true); err != nil {
+	if err := checker.Verify(keys, oc.Sorted, true); err != nil {
 		return Measurement{}, fmt.Errorf("experiments: block S_FT output invalid: %w", err)
 	}
 	res := oc.Result
@@ -230,23 +230,23 @@ func MeasureBlockFT(dim, m int, seed int64) (Measurement, error) {
 	}, nil
 }
 
-// MeasureBlockNR runs the unreliable block sort with m keys/node.
+// MeasureBlockNR runs the unreliable sort with m keys/node, on the
+// same input as MeasureBlockFT.
 func MeasureBlockNR(dim, m int, seed int64) (Measurement, error) {
 	n := 1 << uint(dim)
-	blocks := Blocks(n, m, seed)
-	all := hostsort.SortedBlocksFlat(blocks)
+	keys := Keys(n*m, seed)
 	nw, err := newNet(dim)
 	if err != nil {
 		return Measurement{}, err
 	}
-	out, res, err := blocksort.RunNR(nw, blocks)
+	out, res, err := sortnr.RunBlocks(nw, keys, m)
 	if err != nil {
 		return Measurement{}, err
 	}
 	if err := res.AnyErr(); err != nil {
 		return Measurement{}, fmt.Errorf("experiments: block S_NR failed: %w", err)
 	}
-	if err := checker.Verify(all, hostsort.SortedBlocksFlat(out), true); err != nil {
+	if err := checker.Verify(keys, out, true); err != nil {
 		return Measurement{}, fmt.Errorf("experiments: block S_NR output invalid: %w", err)
 	}
 	return Measurement{

@@ -200,6 +200,10 @@ func MeasureCoverage(cfg CoverageSweep, o *obs.Observer) ([]CoverageCell, error)
 
 func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRow, cellSeed int64, o *obs.Observer) (CoverageCell, error) {
 	n := 1 << uint(dim)
+	m := 1 // S_FT: one key per node
+	if algo == AlgoBlockFT {
+		m = cfg.BlockLen
+	}
 	cell := CoverageCell{
 		Algo: algo, Dim: dim, Class: row.class, Label: row.label,
 		Rate: row.rate, Runs: cfg.Runs, Detectors: map[string]int{},
@@ -207,34 +211,21 @@ func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRo
 	for run := 0; run < cfg.Runs; run++ {
 		node := run % n
 		seed := cellSeed ^ (int64(run)+1)*0x9E3779B9
-		keys := Keys(n, seed)
-		blocks := Blocks(n, cfg.BlockLen, seed)
+		keys := Keys(n*m, seed)
 
 		var res fault.Result
 		var err error
 		switch {
 		case row.class == fault.ClassComparison:
 			spec := fault.CmpSpec{Node: node, Mode: row.cmpMode, Rate: row.rate, Seed: seed, ActivateStage: 1}
-			if algo == AlgoSFT {
-				res, err = fault.InjectCmpSFT(dim, keys, spec, cfg.Timeout)
-			} else {
-				res, err = fault.InjectCmpBlockFT(dim, blocks, spec, cfg.Timeout)
-			}
+			res, err = fault.InjectCmpSFT(dim, keys, m, spec, cfg.Timeout)
 		case row.class == fault.ClassMemory:
 			spec := fault.MemSpec{Node: node, Mode: row.memMode, Rate: row.rate, Seed: seed,
 				ActivateStage: 1, StuckValue: cfg.Lie}
-			if algo == AlgoSFT {
-				res, err = fault.InjectMemSFT(dim, keys, spec, cfg.Timeout)
-			} else {
-				res, err = fault.InjectMemBlockFT(dim, blocks, spec, cfg.Timeout)
-			}
+			res, err = fault.InjectMemSFT(dim, keys, m, spec, cfg.Timeout)
 		default:
 			spec := fault.Spec{Node: node, Strategy: row.strategy, ActivateStage: 1, LieValue: cfg.Lie}
-			if algo == AlgoSFT {
-				res, err = fault.InjectSFT(dim, keys, spec, cfg.Timeout)
-			} else {
-				res, err = fault.InjectBlockFT(dim, blocks, spec, cfg.Timeout)
-			}
+			res, err = fault.InjectSFT(dim, keys, m, spec, cfg.Timeout)
 		}
 		if err != nil {
 			return CoverageCell{}, fmt.Errorf("run %d node %d: %w", run, node, err)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/blocksort"
 	"repro/internal/core"
 	"repro/internal/hostsort"
 	"repro/internal/node"
@@ -184,10 +183,10 @@ func TestObservedSeriesMatchBaseline(t *testing.T) {
 	for _, dim := range []int{2, 3, 4} {
 		n := 1 << uint(dim)
 
-		// Block S_NR: the unreliable variant has no per-node options;
-		// the observability in play is the transport's message counters.
-		blocks := Blocks(n, m, seed)
-		_, res, err := blocksort.RunNR(obsNet(dim), blocks)
+		// Block S_NR: RunBlocks takes no per-node options; the
+		// observability in play is the transport's message counters.
+		keys := Keys(n*m, seed)
+		_, res, err := sortnr.RunBlocks(obsNet(dim), keys, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,13 +196,12 @@ func TestObservedSeriesMatchBaseline(t *testing.T) {
 		})
 
 		// Block S_FT with the full event stream.
-		blocks = Blocks(n, m, seed)
-		bopts := make([]blocksort.Options, n)
+		bopts := make([]core.Options, n)
 		for id := range bopts {
 			bopts[id].Obs = o
 			bopts[id].Forensic = flight.Node(id)
 		}
-		oc, err := blocksort.RunFTWithOptions(obsNet(dim), blocks, bopts)
+		oc, err := core.RunBlocks(obsNet(dim), keys, m, bopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +214,7 @@ func TestObservedSeriesMatchBaseline(t *testing.T) {
 		})
 
 		// Host block sort with spans.
-		blocks = Blocks(n, m, seed)
+		blocks := Blocks(n, m, seed)
 		_, hres, err := hostsort.RunHostSortBlocksObs(obsNet(dim), blocks, o)
 		if err != nil {
 			t.Fatal(err)

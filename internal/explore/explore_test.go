@@ -55,7 +55,7 @@ func TestExhaustiveDim1(t *testing.T) {
 
 // TestExhaustiveDim2Totals pins the full dim-2 sweep's totals: every
 // interleaving of every single-fault case on the 2-cube, 97 cases and
-// 432 branches, none unverified and unescalated. A change to the
+// 467 branches, none unverified and unescalated. A change to the
 // protocol, its evidence or the scheduler that alters which
 // interleavings are distinguishable moves the branch count; it must
 // then be re-pinned on purpose.
@@ -67,8 +67,8 @@ func TestExhaustiveDim2Totals(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Errorf("violation: case %s broke %s: %s", v.Case, v.Invariant, v.Detail)
 	}
-	if len(res.Cases) != 97 || res.Branches != 432 {
-		t.Errorf("dim-2 sweep: %d branches across %d cases, want 432 across 97", res.Branches, len(res.Cases))
+	if len(res.Cases) != 97 || res.Branches != 467 {
+		t.Errorf("dim-2 sweep: %d branches across %d cases, want 467 across 97", res.Branches, len(res.Cases))
 	}
 }
 

@@ -5,26 +5,24 @@ import (
 	"testing"
 )
 
-func blockWorkload(dim, m int, seed int64) [][]int64 {
+// blockWorkload returns the keys of a dim-cube holding m keys per
+// node, flat in node order.
+func blockWorkload(dim, m int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
-	n := 1 << uint(dim)
-	blocks := make([][]int64, n)
-	for i := range blocks {
-		blocks[i] = make([]int64, m)
-		for j := range blocks[i] {
-			blocks[i][j] = int64(rng.Intn(200) - 100)
-		}
+	keys := make([]int64, (1<<uint(dim))*m)
+	for i := range keys {
+		keys[i] = int64(rng.Intn(200) - 100)
 	}
-	return blocks
+	return keys
 }
 
 // The predicates scale by m (paper, Section 5): with blocks of keys
 // per node, the strategy × node sweep must still show zero
 // silent-wrong outcomes.
 func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
-	blocks := blockWorkload(3, 4, 55)
+	keys := blockWorkload(3, 4, 55)
 	strategies := []Strategy{KeyLie, SplitLie, ViewLie, WrongCompare, Silence, MaskInflation}
-	results, err := CoverageBlockFT(3, blocks, strategies, 7777, faultTimeout)
+	results, err := Coverage(3, keys, 4, strategies, 7777, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +45,11 @@ func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
 
 func TestInjectBlockFTValidation(t *testing.T) {
 	good := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}
-	if _, err := InjectBlockFT(2, [][]int64{{1}}, good, faultTimeout); err == nil {
+	if _, err := InjectSFT(2, []int64{1}, 1, good, faultTimeout); err == nil {
 		t.Error("wrong block count: want error")
 	}
 	bad := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}
-	if _, err := InjectBlockFT(2, blockWorkload(2, 2, 1), bad, faultTimeout); err == nil {
+	if _, err := InjectSFT(2, blockWorkload(2, 2, 1), 2, bad, faultTimeout); err == nil {
 		t.Error("activate stage 0: want error")
 	}
 }
@@ -59,9 +57,9 @@ func TestInjectBlockFTValidation(t *testing.T) {
 func TestInjectBlockFTHonestIsClean(t *testing.T) {
 	// A spec that never activates (stage beyond the run) behaves as an
 	// honest run: correct despite "fault".
-	blocks := blockWorkload(2, 3, 9)
+	keys := blockWorkload(2, 3, 9)
 	spec := Spec{Node: 1, Strategy: KeyLie, ActivateStage: 99, LieValue: 1}
-	r, err := InjectBlockFT(2, blocks, spec, faultTimeout)
+	r, err := InjectSFT(2, keys, 3, spec, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

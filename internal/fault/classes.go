@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/blocksort"
 	"repro/internal/checker"
 	"repro/internal/core"
-	"repro/internal/hostsort"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
@@ -83,14 +81,15 @@ func (s Strategy) Class() Class {
 
 // --- injection drivers -------------------------------------------------------
 
-// injectSFTWith runs S_FT with the given options at one faulty node
-// and classifies the outcome into res (whose Spec/Class/Label the
-// caller pre-fills). Every single-fault S_FT injector (message,
-// comparison, memory) runs through it.
-func injectSFTWith(dim int, keys []int64, faulty int, o core.Options, timeout time.Duration, res Result) (Result, error) {
+// injectWith runs the fault-tolerant sort on keys, m keys per node
+// (S_FT is m = 1), with the given options at one faulty node, and
+// classifies the outcome into res (whose Spec/Class/Label the caller
+// pre-fills). Every single-fault injector (message, comparison,
+// memory) runs through it.
+func injectWith(dim int, keys []int64, m, faulty int, o core.Options, timeout time.Duration, res Result) (Result, error) {
 	n := 1 << uint(dim)
-	if len(keys) != n {
-		return Result{}, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
+	if m < 1 || len(keys) != n*m {
+		return Result{}, fmt.Errorf("fault: %d keys for %d nodes of %d keys each", len(keys), n, m)
 	}
 	flight := forensic.New(0)
 	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
@@ -102,7 +101,7 @@ func injectSFTWith(dim int, keys []int64, faulty int, o core.Options, timeout ti
 	for i := range opts {
 		opts[i].Forensic = flight.Node(i)
 	}
-	oc, err := core.RunWithOptions(nw, keys, opts)
+	oc, err := core.RunBlocks(nw, keys, m, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -119,83 +118,27 @@ func injectSFTWith(dim int, keys []int64, faulty int, o core.Options, timeout ti
 	return res, nil
 }
 
-// injectBlockFTWith is injectSFTWith for the fault-tolerant block sort.
-func injectBlockFTWith(dim int, blocks [][]int64, faulty int, o blocksort.Options, timeout time.Duration, res Result) (Result, error) {
-	n := 1 << uint(dim)
-	if len(blocks) != n {
-		return Result{}, fmt.Errorf("fault: %d blocks for %d nodes", len(blocks), n)
-	}
-	flight := forensic.New(0)
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
-	if err != nil {
-		return Result{}, err
-	}
-	opts := make([]blocksort.Options, n)
-	opts[faulty] = o
-	for i := range opts {
-		opts[i].Forensic = flight.Node(i)
-	}
-	oc, err := blocksort.RunFTWithOptions(nw, blocks, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if oc.Detected() {
-		res.classify(true, oc.HostErrors)
-		res.attachForensic(flight, oc.HostErrors)
-		return res, nil
-	}
-	all := hostsort.SortedBlocksFlat(blocks)
-	got := hostsort.SortedBlocksFlat(oc.SortedBlocks)
-	if cerr := checker.Verify(all, got, true); cerr != nil {
-		res.Verdict = SilentWrong
-	} else {
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
-}
-
-// InjectCmpSFT runs S_FT with one node comparing through the spec's
-// lying comparator (the node's own checks off — the faulty comparator
-// would pass them on its own wrong view of order anyway) and
-// classifies the outcome.
-func InjectCmpSFT(dim int, keys []int64, spec CmpSpec, timeout time.Duration) (Result, error) {
+// InjectCmpSFT runs the fault-tolerant sort (m keys per node) with one
+// node merge-splitting through the spec's lying comparator (the node's
+// own checks off — the faulty comparator would pass them on its own
+// wrong view of order anyway) and classifies the outcome.
+func InjectCmpSFT(dim int, keys []int64, m int, spec CmpSpec, timeout time.Duration) (Result, error) {
 	if err := spec.Validate(1 << uint(dim)); err != nil {
 		return Result{}, err
 	}
 	o := core.Options{SkipChecks: true, Compare: spec.Comparator()}
 	res := Result{Class: ClassComparison, Label: spec.Mode.String()}
-	return injectSFTWith(dim, keys, spec.Node, o, timeout, res)
+	return injectWith(dim, keys, m, spec.Node, o, timeout, res)
 }
 
-// InjectCmpBlockFT runs the fault-tolerant block sort with one node's
-// merge-splits driven by the spec's lying comparator.
-func InjectCmpBlockFT(dim int, blocks [][]int64, spec CmpSpec, timeout time.Duration) (Result, error) {
-	if err := spec.Validate(1 << uint(dim)); err != nil {
-		return Result{}, err
-	}
-	o := blocksort.Options{SkipChecks: true, Compare: spec.Comparator()}
-	res := Result{Class: ClassComparison, Label: spec.Mode.String()}
-	return injectBlockFTWith(dim, blocks, spec.Node, o, timeout, res)
-}
-
-// InjectMemSFT runs S_FT with one node's resident key corrupting at
-// stage boundaries per the spec and classifies the outcome.
-func InjectMemSFT(dim int, keys []int64, spec MemSpec, timeout time.Duration) (Result, error) {
+// InjectMemSFT runs the fault-tolerant sort (m keys per node) with one
+// node's resident block corrupting at stage boundaries per the spec
+// and classifies the outcome.
+func InjectMemSFT(dim int, keys []int64, m int, spec MemSpec, timeout time.Duration) (Result, error) {
 	if err := spec.Validate(1 << uint(dim)); err != nil {
 		return Result{}, err
 	}
 	o := core.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
 	res := Result{Class: ClassMemory, Label: spec.Mode.String()}
-	return injectSFTWith(dim, keys, spec.Node, o, timeout, res)
-}
-
-// InjectMemBlockFT runs the fault-tolerant block sort with one node's
-// resident block corrupting at stage boundaries per the spec.
-func InjectMemBlockFT(dim int, blocks [][]int64, spec MemSpec, timeout time.Duration) (Result, error) {
-	if err := spec.Validate(1 << uint(dim)); err != nil {
-		return Result{}, err
-	}
-	o := blocksort.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
-	res := Result{Class: ClassMemory, Label: spec.Mode.String()}
-	return injectBlockFTWith(dim, blocks, spec.Node, o, timeout, res)
+	return injectWith(dim, keys, m, spec.Node, o, timeout, res)
 }

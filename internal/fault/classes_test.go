@@ -210,7 +210,7 @@ func TestCorruptorModes(t *testing.T) {
 func TestCmpInjectorsDetect(t *testing.T) {
 	for _, mode := range AllCmpModes() {
 		spec := CmpSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1}
-		r, err := InjectCmpSFT(3, paperKeys(), spec, faultTimeout)
+		r, err := InjectCmpSFT(3, paperKeys(), 1, spec, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
@@ -221,7 +221,7 @@ func TestCmpInjectorsDetect(t *testing.T) {
 			t.Errorf("%v S_FT: class %v label %q", mode, r.Class, r.Label)
 		}
 		spec.Node = 1
-		rb, err := InjectCmpBlockFT(2, blockWorkload(2, 2, 5), spec, faultTimeout)
+		rb, err := InjectCmpSFT(2, blockWorkload(2, 2, 5), 2, spec, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -237,7 +237,7 @@ func TestCmpInjectorsDetect(t *testing.T) {
 func TestMemInjectorsDetect(t *testing.T) {
 	for _, mode := range AllMemModes() {
 		spec := MemSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1, StuckValue: 1 << 20}
-		r, err := InjectMemSFT(3, paperKeys(), spec, faultTimeout)
+		r, err := InjectMemSFT(3, paperKeys(), 1, spec, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
@@ -248,7 +248,7 @@ func TestMemInjectorsDetect(t *testing.T) {
 			t.Errorf("%v S_FT: class %v label %q", mode, r.Class, r.Label)
 		}
 		spec.Node = 3
-		rb, err := InjectMemBlockFT(2, blockWorkload(2, 2, 5), spec, faultTimeout)
+		rb, err := InjectMemSFT(2, blockWorkload(2, 2, 5), 2, spec, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -259,13 +259,13 @@ func TestMemInjectorsDetect(t *testing.T) {
 }
 
 func TestCmpMemInjectorsRejectBadSpecs(t *testing.T) {
-	if _, err := InjectCmpSFT(3, paperKeys(), CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}, faultTimeout); err == nil {
+	if _, err := InjectCmpSFT(3, paperKeys(), 1, CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}, faultTimeout); err == nil {
 		t.Error("activate-stage-0 cmp spec accepted")
 	}
-	if _, err := InjectMemSFT(3, paperKeys()[:2], MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}, faultTimeout); err == nil {
+	if _, err := InjectMemSFT(3, paperKeys()[:2], 1, MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}, faultTimeout); err == nil {
 		t.Error("short workload accepted")
 	}
-	if _, err := InjectMemBlockFT(2, [][]int64{{1}}, MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}, faultTimeout); err == nil {
+	if _, err := InjectMemSFT(2, []int64{1}, 1, MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}, faultTimeout); err == nil {
 		t.Error("short block workload accepted")
 	}
 }

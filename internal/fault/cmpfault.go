@@ -75,9 +75,9 @@ func (s CmpSpec) Validate(nodes int) error {
 }
 
 // Comparator builds the stage-aware lying comparator implementing the
-// spec, suitable for core.Options.Compare / blocksort.Options.Compare
-// at the faulty node. It reports whether a orders at or before b; a lie
-// is the negation of the honest a <= b. Deterministic given Seed; for
+// spec, suitable for core.Options.Compare at the faulty node. It
+// reports whether a orders at or before b; a lie is the negation of
+// the honest a <= b. Deterministic given Seed; for
 // CmpTransient the stream is per-comparator state, so build a fresh one
 // per run.
 func (s CmpSpec) Comparator() func(stage int, a, b int64) bool {

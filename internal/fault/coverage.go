@@ -149,17 +149,19 @@ func (r *Result) attachForensic(flight *forensic.Flight, errs []core.HostError) 
 	r.Forensic = reports[len(reports)-1]
 }
 
-// InjectSFT runs S_FT on a fresh network with one Byzantine processor
-// per the spec and classifies the outcome. The timeout bounds how long
-// absence detection waits; keep it short (tens of milliseconds) since
-// fail-stop cascades serialize on it.
-func InjectSFT(dim int, keys []int64, spec Spec, timeout time.Duration) (Result, error) {
+// InjectSFT runs the fault-tolerant sort on a fresh network, m keys
+// per node (keys[id*m:(id+1)*m] is node id's block; S_FT proper is
+// m = 1), with one Byzantine processor per the spec and classifies the
+// outcome. The timeout bounds how long absence detection waits; keep
+// it short (tens of milliseconds) since fail-stop cascades serialize
+// on it.
+func InjectSFT(dim int, keys []int64, m int, spec Spec, timeout time.Duration) (Result, error) {
 	if err := spec.Validate(1 << uint(dim)); err != nil {
 		return Result{}, err
 	}
 	o := core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 	res := Result{Spec: spec, Class: spec.Strategy.Class(), Label: spec.Strategy.String()}
-	return injectSFTWith(dim, keys, spec.Node, o, timeout, res)
+	return injectWith(dim, keys, m, spec.Node, o, timeout, res)
 }
 
 // injectWithTamper runs S_FT with an arbitrary tamper hook at one node
@@ -260,10 +262,11 @@ func snrTamper(spec Spec) func(m *wire.Message) *wire.Message {
 	}
 }
 
-// Coverage sweeps the given strategies over every node of the cube and
-// returns one Result per (strategy, node) pair, in (strategy, node)
-// order. Runs use independent networks and execute concurrently.
-func Coverage(dim int, keys []int64, strategies []Strategy, lie int64, timeout time.Duration) ([]Result, error) {
+// Coverage sweeps the given strategies over every node of the cube,
+// m keys per node, and returns one Result per (strategy, node) pair,
+// in (strategy, node) order. Runs use independent networks and execute
+// concurrently.
+func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, timeout time.Duration) ([]Result, error) {
 	n := 1 << uint(dim)
 	type job struct{ strat, node int }
 	jobs := make([]job, 0, len(strategies)*n)
@@ -283,7 +286,7 @@ func Coverage(dim int, keys []int64, strategies []Strategy, lie int64, timeout t
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			spec := Spec{Node: jb.node, Strategy: strategies[jb.strat], ActivateStage: 1, LieValue: lie}
-			r, err := InjectSFT(dim, keys, spec, timeout)
+			r, err := InjectSFT(dim, keys, m, spec, timeout)
 			if err != nil {
 				errs[i] = fmt.Errorf("fault: coverage %v node %d: %w", spec.Strategy, jb.node, err)
 				return

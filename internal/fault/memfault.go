@@ -80,9 +80,8 @@ func (s MemSpec) Validate(nodes int) error {
 }
 
 // Corruptor builds the stage-boundary corruption hook implementing the
-// spec, suitable for core.Options.CorruptMemory /
-// blocksort.Options.CorruptMemory at the faulty node. It mutates the
-// resident key slice in place. Deterministic given Seed; the random
+// spec, suitable for core.Options.CorruptMemory at the faulty node. It
+// mutates the resident block in place. Deterministic given Seed; the random
 // stream is per-corruptor state, so build a fresh one per run.
 func (s MemSpec) Corruptor() func(stage int, keys []int64) {
 	rng := rand.New(rand.NewSource(s.Seed))

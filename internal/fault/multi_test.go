@@ -135,7 +135,7 @@ func TestInjectSFTMultiValidation(t *testing.T) {
 // A single-element specs list must agree with InjectSFT's verdicts.
 func TestMultiDegeneratesToSingle(t *testing.T) {
 	spec := Spec{Node: 2, Strategy: KeyLie, ActivateStage: 1, LieValue: 999}
-	single, err := InjectSFT(3, paperKeys(), spec, faultTimeout)
+	single, err := InjectSFT(3, paperKeys(), 1, spec, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

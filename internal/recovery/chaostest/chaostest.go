@@ -30,7 +30,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
@@ -184,16 +184,16 @@ func Workload(sc Scenario) []int64 {
 // an operator-visible hardware fault would: once the site is dropped
 // (substituted or shrunk away) the injector finds no logical slot for
 // it and subsequent attempts run clean.
-func Injector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []blocksort.Options {
-	return func(attempt, dim int, physical []int) []blocksort.Options {
-		opts := make([]blocksort.Options, 1<<uint(dim))
+func Injector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []core.Options {
+	return func(attempt, dim int, physical []int) []core.Options {
+		opts := make([]core.Options, 1<<uint(dim))
 		if !persistent && attempt > 0 {
 			return opts
 		}
 		for l, ph := range physical {
 			if ph == site {
 				spec := fault.Spec{Node: l, Strategy: st, ActivateStage: 1, LieValue: 7777}
-				opts[l] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+				opts[l] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 				break
 			}
 		}
@@ -208,14 +208,14 @@ func Injector(st fault.Strategy, site int, persistent bool) func(attempt, dim in
 // Injector, the fault follows the physical site through remaps, and a
 // fresh comparator/corruptor is built per attempt so its deterministic
 // random stream restarts with the retried sort.
-func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []blocksort.Options {
+func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []core.Options {
 	switch sc.Class {
 	case fault.ClassComparison, fault.ClassMemory:
 	default:
 		return Injector(sc.Strategy, sc.Site, sc.Persistent)
 	}
-	return func(attempt, dim int, physical []int) []blocksort.Options {
-		opts := make([]blocksort.Options, 1<<uint(dim))
+	return func(attempt, dim int, physical []int) []core.Options {
+		opts := make([]core.Options, 1<<uint(dim))
 		if !sc.Persistent && attempt > 0 {
 			return opts
 		}
@@ -226,11 +226,11 @@ func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []bloc
 			if sc.Class == fault.ClassComparison {
 				spec := fault.CmpSpec{Node: l, Mode: sc.CmpMode, Rate: sc.Rate,
 					Seed: sc.Seed ^ 0x5eed, ActivateStage: 1}
-				opts[l] = blocksort.Options{SkipChecks: true, Compare: spec.Comparator()}
+				opts[l] = core.Options{SkipChecks: true, Compare: spec.Comparator()}
 			} else {
 				spec := fault.MemSpec{Node: l, Mode: sc.MemMode, Rate: sc.Rate,
 					Seed: sc.Seed ^ 0x5eed, ActivateStage: 1, StuckValue: 7777}
-				opts[l] = blocksort.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
+				opts[l] = core.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
 			}
 			break
 		}
@@ -306,8 +306,8 @@ func NewRateInjector(cfg RateConfig) *RateInjector {
 }
 
 // Inject implements reliablesort.Options.Inject for the rate process.
-func (ri *RateInjector) Inject(attempt, dim int, physical []int) []blocksort.Options {
-	opts := make([]blocksort.Options, 1<<uint(dim))
+func (ri *RateInjector) Inject(attempt, dim int, physical []int) []core.Options {
+	opts := make([]core.Options, 1<<uint(dim))
 	// A live persistent fault re-manifests while its site is mapped;
 	// once quarantine removed the site, the episode is over.
 	if ri.activeSite >= 0 {
@@ -349,9 +349,9 @@ func (ri *RateInjector) Inject(attempt, dim int, physical []int) []blocksort.Opt
 	return opts
 }
 
-func (ri *RateInjector) manifest(opts []blocksort.Options, logical int, st fault.Strategy) {
+func (ri *RateInjector) manifest(opts []core.Options, logical int, st fault.Strategy) {
 	spec := fault.Spec{Node: logical, Strategy: st, ActivateStage: 1, LieValue: 7777}
-	opts[logical] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+	opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 	ri.Manifestations++
 }
 

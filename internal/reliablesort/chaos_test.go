@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/recovery"
 )
@@ -21,16 +21,16 @@ var chaosKeys = []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
 // persistent one manifests on every attempt for as long as the site is
 // still mapped into the cube — after quarantine the injector finds no
 // logical slot for it and the degraded re-run is clean.
-func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []blocksort.Options {
-	return func(attempt, dim int, physical []int) []blocksort.Options {
-		opts := make([]blocksort.Options, 1<<uint(dim))
+func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []core.Options {
+	return func(attempt, dim int, physical []int) []core.Options {
+		opts := make([]core.Options, 1<<uint(dim))
 		if !persistent && attempt > 0 {
 			return opts
 		}
 		for l, ph := range physical {
 			if ph == site {
 				spec := fault.Spec{Node: l, Strategy: st, ActivateStage: 1, LieValue: 7777}
-				opts[l] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+				opts[l] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 				break
 			}
 		}
@@ -39,7 +39,7 @@ func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, d
 }
 
 // Two carve-outs to the harness's localization invariant, both for
-// lies about *relayed content* (see core's gatherView.mergeChecked):
+// lies about *relayed content* (see core's blockView.mergeChecked):
 //
 //   - harmlessPersistent: a relayed-entry corruption can land
 //     exclusively on receivers that already hold every relayed slot.

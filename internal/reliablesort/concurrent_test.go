@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
@@ -171,8 +171,8 @@ func TestSortNeverMutatesInput(t *testing.T) {
 			// A transient memory-corruption fault at node 2 forces the
 			// detect → retry-from-checkpoint path: the attempt most
 			// likely to re-read (or worse, re-write) caller memory.
-			inject := func(attempt, dim int, physical []int) []blocksort.Options {
-				opts := make([]blocksort.Options, 1<<uint(dim))
+			inject := func(attempt, dim int, physical []int) []core.Options {
+				opts := make([]core.Options, 1<<uint(dim))
 				if attempt > 0 {
 					return opts
 				}
@@ -180,7 +180,7 @@ func TestSortNeverMutatesInput(t *testing.T) {
 					if ph == 2 {
 						spec := fault.MemSpec{Node: l, Mode: fault.MemStuck, Rate: 1,
 							Seed: seed, ActivateStage: 1, StuckValue: -99}
-						opts[l] = blocksort.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
+						opts[l] = core.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
 						break
 					}
 				}

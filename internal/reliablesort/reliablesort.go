@@ -16,9 +16,8 @@
 //
 // This is the entry point a downstream user who just wants "a sort
 // that can never silently lie" calls; the packages it composes
-// (internal/core, internal/blocksort, internal/simnet,
-// internal/recovery) remain available for applications that manage
-// their own distribution.
+// (internal/core, internal/simnet, internal/recovery) remain available
+// for applications that manage their own distribution.
 package reliablesort
 
 import (
@@ -27,7 +26,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/blocksort"
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/hypercube"
@@ -117,7 +115,7 @@ type Options struct {
 	// label of logical node l, so an injector can follow a "physical"
 	// fault through quarantine remappings. Production callers leave it
 	// nil.
-	Inject func(attempt, dim int, physical []int) []blocksort.Options
+	Inject func(attempt, dim int, physical []int) []core.Options
 	// Obs, when non-nil, receives the full event stream of every
 	// attempt: stage/round spans, Φ evaluations, merge-compare counts,
 	// accusations, and (under AutoRecover) attempt, quarantine,
@@ -128,7 +126,7 @@ type Options struct {
 	Obs *obs.Observer
 	// Parallelism caps the per-node worker count for the data-parallel
 	// merge-split and local-sort paths (threaded through to
-	// blocksort.Options.Parallelism on every attempt): <= 0 means
+	// core.Options.Parallelism on every attempt): <= 0 means
 	// GOMAXPROCS. Worker count never changes outputs or virtual-time
 	// charges, only wall-clock time.
 	Parallelism int
@@ -257,7 +255,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 		// Single-shot calls honor Inject too (attempt 0, identity
 		// physical mapping), so fail-stop-only deployments can still be
 		// chaos-tested through the same hook.
-		var nodeOpts []blocksort.Options
+		var nodeOpts []core.Options
 		if opts.Inject != nil {
 			physical := make([]int, 1<<uint(dim))
 			for i := range physical {
@@ -277,7 +275,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 	var result []int64
 	var okStats attemptStats
 	runner := func(p recovery.Plan) recovery.Outcome {
-		var nodeOpts []blocksort.Options
+		var nodeOpts []core.Options
 		if opts.Inject != nil {
 			nodeOpts = opts.Inject(p.Attempt, p.Dim, p.Physical)
 		}
@@ -364,7 +362,7 @@ func spareLabels(dim, count int) []int {
 // dimension, and post-verifies the output against the Theorem 1
 // oracle. It returns the full padded ascending sequence; err is nil
 // exactly when that sequence is verified.
-func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []blocksort.Options, o *obs.Observer, parallelism int, flight *forensic.Flight) (flatOut []int64, at attemptStats, hostErrs []core.HostError, err error) {
+func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []core.Options, o *obs.Observer, parallelism int, flight *forensic.Flight) (flatOut []int64, at attemptStats, hostErrs []core.HostError, err error) {
 	n := 1 << uint(cfg.Dim)
 	m := (len(base) + n - 1) / n
 	if m == 0 {
@@ -379,10 +377,6 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	working = append(working, base...)
 	for i := len(working); i < total; i++ {
 		working = append(working, math.MaxInt64)
-	}
-	blocks := make([][]int64, n)
-	for i := range blocks {
-		blocks[i] = working[i*m : (i+1)*m : (i+1)*m]
 	}
 
 	cfg.Obs = o.Metrics()
@@ -404,7 +398,7 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	}
 	if o != nil || parallelism > 0 || flight != nil {
 		if nodeOpts == nil {
-			nodeOpts = make([]blocksort.Options, n)
+			nodeOpts = make([]core.Options, n)
 		}
 		for i := range nodeOpts {
 			nodeOpts[i].Obs = o
@@ -412,7 +406,7 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 			nodeOpts[i].Forensic = flight.Node(i)
 		}
 	}
-	oc, err := blocksort.RunFTWithOptions(nw, blocks, nodeOpts)
+	oc, err := core.RunBlocks(nw, working, m, nodeOpts)
 	if err != nil {
 		return nil, at, nil, fmt.Errorf("reliablesort: %w", err)
 	}
@@ -423,17 +417,13 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 		return nil, at, oc.HostErrors, &FaultError{HostErrors: oc.HostErrors, NodeErr: oc.Result.FirstNodeErr()}
 	}
 
-	flat := make([]int64, 0, total)
-	for _, b := range oc.SortedBlocks {
-		flat = append(flat, b...)
-	}
 	// Belt and braces: the distributed predicates already verified the
 	// run; re-verify locally against the Theorem 1 oracle so the
 	// library's contract does not rest on a single mechanism.
-	if err := checker.Verify(working, flat, true); err != nil {
+	if err := checker.Verify(working, oc.Sorted, true); err != nil {
 		return nil, at, oc.HostErrors, fmt.Errorf("reliablesort: post-verification: %w", err)
 	}
-	return flat, at, oc.HostErrors, nil
+	return oc.Sorted, at, oc.HostErrors, nil
 }
 
 // finish strips the padding sentinels from the tail of the verified

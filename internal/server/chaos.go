@@ -9,7 +9,7 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -105,13 +105,13 @@ func (c *ChaosSpec) validate() error {
 // injector compiles the spec into reliablesort's per-attempt Inject
 // hook. physical[l] is the original-cube label at logical slot l, so
 // the fault follows the machine, not the slot.
-func (c *ChaosSpec) injector() func(attempt, dim int, physical []int) []blocksort.Options {
+func (c *ChaosSpec) injector() func(attempt, dim int, physical []int) []core.Options {
 	spec := *c
 	rate := spec.Rate
 	if rate == 0 {
 		rate = 1
 	}
-	return func(attempt, dim int, physical []int) []blocksort.Options {
+	return func(attempt, dim int, physical []int) []core.Options {
 		if spec.Transient && attempt > 0 {
 			return nil
 		}
@@ -125,7 +125,7 @@ func (c *ChaosSpec) injector() func(attempt, dim int, physical []int) []blocksor
 		if slot < 0 {
 			return nil // quarantined or substituted away: machine repaired
 		}
-		opts := make([]blocksort.Options, len(physical))
+		opts := make([]core.Options, len(physical))
 		// SkipChecks disarms the faulty node's own detectors — a truly
 		// Byzantine machine does not police itself; its honest peers
 		// must catch it.
@@ -136,19 +136,19 @@ func (c *ChaosSpec) injector() func(attempt, dim int, physical []int) []blocksor
 			if lie == 0 {
 				lie = 424242
 			}
-			opts[slot] = blocksort.Options{SkipChecks: true, Tamper: fault.Spec{
+			opts[slot] = core.Options{SkipChecks: true, Tamper: fault.Spec{
 				Node: slot, Strategy: st, ActivateStage: 1, LieValue: lie,
 			}.Tamper()}
 		case "comparison":
 			mode, _ := cmpModeByName(spec.Mode)
-			opts[slot] = blocksort.Options{SkipChecks: true, Compare: fault.CmpSpec{
+			opts[slot] = core.Options{SkipChecks: true, Compare: fault.CmpSpec{
 				Node: slot, Mode: mode, Rate: rate, Seed: spec.Seed, ActivateStage: 1,
 			}.Comparator()}
 		case "memory":
 			mode, _ := memModeByName(spec.Mode)
 			// Corruptor carries per-run rng state: build a fresh one per
 			// attempt (this closure runs once per attempt).
-			opts[slot] = blocksort.Options{SkipChecks: true, CorruptMemory: fault.MemSpec{
+			opts[slot] = core.Options{SkipChecks: true, CorruptMemory: fault.MemSpec{
 				Node: slot, Mode: mode, Rate: rate, Seed: spec.Seed,
 				ActivateStage: 1, StuckValue: spec.Lie,
 			}.Corruptor()}

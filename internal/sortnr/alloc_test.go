@@ -1,6 +1,7 @@
 package sortnr
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,167 +10,143 @@ import (
 	"repro/internal/simnet"
 )
 
+// blockLens are the block lengths every zero-allocation test runs at:
+// S_NR's one key per node and Figure 8's m = 64.
+var blockLens = []int{1, 64}
+
+// exchangePair returns a step that runs one steady-state stage-0,
+// iteration-0 exchange between node 0 (the active side of link 0) and
+// node 1 (the passive side) of nw, both holding m keys, wrapped in the
+// round spans runNode brackets every exchange with. Both endpoints run
+// on one goroutine: the passive side sends before the active side
+// receives, so no step ever blocks. check verifies the blocks the step
+// leaves behind.
+func exchangePair(t *testing.T, nw *simnet.Network, opts Options, m int) (step func(), check func()) {
+	t.Helper()
+	var runners [2]*runner
+	var blocks [2][]int64
+	for id := range runners {
+		ep, err := nw.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners[id] = newRunner(ep, opts, m)
+		blocks[id] = make([]int64, m)
+		for k := range blocks[id] {
+			blocks[id][k] = int64(2*k + 1 - id) // node 0 holds the odd keys
+		}
+	}
+	active, passive := runners[0], runners[1]
+	var kept, adopted []int64
+	step = func() {
+		opts.Obs.RoundBegin(0, 0, 0, int64(active.ep.Clock()))
+		if err := passive.send(0, 0, blocks[1]); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if kept, err = active.exchange(blocks[0], 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if adopted, err = passive.adopt(0); err != nil {
+			t.Fatal(err)
+		}
+		opts.Obs.RoundEnd(0, 0, 0, int64(active.ep.Clock()))
+	}
+	check = func() {
+		if len(kept) != m || len(adopted) != m || kept[m-1] > adopted[0] {
+			t.Errorf("exchange order violated: active kept %v, passive adopted %v", kept, adopted)
+		}
+	}
+	return step, check
+}
+
 // TestExchangeStepZeroAllocs pins the steady-state cost of one S_NR
-// compare-exchange over the simulated network at zero allocations:
-// encode into the runner's buffer, send through the pooled link,
-// zero-copy decode on the far side. Both endpoints run on one
-// goroutine — the passive side sends before the active side receives,
-// so no step ever blocks.
+// exchange over the simulated network at zero allocations: encode into
+// the runner's buffer, send through the pooled link, zero-copy decode
+// on the far side, merge-split into the runner's alternating buffers.
 func TestExchangeStepZeroAllocs(t *testing.T) {
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep0, err := nw.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := nw.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := &runner{ep: ep0}  // bit 0 of node 0 is clear: active
-	passive := &runner{ep: ep1} // bit 0 of node 1 is set: passive
-
-	a0, a1 := int64(7), int64(3)
-	step := func() {
-		// Passive sends first so the active side's Recv never blocks.
-		if err := passive.sendKey(0, 0, 0, a1); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		a0, err = active.exchangeStep(a0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a1, err = passive.recvOneKey(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Warm up: grow the encode buffers, decode scratch, and the link's
-	// packet/buffer pools to steady state.
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(100, step); n != 0 {
-		t.Errorf("exchange step: %v allocs/op, want 0", n)
-	}
-	if a0 > a1 {
-		t.Errorf("exchange order violated: active %d > passive %d", a0, a1)
+	for _, m := range blockLens {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, check := exchangePair(t, nw, Options{}, m)
+			// Warm up: grow the decode scratch and the link's
+			// packet/buffer pools to steady state.
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(100, step); n != 0 {
+				t.Errorf("exchange step: %v allocs/op, want 0", n)
+			}
+			check()
+		})
 	}
 }
 
-// TestInstrumentedExchangeStepZeroAllocs is the ISSUE acceptance gate
-// for the observability layer: the same steady-state compare-exchange,
-// but with the full unified instrumentation enabled — transport
-// message/byte counters, round spans into the journal — must still be
-// zero allocations per step.
+// TestInstrumentedExchangeStepZeroAllocs is the acceptance gate for
+// the observability layer: the same steady-state exchange, but with the
+// full unified instrumentation enabled — transport message/byte
+// counters, round spans into the journal — must still be zero
+// allocations per step.
 func TestInstrumentedExchangeStepZeroAllocs(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 512)
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second, Obs: o.Metrics()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep0, err := nw.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := nw.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := &runner{ep: ep0, opts: Options{Obs: o}}
-	passive := &runner{ep: ep1, opts: Options{Obs: o}}
-
-	a0, a1 := int64(7), int64(3)
-	step := func() {
-		// The round spans runNode brackets every exchange with.
-		o.RoundBegin(0, 0, 0, int64(ep0.Clock()))
-		if err := passive.sendKey(0, 0, 0, a1); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		a0, err = active.exchangeStep(a0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a1, err = passive.recvOneKey(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.RoundEnd(0, 0, 0, int64(ep0.Clock()))
-	}
-
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("instrumented exchange step: %v allocs/op, want 0", n)
-	}
-	if o.Journal().Total() == 0 {
-		t.Error("journal recorded nothing")
-	}
-	if o.Metrics().MsgsTotal[1].Value() == 0 {
-		t.Error("transport counters recorded nothing")
+	for _, m := range blockLens {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			o := obs.New(obs.NewRegistry(), 512)
+			nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second, Obs: o.Metrics()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, check := exchangePair(t, nw, Options{Obs: o}, m)
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Errorf("instrumented exchange step: %v allocs/op, want 0", n)
+			}
+			check()
+			if o.Journal().Total() == 0 {
+				t.Error("journal recorded nothing")
+			}
+			if o.Metrics().MsgsTotal[1].Value() == 0 {
+				t.Error("transport counters recorded nothing")
+			}
+		})
 	}
 }
 
-// TestTracedExchangeStepZeroAllocs is the ISSUE acceptance gate for the
-// causal tracing layer: the instrumented steady-state compare-exchange
-// with a flight recorder attached — every message stamped with a trace
+// TestTracedExchangeStepZeroAllocs is the acceptance gate for the
+// causal tracing layer: the instrumented steady-state exchange with a
+// flight recorder attached — every message stamped with a trace
 // trailer on send, linked on receive, both landing in the per-node
 // rings — must still be zero allocations per step. The rings are
 // preallocated and overwrite in place, so steady state (including after
 // wrap) allocates nothing.
 func TestTracedExchangeStepZeroAllocs(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 512)
-	// A small ring so the measurement window runs in the wrapped
-	// (overwrite) regime, not just the fill regime.
-	flight := forensic.New(64)
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second, Obs: o.Metrics(), Flight: flight})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep0, err := nw.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := nw.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := &runner{ep: ep0, opts: Options{Obs: o}}
-	passive := &runner{ep: ep1, opts: Options{Obs: o}}
-
-	a0, a1 := int64(7), int64(3)
-	step := func() {
-		o.RoundBegin(0, 0, 0, int64(ep0.Clock()))
-		if err := passive.sendKey(0, 0, 0, a1); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		a0, err = active.exchangeStep(a0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a1, err = passive.recvOneKey(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.RoundEnd(0, 0, 0, int64(ep0.Clock()))
-	}
-
-	// Warm up past the ring capacity so AllocsPerRun measures the
-	// overwrite path.
-	for i := 0; i < 80; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("traced exchange step: %v allocs/op, want 0", n)
-	}
-	if flight.Node(0).Len() == 0 || flight.Node(1).Len() == 0 {
-		t.Error("flight recorder captured nothing — tracing was not active")
+	for _, m := range blockLens {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			o := obs.New(obs.NewRegistry(), 512)
+			// A small ring so the measurement window runs in the wrapped
+			// (overwrite) regime, not just the fill regime.
+			flight := forensic.New(64)
+			nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second, Obs: o.Metrics(), Flight: flight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, check := exchangePair(t, nw, Options{Obs: o}, m)
+			// Warm up past the ring capacity so AllocsPerRun measures the
+			// overwrite path.
+			for i := 0; i < 80; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Errorf("traced exchange step: %v allocs/op, want 0", n)
+			}
+			check()
+			if flight.Node(0).Len() == 0 || flight.Node(1).Len() == 0 {
+				t.Error("flight recorder captured nothing — tracing was not active")
+			}
+		})
 	}
 }

@@ -101,6 +101,34 @@ func TestRunValidatesKeyCount(t *testing.T) {
 	if _, _, err := Run(nw, []int64{1, 2}); err == nil {
 		t.Error("2 keys for 4 nodes: want error")
 	}
+	if _, _, err := RunBlocks(nw, make([]int64, 7), 2); err == nil {
+		t.Error("7 keys for 4 blocks of 2: want error")
+	}
+	if _, _, err := RunBlocks(nw, nil, 0); err == nil {
+		t.Error("empty blocks: want error")
+	}
+}
+
+func TestRunNRSorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, tc := range []struct{ dim, m int }{
+		{0, 4}, {1, 1}, {1, 4}, {2, 3}, {3, 8}, {4, 5},
+	} {
+		keys := make([]int64, (1<<uint(tc.dim))*tc.m)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(200) - 100)
+		}
+		out, res, err := RunBlocks(newNet(t, tc.dim), keys, tc.m)
+		if err != nil {
+			t.Fatalf("dim=%d m=%d: %v", tc.dim, tc.m, err)
+		}
+		if err := res.AnyErr(); err != nil {
+			t.Fatalf("dim=%d m=%d: %v", tc.dim, tc.m, err)
+		}
+		if err := checker.Verify(keys, out, true); err != nil {
+			t.Fatalf("dim=%d m=%d: %v", tc.dim, tc.m, err)
+		}
+	}
 }
 
 func TestMessageCountMatchesSchedule(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/recovery"
 	"repro/internal/reliablesort"
@@ -35,15 +35,16 @@ func TestBlocksortChaosOverTCP(t *testing.T) {
 	}
 	defer nw.Close()
 
-	blocks := make([][]int64, 1<<dim)
-	for id := range blocks {
-		base := int64((len(blocks) - id) * 10)
-		blocks[id] = []int64{base, base - 3, base + 5, base - 7}
+	n := 1 << dim
+	keys := make([]int64, 0, 4*n)
+	for id := 0; id < n; id++ {
+		base := int64((n - id) * 10)
+		keys = append(keys, base, base-3, base+5, base-7)
 	}
-	opts := make([]blocksort.Options, 1<<dim)
+	opts := make([]core.Options, n)
 	opts[faulty].SkipChecks = true
 
-	oc, err := blocksort.RunFTWithOptions(nw, blocks, opts)
+	oc, err := core.RunBlocks(nw, keys, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,12 @@ func TestSpareSubstitutionOverTCP(t *testing.T) {
 		// Real sleeping between attempts, kept short: the point is
 		// that the wall-clock backoff path runs, not that it is long.
 		Backoff: recovery.Backoff{Base: 2 * time.Millisecond, Max: 8 * time.Millisecond},
-		Inject: func(attempt, d int, physical []int) []blocksort.Options {
-			nodeOpts := make([]blocksort.Options, 1<<uint(d))
+		Inject: func(attempt, d int, physical []int) []core.Options {
+			nodeOpts := make([]core.Options, 1<<uint(d))
 			for l, ph := range physical {
 				if ph == faulty {
 					spec := fault.Spec{Node: l, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 7777}
-					nodeOpts[l] = blocksort.Options{SkipChecks: true, Tamper: spec.Tamper()}
+					nodeOpts[l] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 				}
 			}
 			return nodeOpts

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocksort"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -36,12 +36,13 @@ func TestNetworkReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := func() [][]int64 {
-		return [][]int64{
-			{31, -6, 14, 0},
-			{10, 8, 3, 9},
-			{22, -9, 17, 1},
-			{4, 2, 7, 5},
+	// Four nodes holding four keys each, in node order.
+	keys := func() []int64 {
+		return []int64{
+			31, -6, 14, 0,
+			10, 8, 3, 9,
+			22, -9, 17, 1,
+			4, 2, 7, 5,
 		}
 	}
 
@@ -60,19 +61,15 @@ func TestNetworkReuseAcrossRuns(t *testing.T) {
 				t.Fatalf("run %d: reset: %v", i, err)
 			}
 		}
-		oc, err := blocksort.RunFT(nw, blocks())
+		oc, err := core.RunBlocks(nw, keys(), 4, nil)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if oc.Detected() {
 			t.Fatalf("run %d: unexpected fault: %v / %v", i, oc.HostErrors, oc.Result.AnyErr())
 		}
-		var flat []int64
-		for _, b := range oc.SortedBlocks {
-			flat = append(flat, b...)
-		}
 		runs = append(runs, runSummary{
-			sorted:   flat,
+			sorted:   oc.Sorted,
 			makespan: int64(oc.Result.Makespan()),
 			msgs:     oc.Result.Metrics.TotalMsgs(),
 			bytes:    oc.Result.Metrics.TotalBytes(),
