@@ -222,7 +222,7 @@ func (c *controller) block(id int, q QueueID, poll bool, clock Ticks) cresult {
 	c.decide()
 	c.mu.Unlock()
 
-	timer := time.NewTimer(c.net.recvTimeout)
+	timer := time.NewTimer(c.net.RecvTimeout())
 	defer timer.Stop()
 	select {
 	case r := <-w.wake:
@@ -511,7 +511,7 @@ func uniqueWriter(net *Network, q QueueID) int {
 	case QHostOut:
 		return hostWorker
 	default: // QLink
-		partner, _ := net.topo.Partner(q.Node, q.Bit)
+		partner, _ := net.Topology().Partner(q.Node, q.Bit)
 		return partner
 	}
 }
@@ -579,11 +579,11 @@ func (nw *Network) WorkerDone(id int) {
 		nw.ctrl.workerDone(id)
 		return
 	}
-	if !nw.topo.Contains(id) {
+	if !nw.Topology().Contains(id) {
 		return
 	}
-	for bit := 0; bit < nw.topo.Dim(); bit++ {
-		partner, _ := nw.topo.Partner(id, bit)
+	for bit := 0; bit < nw.Topology().Dim(); bit++ {
+		partner, _ := nw.Topology().Partner(id, bit)
 		select {
 		case nw.links[partner][bit] <- packet{gone: true}:
 		default:

@@ -17,11 +17,12 @@
 //     (its end-of-traffic marker, see Network.WorkerDone), and after a
 //     wall-clock timeout for a partner that is alive but silent.
 //
-// Time is virtual: every endpoint owns a deterministic tick clock.
-// Sending charges the sender, receiving charges the receiver, and a
-// message arrives at sender-departure-time + latency. The makespan of
-// a run is the maximum node clock, which plays the role of the paper's
-// measured "clock ticks".
+// Time is virtual: every endpoint owns a deterministic tick clock, kept
+// by the transport.Port it embeds. Sending charges the sender,
+// receiving charges the receiver, and a message arrives at
+// sender-departure-time + latency. The makespan of a run is the
+// maximum node clock, which plays the role of the paper's measured
+// "clock ticks".
 package simnet
 
 import (
@@ -31,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hypercube"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/transport"
@@ -100,39 +100,6 @@ type LinkFault interface {
 	Apply(raw []byte) [][]byte
 }
 
-// Metrics aggregates traffic counters for a run. Counters are atomic;
-// snapshots are taken with Snapshot after the run completes.
-type Metrics struct {
-	msgs  [8]atomic.Int64 // indexed by wire.Kind
-	bytes [8]atomic.Int64
-}
-
-// MetricsSnapshot is a point-in-time copy of the traffic counters
-// (alias of transport.MetricsSnapshot).
-type MetricsSnapshot = transport.MetricsSnapshot
-
-func (m *Metrics) record(kind wire.Kind, n int) {
-	if int(kind) < len(m.msgs) {
-		m.msgs[kind].Add(1)
-		m.bytes[kind].Add(int64(n))
-	}
-}
-
-// Snapshot copies the counters into a map-based view.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		MsgsByKind:  make(map[wire.Kind]int64),
-		BytesByKind: make(map[wire.Kind]int64),
-	}
-	for k := wire.Kind(1); int(k) < len(m.msgs); k++ {
-		if n := m.msgs[k].Load(); n != 0 {
-			s.MsgsByKind[k] = n
-			s.BytesByKind[k] = m.bytes[k].Load()
-		}
-	}
-	return s
-}
-
 // Config parameterizes a Network.
 type Config struct {
 	// Dim is the hypercube dimension n; the network has 2^n nodes.
@@ -175,17 +142,13 @@ type Config struct {
 }
 
 // Network is one simulated multicomputer instance: the links, the host
-// mailboxes, the metrics, and any installed link faults. Create one
-// with New. A free-running network is reusable across runs via Reset
-// (controlled-scheduler networks are single-run: their coordinator
-// state is not rewindable).
+// mailboxes, and any installed link faults, around the core it shares
+// with tcpnet (cube, cost model, traffic counters, observability
+// sinks). Create one with New. A free-running network is reusable
+// across runs via Reset (controlled-scheduler networks are single-run:
+// their coordinator state is not rewindable).
 type Network struct {
-	topo        hypercube.Topology
-	cost        CostModel
-	recvTimeout time.Duration
-	// spares counts the idle spare endpoints registered beyond the
-	// cube; they own host links only.
-	spares int
+	transport.Core
 
 	// links[node][bit] is the inbound queue at node for messages from
 	// its partner across dimension bit.
@@ -197,7 +160,7 @@ type Network struct {
 
 	mu     sync.RWMutex
 	faults map[[2]int][]LinkFault // key: {from, to}
-	// faultCount mirrors the total number of installed faults so Send
+	// faultCount mirrors the total number of installed faults so a send
 	// can skip the fault table (and its RLock) entirely when the count
 	// is zero — the common case for every no-fault benchmark run.
 	faultCount atomic.Int32
@@ -206,10 +169,6 @@ type Network struct {
 	// A channel (rather than sync.Pool) keeps Get/Put allocation-free:
 	// boxing a []byte in an interface would itself allocate.
 	pool chan []byte
-
-	metrics Metrics
-	obsM    *obs.Metrics
-	flight  *forensic.Flight
 
 	// ctrl is non-nil iff the network runs under a controlled
 	// scheduler; every delivery then routes through it instead of the
@@ -242,40 +201,15 @@ func (nw *Network) putBuf(b []byte) {
 
 // New constructs a network for the given configuration.
 func New(cfg Config) (*Network, error) {
-	topo, err := hypercube.New(cfg.Dim)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: %w", err)
+	net := &Network{faults: make(map[[2]int][]LinkFault)}
+	if err := net.Init("simnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight); err != nil {
+		return nil, err
 	}
-	cost := cfg.Cost
-	if cost == (CostModel{}) {
-		cost = DefaultCostModel()
-	}
-	timeout := cfg.RecvTimeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	obsM := cfg.Obs
-	if obsM == nil {
-		obsM = obs.DefaultMetrics()
-	}
-	spares := cfg.Spares
-	if spares < 0 {
-		spares = 0
-	}
-	n := topo.Nodes()
-	net := &Network{
-		topo:        topo,
-		cost:        cost,
-		recvTimeout: timeout,
-		spares:      spares,
-		links:       make([][]chan packet, n),
-		hostIn:      make(chan packet, 4*n+16),
-		hostOut:     make([]chan packet, n+spares),
-		faults:      make(map[[2]int][]LinkFault),
-		pool:        make(chan []byte, 4*n+16),
-		obsM:        obsM,
-		flight:      cfg.Flight,
-	}
+	topo, n := net.Topology(), net.Topology().Nodes()
+	net.links = make([][]chan packet, n)
+	net.hostIn = make(chan packet, 4*n+16)
+	net.hostOut = make([]chan packet, n+net.Spares())
+	net.pool = make(chan []byte, 4*n+16)
 	for id := 0; id < n; id++ {
 		net.links[id] = make([]chan packet, topo.Dim())
 		for b := 0; b < topo.Dim(); b++ {
@@ -285,7 +219,7 @@ func New(cfg Config) (*Network, error) {
 	// Spares share the reliable host interface (that is how they would
 	// be loaded and activated) but have no cube links until a remap
 	// promotes one into the cube proper.
-	for id := 0; id < n+spares; id++ {
+	for id := range net.hostOut {
 		net.hostOut[id] = make(chan packet, linkQueueDepth)
 	}
 	if cfg.Sched != nil && cfg.Sched.Controlled() {
@@ -294,24 +228,14 @@ func New(cfg Config) (*Network, error) {
 	return net, nil
 }
 
-// Spares returns the number of idle spare endpoints registered beyond
-// the cube.
-func (nw *Network) Spares() int { return nw.spares }
-
-// isSpare reports whether id names a registered spare (a label beyond
-// the cube with a host link but no cube links).
-func (nw *Network) isSpare(id int) bool {
-	return id >= nw.topo.Nodes() && id < nw.topo.Nodes()+nw.spares
-}
-
 // Reset readies a quiescent free-running network for another run: all
 // link and host mailboxes are drained (pooled buffers returned to the
 // free list, end-of-traffic markers discarded), installed link faults
-// are removed, the per-run traffic counters are zeroed, and the
-// observability sinks are rebound (nil obsM selects
-// obs.DefaultMetrics, mirroring New). Must only be called between runs,
-// when no endpoint or host goroutine is live. Controlled networks
-// refuse: their coordinator state is not rewindable.
+// are removed, and the core's traffic counters are zeroed and its
+// observability sinks rebound (transport.Core.Reset). Must only be
+// called between runs, when no endpoint or host goroutine is live.
+// Controlled networks refuse: their coordinator state is not
+// rewindable.
 func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	if nw.ctrl != nil {
 		return errors.New("simnet: controlled-scheduler networks are single-run")
@@ -329,15 +253,7 @@ func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	clear(nw.faults)
 	nw.mu.Unlock()
 	nw.faultCount.Store(0)
-	for k := range nw.metrics.msgs {
-		nw.metrics.msgs[k].Store(0)
-		nw.metrics.bytes[k].Store(0)
-	}
-	if obsM == nil {
-		obsM = obs.DefaultMetrics()
-	}
-	nw.obsM = obsM
-	nw.flight = flight
+	nw.Core.Reset(obsM, flight)
 	return nil
 }
 
@@ -356,20 +272,11 @@ func (nw *Network) drainPackets(ch chan packet) {
 	}
 }
 
-// Topology returns the underlying hypercube.
-func (nw *Network) Topology() hypercube.Topology { return nw.topo }
-
-// Cost returns the network's cost model.
-func (nw *Network) Cost() CostModel { return nw.cost }
-
-// Metrics returns a snapshot of the traffic counters.
-func (nw *Network) Metrics() MetricsSnapshot { return nw.metrics.Snapshot() }
-
 // InstallLinkFault attaches a fault interceptor to the directed link
 // from -> to. Multiple faults compose in installation order. Host
 // links are reliable by assumption and cannot be faulted.
 func (nw *Network) InstallLinkFault(from, to int, f LinkFault) error {
-	if !nw.topo.AreNeighbors(from, to) {
+	if !nw.Topology().AreNeighbors(from, to) {
 		return fmt.Errorf("simnet: %d -> %d is not a hypercube link", from, to)
 	}
 	nw.mu.Lock()
@@ -380,69 +287,159 @@ func (nw *Network) InstallLinkFault(from, to int, f LinkFault) error {
 	return nil
 }
 
-func (nw *Network) linkFaults(from, to int) []LinkFault {
+// intercept runs a frame sent from node from into queue q through the
+// faults installed on that link, in installation order, and returns
+// what is actually delivered. Host links are reliable by assumption and
+// deliver the frame as sent.
+func (nw *Network) intercept(from int, q QueueID, raw []byte) [][]byte {
+	deliveries := [][]byte{raw}
+	if q.Kind != QLink {
+		return deliveries
+	}
 	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	return nw.faults[[2]int{from, to}]
+	faults := nw.faults[[2]int{from, q.Node}]
+	nw.mu.RUnlock()
+	for _, f := range faults {
+		var next [][]byte
+		for _, d := range deliveries {
+			next = append(next, f.Apply(d)...)
+		}
+		deliveries = next
+	}
+	return deliveries
 }
 
-// Endpoint is a node's handle on the network. It owns the node's
-// virtual clock and is confined to that node's goroutine: none of its
-// methods are safe for concurrent use.
-type Endpoint struct {
+// hostInbox is the host's inbound mailbox: every node writes it.
+var hostInbox = QueueID{Kind: QHostIn, Node: hostWorker}
+
+// queue returns the channel behind a delivery queue.
+func (nw *Network) queue(q QueueID) chan packet {
+	switch q.Kind {
+	case QLink:
+		return nw.links[q.Node][q.Bit]
+	case QHostIn:
+		return nw.hostIn
+	default:
+		return nw.hostOut[q.Node]
+	}
+}
+
+// proc is what a simnet Endpoint and Host share: the port that keeps
+// the processor's virtual clock, and the receive state. Like the port
+// it is confined to its processor's goroutine.
+type proc struct {
+	transport.Port
 	net *Network
-	id  int
 
-	clock     Ticks
-	commTicks Ticks
-	compTicks Ticks
-
-	// recvTimer is reused across blocking receives so the steady state
+	// timer is reused across blocking receives so the steady state
 	// allocates no timers. It is only ever Reset after a clean Stop or
 	// after its tick was consumed, which is safe under both pre- and
 	// post-1.23 timer semantics.
-	recvTimer *time.Timer
-	// pendingFree is the pooled buffer backing the most recently
-	// delivered message; it is recycled at the next receive, which is
-	// what bounds the validity of a zero-copy Payload.
-	pendingFree []byte
+	timer *time.Timer
+	// pending is the pooled buffer behind the most recently delivered
+	// message; it is recycled at the next receive, which is what bounds
+	// the validity of a zero-copy Payload.
+	pending []byte
+}
+
+// send frames m at the port and queues it on q: a cube link, the host
+// mailbox or a node's host downlink. Link faults apply on cube links
+// only.
+func (p *proc) send(q QueueID, m *wire.Message) error {
+	nw := p.net
+	raw, arrival, err := p.Frame(nw.getBuf(), q.Node, m)
+	if err != nil {
+		return err
+	}
+	if nw.ctrl != nil {
+		// Controlled path: fault interceptors apply exactly as on the
+		// free fault path, then the deliveries queue at the coordinator
+		// instead of a channel. Buffers are never pooled — the recorded
+		// schedule may outlive the run.
+		nw.ctrl.send(p.ID(), q, nw.intercept(p.ID(), q, raw), arrival, m.Kind, m.Stage, m.Iter)
+		return nil
+	}
+	ch := nw.queue(q)
+	if q.Kind != QLink || nw.faultCount.Load() == 0 {
+		// Lock-free fast path: no fault can touch the frame, so skip
+		// the fault table and keep the buffer pooled.
+		select {
+		case ch <- packet{raw: raw, arrival: arrival, pooled: true}:
+			return nil
+		default:
+			nw.putBuf(raw)
+			return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
+		}
+	}
+	// Fault path: interceptors may retain, alias, or split the buffer,
+	// so deliveries leave the pool for good.
+	for _, d := range nw.intercept(p.ID(), q, raw) {
+		select {
+		case ch <- packet{raw: d, arrival: arrival}:
+		default:
+			return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
+		}
+	}
+	return nil
+}
+
+// wait takes the next packet from queue q, first recycling the buffer
+// behind the previous delivery. Under a controlled scheduler the
+// coordinator hands the packet over; free-running it comes off the
+// channel, and the timer is armed only when nothing is queued yet. A
+// poll never waits. ok is false when no packet came: the receive timed
+// out, the coordinator declared absence, or a poll found the queue
+// empty.
+func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
+	nw := p.net
+	if p.pending != nil {
+		nw.putBuf(p.pending)
+		p.pending = nil
+	}
+	if nw.ctrl != nil {
+		res := nw.ctrl.block(p.ID(), q, poll, p.Clock())
+		return packet{raw: res.pkt.raw, arrival: res.pkt.arrival}, res.ok
+	}
+	ch := nw.queue(q)
+	select {
+	case pkt = <-ch:
+	default:
+		if poll {
+			return packet{}, false
+		}
+		if p.timer == nil {
+			p.timer = time.NewTimer(nw.RecvTimeout())
+		} else {
+			p.timer.Reset(nw.RecvTimeout())
+		}
+		select {
+		case pkt = <-ch:
+			if !p.timer.Stop() {
+				// The timer fired meanwhile and its tick may still be in
+				// flight: retire it rather than risk a stale tick on reuse.
+				p.timer = nil
+			}
+		case <-p.timer.C:
+			return packet{}, false
+		}
+	}
+	// A pooled buffer is recycled at the next receive, so the zero-copy
+	// Payload of the message it carries stays valid until then.
+	if pkt.pooled {
+		p.pending = pkt.raw
+	}
+	return pkt, true
+}
+
+// Endpoint is a node's handle on the network. Its port owns the node's
+// virtual clock, and it is confined to that node's goroutine: none of
+// its methods are safe for concurrent use.
+type Endpoint struct {
+	proc
 	// gone has bit b set once the partner across dimension b is known
 	// to have exited: its end-of-traffic marker was dequeued, so every
 	// later Recv on b reports absence at once.
 	gone uint32
-
-	// rec is the node's flight recorder, nil when the network has no
-	// Flight attached (a nil recorder discards, so hot paths pay one
-	// pointer test).
-	rec *forensic.Recorder
-}
-
-// release recycles the buffer behind the previously delivered message.
-func (e *Endpoint) release() {
-	if e.pendingFree != nil {
-		e.net.putBuf(e.pendingFree)
-		e.pendingFree = nil
-	}
-}
-
-// armTimer returns the endpoint's receive timer, running with the
-// network's timeout.
-func (e *Endpoint) armTimer() *time.Timer {
-	if e.recvTimer == nil {
-		e.recvTimer = time.NewTimer(e.net.recvTimeout)
-	} else {
-		e.recvTimer.Reset(e.net.recvTimeout)
-	}
-	return e.recvTimer
-}
-
-// disarmTimer stops the receive timer after a successful receive. If
-// the timer already fired its tick may still be in flight, so the timer
-// is retired instead of risking a stale tick on reuse.
-func (e *Endpoint) disarmTimer() {
-	if !e.recvTimer.Stop() {
-		e.recvTimer = nil
-	}
 }
 
 // Endpoint returns the endpoint for a node. Call once per node before
@@ -451,123 +448,22 @@ func (e *Endpoint) disarmTimer() {
 // only: their Send/Recv across cube dimensions fail until a recovery
 // remap promotes the spare into a future attempt's cube.
 func (nw *Network) Endpoint(id int) (transport.Endpoint, error) {
-	if !nw.topo.Contains(id) && !nw.isSpare(id) {
-		return nil, fmt.Errorf("simnet: node %d outside cube of %d nodes (+%d spares)",
-			id, nw.topo.Nodes(), nw.spares)
+	if err := nw.CheckNode(id); err != nil {
+		return nil, err
 	}
-	return &Endpoint{net: nw, id: id, rec: nw.flight.Node(id)}, nil
+	return &Endpoint{proc: proc{Port: nw.Port(id), net: nw}}, nil
 }
-
-// ID returns the node label.
-func (e *Endpoint) ID() int { return e.id }
-
-// Topology returns the hypercube the endpoint belongs to.
-func (e *Endpoint) Topology() hypercube.Topology { return e.net.topo }
-
-// Clock returns the node's current virtual time.
-func (e *Endpoint) Clock() Ticks { return e.clock }
-
-// CommTicks returns the virtual time this node spent on communication.
-func (e *Endpoint) CommTicks() Ticks { return e.commTicks }
-
-// CompTicks returns the virtual time this node spent computing.
-func (e *Endpoint) CompTicks() Ticks { return e.compTicks }
-
-// Compute advances the node clock by a computation cost.
-func (e *Endpoint) Compute(t Ticks) {
-	if t < 0 {
-		t = 0
-	}
-	e.clock += t
-	e.compTicks += t
-}
-
-// ChargeCompare charges the cost of n key comparisons.
-func (e *Endpoint) ChargeCompare(n int) { e.Compute(Ticks(n) * e.net.cost.Compare) }
-
-// ChargeKeyMove charges the cost of moving n keys in local memory.
-func (e *Endpoint) ChargeKeyMove(n int) { e.Compute(Ticks(n) * e.net.cost.KeyMove) }
 
 // Send transmits a message to the partner across the given dimension
 // bit. The sender's clock advances by the send cost; the message is
 // stamped to arrive Latency ticks after departure. Installed link
 // faults may drop, corrupt, or duplicate the message.
 func (e *Endpoint) Send(bit int, m wire.Message) error {
-	if e.net.isSpare(e.id) {
-		return fmt.Errorf("simnet: spare node %d has no cube links", e.id)
-	}
-	partner, err := e.net.topo.Partner(e.id, bit)
+	partner, err := e.Partner(bit)
 	if err != nil {
-		return fmt.Errorf("simnet: send: %w", err)
+		return err
 	}
-	m.From = int32(e.id)
-	m.To = int32(partner)
-	if e.rec != nil {
-		m.Trace = e.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(e.clock))
-	}
-	buf := e.net.getBuf()
-	raw, err := wire.AppendMessage(buf, m)
-	if err != nil {
-		e.net.putBuf(buf)
-		return fmt.Errorf("simnet: send: %w", err)
-	}
-	costed := wire.CostedLen(len(raw))
-	cost := e.net.cost.SendFixed + Ticks(costed)*e.net.cost.SendPerByte
-	e.clock += cost
-	e.commTicks += cost
-	e.net.metrics.record(m.Kind, costed)
-	e.net.obsM.RecordMessage(m.Kind, costed)
-	arrival := e.clock + e.net.cost.Latency
-
-	if e.net.ctrl != nil {
-		// Controlled path: fault interceptors apply exactly as on the
-		// free fault path, then the deliveries queue at the coordinator
-		// instead of a channel. Buffers are never pooled — the recorded
-		// schedule may outlive the run.
-		deliveries := [][]byte{raw}
-		if e.net.faultCount.Load() != 0 {
-			for _, f := range e.net.linkFaults(e.id, partner) {
-				var next [][]byte
-				for _, d := range deliveries {
-					next = append(next, f.Apply(d)...)
-				}
-				deliveries = next
-			}
-		}
-		e.net.ctrl.send(e.id, QueueID{Kind: QLink, Node: partner, Bit: bit}, deliveries, arrival, m.Kind, m.Stage, m.Iter)
-		return nil
-	}
-
-	if e.net.faultCount.Load() == 0 {
-		// Lock-free fast path: no fault anywhere in the network, so
-		// skip the fault-table RLock and keep the buffer pooled.
-		select {
-		case e.net.links[partner][bit] <- packet{raw: raw, arrival: arrival, pooled: true}:
-			return nil
-		default:
-			e.net.putBuf(raw)
-			return fmt.Errorf("simnet: %d -> %d: %w", e.id, partner, ErrLinkBackpressure)
-		}
-	}
-
-	// Fault path: interceptors may retain, alias, or split the buffer,
-	// so deliveries leave the pool for good.
-	deliveries := [][]byte{raw}
-	for _, f := range e.net.linkFaults(e.id, partner) {
-		var next [][]byte
-		for _, d := range deliveries {
-			next = append(next, f.Apply(d)...)
-		}
-		deliveries = next
-	}
-	for _, d := range deliveries {
-		select {
-		case e.net.links[partner][bit] <- packet{raw: d, arrival: arrival}:
-		default:
-			return fmt.Errorf("simnet: %d -> %d: %w", e.id, partner, ErrLinkBackpressure)
-		}
-	}
-	return nil
+	return e.send(QueueID{Kind: QLink, Node: partner, Bit: bit}, &m)
 }
 
 // Recv blocks for the next message from the partner across the given
@@ -585,319 +481,70 @@ func (e *Endpoint) Send(bit int, m wire.Message) error {
 // valid only until the endpoint's next receive (Recv or RecvHost):
 // decode or copy the payload before receiving again.
 func (e *Endpoint) Recv(bit int) (wire.Message, error) {
-	if e.net.isSpare(e.id) {
-		return wire.Message{}, fmt.Errorf("simnet: spare node %d has no cube links", e.id)
-	}
-	if bit < 0 || bit >= e.net.topo.Dim() {
-		return wire.Message{}, fmt.Errorf("simnet: recv: bit %d outside dimension %d", bit, e.net.topo.Dim())
-	}
-	e.release()
-	if e.net.ctrl != nil {
-		res := e.net.ctrl.block(e.id, QueueID{Kind: QLink, Node: e.id, Bit: bit}, false, e.clock)
-		if !res.ok {
-			return wire.Message{}, e.absent(bit)
-		}
-		return e.acceptPacket(packet{raw: res.pkt.raw, arrival: res.pkt.arrival})
-	}
-	if e.gone&(1<<uint(bit)) != 0 {
-		return wire.Message{}, e.absent(bit)
-	}
-	ch := e.net.links[e.id][bit]
-	// Fast path: a queued packet means no timer is needed at all.
-	select {
-	case pkt := <-ch:
-		return e.deliver(bit, pkt)
-	default:
-	}
-	timer := e.armTimer()
-	select {
-	case pkt := <-ch:
-		e.disarmTimer()
-		return e.deliver(bit, pkt)
-	case <-timer.C:
-		return wire.Message{}, e.absent(bit)
-	}
-}
-
-// deliver accepts a packet dequeued from the link across bit. An
-// end-of-traffic marker instead marks the partner gone and reports its
-// absence.
-func (e *Endpoint) deliver(bit int, pkt packet) (wire.Message, error) {
-	if pkt.gone {
-		e.gone |= 1 << uint(bit)
-		return wire.Message{}, e.absent(bit)
-	}
-	return e.acceptPacket(pkt)
-}
-
-// absent is the absence error for the link across bit, the same whether
-// a marker, the timer or the controlled scheduler established it.
-func (e *Endpoint) absent(bit int) error {
-	partner, _ := e.net.topo.Partner(e.id, bit)
-	return fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.id, partner, ErrAbsent)
-}
-
-func (e *Endpoint) acceptPacket(pkt packet) (wire.Message, error) {
-	if pkt.arrival > e.clock {
-		// Waiting time is idle, charged to neither comm nor comp.
-		e.clock = pkt.arrival
-	}
-	cost := e.net.cost.RecvFixed + Ticks(wire.CostedLen(len(pkt.raw)))*e.net.cost.RecvPerByte
-	e.clock += cost
-	e.commTicks += cost
-	m, err := wire.DecodeFrom(pkt.raw)
+	partner, err := e.Partner(bit)
 	if err != nil {
-		if pkt.pooled {
-			e.net.putBuf(pkt.raw)
+		return wire.Message{}, err
+	}
+	if e.gone&(1<<uint(bit)) == 0 {
+		pkt, ok := e.wait(QueueID{Kind: QLink, Node: e.ID(), Bit: bit}, false)
+		switch {
+		case pkt.gone:
+			e.gone |= 1 << uint(bit)
+		case ok:
+			return e.Accept(pkt.raw, pkt.arrival)
 		}
-		return wire.Message{}, fmt.Errorf("simnet: node %d: garbled message: %w", e.id, err)
 	}
-	if e.rec != nil {
-		e.rec.Recv(&m, int64(e.clock))
-	}
-	if pkt.pooled {
-		e.pendingFree = pkt.raw
-	}
-	return m, nil
+	return wire.Message{}, fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.ID(), partner, ErrAbsent)
 }
 
 // SendHost transmits a message to the host over the reliable host
-// link. Host links bypass fault interceptors.
-func (e *Endpoint) SendHost(m wire.Message) error {
-	m.From = int32(e.id)
-	m.To = wire.HostID
-	if e.rec != nil {
-		m.Trace = e.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(e.clock))
-	}
-	buf := e.net.getBuf()
-	raw, err := wire.AppendMessage(buf, m)
-	if err != nil {
-		e.net.putBuf(buf)
-		return fmt.Errorf("simnet: send host: %w", err)
-	}
-	costed := wire.CostedLen(len(raw))
-	cost := e.net.cost.SendFixed + Ticks(costed)*e.net.cost.SendPerByte
-	e.clock += cost
-	e.commTicks += cost
-	e.net.metrics.record(m.Kind, costed)
-	e.net.obsM.RecordMessage(m.Kind, costed)
-	if e.net.ctrl != nil {
-		e.net.ctrl.send(e.id, QueueID{Kind: QHostIn, Node: hostWorker}, [][]byte{raw}, e.clock+e.net.cost.Latency, m.Kind, m.Stage, m.Iter)
-		return nil
-	}
-	// Host links bypass fault interceptors, so the buffer stays pooled.
-	select {
-	case e.net.hostIn <- packet{raw: raw, arrival: e.clock + e.net.cost.Latency, pooled: true}:
-		return nil
-	default:
-		e.net.putBuf(raw)
-		return fmt.Errorf("simnet: node %d -> host: %w", e.id, ErrLinkBackpressure)
-	}
-}
+// link.
+func (e *Endpoint) SendHost(m wire.Message) error { return e.send(hostInbox, &m) }
 
 // RecvHost blocks for the next message from the host. Like Recv, the
 // returned Payload is valid only until the endpoint's next receive.
 func (e *Endpoint) RecvHost() (wire.Message, error) {
-	e.release()
-	if e.net.ctrl != nil {
-		res := e.net.ctrl.block(e.id, QueueID{Kind: QHostOut, Node: e.id}, false, e.clock)
-		if !res.ok {
-			return wire.Message{}, fmt.Errorf("simnet: node %d waiting on host: %w", e.id, ErrAbsent)
-		}
-		return e.acceptPacket(packet{raw: res.pkt.raw, arrival: res.pkt.arrival})
+	if pkt, ok := e.wait(QueueID{Kind: QHostOut, Node: e.ID()}, false); ok {
+		return e.Accept(pkt.raw, pkt.arrival)
 	}
-	ch := e.net.hostOut[e.id]
-	select {
-	case pkt := <-ch:
-		return e.acceptPacket(pkt)
-	default:
-	}
-	timer := e.armTimer()
-	select {
-	case pkt := <-ch:
-		e.disarmTimer()
-		return e.acceptPacket(pkt)
-	case <-timer.C:
-		return wire.Message{}, fmt.Errorf("simnet: node %d waiting on host: %w", e.id, ErrAbsent)
-	}
+	return wire.Message{}, fmt.Errorf("simnet: node %d waiting on host: %w", e.ID(), ErrAbsent)
 }
 
 // Host is the reliable host processor's handle on the network. Like
-// Endpoint it owns a virtual clock and is goroutine-confined.
-type Host struct {
-	net *Network
-
-	clock     Ticks
-	commTicks Ticks
-	compTicks Ticks
-
-	recvTimer   *time.Timer
-	pendingFree []byte
-	rec         *forensic.Recorder
-}
-
-// release recycles the buffer behind the previously delivered message.
-func (h *Host) release() {
-	if h.pendingFree != nil {
-		h.net.putBuf(h.pendingFree)
-		h.pendingFree = nil
-	}
-}
-
-func (h *Host) armTimer() *time.Timer {
-	if h.recvTimer == nil {
-		h.recvTimer = time.NewTimer(h.net.recvTimeout)
-	} else {
-		h.recvTimer.Reset(h.net.recvTimeout)
-	}
-	return h.recvTimer
-}
-
-func (h *Host) disarmTimer() {
-	if !h.recvTimer.Stop() {
-		h.recvTimer = nil
-	}
-}
+// Endpoint its port owns a virtual clock, and it is goroutine-confined.
+type Host struct{ proc }
 
 // Host returns the host endpoint. Call at most once per network.
-func (nw *Network) Host() transport.Host { return &Host{net: nw, rec: nw.flight.Host()} }
-
-// Clock returns the host's current virtual time.
-func (h *Host) Clock() Ticks { return h.clock }
-
-// CommTicks returns the virtual time the host spent on communication.
-func (h *Host) CommTicks() Ticks { return h.commTicks }
-
-// CompTicks returns the virtual time the host spent computing.
-func (h *Host) CompTicks() Ticks { return h.compTicks }
-
-// Compute advances the host clock by a computation cost.
-func (h *Host) Compute(t Ticks) {
-	if t < 0 {
-		t = 0
-	}
-	h.clock += t
-	h.compTicks += t
+func (nw *Network) Host() transport.Host {
+	return &Host{proc{Port: nw.Port(int(wire.HostID)), net: nw}}
 }
-
-// ChargeCompare charges the host for n key comparisons.
-func (h *Host) ChargeCompare(n int) { h.Compute(Ticks(n) * h.net.cost.Compare) }
-
-// ChargeKeyMove charges the host for moving n keys.
-func (h *Host) ChargeKeyMove(n int) { h.Compute(Ticks(n) * h.net.cost.KeyMove) }
 
 // Send transmits a message from the host to a node over the host
 // interface (HostFixed/HostPerByte costs).
 func (h *Host) Send(node int, m wire.Message) error {
-	if !h.net.topo.Contains(node) && !h.net.isSpare(node) {
-		return fmt.Errorf("simnet: host send: node %d outside cube of %d nodes (+%d spares)",
-			node, h.net.topo.Nodes(), h.net.spares)
+	if err := h.net.CheckNode(node); err != nil {
+		return err
 	}
-	m.From = wire.HostID
-	m.To = int32(node)
-	if h.rec != nil {
-		m.Trace = h.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(h.clock))
-	}
-	buf := h.net.getBuf()
-	raw, err := wire.AppendMessage(buf, m)
-	if err != nil {
-		h.net.putBuf(buf)
-		return fmt.Errorf("simnet: host send: %w", err)
-	}
-	costed := wire.CostedLen(len(raw))
-	cost := h.net.cost.HostFixed + Ticks(costed)*h.net.cost.HostPerByte
-	h.clock += cost
-	h.commTicks += cost
-	h.net.metrics.record(m.Kind, costed)
-	h.net.obsM.RecordMessage(m.Kind, costed)
-	if h.net.ctrl != nil {
-		h.net.ctrl.send(hostWorker, QueueID{Kind: QHostOut, Node: node}, [][]byte{raw}, h.clock+h.net.cost.Latency, m.Kind, m.Stage, m.Iter)
-		return nil
-	}
-	select {
-	case h.net.hostOut[node] <- packet{raw: raw, arrival: h.clock + h.net.cost.Latency, pooled: true}:
-		return nil
-	default:
-		h.net.putBuf(raw)
-		return fmt.Errorf("simnet: host -> %d: %w", node, ErrLinkBackpressure)
-	}
-}
-
-// acceptPacket advances the host clock for a delivery and decodes it
-// zero-copy; the payload stays valid until the host's next receive.
-func (h *Host) acceptPacket(pkt packet) (wire.Message, error) {
-	if pkt.arrival > h.clock {
-		h.clock = pkt.arrival
-	}
-	cost := h.net.cost.HostFixed + Ticks(wire.CostedLen(len(pkt.raw)))*h.net.cost.HostPerByte
-	h.clock += cost
-	h.commTicks += cost
-	m, err := wire.DecodeFrom(pkt.raw)
-	if err != nil {
-		if pkt.pooled {
-			h.net.putBuf(pkt.raw)
-		}
-		return wire.Message{}, fmt.Errorf("simnet: host: garbled message: %w", err)
-	}
-	if h.rec != nil {
-		h.rec.Recv(&m, int64(h.clock))
-	}
-	if pkt.pooled {
-		h.pendingFree = pkt.raw
-	}
-	return m, nil
+	return h.send(QueueID{Kind: QHostOut, Node: node}, &m)
 }
 
 // Recv blocks for the next message from any node. The returned
 // Payload is valid only until the host's next receive.
 func (h *Host) Recv() (wire.Message, error) {
-	h.release()
-	if h.net.ctrl != nil {
-		res := h.net.ctrl.block(hostWorker, QueueID{Kind: QHostIn, Node: hostWorker}, false, h.clock)
-		if !res.ok {
-			return wire.Message{}, fmt.Errorf("simnet: host: %w", ErrAbsent)
-		}
-		return h.acceptPacket(packet{raw: res.pkt.raw, arrival: res.pkt.arrival})
+	if pkt, ok := h.wait(hostInbox, false); ok {
+		return h.Accept(pkt.raw, pkt.arrival)
 	}
-	select {
-	case pkt := <-h.net.hostIn:
-		return h.acceptPacket(pkt)
-	default:
-	}
-	timer := h.armTimer()
-	select {
-	case pkt := <-h.net.hostIn:
-		h.disarmTimer()
-		return h.acceptPacket(pkt)
-	case <-timer.C:
-		return wire.Message{}, fmt.Errorf("simnet: host: %w", ErrAbsent)
-	}
+	return wire.Message{}, fmt.Errorf("simnet: host: %w", ErrAbsent)
 }
 
 // TryRecv returns the next pending host message without waiting for
 // the full absence timeout; ok is false when the mailbox is empty.
 // The host uses this to poll for ERROR signals between phases.
-func (h *Host) TryRecv() (m wire.Message, ok bool, err error) {
-	h.release()
-	if h.net.ctrl != nil {
-		res := h.net.ctrl.block(hostWorker, QueueID{Kind: QHostIn, Node: hostWorker}, true, h.clock)
-		if !res.ok {
-			return wire.Message{}, false, nil
-		}
-		msg, derr := h.acceptPacket(packet{raw: res.pkt.raw, arrival: res.pkt.arrival})
-		if derr != nil {
-			return wire.Message{}, false, derr
-		}
-		return msg, true, nil
-	}
-	select {
-	case pkt := <-h.net.hostIn:
-		msg, derr := h.acceptPacket(pkt)
-		if derr != nil {
-			return wire.Message{}, false, derr
-		}
-		return msg, true, nil
-	default:
+func (h *Host) TryRecv() (wire.Message, bool, error) {
+	pkt, ok := h.wait(hostInbox, true)
+	if !ok {
 		return wire.Message{}, false, nil
 	}
+	m, err := h.Accept(pkt.raw, pkt.arrival)
+	return m, err == nil, err
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/obs/forensic"
 	"repro/internal/wire"
 )
 
@@ -209,6 +211,44 @@ func TestHostTryRecv(t *testing.T) {
 	}
 }
 
+// The host link carries every job's upload, download and ERROR signal.
+// Its steady state, counted into an obs registry and traced into a
+// flight recorder past ring wrap, must not allocate.
+func TestHostLinkZeroAllocs(t *testing.T) {
+	o := obs.New(obs.NewRegistry(), 0)
+	nw, err := New(Config{Dim: 1, RecvTimeout: time.Second, Obs: o.Metrics(), Flight: forensic.New(64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := nw.Endpoint(1)
+	h := nw.Host()
+	up := wire.Message{Kind: wire.KindHostUpload, Payload: wire.EncodeHost(wire.HostPayload{Keys: []int64{5}})}
+	down := wire.Message{Kind: wire.KindHostDownload, Payload: wire.EncodeHost(wire.HostPayload{Keys: []int64{6}})}
+	step := func() {
+		if err := ep.SendHost(up); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Send(1, down); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ep.RecvHost(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := h.TryRecv(); ok || err != nil {
+			t.Fatalf("empty TryRecv: ok=%v err=%v", ok, err)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("host link round trip: %v allocs/op, want 0", n)
+	}
+}
+
 func TestMetricsCountTraffic(t *testing.T) {
 	nw := newNet(t, 1)
 	a, _ := nw.Endpoint(0)
@@ -314,7 +354,10 @@ func TestInstallLinkFaultValidation(t *testing.T) {
 }
 
 func TestFaultsComposeInOrder(t *testing.T) {
-	nw := newNet(t, 1)
+	nw, err := New(Config{Dim: 1, RecvTimeout: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// duplicate then drop => nothing arrives
 	if err := nw.InstallLinkFault(0, 1, dupFault{}); err != nil {
 		t.Fatal(err)
@@ -326,17 +369,11 @@ func TestFaultsComposeInOrder(t *testing.T) {
 	if err := a.Send(0, wire.Message{Kind: wire.KindExchange, Payload: wire.EncodeExchange(wire.ExchangePayload{})}); err != nil {
 		t.Fatal(err)
 	}
-	nw2, _ := New(Config{Dim: 1, RecvTimeout: 30 * time.Millisecond})
-	b2, _ := nw2.Endpoint(1)
-	_ = b2
 	// Drain directly: the queue must be empty.
 	b, _ := nw.Endpoint(1)
-	nwOld := nw.recvTimeout
-	nw.recvTimeout = 30 * time.Millisecond
 	if _, err := b.Recv(0); !errors.Is(err, ErrAbsent) {
 		t.Fatalf("want ErrAbsent, got %v", err)
 	}
-	nw.recvTimeout = nwOld
 }
 
 func TestBackpressure(t *testing.T) {

@@ -1,209 +1,47 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
 	"time"
 
-	"repro/internal/hypercube"
-	"repro/internal/obs/forensic"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Endpoint is a node's handle on the TCP mesh. Goroutine-confined,
-// like its simnet counterpart; the virtual-clock arithmetic is
-// line-for-line the same so the two transports agree on every tick.
-type Endpoint struct {
+// proc is what a tcpnet Endpoint and Host share: the port that keeps
+// the processor's virtual clock, and the scratch that stages each frame
+// for a one-write send. Like the port it is confined to its processor's
+// goroutine.
+type proc struct {
+	transport.Port
 	net *Network
-	id  int
-
-	clock     transport.Ticks
-	commTicks transport.Ticks
-	compTicks transport.Ticks
-
-	// sendBuf stages frame header + message for one-write sends and is
-	// reused across calls: steady-state sends allocate nothing.
-	sendBuf []byte
-
-	// tamper is this node's Byzantine hook from Config.Tamper (nil for
-	// honest nodes); tamperBuf stages replacement frames so even a
-	// lying node's sends stay allocation-free.
-	tamper    func(m *wire.Message) *wire.Message
-	tamperBuf []byte
-
-	// rec is the node's flight recorder, nil when the network has no
-	// Flight attached.
-	rec *forensic.Recorder
+	// buf is reused across sends: steady-state sends allocate nothing.
+	buf []byte
 }
 
-// ID returns the node label.
-func (e *Endpoint) ID() int { return e.id }
-
-// Topology returns the hypercube the endpoint belongs to.
-func (e *Endpoint) Topology() hypercube.Topology { return e.net.topo }
-
-// Clock returns the node's current virtual time.
-func (e *Endpoint) Clock() transport.Ticks { return e.clock }
-
-// CommTicks returns virtual time spent on communication.
-func (e *Endpoint) CommTicks() transport.Ticks { return e.commTicks }
-
-// CompTicks returns virtual time spent computing.
-func (e *Endpoint) CompTicks() transport.Ticks { return e.compTicks }
-
-// Compute advances the node clock by a computation cost.
-func (e *Endpoint) Compute(t transport.Ticks) {
-	if t < 0 {
-		t = 0
-	}
-	e.clock += t
-	e.compTicks += t
-}
-
-// ChargeCompare charges the cost of n key comparisons.
-func (e *Endpoint) ChargeCompare(n int) {
-	e.Compute(transport.Ticks(n) * e.net.cost.Compare)
-}
-
-// ChargeKeyMove charges the cost of moving n keys in memory.
-func (e *Endpoint) ChargeKeyMove(n int) {
-	e.Compute(transport.Ticks(n) * e.net.cost.KeyMove)
-}
-
-// Send transmits to the partner across the given dimension bit over
-// the link's TCP connection.
-func (e *Endpoint) Send(bit int, m wire.Message) error {
-	if e.net.isSpare(e.id) {
-		return fmt.Errorf("tcpnet: spare node %d has no cube links", e.id)
-	}
-	partner, err := e.net.topo.Partner(e.id, bit)
+// send frames m at the port for label to and writes the frame to c:
+// the header (payload length, arrival tick) and then the message.
+func (p *proc) send(c net.Conn, to int, m *wire.Message) error {
+	var hdr [frameHeader]byte
+	raw, arrival, err := p.Frame(append(p.buf[:0], hdr[:]...), to, m)
 	if err != nil {
-		return fmt.Errorf("tcpnet: send: %w", err)
+		return err
 	}
-	m.From = int32(e.id)
-	m.To = int32(partner)
-	if e.rec != nil {
-		m.Trace = e.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(e.clock))
-	}
-	buf, err := appendFrame(e.sendBuf, m)
-	if err != nil {
-		return fmt.Errorf("tcpnet: send: %w", err)
-	}
-	e.sendBuf = buf
-	rawLen := wire.CostedLen(len(buf) - frameHeader)
-	cost := e.net.cost.SendFixed + transport.Ticks(rawLen)*e.net.cost.SendPerByte
-	e.clock += cost
-	e.commTicks += cost
-	e.net.record(m.Kind, rawLen)
-	e.net.obsM.RecordMessage(m.Kind, rawLen)
-	if e.tamper != nil {
-		// Clock and counters above reflect the genuine message; the
-		// hook now decides what actually crosses the socket.
-		return e.sendTampered(bit, partner, m)
-	}
-	stampFrame(buf, e.clock)
-	if _, err := e.net.nodeConns[e.id][bit].Write(buf); err != nil {
-		return fmt.Errorf("tcpnet: %d -> %d: %w", e.id, partner, err)
+	p.buf = raw
+	binary.LittleEndian.PutUint32(raw, uint32(len(raw)-frameHeader))
+	binary.LittleEndian.PutUint64(raw[4:], uint64(arrival))
+	if _, err := c.Write(raw); err != nil {
+		return fmt.Errorf("tcpnet: %d -> %d: %w", p.ID(), to, err)
 	}
 	return nil
-}
-
-// sendTampered runs the node's Byzantine hook and transmits whatever
-// it returns. A nil return — and an unencodable replacement — degrade
-// to silence: nothing is written and the receiver observes a genuine
-// wall-clock timeout on the socket, the transport-level analogue of
-// simnet's drop faults.
-func (e *Endpoint) sendTampered(bit, partner int, m wire.Message) error {
-	out := e.tamper(&m)
-	if out == nil {
-		return nil
-	}
-	buf, err := appendFrame(e.tamperBuf, *out)
-	if err != nil {
-		return nil
-	}
-	e.tamperBuf = buf
-	stampFrame(buf, e.clock)
-	if _, werr := e.net.nodeConns[e.id][bit].Write(buf); werr != nil {
-		return fmt.Errorf("tcpnet: %d -> %d: %w", e.id, partner, werr)
-	}
-	return nil
-}
-
-// Recv blocks for the next message from the partner across the given
-// dimension bit, advancing the virtual clock to its arrival.
-func (e *Endpoint) Recv(bit int) (wire.Message, error) {
-	if e.net.isSpare(e.id) {
-		return wire.Message{}, fmt.Errorf("tcpnet: spare node %d has no cube links", e.id)
-	}
-	if bit < 0 || bit >= e.net.topo.Dim() {
-		return wire.Message{}, fmt.Errorf("tcpnet: recv: bit %d outside dimension %d", bit, e.net.topo.Dim())
-	}
-	pkt, err := e.net.await(e.net.inboxes[e.id][bit])
-	if err != nil {
-		partner, _ := e.net.topo.Partner(e.id, bit)
-		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on link from %d: %w", e.id, partner, err)
-	}
-	return e.accept(pkt)
-}
-
-func (e *Endpoint) accept(pkt packet) (wire.Message, error) {
-	if pkt.arrival > e.clock {
-		e.clock = pkt.arrival // idle wait, unbilled
-	}
-	cost := e.net.cost.RecvFixed + transport.Ticks(wire.CostedLen(len(pkt.raw)))*e.net.cost.RecvPerByte
-	e.clock += cost
-	e.commTicks += cost
-	// Zero-copy decode: the reader goroutine allocated pkt.raw for this
-	// frame alone and never touches it again, so aliasing is safe here.
-	m, err := wire.DecodeFrom(pkt.raw)
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: node %d: garbled message: %w", e.id, err)
-	}
-	if e.rec != nil {
-		e.rec.Recv(&m, int64(e.clock))
-	}
-	return m, nil
-}
-
-// SendHost transmits to the host over the node's host connection.
-func (e *Endpoint) SendHost(m wire.Message) error {
-	m.From = int32(e.id)
-	m.To = wire.HostID
-	if e.rec != nil {
-		m.Trace = e.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(e.clock))
-	}
-	buf, err := appendFrame(e.sendBuf, m)
-	if err != nil {
-		return fmt.Errorf("tcpnet: send host: %w", err)
-	}
-	e.sendBuf = buf
-	rawLen := wire.CostedLen(len(buf) - frameHeader)
-	cost := e.net.cost.SendFixed + transport.Ticks(rawLen)*e.net.cost.SendPerByte
-	e.clock += cost
-	e.commTicks += cost
-	e.net.record(m.Kind, rawLen)
-	e.net.obsM.RecordMessage(m.Kind, rawLen)
-	stampFrame(buf, e.clock)
-	if _, err := e.net.nodeHostWrite[e.id].Write(buf); err != nil {
-		return fmt.Errorf("tcpnet: node %d -> host: %w", e.id, err)
-	}
-	return nil
-}
-
-// RecvHost blocks for the next message from the host.
-func (e *Endpoint) RecvHost() (wire.Message, error) {
-	pkt, err := e.net.await(e.net.nodeHostInbox[e.id])
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on host: %w", e.id, err)
-	}
-	return e.accept(pkt)
 }
 
 // await pops the next packet from an inbox, bounded by the configured
 // wall-clock timeout and the network lifetime.
 func (nw *Network) await(inbox chan packet) (packet, error) {
-	timer := time.NewTimer(nw.recvTimeout)
+	timer := time.NewTimer(nw.RecvTimeout())
 	defer timer.Stop()
 	select {
 	case pkt := <-inbox:
@@ -215,74 +53,60 @@ func (nw *Network) await(inbox chan packet) (packet, error) {
 	}
 }
 
-// Host is the reliable host processor's handle on the TCP mesh.
-type Host struct {
-	net *Network
+// Endpoint is a node's handle on the TCP mesh. Goroutine-confined,
+// like its simnet counterpart; both embed the same transport.Port, so
+// the two transports agree on every tick.
+type Endpoint struct{ proc }
 
-	clock     transport.Ticks
-	commTicks transport.Ticks
-	compTicks transport.Ticks
-
-	// sendBuf stages frame header + message, reused across sends.
-	sendBuf []byte
-	rec     *forensic.Recorder
-}
-
-// Clock returns the host's current virtual time.
-func (h *Host) Clock() transport.Ticks { return h.clock }
-
-// CommTicks returns virtual time the host spent on communication.
-func (h *Host) CommTicks() transport.Ticks { return h.commTicks }
-
-// CompTicks returns virtual time the host spent computing.
-func (h *Host) CompTicks() transport.Ticks { return h.compTicks }
-
-// Compute advances the host clock by a computation cost.
-func (h *Host) Compute(t transport.Ticks) {
-	if t < 0 {
-		t = 0
+// Send transmits to the partner across the given dimension bit over
+// the link's TCP connection.
+func (e *Endpoint) Send(bit int, m wire.Message) error {
+	partner, err := e.Partner(bit)
+	if err != nil {
+		return err
 	}
-	h.clock += t
-	h.compTicks += t
+	return e.send(e.net.nodeConns[e.ID()][bit], partner, &m)
 }
 
-// ChargeCompare charges the host for n key comparisons.
-func (h *Host) ChargeCompare(n int) {
-	h.Compute(transport.Ticks(n) * h.net.cost.Compare)
+// Recv blocks for the next message from the partner across the given
+// dimension bit, advancing the virtual clock to its arrival. The
+// reader goroutine allocated the frame for this message alone, so the
+// zero-copy Payload stays valid.
+func (e *Endpoint) Recv(bit int) (wire.Message, error) {
+	partner, err := e.Partner(bit)
+	if err != nil {
+		return wire.Message{}, err
+	}
+	pkt, err := e.net.await(e.net.inboxes[e.ID()][bit])
+	if err != nil {
+		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on link from %d: %w", e.ID(), partner, err)
+	}
+	return e.Accept(pkt.raw, pkt.arrival)
 }
 
-// ChargeKeyMove charges the host for moving n keys.
-func (h *Host) ChargeKeyMove(n int) {
-	h.Compute(transport.Ticks(n) * h.net.cost.KeyMove)
+// SendHost transmits to the host over the node's host connection.
+func (e *Endpoint) SendHost(m wire.Message) error {
+	return e.send(e.net.nodeHostWrite[e.ID()], int(wire.HostID), &m)
 }
+
+// RecvHost blocks for the next message from the host.
+func (e *Endpoint) RecvHost() (wire.Message, error) {
+	pkt, err := e.net.await(e.net.nodeHostInbox[e.ID()])
+	if err != nil {
+		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on host: %w", e.ID(), err)
+	}
+	return e.Accept(pkt.raw, pkt.arrival)
+}
+
+// Host is the reliable host processor's handle on the TCP mesh.
+type Host struct{ proc }
 
 // Send transmits from the host to a node over the host interface.
 func (h *Host) Send(node int, m wire.Message) error {
-	if !h.net.topo.Contains(node) && !h.net.isSpare(node) {
-		return fmt.Errorf("tcpnet: host send: node %d outside cube of %d nodes (+%d spares)",
-			node, h.net.topo.Nodes(), h.net.spares)
+	if err := h.net.CheckNode(node); err != nil {
+		return err
 	}
-	m.From = wire.HostID
-	m.To = int32(node)
-	if h.rec != nil {
-		m.Trace = h.rec.Send(m.Kind, m.To, m.Stage, m.Iter, int64(h.clock))
-	}
-	buf, err := appendFrame(h.sendBuf, m)
-	if err != nil {
-		return fmt.Errorf("tcpnet: host send: %w", err)
-	}
-	h.sendBuf = buf
-	rawLen := wire.CostedLen(len(buf) - frameHeader)
-	cost := h.net.cost.HostFixed + transport.Ticks(rawLen)*h.net.cost.HostPerByte
-	h.clock += cost
-	h.commTicks += cost
-	h.net.record(m.Kind, rawLen)
-	h.net.obsM.RecordMessage(m.Kind, rawLen)
-	stampFrame(buf, h.clock)
-	if _, err := h.net.hostConns[node].Write(buf); err != nil {
-		return fmt.Errorf("tcpnet: host -> %d: %w", node, err)
-	}
-	return nil
+	return h.send(h.net.hostConns[node], node, &m)
 }
 
 // Recv blocks for the next message from any node.
@@ -291,24 +115,7 @@ func (h *Host) Recv() (wire.Message, error) {
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("tcpnet: host: %w", err)
 	}
-	return h.accept(pkt)
-}
-
-func (h *Host) accept(pkt packet) (wire.Message, error) {
-	if pkt.arrival > h.clock {
-		h.clock = pkt.arrival
-	}
-	cost := h.net.cost.HostFixed + transport.Ticks(wire.CostedLen(len(pkt.raw)))*h.net.cost.HostPerByte
-	h.clock += cost
-	h.commTicks += cost
-	m, err := wire.DecodeFrom(pkt.raw)
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: host: garbled message: %w", err)
-	}
-	if h.rec != nil {
-		h.rec.Recv(&m, int64(h.clock))
-	}
-	return m, nil
+	return h.Accept(pkt.raw, pkt.arrival)
 }
 
 // TryRecv returns a pending host message without waiting for the full
@@ -316,11 +123,8 @@ func (h *Host) accept(pkt packet) (wire.Message, error) {
 func (h *Host) TryRecv() (wire.Message, bool, error) {
 	select {
 	case pkt := <-h.net.hostInbox:
-		m, err := h.accept(pkt)
-		if err != nil {
-			return wire.Message{}, false, err
-		}
-		return m, true, nil
+		m, err := h.Accept(pkt.raw, pkt.arrival)
+		return m, err == nil, err
 	default:
 		return wire.Message{}, false, nil
 	}

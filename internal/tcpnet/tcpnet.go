@@ -3,20 +3,15 @@
 // connection, every message crosses a genuine socket, and a reader
 // goroutine per connection feeds per-dimension inboxes.
 //
-// The virtual-time accounting is identical to internal/simnet's — the
-// sender stamps each frame with its departure tick and the receiver
-// advances to departure + Latency — so for the same protocol and
-// inputs, a tcpnet run produces the *same* virtual clocks, makespans,
-// and traffic counters as a simnet run (asserted by the equivalence
-// tests). This demonstrates that the algorithms and the paper's
-// measured quantities are independent of the in-process simulation.
-//
-// Fault injection: Config.Tamper installs a per-node Byzantine hook
-// that intercepts every node-to-node send after the sender has charged
-// its clock and traffic counters for the genuine message — the same
-// ordering simnet's LinkFault uses — so fault experiments produce
-// comparable virtual-time accounting over real sockets. Host links are
-// reliable by assumption and bypass tampering.
+// The virtual-time accounting is shared with internal/simnet: both
+// networks embed transport.Core, and their endpoints and host embed
+// transport.Port, which charges every send and receive. The
+// sender stamps each frame with its arrival tick, so for the same
+// protocol and inputs a tcpnet run produces the *same* virtual clocks,
+// makespans, and traffic counters as a simnet run (asserted by the
+// equivalence tests). This demonstrates that the algorithms and the
+// paper's measured quantities are independent of the in-process
+// simulation.
 package tcpnet
 
 import (
@@ -26,10 +21,8 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/hypercube"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/transport"
@@ -72,17 +65,6 @@ type Config struct {
 	// and reachable, sitting idle until a recovery remap promotes it
 	// into a future attempt's cube. Negative is treated as zero.
 	Spares int
-	// Tamper, indexed by node label, intercepts that node's outgoing
-	// node-to-node messages at the transport, modelling a Byzantine
-	// processor over real sockets. The hook runs after the sender has
-	// charged its clock and the traffic counters for the genuine
-	// message (mirroring simnet's fault ordering, so virtual-time
-	// accounting stays transport-independent); it may mutate the
-	// message, return a replacement to substitute, or return nil to
-	// stay silent — the receiver then sees a genuine socket-level
-	// timeout. Entries may be nil; a short or nil slice leaves the
-	// remaining nodes honest. Host links cannot be tampered.
-	Tamper []func(m *wire.Message) *wire.Message
 	// Obs receives per-kind message and byte counters in addition to
 	// the network's own Metrics. Nil means obs.DefaultMetrics().
 	Obs *obs.Metrics
@@ -107,12 +89,7 @@ type packet struct {
 // internal/server leans on exactly this to amortize socket setup
 // across jobs.
 type Network struct {
-	topo        hypercube.Topology
-	cost        transport.CostModel
-	recvTimeout time.Duration
-	// spares counts the idle spare endpoints registered beyond the
-	// cube; they own host links only.
-	spares int
+	transport.Core
 
 	// nodeConns[id][bit] is node id's connection to its partner across
 	// dimension bit. nodeHostWrite[id] is node id's side of its host
@@ -128,13 +105,6 @@ type Network struct {
 	hostInbox     chan packet
 	nodeHostInbox []chan packet
 
-	msgs   [8]atomic.Int64
-	bytes  [8]atomic.Int64
-	obsM   *obs.Metrics
-	flight *forensic.Flight
-
-	tamper []func(m *wire.Message) *wire.Message
-
 	closeOnce sync.Once
 	closed    chan struct{}
 	readers   sync.WaitGroup
@@ -142,45 +112,23 @@ type Network struct {
 
 // New constructs the mesh: one loopback TCP connection per hypercube
 // edge plus one per node-host pair, with reader goroutines feeding the
-// inboxes. It cleans up after itself on any setup error.
-func New(cfg Config) (nw *Network, err error) {
-	topo, terr := hypercube.New(cfg.Dim)
-	if terr != nil {
-		return nil, fmt.Errorf("tcpnet: %w", terr)
+// inboxes. On any setup error it closes what it built and returns the
+// error.
+func New(cfg Config) (_ *Network, err error) {
+	nw := &Network{closed: make(chan struct{})}
+	if err := nw.Init("tcpnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight); err != nil {
+		return nil, err
 	}
-	cost := cfg.Cost
-	if cost == (transport.CostModel{}) {
-		cost = transport.DefaultCostModel()
-	}
-	timeout := cfg.RecvTimeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	obsM := cfg.Obs
-	if obsM == nil {
-		obsM = obs.DefaultMetrics()
-	}
-	spares := cfg.Spares
-	if spares < 0 {
-		spares = 0
-	}
-	n := topo.Nodes()
-	nw = &Network{
-		topo:          topo,
-		cost:          cost,
-		recvTimeout:   timeout,
-		spares:        spares,
-		obsM:          obsM,
-		flight:        cfg.Flight,
-		tamper:        cfg.Tamper,
-		nodeConns:     make([][]net.Conn, n),
-		nodeHostWrite: make([]net.Conn, n+spares),
-		hostConns:     make([]net.Conn, n+spares),
-		inboxes:       make([][]chan packet, n),
-		hostInbox:     make(chan packet, 4*n+16),
-		nodeHostInbox: make([]chan packet, n+spares),
-		closed:        make(chan struct{}),
-	}
+	topo := nw.Topology()
+	n, hosted := topo.Nodes(), topo.Nodes()+nw.Spares()
+	nw.nodeConns = make([][]net.Conn, n)
+	nw.nodeHostWrite = make([]net.Conn, hosted)
+	nw.hostConns = make([]net.Conn, hosted)
+	nw.inboxes = make([][]chan packet, n)
+	nw.hostInbox = make(chan packet, 4*n+16)
+	nw.nodeHostInbox = make([]chan packet, hosted)
+	// nw is not a named result, so a return below cannot overwrite it
+	// before this deferred Close runs.
 	defer func() {
 		if err != nil {
 			nw.Close()
@@ -192,7 +140,6 @@ func New(cfg Config) (nw *Network, err error) {
 		for b := 0; b < topo.Dim(); b++ {
 			nw.inboxes[id][b] = make(chan packet, inboxDepth)
 		}
-		nw.nodeHostInbox[id] = make(chan packet, inboxDepth)
 	}
 
 	// Node-to-node links: one TCP connection per undirected edge.
@@ -218,10 +165,8 @@ func New(cfg Config) (nw *Network, err error) {
 	// Host links — spares included: a spare's host socket is dialed
 	// now, so activating one later is a relabeling, not a connection
 	// setup.
-	for id := 0; id < n+spares; id++ {
-		if id >= n {
-			nw.nodeHostInbox[id] = make(chan packet, inboxDepth)
-		}
+	for id := 0; id < hosted; id++ {
+		nw.nodeHostInbox[id] = make(chan packet, inboxDepth)
 		c1, c2, cerr := loopbackPair()
 		if cerr != nil {
 			return nil, fmt.Errorf("tcpnet: host link %d: %w", id, cerr)
@@ -233,16 +178,6 @@ func New(cfg Config) (nw *Network, err error) {
 		nw.startReader(c2, nw.hostInbox)
 	}
 	return nw, nil
-}
-
-// Spares returns the number of idle spare endpoints registered beyond
-// the cube.
-func (nw *Network) Spares() int { return nw.spares }
-
-// isSpare reports whether id names a registered spare (a label beyond
-// the cube with a host link but no cube links).
-func (nw *Network) isSpare(id int) bool {
-	return id >= nw.topo.Nodes() && id < nw.topo.Nodes()+nw.spares
 }
 
 // loopbackPair returns two ends of a real TCP connection over the
@@ -274,32 +209,12 @@ func loopbackPair() (client, server net.Conn, err error) {
 	return client, res.conn, nil
 }
 
-// frame layout: u32 payload length | u64 departure tick | payload.
+// frame layout: u32 payload length | u64 arrival tick | payload.
 const frameHeader = 4 + 8
 
 // maxFrame bounds a frame so a corrupted length cannot trigger a huge
 // allocation.
 const maxFrame = wire.MaxPayload + 64
-
-// appendFrame appends a zeroed frame header followed by m's wire
-// encoding to buf (normally an endpoint-owned scratch, so steady-state
-// sends allocate nothing). The header is stamped later by stampFrame,
-// once the sender has charged its clock and knows the departure tick.
-func appendFrame(buf []byte, m wire.Message) ([]byte, error) {
-	var zero [frameHeader]byte
-	buf = append(buf[:0], zero[:]...)
-	buf, err := wire.AppendMessage(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// stampFrame fills in the header of a buffer built by appendFrame.
-func stampFrame(buf []byte, departure transport.Ticks) {
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-frameHeader))
-	binary.LittleEndian.PutUint64(buf[4:], uint64(departure))
-}
 
 // startReader pumps frames from the connection into the inbox until
 // the connection or network closes.
@@ -316,13 +231,13 @@ func (nw *Network) startReader(c net.Conn, inbox chan packet) {
 			if n > maxFrame {
 				return
 			}
-			departure := transport.Ticks(binary.LittleEndian.Uint64(hdr[4:]))
+			arrival := transport.Ticks(binary.LittleEndian.Uint64(hdr[4:]))
 			raw := make([]byte, n)
 			if _, err := io.ReadFull(c, raw); err != nil {
 				return
 			}
 			select {
-			case inbox <- packet{raw: raw, arrival: departure + nw.cost.Latency}:
+			case inbox <- packet{raw: raw, arrival: arrival}:
 			case <-nw.closed:
 				return
 			}
@@ -331,11 +246,10 @@ func (nw *Network) startReader(c net.Conn, inbox chan packet) {
 }
 
 // Reset readies a quiescent network for another run: every inbox is
-// drained of stale frames, the per-run traffic counters are zeroed,
-// and the observability sinks are rebound (nil obsM selects
-// obs.DefaultMetrics, mirroring New). The TCP connections and their
-// reader goroutines are untouched — that is the point: a reused mesh
-// skips the whole socket-setup cost of New.
+// drained of stale frames, and the core's traffic counters are zeroed
+// and its observability sinks rebound (transport.Core.Reset). The TCP
+// connections and their reader goroutines are untouched — that is the
+// point: a reused mesh skips the whole socket-setup cost of New.
 //
 // Reset must only be called between runs (no endpoint or host is
 // live), and only after a run that terminated cleanly: a run that
@@ -358,15 +272,7 @@ func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 		drainPackets(inbox)
 	}
 	drainPackets(nw.hostInbox)
-	for k := range nw.msgs {
-		nw.msgs[k].Store(0)
-		nw.bytes[k].Store(0)
-	}
-	if obsM == nil {
-		obsM = obs.DefaultMetrics()
-	}
-	nw.obsM = obsM
-	nw.flight = flight
+	nw.Core.Reset(obsM, flight)
 	return nil
 }
 
@@ -382,7 +288,8 @@ func drainPackets(ch chan packet) {
 }
 
 // Close shuts the network down: all connections are closed and reader
-// goroutines drained. Safe to call multiple times.
+// goroutines drained. Safe to call multiple times, and on a network
+// New left half-built.
 func (nw *Network) Close() {
 	nw.closeOnce.Do(func() {
 		close(nw.closed)
@@ -407,47 +314,19 @@ func (nw *Network) Close() {
 	})
 }
 
-// Topology returns the underlying hypercube.
-func (nw *Network) Topology() hypercube.Topology { return nw.topo }
-
-// Metrics returns a snapshot of the traffic counters.
-func (nw *Network) Metrics() transport.MetricsSnapshot {
-	s := transport.MetricsSnapshot{
-		MsgsByKind:  make(map[wire.Kind]int64),
-		BytesByKind: make(map[wire.Kind]int64),
-	}
-	for k := wire.Kind(1); int(k) < len(nw.msgs); k++ {
-		if n := nw.msgs[k].Load(); n != 0 {
-			s.MsgsByKind[k] = n
-			s.BytesByKind[k] = nw.bytes[k].Load()
-		}
-	}
-	return s
-}
-
-func (nw *Network) record(kind wire.Kind, n int) {
-	if int(kind) < len(nw.msgs) {
-		nw.msgs[kind].Add(1)
-		nw.bytes[kind].Add(int64(n))
-	}
-}
-
 // Endpoint returns node id's endpoint. Call once per node before
 // starting its goroutine. Spare labels (beyond the cube, when
 // Config.Spares pre-registered them) get endpoints with host links
 // only: their Send/Recv across cube dimensions fail until a recovery
 // remap promotes the spare into a future attempt's cube.
 func (nw *Network) Endpoint(id int) (transport.Endpoint, error) {
-	if !nw.topo.Contains(id) && !nw.isSpare(id) {
-		return nil, fmt.Errorf("tcpnet: node %d outside cube of %d nodes (+%d spares)",
-			id, nw.topo.Nodes(), nw.spares)
+	if err := nw.CheckNode(id); err != nil {
+		return nil, err
 	}
-	e := &Endpoint{net: nw, id: id, rec: nw.flight.Node(id)}
-	if id < len(nw.tamper) {
-		e.tamper = nw.tamper[id]
-	}
-	return e, nil
+	return &Endpoint{proc{Port: nw.Port(id), net: nw}}, nil
 }
 
 // Host returns the host endpoint. Call at most once per network.
-func (nw *Network) Host() transport.Host { return &Host{net: nw, rec: nw.flight.Host()} }
+func (nw *Network) Host() transport.Host {
+	return &Host{proc{Port: nw.Port(int(wire.HostID)), net: nw}}
+}

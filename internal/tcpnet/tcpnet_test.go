@@ -2,14 +2,18 @@ package tcpnet
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/hostsort"
+	"repro/internal/node"
 	"repro/internal/simnet"
 	"repro/internal/sortnr"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -138,46 +142,73 @@ func TestCloseUnblocksReceivers(t *testing.T) {
 	}
 }
 
-// The flagship test: S_FT over real TCP sorts correctly and produces
-// the *identical* virtual-time results as the channel simulator —
-// makespan, per-kind message and byte counts.
-func TestSFTOverTCPMatchesSimnet(t *testing.T) {
+// The flagship test: each runner sorts over real TCP and produces the
+// *identical* virtual-time results as the channel simulator — every
+// node's clocks, the host's clocks, and the per-kind message and byte
+// counts.
+func TestTCPMatchesSimnet(t *testing.T) {
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
-
-	tcp := newNet(t, 3)
-	ocTCP, err := core.Run(tcp, keys)
-	if err != nil {
-		t.Fatal(err)
+	blockKeys := make([]int64, 0, 4*len(keys))
+	for i := range 4 * len(keys) {
+		blockKeys = append(blockKeys, int64((i*37)%29-11))
 	}
-	if ocTCP.Detected() {
-		t.Fatalf("spurious detection over TCP: %v %v", ocTCP.Result.FirstNodeErr(), ocTCP.HostErrors)
-	}
-	if err := checker.Verify(keys, ocTCP.Sorted, true); err != nil {
-		t.Fatal(err)
-	}
-
-	sim, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocSim, err := core.Run(sim, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := ocTCP.Result.Makespan(), ocSim.Result.Makespan(); got != want {
-		t.Errorf("makespan: tcp %d vs simnet %d", got, want)
-	}
-	for id := range ocTCP.Result.Nodes {
-		tn, sn := ocTCP.Result.Nodes[id], ocSim.Result.Nodes[id]
-		if tn.Clock != sn.Clock || tn.CommTicks != sn.CommTicks || tn.CompTicks != sn.CompTicks {
-			t.Errorf("node %d clocks: tcp %+v vs simnet %+v", id, tn, sn)
+	ft := func(keys []int64, m int) func(transport.Network) ([]int64, *node.Result, error) {
+		return func(nw transport.Network) ([]int64, *node.Result, error) {
+			oc, err := core.RunBlocks(nw, keys, m, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			if oc.Detected() {
+				return nil, nil, fmt.Errorf("spurious detection: %v %v", oc.Result.FirstNodeErr(), oc.HostErrors)
+			}
+			return oc.Sorted, oc.Result, nil
 		}
 	}
-	tm, sm := ocTCP.Result.Metrics, ocSim.Result.Metrics
-	if tm.TotalMsgs() != sm.TotalMsgs() || tm.TotalBytes() != sm.TotalBytes() {
-		t.Errorf("traffic: tcp %d/%d vs simnet %d/%d",
-			tm.TotalMsgs(), tm.TotalBytes(), sm.TotalMsgs(), sm.TotalBytes())
+	for _, tc := range []struct {
+		name string
+		keys []int64
+		run  func(transport.Network) ([]int64, *node.Result, error)
+	}{
+		{"sft", keys, ft(keys, 1)},
+		{"blockft-m4", blockKeys, ft(blockKeys, 4)},
+		{"snr", keys, func(nw transport.Network) ([]int64, *node.Result, error) { return sortnr.Run(nw, keys) }},
+		{"hostsort", keys, func(nw transport.Network) ([]int64, *node.Result, error) { return hostsort.RunHostSort(nw, keys) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res [2]*node.Result
+			for i, nw := range []transport.Network{newNet(t, 3), sim} {
+				out, r, err := tc.run(nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.AnyErr(); err != nil {
+					t.Fatal(err)
+				}
+				if err := checker.Verify(tc.keys, out, true); err != nil {
+					t.Fatal(err)
+				}
+				res[i] = r
+			}
+			tcp, sn := res[0], res[1]
+			for id := range tcp.Nodes {
+				tn, nn := tcp.Nodes[id], sn.Nodes[id]
+				if tn.Clock != nn.Clock || tn.CommTicks != nn.CommTicks || tn.CompTicks != nn.CompTicks {
+					t.Errorf("node %d clocks: tcp %+v vs simnet %+v", id, tn, nn)
+				}
+			}
+			if tcp.HostClock != sn.HostClock || tcp.HostComm != sn.HostComm || tcp.HostComp != sn.HostComp {
+				t.Errorf("host clocks: tcp %d/%d/%d vs simnet %d/%d/%d",
+					tcp.HostClock, tcp.HostComm, tcp.HostComp, sn.HostClock, sn.HostComm, sn.HostComp)
+			}
+			tm, sm := tcp.Metrics, sn.Metrics
+			if !maps.Equal(tm.MsgsByKind, sm.MsgsByKind) || !maps.Equal(tm.BytesByKind, sm.BytesByKind) {
+				t.Errorf("traffic: tcp %v/%v vs simnet %v/%v", tm.MsgsByKind, tm.BytesByKind, sm.MsgsByKind, sm.BytesByKind)
+			}
+		})
 	}
 }
 

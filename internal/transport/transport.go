@@ -7,14 +7,18 @@
 //     injection hooks; the default for tests and experiments.
 //   - internal/tcpnet — real TCP connections (stdlib net) between
 //     in-process nodes; demonstrates that the protocols and the
-//     virtual-time accounting are transport-independent. Both
-//     implementations produce identical virtual-time results for the
-//     same protocol run (asserted by tcpnet's equivalence tests).
+//     virtual-time accounting are transport-independent.
 //
 // Virtual time: every endpoint owns a Ticks clock. Sending charges the
 // sender, receiving charges the receiver, and a message arrives
 // Latency ticks after its departure, so makespans are reproducible
-// regardless of wall-clock scheduling.
+// regardless of wall-clock scheduling. That rule is written once, in
+// Port, which each implementation's endpoints and host embed; each
+// network embeds a Core holding the cube, the cost model, the spare
+// inventory and the traffic counters. An implementation adds only how
+// a frame reaches its queue and how a receive waits, so both produce
+// identical virtual-time results for the same protocol run (asserted
+// by tcpnet's equivalence table).
 package transport
 
 import (
