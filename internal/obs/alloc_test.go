@@ -27,6 +27,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"histogram-observe", func() { h.Observe(123456) }},
 		{"record-message", func() { m.RecordMessage(wire.KindFTExchange, 96) }},
 		{"journal-append", func() { o.J.Append(Event{Kind: EvRoundBegin, Node: 1}) }},
+		{"journal-reset", func() { o.J.Append(Event{Kind: EvRoundBegin, Node: 1}); o.J.Reset() }},
 		{"stage-begin", func() { o.StageBegin(1, 2, false, 100) }},
 		{"stage-end", func() { o.StageEnd(1, 2, false, 100, 400) }},
 		{"round-span", func() { o.RoundBegin(1, 2, 0, 100); o.RoundEnd(1, 2, 0, 200) }},

@@ -151,6 +151,9 @@ const DefaultRingCap = 512
 type Recorder struct {
 	flight *Flight
 	node   int32
+	// live marks a recorder handed out by Node since the flight's last
+	// Reset; dumps snapshot live recorders only. Guarded by flight.mu.
+	live bool
 
 	mu      sync.Mutex
 	ring    []Record
@@ -283,7 +286,9 @@ func (r *Recorder) Accuse(pred uint8, evidence uint8, stage, iter, accused int32
 type Flight struct {
 	ringCap int
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// recs holds every recorder the flight has made, live or not, so
+	// that after a Reset a node id gets its old ring array back.
 	recs    map[int32]*Recorder
 	reports []*Report
 }
@@ -314,7 +319,32 @@ func (f *Flight) nodeLocked(id int32) *Recorder {
 		r = &Recorder{flight: f, node: id, ring: make([]Record, 0, f.ringCap)}
 		f.recs[id] = r
 	}
+	r.live = true
 	return r
+}
+
+// Reset empties the flight for reuse, so that it reports exactly what
+// a new Flight would: it drops the reports, empties every live ring,
+// and forgets which nodes have one. Each ring keeps its array for the
+// next Node call with the same id, and no memory is cleared, so a
+// reset costs one step per recorder the last run used, not the rings'
+// capacity. Call it only while no recorder is being written. Nil-safe.
+func (f *Flight) Reset() {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reports = nil
+	for _, r := range f.recs {
+		if !r.live {
+			continue
+		}
+		r.live = false
+		r.mu.Lock()
+		r.ring, r.next, r.dropped, r.last = r.ring[:0], 0, 0, 0
+		r.mu.Unlock()
+	}
 }
 
 // Host returns the host processor's recorder (node label wire.HostID).

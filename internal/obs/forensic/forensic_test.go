@@ -2,6 +2,7 @@ package forensic
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/wire"
@@ -47,6 +48,7 @@ func TestNilRecorderDiscards(t *testing.T) {
 	if rep := f.Quarantine(1, 0, "x"); rep != nil {
 		t.Error("nil Quarantine should return nil report")
 	}
+	f.Reset()
 }
 
 func TestRingWrapAndDropped(t *testing.T) {
@@ -172,5 +174,71 @@ func TestReportJSON(t *testing.T) {
 		if !bytes.Contains(buf, []byte(want)) {
 			t.Errorf("JSON missing %q:\n%s", want, buf)
 		}
+	}
+}
+
+// recordExchange records one traced exchange from node a to node b,
+// then b's predicate evaluation, merge and accusation of a.
+func recordExchange(f *Flight, a, b int) *Report {
+	from, to := f.Node(a), f.Node(b)
+	from.Phi(PredProgress, 0, 0, true, wire.Digest{Sum: 3}, 5)
+	tc := from.Send(wire.KindExchange, int32(b), 1, 0, 10)
+	m := &wire.Message{Kind: wire.KindExchange, From: int32(a), To: int32(b), Stage: 1, Iter: 0, Trace: tc}
+	to.Recv(m, 12)
+	to.Merge(1, 0, 7, wire.Digest{Sum: 9, Xor: 4}, 14)
+	to.Phi(PredConsistency, 1, 0, false, wire.Digest{Sum: 9}, 15)
+	return to.Accuse(PredConsistency, 1, 1, 0, int32(a), "copies differ", 16)
+}
+
+// TestResetFlightReportsLikeNew pins that a reset flight reports
+// exactly what a fresh one does: no rings or reports left from the
+// earlier run, ids and drop counts restarting at zero.
+func TestResetFlightReportsLikeNew(t *testing.T) {
+	fresh := New(4)
+	recordExchange(fresh, 1, 2)
+	fresh.Quarantine(1, 1, "persistent")
+
+	used := New(4)
+	for id := 0; id < 8; id++ {
+		for i := 0; i < 6; i++ { // wraps each 4-slot ring
+			used.Node(id).Phi(PredProgress, int32(i), 0, true, wire.Digest{}, int64(i))
+		}
+	}
+	recordExchange(used, 3, 5)
+	used.Reset()
+	if len(used.Reports()) != 0 || used.Latest() != nil {
+		t.Fatal("Reset kept the earlier run's reports")
+	}
+	recordExchange(used, 1, 2)
+	used.Quarantine(1, 1, "persistent")
+
+	want, got := fresh.Reports(), used.Reports()
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset flight reports differ from a fresh flight's:\ngot  %+v\nwant %+v", got, want)
+	}
+	if nodes := len(got[1].Nodes); nodes != 3 { // nodes 1, 2 and the host
+		t.Errorf("quarantine report snapshots %d rings, want 3", nodes)
+	}
+}
+
+// TestRecorderZeroAllocs pins recording and Reset at zero allocations
+// once each node's ring exists: a flight reused across runs allocates
+// nothing until a dump.
+func TestRecorderZeroAllocs(t *testing.T) {
+	f := New(16)
+	m := &wire.Message{Kind: wire.KindExchange, From: 0, To: 1}
+	run := func() {
+		a, b := f.Node(0), f.Node(1)
+		m.Trace = a.Send(wire.KindExchange, 1, 2, 0, 10)
+		b.Recv(m, 12)
+		b.Phi(PredProgress, 2, 0, true, wire.Digest{Sum: 1}, 13)
+		b.Merge(2, 0, 5, wire.Digest{Sum: 2}, 14)
+		f.Reset()
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("record and Reset: %v allocs/op, want 0", n)
 	}
 }

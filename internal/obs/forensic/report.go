@@ -164,8 +164,10 @@ func (f *Flight) dump(accuser, accused int32, id wire.EventID, pred, evidence ui
 	// resolves unless the bounded ring has already overwritten it.
 	f.mu.Lock()
 	ids := make([]int32, 0, len(f.recs))
-	for nid := range f.recs {
-		ids = append(ids, nid)
+	for nid, r := range f.recs {
+		if r.live {
+			ids = append(ids, nid)
+		}
 	}
 	f.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -87,6 +87,20 @@ func (j *Journal) Append(ev Event) {
 	}
 }
 
+// Reset empties the journal for reuse: Len, Total and Dropped restart
+// from zero and the ring keeps its capacity. It clears no memory, so
+// it costs the same however many events the journal held. The sink and
+// any dropped-counter binding stay attached.
+func (j *Journal) Reset() {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	j.ring = j.ring[:0]
+	j.next, j.dropped = 0, 0
+	j.mu.Unlock()
+}
+
 // Events returns a copy of the retained events, oldest first.
 func (j *Journal) Events() []Event {
 	if j == nil {

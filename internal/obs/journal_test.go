@@ -41,6 +41,23 @@ func TestJournalWrap(t *testing.T) {
 			t.Fatalf("event %d: seq=%d iter=%d, want %d", i, ev.Seq, ev.Iter, want)
 		}
 	}
+
+	// A reset journal reads like a fresh one and wraps the same way.
+	j.Reset()
+	if j.Len() != 0 || j.Total() != 0 || j.Dropped() != 0 || len(j.Events()) != 0 {
+		t.Fatalf("after Reset len/total/dropped = %d/%d/%d, want 0/0/0", j.Len(), j.Total(), j.Dropped())
+	}
+	for i := 0; i < 6; i++ {
+		j.Append(Event{Kind: EvRoundBegin, Iter: int32(i)})
+	}
+	if j.Len() != 4 || j.Total() != 6 || j.Dropped() != 2 {
+		t.Fatalf("after Reset and 6 appends len/total/dropped = %d/%d/%d, want 4/6/2", j.Len(), j.Total(), j.Dropped())
+	}
+	for i, ev := range j.Events() {
+		if want := int32(2 + i); ev.Iter != want || ev.Seq != uint64(want) {
+			t.Fatalf("after Reset, event %d: seq=%d iter=%d, want %d", i, ev.Seq, ev.Iter, want)
+		}
+	}
 }
 
 func TestJournalDroppedCounter(t *testing.T) {
@@ -81,6 +98,7 @@ func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Append(Event{Kind: EvBackoff})
 	j.SetSink(slog.Default())
+	j.Reset()
 	if j.Events() != nil || j.Len() != 0 || j.Total() != 0 || j.Dropped() != 0 {
 		t.Fatal("nil journal should be inert")
 	}

@@ -314,7 +314,9 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 	if err := validateSpares(pol.Spares, dim); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(pol.Seed))
+	// The jitter source is seeded at the first retry, so a run that
+	// verifies on its first attempt never pays for seeding it.
+	var rng *rand.Rand
 	physical := make([]int, 1<<uint(dim))
 	for i := range physical {
 		physical[i] = i
@@ -326,6 +328,9 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		var wait time.Duration
 		if attempt > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(pol.Seed))
+			}
 			wait = pol.Backoff.wait(attempt, rng)
 			pol.Sleep(wait)
 			rep.TotalBackoff += wait

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,6 +287,29 @@ func TestBackoffDeterministicBySeed(t *testing.T) {
 	a2 := b.wait(3, rand.New(rand.NewSource(7)))
 	if a1 != a2 {
 		t.Fatalf("same seed, different waits: %v vs %v", a1, a2)
+	}
+}
+
+// TestSuperviseWaitsFollowSeed pins the waits Supervise sleeps
+// between three failed attempts to the sequence Backoff.wait draws
+// from a source seeded with the policy's seed.
+func TestSuperviseWaitsFollowSeed(t *testing.T) {
+	const seed = 42
+	var waits []time.Duration
+	_, err := Supervise(2, func(p Plan) Outcome {
+		if p.Attempt < 3 {
+			return Outcome{Cost: 10, Err: errors.New("fault detected")}
+		}
+		return Outcome{Cost: 10}
+	}, Policy{Seed: seed, Sleep: noSleep(&waits)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Backoff{}.withDefaults()
+	rng := rand.New(rand.NewSource(seed))
+	want := []time.Duration{b.wait(1, rng), b.wait(2, rng), b.wait(3, rng)}
+	if !slices.Equal(waits, want) {
+		t.Fatalf("waits = %v, want %v", waits, want)
 	}
 }
 

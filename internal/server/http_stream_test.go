@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -84,9 +85,13 @@ func TestHTTPObservabilityEndpoints(t *testing.T) {
 		b.ReadFrom(resp.Body)
 		return resp.StatusCode, b.String()
 	}
+	// The job's own counters reach the fleet registry too: its
+	// traffic and its one supervised attempt.
 	if code, body := get("/metrics"); code != http.StatusOK ||
 		!strings.Contains(body, "server_jobs_verified_total 1") ||
-		!strings.Contains(body, "server_pool_networks_built_total") {
+		!strings.Contains(body, "server_pool_networks_built_total") ||
+		!regexp.MustCompile(`(?m)^sort_msgs_total\{kind="[a-z-]+"\} [1-9]`).MatchString(body) ||
+		!strings.Contains(body, "\nrecovery_attempts_total 1\n") {
 		t.Errorf("/metrics: %d\n%s", code, body)
 	}
 	if code, body := get("/debug/journal"); code != http.StatusOK || !strings.Contains(body, `"job"`) {

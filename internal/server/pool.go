@@ -119,6 +119,7 @@ func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 		if nw == nil {
 			break
 		}
+		p.idleGauge.Add(-1)
 		r, ok := nw.(resettable)
 		if !ok {
 			// Should not happen (put refuses to park these), but never
@@ -130,7 +131,6 @@ func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 			p.discard(nw)
 			continue
 		}
-		p.idleGauge.Add(-1)
 		p.reused.Inc()
 		return &lease{Network: nw, pool: p, key: key}, nil
 	}

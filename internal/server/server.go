@@ -2,7 +2,11 @@
 // machinery: a long-running multi-tenant process that accepts
 // concurrent sort jobs, runs each through reliablesort.Sort with
 // AutoRecover and spares on a pre-warmed pooled transport, and returns
-// verified results with per-job statistics and forensics.
+// verified results with per-job statistics and forensics. Each worker
+// records its job's journal events and causal flight records on a
+// journal and a flight recorder it empties before the job, and counts
+// the job's Φ, accusation, recovery and traffic metrics in the fleet
+// registry.
 //
 // The paper's contract survives the service boundary intact:
 // verification stays end-to-end *per job* — every job's attempt runs
@@ -296,9 +300,17 @@ func (s *Server) Submit(req Request) (*Response, error) {
 	return r.resp, r.err
 }
 
-// worker drains the scheduler until close-and-empty.
+// worker drains the scheduler until close-and-empty. It records every
+// job on one journal and one flight recorder of its own, and counts it
+// in the fleet metrics. A worker runs one job at a time, and Sort joins
+// every node goroutine before it returns, so no writer from one job
+// reaches the next job's recorders. The journal is not bound to
+// obs_journal_dropped_total, which describes the fleet journal that
+// /debug/journal serves.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	o := &obs.Observer{M: s.obs.M, J: obs.NewJournal(0)}
+	flight := forensic.New(0)
 	for {
 		j := s.sch.next()
 		if j == nil {
@@ -306,16 +318,16 @@ func (s *Server) worker() {
 		}
 		s.gQueue.Set(int64(s.sch.depthNow()))
 		s.gInflight.Add(1)
-		resp, err := s.runJob(j)
+		resp, err := s.runJob(j, o, flight)
 		s.gInflight.Add(-1)
 		j.done <- jobResult{resp: resp, err: err}
 	}
 }
 
-// runJob executes one job end to end: per-job observer and flight
-// recorder (isolated registries — no cross-job bleed), pooled
-// transport, AutoRecover with spares, and result classification.
-func (s *Server) runJob(j *job) (*Response, error) {
+// runJob executes one job end to end: it empties the worker's journal
+// and flight recorder for the job, then runs it on a pooled transport
+// with AutoRecover and spares and classifies the result.
+func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Response, error) {
 	started := time.Now()
 	queueMs := started.Sub(j.enqueued).Milliseconds()
 	s.hQueueMs.Observe(queueMs)
@@ -323,11 +335,8 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		Kind: obs.EvSpanBegin, Label: "job", Node: int32(j.id % (1 << 31)),
 		Stage: -1, Iter: -1, Aux: int64(len(j.req.Keys)),
 	})
-
-	// Per-job observability: a fresh registry and flight per job keeps
-	// every job's metrics, journal, and forensic reports isolated.
-	jobObs := obs.New(obs.NewRegistry(), 0)
-	flight := forensic.New(0)
+	o.J.Reset()
+	flight.Reset()
 
 	opts := reliablesort.Options{
 		Descending:  j.req.Descending,
@@ -338,7 +347,7 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		Spares:      s.cfg.Spares,
 		Seed:        int64(j.id),
 		Sleep:       s.cfg.Sleep,
-		Obs:         jobObs,
+		Obs:         o,
 		Flight:      flight,
 		NewNetwork:  s.pool.Get,
 	}

@@ -13,8 +13,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/forensic"
 	"repro/internal/recovery"
 	"repro/internal/reliablesort"
+	"repro/internal/transport"
 )
 
 // testConfig is a fast simnet-backed server configuration: no real
@@ -207,6 +209,66 @@ func TestServerChaos(t *testing.T) {
 	// recycling them.
 	if s.pool.Stats().Discarded == 0 {
 		t.Error("chaos run never quarantined a pooled network")
+	}
+}
+
+// TestServerReusedRecordersIsolateJobs runs honest and injected jobs
+// at once on four workers, each reusing one journal and flight
+// recorder across its jobs (run it under -race). Every job verifies,
+// only an injected job reports accusations and they name its liar, and
+// every job's counters reach the fleet registry.
+func TestServerReusedRecordersIsolateJobs(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+
+	const jobs = 24
+	rng := rand.New(rand.NewSource(19))
+	var wg sync.WaitGroup
+	attempts := make([]int, jobs)
+	for i := 0; i < jobs; i++ {
+		keys := make([]int64, 8+rng.Intn(120))
+		for j := range keys {
+			keys[j] = rng.Int63n(10000) - 5000
+		}
+		liar := -1
+		var inj *ChaosSpec
+		if i%2 == 1 {
+			liar = (i / 2) % 4
+			inj = &ChaosSpec{Class: "message", Node: liar, Strategy: "key-lie", Lie: 999999, Transient: i%4 == 1}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := s.Submit(Request{Tenant: fmt.Sprintf("t%d", i%3), Keys: keys, Dim: 2, Inject: inj})
+			if err != nil {
+				t.Errorf("job %d (liar %d): %v", i, liar, err)
+				return
+			}
+			want := refSorted(keys, false)
+			if !slices.Equal(resp.Sorted, want) {
+				t.Errorf("job %d (liar %d): silently wrong result", i, liar)
+			}
+			switch acc := resp.Stats.Accused; {
+			case liar < 0 && len(acc) != 0:
+				t.Errorf("honest job %d reports accusations %v", i, acc)
+			case liar >= 0 && !slices.Contains(acc, liar):
+				t.Errorf("job %d: Accused %v does not name the liar %d", i, acc, liar)
+			}
+			attempts[i] = resp.Stats.Attempts
+		}(i)
+	}
+	wg.Wait()
+
+	total := 0
+	for _, a := range attempts {
+		total += a
+	}
+	m := s.obs.M
+	if got := m.RecoveryAttempts.Value(); got != int64(total) {
+		t.Errorf("recovery_attempts_total = %d, jobs report %d attempts", got, total)
+	}
+	if m.Accusations.Value() == 0 || m.PhiFail[obs.PhiC].Value()+m.PhiFail[obs.PhiF].Value()+m.PhiFail[obs.PhiP].Value() == 0 {
+		t.Errorf("injected jobs' accusations or failed Φ checks missing from the fleet registry")
 	}
 }
 
@@ -488,6 +550,33 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	}
 	if sch.next() != nil {
 		t.Fatal("drained scheduler dispensed a phantom job")
+	}
+}
+
+// failingReset is a simnet network the pool cannot reset.
+type failingReset struct{ transport.Network }
+
+func (failingReset) Reset(*obs.Metrics, *forensic.Flight) error { return errors.New("reset refused") }
+
+// TestPoolIdleGaugeTracksDiscards pins server_pool_networks_idle to
+// the idle list when a parked network fails its Reset at checkout and
+// is discarded.
+func TestPoolIdleGaugeTracksDiscards(t *testing.T) {
+	p := NewPool(func(cfg reliablesort.NetConfig) (transport.Network, error) {
+		nw, err := reliablesort.NewSimnet(cfg)
+		return failingReset{nw}, err
+	}, 4, obs.NewRegistry())
+	defer p.Close()
+	cfg := reliablesort.NetConfig{Dim: 2, RecvTimeout: time.Second}
+	if err := p.Warm(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.Idle != 0 || st.Discarded != 1 || p.idleGauge.Value() != int64(st.Idle) {
+		t.Errorf("after a failed Reset: gauge %d, stats %+v; want gauge = idle = 0, 1 discarded", p.idleGauge.Value(), st)
 	}
 }
 
