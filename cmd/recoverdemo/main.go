@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/recovery"
@@ -29,15 +28,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "recoverdemo:", err)
 		os.Exit(1)
 	}
-}
-
-func strategyByName(name string) (fault.Strategy, error) {
-	for _, st := range fault.AllStrategies() {
-		if st.String() == name {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown strategy %q (try key-lie, split-lie, view-lie, wrong-compare, silence, mask-inflation, stale-replay)", name)
 }
 
 func run(args []string, out io.Writer) error {
@@ -64,9 +54,9 @@ func run(args []string, out io.Writer) error {
 	if *site < 0 || *site >= n {
 		return fmt.Errorf("site %d outside [0,%d)", *site, n)
 	}
-	st, err := strategyByName(*strategy)
-	if err != nil {
-		return err
+	st, ok := fault.ByName(fault.AllStrategies(), *strategy)
+	if !ok {
+		return fmt.Errorf("unknown strategy %q (try key-lie, split-lie, view-lie, wrong-compare, silence, mask-inflation, stale-replay)", *strategy)
 	}
 	keys := experiments.Keys(2*n, *seed)
 
@@ -81,27 +71,14 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n\n")
 
-	inject := func(attempt, d int, physical []int) []core.Options {
-		opts := make([]core.Options, 1<<uint(d))
-		if !*persistent && attempt > 0 {
-			return opts
-		}
-		for logical, ph := range physical {
-			if ph == *site {
-				spec := fault.Spec{Node: logical, Strategy: st, ActivateStage: 1, LieValue: *lie}
-				opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-			}
-		}
-		return opts
-	}
-
+	spec := fault.Spec{Node: *site, Strategy: st, ActivateStage: 1, LieValue: *lie}
 	sorted, stats, err := reliablesort.Sort(keys, reliablesort.Options{
 		Dim:         *dim,
 		RecvTimeout: *timeout,
 		AutoRecover: true,
 		MaxAttempts: *attempts,
 		Spares:      *spares,
-		Inject:      inject,
+		Inject:      fault.Follow(fault.Case{Msg: &spec}, *site, *persistent),
 	})
 	if err != nil {
 		var ex *recovery.ExhaustedError

@@ -87,8 +87,11 @@ type jobPlan struct {
 	inject *server.ChaosSpec
 }
 
-// planJob derives job i's workload from the run seed alone.
-func planJob(seed int64, i int, tenants []string, sizes []int, faultRate float64) jobPlan {
+// planJob derives job i's workload from the run seed alone. A fault
+// lands on a node in [0, nodes): the 2^dim nodes of the job's cube, or,
+// when the server chooses the dimension, the 4 that every cube it
+// picks for 4 or more keys has.
+func planJob(seed int64, i int, tenants []string, sizes []int, faultRate float64, nodes int) jobPlan {
 	rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 	n := sizes[rng.Intn(len(sizes))]
 	keys := make([]int64, n)
@@ -103,13 +106,13 @@ func planJob(seed int64, i int, tenants []string, sizes []int, faultRate float64
 	if rng.Float64() < faultRate {
 		switch rng.Intn(3) {
 		case 0:
-			p.inject = &server.ChaosSpec{Class: "message", Node: rng.Intn(4),
+			p.inject = &server.ChaosSpec{Class: "message", Node: rng.Intn(nodes),
 				Strategy: "key-lie", Lie: 999999, Transient: rng.Intn(2) == 0}
 		case 1:
-			p.inject = &server.ChaosSpec{Class: "comparison", Node: rng.Intn(4),
+			p.inject = &server.ChaosSpec{Class: "comparison", Node: rng.Intn(nodes),
 				Mode: "cmp-persistent", Rate: 1, Seed: seed + int64(i), Transient: rng.Intn(2) == 0}
 		case 2:
-			p.inject = &server.ChaosSpec{Class: "memory", Node: rng.Intn(4),
+			p.inject = &server.ChaosSpec{Class: "memory", Node: rng.Intn(nodes),
 				Mode: "mem-flip", Rate: 0.5, Seed: seed + int64(i), Transient: true}
 		}
 	}
@@ -160,6 +163,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	nodes := 4
+	if *dim > 0 {
+		nodes = 1 << uint(*dim)
+	}
 	tenants := strings.Split(*tenantsFlag, ",")
 	var sizes []int
 	for _, s := range strings.Split(*sizesFlag, ",") {
@@ -196,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				if i >= *jobs {
 					return
 				}
-				p := planJob(*seed, i, tenants, sizes, *faultRate)
+				p := planJob(*seed, i, tenants, sizes, *faultRate, nodes)
 				class := 0
 				if p.inject != nil {
 					injected.Add(1)

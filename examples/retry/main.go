@@ -24,7 +24,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/reliablesort"
 )
@@ -34,26 +33,16 @@ func run(title string, persistent bool) {
 	const culprit = 6
 
 	fmt.Printf("=== %s ===\n", title)
-	inject := func(attempt, dim int, physical []int) []core.Options {
-		opts := make([]core.Options, 1<<uint(dim))
-		if !persistent && attempt > 0 {
-			return opts // the episode has passed
-		}
-		for logical, ph := range physical {
-			if ph == culprit {
-				spec := fault.Spec{Node: logical, Strategy: fault.ViewLie, ActivateStage: 1, LieValue: -404}
-				opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-			}
-		}
-		return opts
-	}
+	// The view lie follows physical node culprit across remaps; a
+	// transient episode has passed by the retry.
+	spec := fault.Spec{Node: culprit, Strategy: fault.ViewLie, ActivateStage: 1, LieValue: -404}
 
 	out, stats, err := reliablesort.Sort(keys, reliablesort.Options{
 		Dim:         3,
 		RecvTimeout: 200 * time.Millisecond,
 		AutoRecover: true,
 		MaxAttempts: 5,
-		Inject:      inject,
+		Inject:      fault.Follow(fault.Case{Msg: &spec}, culprit, persistent),
 	})
 	if err != nil {
 		log.Fatalf("%s: %v", title, err)

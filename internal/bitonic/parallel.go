@@ -138,7 +138,8 @@ func parallelMergeInto(dst, a, b []int64, workers int) {
 	wg.Wait()
 }
 
-// resolveWorkers maps the Parallelism knob to a concrete worker count.
+// resolveWorkers maps a worker count, <= 0 meaning GOMAXPROCS, to a
+// concrete one.
 func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -84,12 +84,6 @@ type Options struct {
 	// all Observer methods are nil-safe and allocation-free, so the
 	// steady-state exchange path stays zero-allocation.
 	Obs *obs.Observer
-	// Parallelism caps the worker count for the data-parallel
-	// merge-split and local-sort paths: <= 0 means GOMAXPROCS. Worker
-	// count never changes outputs or charged comparison counts — the
-	// parallel merges are bit-identical to their sequential
-	// counterparts — only wall-clock time.
-	Parallelism int
 
 	// The remaining flags are ablation switches used to quantify how
 	// much each mechanism of the paradigm contributes (DESIGN.md §5).
@@ -213,10 +207,11 @@ func (r *runner) nextBuf() []int64 {
 }
 
 // localSort sorts the node's block ascending in place and charges the
-// endpoint the comparison cost. The charged count is identical for
-// every worker count.
+// endpoint the comparison cost. The local sort and the merge-splits fan
+// out over GOMAXPROCS workers (a worker count of 0); the charged counts
+// and outputs are those of the sequential algorithms.
 func (r *runner) localSort(b []int64) {
-	sorted, compares := bitonic.ParallelMergeSortCount(b, r.opts.Parallelism)
+	sorted, compares := bitonic.ParallelMergeSortCount(b, 0)
 	copy(b, sorted)
 	r.ep.ChargeCompare(compares)
 	r.ep.ChargeKeyMove(len(b))
@@ -393,7 +388,7 @@ func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 		lo, hi, compares, merr = bitonic.MergeSplitFuncInto(r.nextBuf(), mine, theirs,
 			func(a, b int64) bool { return r.opts.Compare(s, a, b) })
 	} else {
-		lo, hi, compares, merr = bitonic.MergeSplitParallelInto(r.nextBuf(), mine, theirs, r.opts.Parallelism)
+		lo, hi, compares, merr = bitonic.MergeSplitParallelInto(r.nextBuf(), mine, theirs, 0)
 	}
 	if merr != nil {
 		return nil, fmt.Errorf("core: %w", merr)
@@ -456,7 +451,7 @@ func (r *runner) passiveReply(mine []int64, s, j, partner int, ascending bool) (
 		// merge-split is verifiable.
 		if j == s {
 			if idx := partner - r.view.sc.Start; r.view.have.Has(idx) {
-				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, r.view.blocks[idx], r.opts.Parallelism)
+				wantLo, wantHi, _, merr := bitonic.MergeSplitParallelInto(r.msCheck[:0], mine, r.view.blocks[idx], 0)
 				if merr == nil {
 					wantKeep, wantGive := wantLo, wantHi
 					if !ascending {

@@ -213,20 +213,17 @@ func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRo
 		seed := cellSeed ^ (int64(run)+1)*0x9E3779B9
 		keys := Keys(n*m, seed)
 
-		var res fault.Result
-		var err error
-		switch {
-		case row.class == fault.ClassComparison:
-			spec := fault.CmpSpec{Node: node, Mode: row.cmpMode, Rate: row.rate, Seed: seed, ActivateStage: 1}
-			res, err = fault.InjectCmpSFT(dim, keys, m, spec, cfg.Timeout)
-		case row.class == fault.ClassMemory:
-			spec := fault.MemSpec{Node: node, Mode: row.memMode, Rate: row.rate, Seed: seed,
+		var c fault.Case
+		switch row.class {
+		case fault.ClassComparison:
+			c.Cmp = &fault.CmpSpec{Node: node, Mode: row.cmpMode, Rate: row.rate, Seed: seed, ActivateStage: 1}
+		case fault.ClassMemory:
+			c.Mem = &fault.MemSpec{Node: node, Mode: row.memMode, Rate: row.rate, Seed: seed,
 				ActivateStage: 1, StuckValue: cfg.Lie}
-			res, err = fault.InjectMemSFT(dim, keys, m, spec, cfg.Timeout)
 		default:
-			spec := fault.Spec{Node: node, Strategy: row.strategy, ActivateStage: 1, LieValue: cfg.Lie}
-			res, err = fault.InjectSFT(dim, keys, m, spec, cfg.Timeout)
+			c.Msg = &fault.Spec{Node: node, Strategy: row.strategy, ActivateStage: 1, LieValue: cfg.Lie}
 		}
+		res, err := fault.Inject(dim, keys, m, c, cfg.Timeout)
 		if err != nil {
 			return CoverageCell{}, fmt.Errorf("run %d node %d: %w", run, node, err)
 		}

@@ -282,8 +282,6 @@ type branchRun struct {
 	// verifyErr is the checker's complaint about the output, nil when
 	// it verified (meaningless for Detected runs).
 	verifyErr error
-	// detected mirrors Outcome.Detected().
-	detected bool
 }
 
 // runOnce executes the case once under the given controlled scheduler
@@ -323,64 +321,17 @@ func (x *explorer) runOnce(c fault.Case, sched simnet.Scheduler) (branchRun, err
 	if err != nil {
 		return branchRun{}, err
 	}
-	hostErrs := core.DrainHostErrors(nw)
-	oc := &core.Outcome{Sorted: out, Result: res, HostErrors: hostErrs}
+	oc := &core.Outcome{Sorted: out, Result: res, HostErrors: core.DrainHostErrors(nw)}
 
-	br := branchRun{steps: nw.Steps(), detected: oc.Detected()}
-	br.verifyErr = checker.Verify(x.keys, out, true)
-	br.diag, br.dump = diagnose(oc, br.verifyErr, flight)
+	br := branchRun{steps: nw.Steps(), verifyErr: checker.Verify(x.keys, out, true)}
+	r := fault.Classify(oc, br.verifyErr, flight)
+	br.dump = r.Forensic
+	br.diag = Diagnosis{Verdict: r.Verdict, Detector: r.Detector, Predicate: r.Predicate,
+		Accused: r.Accused, Stage: r.Stage, Iter: r.Iter}
+	if br.dump != nil {
+		br.diag.DivStage, br.diag.DivIter, br.diag.DivOK = br.dump.FirstDivergence()
+	}
 	return br, nil
-}
-
-// diagnose classifies a finished run the same way the coverage matrix
-// does (earliest host evidence, forensic dump attachment), extended
-// with the first-divergence locator the chaostest replay cross-checks.
-func diagnose(oc *core.Outcome, verifyErr error, flight *forensic.Flight) (Diagnosis, *forensic.Report) {
-	d := Diagnosis{Accused: -1}
-	if !oc.Detected() {
-		if verifyErr != nil {
-			d.Verdict = fault.SilentWrong
-		} else {
-			d.Verdict = fault.CorrectDespiteFault
-		}
-		return d, nil
-	}
-	d.Verdict = fault.Detected
-	he, ok := fault.EarliestEvidence(oc.HostErrors)
-	if !ok {
-		d.Detector = "node-local"
-		return d, nil
-	}
-	d.Predicate = he.Predicate
-	d.Accused = he.Accused
-	d.Stage, d.Iter = he.Stage, he.Iter
-	if he.Kind == core.KindAbsence {
-		d.Detector = "absence"
-	} else {
-		d.Detector = he.Predicate
-	}
-	dump := matchDump(flight, he)
-	if dump != nil {
-		d.DivStage, d.DivIter, d.DivOK = dump.FirstDivergence()
-	}
-	return d, dump
-}
-
-// matchDump pairs the earliest host evidence with the forensic dump it
-// triggered, by (accuser, stage, iter, predicate); the latest dump
-// stands in when none matches, mirroring fault.Result.attachForensic.
-func matchDump(flight *forensic.Flight, he core.HostError) *forensic.Report {
-	reports := flight.Reports()
-	if len(reports) == 0 {
-		return nil
-	}
-	for _, rep := range reports {
-		if int(rep.Accuser) == he.Node && int(rep.Stage) == he.Stage &&
-			int(rep.Iter) == he.Iter && rep.Predicate == he.Predicate {
-			return rep
-		}
-	}
-	return reports[len(reports)-1]
 }
 
 // checkInvariant returns the broken invariant's identifier and a
@@ -388,9 +339,10 @@ func matchDump(flight *forensic.Flight, he core.HostError) *forensic.Report {
 // contract.
 func (x *explorer) checkInvariant(c fault.Case, br branchRun) (string, string) {
 	faultFree := c.Faulty() < 0
+	detected := br.diag.Verdict == fault.Detected
 	if faultFree && !x.cfg.WeakenChecks {
 		switch {
-		case br.detected:
+		case detected:
 			return InvFaultFree, fmt.Sprintf("fault-free run detected: verdict %v, accused %d (%s at stage %d iter %d)",
 				br.diag.Verdict, br.diag.Accused, br.diag.Detector, br.diag.Stage, br.diag.Iter)
 		case br.verifyErr != nil:
@@ -398,7 +350,7 @@ func (x *explorer) checkInvariant(c fault.Case, br branchRun) (string, string) {
 		}
 		return "", ""
 	}
-	if !br.detected && br.verifyErr != nil {
+	if !detected && br.verifyErr != nil {
 		return InvVerifiedOrEscalated, fmt.Sprintf("undetected run with wrong output: %v", br.verifyErr)
 	}
 	return "", ""

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -67,38 +68,15 @@ func RandomAdversary(seed int64, activateStage int) func(m *wire.Message) *wire.
 			c.Kind = kinds[rng.Intn(len(kinds))]
 			return c
 		default: // structured value lies
-			switch m.Kind {
-			case wire.KindFTExchange:
-				p, err := wire.DecodeFTExchange(m.Payload)
-				if err != nil {
-					return m
+			return rewrite(m, true, func(_ *wire.Message, keys []int64, v *wire.View) bool {
+				if len(keys) > 0 && rng.Intn(2) == 0 {
+					keys[rng.Intn(len(keys))] = rng.Int63n(2000) - 1000
 				}
-				if len(p.Keys) > 0 && rng.Intn(2) == 0 {
-					p.Keys[rng.Intn(len(p.Keys))] = rng.Int63n(2000) - 1000
+				if len(v.Vals) > 0 {
+					v.Vals[rng.Intn(len(v.Vals))] = rng.Int63n(2000) - 1000
 				}
-				if len(p.View.Vals) > 0 {
-					p.View.Vals[rng.Intn(len(p.View.Vals))] = rng.Int63n(2000) - 1000
-				}
-				buf, err := wire.EncodeFTExchange(p)
-				if err != nil {
-					return m
-				}
-				return withPayload(m, buf)
-			case wire.KindVerify:
-				p, err := wire.DecodeVerify(m.Payload)
-				if err != nil {
-					return m
-				}
-				if len(p.View.Vals) > 0 {
-					p.View.Vals[rng.Intn(len(p.View.Vals))] = rng.Int63n(2000) - 1000
-				}
-				buf, err := wire.EncodeVerify(p)
-				if err != nil {
-					return m
-				}
-				return withPayload(m, buf)
-			}
-			return m
+				return true
+			})
 		}
 	}
 }
@@ -118,12 +96,14 @@ func AdversarySearch(dim int, keys []int64, trials int, seed int64, timeout time
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := rng.Int63()
 		faulty := rng.Intn(n)
-		r, err := injectAdversary(dim, keys, faulty, trialSeed, timeout)
+		opts := make([]core.Options, n)
+		opts[faulty] = core.Options{SkipChecks: true, Tamper: RandomAdversary(trialSeed, 1)}
+		r, err := run(dim, keys, 1, opts, timeout)
 		if err != nil {
 			return Summary{}, nil, fmt.Errorf("fault: adversary trial %d: %w", trial, err)
 		}
 		sum.Total++
-		switch r {
+		switch r.Verdict {
 		case Detected:
 			sum.Detected++
 		case CorrectDespiteFault:
@@ -134,16 +114,4 @@ func AdversarySearch(dim int, keys []int64, trials int, seed int64, timeout time
 		}
 	}
 	return sum, counterexamples, nil
-}
-
-func injectAdversary(dim int, keys []int64, faulty int, seed int64, timeout time.Duration) (Verdict, error) {
-	spec := Spec{Node: faulty, Strategy: KeyLie, ActivateStage: 1} // placeholder for validation ranges
-	if err := spec.Validate(1 << uint(dim)); err != nil {
-		return 0, err
-	}
-	r, err := injectWithTamper(dim, keys, faulty, RandomAdversary(seed, 1), timeout)
-	if err != nil {
-		return 0, err
-	}
-	return r, nil
 }

@@ -64,30 +64,26 @@ type Result struct {
 	// without its ERROR reaching the host. Empty when not Detected.
 	Detector string
 	// Accused is the node the earliest detection evidence implicates;
-	// -1 when the evidence names no culprit or the detection was
-	// node-local. Meaningful only when Verdict is Detected.
+	// -1 when the evidence names no culprit, the detection was
+	// node-local, or the run was not Detected.
 	Accused int
+	// Stage and Iter locate the earliest detection evidence; zero when
+	// no host evidence arrived.
+	Stage int
+	Iter  int
 	// Forensic is the flight-recorder dump taken by the accusing node
 	// at detection time: the accusation's causal message chain and the
-	// per-node event rings. Nil when the run was not Detected (or the
-	// detection never produced an accusation, e.g. a node-local
-	// fail-stop with no evidence record).
+	// per-node event rings. Nil when the run was not Detected or no
+	// host evidence arrived (a node-local fail-stop).
 	Forensic *forensic.Report
 }
 
 // EarliestEvidence picks the canonical detection evidence from a drained
-// host mailbox: the earliest by (stage, iter, node). Every consumer of
-// host evidence keys off this order rather than arrival order, which is
+// host mailbox: the earliest by (stage, iter, node). Host-mailbox drain
+// order races between node goroutines, so every consumer of host
+// evidence keys off this order rather than arrival order, which is also
 // what lets the explorer fold host-drain histories commutatively.
 func EarliestEvidence(errs []core.HostError) (core.HostError, bool) {
-	return earliestHostError(errs)
-}
-
-// earliestHostError picks the detection evidence deterministically:
-// host-mailbox drain order races between node goroutines, so the
-// matrix keys off the earliest (stage, iter, node) evidence instead of
-// arrival order.
-func earliestHostError(errs []core.HostError) (core.HostError, bool) {
 	if len(errs) == 0 {
 		return core.HostError{}, false
 	}
@@ -102,90 +98,94 @@ func earliestHostError(errs []core.HostError) (core.HostError, bool) {
 	return best, true
 }
 
-// classify fills a Result's detection fields from a finished run's
-// host evidence.
-func (r *Result) classify(detected bool, errs []core.HostError) {
-	r.Accused = -1
-	if !detected {
-		return
-	}
-	r.Verdict = Detected
-	he, ok := earliestHostError(errs)
-	if !ok {
-		r.Detector = "node-local"
-		return
-	}
-	r.Predicate = he.Predicate
-	r.Accused = he.Accused
-	if he.Kind == core.KindAbsence {
-		r.Detector = "absence"
-	} else {
-		r.Detector = he.Predicate
-	}
-}
-
-// attachForensic pairs a classified Detected result with the flight
-// dump its earliest host evidence triggered, matching on the
-// (accuser, stage, iter, predicate) coordinate; when the earliest
-// evidence produced no dump (raced rings, node-local detection) the
-// latest dump stands in, and a run with no dumps leaves Forensic nil.
-func (r *Result) attachForensic(flight *forensic.Flight, errs []core.HostError) {
-	if r.Verdict != Detected || flight == nil {
-		return
-	}
-	reports := flight.Reports()
-	if len(reports) == 0 {
-		return
-	}
-	if he, ok := earliestHostError(errs); ok {
-		for _, rep := range reports {
-			if int(rep.Accuser) == he.Node && int(rep.Stage) == he.Stage &&
-				int(rep.Iter) == he.Iter && rep.Predicate == he.Predicate {
-				r.Forensic = rep
-				return
-			}
-		}
-	}
-	r.Forensic = reports[len(reports)-1]
-}
-
-// InjectSFT runs the fault-tolerant sort on a fresh network, m keys
-// per node (keys[id*m:(id+1)*m] is node id's block; S_FT proper is
-// m = 1), with one Byzantine processor per the spec and classifies the
-// outcome. The timeout bounds how long absence detection waits; keep
-// it short (tens of milliseconds) since fail-stop cascades serialize
-// on it.
-func InjectSFT(dim int, keys []int64, m int, spec Spec, timeout time.Duration) (Result, error) {
-	if err := spec.Validate(1 << uint(dim)); err != nil {
-		return Result{}, err
-	}
-	o := core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-	res := Result{Spec: spec, Class: spec.Strategy.Class(), Label: spec.Strategy.String()}
-	return injectWith(dim, keys, m, spec.Node, o, timeout, res)
-}
-
-// injectWithTamper runs S_FT with an arbitrary tamper hook at one node
-// and classifies the outcome.
-func injectWithTamper(dim int, keys []int64, faulty int, tamper func(*wire.Message) *wire.Message, timeout time.Duration) (Verdict, error) {
-	n := 1 << uint(dim)
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout})
-	if err != nil {
-		return 0, err
-	}
-	opts := make([]core.Options, n)
-	opts[faulty] = core.Options{SkipChecks: true, Tamper: tamper}
-	oc, err := core.RunWithOptions(nw, keys, opts)
-	if err != nil {
-		return 0, err
-	}
+// Classify judges a finished fault-tolerant run. It is Detected when
+// any node fail-stopped; otherwise verifyErr, the Theorem 1 oracle's
+// complaint about the output (nil when it verified), makes it
+// SilentWrong or CorrectDespiteFault. A detection is attributed to the
+// earliest host evidence: its predicate names the detector, or
+// "absence" for a missing message, or "node-local" when no evidence
+// reached the host. It carries the flight dump that evidence
+// triggered, matched on (accuser, stage, iter, predicate); when none
+// matches (raced rings) the latest dump stands in. A node-local
+// detection has no evidence to match and carries no dump.
+func Classify(oc *core.Outcome, verifyErr error, flight *forensic.Flight) Result {
+	r := Result{Accused: -1}
 	switch {
 	case oc.Detected():
-		return Detected, nil
-	case checker.Verify(keys, oc.Sorted, true) != nil:
-		return SilentWrong, nil
+		r.Verdict = Detected
+	case verifyErr != nil:
+		r.Verdict = SilentWrong
+		return r
 	default:
-		return CorrectDespiteFault, nil
+		r.Verdict = CorrectDespiteFault
+		return r
 	}
+	he, ok := EarliestEvidence(oc.HostErrors)
+	if !ok {
+		r.Detector = "node-local"
+		return r
+	}
+	r.Predicate, r.Accused, r.Stage, r.Iter = he.Predicate, he.Accused, he.Stage, he.Iter
+	r.Detector = he.Predicate
+	if he.Kind == core.KindAbsence {
+		r.Detector = "absence"
+	}
+	reports := flight.Reports()
+	for _, rep := range reports {
+		if int(rep.Accuser) == he.Node && int(rep.Stage) == he.Stage &&
+			int(rep.Iter) == he.Iter && rep.Predicate == he.Predicate {
+			r.Forensic = rep
+			return r
+		}
+	}
+	if len(reports) > 0 {
+		r.Forensic = reports[len(reports)-1]
+	}
+	return r
+}
+
+// Inject runs the fault-tolerant sort on a fresh network, m keys per
+// node (keys[id*m:(id+1)*m] is node id's block; S_FT proper is m = 1),
+// with the case's one faulty node, and classifies the outcome. The
+// timeout bounds how long absence detection waits; keep it short (tens
+// of milliseconds) since fail-stop cascades serialize on it.
+func Inject(dim int, keys []int64, m int, c Case, timeout time.Duration) (Result, error) {
+	n := 1 << uint(dim)
+	if err := c.Validate(n); err != nil {
+		return Result{}, err
+	}
+	res, err := run(dim, keys, m, c.Options(n), timeout)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Class, res.Label = c.kind()
+	if c.Msg != nil {
+		res.Spec = *c.Msg
+	}
+	return res, nil
+}
+
+// run executes the fault-tolerant sort on a fresh simnet cube, m keys
+// per node, with the per-node options opts (armed faults), records it
+// on a flight recorder, and classifies the outcome.
+func run(dim int, keys []int64, m int, opts []core.Options, timeout time.Duration) (Result, error) {
+	n := 1 << uint(dim)
+	if m < 1 || len(keys) != n*m {
+		return Result{}, fmt.Errorf("fault: %d keys for %d nodes of %d keys each", len(keys), n, m)
+	}
+	flight := forensic.New(0)
+	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
+	if err != nil {
+		return Result{}, err
+	}
+	for i := range opts {
+		opts[i].Forensic = flight.Node(i)
+	}
+	oc, err := core.RunBlocks(nw, keys, m, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return Classify(oc, checker.Verify(keys, oc.Sorted, true), flight), nil
 }
 
 // InjectSNR runs the unreliable S_NR under the same fault spec, for
@@ -286,7 +286,7 @@ func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, ti
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			spec := Spec{Node: jb.node, Strategy: strategies[jb.strat], ActivateStage: 1, LieValue: lie}
-			r, err := InjectSFT(dim, keys, m, spec, timeout)
+			r, err := Inject(dim, keys, m, Case{Msg: &spec}, timeout)
 			if err != nil {
 				errs[i] = fmt.Errorf("fault: coverage %v node %d: %w", spec.Strategy, jb.node, err)
 				return

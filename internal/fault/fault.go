@@ -77,6 +77,18 @@ func AllStrategies() []Strategy {
 	return []Strategy{KeyLie, SplitLie, ViewLie, WrongCompare, Silence, MaskInflation, StaleReplay, DigestLie, PermuteLie}
 }
 
+// ByName returns the member of all whose kebab-case name is name: the
+// inverse of String over AllStrategies, AllCmpModes or AllMemModes.
+func ByName[T fmt.Stringer](all []T, name string) (T, bool) {
+	for _, v := range all {
+		if v.String() == name {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
 // Spec describes one injected processor fault.
 type Spec struct {
 	// Node is the faulty node's label.
@@ -110,27 +122,48 @@ func (s Spec) Validate(nodes int) error {
 // The hook is stateless with respect to the run and safe to use for a
 // single node's outgoing traffic.
 func (s Spec) Tamper() func(m *wire.Message) *wire.Message {
+	verify := false // whether the lie reaches verification payloads too
+	var lie edit
 	switch s.Strategy {
 	case KeyLie:
-		return s.tamperKeys()
+		lie = s.lieKeys
 	case SplitLie:
-		return s.tamperSplitLie()
+		verify, lie = true, s.splitView
 	case ViewLie:
-		return s.tamperViewLie()
+		lie = s.lieRelayed
 	case WrongCompare:
-		return s.tamperWrongCompare()
-	case Silence:
-		return s.tamperSilence()
+		lie = swapHalves
 	case MaskInflation:
-		return s.tamperMaskInflation()
-	case StaleReplay:
-		return s.tamperStaleReplay()
+		lie = s.inflateMask
 	case DigestLie:
-		return s.tamperDigestLie()
+		verify, lie = true, s.lieDigest
 	case PermuteLie:
-		return s.tamperPermuteLie()
+		verify, lie = true, permuteView
+	case Silence:
+		return func(m *wire.Message) *wire.Message {
+			if !s.active(m) {
+				return m
+			}
+			return nil
+		}
+	case StaleReplay:
+		return func(m *wire.Message) *wire.Message {
+			if !s.active(m) {
+				return m
+			}
+			c := cloneMessage(m)
+			c.Stage = 0
+			c.Iter = 0
+			return c
+		}
 	default:
 		return func(m *wire.Message) *wire.Message { return m }
+	}
+	return func(m *wire.Message) *wire.Message {
+		if !s.active(m) {
+			return m
+		}
+		return rewrite(m, verify, lie)
 	}
 }
 
@@ -138,253 +171,139 @@ func (s Spec) active(m *wire.Message) bool {
 	return int(m.Stage) >= s.ActivateStage
 }
 
-func (s Spec) tamperKeys() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) || m.Kind != wire.KindFTExchange {
-			return m
-		}
-		p, err := wire.DecodeFTExchange(m.Payload)
-		if err != nil {
-			return m
-		}
-		for i := range p.Keys {
-			p.Keys[i] = s.LieValue
-		}
-		buf, err := wire.EncodeFTExchange(p)
-		if err != nil {
-			return m
-		}
-		return withPayload(m, buf)
-	}
-}
+// edit changes the decoded payload of m in place: the keys and view of
+// an exchange, or the view of a verification message (keys nil). It
+// reports whether the payload is to be re-encoded.
+type edit func(m *wire.Message, keys []int64, v *wire.View) bool
 
-func (s Spec) tamperSplitLie() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		rewrite := func(v *wire.View) bool {
-			slot := s.Node - int(v.Base)
-			changed := false
-			for i, idx := range v.Mask.Indices() {
-				if idx == slot {
-					b := v.Block(i)
-					for k := range b {
-						b[k] = s.LieValue + int64(m.To) // differs per receiver
-					}
-					changed = true
-				}
-			}
-			return changed
-		}
-		if !s.active(m) {
+// rewrite decodes m's exchange payload (and, with verify, its
+// verification payload), applies e, and returns a copy of m's header
+// carrying the re-encoded payload. A message of another kind, an
+// undecodable payload, an edit reporting false, or a failed encode
+// returns m itself.
+func rewrite(m *wire.Message, verify bool, e edit) *wire.Message {
+	var buf []byte
+	var err error
+	switch {
+	case m.Kind == wire.KindFTExchange:
+		p, derr := wire.DecodeFTExchange(m.Payload)
+		if derr != nil || !e(m, p.Keys, &p.View) {
 			return m
 		}
-		switch m.Kind {
-		case wire.KindFTExchange:
-			p, err := wire.DecodeFTExchange(m.Payload)
-			if err != nil || !rewrite(&p.View) {
-				return m
-			}
-			buf, err := wire.EncodeFTExchange(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
-		case wire.KindVerify:
-			p, err := wire.DecodeVerify(m.Payload)
-			if err != nil || !rewrite(&p.View) {
-				return m
-			}
-			buf, err := wire.EncodeVerify(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
+		buf, err = wire.EncodeFTExchange(p)
+	case verify && m.Kind == wire.KindVerify:
+		p, derr := wire.DecodeVerify(m.Payload)
+		if derr != nil || !e(m, nil, &p.View) {
+			return m
 		}
+		buf, err = wire.EncodeVerify(p)
+	default:
 		return m
 	}
-}
-
-func (s Spec) tamperViewLie() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) || m.Kind != wire.KindFTExchange {
-			return m
-		}
-		p, err := wire.DecodeFTExchange(m.Payload)
-		if err != nil || len(p.View.Vals) == 0 {
-			return m
-		}
-		// Corrupt the last relayed entry — typically another node's.
-		p.View.Vals[len(p.View.Vals)-1] = s.LieValue
-		buf, err := wire.EncodeFTExchange(p)
-		if err != nil {
-			return m
-		}
-		return withPayload(m, buf)
+	if err != nil {
+		return m
 	}
+	return withPayload(m, buf)
 }
 
-func (s Spec) tamperWrongCompare() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) || m.Kind != wire.KindFTExchange {
-			return m
-		}
-		p, err := wire.DecodeFTExchange(m.Payload)
-		if err != nil || len(p.Keys) < 2 || len(p.Keys)%2 != 0 {
-			return m
-		}
-		half := len(p.Keys) / 2
-		for i := 0; i < half; i++ {
-			p.Keys[i], p.Keys[half+i] = p.Keys[half+i], p.Keys[i]
-		}
-		buf, err := wire.EncodeFTExchange(p)
-		if err != nil {
-			return m
-		}
-		return withPayload(m, buf)
+// lieKeys substitutes the lie value for every key sent.
+func (s Spec) lieKeys(_ *wire.Message, keys []int64, _ *wire.View) bool {
+	for i := range keys {
+		keys[i] = s.LieValue
 	}
+	return true
 }
 
-func (s Spec) tamperSilence() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) {
-			return m
+// splitView reports the node's own view slot as a value that differs
+// per receiver.
+func (s Spec) splitView(m *wire.Message, _ []int64, v *wire.View) bool {
+	slot := s.Node - int(v.Base)
+	changed := false
+	for i, idx := range v.Mask.Indices() {
+		if idx == slot {
+			b := v.Block(i)
+			for k := range b {
+				b[k] = s.LieValue + int64(m.To) // differs per receiver
+			}
+			changed = true
 		}
-		return nil
 	}
+	return changed
 }
 
-func (s Spec) tamperMaskInflation() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) || m.Kind != wire.KindFTExchange {
-			return m
+// lieRelayed corrupts the last relayed view entry — typically another
+// node's.
+func (s Spec) lieRelayed(_ *wire.Message, _ []int64, v *wire.View) bool {
+	if len(v.Vals) == 0 {
+		return false
+	}
+	v.Vals[len(v.Vals)-1] = s.LieValue
+	return true
+}
+
+// swapHalves swaps the min and max halves of a compare-exchange reply.
+func swapHalves(_ *wire.Message, keys []int64, _ *wire.View) bool {
+	if len(keys) < 2 || len(keys)%2 != 0 {
+		return false
+	}
+	half := len(keys) / 2
+	for i := 0; i < half; i++ {
+		keys[i], keys[half+i] = keys[half+i], keys[i]
+	}
+	return true
+}
+
+// inflateMask claims the first view slot the schedule has not yet
+// delivered, filled with the lie value.
+func (s Spec) inflateMask(_ *wire.Message, _ []int64, v *wire.View) bool {
+	for i := 0; i < int(v.Size); i++ {
+		if v.Mask.Has(i) {
+			continue
 		}
-		p, err := wire.DecodeFTExchange(m.Payload)
-		if err != nil {
-			return m
-		}
-		v := &p.View
-		for i := 0; i < int(v.Size); i++ {
-			if v.Mask.Has(i) {
+		v.Mask.Add(i)
+		idxs := v.Mask.Indices()
+		bl := int(v.BlockLen)
+		vals := make([]int64, 0, len(idxs)*bl)
+		vi := 0
+		for _, idx := range idxs {
+			if idx == i {
+				for k := 0; k < bl; k++ {
+					vals = append(vals, s.LieValue)
+				}
 				continue
 			}
-			v.Mask.Add(i)
-			idxs := v.Mask.Indices()
-			bl := int(v.BlockLen)
-			vals := make([]int64, 0, len(idxs)*bl)
-			vi := 0
-			for _, idx := range idxs {
-				if idx == i {
-					for k := 0; k < bl; k++ {
-						vals = append(vals, s.LieValue)
-					}
-					continue
-				}
-				vals = append(vals, v.Vals[vi*bl:(vi+1)*bl]...)
-				vi++
-			}
-			v.Vals = vals
-			break
+			vals = append(vals, v.Vals[vi*bl:(vi+1)*bl]...)
+			vi++
 		}
-		buf, err := wire.EncodeFTExchange(p)
-		if err != nil {
-			return m
-		}
-		return withPayload(m, buf)
+		v.Vals = vals
+		break
 	}
+	return true
 }
 
-func (s Spec) tamperDigestLie() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		corrupt := func(v *wire.View) {
-			v.Dig.Sum += uint64(s.LieValue)*2 + 1 // always changes Sum
-			v.Dig.Xor ^= wire.MixKey(s.LieValue) | 1
-		}
-		if !s.active(m) {
-			return m
-		}
-		switch m.Kind {
-		case wire.KindFTExchange:
-			p, err := wire.DecodeFTExchange(m.Payload)
-			if err != nil {
-				return m
-			}
-			corrupt(&p.View)
-			buf, err := wire.EncodeFTExchange(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
-		case wire.KindVerify:
-			p, err := wire.DecodeVerify(m.Payload)
-			if err != nil {
-				return m
-			}
-			corrupt(&p.View)
-			buf, err := wire.EncodeVerify(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
-		}
-		return m
-	}
+// lieDigest corrupts the view's aggregate digest, leaving the entries
+// honest.
+func (s Spec) lieDigest(_ *wire.Message, _ []int64, v *wire.View) bool {
+	v.Dig.Sum += uint64(s.LieValue)*2 + 1 // always changes Sum
+	v.Dig.Xor ^= wire.MixKey(s.LieValue) | 1
+	return true
 }
 
-func (s Spec) tamperPermuteLie() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		swap := func(v *wire.View) bool {
-			n := len(v.Vals)
-			bl := int(v.BlockLen)
-			if n < 2*bl {
-				return false // fewer than two relayed slots
-			}
-			differ := false
-			for k := 0; k < bl; k++ {
-				if v.Vals[k] != v.Vals[n-bl+k] {
-					differ = true
-				}
-				v.Vals[k], v.Vals[n-bl+k] = v.Vals[n-bl+k], v.Vals[k]
-			}
-			return differ // a swap of identical entries is no lie
-		}
-		if !s.active(m) {
-			return m
-		}
-		switch m.Kind {
-		case wire.KindFTExchange:
-			p, err := wire.DecodeFTExchange(m.Payload)
-			if err != nil || !swap(&p.View) {
-				return m
-			}
-			buf, err := wire.EncodeFTExchange(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
-		case wire.KindVerify:
-			p, err := wire.DecodeVerify(m.Payload)
-			if err != nil || !swap(&p.View) {
-				return m
-			}
-			buf, err := wire.EncodeVerify(p)
-			if err != nil {
-				return m
-			}
-			return withPayload(m, buf)
-		}
-		return m
+// permuteView swaps the first and last relayed view entries.
+func permuteView(_ *wire.Message, _ []int64, v *wire.View) bool {
+	n := len(v.Vals)
+	bl := int(v.BlockLen)
+	if n < 2*bl {
+		return false // fewer than two relayed slots
 	}
-}
-
-func (s Spec) tamperStaleReplay() func(m *wire.Message) *wire.Message {
-	return func(m *wire.Message) *wire.Message {
-		if !s.active(m) {
-			return m
+	differ := false
+	for k := 0; k < bl; k++ {
+		if v.Vals[k] != v.Vals[n-bl+k] {
+			differ = true
 		}
-		c := cloneMessage(m)
-		c.Stage = 0
-		c.Iter = 0
-		return c
+		v.Vals[k], v.Vals[n-bl+k] = v.Vals[n-bl+k], v.Vals[k]
 	}
+	return differ // a swap of identical entries is no lie
 }
 
 // --- link faults -----------------------------------------------------------

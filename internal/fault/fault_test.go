@@ -101,10 +101,10 @@ func TestSNRContrastSilentlyWrong(t *testing.T) {
 }
 
 func TestInjectValidatesInputs(t *testing.T) {
-	if _, err := InjectSFT(3, []int64{1}, 1, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}, faultTimeout); err == nil {
+	if _, err := Inject(3, []int64{1}, 1, Case{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}}, faultTimeout); err == nil {
 		t.Error("wrong key count: want error")
 	}
-	if _, err := InjectSFT(3, paperKeys(), 1, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Case{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}}, faultTimeout); err == nil {
 		t.Error("activate stage 0: want error")
 	}
 	if _, err := InjectSNR(3, []int64{1}, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}, faultTimeout); err == nil {
@@ -124,7 +124,7 @@ func TestVerdictString(t *testing.T) {
 
 func TestStaleReplayDetected(t *testing.T) {
 	spec := Spec{Node: 2, Strategy: StaleReplay, ActivateStage: 1}
-	r, err := InjectSFT(3, paperKeys(), 1, spec, faultTimeout)
+	r, err := Inject(3, paperKeys(), 1, Case{Msg: &spec}, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/checker"
 	"repro/internal/core"
-	"repro/internal/simnet"
 )
 
 // MultiResult is the outcome of a run with several simultaneous
@@ -23,41 +21,21 @@ type MultiResult struct {
 // maps where independent (non-colluding) fault pairs actually land.
 func InjectSFTMulti(dim int, keys []int64, specs []Spec, timeout time.Duration) (MultiResult, error) {
 	n := 1 << uint(dim)
-	if len(keys) != n {
-		return MultiResult{}, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
-	}
-	seen := map[int]bool{}
+	opts := make([]core.Options, n)
 	for _, s := range specs {
 		if err := s.Validate(n); err != nil {
 			return MultiResult{}, err
 		}
-		if seen[s.Node] {
+		if opts[s.Node].Tamper != nil {
 			return MultiResult{}, fmt.Errorf("fault: node %d appears twice", s.Node)
 		}
-		seen[s.Node] = true
+		opts[s.Node] = Case{Msg: &s}.Options(n)[s.Node]
 	}
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout})
+	r, err := run(dim, keys, 1, opts, timeout)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	opts := make([]core.Options, n)
-	for _, s := range specs {
-		opts[s.Node] = core.Options{SkipChecks: true, Tamper: s.Tamper()}
-	}
-	oc, err := core.RunWithOptions(nw, keys, opts)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	res := MultiResult{Specs: specs}
-	switch {
-	case oc.Detected():
-		res.Verdict = Detected
-	case checker.Verify(keys, oc.Sorted, true) != nil:
-		res.Verdict = SilentWrong
-	default:
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
+	return MultiResult{Specs: specs, Verdict: r.Verdict}, nil
 }
 
 // CoveragePairs sweeps every unordered pair of distinct nodes as

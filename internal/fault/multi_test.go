@@ -132,10 +132,10 @@ func TestInjectSFTMultiValidation(t *testing.T) {
 	}
 }
 
-// A single-element specs list must agree with InjectSFT's verdicts.
+// A single-element specs list must agree with Inject's verdicts.
 func TestMultiDegeneratesToSingle(t *testing.T) {
 	spec := Spec{Node: 2, Strategy: KeyLie, ActivateStage: 1, LieValue: 999}
-	single, err := InjectSFT(3, paperKeys(), 1, spec, faultTimeout)
+	single, err := Inject(3, paperKeys(), 1, Case{Msg: &spec}, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package chaostest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -381,6 +383,27 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		if sc.Pad >= sc.BlockLen {
 			t.Fatalf("scenario %d pad %d would drop a whole block (blockLen %d)", i, sc.Pad, sc.BlockLen)
+		}
+	}
+}
+
+// TestGeneratePinned pins the scenario tables CI's chaos step runs
+// (CHAOS_SEEDS 1989, 42 and 7777, 160 scenarios each) by a hash of
+// their names, so a change to Scenario or Generate cannot quietly
+// change which scenarios the harness supervises.
+func TestGeneratePinned(t *testing.T) {
+	want := map[int64]string{
+		1989: "ded2f21769e25d51e9acc45ad1146a82cd695313494cebc202c3ee32f9c83af4",
+		42:   "57afb6a6f1c35474b24071e837436e6db8c7a252417fab6a716dda96cd78cfb4",
+		7777: "34604a1a416a1489ea8401034b23d7f530352edda374876dd8cd57dada7bfa3c",
+	}
+	for seed, w := range want {
+		h := sha256.New()
+		for _, sc := range Generate(seed, 160) {
+			fmt.Fprintln(h, sc.Name())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != w {
+			t.Errorf("seed %d: scenario names hash to %s, want %s", seed, got, w)
 		}
 	}
 }

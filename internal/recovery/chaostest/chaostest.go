@@ -179,63 +179,30 @@ func Workload(sc Scenario) []int64 {
 	return keys
 }
 
-// Injector places the scenario's Byzantine processor at its physical
-// fault site, following the site through quarantine remaps exactly as
-// an operator-visible hardware fault would: once the site is dropped
-// (substituted or shrunk away) the injector finds no logical slot for
-// it and subsequent attempts run clean.
-func Injector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []core.Options {
-	return func(attempt, dim int, physical []int) []core.Options {
-		opts := make([]core.Options, 1<<uint(dim))
-		if !persistent && attempt > 0 {
-			return opts
-		}
-		for l, ph := range physical {
-			if ph == site {
-				spec := fault.Spec{Node: l, Strategy: st, ActivateStage: 1, LieValue: 7777}
-				opts[l] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-				break
-			}
-		}
-		return opts
-	}
+// lieValue is what lying strategies substitute and stuck memory reads.
+const lieValue = 7777
+
+// messageFault is the Byzantine message strategy st at node.
+func messageFault(st fault.Strategy, node int) fault.Case {
+	return fault.Case{Msg: &fault.Spec{Node: node, Strategy: st, ActivateStage: 1, LieValue: lieValue}}
 }
 
 // ScenarioInjector builds the scenario's per-attempt injection across
-// the whole adversary taxonomy: message/absence scenarios delegate to
-// Injector, comparison and memory scenarios arm the faulty node's
-// Compare / CorruptMemory hooks instead of tampering messages. Like
-// Injector, the fault follows the physical site through remaps, and a
-// fresh comparator/corruptor is built per attempt so its deterministic
-// random stream restarts with the retried sort.
+// the whole adversary taxonomy: a Byzantine message strategy, or a
+// comparison or memory fault seeded from the scenario. The fault
+// follows the physical site through quarantine remaps exactly as an
+// operator-visible hardware fault would (fault.Follow).
 func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []core.Options {
+	c := messageFault(sc.Strategy, sc.Site)
 	switch sc.Class {
-	case fault.ClassComparison, fault.ClassMemory:
-	default:
-		return Injector(sc.Strategy, sc.Site, sc.Persistent)
+	case fault.ClassComparison:
+		c = fault.Case{Cmp: &fault.CmpSpec{Node: sc.Site, Mode: sc.CmpMode,
+			Rate: sc.Rate, Seed: sc.Seed ^ 0x5eed, ActivateStage: 1}}
+	case fault.ClassMemory:
+		c = fault.Case{Mem: &fault.MemSpec{Node: sc.Site, Mode: sc.MemMode,
+			Rate: sc.Rate, Seed: sc.Seed ^ 0x5eed, ActivateStage: 1, StuckValue: lieValue}}
 	}
-	return func(attempt, dim int, physical []int) []core.Options {
-		opts := make([]core.Options, 1<<uint(dim))
-		if !sc.Persistent && attempt > 0 {
-			return opts
-		}
-		for l, ph := range physical {
-			if ph != sc.Site {
-				continue
-			}
-			if sc.Class == fault.ClassComparison {
-				spec := fault.CmpSpec{Node: l, Mode: sc.CmpMode, Rate: sc.Rate,
-					Seed: sc.Seed ^ 0x5eed, ActivateStage: 1}
-				opts[l] = core.Options{SkipChecks: true, Compare: spec.Comparator()}
-			} else {
-				spec := fault.MemSpec{Node: l, Mode: sc.MemMode, Rate: sc.Rate,
-					Seed: sc.Seed ^ 0x5eed, ActivateStage: 1, StuckValue: 7777}
-				opts[l] = core.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
-			}
-			break
-		}
-		return opts
-	}
+	return fault.Follow(c, sc.Site, sc.Persistent)
 }
 
 // RateConfig parameterizes a RateInjector: a memoryless fault-arrival
@@ -275,10 +242,10 @@ type RateInjector struct {
 	cfg RateConfig
 	rng *rand.Rand
 
-	// activeSite/activeStrategy describe the live persistent fault;
-	// activeSite < 0 means none.
-	activeSite     int
-	activeStrategy fault.Strategy
+	// active injects the live persistent fault at activeSite; nil
+	// means none.
+	active     func(attempt, dim int, physical []int) []core.Options
+	activeSite int
 	// lastSite is the most recently manifested site. New arrivals
 	// avoid it so a transient episode and an unrelated follow-up at
 	// the same site cannot masquerade as a persistent streak — real
@@ -298,61 +265,47 @@ type RateInjector struct {
 // sequence).
 func NewRateInjector(cfg RateConfig) *RateInjector {
 	return &RateInjector{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		activeSite: -1,
-		lastSite:   -1,
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		lastSite: -1,
 	}
 }
 
 // Inject implements reliablesort.Options.Inject for the rate process.
 func (ri *RateInjector) Inject(attempt, dim int, physical []int) []core.Options {
-	opts := make([]core.Options, 1<<uint(dim))
 	// A live persistent fault re-manifests while its site is mapped;
 	// once quarantine removed the site, the episode is over.
-	if ri.activeSite >= 0 {
-		for l, ph := range physical {
-			if ph == ri.activeSite {
-				ri.manifest(opts, l, ri.activeStrategy)
-				ri.lastSite = ri.activeSite
-				return opts
-			}
+	if ri.active != nil {
+		if opts := ri.active(attempt, dim, physical); opts != nil {
+			ri.Manifestations++
+			ri.lastSite = ri.activeSite
+			return opts
 		}
-		ri.activeSite = -1
+		ri.active = nil
 	}
 	t, ok := ri.cfg.Baselines[dim]
 	if !ok || ri.cfg.MTTF <= 0 || len(ri.cfg.Strategies) == 0 {
-		return opts
+		return nil
 	}
 	p := 1 - math.Exp(-float64(int64(1)<<uint(dim))*t/ri.cfg.MTTF)
 	if ri.rng.Float64() >= p {
-		return opts
+		return nil
 	}
 	// Fresh arrival: uniform over mapped sites, avoiding the most
 	// recently manifested one.
 	site := ri.pickSite(physical)
 	if site < 0 {
-		return opts
+		return nil
 	}
 	st := ri.cfg.Strategies[ri.rng.Intn(len(ri.cfg.Strategies))]
+	inject := fault.Follow(messageFault(st, site), site, true)
 	if ri.rng.Float64() < ri.cfg.PersistentFrac {
-		ri.activeSite, ri.activeStrategy = site, st
+		ri.active, ri.activeSite = inject, site
 	}
 	ri.Arrivals++
-	for l, ph := range physical {
-		if ph == site {
-			ri.manifest(opts, l, st)
-			break
-		}
-	}
-	ri.lastSite = site
-	return opts
-}
-
-func (ri *RateInjector) manifest(opts []core.Options, logical int, st fault.Strategy) {
-	spec := fault.Spec{Node: logical, Strategy: st, ActivateStage: 1, LieValue: 7777}
-	opts[logical] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
 	ri.Manifestations++
+	ri.lastSite = site
+	return inject(attempt, dim, physical)
 }
 
 func (ri *RateInjector) pickSite(physical []int) int {

@@ -17,25 +17,11 @@ import (
 var chaosKeys = []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
 
 // chaosInjector places one Byzantine processor at the given *physical*
-// fault site. A transient fault manifests only on attempt 0; a
-// persistent one manifests on every attempt for as long as the site is
-// still mapped into the cube — after quarantine the injector finds no
-// logical slot for it and the degraded re-run is clean.
+// fault site, followed across recovery attempts by fault.Follow: a
+// transient fault manifests only on attempt 0, a persistent one until
+// quarantine removes the site.
 func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []core.Options {
-	return func(attempt, dim int, physical []int) []core.Options {
-		opts := make([]core.Options, 1<<uint(dim))
-		if !persistent && attempt > 0 {
-			return opts
-		}
-		for l, ph := range physical {
-			if ph == site {
-				spec := fault.Spec{Node: l, Strategy: st, ActivateStage: 1, LieValue: 7777}
-				opts[l] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-				break
-			}
-		}
-		return opts
-	}
+	return fault.Follow(fault.Case{Msg: &fault.Spec{Strategy: st, ActivateStage: 1, LieValue: 7777}}, site, persistent)
 }
 
 // Two carve-outs to the harness's localization invariant, both for

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
@@ -171,21 +170,8 @@ func TestSortNeverMutatesInput(t *testing.T) {
 			// A transient memory-corruption fault at node 2 forces the
 			// detect → retry-from-checkpoint path: the attempt most
 			// likely to re-read (or worse, re-write) caller memory.
-			inject := func(attempt, dim int, physical []int) []core.Options {
-				opts := make([]core.Options, 1<<uint(dim))
-				if attempt > 0 {
-					return opts
-				}
-				for l, ph := range physical {
-					if ph == 2 {
-						spec := fault.MemSpec{Node: l, Mode: fault.MemStuck, Rate: 1,
-							Seed: seed, ActivateStage: 1, StuckValue: -99}
-						opts[l] = core.Options{SkipChecks: true, CorruptMemory: spec.Corruptor()}
-						break
-					}
-				}
-				return opts
-			}
+			inject := fault.Follow(fault.Case{Mem: &fault.MemSpec{Node: 2, Mode: fault.MemStuck, Rate: 1,
+				Seed: seed, ActivateStage: 1, StuckValue: -99}}, 2, false)
 			out, stats, err := Sort(keys, Options{
 				Descending:  desc,
 				Dim:         2,

@@ -92,9 +92,6 @@ type Options struct {
 	// zero value selects capped exponential backoff with equal jitter
 	// (10ms base, 2s cap, 50% jitter).
 	Backoff recovery.Backoff
-	// MinDim floors the quarantine shrink; 0 means the supervisor
-	// default (1).
-	MinDim int
 	// Spares is the number of spare physical nodes available under
 	// AutoRecover: labels 2^dim .. 2^dim+Spares-1 are pre-registered
 	// as idle endpoints on every attempt's network, and on a
@@ -124,12 +121,6 @@ type Options struct {
 	// virtual time, so instrumented runs cost the same ticks as bare
 	// ones.
 	Obs *obs.Observer
-	// Parallelism caps the per-node worker count for the data-parallel
-	// merge-split and local-sort paths (threaded through to
-	// core.Options.Parallelism on every attempt): <= 0 means
-	// GOMAXPROCS. Worker count never changes outputs or virtual-time
-	// charges, only wall-clock time.
-	Parallelism int
 	// Flight, when non-nil, attaches causal flight recording to every
 	// attempt: the transport stamps each message with a trace trailer,
 	// per-node recorders capture sends/receives/predicate evaluations,
@@ -214,7 +205,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 	}
 	dim := opts.Dim
 	if dim == 0 {
-		dim = autoDim(len(keys))
+		dim = AutoDim(len(keys))
 	}
 	if dim < 0 || dim > hypercube.MaxDim {
 		return nil, stats, fmt.Errorf("reliablesort: dimension %d out of range [0,%d]", dim, hypercube.MaxDim)
@@ -263,7 +254,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 			}
 			nodeOpts = opts.Inject(0, dim, physical)
 		}
-		flat, at, _, err := runAttempt(base, NetConfig{Dim: dim, RecvTimeout: timeout, Flight: opts.Flight}, newNet, nodeOpts, opts.Obs, opts.Parallelism, opts.Flight)
+		flat, at, _, err := runAttempt(base, NetConfig{Dim: dim, RecvTimeout: timeout, Flight: opts.Flight}, newNet, nodeOpts, opts.Obs, opts.Flight)
 		stats.fromAttempt(at)
 		stats.Attempts = 1
 		if err != nil {
@@ -280,7 +271,7 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 			nodeOpts = opts.Inject(p.Attempt, p.Dim, p.Physical)
 		}
 		cfg := NetConfig{Dim: p.Dim, Spares: len(p.Spares), RecvTimeout: timeout, Flight: opts.Flight}
-		flat, at, hostErrs, err := runAttempt(base, cfg, newNet, nodeOpts, opts.Obs, opts.Parallelism, opts.Flight)
+		flat, at, hostErrs, err := runAttempt(base, cfg, newNet, nodeOpts, opts.Obs, opts.Flight)
 		if err == nil {
 			result = flat
 			okStats = at
@@ -290,7 +281,6 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 	rep, err := recovery.Supervise(dim, runner, recovery.Policy{
 		MaxAttempts:   opts.MaxAttempts,
 		Backoff:       opts.Backoff,
-		MinDim:        opts.MinDim,
 		Spares:        spareLabels(dim, opts.Spares),
 		Seed:          opts.Seed,
 		Sleep:         opts.Sleep,
@@ -362,7 +352,7 @@ func spareLabels(dim, count int) []int {
 // dimension, and post-verifies the output against the Theorem 1
 // oracle. It returns the full padded ascending sequence; err is nil
 // exactly when that sequence is verified.
-func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []core.Options, o *obs.Observer, parallelism int, flight *forensic.Flight) (flatOut []int64, at attemptStats, hostErrs []core.HostError, err error) {
+func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []core.Options, o *obs.Observer, flight *forensic.Flight) (flatOut []int64, at attemptStats, hostErrs []core.HostError, err error) {
 	n := 1 << uint(cfg.Dim)
 	m := (len(base) + n - 1) / n
 	if m == 0 {
@@ -396,13 +386,12 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	} else if c, ok := nw.(interface{ Close() }); ok {
 		defer c.Close()
 	}
-	if o != nil || parallelism > 0 || flight != nil {
+	if o != nil || flight != nil {
 		if nodeOpts == nil {
 			nodeOpts = make([]core.Options, n)
 		}
 		for i := range nodeOpts {
 			nodeOpts[i].Obs = o
-			nodeOpts[i].Parallelism = parallelism
 			nodeOpts[i].Forensic = flight.Node(i)
 		}
 	}
@@ -441,9 +430,10 @@ func finish(flat []int64, keep int, descending bool) []int64 {
 	return out
 }
 
-// autoDim picks the smallest dimension whose cube keeps blocks at or
-// under 512 keys, capped at MaxAutoDim.
-func autoDim(keyCount int) int {
+// AutoDim is the cube dimension Sort chooses for keyCount keys when
+// Options.Dim is 0: the smallest whose cube keeps blocks at or under
+// 512 keys, capped at MaxAutoDim.
+func AutoDim(keyCount int) int {
 	dim := 0
 	for dim < MaxAutoDim && keyCount > (1<<uint(dim))*512 {
 		dim++

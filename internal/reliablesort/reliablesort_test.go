@@ -93,8 +93,8 @@ func TestAutoDim(t *testing.T) {
 		{1 << 20, MaxAutoDim},
 	}
 	for _, tc := range tests {
-		if got := autoDim(tc.keys); got != tc.want {
-			t.Errorf("autoDim(%d) = %d, want %d", tc.keys, got, tc.want)
+		if got := AutoDim(tc.keys); got != tc.want {
+			t.Errorf("AutoDim(%d) = %d, want %d", tc.keys, got, tc.want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -21,10 +20,12 @@ type ChaosSpec struct {
 	// tampering), "comparison" (lying comparator), or "memory"
 	// (corrupted resident keys).
 	Class string `json:"class"`
-	// Node is the physical label of the faulty node on the initial
-	// cube. The injector follows it through quarantine remappings; if
-	// the node has been quarantined off the cube the fault simply no
-	// longer manifests — exactly a repaired machine.
+	// Node is the physical label of the faulty node: a node of the
+	// job's initial cube or one of its spares, which strikes once
+	// substituted in; admission rejects any other label. The injector
+	// follows it through quarantine remappings; if the node has been
+	// quarantined off the cube the fault simply no longer manifests —
+	// exactly a repaired machine.
 	Node int `json:"node"`
 	// Strategy names the message-class behaviour (fault.Strategy
 	// kebab-case: "key-lie", "split-lie", ... ). Message class only.
@@ -46,113 +47,42 @@ type ChaosSpec struct {
 	Transient bool `json:"transient,omitempty"`
 }
 
-// strategyByName inverts fault.Strategy's kebab-case names.
-func strategyByName(name string) (fault.Strategy, bool) {
-	for _, s := range fault.AllStrategies() {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-func cmpModeByName(name string) (fault.CmpMode, bool) {
-	for _, m := range fault.AllCmpModes() {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-func memModeByName(name string) (fault.MemMode, bool) {
-	for _, m := range fault.AllMemModes() {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-// validate rejects malformed specs at admission, before any network is
-// leased.
-func (c *ChaosSpec) validate() error {
-	if c.Node < 0 {
-		return fmt.Errorf("chaos: node %d negative", c.Node)
-	}
-	switch c.Class {
-	case "message":
-		if _, ok := strategyByName(c.Strategy); !ok {
-			return fmt.Errorf("chaos: unknown message strategy %q", c.Strategy)
-		}
-	case "comparison":
-		if _, ok := cmpModeByName(c.Mode); !ok {
-			return fmt.Errorf("chaos: unknown comparison mode %q", c.Mode)
-		}
-	case "memory":
-		if _, ok := memModeByName(c.Mode); !ok {
-			return fmt.Errorf("chaos: unknown memory mode %q", c.Mode)
-		}
-	default:
-		return fmt.Errorf("chaos: unknown class %q", c.Class)
-	}
+// compile checks the spec and compiles it into the fault it arms: the
+// message lie defaults to 424242, the comparison and memory rate to 1,
+// the memory stuck value is Lie, and every fault activates at stage 1.
+// The node is not checked here; that needs the job's cube.
+func (c *ChaosSpec) compile() (fault.Case, error) {
 	if c.Rate < 0 || c.Rate > 1 {
-		return fmt.Errorf("chaos: rate %v outside [0,1]", c.Rate)
+		return fault.Case{}, fmt.Errorf("chaos: rate %v outside [0,1]", c.Rate)
 	}
-	return nil
-}
-
-// injector compiles the spec into reliablesort's per-attempt Inject
-// hook. physical[l] is the original-cube label at logical slot l, so
-// the fault follows the machine, not the slot.
-func (c *ChaosSpec) injector() func(attempt, dim int, physical []int) []core.Options {
-	spec := *c
-	rate := spec.Rate
+	rate := c.Rate
 	if rate == 0 {
 		rate = 1
 	}
-	return func(attempt, dim int, physical []int) []core.Options {
-		if spec.Transient && attempt > 0 {
-			return nil
+	switch c.Class {
+	case "message":
+		st, ok := fault.ByName(fault.AllStrategies(), c.Strategy)
+		if !ok {
+			return fault.Case{}, fmt.Errorf("chaos: unknown message strategy %q", c.Strategy)
 		}
-		slot := -1
-		for l, p := range physical {
-			if p == spec.Node {
-				slot = l
-				break
-			}
+		lie := c.Lie
+		if lie == 0 {
+			lie = 424242
 		}
-		if slot < 0 {
-			return nil // quarantined or substituted away: machine repaired
+		return fault.Case{Msg: &fault.Spec{Node: c.Node, Strategy: st, ActivateStage: 1, LieValue: lie}}, nil
+	case "comparison":
+		mode, ok := fault.ByName(fault.AllCmpModes(), c.Mode)
+		if !ok {
+			return fault.Case{}, fmt.Errorf("chaos: unknown comparison mode %q", c.Mode)
 		}
-		opts := make([]core.Options, len(physical))
-		// SkipChecks disarms the faulty node's own detectors — a truly
-		// Byzantine machine does not police itself; its honest peers
-		// must catch it.
-		switch spec.Class {
-		case "message":
-			st, _ := strategyByName(spec.Strategy)
-			lie := spec.Lie
-			if lie == 0 {
-				lie = 424242
-			}
-			opts[slot] = core.Options{SkipChecks: true, Tamper: fault.Spec{
-				Node: slot, Strategy: st, ActivateStage: 1, LieValue: lie,
-			}.Tamper()}
-		case "comparison":
-			mode, _ := cmpModeByName(spec.Mode)
-			opts[slot] = core.Options{SkipChecks: true, Compare: fault.CmpSpec{
-				Node: slot, Mode: mode, Rate: rate, Seed: spec.Seed, ActivateStage: 1,
-			}.Comparator()}
-		case "memory":
-			mode, _ := memModeByName(spec.Mode)
-			// Corruptor carries per-run rng state: build a fresh one per
-			// attempt (this closure runs once per attempt).
-			opts[slot] = core.Options{SkipChecks: true, CorruptMemory: fault.MemSpec{
-				Node: slot, Mode: mode, Rate: rate, Seed: spec.Seed,
-				ActivateStage: 1, StuckValue: spec.Lie,
-			}.Corruptor()}
+		return fault.Case{Cmp: &fault.CmpSpec{Node: c.Node, Mode: mode, Rate: rate, Seed: c.Seed, ActivateStage: 1}}, nil
+	case "memory":
+		mode, ok := fault.ByName(fault.AllMemModes(), c.Mode)
+		if !ok {
+			return fault.Case{}, fmt.Errorf("chaos: unknown memory mode %q", c.Mode)
 		}
-		return opts
+		return fault.Case{Mem: &fault.MemSpec{Node: c.Node, Mode: mode, Rate: rate, Seed: c.Seed,
+			ActivateStage: 1, StuckValue: c.Lie}}, nil
 	}
+	return fault.Case{}, fmt.Errorf("chaos: unknown class %q", c.Class)
 }

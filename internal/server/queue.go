@@ -10,6 +10,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
 // ErrOverloaded is returned by Submit when the tenant's queue is at
@@ -22,9 +24,12 @@ var ErrClosed = errors.New("server: closed")
 
 // job is one queued sort request with its completion channel.
 type job struct {
-	id       uint64
-	tenant   string
-	req      Request
+	id     uint64
+	tenant string
+	req    Request
+	// inject arms the request's fault on each attempt; nil for an
+	// honest job.
+	inject   func(attempt, dim int, physical []int) []core.Options
 	enqueued time.Time
 	done     chan jobResult
 }

@@ -27,6 +27,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/hypercube"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
@@ -250,26 +252,38 @@ func (s *Server) Stats() ServerStats {
 }
 
 // validate applies admission control before a job consumes any queue
-// slot or network.
-func (s *Server) validate(req *Request) error {
+// slot or network. A request carrying a fault is compiled into the
+// per-attempt injector its job runs with; the fault's node must be a
+// label the job can have, one of its cube's 2^d nodes or of the spares
+// beyond them.
+func (s *Server) validate(req *Request) (func(attempt, dim int, physical []int) []core.Options, error) {
 	if len(req.Keys) == 0 {
-		return fmt.Errorf("%w: empty keys", ErrInvalid)
+		return nil, fmt.Errorf("%w: empty keys", ErrInvalid)
 	}
 	if len(req.Keys) > s.cfg.MaxKeys {
-		return fmt.Errorf("%w: %d keys exceeds limit %d", ErrInvalid, len(req.Keys), s.cfg.MaxKeys)
+		return nil, fmt.Errorf("%w: %d keys exceeds limit %d", ErrInvalid, len(req.Keys), s.cfg.MaxKeys)
 	}
 	if req.Dim < 0 || req.Dim > s.cfg.MaxDim {
-		return fmt.Errorf("%w: dim %d outside [0,%d]", ErrInvalid, req.Dim, s.cfg.MaxDim)
+		return nil, fmt.Errorf("%w: dim %d outside [0,%d]", ErrInvalid, req.Dim, s.cfg.MaxDim)
 	}
-	if req.Inject != nil {
-		if !s.cfg.AllowChaos {
-			return fmt.Errorf("%w: fault injection disabled on this server", ErrInvalid)
-		}
-		if err := req.Inject.validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
+	if req.Inject == nil {
+		return nil, nil
 	}
-	return nil
+	if !s.cfg.AllowChaos {
+		return nil, fmt.Errorf("%w: fault injection disabled on this server", ErrInvalid)
+	}
+	dim := req.Dim
+	if dim == 0 {
+		dim = reliablesort.AutoDim(len(req.Keys))
+	}
+	c, err := req.Inject.compile()
+	if err == nil {
+		err = c.Validate(1<<uint(dim) + s.cfg.Spares)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return fault.Follow(c, req.Inject.Node, !req.Inject.Transient), nil
 }
 
 // Submit runs one job through admission, the tenant queue, and a
@@ -279,7 +293,8 @@ func (s *Server) Submit(req Request) (*Response, error) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	if err := s.validate(&req); err != nil {
+	inject, err := s.validate(&req)
+	if err != nil {
 		s.mRejected.Inc()
 		return nil, err
 	}
@@ -287,6 +302,7 @@ func (s *Server) Submit(req Request) (*Response, error) {
 		id:       s.jobSeq.Add(1),
 		tenant:   req.Tenant,
 		req:      req,
+		inject:   inject,
 		enqueued: time.Now(),
 		done:     make(chan jobResult, 1),
 	}
@@ -349,10 +365,8 @@ func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Resp
 		Sleep:       s.cfg.Sleep,
 		Obs:         o,
 		Flight:      flight,
+		Inject:      j.inject,
 		NewNetwork:  s.pool.Get,
-	}
-	if j.req.Inject != nil {
-		opts.Inject = j.req.Inject.injector()
 	}
 
 	sorted, st, err := reliablesort.Sort(j.req.Keys, opts)
