@@ -75,8 +75,17 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "Initial placement: node i holds keys[i].\n\n")
 	fmt.Fprint(out, rec.Render())
 	if *causal {
+		// The stream delivers views in goroutine arrival order; print
+		// them in (stage, node) order so the table is reproducible.
+		evs := rec.Events()
+		sort.Slice(evs, func(i, j int) bool {
+			if evs[i].Stage != evs[j].Stage {
+				return evs[i].Stage < evs[j].Stage
+			}
+			return evs[i].Node < evs[j].Node
+		})
 		fmt.Fprintf(out, "Causal event ids (node, stage -> flight-recorder id):\n")
-		for _, ev := range rec.Events() {
+		for _, ev := range evs {
 			fmt.Fprintf(out, "  node %d stage %d: %d\n", ev.Node, ev.Stage, uint64(ev.Causal))
 		}
 		fmt.Fprintln(out)

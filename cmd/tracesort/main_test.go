@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -56,5 +57,43 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-keys", ""}, &buf); err == nil {
 		t.Error("empty keys: want error")
+	}
+}
+
+// TestCausalTableOrdered pins the -causal table to (stage, node) order
+// and to the same bytes on every run: the stage-view stream delivers
+// views in goroutine arrival order, which must not reach the output.
+func TestCausalTableOrdered(t *testing.T) {
+	render := func() string {
+		var buf bytes.Buffer
+		if err := run([]string{"-causal"}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := render()
+	_, table, ok := strings.Cut(first, "Causal event ids")
+	if !ok {
+		t.Fatalf("no causal table:\n%s", first)
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	lines := strings.Split(table, "\n")[1:]
+	if len(lines) != 32 {
+		t.Fatalf("causal table has %d lines, want 8 nodes x 4 stages:\n%s", len(lines), table)
+	}
+	prevStage, prevNode := -1, -1
+	for _, line := range lines {
+		var node, stage int
+		var id uint64
+		if _, err := fmt.Sscanf(line, "  node %d stage %d: %d", &node, &stage, &id); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if stage < prevStage || stage == prevStage && node <= prevNode {
+			t.Fatalf("line %q out of (stage, node) order after stage %d node %d", line, prevStage, prevNode)
+		}
+		prevStage, prevNode = stage, node
+	}
+	if second := render(); second != first {
+		t.Errorf("two runs printed different output:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 }

@@ -77,6 +77,17 @@ func (g *blockView) rangeDigest(lo, hi int) wire.Digest {
 // digest is the multiset digest of every held slot.
 func (g *blockView) digest() wire.Digest { return g.rangeDigest(0, g.sc.Size()) }
 
+// slotBound is slot idx's term in the aggregate digest a view carries:
+// the slot's multiset digest mixed with its index. The aggregate is
+// then bound to the slots the blocks are filed under, so a view whose
+// blocks trade places no longer matches it (ABFT's weighted checksums
+// tie each block to its position the same way). Φ_F keeps the unbound
+// fold, because keys legitimately move between slots within a stage.
+func slotBound(idx int, d wire.Digest) wire.Digest {
+	k := wire.MixKey(int64(idx))
+	return wire.Digest{Sum: wire.MixKey(int64(d.Sum ^ k)), Xor: wire.MixKey(int64(d.Xor + k))}
+}
+
 func (g *blockView) complete() bool { return g.have.Full() }
 
 // seq returns the slot-order concatenation of slots [lo, hi) as a
@@ -94,7 +105,7 @@ func (g *blockView) wireViewInto(scratch []int64) wire.View {
 	var dig wire.Digest
 	g.have.Each(func(idx int) bool {
 		vals = append(vals, g.blocks[idx]...)
-		dig.Merge(g.slotDig[idx])
+		dig.Merge(slotBound(idx, g.slotDig[idx]))
 		return true
 	})
 	return wire.View{
@@ -116,17 +127,20 @@ func (g *blockView) wireViewInto(scratch []int64) wire.View {
 // identical key-for-key to the relayed copy; the others are adopted.
 //
 // The key-for-key walk over held slots (O(Count·m)) is demoted to a
-// slow path: one pass folds the held slots' stored digests (O(1) each)
-// and self-hashes the slots it adopts, and if the accumulated digest
-// matches the sender's aggregate, every held copy agrees with its
-// relayed copy up to hash collision (DigestHit). On a mismatch the
-// key-for-key re-walk runs to produce the usual slot-level conflict
-// evidence; adopted slots were copied verbatim so they cannot conflict,
-// and if no held slot conflicts either, the sender's aggregate
-// disagrees with the very entries it relayed — Byzantine evidence
-// against the sender (DigestMiss both ways). Adopting before the
-// verdict is sound because every mergeChecked error fail-stops the
-// node.
+// slow path: one pass folds, for every slot the sender claims, the
+// slot's stored digest bound to its index (O(1) each), self-hashing the
+// slots it adopts. If the accumulated digest matches the sender's
+// aggregate (DigestHit), that aggregate agrees, up to hash collision,
+// with the slots the receiver holds and adopts, at their indices. A
+// hit never reads the relayed copies of slots the receiver already
+// held: it ties the sender's claim to the receiver's own state, not to
+// those relayed bytes. On a mismatch the key-for-key re-walk runs to
+// produce the usual slot-level conflict evidence; adopted slots were
+// copied verbatim so they cannot conflict, and if no held slot
+// conflicts either, the sender's aggregate disagrees with the very
+// entries it relayed — Byzantine evidence against the sender
+// (DigestMiss both ways). Adopting before the verdict is sound because
+// every mergeChecked error fail-stops the node.
 func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutcome, error) {
 	if err := rv.Validate(); err != nil {
 		return DigestNone, fmt.Errorf("malformed view: %w", err)
@@ -146,7 +160,7 @@ func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutco
 			copy(g.blocks[idx], rv.Block(i))
 			g.slotDig[idx] = wire.DigestOf(g.blocks[idx])
 		}
-		acc.Merge(g.slotDig[idx])
+		acc.Merge(slotBound(idx, g.slotDig[idx]))
 		i++
 		return true
 	})

@@ -24,21 +24,13 @@ import (
 // virtual-time series, and its steady-state exchange path allocates
 // nothing.
 
-// beginStage opens the span of stage s (of the final round when s is
-// the cube dimension) and returns the virtual time it began at.
-func (r *runner) beginStage(s int) int64 {
-	vt := int64(r.ep.Clock())
-	r.opts.Obs.StageBegin(r.ep.ID(), s, s == r.ep.Topology().Dim(), vt)
-	return vt
-}
-
-// endStage closes the span beginStage opened at begunVT and publishes
-// the node's verified sequence seq over sc on the stage-view stream.
+// endStage counts stage s, begun at virtual time begunVT, and
+// publishes the node's verified sequence seq over sc on the stage-view
+// stream.
 func (r *runner) endStage(s int, begunVT int64, sc hypercube.Subcube, seq []int64) {
-	id, final := r.ep.ID(), s == r.ep.Topology().Dim()
-	r.opts.Obs.StageEnd(id, s, final, begunVT, int64(r.ep.Clock()))
+	r.opts.Obs.StageEnd(int64(r.ep.Clock()) - begunVT)
 	r.opts.Obs.PublishStage(obs.StageView{
-		Node: id, Stage: s, Final: final,
+		Node: r.ep.ID(), Stage: s, Final: s == r.ep.Topology().Dim(),
 		SubcubeStart: sc.Start, SubcubeSize: sc.Size(),
 		BlockLen: r.m, Assembled: seq,
 		Causal: r.opts.Forensic.LastID(),
@@ -67,7 +59,7 @@ func (r *runner) failAbsent(kind error, stage, iter, accused int, format string,
 // node fail-stops.
 func (r *runner) failEvidence(kind error, ev ErrorKind, stage, iter, accused int, format string, args ...any) error {
 	if accused >= 0 {
-		r.opts.Obs.Accusation(r.ep.ID(), stage, iter, accused, int64(r.ep.Clock()))
+		r.opts.Obs.Accusation()
 	}
 	pe := &PredicateError{
 		Node:     r.ep.ID(),
@@ -99,28 +91,14 @@ func (r *runner) failEvidence(kind error, ev ErrorKind, stage, iter, accused int
 	return pe
 }
 
-// phiCheck reports one constraint-predicate evaluation to the observer
-// and the flight recorder, which files it with the current view's
-// digest. A no-op without either.
+// phiCheck counts one constraint-predicate evaluation in the observer
+// and records it in the flight recorder, which files it with the
+// current view's digest.
 func (r *runner) phiCheck(phi obs.Phi, stage, iter int, pass bool) {
-	r.opts.Obs.PhiCheck(phi, r.ep.ID(), stage, iter, pass, int64(r.ep.Clock()))
+	r.opts.Obs.PhiCheck(phi, pass)
 	if r.opts.Forensic != nil {
-		r.opts.Forensic.Phi(phiPred(phi), int32(stage), int32(iter), pass,
+		r.opts.Forensic.Phi(uint8(phi), int32(stage), int32(iter), pass,
 			r.view.digest(), int64(r.ep.Clock()))
-	}
-}
-
-// phiPred maps an obs predicate label to its forensic record code.
-func phiPred(phi obs.Phi) uint8 {
-	switch phi {
-	case obs.PhiP:
-		return forensic.PredProgress
-	case obs.PhiF:
-		return forensic.PredFeasibility
-	case obs.PhiC:
-		return forensic.PredConsistency
-	default:
-		return forensic.PredNone
 	}
 }
 
@@ -401,13 +379,11 @@ func (r *runner) recvParts(bit, stage, partner int) (keys []int64, v wire.View, 
 // ends up holding (and having cross-checked) the whole output. Message
 // headers carry stage label n, which no regular stage uses.
 func (r *runner) verifyRound(n int) error {
-	id := r.ep.ID()
 	for j := n - 1; j >= 0; j-- {
-		r.opts.Obs.RoundBegin(id, n, j, int64(r.ep.Clock()))
 		if err := r.verifyExchange(n-1, j); err != nil {
 			return err
 		}
-		r.opts.Obs.RoundEnd(id, n, j, int64(r.ep.Clock()))
+		r.opts.Obs.RoundEnd()
 	}
 	return nil
 }

@@ -77,12 +77,15 @@ type Options struct {
 	// recorder perturbs neither virtual time nor the zero-alloc
 	// exchange path.
 	Forensic *forensic.Recorder
-	// Obs, when non-nil, receives stage/round spans, Φ evaluations,
-	// merge-split compare counts, accusations, and stage views.
-	// Recording reads the endpoint clock but never charges it, so
-	// virtual-time results are identical with and without an observer;
-	// all Observer methods are nil-safe and allocation-free, so the
-	// steady-state exchange path stays zero-allocation.
+	// Obs, when non-nil, counts the node's completed stages and rounds,
+	// Φ evaluations by verdict, merge-split compares, digest checks and
+	// accusations, observes each stage's virtual-time cost, and
+	// receives its stage views. It journals nothing: the Φ evaluations
+	// and accusations themselves are Forensic's records. Recording
+	// reads the endpoint clock but never charges it, so virtual-time
+	// results are identical with and without an observer; all Observer
+	// methods are nil-safe and allocation-free, so the steady-state
+	// exchange path stays zero-allocation.
 	Obs *obs.Observer
 
 	// The remaining flags are ablation switches used to quantify how
@@ -244,7 +247,7 @@ func (r *runner) run(block []int64) ([]int64, error) {
 		if r.opts.CorruptMemory != nil && s > 0 {
 			r.opts.CorruptMemory(s, mine)
 		}
-		stageVT := r.beginStage(s)
+		stageVT := int64(r.ep.Clock())
 		sc, err := topo.HomeSubcube(s+1, id)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -254,12 +257,11 @@ func (r *runner) run(block []int64) ([]int64, error) {
 		view.reset(sc, r.m)
 		view.set(id, mine) // seed LBS with this stage's starting block
 		for j := s; j >= 0; j-- {
-			r.opts.Obs.RoundBegin(id, s, j, int64(r.ep.Clock()))
 			mine, err = r.exchange(mine, s, j)
 			if err != nil {
 				return nil, err
 			}
-			r.opts.Obs.RoundEnd(id, s, j, int64(r.ep.Clock()))
+			r.opts.Obs.RoundEnd()
 		}
 		if err := r.checkGather(s); err != nil {
 			return nil, err
@@ -300,7 +302,7 @@ func (r *runner) run(block []int64) ([]int64, error) {
 
 	// Final verification: a pure exchange of the final sorted blocks
 	// over the whole cube, then the last bit_compare.
-	finalVT := r.beginStage(n)
+	finalVT := int64(r.ep.Clock())
 	view := &r.views[n%2]
 	r.view = view
 	view.reset(scAll, r.m)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/bitonic"
 	"repro/internal/checker"
 	"repro/internal/node"
-	"repro/internal/obs"
 	"repro/internal/sortnr"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -38,12 +37,6 @@ func MergeSortCount(xs []int64) (sorted []int64, compares int) {
 // upload, sequential sort on the host, download. It returns out with
 // out[id] = node id's final key (ascending by node label).
 func RunHostSort(nw transport.Network, keys []int64) ([]int64, *node.Result, error) {
-	return RunHostSortObs(nw, keys, nil)
-}
-
-// RunHostSortObs is RunHostSort with an observer receiving
-// upload/host-sort/download phase spans (nil disables them).
-func RunHostSortObs(nw transport.Network, keys []int64, o *obs.Observer) ([]int64, *node.Result, error) {
 	n := nw.Topology().Nodes()
 	if len(keys) != n {
 		return nil, nil, fmt.Errorf("hostsort: %d keys for %d nodes", len(keys), n)
@@ -52,7 +45,7 @@ func RunHostSortObs(nw transport.Network, keys []int64, o *obs.Observer) ([]int6
 	for i, k := range keys {
 		blocks[i] = []int64{k}
 	}
-	outBlocks, res, err := RunHostSortBlocksObs(nw, blocks, o)
+	outBlocks, res, err := RunHostSortBlocks(nw, blocks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -70,14 +63,6 @@ func RunHostSortObs(nw transport.Network, keys []int64, o *obs.Observer) ([]int6
 // keys per node. All blocks must have equal length. The returned
 // blocks are globally sorted ascending across node labels.
 func RunHostSortBlocks(nw transport.Network, blocks [][]int64) ([][]int64, *node.Result, error) {
-	return RunHostSortBlocksObs(nw, blocks, nil)
-}
-
-// RunHostSortBlocksObs is RunHostSortBlocks with an observer. Each
-// node journals "upload" and "download" spans; the host journals
-// "host-gather", "host-sort", and "host-scatter" spans with node -1.
-// The spans read the virtual clocks but never charge them.
-func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observer) ([][]int64, *node.Result, error) {
 	n := nw.Topology().Nodes()
 	if len(blocks) != n {
 		return nil, nil, fmt.Errorf("hostsort: %d blocks for %d nodes", len(blocks), n)
@@ -92,7 +77,6 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 	out := make([][]int64, n)
 	prog := func(ep transport.Endpoint) error {
 		id := ep.ID()
-		o.SpanBegin("upload", id, int64(ep.Clock()))
 		up := wire.Message{
 			Kind:    wire.KindHostUpload,
 			Payload: wire.AppendHost(nil, blocks[id]),
@@ -100,8 +84,6 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 		if err := ep.SendHost(up); err != nil {
 			return fmt.Errorf("hostsort: node %d upload: %w", id, err)
 		}
-		o.SpanEnd("upload", id, int64(ep.Clock()))
-		o.SpanBegin("download", id, int64(ep.Clock()))
 		down, err := ep.RecvHost()
 		if err != nil {
 			return fmt.Errorf("hostsort: node %d download: %w", id, err)
@@ -111,7 +93,6 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 			return fmt.Errorf("hostsort: node %d download: %w", id, err)
 		}
 		out[id] = p.Keys
-		o.SpanEnd("download", id, int64(ep.Clock()))
 		return nil
 	}
 
@@ -124,7 +105,6 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 		// on goroutine scheduling.
 		var dec wire.DecodeScratch
 		all := make([]int64, n*m)
-		o.SpanBegin("host-gather", -1, int64(h.Clock()))
 		for seen := 0; seen < n; seen++ {
 			msg, err := h.Recv()
 			if err != nil {
@@ -140,15 +120,11 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 			}
 			copy(all[from*m:], p.Keys)
 		}
-		o.SpanEnd("host-gather", -1, int64(h.Clock()))
-		o.SpanBegin("host-sort", -1, int64(h.Clock()))
 		// Parallel across the host's cores; output and comparison count
 		// (and so the charged virtual time) match MergeSortCount exactly.
 		sorted, compares := bitonic.ParallelMergeSortCount(all, 0)
 		h.ChargeCompare(compares)
 		h.ChargeKeyMove(len(sorted))
-		o.SpanEnd("host-sort", -1, int64(h.Clock()))
-		o.SpanBegin("host-scatter", -1, int64(h.Clock()))
 		var enc []byte
 		for id := 0; id < n; id++ {
 			enc = wire.AppendHost(enc[:0], sorted[id*m:(id+1)*m])
@@ -160,7 +136,6 @@ func RunHostSortBlocksObs(nw transport.Network, blocks [][]int64, o *obs.Observe
 				return fmt.Errorf("hostsort: host scatter: %w", err)
 			}
 		}
-		o.SpanEnd("host-scatter", -1, int64(h.Clock()))
 		return nil
 	}
 

@@ -26,15 +26,14 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"gauge-set", func() { reg.Gauge("alloc_g", "").Set(7) }},
 		{"histogram-observe", func() { h.Observe(123456) }},
 		{"record-message", func() { m.RecordMessage(wire.KindFTExchange, 96) }},
-		{"journal-append", func() { o.J.Append(Event{Kind: EvRoundBegin, Node: 1}) }},
-		{"journal-reset", func() { o.J.Append(Event{Kind: EvRoundBegin, Node: 1}); o.J.Reset() }},
-		{"stage-begin", func() { o.StageBegin(1, 2, false, 100) }},
-		{"stage-end", func() { o.StageEnd(1, 2, false, 100, 400) }},
-		{"round-span", func() { o.RoundBegin(1, 2, 0, 100); o.RoundEnd(1, 2, 0, 200) }},
-		{"phi-check", func() { o.PhiCheck(PhiC, 1, 2, 0, true, 150) }},
+		{"journal-append", func() { o.J.Append(Event{Kind: EvAttemptBegin, Node: 1}) }},
+		{"journal-reset", func() { o.J.Append(Event{Kind: EvAttemptBegin, Node: 1}); o.J.Reset() }},
+		{"stage-end", func() { o.StageEnd(300) }},
+		{"round-end", func() { o.RoundEnd() }},
+		{"phi-check", func() { o.PhiCheck(PhiC, true) }},
 		{"digest-check", func() { o.DigestCheck(true); o.DigestCheck(false) }},
 		{"digest-slow-scan", func() { o.DigestSlowScan() }},
-		{"accusation", func() { o.Accusation(1, 2, 0, 3, 160) }},
+		{"accusation", func() { o.Accusation() }},
 		{"merge-compares", func() { o.MergeCompares(31) }},
 		{"attempt-span", func() { o.AttemptBegin(1, 3); o.AttemptEnd(1, 3, 500, true) }},
 		{"quarantine", func() { o.Quarantine(4, 1) }},
@@ -57,7 +56,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	j := NewJournal(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Append(Event{Kind: EvRoundBegin, Node: 1, Stage: 2, Iter: 3, VTicks: int64(i)})
+		j.Append(Event{Kind: EvAttemptBegin, Node: 1, Stage: 2, Iter: 3, VTicks: int64(i)})
 	}
 }
 
@@ -65,6 +64,6 @@ func BenchmarkPhiCheck(b *testing.B) {
 	o := New(NewRegistry(), 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.PhiCheck(PhiP, 1, 2, 0, true, int64(i))
+		o.PhiCheck(PhiP, i%2 == 0)
 	}
 }

@@ -52,7 +52,7 @@ func TestHandlerMetricsJSON(t *testing.T) {
 
 func TestHandlerJournal(t *testing.T) {
 	j := NewJournal(8)
-	j.Append(Event{Kind: EvPhiCheck, Label: "C", Node: 1, Pass: true})
+	j.Append(Event{Kind: EvAttemptEnd, Label: "attempt", Node: -1, Pass: true})
 	srv := httptest.NewServer(Handler(nil, j))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/journal")
@@ -71,7 +71,7 @@ func TestHandlerJournal(t *testing.T) {
 	if got.Total != 1 || len(got.Events) != 1 {
 		t.Fatalf("journal response %+v", got)
 	}
-	if got.Events[0].Kind != EvPhiCheck || got.Events[0].Label != "C" || !got.Events[0].Pass {
+	if got.Events[0].Kind != EvAttemptEnd || got.Events[0].Label != "attempt" || !got.Events[0].Pass {
 		t.Fatalf("event %+v", got.Events[0])
 	}
 }

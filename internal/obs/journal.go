@@ -1,21 +1,23 @@
 package obs
 
 import (
-	"context"
-	"log/slog"
 	"sync"
 	"time"
 )
 
 // DefaultJournalCap is the journal capacity used when callers pass a
-// non-positive capacity: enough for every stage, round, and Φ event of
-// a dimension-5 block sort without wrapping.
+// non-positive capacity. A supervised sort journals two events per
+// attempt plus one per backoff wait, quarantine and substitution, so
+// one sort's timeline fills a small fraction of it.
 const DefaultJournalCap = 4096
 
-// Journal is a bounded ring buffer of protocol Events. Appending is
-// allocation-free: the ring is preallocated and events are fixed-size
-// structs copied by value; once full, the oldest events are
-// overwritten (Dropped counts them). Safe for concurrent use.
+// Journal is a bounded ring buffer of supervisor and service Events:
+// recovery attempts, backoff waits, quarantines, substitutions and job
+// spans. Node protocol events are recorded in the flight rings of
+// package forensic instead. Appending is allocation-free: the ring is
+// preallocated and events are fixed-size structs copied by value; once
+// full, the oldest events are overwritten (Dropped counts them). Safe
+// for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
 	ring    []Event
@@ -26,12 +28,6 @@ type Journal struct {
 	// (obs_journal_dropped_total) so scrapes see losses without holding
 	// the journal lock.
 	dropCtr *Counter
-
-	// sink, when non-nil, additionally receives every event as a
-	// structured log record. The sink path allocates (slog attrs), so
-	// hot protocol loops leave it unset and attach one only while
-	// debugging.
-	sink *slog.Logger
 }
 
 // NewJournal returns a journal holding up to capacity events
@@ -41,17 +37,6 @@ func NewJournal(capacity int) *Journal {
 		capacity = DefaultJournalCap
 	}
 	return &Journal{ring: make([]Event, 0, capacity)}
-}
-
-// SetSink attaches (or with nil detaches) an slog logger that receives
-// every subsequent event as a structured record at LevelDebug.
-func (j *Journal) SetSink(l *slog.Logger) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.sink = l
-	j.mu.Unlock()
 }
 
 // Append stamps ev's Seq and Wall fields and stores it, overwriting
@@ -71,26 +56,13 @@ func (j *Journal) Append(ev Event) {
 		j.dropped++
 		j.dropCtr.Inc()
 	}
-	sink := j.sink
 	j.mu.Unlock()
-	if sink != nil {
-		sink.LogAttrs(context.Background(), slog.LevelDebug, ev.Kind.String(),
-			slog.Uint64("seq", ev.Seq),
-			slog.String("label", ev.Label),
-			slog.Int("node", int(ev.Node)),
-			slog.Int("stage", int(ev.Stage)),
-			slog.Int("iter", int(ev.Iter)),
-			slog.Bool("pass", ev.Pass),
-			slog.Int64("vticks", ev.VTicks),
-			slog.Int64("aux", ev.Aux),
-		)
-	}
 }
 
 // Reset empties the journal for reuse: Len, Total and Dropped restart
 // from zero and the ring keeps its capacity. It clears no memory, so
-// it costs the same however many events the journal held. The sink and
-// any dropped-counter binding stay attached.
+// it costs the same however many events the journal held. Any
+// dropped-counter binding stays attached.
 func (j *Journal) Reset() {
 	if j == nil {
 		return

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"log/slog"
 	"strings"
 	"testing"
 )
@@ -10,7 +9,7 @@ import (
 func TestJournalAppendAndOrder(t *testing.T) {
 	j := NewJournal(8)
 	for i := 0; i < 5; i++ {
-		j.Append(Event{Kind: EvRoundBegin, Iter: int32(i)})
+		j.Append(Event{Kind: EvAttemptBegin, Iter: int32(i)})
 	}
 	evs := j.Events()
 	if len(evs) != 5 || j.Len() != 5 || j.Total() != 5 || j.Dropped() != 0 {
@@ -29,7 +28,7 @@ func TestJournalAppendAndOrder(t *testing.T) {
 func TestJournalWrap(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
-		j.Append(Event{Kind: EvRoundBegin, Iter: int32(i)})
+		j.Append(Event{Kind: EvAttemptBegin, Iter: int32(i)})
 	}
 	if j.Len() != 4 || j.Total() != 10 || j.Dropped() != 6 {
 		t.Fatalf("len/total/dropped = %d/%d/%d, want 4/10/6", j.Len(), j.Total(), j.Dropped())
@@ -48,7 +47,7 @@ func TestJournalWrap(t *testing.T) {
 		t.Fatalf("after Reset len/total/dropped = %d/%d/%d, want 0/0/0", j.Len(), j.Total(), j.Dropped())
 	}
 	for i := 0; i < 6; i++ {
-		j.Append(Event{Kind: EvRoundBegin, Iter: int32(i)})
+		j.Append(Event{Kind: EvAttemptBegin, Iter: int32(i)})
 	}
 	if j.Len() != 4 || j.Total() != 6 || j.Dropped() != 2 {
 		t.Fatalf("after Reset and 6 appends len/total/dropped = %d/%d/%d, want 4/6/2", j.Len(), j.Total(), j.Dropped())
@@ -64,7 +63,7 @@ func TestJournalDroppedCounter(t *testing.T) {
 	reg := NewRegistry()
 	o := New(reg, 4)
 	for i := 0; i < 10; i++ {
-		o.Journal().Append(Event{Kind: EvRoundBegin, Iter: int32(i)})
+		o.Journal().Append(Event{Kind: EvAttemptBegin, Iter: int32(i)})
 	}
 	if got := o.Metrics().JournalDropped.Value(); got != 6 {
 		t.Fatalf("obs_journal_dropped_total = %d, want 6", got)
@@ -97,29 +96,8 @@ func TestJournalDroppedCounter(t *testing.T) {
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Append(Event{Kind: EvBackoff})
-	j.SetSink(slog.Default())
 	j.Reset()
 	if j.Events() != nil || j.Len() != 0 || j.Total() != 0 || j.Dropped() != 0 {
 		t.Fatal("nil journal should be inert")
-	}
-}
-
-func TestJournalSlogSink(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(4)
-	j.SetSink(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
-	j.Append(Event{Kind: EvPhiCheck, Label: "P", Node: 3, Stage: 1, Iter: 0, Pass: true, VTicks: 77})
-	out := buf.String()
-	for _, want := range []string{"phi-check", "label=P", "node=3", "pass=true", "vticks=77"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("sink output missing %q:\n%s", want, out)
-		}
-	}
-	// Detach and confirm silence.
-	j.SetSink(nil)
-	buf.Reset()
-	j.Append(Event{Kind: EvBackoff})
-	if buf.Len() != 0 {
-		t.Fatalf("detached sink still received output: %s", buf.String())
 	}
 }

@@ -1,15 +1,19 @@
 // Package obs is the repository's unified observability layer: a
-// process-wide but injectable core of metrics, protocol spans, and a
-// bounded event journal, with Prometheus and JSON exporters and an
-// HTTP introspection endpoint.
+// process-wide but injectable core of metrics and a bounded event
+// journal, with Prometheus and JSON exporters and an HTTP
+// introspection endpoint.
 //
 // The paper's whole argument is that visibility into the running
 // algorithm — the constraint predicate Φ = (Φ_P, Φ_F, Φ_C) — *is* the
 // fault tolerance. This package turns the same visibility outward:
 // every Φ evaluation, compare-exchange round, stage boundary, and
-// recovery attempt can be counted, timed (in both virtual ticks and
-// wall time), journaled, and scraped, without perturbing the quantities
-// the paper measures.
+// recovery attempt is counted, and the stages' virtual-time costs are
+// histogrammed, without perturbing the quantities the paper measures.
+// Each node protocol event itself — a Φ evaluation with its verdict
+// and view digest, an accusation — is recorded once, in the node's
+// flight-recorder ring (package forensic). The journal keeps what no
+// ring records: the recovery supervisor's timeline and the service's
+// job spans.
 //
 // Design constraints, in order:
 //
@@ -32,28 +36,36 @@
 //
 //   - Registry (registry.go): named counters, gauges, and fixed-bucket
 //     histograms, exported as Prometheus text and JSON (export.go).
-//   - Journal (journal.go): a bounded ring buffer of protocol Events
-//     with an optional slog sink.
+//   - Journal (journal.go): a bounded ring buffer of supervisor and
+//     service Events.
 //   - Observer (observer.go): the façade protocol code records
-//     through — stage/round spans, Φ checks, accusations, recovery
-//     attempts — plus the stage-view stream internal/trace subscribes
-//     to. All methods are nil-receiver safe, so un-instrumented runs
-//     pay a single predictable branch.
+//     through — counters for stages, rounds, Φ checks and accusations,
+//     the stage-cost histogram, and recovery attempts, quarantines,
+//     substitutions and backoff waits, which it also journals — plus
+//     the stage-view stream internal/trace subscribes to. All methods
+//     are nil-receiver safe, so un-instrumented runs pay a single
+//     predictable branch.
 //   - Handler/Serve (http.go): /metrics and /debug/journal.
 package obs
 
-import "fmt"
+import (
+	"fmt"
 
-// Phi identifies one of the paper's three constraint predicates.
+	"repro/internal/obs/forensic"
+)
+
+// Phi identifies one of the paper's three constraint predicates. Its
+// values are the flight recorder's predicate codes, so the Φ counters
+// and a node's flight record index by the same constant.
 type Phi uint8
 
 const (
 	// PhiP is Φ_P, the progress (shape) predicate.
-	PhiP Phi = iota + 1
+	PhiP = Phi(forensic.PredProgress)
 	// PhiF is Φ_F, the feasibility (permutation) predicate.
-	PhiF
+	PhiF = Phi(forensic.PredFeasibility)
 	// PhiC is Φ_C, the consistency (cross-copy agreement) predicate.
-	PhiC
+	PhiC = Phi(forensic.PredConsistency)
 )
 
 // phiNames is indexed by Phi.
@@ -67,26 +79,15 @@ func (p Phi) String() string {
 	return fmt.Sprintf("phi(%d)", uint8(p))
 }
 
-// EventKind discriminates journal events.
+// EventKind discriminates journal events. The values are part of
+// /debug/journal's output, which serializes kind as a number, so they
+// stay fixed; 0 to 6 name no kind.
 type EventKind uint8
 
 const (
-	// EvStageBegin/EvStageEnd bracket one bitonic stage (or the final
-	// verification round, Label "final-verify") on one node.
-	EvStageBegin EventKind = iota + 1
-	EvStageEnd
-	// EvRoundBegin/EvRoundEnd bracket one compare-exchange (or
-	// merge-split) round on one node.
-	EvRoundBegin
-	EvRoundEnd
-	// EvPhiCheck is one evaluation of a constraint predicate; Pass
-	// records the verdict and Label names the predicate.
-	EvPhiCheck
-	// EvAccusation is a node implicating a peer (Aux = accused label).
-	EvAccusation
 	// EvSpanBegin/EvSpanEnd bracket a labeled phase outside the bitonic
-	// schedule (host upload/sort/download, run-level phases).
-	EvSpanBegin
+	// schedule (the service's job spans).
+	EvSpanBegin EventKind = iota + 7
 	EvSpanEnd
 	// EvAttemptBegin/EvAttemptEnd bracket one recovery attempt
 	// (Stage = attempt index, Iter = cube dimension; on end Aux = the
@@ -107,12 +108,6 @@ const (
 
 // eventKindNames is indexed by EventKind.
 var eventKindNames = [...]string{
-	EvStageBegin:   "stage-begin",
-	EvStageEnd:     "stage-end",
-	EvRoundBegin:   "round-begin",
-	EvRoundEnd:     "round-end",
-	EvPhiCheck:     "phi-check",
-	EvAccusation:   "accusation",
 	EvSpanBegin:    "span-begin",
 	EvSpanEnd:      "span-end",
 	EvAttemptBegin: "attempt-begin",
@@ -138,25 +133,24 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the event.
 	Kind EventKind `json:"kind"`
-	// Label names the span or predicate ("stage", "final-verify",
-	// "round", "P", "upload", ...). Always a constant string, so
-	// assigning it allocates nothing.
+	// Label names the span ("job", "attempt"). Always a constant
+	// string, so assigning it allocates nothing.
 	Label string `json:"label,omitempty"`
-	// Node is the acting node's label (-1 for the host/supervisor).
+	// Node is the node the event concerns (-1 for the supervisor
+	// itself).
 	Node int32 `json:"node"`
-	// Stage and Iter locate the event in the bitonic schedule (or the
-	// attempt index/dimension for recovery events). -1 when not
-	// applicable.
+	// Stage and Iter carry the attempt index and cube dimension of
+	// recovery events. -1 when not applicable.
 	Stage int32 `json:"stage"`
 	Iter  int32 `json:"iter"`
-	// Pass is the verdict for EvPhiCheck and EvAttemptEnd.
+	// Pass is the verdict for EvAttemptEnd and a job's EvSpanEnd.
 	Pass bool `json:"pass,omitempty"`
 	// VTicks is the producer's virtual clock when the event fired.
 	VTicks int64 `json:"vticks"`
 	// Wall is the wall-clock time in Unix nanoseconds, stamped at
 	// append.
 	Wall int64 `json:"wall"`
-	// Aux is a kind-specific scalar: accused node for EvAccusation,
-	// attempt cost for EvAttemptEnd, nanoseconds for EvBackoff.
+	// Aux is a kind-specific scalar: attempt cost for EvAttemptEnd,
+	// nanoseconds for EvBackoff, spare label for EvSubstitution.
 	Aux int64 `json:"aux,omitempty"`
 }

@@ -243,15 +243,18 @@ type StageSubscriber interface {
 	OnStageView(v StageView)
 }
 
-// Observer is the façade protocol code records through: metrics,
-// journal spans, and the stage-view stream. A single Observer is
-// shared by every node of a run (its parts are concurrency-safe).
-// All methods are nil-receiver safe so un-instrumented call sites pay
-// one branch and nothing else.
+// Observer is the façade protocol code records through: metrics, the
+// recovery supervisor's journal, and the stage-view stream. Node
+// protocol events only bump counters here; the events themselves are
+// recorded once, in each node's flight ring (package forensic). A
+// single Observer is shared by every node of a run (its parts are
+// concurrency-safe). All methods are nil-receiver safe so
+// un-instrumented call sites pay one branch and nothing else.
 type Observer struct {
 	// M receives counters and histograms; nil disables metrics.
 	M *Metrics
-	// J receives span and check events; nil disables the journal.
+	// J receives the supervisor's attempt, backoff, quarantine and
+	// substitution events; nil disables the journal.
 	J *Journal
 
 	// mu guards subs; subscription happens at setup, publishing on the
@@ -309,89 +312,45 @@ func (o *Observer) Metrics() *Metrics {
 	return o.M
 }
 
-// StageBegin records the start of stage stage on node node at virtual
-// time vticks. Label "final-verify" replaces "stage" when final.
-func (o *Observer) StageBegin(node, stage int, final bool, vticks int64) {
-	if o == nil {
+// StageEnd counts one completed stage on one node and observes its
+// virtual-time cost in the stage histogram.
+func (o *Observer) StageEnd(costVT int64) {
+	if o == nil || o.M == nil {
 		return
 	}
-	label := "stage"
-	if final {
-		label = "final-verify"
-	}
-	o.J.Append(Event{Kind: EvStageBegin, Label: label,
-		Node: int32(node), Stage: int32(stage), Iter: -1, VTicks: vticks})
+	o.M.Stages.Inc()
+	o.M.StageVTicks.Observe(costVT)
 }
 
-// StageEnd records the completion of a stage, observing its
-// virtual-time cost (endVT-beginVT) in the stage histogram.
-func (o *Observer) StageEnd(node, stage int, final bool, beginVT, endVT int64) {
-	if o == nil {
+// RoundEnd counts one completed compare-exchange round on one node.
+func (o *Observer) RoundEnd() {
+	if o == nil || o.M == nil {
 		return
 	}
-	if o.M != nil {
-		o.M.Stages.Inc()
-		o.M.StageVTicks.Observe(endVT - beginVT)
-	}
-	label := "stage"
-	if final {
-		label = "final-verify"
-	}
-	o.J.Append(Event{Kind: EvStageEnd, Label: label,
-		Node: int32(node), Stage: int32(stage), Iter: -1,
-		VTicks: endVT, Aux: endVT - beginVT})
+	o.M.Rounds.Inc()
 }
 
-// RoundBegin records the start of the (stage, iter) compare-exchange
-// round on node node.
-func (o *Observer) RoundBegin(node, stage, iter int, vticks int64) {
-	if o == nil {
+// PhiCheck counts one evaluation of constraint predicate phi by
+// verdict. The evaluation itself, with its step and view digest, is
+// the node's flight record.
+func (o *Observer) PhiCheck(phi Phi, pass bool) {
+	if o == nil || o.M == nil || int(phi) >= len(o.M.PhiPass) {
 		return
 	}
-	o.J.Append(Event{Kind: EvRoundBegin, Label: "round",
-		Node: int32(node), Stage: int32(stage), Iter: int32(iter), VTicks: vticks})
+	if pass {
+		o.M.PhiPass[phi].Inc()
+	} else {
+		o.M.PhiFail[phi].Inc()
+	}
 }
 
-// RoundEnd records the completion of a compare-exchange round.
-func (o *Observer) RoundEnd(node, stage, iter int, vticks int64) {
-	if o == nil {
+// Accusation counts one ERROR signal that implicates a peer. The
+// accusation itself is the accusing node's flight record.
+func (o *Observer) Accusation() {
+	if o == nil || o.M == nil {
 		return
 	}
-	if o.M != nil {
-		o.M.Rounds.Inc()
-	}
-	o.J.Append(Event{Kind: EvRoundEnd, Label: "round",
-		Node: int32(node), Stage: int32(stage), Iter: int32(iter), VTicks: vticks})
-}
-
-// PhiCheck records one evaluation of constraint predicate phi.
-func (o *Observer) PhiCheck(phi Phi, node, stage, iter int, pass bool, vticks int64) {
-	if o == nil {
-		return
-	}
-	if o.M != nil && int(phi) < len(o.M.PhiPass) {
-		if pass {
-			o.M.PhiPass[phi].Inc()
-		} else {
-			o.M.PhiFail[phi].Inc()
-		}
-	}
-	o.J.Append(Event{Kind: EvPhiCheck, Label: phi.String(),
-		Node: int32(node), Stage: int32(stage), Iter: int32(iter),
-		Pass: pass, VTicks: vticks})
-}
-
-// Accusation records node implicating accused at (stage, iter).
-func (o *Observer) Accusation(node, stage, iter, accused int, vticks int64) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		o.M.Accusations.Inc()
-	}
-	o.J.Append(Event{Kind: EvAccusation,
-		Node: int32(node), Stage: int32(stage), Iter: int32(iter),
-		VTicks: vticks, Aux: int64(accused)})
+	o.M.Accusations.Inc()
 }
 
 // MergeCompares counts n key comparisons of merge-split/bit_compare
@@ -403,9 +362,8 @@ func (o *Observer) MergeCompares(n int) {
 	o.M.MergeCompares.Add(int64(n))
 }
 
-// DigestCheck records one digest-accelerated predicate check.
-// Metrics-only (no journal event): digest checks happen on the hot
-// merge path and must stay allocation-free.
+// DigestCheck counts one digest-accelerated predicate check by
+// result.
 func (o *Observer) DigestCheck(hit bool) {
 	if o == nil || o.M == nil {
 		return
@@ -424,26 +382,6 @@ func (o *Observer) DigestSlowScan() {
 		return
 	}
 	o.M.DigestSlowScans.Inc()
-}
-
-// SpanBegin records the start of a labeled phase outside the bitonic
-// schedule (host upload/sort/download and similar). label must be a
-// constant string.
-func (o *Observer) SpanBegin(label string, node int, vticks int64) {
-	if o == nil {
-		return
-	}
-	o.J.Append(Event{Kind: EvSpanBegin, Label: label,
-		Node: int32(node), Stage: -1, Iter: -1, VTicks: vticks})
-}
-
-// SpanEnd records the end of a labeled phase.
-func (o *Observer) SpanEnd(label string, node int, vticks int64) {
-	if o == nil {
-		return
-	}
-	o.J.Append(Event{Kind: EvSpanEnd, Label: label,
-		Node: int32(node), Stage: -1, Iter: -1, VTicks: vticks})
 }
 
 // AttemptBegin records the start of recovery attempt attempt on a

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,18 +12,15 @@ func TestObserverNilSafe(t *testing.T) {
 	var o *Observer
 	// Every method on a nil observer must be a no-op, since protocol
 	// code calls them unconditionally.
-	o.StageBegin(0, 0, false, 0)
-	o.StageEnd(0, 0, false, 0, 10)
-	o.RoundBegin(0, 0, 0, 0)
-	o.RoundEnd(0, 0, 0, 0)
-	o.PhiCheck(PhiP, 0, 0, 0, true, 0)
-	o.Accusation(0, 0, 0, 1, 0)
+	o.StageEnd(10)
+	o.RoundEnd()
+	o.PhiCheck(PhiP, true)
+	o.Accusation()
 	o.MergeCompares(5)
-	o.SpanBegin("x", 0, 0)
-	o.SpanEnd("x", 0, 0)
 	o.AttemptBegin(0, 3)
 	o.AttemptEnd(0, 3, 100, true)
 	o.Quarantine(2, 0)
+	o.Substitution(2, 4, 0)
 	o.Backoff(time.Millisecond)
 	o.PublishStage(StageView{})
 	o.Subscribe(nil)
@@ -33,20 +31,19 @@ func TestObserverNilSafe(t *testing.T) {
 
 func TestObserverRecordsMetricsAndJournal(t *testing.T) {
 	o := New(NewRegistry(), 64)
-	o.StageBegin(1, 0, false, 100)
-	o.RoundBegin(1, 0, 0, 100)
-	o.PhiCheck(PhiP, 1, 0, 0, true, 150)
-	o.PhiCheck(PhiF, 1, 0, 0, false, 160)
-	o.RoundEnd(1, 0, 0, 200)
-	o.StageEnd(1, 0, false, 100, 400)
-	o.Accusation(1, 0, 0, 3, 410)
+	o.PhiCheck(PhiP, true)
+	o.PhiCheck(PhiF, false)
+	o.RoundEnd()
+	o.StageEnd(300)
+	o.Accusation()
 	o.MergeCompares(17)
 	o.AttemptBegin(0, 3)
 	o.AttemptEnd(0, 3, 9000, false)
+	o.Quarantine(5, 0)
+	o.Substitution(5, 8, 0)
+	o.Backoff(2 * time.Millisecond)
 	o.AttemptBegin(1, 3)
 	o.AttemptEnd(1, 3, 8000, true)
-	o.Quarantine(5, 1)
-	o.Backoff(2 * time.Millisecond)
 
 	m := o.M
 	if m.Stages.Value() != 1 || m.Rounds.Value() != 1 {
@@ -67,28 +64,53 @@ func TestObserverRecordsMetricsAndJournal(t *testing.T) {
 	if m.RecoveryVerified.Value() != 1 || m.RecoveryWastedVTicks.Value() != 9000 {
 		t.Fatalf("verified/wasted = %d/%d", m.RecoveryVerified.Value(), m.RecoveryWastedVTicks.Value())
 	}
-	if m.RecoveryQuarantines.Value() != 1 {
-		t.Fatal("quarantine counter wrong")
+	if m.RecoveryQuarantines.Value() != 1 || m.RecoverySubstitutions.Value() != 1 {
+		t.Fatal("quarantine/substitution counters wrong")
 	}
 	if m.RecoveryBackoffNanos.Value() != int64(2*time.Millisecond) {
 		t.Fatal("backoff counter wrong")
 	}
 
+	// Node protocol events only count; the journal is the supervisor's
+	// timeline, in call order.
+	want := []EventKind{EvAttemptBegin, EvAttemptEnd, EvQuarantine, EvSubstitution,
+		EvBackoff, EvAttemptBegin, EvAttemptEnd}
 	evs := o.J.Events()
-	// MergeCompares is metrics-only, so 13 of the 14 calls journal.
-	if len(evs) != 13 {
-		t.Fatalf("journal has %d events, want 13", len(evs))
+	if len(evs) != len(want) {
+		t.Fatalf("journal has %d events, want %d: %+v", len(evs), len(want), evs)
 	}
-	if evs[0].Kind != EvStageBegin || evs[0].Label != "stage" {
-		t.Fatalf("first event %+v", evs[0])
+	for i, ev := range evs {
+		if ev.Kind != want[i] {
+			t.Fatalf("event %d is %v, want %v", i, ev.Kind, want[i])
+		}
 	}
-	end := evs[5]
-	if end.Kind != EvStageEnd || end.Aux != 300 || end.VTicks != 400 {
-		t.Fatalf("stage end event %+v", end)
+	if end := evs[1]; end.Pass || end.Aux != 9000 || end.Stage != 0 || end.Iter != 3 {
+		t.Fatalf("attempt end event %+v", end)
 	}
-	acc := evs[6]
-	if acc.Kind != EvAccusation || acc.Aux != 3 {
-		t.Fatalf("accusation event %+v", acc)
+	if sub := evs[3]; sub.Node != 5 || sub.Aux != 8 {
+		t.Fatalf("substitution event %+v", sub)
+	}
+}
+
+// TestEventKindValues pins the journal's event kinds by number and
+// name: /debug/journal serializes kind as a number.
+func TestEventKindValues(t *testing.T) {
+	want := map[EventKind]string{
+		7: "span-begin", 8: "span-end", 9: "attempt-begin", 10: "attempt-end",
+		11: "quarantine", 12: "backoff", 13: "substitution",
+	}
+	for k, name := range want {
+		if k.String() != name {
+			t.Errorf("kind %d = %q, want %q", uint8(k), k.String(), name)
+		}
+	}
+	if EvSpanBegin != 7 || EvSubstitution != 13 {
+		t.Errorf("EvSpanBegin..EvSubstitution = %d..%d, want 7..13", EvSpanBegin, EvSubstitution)
+	}
+	for _, k := range []EventKind{0, 1, 6, 14} {
+		if got := k.String(); got != fmt.Sprintf("event(%d)", uint8(k)) {
+			t.Errorf("unused kind %d = %q", uint8(k), got)
+		}
 	}
 }
 

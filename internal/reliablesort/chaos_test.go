@@ -24,27 +24,16 @@ func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, d
 	return fault.Follow(fault.Case{Msg: &fault.Spec{Strategy: st, ActivateStage: 1, LieValue: 7777}}, site, persistent)
 }
 
-// Two carve-outs to the harness's localization invariant, both for
-// lies about *relayed content* (see core's blockView.mergeChecked):
-//
-//   - harmlessPersistent: a relayed-entry corruption can land
-//     exclusively on receivers that already hold every relayed slot.
-//     Such a merge compares state but never adopts, so the lie cannot
-//     change any node's view; with the sender's honest aggregate
-//     digest riding along, the receiver accepts in O(1) and the run
-//     completes verified and correct on the first attempt — the
-//     application-oriented outcome (correct despite fault) rather
-//     than detect-and-retry.
-//   - ambiguousAttribution: a multiset-preserving permutation of a
-//     relayed view is indistinguishable, at the node that finally
-//     observes a copy conflict, from the relayer of the conflicting
-//     honest copy having lied — the evidence may accuse a node on the
-//     relay path instead of the permuter. Recovery still quarantines,
-//     shrinks, and re-verifies; only exact localization is not
-//     guaranteed.
+// harmlessPersistent is the one carve-out to the harness's
+// localization invariant, for lies about *relayed content* (see core's
+// blockView.mergeChecked): a relayed-entry corruption can land
+// exclusively on receivers that already hold every relayed slot. Such
+// a merge compares state but never adopts, so the lie cannot change
+// any node's view; with the sender's honest aggregate digest riding
+// along, the receiver accepts in O(1) and the run completes verified
+// and correct on the first attempt — the application-oriented outcome
+// (correct despite fault) rather than detect-and-retry.
 var harmlessPersistent = map[fault.Strategy]bool{fault.ViewLie: true}
-
-var ambiguousAttribution = map[fault.Strategy]bool{fault.PermuteLie: true}
 
 // TestChaosAutoRecover sweeps every Byzantine strategy × every fault
 // site × transient/persistent on a dim-3 cube and asserts the
@@ -53,7 +42,7 @@ var ambiguousAttribution = map[fault.Strategy]bool{fault.PermuteLie: true}
 // with a structured *recovery.ExhaustedError — it never returns an
 // unverified slice. Persistent faults must be localized: the
 // quarantined node must be the injected fault site (except the
-// documented carve-outs above).
+// documented carve-out above).
 func TestChaosAutoRecover(t *testing.T) {
 	want := append([]int64(nil), chaosKeys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -114,27 +103,15 @@ func TestChaosAutoRecover(t *testing.T) {
 							// is nothing to localize.
 							return
 						}
-						if ambiguousAttribution[st] {
-							if len(rec.Quarantined) == 0 {
-								t.Fatalf("recovery engaged but quarantined nobody (attempts: %d)", stats.Attempts)
-							}
-							if rec.FinalDim != 3-len(rec.Quarantined) {
-								t.Fatalf("FinalDim = %d after %d quarantine(s)", rec.FinalDim, len(rec.Quarantined))
-							}
-							if stats.Nodes != 1<<uint(rec.FinalDim) || stats.Nodes*stats.BlockLen != len(chaosKeys) {
-								t.Fatalf("degraded geometry %d×%d for dim %d", stats.Nodes, stats.BlockLen, rec.FinalDim)
-							}
-						} else {
-							if len(rec.Quarantined) != 1 || rec.Quarantined[0] != site {
-								t.Fatalf("quarantined %v, want [%d] (attempts: %d)",
-									rec.Quarantined, site, stats.Attempts)
-							}
-							if rec.FinalDim != 2 {
-								t.Fatalf("FinalDim = %d after one quarantine", rec.FinalDim)
-							}
-							if stats.Nodes != 4 || stats.BlockLen != 4 {
-								t.Fatalf("degraded geometry %d×%d, want 4×4", stats.Nodes, stats.BlockLen)
-							}
+						if len(rec.Quarantined) != 1 || rec.Quarantined[0] != site {
+							t.Fatalf("quarantined %v, want [%d] (attempts: %d)",
+								rec.Quarantined, site, stats.Attempts)
+						}
+						if rec.FinalDim != 2 {
+							t.Fatalf("FinalDim = %d after one quarantine", rec.FinalDim)
+						}
+						if stats.Nodes != 4 || stats.BlockLen != 4 {
+							t.Fatalf("degraded geometry %d×%d, want 4×4", stats.Nodes, stats.BlockLen)
 						}
 					} else {
 						if len(rec.Quarantined) != 0 {

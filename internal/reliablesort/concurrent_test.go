@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
+	"repro/internal/wire"
 )
 
 // TestConcurrentSortIsolation is the multi-tenant audit for Sort: N
@@ -106,20 +107,20 @@ func TestConcurrentSortIsolation(t *testing.T) {
 		}
 
 		// Accusation isolation: only the faulty job's observer and
-		// journal carry accusations, and only its recovery report
+		// flight carry accusations, and only its recovery report
 		// quarantines anyone. (Exact localization of the suspect is
 		// chaos_test's concern; here the property is that the evidence
 		// lands in the right job's telemetry.)
 		acc := r.o.M.Accusations.Value()
 		var accused []int
-		for _, ev := range r.o.J.Events() {
-			if ev.Kind == obs.EvAccusation {
-				accused = append(accused, int(ev.Aux))
+		for _, rep := range r.flight.Reports() {
+			if rep.Accuser != wire.HostID && rep.Accused >= 0 {
+				accused = append(accused, int(rep.Accused))
 			}
 		}
 		if i == faultyJob {
 			if acc == 0 || len(accused) == 0 {
-				t.Errorf("faulty job: no accusations recorded (counter %d, journal %d)", acc, len(accused))
+				t.Errorf("faulty job: no accusations recorded (counter %d, flight %d)", acc, len(accused))
 			}
 			if r.stats.Recovery == nil || len(r.stats.Recovery.Quarantined) == 0 {
 				t.Errorf("faulty job: persistent fault recovered without quarantine: %+v", r.stats.Recovery)
@@ -137,7 +138,7 @@ func TestConcurrentSortIsolation(t *testing.T) {
 			}
 		} else {
 			if acc != 0 || len(accused) != 0 {
-				t.Errorf("honest job %d: %d accusations bled into its observer (journal: %v)",
+				t.Errorf("honest job %d: %d accusations bled into its observer (flight: %v)",
 					i, acc, accused)
 			}
 			if r.o.M.RecoveryRetries.Value() != 0 {

@@ -39,7 +39,6 @@ func exchangePair(t *testing.T, nw *simnet.Network, opts Options, m int) (step f
 	active, passive := runners[0], runners[1]
 	var kept, adopted []int64
 	step = func() {
-		opts.Obs.RoundBegin(0, 0, 0, int64(active.ep.Clock()))
 		if err := passive.send(0, 0, blocks[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +49,7 @@ func exchangePair(t *testing.T, nw *simnet.Network, opts Options, m int) (step f
 		if adopted, err = passive.adopt(0); err != nil {
 			t.Fatal(err)
 		}
-		opts.Obs.RoundEnd(0, 0, 0, int64(active.ep.Clock()))
+		opts.Obs.RoundEnd()
 	}
 	check = func() {
 		if len(kept) != m || len(adopted) != m || kept[m-1] > adopted[0] {
@@ -88,8 +87,8 @@ func TestExchangeStepZeroAllocs(t *testing.T) {
 // TestInstrumentedExchangeStepZeroAllocs is the acceptance gate for
 // the observability layer: the same steady-state exchange, but with the
 // full unified instrumentation enabled — transport message/byte
-// counters, round spans into the journal — must still be zero
-// allocations per step.
+// counters and the round counter — must still be zero allocations per
+// step.
 func TestInstrumentedExchangeStepZeroAllocs(t *testing.T) {
 	for _, m := range blockLens {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
@@ -106,8 +105,8 @@ func TestInstrumentedExchangeStepZeroAllocs(t *testing.T) {
 				t.Errorf("instrumented exchange step: %v allocs/op, want 0", n)
 			}
 			check()
-			if o.Journal().Total() == 0 {
-				t.Error("journal recorded nothing")
+			if o.Metrics().Rounds.Value() == 0 {
+				t.Error("round counter recorded nothing")
 			}
 			if o.Metrics().MsgsTotal[1].Value() == 0 {
 				t.Error("transport counters recorded nothing")

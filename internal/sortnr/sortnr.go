@@ -31,9 +31,9 @@ type Options struct {
 	// return a replacement, or return nil to stay silent. It is called
 	// with From/To already stamped so strategies can vary by receiver.
 	Tamper func(m *wire.Message) *wire.Message
-	// Obs, when non-nil, receives stage and round spans. S_NR has no Φ
-	// predicates to report; the spans exist so the baseline's schedule
-	// shows up in the same journal as S_FT's. Nil-safe,
+	// Obs, when non-nil, counts the node's completed stages and rounds
+	// and observes each stage's virtual-time cost, in the same families
+	// S_FT records into. S_NR has no Φ predicates to report. Nil-safe,
 	// allocation-free, and never charges virtual time.
 	Obs *obs.Observer
 }
@@ -97,17 +97,15 @@ func runNode(ep transport.Endpoint, block, out []int64, opts Options) error {
 	ep.ChargeKeyMove(len(mine))
 	for i := 0; i < n; i++ {
 		stageVT := int64(ep.Clock())
-		opts.Obs.StageBegin(id, i, false, stageVT)
 		for j := i; j >= 0; j-- {
-			opts.Obs.RoundBegin(id, i, j, int64(ep.Clock()))
 			var err error
 			mine, err = r.exchange(mine, i, j)
 			if err != nil {
 				return fmt.Errorf("sortnr: node %d stage %d iter %d: %w", id, i, j, err)
 			}
-			opts.Obs.RoundEnd(id, i, j, int64(ep.Clock()))
+			opts.Obs.RoundEnd()
 		}
-		opts.Obs.StageEnd(id, i, false, stageVT, int64(ep.Clock()))
+		opts.Obs.StageEnd(int64(ep.Clock()) - stageVT)
 	}
 	copy(out, mine)
 	return nil

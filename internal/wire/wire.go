@@ -257,16 +257,6 @@ func (r *reader) readKeys(dst []int64) {
 	r.off += 8 * len(dst)
 }
 
-func (r *reader) keys() ([]int64, error) {
-	n, err := r.keyCount()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	r.readKeys(out)
-	return out, nil
-}
-
 func (r *reader) done() error {
 	if r.off != len(r.buf) {
 		return fmt.Errorf("wire: %d trailing bytes in payload", len(r.buf)-r.off)
@@ -362,13 +352,6 @@ func AppendView(buf []byte, v View) ([]byte, error) {
 	return buf, nil
 }
 
-func (r *reader) view() (View, error) {
-	// A throwaway scratch detaches the result: viewInto allocates all
-	// storage fresh when the scratch starts empty.
-	var s DecodeScratch
-	return r.viewInto(&s)
-}
-
 // viewInto parses a view using (and resizing) the scratch's buffers.
 // The returned View's Mask and Vals alias the scratch.
 func (r *reader) viewInto(s *DecodeScratch) (View, error) {
@@ -431,7 +414,9 @@ func ViewEncodedSize(size, known, blockLen int) int {
 // scratch storage (Keys, View.Mask, View.Vals), so each result is valid
 // only until the next Decode*Into call on the same scratch. The zero
 // value is ready to use; after a warm-up call per payload shape, decodes
-// perform no allocation.
+// perform no allocation. A fresh scratch allocates every buffer anew,
+// so the plain Decode* functions decode into one and their results own
+// their memory.
 type DecodeScratch struct {
 	keys  []int64
 	vals  []int64
@@ -532,17 +517,9 @@ func AppendExchange(buf []byte, keys []int64) []byte {
 	return AppendKeys(buf, keys)
 }
 
-// DecodeExchange parses an ExchangePayload.
+// DecodeExchange parses an ExchangePayload into storage of its own.
 func DecodeExchange(buf []byte) (ExchangePayload, error) {
-	r := &reader{buf: buf}
-	keys, err := r.keys()
-	if err != nil {
-		return ExchangePayload{}, err
-	}
-	if err := r.done(); err != nil {
-		return ExchangePayload{}, err
-	}
-	return ExchangePayload{Keys: keys}, nil
+	return DecodeExchangeInto(new(DecodeScratch), buf)
 }
 
 // FTExchangePayload is the body of a KindFTExchange message: the
@@ -565,21 +542,10 @@ func AppendFTExchange(buf []byte, p FTExchangePayload) ([]byte, error) {
 	return AppendView(buf, p.View)
 }
 
-// DecodeFTExchange parses an FTExchangePayload.
+// DecodeFTExchange parses an FTExchangePayload into storage of its
+// own.
 func DecodeFTExchange(buf []byte) (FTExchangePayload, error) {
-	r := &reader{buf: buf}
-	keys, err := r.keys()
-	if err != nil {
-		return FTExchangePayload{}, err
-	}
-	v, err := r.view()
-	if err != nil {
-		return FTExchangePayload{}, err
-	}
-	if err := r.done(); err != nil {
-		return FTExchangePayload{}, err
-	}
-	return FTExchangePayload{Keys: keys, View: v}, nil
+	return DecodeFTExchangeInto(new(DecodeScratch), buf)
 }
 
 // VerifyPayload is the body of a KindVerify message: the final sorted
@@ -599,17 +565,9 @@ func AppendVerify(buf []byte, p VerifyPayload) ([]byte, error) {
 	return AppendView(buf, p.View)
 }
 
-// DecodeVerify parses a VerifyPayload.
+// DecodeVerify parses a VerifyPayload into storage of its own.
 func DecodeVerify(buf []byte) (VerifyPayload, error) {
-	r := &reader{buf: buf}
-	v, err := r.view()
-	if err != nil {
-		return VerifyPayload{}, err
-	}
-	if err := r.done(); err != nil {
-		return VerifyPayload{}, err
-	}
-	return VerifyPayload{View: v}, nil
+	return DecodeVerifyInto(new(DecodeScratch), buf)
 }
 
 // HostPayload is the body of host upload/download messages.
@@ -624,17 +582,9 @@ func EncodeHost(p HostPayload) []byte { return AppendHost(nil, p.Keys) }
 // allocation-free form of EncodeHost.
 func AppendHost(buf []byte, keys []int64) []byte { return AppendKeys(buf, keys) }
 
-// DecodeHost parses a HostPayload.
+// DecodeHost parses a HostPayload into storage of its own.
 func DecodeHost(buf []byte) (HostPayload, error) {
-	r := &reader{buf: buf}
-	keys, err := r.keys()
-	if err != nil {
-		return HostPayload{}, err
-	}
-	if err := r.done(); err != nil {
-		return HostPayload{}, err
-	}
-	return HostPayload{Keys: keys}, nil
+	return DecodeHostInto(new(DecodeScratch), buf)
 }
 
 // ErrorPayload is the body of a node's ERROR signal to the host: which
