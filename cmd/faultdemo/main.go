@@ -89,9 +89,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := make([]core.Options, n)
-	opts[demoSpec.Node] = core.Options{SkipChecks: true, Tamper: demoSpec.Tamper()}
-	oc, err := core.RunWithOptions(nw, keys, opts)
+	oc, err := core.RunWithOptions(nw, keys, fault.Set{{Msg: &demoSpec}}.Options(n))
 	if err != nil {
 		return err
 	}

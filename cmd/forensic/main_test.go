@@ -18,7 +18,7 @@ func dumpFile(t *testing.T) string {
 	t.Helper()
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
 	spec := fault.Spec{Node: 5, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 7777}
-	res, err := fault.Inject(3, keys, 1, fault.Case{Msg: &spec}, 200*time.Millisecond)
+	res, err := fault.Inject(3, keys, 1, fault.Set{{Msg: &spec}}, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

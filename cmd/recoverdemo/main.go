@@ -78,7 +78,7 @@ func run(args []string, out io.Writer) error {
 		AutoRecover: true,
 		MaxAttempts: *attempts,
 		Spares:      *spares,
-		Inject:      fault.Follow(fault.Case{Msg: &spec}, *site, *persistent),
+		Inject:      fault.Follow(fault.Set{{Msg: &spec}}, *persistent),
 	})
 	if err != nil {
 		var ex *recovery.ExhaustedError

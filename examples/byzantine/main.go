@@ -41,9 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := make([]core.Options, 1<<dim)
-	opts[faultyNode] = core.Options{SkipChecks: true, Tamper: spec.Tamper()}
-	oc, err := core.RunWithOptions(nw, keys, opts)
+	oc, err := core.RunWithOptions(nw, keys, fault.Set{{Msg: &spec}}.Options(1<<dim))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func run(title string, persistent bool) {
 		RecvTimeout: 200 * time.Millisecond,
 		AutoRecover: true,
 		MaxAttempts: 5,
-		Inject:      fault.Follow(fault.Case{Msg: &spec}, culprit, persistent),
+		Inject:      fault.Follow(fault.Set{{Msg: &spec}}, persistent),
 	})
 	if err != nil {
 		log.Fatalf("%s: %v", title, err)

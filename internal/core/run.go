@@ -82,8 +82,7 @@ func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outc
 		if opts != nil {
 			o = opts[id]
 		}
-		block, dst := keys[id*m:(id+1)*m], out[id*m:(id+1)*m]
-		progs[id] = func(ep transport.Endpoint) error { return runNode(ep, block, dst, o) }
+		progs[id] = NodeProgram(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], o)
 	}
 	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
@@ -93,8 +92,9 @@ func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outc
 }
 
 // DrainHostErrors empties the host mailbox of ERROR signals after the
-// nodes have terminated. Exported for the interleaving explorer, which
-// runs node programs itself and needs the standard evidence decode.
+// nodes have terminated. Exported for fault.Run, which builds its own
+// program set (a crashed node runs none) and needs the standard
+// evidence decode.
 func DrainHostErrors(nw transport.Network) []HostError {
 	h := nw.Host()
 	var out []HostError

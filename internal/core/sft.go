@@ -21,8 +21,8 @@
 // compare-exchange becomes a merge-split of 2m keys, each view slot
 // holds a node's whole block, and each predicate Φ scales by m. There
 // is one runner for every m; S_FT's one key per node is the m = 1
-// case (Run, RunWithOptions, NodeProgram) and RunBlocks takes m keys
-// per node.
+// case (Run, RunWithOptions), and RunBlocks and NodeProgram take m
+// keys per node.
 package core
 
 import (
@@ -110,32 +110,21 @@ type Options struct {
 	SeparateCheckMessages bool
 }
 
-// NodeProgram returns the S_FT program for one node with initial key
-// key: the m = 1 case of the runner RunBlocks runs on every node. On
-// successful completion the node's final key is written to *out (each
-// node writes only its own slot).
-func NodeProgram(key int64, out *int64, opts Options) node.Program {
+// NodeProgram returns the S_FT program for one node holding block,
+// m = len(block) keys: the program RunBlocks runs on every node. On
+// success the node writes its sorted block to out (len m), its own
+// slot of the run's output; block is never written, and block and out
+// may alias.
+func NodeProgram(block, out []int64, opts Options) node.Program {
 	return func(ep transport.Endpoint) error {
-		b := [1]int64{key}
-		if err := runNode(ep, b[:], b[:], opts); err != nil {
+		r := &runner{ep: ep, opts: opts, m: len(block)}
+		mine, err := r.run(block)
+		if err != nil {
 			return err
 		}
-		*out = b[0]
+		copy(out, mine)
 		return nil
 	}
-}
-
-// runNode runs the node at ep holding block, m = len(block) keys, and
-// on success writes its sorted block to out (len m), its own slot of
-// the run's output; block and out may alias.
-func runNode(ep transport.Endpoint, block, out []int64, opts Options) error {
-	r := &runner{ep: ep, opts: opts, m: len(block)}
-	mine, err := r.run(block)
-	if err != nil {
-		return err
-	}
-	copy(out, mine)
-	return nil
 }
 
 // runner is one node's fault-tolerant sort: the stage loop, the

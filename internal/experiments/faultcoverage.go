@@ -223,7 +223,7 @@ func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRo
 		default:
 			c.Msg = &fault.Spec{Node: node, Strategy: row.strategy, ActivateStage: 1, LieValue: cfg.Lie}
 		}
-		res, err := fault.Inject(dim, keys, m, c, cfg.Timeout)
+		res, err := fault.Inject(dim, keys, m, fault.Set{c}, cfg.Timeout)
 		if err != nil {
 			return CoverageCell{}, fmt.Errorf("run %d node %d: %w", run, node, err)
 		}

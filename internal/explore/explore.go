@@ -35,10 +35,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/checker"
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
@@ -287,7 +284,6 @@ type branchRun struct {
 // runOnce executes the case once under the given controlled scheduler
 // and classifies the branch.
 func (x *explorer) runOnce(c fault.Case, sched simnet.Scheduler) (branchRun, error) {
-	n := 1 << uint(x.cfg.Dim)
 	flight := forensic.New(0)
 	nw, err := simnet.New(simnet.Config{
 		Dim:         x.cfg.Dim,
@@ -298,34 +294,11 @@ func (x *explorer) runOnce(c fault.Case, sched simnet.Scheduler) (branchRun, err
 	if err != nil {
 		return branchRun{}, err
 	}
-	opts := c.Options(n)
-	for i := range opts {
-		if x.cfg.WeakenChecks {
-			opts[i].SkipChecks = true
-		}
-		opts[i].Forensic = flight.Node(i)
-	}
-	crashed := -1
-	if c.Msg == nil && c.Cmp == nil && c.Mem == nil {
-		crashed = c.Crashed
-	}
-	out := make([]int64, n)
-	progs := make([]node.Program, n)
-	for id := 0; id < n; id++ {
-		if id == crashed {
-			continue // fail-stop from time zero: nil program
-		}
-		progs[id] = core.NodeProgram(x.keys[id], &out[id], opts[id])
-	}
-	res, err := node.RunPer(nw, progs, nil)
+	r, err := fault.Run(nw, flight, x.keys, 1, fault.Set{c}, x.cfg.WeakenChecks)
 	if err != nil {
 		return branchRun{}, err
 	}
-	oc := &core.Outcome{Sorted: out, Result: res, HostErrors: core.DrainHostErrors(nw)}
-
-	br := branchRun{steps: nw.Steps(), verifyErr: checker.Verify(x.keys, out, true)}
-	r := fault.Classify(oc, br.verifyErr, flight)
-	br.dump = r.Forensic
+	br := branchRun{steps: nw.Steps(), verifyErr: r.Wrong, dump: r.Forensic}
 	br.diag = Diagnosis{Verdict: r.Verdict, Detector: r.Detector, Predicate: r.Predicate,
 		Accused: r.Accused, Stage: r.Stage, Iter: r.Iter}
 	if br.dump != nil {

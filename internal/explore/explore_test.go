@@ -76,10 +76,9 @@ func TestExhaustiveDim2Totals(t *testing.T) {
 // a key lie at node 1 from stage 1, caught by honest partners.
 func keyLieCase() fault.Case {
 	return fault.Case{
-		Name:    "msg/key-lie/n1/s1",
-		Class:   fault.ClassMessage,
-		Msg:     &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20},
-		Crashed: -1,
+		Name:  "msg/key-lie/n1/s1",
+		Class: fault.ClassMessage,
+		Msg:   &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20},
 	}
 }
 
@@ -88,10 +87,9 @@ func keyLieCase() fault.Case {
 // turns into silent corruption.
 func memStuckCase() fault.Case {
 	return fault.Case{
-		Name:    "mem/mem-stuck/n0",
-		Class:   fault.ClassMemory,
-		Mem:     &fault.MemSpec{Node: 0, Mode: fault.MemStuck, Rate: 1, Seed: 42, ActivateStage: 1, StuckValue: -7},
-		Crashed: -1,
+		Name:  "mem/mem-stuck/n0",
+		Class: fault.ClassMemory,
+		Mem:   &fault.MemSpec{Node: 0, Mode: fault.MemStuck, Rate: 1, Seed: 42, ActivateStage: 1, StuckValue: -7},
 	}
 }
 
@@ -262,11 +260,29 @@ func TestRecordedScheduleReplaysIdentically(t *testing.T) {
 // TestResultJSON keeps the sweep result serializable for cmd/explore's
 // -json artifact.
 func TestResultJSON(t *testing.T) {
-	res, err := Run(Config{Dim: 1, Cases: []fault.Case{{Name: "none", Crashed: -1}}})
+	res, err := Run(Config{Dim: 1, Cases: []fault.Case{{Name: "none"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNamedOnlyCaseIsFaultFree pins that the zero Case is the
+// fault-free case: a case carrying only a name names no faulty node,
+// and the explorer runs it honest, undetected and sorted, instead of
+// crashing node 0.
+func TestNamedOnlyCaseIsFaultFree(t *testing.T) {
+	c := fault.Case{Name: "zero"}
+	if got := c.Faulty(); got != -1 {
+		t.Fatalf("Faulty() = %d, want -1", got)
+	}
+	_, diag, _, err := Record(Config{Dim: 1}, c, &enumSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diag.Verdict != fault.CorrectDespiteFault {
+		t.Fatalf("verdict %v, want an undetected sorted run", diag.Verdict)
 	}
 }

@@ -18,10 +18,9 @@ import (
 // state — the per-case pruned counts there are legitimately zero.
 func TestStateHashPruningDim3(t *testing.T) {
 	c := fault.Case{
-		Name:    "msg/key-lie/n1/s1",
-		Class:   fault.ClassMessage,
-		Msg:     &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20},
-		Crashed: -1,
+		Name:  "msg/key-lie/n1/s1",
+		Class: fault.ClassMessage,
+		Msg:   &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20},
 	}
 	res, err := Run(Config{Dim: 3, Cases: []fault.Case{c}})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -30,16 +29,15 @@ func withPayload(m *wire.Message, payload []byte) *wire.Message {
 	return &c
 }
 
-// RandomAdversary builds a randomized Byzantine tamper hook: for every
+// randomAdversary builds the Random strategy's tamper hook: for every
 // outgoing message past the activation stage it picks, at random, one
 // of several structured or unstructured mutations — key substitution,
 // view-value substitution, raw byte corruption, header re-stamping,
-// occasional silence, or passing the message through. It is the
-// property-based complement to the named strategies: instead of
+// occasional silence, or passing the message through. Instead of
 // testing attacks we thought of, it searches the attack space.
 // Deterministic for a given seed. Mutations are applied to a clone:
 // the caller's message is never written through.
-func RandomAdversary(seed int64, activateStage int) func(m *wire.Message) *wire.Message {
+func randomAdversary(seed int64, activateStage int) func(m *wire.Message) *wire.Message {
 	rng := rand.New(rand.NewSource(seed))
 	return func(m *wire.Message) *wire.Message {
 		if int(m.Stage) < activateStage {
@@ -82,36 +80,27 @@ func RandomAdversary(seed int64, activateStage int) func(m *wire.Message) *wire.
 }
 
 // AdversarySearch runs `trials` randomized single-adversary attacks
-// (random faulty node, random mutation stream) against S_FT and
-// returns the verdict tally. Any SilentWrong is a counterexample to
-// the fail-stop guarantee and is reported with its reproduction seed.
+// (the Random strategy at a random node, each trial with its own seed)
+// against S_FT and returns the verdict tally. Any SilentWrong is a
+// counterexample to the fail-stop guarantee and is reported with its
+// reproduction seed.
 func AdversarySearch(dim int, keys []int64, trials int, seed int64, timeout time.Duration) (Summary, []int64, error) {
 	n := 1 << uint(dim)
-	if len(keys) != n {
-		return Summary{}, nil, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
-	}
 	rng := rand.New(rand.NewSource(seed))
-	var sum Summary
-	var counterexamples []int64
-	for trial := 0; trial < trials; trial++ {
+	sets := make([]Set, trials)
+	for i := range sets {
 		trialSeed := rng.Int63()
-		faulty := rng.Intn(n)
-		opts := make([]core.Options, n)
-		opts[faulty] = core.Options{SkipChecks: true, Tamper: RandomAdversary(trialSeed, 1)}
-		r, err := run(dim, keys, 1, opts, timeout)
-		if err != nil {
-			return Summary{}, nil, fmt.Errorf("fault: adversary trial %d: %w", trial, err)
-		}
-		sum.Total++
-		switch r.Verdict {
-		case Detected:
-			sum.Detected++
-		case CorrectDespiteFault:
-			sum.CorrectDespiteFault++
-		case SilentWrong:
-			sum.SilentWrong++
-			counterexamples = append(counterexamples, trialSeed)
+		sets[i] = Set{{Msg: &Spec{Node: rng.Intn(n), Strategy: Random, ActivateStage: 1, LieValue: trialSeed}}}
+	}
+	results, err := injectAll(dim, keys, 1, sets, timeout)
+	if err != nil {
+		return Summary{}, nil, fmt.Errorf("fault: adversary search: %w", err)
+	}
+	var counterexamples []int64
+	for i, r := range results {
+		if r.Verdict == SilentWrong {
+			counterexamples = append(counterexamples, sets[i][0].Msg.LieValue)
 		}
 	}
-	return sum, counterexamples, nil
+	return Summarize(results), counterexamples, nil
 }

@@ -28,9 +28,9 @@ func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
 	}
 	sum := Summarize(results)
 	if sum.SilentWrong != 0 {
-		for _, r := range results {
+		for i, r := range results {
 			if r.Verdict == SilentWrong {
-				t.Errorf("SILENT WRONG: node %d strategy %v", r.Spec.Node, r.Spec.Strategy)
+				t.Errorf("SILENT WRONG: node %d strategy %v", i%8, strategies[i/8])
 			}
 		}
 		t.Fatalf("summary: %+v", sum)
@@ -45,11 +45,11 @@ func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
 
 func TestInjectBlockFTValidation(t *testing.T) {
 	good := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}
-	if _, err := Inject(2, []int64{1}, 1, Case{Msg: &good}, faultTimeout); err == nil {
+	if _, err := Inject(2, []int64{1}, 1, Set{{Msg: &good}}, faultTimeout); err == nil {
 		t.Error("wrong block count: want error")
 	}
 	bad := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}
-	if _, err := Inject(2, blockWorkload(2, 2, 1), 2, Case{Msg: &bad}, faultTimeout); err == nil {
+	if _, err := Inject(2, blockWorkload(2, 2, 1), 2, Set{{Msg: &bad}}, faultTimeout); err == nil {
 		t.Error("activate stage 0: want error")
 	}
 }
@@ -59,7 +59,7 @@ func TestInjectBlockFTHonestIsClean(t *testing.T) {
 	// honest run: correct despite "fault".
 	keys := blockWorkload(2, 3, 9)
 	spec := Spec{Node: 1, Strategy: KeyLie, ActivateStage: 99, LieValue: 1}
-	r, err := Inject(2, keys, 3, Case{Msg: &spec}, faultTimeout)
+	r, err := Inject(2, keys, 3, Set{{Msg: &spec}}, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,18 +210,15 @@ func TestCorruptorModes(t *testing.T) {
 func TestCmpInjectorsDetect(t *testing.T) {
 	for _, mode := range AllCmpModes() {
 		spec := CmpSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1}
-		r, err := Inject(3, paperKeys(), 1, Case{Cmp: &spec}, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Cmp: &spec}}, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
 		if r.Verdict != Detected {
 			t.Errorf("%v S_FT: verdict %v", mode, r.Verdict)
 		}
-		if r.Class != ClassComparison || r.Label != mode.String() {
-			t.Errorf("%v S_FT: class %v label %q", mode, r.Class, r.Label)
-		}
 		spec.Node = 1
-		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Case{Cmp: &spec}, faultTimeout)
+		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Cmp: &spec}}, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -237,18 +234,15 @@ func TestCmpInjectorsDetect(t *testing.T) {
 func TestMemInjectorsDetect(t *testing.T) {
 	for _, mode := range AllMemModes() {
 		spec := MemSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1, StuckValue: 1 << 20}
-		r, err := Inject(3, paperKeys(), 1, Case{Mem: &spec}, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Mem: &spec}}, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
 		if r.Verdict != Detected {
 			t.Errorf("%v S_FT: verdict %v", mode, r.Verdict)
 		}
-		if r.Class != ClassMemory || r.Label != mode.String() {
-			t.Errorf("%v S_FT: class %v label %q", mode, r.Class, r.Label)
-		}
 		spec.Node = 3
-		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Case{Mem: &spec}, faultTimeout)
+		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Mem: &spec}}, faultTimeout)
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -259,13 +253,13 @@ func TestMemInjectorsDetect(t *testing.T) {
 }
 
 func TestCmpMemInjectorsRejectBadSpecs(t *testing.T) {
-	if _, err := Inject(3, paperKeys(), 1, Case{Cmp: &CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Set{{Cmp: &CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}}}, faultTimeout); err == nil {
 		t.Error("activate-stage-0 cmp spec accepted")
 	}
-	if _, err := Inject(3, paperKeys()[:2], 1, Case{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys()[:2], 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}, faultTimeout); err == nil {
 		t.Error("short workload accepted")
 	}
-	if _, err := Inject(2, []int64{1}, 1, Case{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}, faultTimeout); err == nil {
+	if _, err := Inject(2, []int64{1}, 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}, faultTimeout); err == nil {
 		t.Error("short block workload accepted")
 	}
 }
@@ -306,8 +300,8 @@ func TestTampersNeverAliasCallerState(t *testing.T) {
 		spec := Spec{Node: 0, Strategy: st, ActivateStage: 1, LieValue: 999}
 		check(st.String(), spec.Tamper(), 4)
 	}
-	// Enough calls to hit every RandomAdversary mutation arm.
-	check("random-adversary", RandomAdversary(7, 1), 64)
+	// Enough calls to hit every Random mutation arm.
+	check("random", Spec{Node: 0, Strategy: Random, ActivateStage: 1, LieValue: 7}.Tamper(), 64)
 	check("snr-tamper", snrTamper(Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1, LieValue: 5}), 4)
 }
 
@@ -315,7 +309,7 @@ func TestTampersNeverAliasCallerState(t *testing.T) {
 // return a message whose payload does not share storage with the
 // input.
 func TestRandomAdversaryReturnsDistinctClones(t *testing.T) {
-	adv := RandomAdversary(7, 1)
+	adv := randomAdversary(7, 1)
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	mutated := 0
 	for i := 0; i < 64; i++ {

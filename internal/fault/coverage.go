@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
 	"repro/internal/sortnr"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -43,18 +44,13 @@ func (v Verdict) String() string {
 	}
 }
 
-// Result is the outcome of one injected-fault run.
+// Result is the outcome of one fault-injection run.
 type Result struct {
-	// Spec is the message-fault spec, zero for comparison and memory
-	// faults (which are described by CmpSpec / MemSpec instead).
-	Spec    Spec
 	Verdict Verdict
-	// Class is the adversary class injected (message, absence,
-	// comparison, memory).
-	Class Class
-	// Label names the concrete strategy or mode within the class,
-	// e.g. "key-lie" or "mem-stuck".
-	Label string
+	// Wrong is the Theorem 1 oracle's complaint about the gathered
+	// output, nil when it verified. It makes an undetected run
+	// SilentWrong; a Detected run's output is not trusted.
+	Wrong error
 	// Predicate is the predicate class of the earliest detection
 	// evidence that reached the host (when Detected).
 	Predicate string
@@ -109,7 +105,7 @@ func EarliestEvidence(errs []core.HostError) (core.HostError, bool) {
 // matches (raced rings) the latest dump stands in. A node-local
 // detection has no evidence to match and carries no dump.
 func Classify(oc *core.Outcome, verifyErr error, flight *forensic.Flight) Result {
-	r := Result{Accused: -1}
+	r := Result{Accused: -1, Wrong: verifyErr}
 	switch {
 	case oc.Detected():
 		r.Verdict = Detected
@@ -144,53 +140,63 @@ func Classify(oc *core.Outcome, verifyErr error, flight *forensic.Flight) Result
 	return r
 }
 
-// Inject runs the fault-tolerant sort on a fresh network, m keys per
-// node (keys[id*m:(id+1)*m] is node id's block; S_FT proper is m = 1),
-// with the case's one faulty node, and classifies the outcome. The
+// Inject runs S_FT with the placement s armed on a fresh simnet cube
+// of dimension dim, m keys per node, and judges the run (Run). The
 // timeout bounds how long absence detection waits; keep it short (tens
-// of milliseconds) since fail-stop cascades serialize on it.
-func Inject(dim int, keys []int64, m int, c Case, timeout time.Duration) (Result, error) {
-	n := 1 << uint(dim)
-	if err := c.Validate(n); err != nil {
-		return Result{}, err
-	}
-	res, err := run(dim, keys, m, c.Options(n), timeout)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Class, res.Label = c.kind()
-	if c.Msg != nil {
-		res.Spec = *c.Msg
-	}
-	return res, nil
-}
-
-// run executes the fault-tolerant sort on a fresh simnet cube, m keys
-// per node, with the per-node options opts (armed faults), records it
-// on a flight recorder, and classifies the outcome.
-func run(dim int, keys []int64, m int, opts []core.Options, timeout time.Duration) (Result, error) {
-	n := 1 << uint(dim)
-	if m < 1 || len(keys) != n*m {
-		return Result{}, fmt.Errorf("fault: %d keys for %d nodes of %d keys each", len(keys), n, m)
-	}
+// of milliseconds), since a crashed or silent node is found only when
+// a partner's receive times out.
+func Inject(dim int, keys []int64, m int, s Set, timeout time.Duration) (Result, error) {
 	flight := forensic.New(0)
 	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
 	if err != nil {
 		return Result{}, err
 	}
-	for i := range opts {
-		opts[i].Forensic = flight.Node(i)
+	return Run(nw, flight, keys, m, s, false)
+}
+
+// Run runs S_FT on nw, m keys per node (keys[id*m:(id+1)*m] is node
+// id's block; S_FT proper is m = 1), with every case of s armed, and
+// judges the run: it drains the host evidence, checks the gathered
+// output with the Theorem 1 oracle and calls Classify. A crashed node
+// runs no program. flight is the recorder nw was configured with, so
+// an accusation's dump carries its causal chain. weaken skips every
+// node's own checks, honest nodes' too: the interleaving explorer's
+// hook for showing that without them a fault corrupts silently. Run is
+// the one place outside core.RunBlocks that builds and runs an armed
+// S_FT program set.
+func Run(nw transport.Network, flight *forensic.Flight, keys []int64, m int, s Set, weaken bool) (Result, error) {
+	n := nw.Topology().Nodes()
+	if err := s.Validate(n); err != nil {
+		return Result{}, err
 	}
-	oc, err := core.RunBlocks(nw, keys, m, opts)
+	if m < 1 || len(keys) != n*m {
+		return Result{}, fmt.Errorf("fault: %d keys for %d nodes of %d keys each", len(keys), n, m)
+	}
+	opts := s.Options(n)
+	out := make([]int64, n*m)
+	progs := make([]node.Program, n)
+	for id := range progs {
+		opts[id].SkipChecks = opts[id].SkipChecks || weaken
+		opts[id].Forensic = flight.Node(id)
+		progs[id] = core.NodeProgram(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], opts[id])
+	}
+	for _, c := range s {
+		if c.Crashed != nil {
+			progs[*c.Crashed] = nil // fail-stop from time zero
+		}
+	}
+	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	return Classify(oc, checker.Verify(keys, oc.Sorted, true), flight), nil
+	oc := &core.Outcome{Sorted: out, Result: res, HostErrors: core.DrainHostErrors(nw)}
+	return Classify(oc, checker.Verify(keys, out, true), flight), nil
 }
 
 // InjectSNR runs the unreliable S_NR under the same fault spec, for
 // the contrast experiment: S_NR has no detection machinery, so lies
-// become silent corruption.
+// become silent corruption. It sends the host no evidence, so Classify
+// finds any detection (a timeout) node-local.
 func InjectSNR(dim int, keys []int64, spec Spec, timeout time.Duration) (Result, error) {
 	n := 1 << uint(dim)
 	if err := spec.Validate(n); err != nil {
@@ -212,23 +218,11 @@ func InjectSNR(dim int, keys []int64, spec Spec, timeout time.Duration) (Result,
 		}
 		progs[id] = sortnr.NodeProgram(keys[id], &out[id], o)
 	}
-	runRes, err := node.RunPer(nw, progs, nil)
+	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Spec: spec, Class: spec.Strategy.Class(), Label: spec.Strategy.String()}
-	if runRes.AnyErr() != nil {
-		// S_NR can only "detect" absence (timeouts), not value lies.
-		res.Verdict = Detected
-		res.Detector = "node-local"
-		return res, nil
-	}
-	if cerr := checker.Verify(keys, out, true); cerr != nil {
-		res.Verdict = SilentWrong
-	} else {
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
+	return Classify(&core.Outcome{Sorted: out, Result: res}, checker.Verify(keys, out, true), nil), nil
 }
 
 // snrTamper adapts a Spec to S_NR's plain key messages: value lies and
@@ -263,92 +257,43 @@ func snrTamper(spec Spec) func(m *wire.Message) *wire.Message {
 }
 
 // Coverage sweeps the given strategies over every node of the cube,
-// m keys per node, and returns one Result per (strategy, node) pair,
-// in (strategy, node) order. Runs use independent networks and execute
-// concurrently.
+// m keys per node, one Byzantine node per run, and returns one Result
+// per (strategy, node) pair, in (strategy, node) order.
 func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, timeout time.Duration) ([]Result, error) {
 	n := 1 << uint(dim)
-	type job struct{ strat, node int }
-	jobs := make([]job, 0, len(strategies)*n)
-	for si := range strategies {
+	sets := make([]Set, 0, len(strategies)*n)
+	for _, st := range strategies {
 		for id := 0; id < n; id++ {
-			jobs = append(jobs, job{strat: si, node: id})
+			sets = append(sets, Set{{Msg: &Spec{Node: id, Strategy: st, ActivateStage: 1, LieValue: lie}}})
 		}
 	}
-	out := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, 8) // bound concurrent simulations
+	return injectAll(dim, keys, m, sets, timeout)
+}
+
+// injectAll runs Inject over every placement, each on its own network
+// and at most eight at a time, and returns one Result per placement in
+// order.
+func injectAll(dim int, keys []int64, m int, sets []Set, timeout time.Duration) ([]Result, error) {
+	out := make([]Result, len(sets))
+	errs := make([]error, len(sets))
+	sem := make(chan struct{}, 16) // bound concurrent simulations
 	var wg sync.WaitGroup
-	for i, jb := range jobs {
+	for i, s := range sets {
 		wg.Add(1)
-		go func(i int, jb job) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			spec := Spec{Node: jb.node, Strategy: strategies[jb.strat], ActivateStage: 1, LieValue: lie}
-			r, err := Inject(dim, keys, m, Case{Msg: &spec}, timeout)
-			if err != nil {
-				errs[i] = fmt.Errorf("fault: coverage %v node %d: %w", spec.Strategy, jb.node, err)
-				return
-			}
-			out[i] = r
-		}(i, jb)
+			out[i], errs[i] = Inject(dim, keys, m, s, timeout)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault: placement %d: %w", i, err)
 		}
 	}
 	return out, nil
-}
-
-// InjectCrash runs S_FT with one node crashed outright (it never
-// executes a single protocol step — fail-stop from time zero). Its
-// partners observe message absence, which environmental assumption 4
-// makes detectable; the run must never complete with a wrong output.
-func InjectCrash(dim int, keys []int64, crashed int, timeout time.Duration) (Result, error) {
-	n := 1 << uint(dim)
-	if len(keys) != n {
-		return Result{}, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
-	}
-	if crashed < 0 || crashed >= n {
-		return Result{}, fmt.Errorf("fault: crashed node %d outside [0,%d)", crashed, n)
-	}
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout})
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]int64, n)
-	progs := make([]node.Program, n)
-	for id := 0; id < n; id++ {
-		if id == crashed {
-			continue // nil program: the node is dead
-		}
-		progs[id] = core.NodeProgram(keys[id], &out[id], core.Options{})
-	}
-	runRes, err := node.RunPer(nw, progs, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Spec:  Spec{Node: crashed, Strategy: Silence, ActivateStage: 1},
-		Class: ClassAbsence, Label: Silence.String(),
-	}
-	if runRes.AnyErr() != nil {
-		res.Verdict = Detected
-		res.Detector = "node-local"
-		return res, nil
-	}
-	// With a dead node the gather can never complete, so reaching here
-	// would mean the protocol terminated without it — classify by
-	// output correctness to surface any such bug.
-	if cerr := checker.Verify(keys, out, true); cerr != nil {
-		res.Verdict = SilentWrong
-	} else {
-		res.Verdict = CorrectDespiteFault
-	}
-	return res, nil
 }
 
 // Summary tallies verdicts.

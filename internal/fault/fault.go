@@ -50,6 +50,12 @@ const (
 	// element-level evidence (held-copy conflicts, Φ_P shape) can
 	// catch it.
 	PermuteLie
+	// Random picks, for every message past the activation stage, one
+	// of several structured or unstructured mutations at random, from
+	// a stream LieValue seeds: the property-based complement to the
+	// named strategies, which AdversarySearch drives. Sweeps over
+	// AllStrategies leave it out.
+	Random
 )
 
 var strategyNames = map[Strategy]string{
@@ -62,6 +68,7 @@ var strategyNames = map[Strategy]string{
 	StaleReplay:   "stale-replay",
 	DigestLie:     "digest-lie",
 	PermuteLie:    "permute-lie",
+	Random:        "random",
 }
 
 // String returns the strategy's kebab-case name.
@@ -100,7 +107,8 @@ type Spec struct {
 	// the first message exchange, so this must be >= 1 for guaranteed
 	// detection semantics (0 would amount to different input data).
 	ActivateStage int
-	// LieValue parameterizes value-substitution strategies.
+	// LieValue parameterizes value-substitution strategies and seeds
+	// Random's mutation stream.
 	LieValue int64
 }
 
@@ -146,6 +154,8 @@ func (s Spec) Tamper() func(m *wire.Message) *wire.Message {
 			}
 			return nil
 		}
+	case Random:
+		return randomAdversary(s.LieValue, s.ActivateStage)
 	case StaleReplay:
 		return func(m *wire.Message) *wire.Message {
 			if !s.active(m) {

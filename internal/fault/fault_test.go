@@ -57,9 +57,9 @@ func TestSFTCoverageNoSilentWrong(t *testing.T) {
 	}
 	sum := Summarize(results)
 	if sum.SilentWrong != 0 {
-		for _, r := range results {
+		for i, r := range results {
 			if r.Verdict == SilentWrong {
-				t.Errorf("SILENT WRONG: node %d strategy %v", r.Spec.Node, r.Spec.Strategy)
+				t.Errorf("SILENT WRONG: node %d strategy %v", i%8, AllStrategies()[i/8])
 			}
 		}
 		t.Fatalf("summary: %+v", sum)
@@ -101,10 +101,10 @@ func TestSNRContrastSilentlyWrong(t *testing.T) {
 }
 
 func TestInjectValidatesInputs(t *testing.T) {
-	if _, err := Inject(3, []int64{1}, 1, Case{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}}, faultTimeout); err == nil {
+	if _, err := Inject(3, []int64{1}, 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}}}, faultTimeout); err == nil {
 		t.Error("wrong key count: want error")
 	}
-	if _, err := Inject(3, paperKeys(), 1, Case{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}}}, faultTimeout); err == nil {
 		t.Error("activate stage 0: want error")
 	}
 	if _, err := InjectSNR(3, []int64{1}, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}, faultTimeout); err == nil {
@@ -124,7 +124,7 @@ func TestVerdictString(t *testing.T) {
 
 func TestStaleReplayDetected(t *testing.T) {
 	spec := Spec{Node: 2, Strategy: StaleReplay, ActivateStage: 1}
-	r, err := Inject(3, paperKeys(), 1, Case{Msg: &spec}, faultTimeout)
+	r, err := Inject(3, paperKeys(), 1, Set{{Msg: &spec}}, faultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,21 +208,24 @@ func TestLinkFaultsAgainstSNRSilentOrStall(t *testing.T) {
 }
 
 // A crashed node (fail-stop, never ran) must be detected via message
-// absence at every position in the cube.
+// absence at every position in the cube, and the earliest evidence
+// must accuse it.
 func TestCrashedNodeAlwaysDetected(t *testing.T) {
 	for id := 0; id < 8; id++ {
-		r, err := InjectCrash(3, paperKeys(), id, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Crashed: &id}}, faultTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Verdict != Detected {
-			t.Errorf("crashed node %d: verdict %v", id, r.Verdict)
+		if r.Verdict != Detected || r.Detector != "absence" || r.Accused != id {
+			t.Errorf("crashed node %d: verdict %v, detector %q, accused %d", id, r.Verdict, r.Detector, r.Accused)
 		}
 	}
-	if _, err := InjectCrash(3, []int64{1}, 0, faultTimeout); err == nil {
+	crashed := 0
+	if _, err := Inject(3, []int64{1}, 1, Set{{Crashed: &crashed}}, faultTimeout); err == nil {
 		t.Error("wrong key count: want error")
 	}
-	if _, err := InjectCrash(3, paperKeys(), 9, faultTimeout); err == nil {
+	crashed = 9
+	if _, err := Inject(3, paperKeys(), 1, Set{{Crashed: &crashed}}, faultTimeout); err == nil {
 		t.Error("bad node: want error")
 	}
 }

@@ -55,7 +55,7 @@ func TestFollowPlacement(t *testing.T) {
 	}
 	for class, c := range followCases() {
 		for _, st := range steps {
-			opts := Follow(c, st.site, st.persistent)(st.attempt, 3, st.physical)
+			opts := Follow(Set{c.At(st.site)}, st.persistent)(st.attempt, 3, st.physical)
 			got := armedSlots(opts)
 			switch {
 			case st.want < 0 && len(got) != 0:
@@ -67,6 +67,33 @@ func TestFollowPlacement(t *testing.T) {
 		}
 		if c.Faulty() != 6 {
 			t.Errorf("%s: Follow moved the shared case to node %d", class, c.Faulty())
+		}
+	}
+}
+
+// TestFollowSetArmsEachCase pins that Follow keeps every case of a
+// placement on its own machine: with spare 8 substituted for machine
+// 6, the message fault at 6 is gone and the memory fault at 7 stays at
+// slot 7; after a shrink onto machines 4..7 both follow their machines
+// to slots 2 and 3.
+func TestFollowSetArmsEachCase(t *testing.T) {
+	cases := followCases()
+	inject := Follow(Set{cases["message"], cases["memory"].At(7)}, true)
+	for _, st := range []struct {
+		physical []int
+		want     []int
+	}{
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7}, []int{6, 7}},
+		{[]int{0, 1, 2, 3, 4, 5, 8, 7}, []int{7}},
+		{[]int{4, 5, 6, 7}, []int{2, 3}},
+		{[]int{0, 1, 2, 3}, nil},
+	} {
+		opts := inject(1, 3, st.physical)
+		if got := armedSlots(opts); !slices.Equal(got, st.want) {
+			t.Errorf("physical %v: armed %v, want %v", st.physical, got, st.want)
+		}
+		if st.want != nil && opts[st.want[len(st.want)-1]].CorruptMemory == nil {
+			t.Errorf("physical %v: the memory fault is not at machine 7's slot", st.physical)
 		}
 	}
 }
@@ -95,7 +122,7 @@ func TestFollowArmsAfresh(t *testing.T) {
 	}
 	cases := followCases()
 	for class, lie := range lies {
-		inject := Follow(cases[class], 6, true)
+		inject := Follow(Set{cases[class]}, true)
 		first := lie(inject(0, 3, physical)[6])
 		second := lie(inject(1, 3, physical)[6])
 		if !slices.ContainsFunc(first, func(v int64) bool { return v != 0 }) {
@@ -123,7 +150,7 @@ func TestFollowSharedCaseConcurrent(t *testing.T) {
 				for l := range physical {
 					physical[l] = (l - g + 8) % 8
 				}
-				inject := Follow(c, 6, true)
+				inject := Follow(Set{c}, true)
 				for attempt := 0; attempt < 20; attempt++ {
 					got := armedSlots(inject(attempt, 3, physical))
 					if want := (6 + g) % 8; !slices.Equal(got, []int{want}) {

@@ -202,7 +202,7 @@ func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []core
 		c = fault.Case{Mem: &fault.MemSpec{Node: sc.Site, Mode: sc.MemMode,
 			Rate: sc.Rate, Seed: sc.Seed ^ 0x5eed, ActivateStage: 1, StuckValue: lieValue}}
 	}
-	return fault.Follow(c, sc.Site, sc.Persistent)
+	return fault.Follow(fault.Set{c}, sc.Persistent)
 }
 
 // RateConfig parameterizes a RateInjector: a memoryless fault-arrival
@@ -298,7 +298,7 @@ func (ri *RateInjector) Inject(attempt, dim int, physical []int) []core.Options 
 		return nil
 	}
 	st := ri.cfg.Strategies[ri.rng.Intn(len(ri.cfg.Strategies))]
-	inject := fault.Follow(messageFault(st, site), site, true)
+	inject := fault.Follow(fault.Set{messageFault(st, site)}, true)
 	if ri.rng.Float64() < ri.cfg.PersistentFrac {
 		ri.active, ri.activeSite = inject, site
 	}

@@ -15,14 +15,11 @@ import (
 func replayCases() []fault.Case {
 	return []fault.Case{
 		{Name: "msg/key-lie/n1/s1", Class: fault.ClassMessage,
-			Msg:     &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20},
-			Crashed: -1},
+			Msg: &fault.Spec{Node: 1, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: 1 << 20}},
 		{Name: "msg/split-lie/n2/s1", Class: fault.ClassMessage,
-			Msg:     &fault.Spec{Node: 2, Strategy: fault.SplitLie, ActivateStage: 1, LieValue: 1 << 20},
-			Crashed: -1},
+			Msg: &fault.Spec{Node: 2, Strategy: fault.SplitLie, ActivateStage: 1, LieValue: 1 << 20}},
 		{Name: "mem/mem-stuck/n3", Class: fault.ClassMemory,
-			Mem:     &fault.MemSpec{Node: 3, Mode: fault.MemStuck, Rate: 1, Seed: 42, ActivateStage: 1, StuckValue: -7},
-			Crashed: -1},
+			Mem: &fault.MemSpec{Node: 3, Mode: fault.MemStuck, Rate: 1, Seed: 42, ActivateStage: 1, StuckValue: -7}},
 	}
 }
 
@@ -74,7 +71,7 @@ func TestExplorerScheduleReplaysThroughChaostest(t *testing.T) {
 func TestReplayCounterexampleRejectsNonReproducing(t *testing.T) {
 	rep := explore.Reproducer{
 		Dim:       1,
-		Case:      fault.Case{Name: "none", Crashed: -1},
+		Case:      fault.Case{Name: "none"},
 		Invariant: explore.InvVerifiedOrEscalated,
 	}
 	if _, _, err := ReplayCounterexample(rep); err == nil {

@@ -21,7 +21,7 @@ var chaosKeys = []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
 // transient fault manifests only on attempt 0, a persistent one until
 // quarantine removes the site.
 func chaosInjector(st fault.Strategy, site int, persistent bool) func(attempt, dim int, physical []int) []core.Options {
-	return fault.Follow(fault.Case{Msg: &fault.Spec{Strategy: st, ActivateStage: 1, LieValue: 7777}}, site, persistent)
+	return fault.Follow(fault.Set{{Msg: &fault.Spec{Node: site, Strategy: st, ActivateStage: 1, LieValue: 7777}}}, persistent)
 }
 
 // harmlessPersistent is the one carve-out to the harness's

@@ -171,8 +171,8 @@ func TestSortNeverMutatesInput(t *testing.T) {
 			// A transient memory-corruption fault at node 2 forces the
 			// detect → retry-from-checkpoint path: the attempt most
 			// likely to re-read (or worse, re-write) caller memory.
-			inject := fault.Follow(fault.Case{Mem: &fault.MemSpec{Node: 2, Mode: fault.MemStuck, Rate: 1,
-				Seed: seed, ActivateStage: 1, StuckValue: -99}}, 2, false)
+			inject := fault.Follow(fault.Set{{Mem: &fault.MemSpec{Node: 2, Mode: fault.MemStuck, Rate: 1,
+				Seed: seed, ActivateStage: 1, StuckValue: -99}}}, false)
 			out, stats, err := Sort(keys, Options{
 				Descending:  desc,
 				Dim:         2,

@@ -278,12 +278,12 @@ func (s *Server) validate(req *Request) (func(attempt, dim int, physical []int) 
 	}
 	c, err := req.Inject.compile()
 	if err == nil {
-		err = c.Validate(1<<uint(dim) + s.cfg.Spares)
+		err = fault.Set{c}.Validate(1<<uint(dim) + s.cfg.Spares)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	return fault.Follow(c, req.Inject.Node, !req.Inject.Transient), nil
+	return fault.Follow(fault.Set{c}, !req.Inject.Transient), nil
 }
 
 // Submit runs one job through admission, the tenant queue, and a

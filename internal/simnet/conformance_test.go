@@ -290,7 +290,7 @@ func TestControlledCrashAbsence(t *testing.T) {
 			out := make([]int64, n)
 			progs := make([]node.Program, n)
 			for id := 1; id < n; id++ {
-				progs[id] = core.NodeProgram(keys[id], &out[id], core.Options{})
+				progs[id] = core.NodeProgram(keys[id:id+1], out[id:id+1], core.Options{})
 			}
 			start := time.Now()
 			res, err := node.RunPer(nw, progs, nil)

@@ -73,8 +73,8 @@ func TestSpareSubstitutionOverTCP(t *testing.T) {
 		// Real sleeping between attempts, kept short: the point is
 		// that the wall-clock backoff path runs, not that it is long.
 		Backoff: recovery.Backoff{Base: 2 * time.Millisecond, Max: 8 * time.Millisecond},
-		Inject: fault.Follow(fault.Case{Msg: &fault.Spec{Node: faulty, Strategy: fault.KeyLie,
-			ActivateStage: 1, LieValue: 7777}}, faulty, true),
+		Inject: fault.Follow(fault.Set{{Msg: &fault.Spec{Node: faulty, Strategy: fault.KeyLie,
+			ActivateStage: 1, LieValue: 7777}}}, true),
 		NewNetwork: func(cfg reliablesort.NetConfig) (transport.Network, error) {
 			return New(Config{Dim: cfg.Dim, Spares: cfg.Spares, RecvTimeout: cfg.RecvTimeout, Obs: cfg.Obs})
 		},
