@@ -84,12 +84,13 @@ const benchSeed = 1989
 // gateRuns is how many single sorts a gated point's alloc counts are
 // the minimum of. Extra allocations only ever add to a sort's count:
 // the Go runtime refills its goroutine and sudog caches after a GC,
-// and simnet regrows a pooled buffer when a large frame happens to
-// draw a small one, which depends on goroutine scheduling. The
-// benchmark's mean carries that noise. The sorts run on one P, which
-// makes the schedule, and so the buffer reuse, nearly the same every
-// time and independent of the machine's CPU count; the minimum over
-// them is the program's own count.
+// and simnet makes a receive timer or a frame buffer only when a
+// receive finds its queue empty or a size class has no idle buffer,
+// which depends on goroutine scheduling. The benchmark's mean carries
+// that noise. The sorts run on one P, which makes the schedule, and so
+// the timer and buffer reuse, nearly the same every time and
+// independent of the machine's CPU count; the minimum over them is the
+// program's own count.
 const gateRuns = 100
 
 // baseline holds the pre-optimization numbers for the acceptance

@@ -126,6 +126,7 @@ func narrate(out io.Writer, attempts []recovery.Attempt) {
 			continue
 		}
 		fmt.Fprintf(out, "  fail-stop; %d diagnostic signal(s)\n", len(a.HostErrors))
+		fault.SortEvidence(a.HostErrors)
 		for i, he := range a.HostErrors {
 			if i >= 3 {
 				fmt.Fprintf(out, "    ... and %d more\n", len(a.HostErrors)-i)

@@ -86,3 +86,23 @@ func TestRejectsNegativeSpares(t *testing.T) {
 		t.Error("negative spares: want error")
 	}
 }
+
+// TestNarrationRepeats: the narration lists each attempt's host
+// evidence in (stage, iter, node) order, not in the order node
+// goroutines happened to reach the host, so the same command prints the
+// same bytes every time.
+func TestNarrationRepeats(t *testing.T) {
+	args := []string{"-strategy", "key-lie", "-site", "7", "-persistent"}
+	var first string
+	for i := 0; i < 5; i++ {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, buf.String(), first)
+		}
+	}
+}

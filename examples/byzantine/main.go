@@ -49,6 +49,7 @@ func main() {
 	if !oc.Detected() {
 		log.Fatal("attack went undetected — this should be impossible (Theorem 3)")
 	}
+	fault.SortEvidence(oc.HostErrors)
 	for _, he := range oc.HostErrors {
 		fmt.Printf("  host received ERROR from node %d at stage %d: %s predicate — %s\n",
 			he.Node, he.Stage, he.Predicate, he.Detail)

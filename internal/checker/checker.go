@@ -8,6 +8,8 @@ package checker
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // ErrNotPermutation indicates the output multiset differs from the input's.
@@ -17,22 +19,30 @@ var ErrNotPermutation = errors.New("checker: output is not a permutation of inpu
 var ErrNotSorted = errors.New("checker: output is not sorted")
 
 // IsPermutation reports whether a and b contain the same elements with
-// the same multiplicities.
+// the same multiplicities. It compares sorted copies of both, so it is
+// exact and O(n log n) whatever the keys: callers choose the keys, and
+// a hash table over chosen keys could be driven to quadratic probing.
 func IsPermutation(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	counts := make(map[int64]int, len(a))
-	for _, x := range a {
-		counts[x]++
-	}
-	for _, x := range b {
-		counts[x]--
-		if counts[x] < 0 {
-			return false
-		}
-	}
-	return true
+	sa, sb := sortedCopy(a), sortedCopy(b)
+	defer scratch.Put(sa)
+	defer scratch.Put(sb)
+	return slices.Equal(*sa, *sb)
+}
+
+// scratch pools the sorted copies the checks compare, so a warmed check
+// allocates nothing.
+var scratch = sync.Pool{New: func() any { return new([]int64) }}
+
+// sortedCopy returns pooled scratch holding keys sorted ascending; the
+// caller puts it back.
+func sortedCopy(keys []int64) *[]int64 {
+	p := scratch.Get().(*[]int64)
+	*p = append((*p)[:0], keys...)
+	slices.Sort(*p)
+	return p
 }
 
 // VerifySorted checks condition (2) of Theorem 1 and returns a
@@ -53,14 +63,28 @@ func VerifySorted(out []int64, ascending bool) error {
 
 // Verify implements Theorem 1 in full: out must be a sorted
 // permutation of in. It returns nil when the result is a correct sort.
+// A sorted permutation of in is unique, so out passes exactly when it
+// equals a sorted copy of in; only a failing out is examined further,
+// to report ErrNotPermutation when it is not a permutation of in and
+// VerifySorted's error when it is one that is out of order.
 func Verify(in, out []int64, ascending bool) error {
 	if len(in) != len(out) {
 		return fmt.Errorf("length %d in vs %d out: %w", len(in), len(out), ErrNotPermutation)
 	}
-	if !IsPermutation(in, out) {
+	p := sortedCopy(in)
+	defer scratch.Put(p)
+	sorted := *p
+	if !ascending {
+		slices.Reverse(sorted)
+	}
+	if slices.Equal(sorted, out) {
+		return nil
+	}
+	err := VerifySorted(out, ascending)
+	if err == nil || !IsPermutation(in, out) {
 		return ErrNotPermutation
 	}
-	return VerifySorted(out, ascending)
+	return err
 }
 
 // VerifyCost returns the comparison count the paper attributes to a

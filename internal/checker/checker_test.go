@@ -2,7 +2,9 @@ package checker
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -117,5 +119,114 @@ func TestVerifyCost(t *testing.T) {
 		if got := VerifyCost(tc.n); got != tc.want {
 			t.Errorf("VerifyCost(%d) = %d, want %d", tc.n, got, tc.want)
 		}
+	}
+}
+
+// mapIsPermutation and mapVerify are the checker as it was before it
+// compared sorted copies: a count map over in, decremented by out. They
+// are kept as the reference TestVerifyMatchesMapReferenceProperty holds
+// the sorting checker to.
+func mapIsPermutation(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	counts := make(map[int64]int, len(a))
+	for _, x := range a {
+		counts[x]++
+	}
+	for _, x := range b {
+		counts[x]--
+		if counts[x] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func mapVerify(in, out []int64, ascending bool) error {
+	if len(in) != len(out) {
+		return fmt.Errorf("length %d in vs %d out: %w", len(in), len(out), ErrNotPermutation)
+	}
+	if !mapIsPermutation(in, out) {
+		return ErrNotPermutation
+	}
+	return VerifySorted(out, ascending)
+}
+
+// TestVerifyMatchesMapReferenceProperty: on every input, correct sorts
+// in either direction, unsorted permutations, corrupted, truncated and
+// duplicate-heavy outputs alike, Verify and IsPermutation return what
+// the count-map checker returned: the same verdict and the same error
+// value and text.
+func TestVerifyMatchesMapReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1989))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(40)
+		span := int64(1 + rng.Intn(2*n+2)) // small spans force duplicates
+		in := make([]int64, n)
+		for i := range in {
+			in[i] = rng.Int63n(span) - span/2
+		}
+		ascending := rng.Intn(2) == 0
+		out := slices.Clone(in)
+		slices.Sort(out)
+		if !ascending {
+			slices.Reverse(out)
+		}
+		switch rng.Intn(6) {
+		case 1: // swap two entries
+			if n > 1 {
+				i, j := rng.Intn(n), rng.Intn(n)
+				out[i], out[j] = out[j], out[i]
+			}
+		case 2: // change one value
+			if n > 0 {
+				out[rng.Intn(n)] += rng.Int63n(3) - 1
+			}
+		case 3: // shuffle
+			rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+		case 4: // drop or duplicate one entry
+			if n > 0 && rng.Intn(2) == 0 {
+				out = out[1:]
+			} else if n > 0 {
+				out = append(out, out[0])
+			}
+		case 5: // replace one value, then re-sort
+			if n > 0 {
+				out[rng.Intn(n)] = rng.Int63n(span) - span/2
+				slices.Sort(out)
+				if !ascending {
+					slices.Reverse(out)
+				}
+			}
+		}
+		got, want := Verify(in, out, ascending), mapVerify(in, out, ascending)
+		if fmt.Sprint(got) != fmt.Sprint(want) || errors.Is(got, ErrNotPermutation) != errors.Is(want, ErrNotPermutation) ||
+			errors.Is(got, ErrNotSorted) != errors.Is(want, ErrNotSorted) {
+			t.Fatalf("Verify(%v, %v, %v) = %v, map reference %v", in, out, ascending, got, want)
+		}
+		if IsPermutation(in, out) != mapIsPermutation(in, out) {
+			t.Fatalf("IsPermutation(%v, %v) = %v, map reference disagrees", in, out, !mapIsPermutation(in, out))
+		}
+	}
+}
+
+// TestVerifyZeroAllocs: once its scratch is warm, a passing check
+// allocates nothing.
+func TestVerifyZeroAllocs(t *testing.T) {
+	in := make([]int64, 1024)
+	for i := range in {
+		in[i] = int64((i * 7919) % 1024)
+	}
+	out := slices.Clone(in)
+	slices.Sort(out)
+	check := func() {
+		if err := Verify(in, out, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	if n := testing.AllocsPerRun(100, check); n != 0 {
+		t.Errorf("Verify: %v allocs/op, want 0", n)
 	}
 }

@@ -95,27 +95,27 @@ func (g *blockView) complete() bool { return g.have.Full() }
 // only until the view is next written.
 func (g *blockView) seq(lo, hi int) []int64 { return g.data[lo*g.m : hi*g.m] }
 
-// wireViewInto converts the view to its wire form, staging the held
-// blocks in a caller-owned Vals scratch. The result's Mask shares the
-// working view's storage and its Vals share the scratch, so it must be
-// encoded before either changes — which every send path does
-// immediately.
-func (g *blockView) wireViewInto(scratch []int64) wire.View {
-	vals := scratch[:0]
+// wireLen is the length of the view's wire encoding (appendWire).
+func (g *blockView) wireLen() int {
+	return wire.ViewEncodedSize(g.sc.Size(), g.have.Count(), g.m)
+}
+
+// appendWire appends the view's wire encoding to buf straight from the
+// arena: the bytes wire.AppendView would produce for the held blocks,
+// with the aggregate digest folded from the stored slot digests, each
+// bound to its index.
+func (g *blockView) appendWire(buf []byte) []byte {
 	var dig wire.Digest
 	g.have.Each(func(idx int) bool {
-		vals = append(vals, g.blocks[idx]...)
 		dig.Merge(slotBound(idx, g.slotDig[idx]))
 		return true
 	})
-	return wire.View{
-		Base:     int32(g.sc.Start),
-		Size:     int32(g.sc.Size()),
-		BlockLen: int32(g.m),
-		Mask:     g.have,
-		Vals:     vals,
-		Dig:      dig,
-	}
+	buf = wire.AppendViewHeader(buf, int32(g.sc.Start), int32(g.sc.Size()), int32(g.m), dig, g.have)
+	g.have.Each(func(idx int) bool {
+		buf = wire.AppendVals(buf, g.blocks[idx])
+		return true
+	})
+	return buf
 }
 
 // mergeChecked is the heart of Φ_C (Figure 4c), scaled by m: fold a
@@ -128,20 +128,21 @@ func (g *blockView) wireViewInto(scratch []int64) wire.View {
 //
 // The key-for-key walk over held slots (O(Count·m)) is demoted to a
 // slow path: one pass folds, for every slot the sender claims, the
-// slot's stored digest bound to its index (O(1) each), self-hashing the
-// slots it adopts. If the accumulated digest matches the sender's
+// slot's stored digest bound to its index (O(1) each), and decodes each
+// slot it adopts from the frame straight into the arena, digesting it
+// in the same loop. If the accumulated digest matches the sender's
 // aggregate (DigestHit), that aggregate agrees, up to hash collision,
 // with the slots the receiver holds and adopts, at their indices. A
 // hit never reads the relayed copies of slots the receiver already
 // held: it ties the sender's claim to the receiver's own state, not to
-// those relayed bytes. On a mismatch the key-for-key re-walk runs to
-// produce the usual slot-level conflict evidence; adopted slots were
-// copied verbatim so they cannot conflict, and if no held slot
-// conflicts either, the sender's aggregate disagrees with the very
-// entries it relayed — Byzantine evidence against the sender
+// those relayed bytes. On a mismatch the key-for-key re-walk reads them
+// from the frame to produce the usual slot-level conflict evidence;
+// adopted slots were decoded from those very bytes so they cannot
+// conflict, and if no held slot conflicts either, the sender's aggregate disagrees with
+// the very entries it relayed — Byzantine evidence against the sender
 // (DigestMiss both ways). Adopting before the verdict is sound because
 // every mergeChecked error fail-stops the node.
-func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutcome, error) {
+func (g *blockView) mergeChecked(rv wire.FrameView, expected bitset.Set) (DigestOutcome, error) {
 	if err := rv.Validate(); err != nil {
 		return DigestNone, fmt.Errorf("malformed view: %w", err)
 	}
@@ -157,8 +158,7 @@ func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutco
 	rv.Mask.Each(func(idx int) bool {
 		if !g.have.Has(idx) {
 			g.have.Add(idx)
-			copy(g.blocks[idx], rv.Block(i))
-			g.slotDig[idx] = wire.DigestOf(g.blocks[idx])
+			g.slotDig[idx] = rv.Block(i, g.blocks[idx])
 		}
 		acc.Merge(slotBound(idx, g.slotDig[idx]))
 		i++
@@ -168,16 +168,15 @@ func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutco
 		return DigestHit, nil
 	}
 	var conflict error
-	i = 0
+	j := 0
 	rv.Mask.Each(func(idx int) bool {
-		b := rv.Block(i)
-		i++
-		for k := range b {
-			if g.blocks[idx][k] != b[k] {
+		for k, held := range g.blocks[idx] {
+			if relayed := rv.Val(j); held != relayed {
 				conflict = fmt.Errorf("slot %d (node %d) key %d: held copy %d disagrees with relayed copy %d",
-					idx, g.sc.Start+idx, k, g.blocks[idx][k], b[k])
+					idx, g.sc.Start+idx, k, held, relayed)
 				return false
 			}
+			j++
 		}
 		return true
 	})
@@ -190,23 +189,21 @@ func (g *blockView) mergeChecked(rv wire.View, expected bitset.Set) (DigestOutco
 // mergeLenient folds a received view in without any checking: slots we
 // lack are adopted, conflicts are ignored. Byzantine (SkipChecks) nodes
 // use it so they keep participating without self-reporting.
-func (g *blockView) mergeLenient(rv wire.View) {
+func (g *blockView) mergeLenient(rv wire.FrameView) {
 	if rv.Validate() != nil || int(rv.Base) != g.sc.Start ||
 		int(rv.Size) != g.sc.Size() || int(rv.BlockLen) != g.m {
 		return
 	}
 	i := 0
 	rv.Mask.Each(func(idx int) bool {
-		b := rv.Block(i)
-		i++
 		if !g.have.Has(idx) {
 			g.have.Add(idx)
-			copy(g.blocks[idx], b)
 			// Even a checks-skipping node keeps its slot digests
 			// consistent with what it holds, so the aggregates it
 			// relays match its entries.
-			g.slotDig[idx] = wire.DigestOf(g.blocks[idx])
+			g.slotDig[idx] = rv.Block(i, g.blocks[idx])
 		}
+		i++
 		return true
 	})
 }

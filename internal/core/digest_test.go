@@ -135,6 +135,17 @@ func TestBlockViewDigestTracksValues(t *testing.T) {
 	}
 }
 
+// frameOf encodes g's view as a send does and decodes it in place as a
+// receive does; the result aliases dec.
+func frameOf(t *testing.T, g *blockView, dec *wire.DecodeScratch) wire.FrameView {
+	t.Helper()
+	rv, err := wire.DecodeVerifyFrame(dec, g.appendWire(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rv
+}
+
 // TestMergeCheckedDigestHitZeroAllocs is the steady-state alloc gate
 // for the Φ_C fast path at one key per slot: once every slot is held,
 // a merge resolves by folding stored digests and must not allocate —
@@ -147,8 +158,8 @@ func TestMergeCheckedDigestHitZeroAllocs(t *testing.T) {
 		src.set(slot, []int64{int64(slot * 3)})
 		dst.set(slot, []int64{int64(slot * 3)})
 	}
-	scratch := make([]int64, 0, sc.Size())
-	rv := src.wireViewInto(scratch)
+	var dec wire.DecodeScratch
+	rv := frameOf(t, src, &dec)
 	step := func() {
 		outcome, err := dst.mergeChecked(rv, rv.Mask)
 		if err != nil {
@@ -178,7 +189,8 @@ func TestMergeCheckedDigestInconsistencyAccusesSender(t *testing.T) {
 		src.set(slot, []int64{int64(slot + 10)})
 		dst.set(slot, []int64{int64(slot + 10)})
 	}
-	rv := src.wireViewInto(nil)
+	var dec wire.DecodeScratch
+	rv := frameOf(t, src, &dec)
 	rv.Dig.Sum += 1 // lie about the aggregate, keep entries honest
 	outcome, err := dst.mergeChecked(rv, rv.Mask)
 	if outcome != DigestMiss {

@@ -165,7 +165,7 @@ func (r *runner) verdict(phi obs.Phi, kind error, stage int, err error) error {
 // when the sender is the active party echoing its merged view
 // (postExchange true). Under the TrustSenderMasks ablation the sender's
 // own mask is the expected one, so only conflicts are checked.
-func (r *runner) mergeView(rv wire.View, s, j, sender int, postExchange bool) error {
+func (r *runner) mergeView(rv wire.FrameView, s, j, sender int, postExchange bool) error {
 	view := r.view
 	// The sender's claimed aggregate digest fingerprints the merged view
 	// in the flight recorder.
@@ -223,51 +223,67 @@ func (r *runner) expectedMask(s, j, sender int, postExchange bool) (bitset.Set, 
 }
 
 // --- framing -------------------------------------------------------------------
-//
-// The sends are typed (rather than one method taking `any`) because
-// interface boxing of a payload struct would allocate on every send.
+
+// sendBody is the payload of the runner's next send, encoded straight
+// into the transport's frame (wire.Body): the keys of an exchange leg,
+// the current view from its arena, or both, as the kind says. It holds
+// no copy of either, so a send encodes each key exactly once.
+type sendBody struct {
+	kind wire.Kind
+	keys []int64
+	view *blockView
+}
+
+// Len implements wire.Body.
+func (b *sendBody) Len() int {
+	n := 0
+	if b.kind != wire.KindVerify {
+		n += 4 + 8*len(b.keys)
+	}
+	if b.kind != wire.KindExchange {
+		n += b.view.wireLen()
+	}
+	return n
+}
+
+// AppendTo implements wire.Body: the bytes of wire.AppendExchange,
+// wire.AppendFTExchange or wire.AppendVerify for the same keys and
+// view.
+func (b *sendBody) AppendTo(buf []byte) []byte {
+	if b.kind != wire.KindVerify {
+		buf = wire.AppendKeys(buf, b.keys)
+	}
+	if b.kind != wire.KindExchange {
+		buf = b.view.appendWire(buf)
+	}
+	return buf
+}
 
 // sendParts transmits one exchange leg on link bit: keys plus the
 // current view, piggybacked in one message normally, or as two
 // messages under the SeparateCheckMessages ablation.
 func (r *runner) sendParts(bit, stage int, keys []int64) error {
 	if r.opts.SeparateCheckMessages {
-		if err := r.transmit(bit, wire.KindExchange, stage, wire.AppendExchange(r.enc[:0], keys)); err != nil {
+		if err := r.transmit(bit, wire.KindExchange, stage, keys); err != nil {
 			return err
 		}
 		return r.sendVerify(bit, stage)
 	}
-	buf, err := wire.AppendFTExchange(r.enc[:0], wire.FTExchangePayload{Keys: keys, View: r.stageView()})
-	if err != nil {
-		return fmt.Errorf("core: encode: %w", err)
-	}
-	return r.transmit(bit, wire.KindFTExchange, stage, buf)
+	return r.transmit(bit, wire.KindFTExchange, stage, keys)
 }
 
 // sendVerify transmits the current view alone.
 func (r *runner) sendVerify(bit, stage int) error {
-	buf, err := wire.AppendVerify(r.enc[:0], wire.VerifyPayload{View: r.stageView()})
-	if err != nil {
-		return fmt.Errorf("core: encode: %w", err)
-	}
-	return r.transmit(bit, wire.KindVerify, stage, buf)
+	return r.transmit(bit, wire.KindVerify, stage, nil)
 }
 
-// stageView stages the current view in wire form, its Vals in the
-// runner's scratch.
-func (r *runner) stageView() wire.View {
-	v := r.view.wireViewInto(r.wvVals)
-	r.wvVals = v.Vals
-	return v
-}
-
-// transmit frames an encoded payload (iteration = link bit), applies
-// the Byzantine tamper hook if any, and sends. The transport copies the
-// payload into its own buffer before returning, so the encode scratch
-// is immediately reusable.
-func (r *runner) transmit(bit int, kind wire.Kind, stage int, payload []byte) error {
-	r.enc = payload
-	m := wire.Message{Kind: kind, Stage: int32(stage), Iter: int32(bit), Payload: payload}
+// transmit sends a message of the given kind carrying keys and, unless
+// it is a keys-only exchange, the current view (iteration = link bit).
+// The runner's sendBody encodes them into the transport's frame during
+// the send; only the Byzantine tamper hook gets payload bytes.
+func (r *runner) transmit(bit int, kind wire.Kind, stage int, keys []int64) error {
+	r.body = sendBody{kind: kind, keys: keys, view: r.view}
+	m := wire.Message{Kind: kind, Stage: int32(stage), Iter: int32(bit), Body: &r.body}
 	if r.opts.Tamper != nil {
 		return r.transmitTampered(bit, m)
 	}
@@ -279,14 +295,17 @@ func (r *runner) transmit(bit int, kind wire.Kind, stage int, payload []byte) er
 
 // transmitTampered is the tamper path, in its own method: Tamper takes
 // the message's address, which would otherwise force every honest
-// send's message to the heap. From/To are stamped before the call so
-// strategies can vary by receiver (the split-lie attack Φ_C exists to
-// catch).
+// send's message to the heap. The hook sees the payload as bytes, in
+// the runner's encode buffer, and no Body. From/To are stamped before
+// the call so strategies can vary by receiver (the split-lie attack
+// Φ_C exists to catch).
 func (r *runner) transmitTampered(bit int, m wire.Message) error {
 	partner, err := r.ep.Topology().Partner(r.ep.ID(), bit)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	r.enc = r.body.AppendTo(r.enc[:0])
+	m.Payload, m.Body = r.enc, nil
 	m.From = int32(r.ep.ID())
 	m.To = int32(partner)
 	out := r.opts.Tamper(&m)
@@ -353,22 +372,22 @@ func recvPayload[P any](r *runner, bit int, kind wire.Kind, stage, partner int, 
 
 // recvParts receives one exchange leg (keys plus view) from partner on
 // link bit in whichever framing the run uses. ok is false only for
-// SkipChecks nodes tolerating garbage. Returned keys and view alias the
-// decode scratch; both are consumed before the next receive.
-func (r *runner) recvParts(bit, stage, partner int) (keys []int64, v wire.View, ok bool, err error) {
+// SkipChecks nodes tolerating garbage. The returned keys alias the
+// decode scratch and the view's values the received frame; both are
+// consumed before the next receive.
+func (r *runner) recvParts(bit, stage, partner int) (keys []int64, v wire.FrameView, ok bool, err error) {
 	if !r.opts.SeparateCheckMessages {
-		p, ok, err := recvPayload(r, bit, wire.KindFTExchange, stage, partner, "exchange", wire.DecodeFTExchangeInto)
+		p, ok, err := recvPayload(r, bit, wire.KindFTExchange, stage, partner, "exchange", wire.DecodeFTExchangeFrame)
 		return p.Keys, p.View, ok, err
 	}
-	// The keys land in the scratch's key buffer and the view in its
-	// separate view buffers, so the second decode does not clobber the
-	// first.
+	// The keys land in the scratch's key buffer, which the view's
+	// decode leaves alone, so they outlive the second receive.
 	kp, ok, err := recvPayload(r, bit, wire.KindExchange, stage, partner, "keys", wire.DecodeExchangeInto)
 	if err != nil || !ok {
-		return nil, wire.View{}, false, err
+		return nil, wire.FrameView{}, false, err
 	}
-	vp, ok, err := recvPayload(r, bit, wire.KindVerify, stage, partner, "view", wire.DecodeVerifyInto)
-	return kp.Keys, vp.View, ok, err
+	v, ok, err = recvPayload(r, bit, wire.KindVerify, stage, partner, "view", wire.DecodeVerifyFrame)
+	return kp.Keys, v, ok, err
 }
 
 // --- final verification round --------------------------------------------------
@@ -413,9 +432,9 @@ func (r *runner) verifyExchange(s, j int) error {
 // mergeVerify receives the partner's verification-round view and
 // merges it under Φ_C.
 func (r *runner) mergeVerify(s, j, partner int, postExchange bool) error {
-	v, ok, err := recvPayload(r, j, wire.KindVerify, s+1, partner, "verify", wire.DecodeVerifyInto)
+	v, ok, err := recvPayload(r, j, wire.KindVerify, s+1, partner, "verify", wire.DecodeVerifyFrame)
 	if err != nil || !ok {
 		return err
 	}
-	return r.mergeView(v.View, s, j, partner, postExchange)
+	return r.mergeView(v, s, j, partner, postExchange)
 }

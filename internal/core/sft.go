@@ -140,9 +140,10 @@ type runner struct {
 	// sized once when the run starts, so the steady-state exchange path
 	// performs no allocation: the two block views, the two alternating
 	// merge-split buffers, the keep·give send staging buffer, the
-	// merge-split verification scratch, the wire-view Vals staging
-	// area, the payload encoding and zero-copy decode scratch, and the
-	// vect_mask prediction scratch.
+	// merge-split verification scratch, the decode scratch, and the
+	// vect_mask prediction scratch. A send encodes from the arenas into
+	// the transport's frame (body); enc holds payload bytes only for the
+	// tamper hook.
 	//
 	// Stage s gathers into views[s%2] (view points at it), and the final
 	// round into views[n%2]. Alternating leaves the previous stage's
@@ -154,21 +155,19 @@ type runner struct {
 	cur      int
 	keyStage []int64
 	msCheck  []int64
-	wvVals   []int64
+	body     sendBody
 	enc      []byte
 	dec      wire.DecodeScratch
 	expect   bitset.Set
 }
 
-// reserve sizes every arena once: the views and the wire-view staging
-// for the whole cube scAll, since each stage's subcube is a slot range
-// of it; the encode buffer for the largest payload, a full view plus
-// the 2m keys of a merge-split reply; the merge-split scratches for 2m.
-// One allocation holds every key arena, one both views' block headers
-// and one both views' slot digests.
+// reserve sizes every arena once: the views for the whole cube scAll,
+// since each stage's subcube is a slot range of it, and the merge-split
+// scratches for 2m. One allocation holds every key arena, one both
+// views' block headers and one both views' slot digests.
 func (r *runner) reserve(scAll hypercube.Subcube) {
 	slots, m := scAll.Size(), r.m
-	keys := make([]int64, 3*slots*m+8*m)
+	keys := make([]int64, 2*slots*m+8*m)
 	blocks := make([][]int64, 2*slots)
 	digs := make([]wire.Digest, 2*slots)
 	carve := func(k int) []int64 {
@@ -183,10 +182,8 @@ func (r *runner) reserve(scAll hypercube.Subcube) {
 		v.slotDig = digs[i*slots : (i+1)*slots : (i+1)*slots]
 		v.reset(scAll, m)
 	}
-	r.wvVals = carve(slots * m)[:0]
 	r.bufs[0], r.bufs[1] = carve(2 * m)[:0], carve(2 * m)[:0]
 	r.keyStage, r.msCheck = carve(2 * m)[:0], carve(2 * m)[:0]
-	r.enc = make([]byte, 0, 4+8*2*m+wire.ViewEncodedSize(slots, slots, m))
 }
 
 // nextBuf flips to the merge-split buffer NOT holding the node's

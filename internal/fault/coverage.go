@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,15 +85,19 @@ func EarliestEvidence(errs []core.HostError) (core.HostError, bool) {
 	if len(errs) == 0 {
 		return core.HostError{}, false
 	}
-	best := errs[0]
-	for _, he := range errs[1:] {
-		if he.Stage < best.Stage ||
-			(he.Stage == best.Stage && he.Iter < best.Iter) ||
-			(he.Stage == best.Stage && he.Iter == best.Iter && he.Node < best.Node) {
-			best = he
-		}
-	}
-	return best, true
+	return slices.MinFunc(errs, evidenceOrder), true
+}
+
+// SortEvidence sorts drained host evidence in place into
+// EarliestEvidence's (stage, iter, node) order, so what is listed from
+// it does not depend on the drain order.
+func SortEvidence(errs []core.HostError) {
+	slices.SortStableFunc(errs, evidenceOrder)
+}
+
+// evidenceOrder compares host evidence by (stage, iter, node).
+func evidenceOrder(a, b core.HostError) int {
+	return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Node, b.Node))
 }
 
 // Classify judges a finished fault-tolerant run. It is Detected when

@@ -567,7 +567,8 @@ func (nw *Network) WorkerStart(id int) {
 }
 
 // WorkerDone implements transport.WorkerControl: it retires a started
-// worker. On a free-running network a retiring cube node enqueues one
+// worker, whose last delivered buffer goes back to the free lists. On a
+// free-running network a retiring cube node also enqueues one
 // end-of-traffic marker on each of its outbound links. Per-link FIFO
 // puts the marker behind every message the node sent, so the partner
 // drains those first and then learns at once that nothing more will
@@ -575,6 +576,7 @@ func (nw *Network) WorkerStart(id int) {
 // the marker is skipped and the partner falls back to its timer. The
 // host and spares own no cube links.
 func (nw *Network) WorkerDone(id int) {
+	nw.release(id)
 	if nw.ctrl != nil {
 		nw.ctrl.workerDone(id)
 		return

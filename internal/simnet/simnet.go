@@ -28,6 +28,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,11 +80,12 @@ var ErrLinkBackpressure = errors.New("simnet: link queue full")
 const linkQueueDepth = 32
 
 // packet is a message in flight with its virtual arrival time. pooled
-// marks buffers owned by the network's free list: the receiver recycles
-// them at its next receive. Fault-path deliveries are never pooled,
-// since interceptors may retain or alias the buffer. gone marks an
-// end-of-traffic marker instead of a message: the sender's program has
-// returned, so nothing follows it on the link.
+// marks buffers owned by the network's free lists: the receiver
+// recycles them at its next receive or when it retires. Fault-path
+// deliveries are never pooled, since interceptors may retain or alias
+// the buffer. gone marks an end-of-traffic marker instead of a
+// message: the sender's program has returned, so nothing follows it on
+// the link.
 type packet struct {
 	raw     []byte
 	arrival Ticks
@@ -165,10 +167,20 @@ type Network struct {
 	// is zero — the common case for every no-fault benchmark run.
 	faultCount atomic.Int32
 
-	// pool is a free list of message buffers shared by all endpoints.
-	// A channel (rather than sync.Pool) keeps Get/Put allocation-free:
-	// boxing a []byte in an interface would itself allocate.
-	pool chan []byte
+	// free holds the idle frame buffers shared by all endpoints, one
+	// list per size class (bufClass), each bounded by freeCap. Plain
+	// slices under a mutex (rather than sync.Pool) keep Get/Put
+	// allocation-free once warm: boxing a []byte in an interface would
+	// itself allocate.
+	free    [bufClasses]freeList
+	freeCap int
+	// held[id+1] is the pooled buffer behind processor id's most
+	// recently delivered message (the host's at index 0), which its
+	// zero-copy Payload aliases. It goes back to the free lists at the
+	// processor's next receive or when it retires (WorkerDone), so frame
+	// buffers outlive runs. Each slot belongs to its processor's
+	// goroutine.
+	held [][]byte
 
 	// ctrl is non-nil iff the network runs under a controlled
 	// scheduler; every delivery then routes through it instead of the
@@ -176,26 +188,66 @@ type Network struct {
 	ctrl *controller
 }
 
-// poolBufCap sizes fresh pool buffers to hold an FT-exchange frame for
-// the dimensions the experiments sweep without regrowth.
-const poolBufCap = 1024
+// Frame buffers come in power-of-two size classes, from 1<<minBufShift
+// bytes up to the class of the largest frame wire.MaxPayload allows. A
+// frame takes its buffer from the class its encoded size needs, so a
+// buffer is never regrown and a large frame never lands in a small
+// one.
+const (
+	minBufShift = 6
+	bufClasses  = 22 // 64 B .. 128 MiB
+)
 
-func (nw *Network) getBuf() []byte {
-	select {
-	case b := <-nw.pool:
-		return b[:0]
-	default:
-		return make([]byte, 0, poolBufCap)
-	}
+// freeList is one size class of idle frame buffers.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
 }
 
+// bufClass returns the size class whose buffers are the smallest that
+// hold n bytes; it is bufClasses or more when none does.
+func bufClass(n int) int {
+	return max(bits.Len(uint(max(n, 1)-1)), minBufShift) - minBufShift
+}
+
+// getBuf returns an empty buffer with room for an n-byte frame.
+func (nw *Network) getBuf(n int) []byte {
+	c := bufClass(n)
+	if c >= bufClasses {
+		return nil // beyond any valid frame: the encoder refuses it
+	}
+	fl := &nw.free[c]
+	fl.mu.Lock()
+	if k := len(fl.bufs) - 1; k >= 0 {
+		b := fl.bufs[k]
+		fl.bufs = fl.bufs[:k]
+		fl.mu.Unlock()
+		return b[:0]
+	}
+	fl.mu.Unlock()
+	return make([]byte, 0, 1<<(c+minBufShift))
+}
+
+// putBuf returns a buffer getBuf made to its class's free list.
 func (nw *Network) putBuf(b []byte) {
-	if cap(b) == 0 {
+	c := bufClass(cap(b))
+	if c >= bufClasses || cap(b) != 1<<(c+minBufShift) {
 		return
 	}
-	select {
-	case nw.pool <- b:
-	default: // pool full; let the GC have it
+	fl := &nw.free[c]
+	fl.mu.Lock()
+	if len(fl.bufs) < nw.freeCap {
+		fl.bufs = append(fl.bufs, b)
+	}
+	fl.mu.Unlock()
+}
+
+// release recycles the buffer behind processor id's last delivered
+// message; only id's goroutine, or whoever retires it, may call it.
+func (nw *Network) release(id int) {
+	if i := id + 1; i >= 0 && i < len(nw.held) && nw.held[i] != nil {
+		nw.putBuf(nw.held[i])
+		nw.held[i] = nil
 	}
 }
 
@@ -209,7 +261,8 @@ func New(cfg Config) (*Network, error) {
 	net.links = make([][]chan packet, n)
 	net.hostIn = make(chan packet, 4*n+16)
 	net.hostOut = make([]chan packet, n+net.Spares())
-	net.pool = make(chan []byte, 4*n+16)
+	net.freeCap = 4*n + 16
+	net.held = make([][]byte, 1+n+net.Spares())
 	for id := 0; id < n; id++ {
 		net.links[id] = make([]chan packet, topo.Dim())
 		for b := 0; b < topo.Dim(); b++ {
@@ -336,10 +389,6 @@ type proc struct {
 	// after its tick was consumed, which is safe under both pre- and
 	// post-1.23 timer semantics.
 	timer *time.Timer
-	// pending is the pooled buffer behind the most recently delivered
-	// message; it is recycled at the next receive, which is what bounds
-	// the validity of a zero-copy Payload.
-	pending []byte
 }
 
 // send frames m at the port and queues it on q: a cube link, the host
@@ -347,7 +396,7 @@ type proc struct {
 // only.
 func (p *proc) send(q QueueID, m *wire.Message) error {
 	nw := p.net
-	raw, arrival, err := p.Frame(nw.getBuf(), q.Node, m)
+	raw, arrival, err := p.Frame(nw.getBuf(wire.EncodedSize(m.PayloadLen())), q.Node, m)
 	if err != nil {
 		return err
 	}
@@ -384,18 +433,15 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 }
 
 // wait takes the next packet from queue q, first recycling the buffer
-// behind the previous delivery. Under a controlled scheduler the
-// coordinator hands the packet over; free-running it comes off the
-// channel, and the timer is armed only when nothing is queued yet. A
-// poll never waits. ok is false when no packet came: the receive timed
+// behind the previous delivery, which is what bounds the validity of a
+// zero-copy Payload. Under a controlled scheduler the coordinator hands
+// the packet over; free-running it comes off the channel, and the timer
+// is armed only when nothing is queued yet. A poll never waits. ok is false when no packet came: the receive timed
 // out, the coordinator declared absence, or a poll found the queue
 // empty.
 func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
 	nw := p.net
-	if p.pending != nil {
-		nw.putBuf(p.pending)
-		p.pending = nil
-	}
+	nw.release(p.ID())
 	if nw.ctrl != nil {
 		res := nw.ctrl.block(p.ID(), q, poll, p.Clock())
 		return packet{raw: res.pkt.raw, arrival: res.pkt.arrival}, res.ok
@@ -426,7 +472,7 @@ func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
 	// A pooled buffer is recycled at the next receive, so the zero-copy
 	// Payload of the message it carries stays valid until then.
 	if pkt.pooled {
-		p.pending = pkt.raw
+		nw.held[p.ID()+1] = pkt.raw
 	}
 	return pkt, true
 }

@@ -202,7 +202,9 @@ func (p *Port) Partner(bit int) (int, error) {
 // Frame addresses m from this port to label to (wire.HostID for the
 // host), stamps its trace trailer when a flight recorder is attached,
 // and appends its wire encoding to buf, behind any frame header buf
-// already holds. The port pays the send cost of the costed bytes (the
+// already holds; a Body encodes straight into buf, which needs room
+// for wire.EncodedSize(m.PayloadLen()) bytes more to take the frame
+// without regrowing. The port pays the send cost of the costed bytes (the
 // trailer rides free, wire.CostedLen), and the message is counted per
 // kind. Frame returns the frame and the tick at which the message
 // arrives.

@@ -98,7 +98,8 @@ type Endpoint interface {
 	Topology() hypercube.Topology
 
 	// Send transmits to the partner across the given dimension bit,
-	// charging the sender's clock.
+	// charging the sender's clock. A Body is encoded before Send
+	// returns, so the sender may then change the state it describes.
 	Send(bit int, m wire.Message) error
 	// Recv blocks for the next message from the partner across the
 	// given dimension bit, advancing the clock to at least the

@@ -60,17 +60,19 @@ func TestFTExchangeRoundTripZeroAllocs(t *testing.T) {
 	p := FTExchangePayload{Keys: []int64{9, 2}, View: v}
 	var enc []byte
 	var s DecodeScratch
-	assertZeroAllocs(t, "AppendFTExchange+DecodeFTExchangeInto", func() {
+	dst := make([]int64, 1)
+	assertZeroAllocs(t, "AppendFTExchange+DecodeFTExchangeFrame", func() {
 		var err error
 		enc, err = AppendFTExchange(enc[:0], p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeFTExchangeInto(&s, enc)
+		got, err := DecodeFTExchangeFrame(&s, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Keys) != 2 || len(got.View.Vals) != 2 {
+		got.View.Block(1, dst)
+		if len(got.Keys) != 2 || got.View.Mask.Count() != 2 || dst[0] != 17 {
 			t.Fatal("round trip mismatch")
 		}
 	})
@@ -84,17 +86,17 @@ func TestVerifyRoundTripZeroAllocs(t *testing.T) {
 	p := VerifyPayload{View: v}
 	var enc []byte
 	var s DecodeScratch
-	assertZeroAllocs(t, "AppendVerify+DecodeVerifyInto", func() {
+	assertZeroAllocs(t, "AppendVerify+DecodeVerifyFrame", func() {
 		var err error
 		enc, err = AppendVerify(enc[:0], p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeVerifyInto(&s, enc)
+		got, err := DecodeVerifyFrame(&s, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.View.Vals) != 6 {
+		if got.Mask.Count() != 2 || got.Val(5) != 12 {
 			t.Fatal("round trip mismatch")
 		}
 	})

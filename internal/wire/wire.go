@@ -79,10 +79,33 @@ type Message struct {
 	Stage   int32
 	Iter    int32
 	Payload []byte
+	// Body, when non-nil, encodes the payload in place of Payload: the
+	// sender writes its state straight into the frame being built
+	// instead of staging it in a payload buffer first. It is
+	// sender-only; every decoded message has a nil Body.
+	Body Body
 	// Trace is the causal trailer stamped by the sending transport
 	// (zero when tracing is off). It is excluded from cost charging
 	// and never consulted by the predicates — see trace.go.
 	Trace TraceContext
+}
+
+// Body is a payload encoder a sender hands the transport in place of
+// payload bytes (Message.Body). Len must report exactly the number of
+// bytes AppendTo appends, so the transport can size the frame before
+// encoding into it.
+type Body interface {
+	Len() int
+	AppendTo(buf []byte) []byte
+}
+
+// PayloadLen returns the encoded payload length: Body's when the
+// message has one, else Payload's.
+func (m *Message) PayloadLen() int {
+	if m.Body != nil {
+		return m.Body.Len()
+	}
+	return len(m.Payload)
 }
 
 // HostID is the pseudo-node label of the host processor.
@@ -102,29 +125,36 @@ var ErrTruncated = errors.New("wire: truncated message")
 // Encode serializes the message. The encoding is
 // deterministic, so byte counts are reproducible across runs.
 func Encode(m Message) ([]byte, error) {
-	return AppendMessage(make([]byte, 0, EncodedSize(len(m.Payload))), m)
+	return AppendMessage(make([]byte, 0, EncodedSize(m.PayloadLen())), m)
 }
 
 // AppendMessage appends the wire encoding of m to buf and returns the
 // extended slice. It is the allocation-free form of Encode: callers
-// that reuse buf across sends pay no per-message garbage.
+// that reuse buf across sends pay no per-message garbage. buf grows at
+// most once, to the whole frame, before the payload is written, so a
+// Body encodes straight into its final place.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	if !m.Kind.Valid() {
 		return nil, fmt.Errorf("wire: encode: invalid kind %d", m.Kind)
 	}
-	if len(m.Payload) > MaxPayload {
-		return nil, fmt.Errorf("wire: encode: payload %d bytes exceeds max %d", len(m.Payload), MaxPayload)
+	n := m.PayloadLen()
+	if n > MaxPayload {
+		return nil, fmt.Errorf("wire: encode: payload %d bytes exceeds max %d", n, MaxPayload)
 	}
 	off := len(buf)
-	buf = extend(buf, headerLen+len(m.Payload))
+	buf = slices.Grow(buf, EncodedSize(n))[:off+headerLen]
 	b := buf[off:]
 	b[0] = byte(m.Kind)
 	binary.LittleEndian.PutUint32(b[1:], uint32(m.From))
 	binary.LittleEndian.PutUint32(b[5:], uint32(m.To))
 	binary.LittleEndian.PutUint32(b[9:], uint32(m.Stage))
 	binary.LittleEndian.PutUint32(b[13:], uint32(m.Iter))
-	binary.LittleEndian.PutUint32(b[17:], uint32(len(m.Payload)))
-	copy(b[headerLen:], m.Payload)
+	binary.LittleEndian.PutUint32(b[17:], uint32(n))
+	if m.Body == nil {
+		buf = append(buf, m.Payload...)
+	} else if buf = m.Body.AppendTo(buf); len(buf) != off+headerLen+n {
+		return nil, fmt.Errorf("wire: encode: body wrote %d bytes, Len said %d", len(buf)-off-headerLen, n)
+	}
 	return appendTrace(buf, m.Trace), nil
 }
 
@@ -187,11 +217,15 @@ func EncodedSize(payloadLen int) int { return headerLen + payloadLen + TraceWire
 
 // --- payload building blocks -------------------------------------------
 
-// AppendKeys appends a length-prefixed key slice to buf. Keys are
-// marshalled in one 8-byte-stride pass over a pre-grown buffer rather
-// than element-wise appends.
+// AppendKeys appends a length-prefixed key slice to buf.
 func AppendKeys(buf []byte, keys []int64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
+	return AppendVals(binary.LittleEndian.AppendUint32(buf, uint32(len(keys))), keys)
+}
+
+// AppendVals appends keys to buf, 8 bytes each with no length prefix,
+// in one 8-byte-stride pass over a pre-grown buffer rather than
+// element-wise appends.
+func AppendVals(buf []byte, keys []int64) []byte {
 	off := len(buf)
 	buf = extend(buf, 8*len(keys))
 	for _, k := range keys {
@@ -304,18 +338,24 @@ func NewBlockView(base, size, blockLen int) View {
 // block length, mask length matching Size, and BlockLen values per set
 // mask bit.
 func (v View) Validate() error {
-	if v.Base < 0 || v.Size < 0 {
-		return fmt.Errorf("wire: view bounds base=%d size=%d invalid", v.Base, v.Size)
+	return validateView(v.Base, v.Size, v.BlockLen, v.Mask, len(v.Vals))
+}
+
+// validateView is View.Validate over a view's parts, vals being its
+// value count; FrameView.Validate shares it.
+func validateView(base, size, blockLen int32, mask bitset.Set, vals int) error {
+	if base < 0 || size < 0 {
+		return fmt.Errorf("wire: view bounds base=%d size=%d invalid", base, size)
 	}
-	if v.BlockLen < 1 {
-		return fmt.Errorf("wire: view block length %d invalid", v.BlockLen)
+	if blockLen < 1 {
+		return fmt.Errorf("wire: view block length %d invalid", blockLen)
 	}
-	if v.Mask.Len() != int(v.Size) {
-		return fmt.Errorf("wire: view mask length %d != size %d", v.Mask.Len(), v.Size)
+	if mask.Len() != int(size) {
+		return fmt.Errorf("wire: view mask length %d != size %d", mask.Len(), size)
 	}
-	if len(v.Vals) != v.Mask.Count()*int(v.BlockLen) {
+	if vals != mask.Count()*int(blockLen) {
 		return fmt.Errorf("wire: view has %d values for %d known slots of %d keys",
-			len(v.Vals), v.Mask.Count(), v.BlockLen)
+			vals, mask.Count(), blockLen)
 	}
 	return nil
 }
@@ -333,54 +373,111 @@ func AppendView(buf []byte, v View) ([]byte, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Base))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Size))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.BlockLen))
-	buf = binary.LittleEndian.AppendUint64(buf, v.Dig.Sum)
-	buf = binary.LittleEndian.AppendUint64(buf, v.Dig.Xor)
-	nWords := v.Mask.WordCount()
-	off := len(buf)
-	buf = extend(buf, 8*(nWords+len(v.Vals)))
-	for i := 0; i < nWords; i++ {
-		binary.LittleEndian.PutUint64(buf[off:], v.Mask.Word(i))
-		off += 8
-	}
-	for _, k := range v.Vals {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(k))
-		off += 8
-	}
-	return buf, nil
+	return AppendVals(AppendViewHeader(buf, v.Base, v.Size, v.BlockLen, v.Dig, v.Mask), v.Vals), nil
 }
 
-// viewInto parses a view using (and resizing) the scratch's buffers.
-// The returned View's Mask and Vals alias the scratch.
-func (r *reader) viewInto(s *DecodeScratch) (View, error) {
+// AppendViewHeader appends what precedes a view's values in its
+// encoding (AppendView): the geometry, the digest and the mask words. A
+// view encoder that holds its blocks elsewhere appends the known slots'
+// keys after it with AppendVals, in ascending slot order.
+func AppendViewHeader(buf []byte, base, size, blockLen int32, dig Digest, mask bitset.Set) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(base))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(blockLen))
+	buf = binary.LittleEndian.AppendUint64(buf, dig.Sum)
+	buf = binary.LittleEndian.AppendUint64(buf, dig.Xor)
+	off := len(buf)
+	buf = extend(buf, 8*mask.WordCount())
+	for i := 0; i < mask.WordCount(); i++ {
+		binary.LittleEndian.PutUint64(buf[off:], mask.Word(i))
+		off += 8
+	}
+	return buf
+}
+
+// FrameView is a view decoded in place: its geometry, digest and mask
+// are parsed, but its values stay encoded in the payload they arrived
+// in. A receiver reads each value where it uses it (Block, Val)
+// instead of decoding the whole view first. It is valid only as long
+// as that payload (on a transport, until the endpoint's next receive)
+// and the DecodeScratch holding its Mask.
+type FrameView struct {
+	Base     int32
+	Size     int32
+	BlockLen int32
+	Dig      Digest
+	Mask     bitset.Set
+	// vals holds Mask.Count()·BlockLen encoded keys.
+	vals []byte
+}
+
+// Validate checks the invariants View.Validate checks, with the same
+// errors.
+func (v *FrameView) Validate() error {
+	return validateView(v.Base, v.Size, v.BlockLen, v.Mask, len(v.vals)/8)
+}
+
+// Val returns the view's j-th value, counting BlockLen values per known
+// slot in mask index order.
+func (v *FrameView) Val(j int) int64 {
+	return int64(binary.LittleEndian.Uint64(v.vals[8*j:]))
+}
+
+// Block decodes the keys of the i-th known slot (in mask index order)
+// into dst, which must hold BlockLen keys, and returns their multiset
+// digest, folded in the same pass.
+func (v *FrameView) Block(i int, dst []int64) Digest {
+	b := int(v.BlockLen)
+	src := v.vals[8*i*b : 8*(i+1)*b]
+	dst = dst[:b]
+	var d Digest
+	for k := range dst {
+		x := int64(binary.LittleEndian.Uint64(src[8*k:]))
+		dst[k] = x
+		d.Add(x)
+	}
+	return d
+}
+
+// view returns v with its values decoded into storage of its own. The
+// values are never nil, so a decoded empty view compares equal to an
+// encoded one.
+func (v *FrameView) view() View {
+	vals := make([]int64, len(v.vals)/8)
+	r := reader{buf: v.vals}
+	r.readKeys(vals)
+	return View{Base: v.Base, Size: v.Size, BlockLen: v.BlockLen, Dig: v.Dig, Mask: v.Mask, Vals: vals}
+}
+
+// frameView parses a view in place: the mask into the scratch, the
+// values left in the buffer.
+func (r *reader) frameView(s *DecodeScratch) (FrameView, error) {
 	base, err := r.u32()
 	if err != nil {
-		return View{}, err
+		return FrameView{}, err
 	}
 	size, err := r.u32()
 	if err != nil {
-		return View{}, err
+		return FrameView{}, err
 	}
 	blockLen, err := r.u32()
 	if err != nil {
-		return View{}, err
+		return FrameView{}, err
 	}
 	digSum, err := r.u64()
 	if err != nil {
-		return View{}, err
+		return FrameView{}, err
 	}
 	digXor, err := r.u64()
 	if err != nil {
-		return View{}, err
+		return FrameView{}, err
 	}
 	if size > MaxPayload/8 || blockLen < 1 || blockLen > MaxPayload/8 {
-		return View{}, fmt.Errorf("wire: view size %d block %d implausible: %w", size, blockLen, ErrTruncated)
+		return FrameView{}, fmt.Errorf("wire: view size %d block %d implausible: %w", size, blockLen, ErrTruncated)
 	}
 	nWords := (int(size) + 63) / 64
 	if nWords > (len(r.buf)-r.off)/8 {
-		return View{}, ErrTruncated
+		return FrameView{}, ErrTruncated
 	}
 	s.words = scratchSlice(s.words, nWords)
 	src := r.buf[r.off:]
@@ -389,16 +486,16 @@ func (r *reader) viewInto(s *DecodeScratch) (View, error) {
 	}
 	r.off += 8 * nWords
 	if err := s.mask.LoadWords(int(size), s.words); err != nil {
-		return View{}, fmt.Errorf("wire: view mask: %w", err)
+		return FrameView{}, fmt.Errorf("wire: view mask: %w", err)
 	}
 	total := s.mask.Count() * int(blockLen)
 	if total > (len(r.buf)-r.off)/8 {
-		return View{}, fmt.Errorf("wire: view claims %d values beyond buffer: %w", total, ErrTruncated)
+		return FrameView{}, fmt.Errorf("wire: view claims %d values beyond buffer: %w", total, ErrTruncated)
 	}
-	s.vals = scratchSlice(s.vals, total)
-	r.readKeys(s.vals)
-	return View{Base: int32(base), Size: int32(size), BlockLen: int32(blockLen),
-		Dig: Digest{Sum: digSum, Xor: digXor}, Mask: s.mask, Vals: s.vals}, nil
+	v := FrameView{Base: int32(base), Size: int32(size), BlockLen: int32(blockLen),
+		Dig: Digest{Sum: digSum, Xor: digXor}, Mask: s.mask, vals: r.buf[r.off : r.off+8*total]}
+	r.off += 8 * total
+	return v, nil
 }
 
 // ViewEncodedSize returns the payload bytes AppendView produces for a
@@ -409,17 +506,16 @@ func ViewEncodedSize(size, known, blockLen int) int {
 
 // --- scratch decoding ------------------------------------------------------
 
-// DecodeScratch holds reusable buffers for the allocation-free
-// Decode*Into variants. Payloads returned by those methods alias the
-// scratch storage (Keys, View.Mask, View.Vals), so each result is valid
-// only until the next Decode*Into call on the same scratch. The zero
-// value is ready to use; after a warm-up call per payload shape, decodes
-// perform no allocation. A fresh scratch allocates every buffer anew,
-// so the plain Decode* functions decode into one and their results own
-// their memory.
+// DecodeScratch holds reusable buffers for the allocation-free decoders
+// (DecodeExchangeInto, DecodeHostInto, DecodeFTExchangeFrame,
+// DecodeVerifyFrame). Their results alias the scratch storage (Keys,
+// FrameView.Mask), so each is valid only until the next decode into the
+// same scratch. The zero value is ready to use; after a warm-up call per
+// payload shape, decodes perform no allocation. A fresh scratch
+// allocates every buffer anew, so the plain Decode* functions decode
+// into one and their results own their memory.
 type DecodeScratch struct {
 	keys  []int64
-	vals  []int64
 	words []uint64
 	mask  bitset.Set
 }
@@ -435,66 +531,81 @@ func scratchSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// readKeysInto reads a key-count prefix and that many keys into the
+// scratch.
+func (r *reader) readKeysInto(s *DecodeScratch) ([]int64, error) {
+	n, err := r.keyCount()
+	if err != nil {
+		return nil, err
+	}
+	s.keys = scratchSlice(s.keys, n)
+	r.readKeys(s.keys)
+	return s.keys, nil
+}
+
 // DecodeExchangeInto parses an ExchangePayload into the scratch.
 func DecodeExchangeInto(s *DecodeScratch, buf []byte) (ExchangePayload, error) {
 	r := &reader{buf: buf}
-	n, err := r.keyCount()
+	keys, err := r.readKeysInto(s)
 	if err != nil {
 		return ExchangePayload{}, err
 	}
-	s.keys = scratchSlice(s.keys, n)
-	r.readKeys(s.keys)
 	if err := r.done(); err != nil {
 		return ExchangePayload{}, err
 	}
-	return ExchangePayload{Keys: s.keys}, nil
+	return ExchangePayload{Keys: keys}, nil
 }
 
-// DecodeFTExchangeInto parses an FTExchangePayload into the scratch.
-func DecodeFTExchangeInto(s *DecodeScratch, buf []byte) (FTExchangePayload, error) {
-	r := &reader{buf: buf}
-	n, err := r.keyCount()
-	if err != nil {
-		return FTExchangePayload{}, err
-	}
-	s.keys = scratchSlice(s.keys, n)
-	r.readKeys(s.keys)
-	v, err := r.viewInto(s)
-	if err != nil {
-		return FTExchangePayload{}, err
-	}
-	if err := r.done(); err != nil {
-		return FTExchangePayload{}, err
-	}
-	return FTExchangePayload{Keys: s.keys, View: v}, nil
+// FTExchangeFrame is an FTExchangePayload decoded in place: the keys
+// in the scratch, the view's values in the payload.
+type FTExchangeFrame struct {
+	Keys []int64
+	View FrameView
 }
 
-// DecodeVerifyInto parses a VerifyPayload into the scratch.
-func DecodeVerifyInto(s *DecodeScratch, buf []byte) (VerifyPayload, error) {
+// DecodeFTExchangeFrame parses an FTExchangePayload in place: the keys
+// into the scratch, the view as a FrameView over buf.
+func DecodeFTExchangeFrame(s *DecodeScratch, buf []byte) (FTExchangeFrame, error) {
 	r := &reader{buf: buf}
-	v, err := r.viewInto(s)
+	keys, err := r.readKeysInto(s)
 	if err != nil {
-		return VerifyPayload{}, err
+		return FTExchangeFrame{}, err
+	}
+	v, err := r.frameView(s)
+	if err != nil {
+		return FTExchangeFrame{}, err
 	}
 	if err := r.done(); err != nil {
-		return VerifyPayload{}, err
+		return FTExchangeFrame{}, err
 	}
-	return VerifyPayload{View: v}, nil
+	return FTExchangeFrame{Keys: keys, View: v}, nil
+}
+
+// DecodeVerifyFrame parses a VerifyPayload in place: its view as a
+// FrameView over buf.
+func DecodeVerifyFrame(s *DecodeScratch, buf []byte) (FrameView, error) {
+	r := &reader{buf: buf}
+	v, err := r.frameView(s)
+	if err != nil {
+		return FrameView{}, err
+	}
+	if err := r.done(); err != nil {
+		return FrameView{}, err
+	}
+	return v, nil
 }
 
 // DecodeHostInto parses a HostPayload into the scratch.
 func DecodeHostInto(s *DecodeScratch, buf []byte) (HostPayload, error) {
 	r := &reader{buf: buf}
-	n, err := r.keyCount()
+	keys, err := r.readKeysInto(s)
 	if err != nil {
 		return HostPayload{}, err
 	}
-	s.keys = scratchSlice(s.keys, n)
-	r.readKeys(s.keys)
 	if err := r.done(); err != nil {
 		return HostPayload{}, err
 	}
-	return HostPayload{Keys: s.keys}, nil
+	return HostPayload{Keys: keys}, nil
 }
 
 // --- composite payloads ----------------------------------------------------
@@ -543,9 +654,19 @@ func AppendFTExchange(buf []byte, p FTExchangePayload) ([]byte, error) {
 }
 
 // DecodeFTExchange parses an FTExchangePayload into storage of its
-// own.
+// own: DecodeFTExchangeFrame, with the view's values copied out. Unlike
+// the in-place decoders, which leave a view that parses but fails
+// Validate to its receiver as evidence of a malformed view, it returns
+// only views that validate.
 func DecodeFTExchange(buf []byte) (FTExchangePayload, error) {
-	return DecodeFTExchangeInto(new(DecodeScratch), buf)
+	p, err := DecodeFTExchangeFrame(new(DecodeScratch), buf)
+	if err == nil {
+		err = p.View.Validate()
+	}
+	if err != nil {
+		return FTExchangePayload{}, err
+	}
+	return FTExchangePayload{Keys: p.Keys, View: p.View.view()}, nil
 }
 
 // VerifyPayload is the body of a KindVerify message: the final sorted
@@ -565,9 +686,18 @@ func AppendVerify(buf []byte, p VerifyPayload) ([]byte, error) {
 	return AppendView(buf, p.View)
 }
 
-// DecodeVerify parses a VerifyPayload into storage of its own.
+// DecodeVerify parses a VerifyPayload into storage of its own:
+// DecodeVerifyFrame, with the view's values copied out. Like
+// DecodeFTExchange it returns only views that validate.
 func DecodeVerify(buf []byte) (VerifyPayload, error) {
-	return DecodeVerifyInto(new(DecodeScratch), buf)
+	v, err := DecodeVerifyFrame(new(DecodeScratch), buf)
+	if err == nil {
+		err = v.Validate()
+	}
+	if err != nil {
+		return VerifyPayload{}, err
+	}
+	return VerifyPayload{View: v.view()}, nil
 }
 
 // HostPayload is the body of host upload/download messages.

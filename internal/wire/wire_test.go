@@ -43,6 +43,45 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// payloadBody is a wire.Body over fixed bytes whose Len may lie.
+type payloadBody struct {
+	b   []byte
+	len int
+}
+
+func (p *payloadBody) Len() int                   { return p.len }
+func (p *payloadBody) AppendTo(buf []byte) []byte { return append(buf, p.b...) }
+
+// TestBodyFramesLikePayload: a message whose payload is a Body encodes
+// to the frame the same payload bytes make, in place in a buffer sized
+// for the frame, and a Body whose Len disagrees with what it writes is
+// refused.
+func TestBodyFramesLikePayload(t *testing.T) {
+	payload := EncodeExchange(ExchangePayload{Keys: []int64{4, -1, 9}})
+	m := Message{Kind: KindExchange, From: 2, To: 3, Stage: 1, Iter: 1, Payload: payload,
+		Trace: TraceContext{Origin: 2, Seq: 5, Parent: 7}}
+	want, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Payload, m.Body = nil, &payloadBody{b: payload, len: len(payload)}
+	if m.PayloadLen() != len(payload) {
+		t.Fatalf("PayloadLen = %d, want %d", m.PayloadLen(), len(payload))
+	}
+	buf := append(make([]byte, 0, 1+len(want)), 0xEE)
+	got, err := AppendMessage(buf, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[1:]) != string(want) || &got[0] != &buf[0] {
+		t.Fatalf("body frame %v, payload frame %v (reallocated: %v)", got[1:], want, &got[0] != &buf[0])
+	}
+	m.Body = &payloadBody{b: payload, len: len(payload) - 1}
+	if _, err := Encode(m); err == nil {
+		t.Error("body writing more than its Len: want error")
+	}
+}
+
 func TestEncodeRejectsInvalidKind(t *testing.T) {
 	if _, err := Encode(Message{Kind: 0}); err == nil {
 		t.Error("kind 0: want error")
