@@ -2,11 +2,12 @@
 // Benchmark function corresponds to one table or figure of Section 4/5
 // (see EXPERIMENTS.md for the index):
 //
-//	BenchmarkFig6_*      — Figure 6: sorting time, small cubes
-//	BenchmarkTable1      — Section 5 component-time table (model fit)
-//	BenchmarkFig7        — Figure 7: large-system projections
-//	BenchmarkFig8_*      — Figure 8: block sort/merge vs host sort
-//	BenchmarkE6Coverage  — Section 4: single-fault detection sweep
+//	BenchmarkPinned/Fig6_*  — Figure 6: sorting time, small cubes
+//	BenchmarkPinned/Fig8_*  — Figure 8: block sort/merge vs host sort
+//	BenchmarkHostVerify     — the host-verification baseline
+//	BenchmarkTable1         — Section 5 component-time table (model fit)
+//	BenchmarkFig7           — Figure 7: large-system projections
+//	BenchmarkE6Coverage     — Section 4: single-fault detection sweep
 //
 // The wall-clock numbers benchmark the *simulator*; the paper-shaped
 // results (virtual ticks) are reported via b.ReportMetric so a bench
@@ -27,69 +28,40 @@ import (
 
 const benchSeed = 1989
 
-// reportMeasurement attaches the paper-facing series to the bench line.
-func reportMeasurement(b *testing.B, m experiments.Measurement) {
-	b.ReportMetric(float64(m.Makespan), "vticks")
-	b.ReportMetric(float64(m.Comm), "vcomm")
-	b.ReportMetric(float64(m.Comp), "vcomp")
-	b.ReportMetric(float64(m.Msgs), "msgs")
-	b.ReportMetric(float64(m.Bytes), "wirebytes")
-}
-
-func benchMeasure(b *testing.B, f func() (experiments.Measurement, error)) {
+// benchMeasure runs Measure(algo, dim, m) b.N times and attaches the
+// paper-facing series of the last run to the bench line.
+func benchMeasure(b *testing.B, algo experiments.Algorithm, dim, m int) {
 	b.Helper()
 	var last experiments.Measurement
 	for i := 0; i < b.N; i++ {
-		m, err := f()
+		ms, err := experiments.Measure(algo, dim, m, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = m
+		last = ms
 	}
-	reportMeasurement(b, last)
+	b.ReportMetric(float64(last.Makespan), "vticks")
+	b.ReportMetric(float64(last.Comm), "vcomm")
+	b.ReportMetric(float64(last.Comp), "vcomp")
+	b.ReportMetric(float64(last.Msgs), "msgs")
+	b.ReportMetric(float64(last.Bytes), "wirebytes")
 }
 
-// BenchmarkFig6_SNR regenerates the S_NR series of Figure 6.
-func BenchmarkFig6_SNR(b *testing.B) {
-	for _, dim := range []int{2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("N=%d", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureSNR(dim, benchSeed)
-			})
-		})
-	}
-}
-
-// BenchmarkFig6_SFT regenerates the S_FT series of Figure 6.
-func BenchmarkFig6_SFT(b *testing.B) {
-	for _, dim := range []int{2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("N=%d", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureSFT(dim, benchSeed)
-			})
-		})
+// BenchmarkPinned regenerates the golden series of Figures 6 and 8,
+// one sub-benchmark per experiments.Pinned point, named as in
+// BENCH_PR7.json.
+func BenchmarkPinned(b *testing.B) {
+	for _, p := range experiments.Pinned {
+		b.Run(p.Name, func(b *testing.B) { benchMeasure(b, p.Algo, p.Dim, p.M) })
 	}
 }
 
-// BenchmarkFig6_HostSort regenerates the sequential series of Figure 6.
-func BenchmarkFig6_HostSort(b *testing.B) {
+// BenchmarkHostVerify measures the paper's other rejected baseline:
+// distributed sort plus Theorem 1 verification at the host.
+func BenchmarkHostVerify(b *testing.B) {
 	for _, dim := range []int{2, 3, 4, 5} {
 		b.Run(fmt.Sprintf("N=%d", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureHostSort(dim, benchSeed)
-			})
-		})
-	}
-}
-
-// BenchmarkFig6_HostVerify measures the paper's other rejected
-// baseline: distributed sort plus Theorem 1 verification at the host.
-func BenchmarkFig6_HostVerify(b *testing.B) {
-	for _, dim := range []int{2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("N=%d", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureHostVerify(dim, benchSeed)
-			})
+			benchMeasure(b, experiments.HostVerify, dim, 1)
 		})
 	}
 }
@@ -133,40 +105,6 @@ func BenchmarkFig7(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(paper), "paper-crossoverN")
-}
-
-// BenchmarkFig8_BlockFT regenerates the fault-tolerant block-sort
-// series of Figure 8 (m = 64 keys per node).
-func BenchmarkFig8_BlockFT(b *testing.B) {
-	for _, dim := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("N=%d/m=64", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureBlockFT(dim, 64, benchSeed)
-			})
-		})
-	}
-}
-
-// BenchmarkFig8_BlockNR regenerates the unreliable block-sort series.
-func BenchmarkFig8_BlockNR(b *testing.B) {
-	for _, dim := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("N=%d/m=64", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureBlockNR(dim, 64, benchSeed)
-			})
-		})
-	}
-}
-
-// BenchmarkFig8_HostBlocks regenerates the host series of Figure 8.
-func BenchmarkFig8_HostBlocks(b *testing.B) {
-	for _, dim := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("N=%d/m=64", 1<<uint(dim)), func(b *testing.B) {
-			benchMeasure(b, func() (experiments.Measurement, error) {
-				return experiments.MeasureHostSortBlocks(dim, 64, benchSeed)
-			})
-		})
-	}
 }
 
 // BenchmarkAblationPiggyback measures the S_FT main loop with checks

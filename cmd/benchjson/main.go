@@ -1,14 +1,17 @@
 // Command benchjson runs the paper's measurement suite under the Go
 // benchmark harness and emits a machine-readable JSON report: for each
-// point the wall-clock ns/op and allocs/op (simulator performance)
-// plus the paper-facing virtual-tick series (vticks, vcomm, vcomp,
-// msgs, wirebytes), which is what the figures plot.
+// point of the golden series (experiments.Pinned) the wall-clock
+// ns/op and allocs/op (simulator performance) plus the paper-facing
+// virtual-tick series (vticks, vcomm, vcomp, msgs, wirebytes), which
+// is what the figures plot, followed by the predicate/merge
+// microbenchmarks.
 //
 // The two acceptance points carry embedded pre-optimization baselines
 // (medians of three 30-iteration runs on the reference machine) so the
-// report doubles as a before/after record:
+// report doubles as a before/after record. The report goes to stdout
+// unless -o names a file:
 //
-//	go run ./cmd/benchjson -o BENCH_PR7.json
+//	go run ./cmd/benchjson -o report.json
 //
 // With -baseline pointing at a committed report, the run additionally
 // fails if any Fig6_SFT or Fig8_BlockFT point's allocs_per_op regressed
@@ -105,50 +108,6 @@ var baseline = map[string]struct {
 	"Fig8_BlockFT/N=16/m=64": {nsPerOp: 4875750, allocsOp: 1777},
 }
 
-// suite enumerates the measured points: the Figure 6 series (one key
-// per node) and the Figure 8 block series (m = 64 keys per node).
-type benchCase struct {
-	name string
-	n    int
-	m    int
-	run  func() (experiments.Measurement, error)
-}
-
-func suite() []benchCase {
-	var cases []benchCase
-	for _, dim := range []int{2, 3, 4, 5} {
-		d := dim
-		n := 1 << uint(d)
-		cases = append(cases,
-			benchCase{fmt.Sprintf("Fig6_SNR/N=%d", n), n, 1, func() (experiments.Measurement, error) {
-				return experiments.MeasureSNR(d, benchSeed)
-			}},
-			benchCase{fmt.Sprintf("Fig6_SFT/N=%d", n), n, 1, func() (experiments.Measurement, error) {
-				return experiments.MeasureSFT(d, benchSeed)
-			}},
-			benchCase{fmt.Sprintf("Fig6_HostSort/N=%d", n), n, 1, func() (experiments.Measurement, error) {
-				return experiments.MeasureHostSort(d, benchSeed)
-			}},
-		)
-	}
-	for _, dim := range []int{2, 3, 4} {
-		d := dim
-		n := 1 << uint(d)
-		cases = append(cases,
-			benchCase{fmt.Sprintf("Fig8_BlockNR/N=%d/m=64", n), n, 64, func() (experiments.Measurement, error) {
-				return experiments.MeasureBlockNR(d, 64, benchSeed)
-			}},
-			benchCase{fmt.Sprintf("Fig8_BlockFT/N=%d/m=64", n), n, 64, func() (experiments.Measurement, error) {
-				return experiments.MeasureBlockFT(d, 64, benchSeed)
-			}},
-			benchCase{fmt.Sprintf("Fig8_HostBlocks/N=%d/m=64", n), n, 64, func() (experiments.Measurement, error) {
-				return experiments.MeasureHostSortBlocks(d, 64, benchSeed)
-			}},
-		)
-	}
-	return cases
-}
-
 // microSuite enumerates the predicate/merge microbenchmarks exported
 // alongside the protocol points: the Φ_F slow paths (map and
 // two-pointer feasibility), the digest fast path (steady-state compare
@@ -229,7 +188,7 @@ func microSuite() []microCase {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR7.json", "output file ('-' for stdout)")
+	out := flag.String("o", "-", "output file ('-' for stdout)")
 	basePath := flag.String("baseline", "", "committed report to gate allocs_per_op regressions against (Fig6_SFT and Fig8_BlockFT points)")
 	flag.Parse()
 
@@ -240,12 +199,15 @@ func main() {
 		GOARCH:    runtime.GOARCH,
 		Seed:      benchSeed,
 	}
-	for _, c := range suite() {
+	for _, c := range experiments.Pinned {
+		run := func() (experiments.Measurement, error) {
+			return experiments.Measure(c.Algo, c.Dim, c.M, benchSeed)
+		}
 		var last experiments.Measurement
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := c.run()
+				m, err := run()
 				if err != nil {
 					runErr = err
 					b.FailNow()
@@ -254,17 +216,17 @@ func main() {
 			}
 		})
 		allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
-		if runErr == nil && gated(c.name) {
-			allocs, bytes, runErr = minAllocs(c.run)
+		if runErr == nil && gated(c.Name) {
+			allocs, bytes, runErr = minAllocs(run)
 		}
 		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", c.name, runErr)
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", c.Name, runErr)
 			os.Exit(1)
 		}
 		p := Point{
-			Name:        c.name,
-			N:           c.n,
-			M:           c.m,
+			Name:        c.Name,
+			N:           last.N,
+			M:           last.M,
 			Iters:       r.N,
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: allocs,
@@ -276,9 +238,9 @@ func main() {
 			WireBytes:   last.Bytes,
 		}
 		rep.Points = append(rep.Points, p)
-		if base, ok := baseline[c.name]; ok {
+		if base, ok := baseline[c.Name]; ok {
 			rep.Acceptance = append(rep.Acceptance, Acceptance{
-				Name:              c.name,
+				Name:              c.Name,
 				BaselineNsPerOp:   base.nsPerOp,
 				NsPerOp:           p.NsPerOp,
 				ImprovementPct:    pctDrop(base.nsPerOp, p.NsPerOp),
@@ -288,7 +250,7 @@ func main() {
 			})
 		}
 		fmt.Fprintf(os.Stderr, "%-28s %9d ns/op %7d allocs/op %10d vticks\n",
-			c.name, p.NsPerOp, p.AllocsPerOp, p.VTicks)
+			c.Name, p.NsPerOp, p.AllocsPerOp, p.VTicks)
 	}
 
 	for _, c := range microSuite() {

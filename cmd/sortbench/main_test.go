@@ -2,9 +2,38 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestAllPlotGolden pins the full text of `sortbench -experiment all
+// -plot` — Table 1 and Figures 6 to 8 with their charts — at the
+// default seed. Every number in it is virtual time, so the output is
+// the same on every machine and run.
+func TestAllPlotGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-experiment", "all", "-plot"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "all-plot.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (run go test -run Golden -update ./cmd/sortbench to create)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("output differs from %s (rerun with -update if the change is intended):\n%s", path, buf.String())
+	}
+}
 
 func TestTable1Output(t *testing.T) {
 	var buf bytes.Buffer

@@ -31,8 +31,7 @@ const (
 
 func main() {
 	n := 1 << dim
-	blocks := experiments.Blocks(n, blockSize, seed)
-	all := hostsort.SortedBlocksFlat(blocks) // node id's block is all[id*blockSize:(id+1)*blockSize]
+	all := experiments.Keys(n*blockSize, seed) // node id's block is all[id*blockSize:(id+1)*blockSize]
 
 	type row struct {
 		name     string
@@ -70,14 +69,14 @@ func main() {
 	}
 	{ // Ship everything to the host and back.
 		nw := mustNet()
-		out, res, err := hostsort.RunHostSortBlocks(nw, blocks)
+		out, res, err := hostsort.RunHostSort(nw, all, blockSize)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := res.AnyErr(); err != nil {
 			log.Fatal(err)
 		}
-		mustSorted(all, hostsort.SortedBlocksFlat(out))
+		mustSorted(all, out)
 		rows = append(rows, row{"host sequential sort", int64(res.Makespan()),
 			res.Metrics.TotalMsgs(), res.Metrics.TotalBytes()})
 	}

@@ -1,6 +1,7 @@
 package bitonic
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -319,6 +320,27 @@ func TestMergeSortCount(t *testing.T) {
 	}
 	if out, c := MergeSortCount([]int64{7}); c != 0 || out[0] != 7 {
 		t.Error("singleton sort wrong")
+	}
+}
+
+// The charged host-sort compute is the merge sort's comparison count,
+// so it must stay within the N·lgN envelope the paper's sequential
+// cost formula assumes.
+func TestMergeSortCountStaysNlogN(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{16, 256, 4096} {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = rng.Int63()
+		}
+		_, c := MergeSortCount(xs)
+		bound := int(float64(n) * math.Log2(float64(n)))
+		if c > bound {
+			t.Errorf("n=%d: %d compares > N·lgN bound %d", n, c, bound)
+		}
+		if c < bound/4 {
+			t.Errorf("n=%d: %d compares suspiciously low (bound %d)", n, c, bound)
+		}
 	}
 }
 

@@ -2,15 +2,21 @@
 // error-coverage analysis of Section 4) on the simulated multicomputer
 // and renders the tables and figures:
 //
-//	Figure 5 — worked example of S_FT on {10,8,3,9,4,2,7,5} (cmd/tracesort)
 //	Table 1  — fitted communication/computation tick formulas
 //	Figure 6 — observed + theoretical sorting times, small cubes
 //	Figure 7 — projected times, large systems, and the crossover
-//	Figure 8 — block bitonic sort/merge vs host sort
-//	E6       — fault-injection coverage (cmd/faultdemo)
+//	Figure 8 — block bitonic sort/merge vs host sort, and its projection
+//	E8       — detection-coverage matrix over the adversary classes
+//	           (MeasureCoverage, cmd/faultcoverage)
+//	Recovery — supervised-recovery sweep that calibrates and checks the
+//	           recovery cost model (MeasureRecovery, cmd/recoverycost)
+//	E9       — schedule-space explorer sweep (MeasureExplore)
 //
-// The same entry points back cmd/sortbench and the bench_test.go
-// harness, so every artifact is regenerable from one code path.
+// Every §5 sort runs through one Measure over block length m, Figure 6
+// being Figure 8's m = 1 case. The golden virtual-tick series is the
+// Pinned table; cmd/sortbench, cmd/benchjson and the bench_test.go
+// harness all measure through Measure, so every artifact is
+// regenerable from one code path.
 package experiments
 
 import (
@@ -22,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/hostsort"
+	"repro/internal/node"
 	"repro/internal/simnet"
 	"repro/internal/sortnr"
 )
@@ -64,226 +71,124 @@ func Keys(n int, seed int64) []int64 {
 	return keys
 }
 
-// Blocks generates n blocks of m deterministic random keys.
-func Blocks(n, m int, seed int64) [][]int64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int64, n)
-	for i := range out {
-		out[i] = make([]int64, m)
-		for j := range out[i] {
-			out[i][j] = int64(int32(rng.Uint32()))
-		}
+// Algorithm names one of the Section 5 sorts Measure runs.
+type Algorithm int
+
+const (
+	SNR        Algorithm = iota // the unreliable distributed sort S_NR
+	SFT                         // the fault-tolerant sort S_FT
+	HostSort                    // ship to the host, sort there, ship back
+	HostVerify                  // S_NR, then Theorem 1 checked at the host
+)
+
+func (a Algorithm) String() string {
+	switch a {
+	case SNR:
+		return "S_NR"
+	case SFT:
+		return "S_FT"
+	case HostSort:
+		return "host sort"
+	case HostVerify:
+		return "host verify"
 	}
-	return out
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-func newNet(dim int) (*simnet.Network, error) {
-	return simnet.New(simnet.Config{Dim: dim, RecvTimeout: runTimeout})
-}
-
-// MeasureSNR runs the unreliable distributed sort and measures it.
-func MeasureSNR(dim int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	keys := Keys(n, seed)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out, res, err := sortnr.Run(nw, keys)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := res.AnyErr(); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: S_NR run failed: %w", err)
-	}
-	if err := checker.Verify(keys, out, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: S_NR output invalid: %w", err)
-	}
-	return Measurement{
-		N: n, M: 1,
-		Makespan: res.Makespan(),
-		Comm:     res.MaxNodeComm(),
-		Comp:     res.MaxNodeComp(),
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
-}
-
-// MeasureSFT runs the fault-tolerant sort and measures it.
-func MeasureSFT(dim int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	keys := Keys(n, seed)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	oc, err := core.Run(nw, keys)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if oc.Detected() {
-		return Measurement{}, fmt.Errorf("experiments: S_FT spurious detection: %v / %v",
-			oc.Result.FirstNodeErr(), oc.HostErrors)
-	}
-	if err := checker.Verify(keys, oc.Sorted, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: S_FT output invalid: %w", err)
-	}
-	res := oc.Result
-	return Measurement{
-		N: n, M: 1,
-		Makespan: res.Makespan(),
-		Comm:     res.MaxNodeComm(),
-		Comp:     res.MaxNodeComp(),
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
-}
-
-// MeasureHostSort runs the host sequential baseline and measures it.
-// Comm/Comp are the host's own components, matching the paper's
+// Measure runs algo on the 2^dim-node cube with m keys per node, on
+// the input Keys(2^dim·m, seed), checks that it sorted, and measures
+// it. Comm and Comp are the slowest node's for the distributed sorts
+// and the host's own for the host baselines, matching the paper's
 // "Sequential" table row.
-func MeasureHostSort(dim int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	keys := Keys(n, seed)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out, res, err := hostsort.RunHostSort(nw, keys)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := res.AnyErr(); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host sort failed: %w", err)
-	}
-	if err := checker.Verify(keys, out, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host sort output invalid: %w", err)
-	}
-	return Measurement{
-		N: n, M: 1,
-		Makespan: res.Makespan(),
-		Comm:     res.HostComm,
-		Comp:     res.HostComp,
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
-}
-
-// MeasureHostVerify runs the host-verification baseline (S_NR plus
-// Theorem 1 at the host).
-func MeasureHostVerify(dim int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	keys := Keys(n, seed)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out, res, err := hostsort.RunHostVerify(nw, keys)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := res.AnyErr(); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host verify failed: %w", err)
-	}
-	if err := checker.Verify(keys, out, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host verify output invalid: %w", err)
-	}
-	return Measurement{
-		N: n, M: 1,
-		Makespan: res.Makespan(),
-		Comm:     res.HostComm,
-		Comp:     res.HostComp,
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
-}
-
-// MeasureBlockFT runs the fault-tolerant sort with m keys/node. Its
-// input, Keys(n*m, seed), is the node-order concatenation of
-// Blocks(n, m, seed), the host baseline's input.
-func MeasureBlockFT(dim, m int, seed int64) (Measurement, error) {
+func Measure(algo Algorithm, dim, m int, seed int64) (Measurement, error) {
 	n := 1 << uint(dim)
 	keys := Keys(n*m, seed)
-	nw, err := newNet(dim)
+	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: runTimeout})
 	if err != nil {
 		return Measurement{}, err
 	}
-	oc, err := core.RunBlocks(nw, keys, m, nil)
+	var out []int64
+	var res *node.Result
+	switch algo {
+	case SNR:
+		out, res, err = sortnr.RunBlocks(nw, keys, m)
+	case SFT:
+		var oc *core.Outcome
+		if oc, err = core.RunBlocks(nw, keys, m, nil); err == nil {
+			out, res = oc.Sorted, oc.Result
+			if len(oc.HostErrors) > 0 {
+				err = fmt.Errorf("spurious detection: %v", oc.HostErrors)
+			}
+		}
+	case HostSort:
+		out, res, err = hostsort.RunHostSort(nw, keys, m)
+	case HostVerify:
+		out, res, err = hostsort.RunHostVerify(nw, keys, m)
+	default:
+		err = fmt.Errorf("unknown algorithm")
+	}
+	if err == nil {
+		err = res.AnyErr()
+	}
+	if err == nil {
+		err = checker.Verify(keys, out, true)
+	}
 	if err != nil {
-		return Measurement{}, err
+		return Measurement{}, fmt.Errorf("experiments: %v, N=%d, m=%d: %w", algo, n, m, err)
 	}
-	if oc.Detected() {
-		return Measurement{}, fmt.Errorf("experiments: block S_FT spurious detection: %v / %v",
-			oc.Result.FirstNodeErr(), oc.HostErrors)
-	}
-	if err := checker.Verify(keys, oc.Sorted, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: block S_FT output invalid: %w", err)
-	}
-	res := oc.Result
-	return Measurement{
-		N: n, M: m,
+	return measurement(algo, m, res), nil
+}
+
+// measurement reads algo's costs off a finished run with m keys per
+// node.
+func measurement(algo Algorithm, m int, res *node.Result) Measurement {
+	ms := Measurement{
+		N: len(res.Nodes), M: m,
 		Makespan: res.Makespan(),
 		Comm:     res.MaxNodeComm(),
 		Comp:     res.MaxNodeComp(),
 		Msgs:     res.Metrics.TotalMsgs(),
 		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
+	}
+	if algo == HostSort || algo == HostVerify {
+		ms.Comm, ms.Comp = res.HostComm, res.HostComp
+	}
+	return ms
 }
 
-// MeasureBlockNR runs the unreliable sort with m keys/node, on the
-// same input as MeasureBlockFT.
-func MeasureBlockNR(dim, m int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	keys := Keys(n*m, seed)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out, res, err := sortnr.RunBlocks(nw, keys, m)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := res.AnyErr(); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: block S_NR failed: %w", err)
-	}
-	if err := checker.Verify(keys, out, true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: block S_NR output invalid: %w", err)
-	}
-	return Measurement{
-		N: n, M: m,
-		Makespan: res.Makespan(),
-		Comm:     res.MaxNodeComm(),
-		Comp:     res.MaxNodeComp(),
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
+// PinnedPoint is one point of the golden virtual-tick series: Algo on
+// the 2^Dim-node cube with M keys per node. BENCH_PR7.json pins each
+// point's vticks, vcomm, vcomp, msgs and wirebytes under Name.
+type PinnedPoint struct {
+	Name string
+	Algo Algorithm
+	Dim  int
+	M    int
 }
 
-// MeasureHostSortBlocks runs the host baseline with m keys/node.
-func MeasureHostSortBlocks(dim, m int, seed int64) (Measurement, error) {
-	n := 1 << uint(dim)
-	blocks := Blocks(n, m, seed)
-	all := hostsort.SortedBlocksFlat(blocks)
-	nw, err := newNet(dim)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out, res, err := hostsort.RunHostSortBlocks(nw, blocks)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := res.AnyErr(); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host block sort failed: %w", err)
-	}
-	if err := checker.Verify(all, hostsort.SortedBlocksFlat(out), true); err != nil {
-		return Measurement{}, fmt.Errorf("experiments: host block sort output invalid: %w", err)
-	}
-	return Measurement{
-		N: n, M: m,
-		Makespan: res.Makespan(),
-		Comm:     res.HostComm,
-		Comp:     res.HostComp,
-		Msgs:     res.Metrics.TotalMsgs(),
-		Bytes:    res.Metrics.TotalBytes(),
-	}, nil
+// Pinned is the golden series in report order: Figure 6's three sorts
+// on 4 to 32 nodes with one key each, then Figure 8's on 4 to 16 nodes
+// with 64 keys each.
+var Pinned = []PinnedPoint{
+	{"Fig6_SNR/N=4", SNR, 2, 1},
+	{"Fig6_SFT/N=4", SFT, 2, 1},
+	{"Fig6_HostSort/N=4", HostSort, 2, 1},
+	{"Fig6_SNR/N=8", SNR, 3, 1},
+	{"Fig6_SFT/N=8", SFT, 3, 1},
+	{"Fig6_HostSort/N=8", HostSort, 3, 1},
+	{"Fig6_SNR/N=16", SNR, 4, 1},
+	{"Fig6_SFT/N=16", SFT, 4, 1},
+	{"Fig6_HostSort/N=16", HostSort, 4, 1},
+	{"Fig6_SNR/N=32", SNR, 5, 1},
+	{"Fig6_SFT/N=32", SFT, 5, 1},
+	{"Fig6_HostSort/N=32", HostSort, 5, 1},
+	{"Fig8_BlockNR/N=4/m=64", SNR, 2, 64},
+	{"Fig8_BlockFT/N=4/m=64", SFT, 2, 64},
+	{"Fig8_HostBlocks/N=4/m=64", HostSort, 2, 64},
+	{"Fig8_BlockNR/N=8/m=64", SNR, 3, 64},
+	{"Fig8_BlockFT/N=8/m=64", SFT, 3, 64},
+	{"Fig8_HostBlocks/N=8/m=64", HostSort, 3, 64},
+	{"Fig8_BlockNR/N=16/m=64", SNR, 4, 64},
+	{"Fig8_BlockFT/N=16/m=64", SFT, 4, 64},
+	{"Fig8_HostBlocks/N=16/m=64", HostSort, 4, 64},
 }

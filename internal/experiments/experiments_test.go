@@ -26,40 +26,26 @@ func TestKeysDeterministic(t *testing.T) {
 	}
 }
 
-func TestBlocksShape(t *testing.T) {
-	bs := Blocks(4, 3, 9)
-	if len(bs) != 4 {
-		t.Fatalf("blocks = %d", len(bs))
-	}
-	for _, b := range bs {
-		if len(b) != 3 {
-			t.Fatalf("block len = %d", len(b))
-		}
-	}
-}
-
 func TestMeasurementsProduceSaneCosts(t *testing.T) {
-	type fn func(int, int64) (Measurement, error)
-	algos := map[string]fn{
-		"snr":        MeasureSNR,
-		"sft":        MeasureSFT,
-		"host":       MeasureHostSort,
-		"hostverify": MeasureHostVerify,
+	for _, m := range []int{1, 4} {
+		for _, algo := range []Algorithm{SNR, SFT, HostSort, HostVerify} {
+			ms, err := Measure(algo, 3, m, 42)
+			if err != nil {
+				t.Fatalf("%v m=%d: %v", algo, m, err)
+			}
+			if ms.N != 8 || ms.M != m {
+				t.Errorf("%v m=%d: N=%d M=%d", algo, m, ms.N, ms.M)
+			}
+			if ms.Makespan <= 0 || ms.Comm <= 0 || ms.Comp <= 0 {
+				t.Errorf("%v m=%d: non-positive costs %+v", algo, m, ms)
+			}
+			if ms.Msgs <= 0 || ms.Bytes <= 0 {
+				t.Errorf("%v m=%d: no traffic recorded %+v", algo, m, ms)
+			}
+		}
 	}
-	for name, f := range algos {
-		m, err := f(3, 42)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.N != 8 || m.M != 1 {
-			t.Errorf("%s: N=%d M=%d", name, m.N, m.M)
-		}
-		if m.Makespan <= 0 || m.Comm <= 0 || m.Comp <= 0 {
-			t.Errorf("%s: non-positive costs %+v", name, m)
-		}
-		if m.Msgs <= 0 || m.Bytes <= 0 {
-			t.Errorf("%s: no traffic recorded %+v", name, m)
-		}
+	if _, err := Measure(Algorithm(99), 2, 1, 42); err == nil {
+		t.Error("unknown algorithm: want error")
 	}
 }
 
@@ -68,11 +54,11 @@ func TestMeasurementsProduceSaneCosts(t *testing.T) {
 //     (tested in core); here we check makespan ordering.
 //   - S_FT computation grows faster than S_NR's (O(N) vs O(lg²N)).
 func TestSFTCostRelationships(t *testing.T) {
-	snr, err := MeasureSNR(4, 7)
+	snr, err := Measure(SNR, 4, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sft, err := MeasureSFT(4, 7)
+	sft, err := Measure(SFT, 4, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +108,8 @@ func TestFigure6ShapesHold(t *testing.T) {
 		if r.SFT.Makespan <= r.SNR.Makespan {
 			t.Errorf("N=%d: S_FT %d not slower than S_NR %d", r.N, r.SFT.Makespan, r.SNR.Makespan)
 		}
-		if r.SFTOverhead <= 1 {
-			t.Errorf("N=%d: overhead ratio %.2f", r.N, r.SFTOverhead)
+		if r.M != 1 {
+			t.Errorf("N=%d: m = %d, want 1", r.N, r.M)
 		}
 	}
 	// Paper: at these small sizes the host sort is competitive —
@@ -169,14 +155,14 @@ func TestFigure8BlockComparison(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.BlockFT.Makespan <= r.BlockNR.Makespan {
+		if r.SFT.Makespan <= r.SNR.Makespan {
 			t.Errorf("N=%d: block S_FT %d not slower than block S_NR %d",
-				r.N, r.BlockFT.Makespan, r.BlockNR.Makespan)
+				r.N, r.SFT.Makespan, r.SNR.Makespan)
 		}
 	}
 	// Figure 8's point: with blocks, the FT/host ratio shrinks with N.
-	first := float64(res.Rows[0].BlockFT.Makespan) / float64(res.Rows[0].Host.Makespan)
-	last := float64(res.Rows[2].BlockFT.Makespan) / float64(res.Rows[2].Host.Makespan)
+	first := float64(res.Rows[0].SFT.Makespan) / float64(res.Rows[0].Host.Makespan)
+	last := float64(res.Rows[2].SFT.Makespan) / float64(res.Rows[2].Host.Makespan)
 	if last >= first {
 		t.Errorf("block FT/host ratio did not shrink: %.2f -> %.2f", first, last)
 	}

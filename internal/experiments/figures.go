@@ -42,20 +42,15 @@ func Table1(dims []int, seed int64) (Table1Result, error) {
 	res.SFTPoints = make([]costmodel.Point, len(dims))
 	res.SeqPoints = make([]costmodel.Point, len(dims))
 	err := forEach(2*len(dims), func(k int) error {
-		d := dims[k/2]
-		if k%2 == 0 {
-			ms, err := MeasureSFT(d, seed)
-			if err != nil {
-				return fmt.Errorf("table1: dim %d: %w", d, err)
-			}
-			res.SFTPoints[k/2] = ms.Point()
-			return nil
+		algo, pts := SFT, res.SFTPoints
+		if k%2 == 1 {
+			algo, pts = HostSort, res.SeqPoints
 		}
-		mh, err := MeasureHostSort(d, seed)
+		ms, err := Measure(algo, dims[k/2], 1, seed)
 		if err != nil {
-			return fmt.Errorf("table1: dim %d: %w", d, err)
+			return fmt.Errorf("table1: %w", err)
 		}
-		res.SeqPoints[k/2] = mh.Point()
+		pts[k/2] = ms.Point()
 		return nil
 	})
 	if err != nil {
@@ -98,21 +93,45 @@ func (t Table1Result) Render() string {
 	return b.String()
 }
 
-// Figure6Row is one cube size's observed and modelled times.
-type Figure6Row struct {
-	N           int
-	SNR         Measurement
-	SFT         Measurement
-	Host        Measurement
-	SFTTheory   float64 // fitted model total
-	HostTheory  float64
-	SFTOverhead float64 // SFT/SNR makespan ratio
+// Row is one cube size of Figure 6 (one key per node) or Figure 8 (M
+// keys per node): S_NR, S_FT and the host sort measured on one input.
+type Row struct {
+	N, M           int
+	SNR, SFT, Host Measurement
+}
+
+// sweep measures S_NR, S_FT and the host sort on each cube dimension
+// with m keys per node. The (dim, algorithm) points are independent —
+// each owns a private simulated network — so they run on the worker
+// pool, each into its own slot, and the rows are assembled afterwards.
+func sweep(dims []int, m int, seed int64) ([]Row, error) {
+	algos := [...]Algorithm{SNR, SFT, HostSort}
+	ms := make([]Measurement, len(algos)*len(dims))
+	err := forEach(len(ms), func(k int) error {
+		var err error
+		ms[k], err = Measure(algos[k%len(algos)], dims[k/len(algos)], m, seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(dims))
+	for i, d := range dims {
+		p := ms[len(algos)*i:]
+		rows[i] = Row{N: 1 << uint(d), M: m, SNR: p[0], SFT: p[1], Host: p[2]}
+	}
+	return rows, nil
 }
 
 // Figure6Result is the small-cube comparison of Figure 6.
 type Figure6Result struct {
-	Rows []Figure6Row
-	Fit  Table1Result
+	Rows []Row
+	// SFTTheory and HostTheory are the fitted models' totals at each
+	// row's N: the "theoretical" curves the paper plots against its
+	// measurements.
+	SFTTheory  []float64
+	HostTheory []float64
+	Fit        Table1Result
 }
 
 // Figure6 measures the three algorithms at the given dimensions
@@ -125,57 +144,22 @@ func Figure6(dims, fitDims []int, seed int64) (Figure6Result, error) {
 	if err != nil {
 		return Figure6Result{}, err
 	}
-	out := Figure6Result{Fit: fit}
-	// Fan the (dim, algorithm) measurement points out on the worker
-	// pool; each owns a private simulated network. Results slot into
-	// their row by index so the output is deterministic.
-	out.Rows = make([]Figure6Row, len(dims))
-	err = forEach(3*len(dims), func(k int) error {
-		i, alg := k/3, k%3
-		d := dims[i]
-		var m Measurement
-		var merr error
-		switch alg {
-		case 0:
-			m, merr = MeasureSNR(d, seed)
-		case 1:
-			m, merr = MeasureSFT(d, seed)
-		default:
-			m, merr = MeasureHostSort(d, seed)
-		}
-		if merr != nil {
-			return fmt.Errorf("figure6: dim %d: %w", d, merr)
-		}
-		switch alg {
-		case 0:
-			out.Rows[i].SNR = m
-		case 1:
-			out.Rows[i].SFT = m
-		default:
-			out.Rows[i].Host = m
-		}
-		return nil
-	})
+	rows, err := sweep(dims, 1, seed)
 	if err != nil {
-		return Figure6Result{}, err
+		return Figure6Result{}, fmt.Errorf("figure6: %w", err)
 	}
-	for i, d := range dims {
-		n := float64(int64(1) << uint(d))
-		sftTheory, err := fit.SFT.Total(n)
+	out := Figure6Result{Rows: rows, Fit: fit}
+	for _, r := range rows {
+		sftTheory, err := fit.SFT.Total(float64(r.N))
 		if err != nil {
 			return Figure6Result{}, err
 		}
-		hostTheory, err := fit.Sequential.Total(n)
+		hostTheory, err := fit.Sequential.Total(float64(r.N))
 		if err != nil {
 			return Figure6Result{}, err
 		}
-		row := &out.Rows[i]
-		row.N = 1 << uint(d)
-		row.SFTTheory = sftTheory
-		row.HostTheory = hostTheory
-		if row.SNR.Makespan > 0 {
-			row.SFTOverhead = float64(row.SFT.Makespan) / float64(row.SNR.Makespan)
-		}
+		out.SFTTheory = append(out.SFTTheory, sftTheory)
+		out.HostTheory = append(out.HostTheory, hostTheory)
 	}
 	return out, nil
 }
@@ -186,10 +170,10 @@ func (f Figure6Result) Render() string {
 	fmt.Fprintf(&b, "Figure 6 — sorting time comparisons, small cubes (virtual ticks)\n\n")
 	fmt.Fprintf(&b, "%6s  %12s  %12s  %12s  %14s  %14s  %9s\n",
 		"N", "S_NR obs", "S_FT obs", "Host obs", "S_FT theory", "Host theory", "FT/NR")
-	for _, r := range f.Rows {
+	for i, r := range f.Rows {
 		fmt.Fprintf(&b, "%6d  %12d  %12d  %12d  %14.0f  %14.0f  %8.2fx\n",
 			r.N, r.SNR.Makespan, r.SFT.Makespan, r.Host.Makespan,
-			r.SFTTheory, r.HostTheory, r.SFTOverhead)
+			f.SFTTheory[i], f.HostTheory[i], float64(r.SFT.Makespan)/float64(r.SNR.Makespan))
 	}
 	return b.String()
 }
@@ -279,7 +263,7 @@ func Figure8Projection(res Figure8Result, minDim, maxDim int) (Figure7Result, er
 	m := res.Rows[0].M
 	var ftPts, hostPts []costmodel.Point
 	for _, r := range res.Rows {
-		ftPts = append(ftPts, r.BlockFT.Point())
+		ftPts = append(ftPts, r.SFT.Point())
 		hostPts = append(hostPts, r.Host.Point())
 	}
 	ft, err := costmodel.Fit(fmt.Sprintf("block S_FT m=%d (measured)", m), ftPts,
@@ -318,18 +302,9 @@ func Figure8Projection(res Figure8Result, minDim, maxDim int) (Figure7Result, er
 	}, nil
 }
 
-// Figure8Row is one cube size of the block-sort comparison.
-type Figure8Row struct {
-	N       int
-	M       int
-	BlockNR Measurement
-	BlockFT Measurement
-	Host    Measurement
-}
-
 // Figure8Result is the block sort/merge comparison.
 type Figure8Result struct {
-	Rows []Figure8Row
+	Rows []Row
 	// Crossover is the smallest measured N at which the fault-tolerant
 	// block sort beats host sorting (0 when it never does in range).
 	Crossover int
@@ -338,44 +313,14 @@ type Figure8Result struct {
 // Figure8 measures block sorting at the given dimensions for a
 // representative block size m, against the host baseline.
 func Figure8(dims []int, m int, seed int64) (Figure8Result, error) {
-	var out Figure8Result
-	// Independent (dim, algorithm) points run concurrently on the
-	// worker pool, each with a private simulated network.
-	out.Rows = make([]Figure8Row, len(dims))
-	err := forEach(3*len(dims), func(k int) error {
-		i, alg := k/3, k%3
-		d := dims[i]
-		var ms Measurement
-		var merr error
-		switch alg {
-		case 0:
-			ms, merr = MeasureBlockNR(d, m, seed)
-		case 1:
-			ms, merr = MeasureBlockFT(d, m, seed)
-		default:
-			ms, merr = MeasureHostSortBlocks(d, m, seed)
-		}
-		if merr != nil {
-			return fmt.Errorf("figure8: dim %d: %w", d, merr)
-		}
-		switch alg {
-		case 0:
-			out.Rows[i].BlockNR = ms
-		case 1:
-			out.Rows[i].BlockFT = ms
-		default:
-			out.Rows[i].Host = ms
-		}
-		return nil
-	})
+	rows, err := sweep(dims, m, seed)
 	if err != nil {
-		return Figure8Result{}, err
+		return Figure8Result{}, fmt.Errorf("figure8: %w", err)
 	}
-	for i, d := range dims {
-		out.Rows[i].N = 1 << uint(d)
-		out.Rows[i].M = m
-		if out.Crossover == 0 && out.Rows[i].BlockFT.Makespan < out.Rows[i].Host.Makespan {
-			out.Crossover = 1 << uint(d)
+	out := Figure8Result{Rows: rows}
+	for _, r := range rows {
+		if out.Crossover == 0 && r.SFT.Makespan < r.Host.Makespan {
+			out.Crossover = r.N
 		}
 	}
 	return out, nil
@@ -389,9 +334,9 @@ func (f Figure8Result) Render() string {
 	}
 	fmt.Fprintf(&b, "%8s  %14s  %14s  %14s  %10s\n", "N", "block S_NR", "block S_FT", "Host sort", "FT/host")
 	for _, r := range f.Rows {
-		ratio := float64(r.BlockFT.Makespan) / float64(r.Host.Makespan)
 		fmt.Fprintf(&b, "%8d  %14d  %14d  %14d  %9.2fx\n",
-			r.N, r.BlockNR.Makespan, r.BlockFT.Makespan, r.Host.Makespan, ratio)
+			r.N, r.SNR.Makespan, r.SFT.Makespan, r.Host.Makespan,
+			float64(r.SFT.Makespan)/float64(r.Host.Makespan))
 	}
 	if f.Crossover > 0 {
 		fmt.Fprintf(&b, "\nFault-tolerant block sort beats host sort from N=%d\n", f.Crossover)

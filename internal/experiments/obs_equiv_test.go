@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 
@@ -69,43 +68,21 @@ func checkPoint(t *testing.T, pts map[string]benchPoint, name string, m Measurem
 func TestGoldenSeriesDeterministic(t *testing.T) {
 	const runs = 20
 	pts, seed := loadBaseline(t)
-	type series struct {
-		name    string
-		measure func() (Measurement, error)
-	}
-	var all []series
-	for _, dim := range []int{2, 3, 4, 5} {
-		n := 1 << uint(dim)
-		all = append(all,
-			series{fmt.Sprintf("Fig6_SNR/N=%d", n), func() (Measurement, error) { return MeasureSNR(dim, seed) }},
-			series{fmt.Sprintf("Fig6_SFT/N=%d", n), func() (Measurement, error) { return MeasureSFT(dim, seed) }},
-			series{fmt.Sprintf("Fig6_HostSort/N=%d", n), func() (Measurement, error) { return MeasureHostSort(dim, seed) }},
-		)
-	}
-	const m = 64
-	for _, dim := range []int{2, 3, 4} {
-		n := 1 << uint(dim)
-		all = append(all,
-			series{fmt.Sprintf("Fig8_BlockNR/N=%d/m=64", n), func() (Measurement, error) { return MeasureBlockNR(dim, m, seed) }},
-			series{fmt.Sprintf("Fig8_BlockFT/N=%d/m=64", n), func() (Measurement, error) { return MeasureBlockFT(dim, m, seed) }},
-			series{fmt.Sprintf("Fig8_HostBlocks/N=%d/m=64", n), func() (Measurement, error) { return MeasureHostSortBlocks(dim, m, seed) }},
-		)
-	}
-	for _, s := range all {
+	for _, p := range Pinned {
 		seen := make(map[Measurement]int)
 		for i := 0; i < runs; i++ {
-			got, err := s.measure()
+			got, err := Measure(p.Algo, p.Dim, p.M, seed)
 			if err != nil {
-				t.Fatalf("%s: %v", s.name, err)
+				t.Fatalf("%s: %v", p.Name, err)
 			}
 			seen[got]++
 		}
 		if len(seen) != 1 {
-			t.Errorf("%s: %d distinct values in %d runs: %v", s.name, len(seen), runs, seen)
+			t.Errorf("%s: %d distinct values in %d runs: %v", p.Name, len(seen), runs, seen)
 			continue
 		}
 		for got := range seen {
-			checkPoint(t, pts, s.name, got)
+			checkPoint(t, pts, p.Name, got)
 		}
 	}
 }
@@ -129,101 +106,46 @@ func TestObservedSeriesMatchBaseline(t *testing.T) {
 		return nw
 	}
 
-	for _, dim := range []int{2, 3, 4, 5} {
-		n := 1 << uint(dim)
-
-		// S_NR with stage/round counters on every node.
-		keys := Keys(n, seed)
-		out := make([]int64, n)
-		progs := make([]node.Program, n)
-		for id := 0; id < n; id++ {
-			progs[id] = sortnr.NodeProgram(keys[id], &out[id], sortnr.Options{Obs: o})
-		}
-		res, err := node.RunPer(obsNet(dim), progs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPoint(t, pts, fmt.Sprintf("Fig6_SNR/N=%d", n), Measurement{
-			Makespan: res.Makespan(), Comm: res.MaxNodeComm(), Comp: res.MaxNodeComp(),
-			Msgs: res.Metrics.TotalMsgs(), Bytes: res.Metrics.TotalBytes(),
-		})
-
-		// S_FT with the full event stream: counters, Φ checks, stage views.
-		keys = Keys(n, seed)
-		copts := make([]core.Options, n)
-		for id := range copts {
-			copts[id].Obs = o
-			copts[id].Forensic = flight.Node(id)
-		}
-		oc, err := core.RunWithOptions(obsNet(dim), keys, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oc.Detected() {
-			t.Fatalf("N=%d: spurious detection", n)
-		}
-		checkPoint(t, pts, fmt.Sprintf("Fig6_SFT/N=%d", n), Measurement{
-			Makespan: oc.Result.Makespan(), Comm: oc.Result.MaxNodeComm(), Comp: oc.Result.MaxNodeComp(),
-			Msgs: oc.Result.Metrics.TotalMsgs(), Bytes: oc.Result.Metrics.TotalBytes(),
-		})
-
-		// Host sort: the observability in play is the transport's
-		// message counters and flight tracing.
-		keys = Keys(n, seed)
-		_, hres, err := hostsort.RunHostSort(obsNet(dim), keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPoint(t, pts, fmt.Sprintf("Fig6_HostSort/N=%d", n), Measurement{
-			Makespan: hres.Makespan(), Comm: hres.HostComm, Comp: hres.HostComp,
-			Msgs: hres.Metrics.TotalMsgs(), Bytes: hres.Metrics.TotalBytes(),
-		})
-	}
-
-	const m = 64
-	for _, dim := range []int{2, 3, 4} {
-		n := 1 << uint(dim)
-
-		// Block S_NR: RunBlocks takes no per-node options; the
-		// observability in play is the transport's message counters.
+	for _, p := range Pinned {
+		n, m := 1<<uint(p.Dim), p.M
 		keys := Keys(n*m, seed)
-		_, res, err := sortnr.RunBlocks(obsNet(dim), keys, m)
+		nw := obsNet(p.Dim)
+		var res *node.Result
+		var err error
+		switch p.Algo {
+		case SNR:
+			// S_NR with stage/round counters on every node.
+			out := make([]int64, n*m)
+			progs := make([]node.Program, n)
+			for id := range progs {
+				progs[id] = sortnr.NodeProgram(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], sortnr.Options{Obs: o})
+			}
+			res, err = node.RunPer(nw, progs, nil)
+		case SFT:
+			// S_FT with the full event stream: counters, Φ checks, stage views.
+			opts := make([]core.Options, n)
+			for id := range opts {
+				opts[id].Obs = o
+				opts[id].Forensic = flight.Node(id)
+			}
+			var oc *core.Outcome
+			if oc, err = core.RunBlocks(nw, keys, m, opts); err == nil {
+				if oc.Detected() {
+					t.Fatalf("%s: spurious detection", p.Name)
+				}
+				res = oc.Result
+			}
+		case HostSort:
+			// Host sort: the observability in play is the transport's
+			// message counters and flight tracing.
+			_, res, err = hostsort.RunHostSort(nw, keys, m)
+		default:
+			t.Fatalf("%s: no observed run for %v", p.Name, p.Algo)
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
-		checkPoint(t, pts, fmt.Sprintf("Fig8_BlockNR/N=%d/m=64", n), Measurement{
-			Makespan: res.Makespan(), Comm: res.MaxNodeComm(), Comp: res.MaxNodeComp(),
-			Msgs: res.Metrics.TotalMsgs(), Bytes: res.Metrics.TotalBytes(),
-		})
-
-		// Block S_FT with the full event stream.
-		bopts := make([]core.Options, n)
-		for id := range bopts {
-			bopts[id].Obs = o
-			bopts[id].Forensic = flight.Node(id)
-		}
-		oc, err := core.RunBlocks(obsNet(dim), keys, m, bopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oc.Detected() {
-			t.Fatalf("block N=%d: spurious detection", n)
-		}
-		checkPoint(t, pts, fmt.Sprintf("Fig8_BlockFT/N=%d/m=64", n), Measurement{
-			Makespan: oc.Result.Makespan(), Comm: oc.Result.MaxNodeComm(), Comp: oc.Result.MaxNodeComp(),
-			Msgs: oc.Result.Metrics.TotalMsgs(), Bytes: oc.Result.Metrics.TotalBytes(),
-		})
-
-		// Host block sort, likewise.
-		blocks := Blocks(n, m, seed)
-		_, hres, err := hostsort.RunHostSortBlocks(obsNet(dim), blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPoint(t, pts, fmt.Sprintf("Fig8_HostBlocks/N=%d/m=64", n), Measurement{
-			Makespan: hres.Makespan(), Comm: hres.HostComm, Comp: hres.HostComp,
-			Msgs: hres.Metrics.TotalMsgs(), Bytes: hres.Metrics.TotalBytes(),
-		})
+		checkPoint(t, pts, p.Name, measurement(p.Algo, m, res))
 	}
 
 	// The observer must actually have been fed: an accidentally nil-wired

@@ -9,25 +9,42 @@ import (
 // Plot renders Figure 6 as an ASCII chart: the three observed curves
 // over the measured cube sizes.
 func (f Figure6Result) Plot() (string, error) {
-	ticks := make([]string, len(f.Rows))
-	snr := make([]float64, len(f.Rows))
-	sft := make([]float64, len(f.Rows))
-	host := make([]float64, len(f.Rows))
-	for i, r := range f.Rows {
+	return plotRows("Figure 6 — sorting time, small cubes",
+		[3]string{"S_NR observed", "S_FT observed", "Host sort observed"}, f.Rows)
+}
+
+// Plot renders Figure 8's measured block-sorting curves.
+func (f Figure8Result) Plot() (string, error) {
+	m := 0
+	if len(f.Rows) > 0 {
+		m = f.Rows[0].M
+	}
+	return plotRows(fmt.Sprintf("Figure 8 — block sort/merge vs host sort (m=%d)", m),
+		[3]string{"block S_NR", "block S_FT", "host sort"}, f.Rows)
+}
+
+// plotRows charts the S_NR, S_FT and host-sort makespans of rows over
+// their cube sizes, the series named by names in that order.
+func plotRows(title string, names [3]string, rows []Row) (string, error) {
+	ticks := make([]string, len(rows))
+	snr := make([]float64, len(rows))
+	sft := make([]float64, len(rows))
+	host := make([]float64, len(rows))
+	for i, r := range rows {
 		ticks[i] = fmt.Sprintf("N=%d", r.N)
 		snr[i] = float64(r.SNR.Makespan)
 		sft[i] = float64(r.SFT.Makespan)
 		host[i] = float64(r.Host.Makespan)
 	}
 	return plot.Render(plot.Config{
-		Title:  "Figure 6 — sorting time, small cubes",
+		Title:  title,
 		XLabel: "cube size",
 		YLabel: "virtual ticks",
 		XTicks: ticks,
 	}, []plot.Series{
-		{Name: "S_NR observed", Rune: 'n', Y: snr},
-		{Name: "S_FT observed", Rune: 'F', Y: sft},
-		{Name: "Host sort observed", Rune: 'h', Y: host},
+		{Name: names[0], Rune: 'n', Y: snr},
+		{Name: names[1], Rune: 'F', Y: sft},
+		{Name: names[2], Rune: 'h', Y: host},
 	})
 }
 
@@ -59,33 +76,5 @@ func (f Figure7Result) Plot() (string, error) {
 	}, []plot.Series{
 		{Name: f.Models[0].CostName(), Rune: 'F', Y: a},
 		{Name: f.Models[1].CostName(), Rune: 'h', Y: b},
-	})
-}
-
-// Plot renders Figure 8's measured block-sorting curves.
-func (f Figure8Result) Plot() (string, error) {
-	ticks := make([]string, len(f.Rows))
-	nr := make([]float64, len(f.Rows))
-	ft := make([]float64, len(f.Rows))
-	host := make([]float64, len(f.Rows))
-	for i, r := range f.Rows {
-		ticks[i] = fmt.Sprintf("N=%d", r.N)
-		nr[i] = float64(r.BlockNR.Makespan)
-		ft[i] = float64(r.BlockFT.Makespan)
-		host[i] = float64(r.Host.Makespan)
-	}
-	m := 0
-	if len(f.Rows) > 0 {
-		m = f.Rows[0].M
-	}
-	return plot.Render(plot.Config{
-		Title:  fmt.Sprintf("Figure 8 — block sort/merge vs host sort (m=%d)", m),
-		XLabel: "cube size",
-		YLabel: "virtual ticks",
-		XTicks: ticks,
-	}, []plot.Series{
-		{Name: "block S_NR", Rune: 'n', Y: nr},
-		{Name: "block S_FT", Rune: 'F', Y: ft},
-		{Name: "host sort", Rune: 'h', Y: host},
 	})
 }

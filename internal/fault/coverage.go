@@ -222,7 +222,7 @@ func InjectSNR(dim int, keys []int64, spec Spec, timeout time.Duration) (Result,
 		if id == spec.Node {
 			o.Tamper = snrTamper(spec)
 		}
-		progs[id] = sortnr.NodeProgram(keys[id], &out[id], o)
+		progs[id] = sortnr.NodeProgram(keys[id:id+1], out[id:id+1], o)
 	}
 	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
@@ -277,7 +277,7 @@ func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, ti
 }
 
 // injectAll runs Inject over every placement, each on its own network
-// and at most eight at a time, and returns one Result per placement in
+// and at most 16 at a time, and returns one Result per placement in
 // order.
 func injectAll(dim int, keys []int64, m int, sets []Set, timeout time.Duration) ([]Result, error) {
 	out := make([]Result, len(sets))

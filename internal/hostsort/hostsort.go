@@ -10,12 +10,13 @@
 //     shipped to the host, which applies Theorem 1 (permutation +
 //     order check) — O(N) communication and O(N log N) computation.
 //
-// Both support the block variant (m keys per node) used by Figure 8.
+// Both take m keys per node, as core.RunBlocks and sortnr.RunBlocks
+// do: keys[id*m:(id+1)*m] is node id's block. Figure 6 is the m = 1
+// case, Figure 8 the m > 1 one.
 package hostsort
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitonic"
 	"repro/internal/checker"
@@ -25,103 +26,44 @@ import (
 	"repro/internal/wire"
 )
 
-// MergeSortCount sorts xs ascending with a top-down merge sort and
-// returns the comparison count, so the harness can charge the host
-// deterministic virtual time. The input slice is not modified.
-// It is re-exported from the bitonic package for API locality.
-func MergeSortCount(xs []int64) (sorted []int64, compares int) {
-	return bitonic.MergeSortCount(xs)
-}
-
-// RunHostSort executes the host-sort baseline with one key per node:
-// upload, sequential sort on the host, download. It returns out with
-// out[id] = node id's final key (ascending by node label).
-func RunHostSort(nw transport.Network, keys []int64) ([]int64, *node.Result, error) {
+// RunHostSort executes the host-sort baseline with m keys per node:
+// upload, sequential sort on the host, download. The output is the
+// node-order concatenation of the downloaded blocks, which is the
+// globally sorted ascending sequence.
+func RunHostSort(nw transport.Network, keys []int64, m int) ([]int64, *node.Result, error) {
 	n := nw.Topology().Nodes()
-	if len(keys) != n {
-		return nil, nil, fmt.Errorf("hostsort: %d keys for %d nodes", len(keys), n)
-	}
-	blocks := make([][]int64, n)
-	for i, k := range keys {
-		blocks[i] = []int64{k}
-	}
-	outBlocks, res, err := RunHostSortBlocks(nw, blocks)
-	if err != nil {
+	if err := checkShape(n, keys, m); err != nil {
 		return nil, nil, err
 	}
-	out := make([]int64, n)
-	for i, b := range outBlocks {
-		if len(b) != 1 {
-			return nil, nil, fmt.Errorf("hostsort: node %d received %d keys, want 1", i, len(b))
-		}
-		out[i] = b[0]
-	}
-	return out, res, nil
-}
-
-// RunHostSortBlocks executes the host-sort baseline with a block of
-// keys per node. All blocks must have equal length. The returned
-// blocks are globally sorted ascending across node labels.
-func RunHostSortBlocks(nw transport.Network, blocks [][]int64) ([][]int64, *node.Result, error) {
-	n := nw.Topology().Nodes()
-	if len(blocks) != n {
-		return nil, nil, fmt.Errorf("hostsort: %d blocks for %d nodes", len(blocks), n)
-	}
-	m := len(blocks[0])
-	for i, b := range blocks {
-		if len(b) != m {
-			return nil, nil, fmt.Errorf("hostsort: block %d has %d keys, want %d", i, len(b), m)
-		}
-	}
-
-	out := make([][]int64, n)
+	out := make([]int64, n*m)
 	prog := func(ep transport.Endpoint) error {
 		id := ep.ID()
-		up := wire.Message{
-			Kind:    wire.KindHostUpload,
-			Payload: wire.AppendHost(nil, blocks[id]),
-		}
-		if err := ep.SendHost(up); err != nil {
-			return fmt.Errorf("hostsort: node %d upload: %w", id, err)
+		if err := upload(ep, 0, keys[id*m:(id+1)*m]); err != nil {
+			return err
 		}
 		down, err := ep.RecvHost()
 		if err != nil {
 			return fmt.Errorf("hostsort: node %d download: %w", id, err)
 		}
 		p, err := wire.DecodeHost(down.Payload)
+		if err == nil && len(p.Keys) != m {
+			err = fmt.Errorf("%d keys, want %d", len(p.Keys), m)
+		}
 		if err != nil {
 			return fmt.Errorf("hostsort: node %d download: %w", id, err)
 		}
-		out[id] = p.Keys
+		copy(out[id*m:], p.Keys)
 		return nil
 	}
 
 	hostProg := func(h transport.Host) error {
-		// The gather loop decodes into one scratch and copies into the
-		// preallocated flat slice, so the host's per-message work is
-		// allocation-free. Each upload lands at its sender's slot, not in
-		// arrival order: the merge sort's compare count, charged as host
-		// virtual time, depends on input order, and arrival order depends
-		// on goroutine scheduling.
-		var dec wire.DecodeScratch
 		all := make([]int64, n*m)
-		for seen := 0; seen < n; seen++ {
-			msg, err := h.Recv()
-			if err != nil {
-				return fmt.Errorf("hostsort: host gather: %w", err)
-			}
-			p, err := wire.DecodeHostInto(&dec, msg.Payload)
-			if err != nil {
-				return fmt.Errorf("hostsort: host gather: %w", err)
-			}
-			from := int(msg.From)
-			if from < 0 || from >= n || len(p.Keys) != m {
-				return fmt.Errorf("hostsort: host gather from %d: %d keys, want %d", from, len(p.Keys), m)
-			}
-			copy(all[from*m:], p.Keys)
+		if err := gather(h, m, all); err != nil {
+			return err
 		}
 		// Parallel across the host's cores; output and comparison count
-		// (and so the charged virtual time) match MergeSortCount exactly.
+		// (and so the charged virtual time) match bitonic.MergeSortCount
+		// exactly.
 		sorted, compares := bitonic.ParallelMergeSortCount(all, 0)
 		h.ChargeCompare(compares)
 		h.ChargeKeyMove(len(sorted))
@@ -146,67 +88,37 @@ func RunHostSortBlocks(nw transport.Network, blocks [][]int64) ([][]int64, *node
 	return out, res, nil
 }
 
-// RunHostVerify executes the host-verification baseline: the nodes
-// upload their initial keys, sort among themselves with S_NR, then
-// upload the sorted keys; the host applies Theorem 1. The returned
-// error from the host (in the Result) is non-nil when verification
-// fails — but note this baseline cannot say *which* node misbehaved,
-// and the host is a serial bottleneck; these are the drawbacks the
-// paper's distributed checking removes.
-func RunHostVerify(nw transport.Network, keys []int64) ([]int64, *node.Result, error) {
+// RunHostVerify executes the host-verification baseline with m keys
+// per node: the nodes upload their initial blocks, sort among
+// themselves with S_NR, then upload the sorted blocks; the host
+// applies Theorem 1. The host's error (in the Result) is non-nil when
+// verification fails — but note this baseline cannot say *which* node
+// misbehaved, and the host is a serial bottleneck; these are the
+// drawbacks the paper's distributed checking removes.
+func RunHostVerify(nw transport.Network, keys []int64, m int) ([]int64, *node.Result, error) {
 	n := nw.Topology().Nodes()
-	if len(keys) != n {
-		return nil, nil, fmt.Errorf("hostsort: %d keys for %d nodes", len(keys), n)
+	if err := checkShape(n, keys, m); err != nil {
+		return nil, nil, err
 	}
-	out := make([]int64, n)
+	out := make([]int64, n*m)
 	prog := func(ep transport.Endpoint) error {
 		id := ep.ID()
-		kbuf := [1]int64{keys[id]}
-		up := wire.Message{
-			Kind:    wire.KindHostUpload,
-			Stage:   0, // phase marker: initial data
-			Payload: wire.AppendHost(nil, kbuf[:]),
-		}
-		if err := ep.SendHost(up); err != nil {
-			return fmt.Errorf("hostsort: node %d initial upload: %w", id, err)
-		}
-		final, err := sortnrNode(ep, keys[id])
-		if err != nil {
+		block, sorted := keys[id*m:(id+1)*m], out[id*m:(id+1)*m]
+		if err := upload(ep, 0, block); err != nil {
 			return err
 		}
-		out[id] = final
-		kbuf[0] = final
-		up2 := wire.Message{
-			Kind:    wire.KindHostUpload,
-			Stage:   1, // phase marker: sorted data
-			Payload: wire.AppendHost(nil, kbuf[:]),
+		if err := sortnr.NodeProgram(block, sorted, sortnr.Options{})(ep); err != nil {
+			return err
 		}
-		if err := ep.SendHost(up2); err != nil {
-			return fmt.Errorf("hostsort: node %d sorted upload: %w", id, err)
-		}
-		return nil
+		return upload(ep, 1, sorted)
 	}
 
 	hostProg := func(h transport.Host) error {
-		var dec wire.DecodeScratch
-		initial := make([]int64, n)
-		sorted := make([]int64, n)
-		for seen := 0; seen < 2*n; seen++ {
-			msg, err := h.Recv()
-			if err != nil {
-				return fmt.Errorf("hostsort: host gather: %w", err)
-			}
-			p, err := wire.DecodeHostInto(&dec, msg.Payload)
-			if err != nil || len(p.Keys) != 1 {
-				return fmt.Errorf("hostsort: host gather from %d: bad payload", msg.From)
-			}
-			if msg.Stage == 0 {
-				initial[msg.From] = p.Keys[0]
-			} else {
-				sorted[msg.From] = p.Keys[0]
-			}
+		initial, sorted := make([]int64, n*m), make([]int64, n*m)
+		if err := gather(h, m, initial, sorted); err != nil {
+			return err
 		}
-		h.ChargeCompare(checker.VerifyCost(n))
+		h.ChargeCompare(checker.VerifyCost(n * m))
 		if err := checker.Verify(initial, sorted, true); err != nil {
 			return fmt.Errorf("hostsort: verification failed: %w", err)
 		}
@@ -220,37 +132,64 @@ func RunHostVerify(nw transport.Network, keys []int64) ([]int64, *node.Result, e
 	return out, res, nil
 }
 
-// sortnrNode runs one node's share of S_NR inline (used by the
-// host-verification baseline, which layers uploads around the
-// unreliable sort).
-func sortnrNode(ep transport.Endpoint, key int64) (int64, error) {
-	var out int64
-	prog := sortnr.NodeProgram(key, &out, sortnr.Options{})
-	if err := prog(ep); err != nil {
-		return 0, err
+func checkShape(n int, keys []int64, m int) error {
+	if m < 1 || len(keys) != n*m {
+		return fmt.Errorf("hostsort: %d keys for %d nodes of %d keys each", len(keys), n, m)
 	}
-	return out, nil
+	return nil
 }
 
-// SortedBlocksFlat flattens per-node blocks into one slice, in node
-// order — a convenience for verifying block-sorted results.
-func SortedBlocksFlat(blocks [][]int64) []int64 {
-	var out []int64
-	for _, b := range blocks {
-		out = append(out, b...)
+// upload ships block to the host, labelled with the gather phase it
+// belongs to.
+func upload(ep transport.Endpoint, phase int32, block []int64) error {
+	msg := wire.Message{
+		Kind:    wire.KindHostUpload,
+		Stage:   phase,
+		Payload: wire.AppendHost(nil, block),
 	}
-	return out
+	if err := ep.SendHost(msg); err != nil {
+		return fmt.Errorf("hostsort: node %d upload %d: %w", ep.ID(), phase, err)
+	}
+	return nil
 }
 
-// SortStdlibCount is a reference comparison-counting wrapper around
-// the standard library's sort, used in tests to sanity-check
-// MergeSortCount's comparison totals stay within the expected
-// O(N log N) envelope.
-func SortStdlibCount(xs []int64) (sorted []int64, compares int) {
-	out := append([]int64{}, xs...)
-	sort.Slice(out, func(i, j int) bool {
-		compares++
-		return out[i] < out[j]
-	})
-	return out, compares
+// gather receives one m-key upload per node for each phase, the
+// upload's Stage naming the phase, and files node id's phase-s block
+// at phases[s][id*m:(id+1)*m]. Filing by sender rather than arrival
+// order matters: the host's merge-sort compare count, charged as
+// virtual time, depends on input order, and arrival order depends on
+// goroutine scheduling. An upload from outside the cube, for an
+// unknown phase, of other than m keys, or for a slot already filled is
+// an error and is not filed.
+func gather(h transport.Host, m int, phases ...[]int64) error {
+	n := len(phases[0]) / m
+	// One decode scratch for every upload keeps the host's per-message
+	// work allocation-free.
+	var dec wire.DecodeScratch
+	filled := make([]bool, len(phases)*n)
+	for range filled {
+		msg, err := h.Recv()
+		if err != nil {
+			return fmt.Errorf("hostsort: host gather: %w", err)
+		}
+		from, phase := int(msg.From), int(msg.Stage)
+		p, err := wire.DecodeHostInto(&dec, msg.Payload)
+		switch {
+		case err != nil:
+		case from < 0 || from >= n:
+			err = fmt.Errorf("sender outside the %d-node cube", n)
+		case phase < 0 || phase >= len(phases):
+			err = fmt.Errorf("unknown phase %d", phase)
+		case len(p.Keys) != m:
+			err = fmt.Errorf("%d keys, want %d", len(p.Keys), m)
+		case filled[phase*n+from]:
+			err = fmt.Errorf("phase %d uploaded twice", phase)
+		}
+		if err != nil {
+			return fmt.Errorf("hostsort: host gather from %d: %w", from, err)
+		}
+		filled[phase*n+from] = true
+		copy(phases[phase][from*m:], p.Keys)
+	}
+	return nil
 }

@@ -4,8 +4,8 @@
 // label in n(n+1)/2 compare-exchange steps. With m keys per node
 // (Section 5's block sort) each node first sorts its block locally and
 // each compare-exchange becomes a merge-split of 2m keys; one runner
-// serves every m, and S_NR's one key per node is the m = 1 case (Run,
-// NodeProgram) of RunBlocks.
+// serves every m, and S_NR's one key per node is the m = 1 case (Run)
+// of RunBlocks.
 //
 // S_NR is the performance baseline for S_FT and, under fault
 // injection, the cautionary tale: a single Byzantine node corrupts the
@@ -38,19 +38,13 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// NodeProgram returns the S_NR program for one node: the m = 1 case of
-// the runner RunBlocks runs on every node. The node's initial key is
-// key; its final key is written to *out on completion (each node
-// writes only its own slot, so a shared slice needs no locking).
-func NodeProgram(key int64, out *int64, opts Options) node.Program {
-	return func(ep transport.Endpoint) error {
-		b := [1]int64{key}
-		if err := runNode(ep, b[:], b[:], opts); err != nil {
-			return err
-		}
-		*out = b[0]
-		return nil
-	}
+// NodeProgram returns the S_NR program for one node holding block,
+// m = len(block) keys: the program RunBlocks runs on every node. On
+// success the node writes its sorted block to out (len m), its own
+// slot of the run's output; block is never written, and block and out
+// may alias.
+func NodeProgram(block, out []int64, opts Options) node.Program {
+	return func(ep transport.Endpoint) error { return runNode(ep, block, out, opts) }
 }
 
 // Run executes S_NR over the network with keys[id] as node id's input
@@ -72,8 +66,7 @@ func RunBlocks(nw transport.Network, keys []int64, m int) ([]int64, *node.Result
 	out := make([]int64, n*m)
 	progs := make([]node.Program, n)
 	for id := range progs {
-		block, dst := keys[id*m:(id+1)*m], out[id*m:(id+1)*m]
-		progs[id] = func(ep transport.Endpoint) error { return runNode(ep, block, dst, Options{}) }
+		progs[id] = NodeProgram(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], Options{})
 	}
 	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {
@@ -82,9 +75,7 @@ func RunBlocks(nw transport.Network, keys []int64, m int) ([]int64, *node.Result
 	return out, res, nil
 }
 
-// runNode runs the node at ep holding block, m = len(block) keys, and
-// on completion writes its final block to out (len m); block and out
-// may alias.
+// runNode runs NodeProgram's node at ep.
 func runNode(ep transport.Endpoint, block, out []int64, opts Options) error {
 	id := ep.ID()
 	n := ep.Topology().Dim()

@@ -177,7 +177,7 @@ func TestByzantineCorruptsSilently(t *testing.T) {
 				return m
 			}
 		}
-		progs[id] = NodeProgram(keys[id], &out[id], opts)
+		progs[id] = NodeProgram(keys[id:id+1], out[id:id+1], opts)
 	}
 	nw := newNet(t, dim)
 	res, err := node.RunPer(nw, progs, nil)
@@ -210,7 +210,7 @@ func TestByzantineSilenceIsAbsence(t *testing.T) {
 				return m
 			}
 		}
-		progs[id] = NodeProgram(keys[id], &out[id], opts)
+		progs[id] = NodeProgram(keys[id:id+1], out[id:id+1], opts)
 	}
 	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 50 * time.Millisecond})
 	if err != nil {

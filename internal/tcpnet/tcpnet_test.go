@@ -172,7 +172,7 @@ func TestTCPMatchesSimnet(t *testing.T) {
 		{"sft", keys, ft(keys, 1)},
 		{"blockft-m4", blockKeys, ft(blockKeys, 4)},
 		{"snr", keys, func(nw transport.Network) ([]int64, *node.Result, error) { return sortnr.Run(nw, keys) }},
-		{"hostsort", keys, func(nw transport.Network) ([]int64, *node.Result, error) { return hostsort.RunHostSort(nw, keys) }},
+		{"hostsort", keys, func(nw transport.Network) ([]int64, *node.Result, error) { return hostsort.RunHostSort(nw, keys, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 5 * time.Second})
@@ -230,7 +230,7 @@ func TestSNROverTCP(t *testing.T) {
 func TestHostSortOverTCP(t *testing.T) {
 	keys := []int64{9, -1, 5, 0, 2, 2, 8, 7}
 	nw := newNet(t, 3)
-	out, res, err := hostsort.RunHostSort(nw, keys)
+	out, res, err := hostsort.RunHostSort(nw, keys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
