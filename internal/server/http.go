@@ -8,6 +8,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/obs"
@@ -51,6 +52,15 @@ func classify(err error) (int, ErrorBody) {
 	}
 }
 
+// sortBodyBytesPerKey is one key's share of a POST /sort body: the
+// longest int64 in JSON ("-9223372036854775808") is 20 bytes, and 4
+// more leave room for a comma and whitespace. sortBodySlack covers the
+// body's other fields.
+const (
+	sortBodyBytesPerKey = 24
+	sortBodySlack       = 1 << 20
+)
+
 // Handler serves the service API:
 //
 //	POST /sort           one job: Request JSON in, Response JSON out
@@ -58,13 +68,24 @@ func classify(err error) (int, ErrorBody) {
 //	GET  /healthz        liveness
 //	GET  /metrics        fleet Prometheus text (or ?json=1)
 //	GET  /debug/journal  fleet job-lifecycle journal
+//
+// A POST /sort body is read through a limit of MaxKeys × 24 bytes plus
+// 1 MiB. A longer body cannot hold an admissible job, so it is refused
+// with 400 invalid before it is decoded whole, as the stream lane
+// bounds the key count before allocating.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	bodyLimit := int64(s.cfg.MaxKeys)*sortBodyBytesPerKey + sortBodySlack
 	mux.HandleFunc("POST /sort", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyLimit))
 		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "invalid", Detail: "bad JSON: " + err.Error()})
+			detail := "bad JSON: " + err.Error()
+			var tooLong *http.MaxBytesError
+			if errors.As(err, &tooLong) {
+				detail = fmt.Sprintf("body exceeds %d bytes", tooLong.Limit)
+			}
+			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "invalid", Detail: detail})
 			return
 		}
 		resp, err := s.Submit(req)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -63,6 +64,60 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if code, eb := post(`{"keys":[1,2],"inject":{"class":"message","strategy":"key-lie"}}`); code != http.StatusBadRequest || eb.Error != "invalid" {
 		t.Errorf("chaos on non-chaos server: %d %+v", code, eb)
+	}
+}
+
+// TestHTTPSortBodyLimit posts bodies of exactly the limit and one byte
+// over it. Both carry MaxKeys keys of the longest JSON width, padded
+// with whitespace inside the object so the decoder must read it all:
+// the first sorts, the second is refused as invalid.
+func TestHTTPSortBodyLimit(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxKeys = 64
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	keys := make([]int64, cfg.MaxKeys)
+	for i := range keys {
+		keys[i] = math.MinInt64 + int64(i*37%len(keys))
+	}
+	list, _ := json.Marshal(keys)
+	if got := len(list); got != len(keys)*21+1 {
+		t.Fatalf("key list is %d bytes, want every key 20 bytes wide", got)
+	}
+	limit := cfg.MaxKeys*sortBodyBytesPerKey + sortBodySlack
+	body := func(size int) string {
+		head, tail := `{"tenant":"web","keys":`, string(list)+"}"
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	post := func(body string) (*http.Response, []byte) {
+		resp, err := http.Post(ts.URL+"/sort", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		return resp, b.Bytes()
+	}
+
+	resp, raw := post(body(limit))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the limit: status %d: %s", resp.StatusCode, raw)
+	}
+	var out Response
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	assertVerified(t, keys, &out, false)
+
+	resp, raw = post(body(limit + 1))
+	var eb ErrorBody
+	json.Unmarshal(raw, &eb)
+	if resp.StatusCode != http.StatusBadRequest || eb.Error != "invalid" || !strings.Contains(eb.Detail, "exceeds") {
+		t.Errorf("body over the limit: %d %+v", resp.StatusCode, eb)
 	}
 }
 

@@ -24,15 +24,19 @@
 // wanting parallelism opens parallel connections (each worker of
 // cmd/sortload does). The connection closes on the first malformed
 // frame — after a framing error the byte stream cannot be trusted.
+// Both ends build each frame whole and send it with one write, and
+// read the connection through one buffered reader.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -154,51 +158,120 @@ func (ss *StreamServer) Close() {
 // handle runs one connection's job sequence.
 func (ss *StreamServer) handle(conn net.Conn) {
 	defer conn.Close()
+	fc := newFrameConn(conn)
 	for {
-		req, err := readRequestFrame(conn, ss.srv.cfg.MaxKeys)
+		req, err := fc.readRequestFrame(ss.srv.cfg.MaxKeys)
 		if err != nil {
 			return // EOF between frames is the normal end; errors drop the conn
 		}
 		resp, serr := ss.srv.Submit(*req)
-		if werr := writeResponseFrame(conn, resp, serr); werr != nil {
+		if werr := fc.writeResponseFrame(resp, serr); werr != nil {
 			return
 		}
 	}
 }
 
+// streamReadBuf sizes each connection's bufio.Reader. A frame of a
+// few hundred keys arrives in one read; a longer key run is read
+// straight into the frame buffer.
+const streamReadBuf = 16 << 10
+
+// frameConn is one end of a stream connection: one buffered reader
+// and one frame buffer, reused by every frame. A frame is built whole
+// in buf and sent with one Write, and a frame is read into buf piece
+// by piece, each piece consumed before the next read.
+type frameConn struct {
+	w   io.Writer
+	r   *bufio.Reader
+	buf []byte
+}
+
+func newFrameConn(rw io.ReadWriter) *frameConn {
+	return &frameConn{w: rw, r: bufio.NewReaderSize(rw, streamReadBuf)}
+}
+
+// next reads the next n bytes of the stream into the frame buffer and
+// returns them; they stay valid until the next call.
+func (fc *frameConn) next(n int) ([]byte, error) {
+	if cap(fc.buf) < n {
+		fc.buf = make([]byte, n)
+	}
+	b := fc.buf[:n]
+	if _, err := io.ReadFull(fc.r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// readKeys reads n little-endian keys and decodes them into a new
+// slice.
+func (fc *frameConn) readKeys(n int) ([]int64, error) {
+	b, err := fc.next(8 * n)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return keys, nil
+}
+
+// send writes one frame, built by appending to fc.buf[:0], with one
+// Write, and keeps the frame's storage as the frame buffer.
+func (fc *frameConn) send(frame []byte) error {
+	fc.buf = frame
+	_, err := fc.w.Write(frame)
+	return err
+}
+
+// appendHead appends a frame's two u32 words and its JSON.
+func appendHead(b []byte, w0, w1 uint32, js []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, w0)
+	b = binary.LittleEndian.AppendUint32(b, w1)
+	return append(b, js...)
+}
+
+// appendKeys appends a key count and the keys.
+func appendKeys(b []byte, keys []int64) []byte {
+	b = slices.Grow(b, 8+8*len(keys))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = binary.LittleEndian.AppendUint64(b, uint64(k))
+	}
+	return b
+}
+
 // readRequestFrame parses one request frame. maxKeys bounds the key
 // allocation before it happens.
-func readRequestFrame(r io.Reader, maxKeys int) (*Request, error) {
-	var magic, hdrLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+func (fc *frameConn) readRequestFrame(maxKeys int) (*Request, error) {
+	b, err := fc.next(8)
+	if err != nil {
 		return nil, err
 	}
-	if magic != StreamMagic {
+	if magic := binary.LittleEndian.Uint32(b); magic != StreamMagic {
 		return nil, fmt.Errorf("stream: bad magic %#x", magic)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &hdrLen); err != nil {
-		return nil, err
-	}
+	hdrLen := binary.LittleEndian.Uint32(b[4:])
 	if hdrLen > maxStreamHeader {
 		return nil, fmt.Errorf("stream: header %d bytes exceeds %d", hdrLen, maxStreamHeader)
 	}
-	hdrBuf := make([]byte, hdrLen)
-	if _, err := io.ReadFull(r, hdrBuf); err != nil {
+	if b, err = fc.next(int(hdrLen)); err != nil {
 		return nil, err
 	}
 	var hdr streamHeader
-	if err := json.Unmarshal(hdrBuf, &hdr); err != nil {
+	if err := json.Unmarshal(b, &hdr); err != nil {
 		return nil, fmt.Errorf("stream: header: %w", err)
 	}
-	var nkeys uint64
-	if err := binary.Read(r, binary.LittleEndian, &nkeys); err != nil {
+	if b, err = fc.next(8); err != nil {
 		return nil, err
 	}
+	nkeys := binary.LittleEndian.Uint64(b)
 	if nkeys > uint64(maxKeys) {
 		return nil, fmt.Errorf("stream: %d keys exceeds limit %d", nkeys, maxKeys)
 	}
-	keys := make([]int64, nkeys)
-	if err := binary.Read(r, binary.LittleEndian, keys); err != nil {
+	keys, err := fc.readKeys(int(nkeys))
+	if err != nil {
 		return nil, err
 	}
 	return &Request{
@@ -210,39 +283,25 @@ func readRequestFrame(r io.Reader, maxKeys int) (*Request, error) {
 	}, nil
 }
 
-// writeResponseFrame emits one response frame for (resp, serr).
-func writeResponseFrame(w io.Writer, resp *Response, serr error) error {
+// writeResponseFrame sends one response frame for (resp, serr).
+func (fc *frameConn) writeResponseFrame(resp *Response, serr error) error {
 	status := streamStatus(serr)
-	var body []byte
-	var err error
 	if serr != nil {
 		_, eb := classify(serr)
-		body, err = json.Marshal(eb)
-	} else {
-		// The bulk keys ride binary after the JSON body.
-		trimmed := *resp
-		trimmed.Sorted = nil
-		body, err = json.Marshal(&trimmed)
+		body, err := json.Marshal(eb)
+		if err != nil {
+			return err
+		}
+		return fc.send(appendHead(fc.buf[:0], status, uint32(len(body)), body))
 	}
+	// The bulk keys ride binary after the JSON body.
+	trimmed := *resp
+	trimmed.Sorted = nil
+	body, err := json.Marshal(&trimmed)
 	if err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, status); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(body))); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return nil
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(resp.Sorted))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, resp.Sorted)
+	return fc.send(appendKeys(appendHead(fc.buf[:0], status, uint32(len(body)), body), resp.Sorted))
 }
 
 // StreamClient is the caller side of the wire protocol — one
@@ -251,6 +310,7 @@ func writeResponseFrame(w io.Writer, resp *Response, serr error) error {
 // implementation.
 type StreamClient struct {
 	conn net.Conn
+	fc   *frameConn
 }
 
 // DialStream connects a StreamClient to addr.
@@ -259,7 +319,11 @@ func DialStream(addr string) (*StreamClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamClient{conn: conn}, nil
+	return newStreamClient(conn), nil
+}
+
+func newStreamClient(conn net.Conn) *StreamClient {
+	return &StreamClient{conn: conn, fc: newFrameConn(conn)}
 }
 
 // Close closes the connection.
@@ -267,7 +331,8 @@ func (c *StreamClient) Close() error { return c.conn.Close() }
 
 // Do submits one job and waits for its frame. A non-OK status returns
 // (nil, body, nil); transport/framing problems return the third
-// error and the connection must be abandoned.
+// error and the connection must be abandoned. An OK frame must carry
+// exactly len(req.Keys) keys: the server strips its padding.
 func (c *StreamClient) Do(req Request) (*Response, *ErrorBody, error) {
 	hdr, err := json.Marshal(streamHeader{
 		Tenant: req.Tenant, Descending: req.Descending, Dim: req.Dim, Inject: req.Inject,
@@ -275,33 +340,21 @@ func (c *StreamClient) Do(req Request) (*Response, *ErrorBody, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, v := range []any{uint32(StreamMagic), uint32(len(hdr))} {
-		if err := binary.Write(c.conn, binary.LittleEndian, v); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := c.conn.Write(hdr); err != nil {
-		return nil, nil, err
-	}
-	if err := binary.Write(c.conn, binary.LittleEndian, uint64(len(req.Keys))); err != nil {
-		return nil, nil, err
-	}
-	if err := binary.Write(c.conn, binary.LittleEndian, req.Keys); err != nil {
+	frame := appendKeys(appendHead(c.fc.buf[:0], StreamMagic, uint32(len(hdr)), hdr), req.Keys)
+	if err := c.fc.send(frame); err != nil {
 		return nil, nil, err
 	}
 
-	var status, bodyLen uint32
-	if err := binary.Read(c.conn, binary.LittleEndian, &status); err != nil {
+	b, err := c.fc.next(8)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := binary.Read(c.conn, binary.LittleEndian, &bodyLen); err != nil {
-		return nil, nil, err
-	}
+	status, bodyLen := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
 	if bodyLen > maxStreamHeader {
 		return nil, nil, fmt.Errorf("stream: body %d bytes exceeds %d", bodyLen, maxStreamHeader)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(c.conn, body); err != nil {
+	body, err := c.fc.next(int(bodyLen))
+	if err != nil {
 		return nil, nil, err
 	}
 	if status != StatusOK {
@@ -315,12 +368,13 @@ func (c *StreamClient) Do(req Request) (*Response, *ErrorBody, error) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, nil, fmt.Errorf("stream: response body: %w", err)
 	}
-	var nkeys uint64
-	if err := binary.Read(c.conn, binary.LittleEndian, &nkeys); err != nil {
+	if b, err = c.fc.next(8); err != nil {
 		return nil, nil, err
 	}
-	resp.Sorted = make([]int64, nkeys)
-	if err := binary.Read(c.conn, binary.LittleEndian, resp.Sorted); err != nil {
+	if nkeys := binary.LittleEndian.Uint64(b); nkeys != uint64(len(req.Keys)) {
+		return nil, nil, fmt.Errorf("stream: response carries %d keys for a %d-key job", nkeys, len(req.Keys))
+	}
+	if resp.Sorted, err = c.fc.readKeys(len(req.Keys)); err != nil {
 		return nil, nil, err
 	}
 	return &resp, nil, nil
