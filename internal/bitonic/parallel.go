@@ -228,6 +228,13 @@ func ParallelMergeSortCount(xs []int64, workers int) (sorted []int64, compares i
 	if len(out) <= 1 {
 		return out, 0
 	}
-	buf := make([]int64, len(out))
-	return out, psortCount(out, buf, resolveWorkers(workers), DefaultParallelCutoff)
+	return out, ParallelSortInPlace(out, make([]int64, len(out)), workers)
+}
+
+// ParallelSortInPlace is ParallelMergeSortCount sorting xs itself, with
+// buf (at least len(xs) long, contents ignored) as the merge scratch,
+// so a caller that keeps both arenas sorts without allocating. It
+// returns the comparison count MergeSortCount reports for xs.
+func ParallelSortInPlace(xs, buf []int64, workers int) (compares int) {
+	return psortCount(xs, buf[:len(xs)], resolveWorkers(workers), DefaultParallelCutoff)
 }

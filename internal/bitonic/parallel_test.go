@@ -2,6 +2,7 @@ package bitonic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -162,7 +163,7 @@ func TestParallelMergeSortCountMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-		// The exported entry point must agree too (cutoff applies, so
+		// The exported entry points must agree too (cutoff applies, so
 		// small n stays sequential — output is identical either way).
 		gotSorted, gotC := ParallelMergeSortCount(xs, 4)
 		if gotC != wantC {
@@ -172,6 +173,15 @@ func TestParallelMergeSortCountMatchesSequential(t *testing.T) {
 			if gotSorted[i] != wantSorted[i] {
 				t.Fatalf("exported: sort diverges at %d", i)
 			}
+		}
+		// In place, over a dirty scratch buffer longer than the input.
+		got := append([]int64{}, xs...)
+		buf := make([]int64, n+3)
+		for i := range buf {
+			buf[i] = -7
+		}
+		if c := ParallelSortInPlace(got, buf, 4); c != wantC || !slices.Equal(got, wantSorted) {
+			t.Fatalf("in place: compares %d, want %d; sorted %v, want %v", c, wantC, got, wantSorted)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/node"
@@ -25,6 +26,22 @@ type HostError struct {
 	Accused int
 	// Detail describes the evidence.
 	Detail string
+}
+
+// ComparePoints orders two detection points, each a (stage,
+// iteration) pair, by when they arise in a run: stage ascending, then
+// iteration descending, since a stage's iterations count down
+// (j = s … 0) and its boundary checks report iteration -1 after them.
+func ComparePoints(stage1, iter1, stage2, iter2 int) int {
+	return cmp.Or(cmp.Compare(stage1, stage2), cmp.Compare(iter2, iter1))
+}
+
+// CompareEvidence orders host evidence by its detection point
+// (ComparePoints), then by signalling node: the one order in which
+// fault.EarliestEvidence and diagnose.Rank read evidence, whatever
+// order the host mailbox drained it in.
+func CompareEvidence(a, b HostError) int {
+	return cmp.Or(ComparePoints(a.Stage, a.Iter, b.Stage, b.Iter), cmp.Compare(a.Node, b.Node))
 }
 
 // Outcome aggregates a run.
@@ -66,7 +83,8 @@ func RunWithOptions(nw transport.Network, keys []int64, opts []Options) (*Outcom
 
 // RunBlocks executes the fault-tolerant sort with m keys per node:
 // keys[id*m:(id+1)*m] is node id's initial block. opts may be nil (all
-// honest) or have exactly one entry per node.
+// honest) or have exactly one entry per node. On a network that keeps
+// Runners, each node runs in its label's Runner.
 func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outcome, error) {
 	n := nw.Topology().Nodes()
 	if m < 1 || len(keys) != n*m {
@@ -75,6 +93,7 @@ func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outc
 	if opts != nil && len(opts) != n {
 		return nil, fmt.Errorf("core: %d option sets for %d nodes", len(opts), n)
 	}
+	kept, _ := nw.(Runners)
 	out := make([]int64, n*m)
 	progs := make([]node.Program, n)
 	for id := range progs {
@@ -82,7 +101,13 @@ func RunBlocks(nw transport.Network, keys []int64, m int, opts []Options) (*Outc
 		if opts != nil {
 			o = opts[id]
 		}
-		progs[id] = NodeProgram(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], o)
+		var r *runner
+		if kept != nil {
+			r = &kept.Runner(id).r
+		} else {
+			r = new(runner)
+		}
+		progs[id] = r.program(keys[id*m:(id+1)*m], out[id*m:(id+1)*m], o)
 	}
 	res, err := node.RunPer(nw, progs, nil)
 	if err != nil {

@@ -116,14 +116,39 @@ type Options struct {
 // slot of the run's output; block is never written, and block and out
 // may alias.
 func NodeProgram(block, out []int64, opts Options) node.Program {
+	return new(runner).program(block, out, opts)
+}
+
+// Runner is one node's S_FT state kept between runs: the arenas of its
+// views and merge-split buffers, and its encode and decode scratch. An
+// owner that runs one node label's programs one at a time keeps one
+// Runner for that label, and RunBlocks runs the label's program in it
+// (see Runners); its arenas grow to the largest cube and block length
+// served and are then reused as they stand. The zero value is ready to
+// use.
+type Runner struct{ r runner }
+
+// Runners is optionally implemented by a network that keeps a Runner
+// per node label across runs (internal/server's pooled networks, whose
+// resident node workers run one job at a time). RunBlocks then runs
+// node id's program in Runner(id) instead of a fresh runner, so a run
+// allocates no node arena once the runners have grown.
+type Runners interface {
+	Runner(id int) *Runner
+}
+
+// program returns the node program that runs S_FT in r for one run.
+func (r *runner) program(block, out []int64, opts Options) node.Program {
 	return func(ep transport.Endpoint) error {
-		r := &runner{ep: ep, opts: opts, m: len(block)}
+		r.ep, r.opts, r.m = ep, opts, len(block)
 		mine, err := r.run(block)
-		if err != nil {
-			return err
+		if err == nil {
+			copy(out, mine)
 		}
-		copy(out, mine)
-		return nil
+		// Drop the run's endpoint and hooks, so a kept runner holds
+		// only its arenas between runs.
+		r.ep, r.opts = nil, Options{}
+		return err
 	}
 }
 
@@ -159,17 +184,32 @@ type runner struct {
 	enc      []byte
 	dec      wire.DecodeScratch
 	expect   bitset.Set
+
+	// The backing stores reserve carves the arenas above from, kept so
+	// that a Runner's next run carves them again instead of allocating.
+	keyArena   []int64
+	blockArena [][]int64
+	digArena   []wire.Digest
 }
 
-// reserve sizes every arena once: the views for the whole cube scAll,
-// since each stage's subcube is a slot range of it, and the merge-split
-// scratches for 2m. One allocation holds every key arena, one both
-// views' block headers and one both views' slot digests.
+// reserve sizes every arena at the start of a run: the views for the
+// whole cube scAll, since each stage's subcube is a slot range of it,
+// and the merge-split scratches for 2m. One backing store holds every
+// key arena, one both views' block headers and one both views' slot
+// digests. A store that already fits is carved again as it stands,
+// never zeroed: a view's knowledge mask gates every read of its slots,
+// and every other arena is written before it is read, so stale keys
+// from an earlier run are never observed.
 func (r *runner) reserve(scAll hypercube.Subcube) {
 	slots, m := scAll.Size(), r.m
-	keys := make([]int64, 2*slots*m+8*m)
-	blocks := make([][]int64, 2*slots)
-	digs := make([]wire.Digest, 2*slots)
+	if need := 2*slots*m + 8*m; cap(r.keyArena) < need {
+		r.keyArena = make([]int64, need)
+	}
+	if cap(r.blockArena) < 2*slots {
+		r.blockArena = make([][]int64, 2*slots)
+		r.digArena = make([]wire.Digest, 2*slots)
+	}
+	keys, blocks, digs := r.keyArena[:cap(r.keyArena)], r.blockArena, r.digArena
 	carve := func(k int) []int64 {
 		s := keys[:k:k]
 		keys = keys[k:]
@@ -195,13 +235,13 @@ func (r *runner) nextBuf() []int64 {
 	return r.bufs[r.cur][:0]
 }
 
-// localSort sorts the node's block ascending in place and charges the
+// localSort sorts the node's block ascending in place, with the
+// merge-split check scratch as its merge buffer, and charges the
 // endpoint the comparison cost. The local sort and the merge-splits fan
 // out over GOMAXPROCS workers (a worker count of 0); the charged counts
 // and outputs are those of the sequential algorithms.
 func (r *runner) localSort(b []int64) {
-	sorted, compares := bitonic.ParallelMergeSortCount(b, 0)
-	copy(b, sorted)
+	compares := bitonic.ParallelSortInPlace(b, r.msCheck[:len(b)], 0)
 	r.ep.ChargeCompare(compares)
 	r.ep.ChargeKeyMove(len(b))
 }

@@ -53,11 +53,8 @@ func isAbsence(he core.HostError) bool {
 // an attribution (all evidence was shape-level).
 func Rank(errors []core.HostError) []Suspect {
 	byNode := map[int]*Suspect{}
-	// Iter counts down within a stage (j = i..0), so a larger
-	// iteration is earlier.
 	earlier := func(he core.HostError, s *Suspect) bool {
-		return he.Stage < s.EarliestStage ||
-			(he.Stage == s.EarliestStage && he.Iter > s.EarliestIter)
+		return core.ComparePoints(he.Stage, he.Iter, s.EarliestStage, s.EarliestIter) < 0
 	}
 	add := func(he core.HostError, direct bool) {
 		if he.Accused < 0 {
@@ -98,13 +95,10 @@ func Rank(errors []core.HostError) []Suspect {
 		if a.DirectVotes != b.DirectVotes {
 			return a.DirectVotes > b.DirectVotes
 		}
-		if a.EarliestStage != b.EarliestStage {
-			return a.EarliestStage < b.EarliestStage
-		}
 		// Within a stage the cascade's root is accused first (largest
 		// iteration), before its stalled dependents are.
-		if a.EarliestIter != b.EarliestIter {
-			return a.EarliestIter > b.EarliestIter
+		if c := core.ComparePoints(a.EarliestStage, a.EarliestIter, b.EarliestStage, b.EarliestIter); c != 0 {
+			return c < 0
 		}
 		if a.AbsenceVotes != b.AbsenceVotes {
 			return a.AbsenceVotes > b.AbsenceVotes

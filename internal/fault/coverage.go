@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -77,27 +76,23 @@ type Result struct {
 }
 
 // EarliestEvidence picks the canonical detection evidence from a drained
-// host mailbox: the earliest by (stage, iter, node). Host-mailbox drain
-// order races between node goroutines, so every consumer of host
-// evidence keys off this order rather than arrival order, which is also
-// what lets the explorer fold host-drain histories commutatively.
+// host mailbox: the earliest in core.CompareEvidence's order (stage
+// ascending, iteration descending, node). Host-mailbox drain order
+// races between node goroutines, so every consumer of host evidence
+// keys off this order rather than arrival order, which is also what
+// lets the explorer fold host-drain histories commutatively.
 func EarliestEvidence(errs []core.HostError) (core.HostError, bool) {
 	if len(errs) == 0 {
 		return core.HostError{}, false
 	}
-	return slices.MinFunc(errs, evidenceOrder), true
+	return slices.MinFunc(errs, core.CompareEvidence), true
 }
 
 // SortEvidence sorts drained host evidence in place into
-// EarliestEvidence's (stage, iter, node) order, so what is listed from
-// it does not depend on the drain order.
+// EarliestEvidence's order, so what is listed from it does not depend
+// on the drain order.
 func SortEvidence(errs []core.HostError) {
-	slices.SortStableFunc(errs, evidenceOrder)
-}
-
-// evidenceOrder compares host evidence by (stage, iter, node).
-func evidenceOrder(a, b core.HostError) int {
-	return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Node, b.Node))
+	slices.SortStableFunc(errs, core.CompareEvidence)
 }
 
 // Classify judges a finished fault-tolerant run. It is Detected when

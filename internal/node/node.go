@@ -1,7 +1,9 @@
-// Package node runs one goroutine per simulated node processor plus an
-// optional host goroutine, and collects per-node outcomes and virtual
-// clocks. It is the execution harness shared by every algorithm in the
-// repository (S_NR, S_FT, host baselines, block sorting).
+// Package node runs every simulated node processor's program on a
+// goroutine of its own plus an optional host goroutine, and collects
+// per-node outcomes and virtual clocks. It is the execution harness
+// shared by every algorithm in the repository (S_NR, S_FT, host
+// baselines, block sorting). A run starts one goroutine per node,
+// unless the network's node labels keep resident goroutines (Crew).
 package node
 
 import (
@@ -131,6 +133,16 @@ func Run(nw transport.Network, prog Program, hostProg HostProgram) (*Result, err
 	return RunPer(nw, progs, hostProg)
 }
 
+// Crew is optionally implemented by a network whose node labels each
+// keep a resident goroutine (internal/server's pooled networks). RunPer
+// then hands node id's run to Go instead of starting a goroutine; the
+// census, the outcome collection and the wait stay RunPer's.
+type Crew interface {
+	// Go runs work(id) on node id's resident goroutine, which runs
+	// nothing else until work returns.
+	Go(id int, work func(id int))
+}
+
 // RunPer is Run with a distinct program per node, used by the fault
 // injector to replace selected nodes with Byzantine variants. A nil
 // program models a crashed (fail-stop, silent) node: it performs no
@@ -169,18 +181,24 @@ func RunPer(nw transport.Network, progs []Program, hostProg HostProgram) (*Resul
 
 	res := &Result{Nodes: make([]NodeOutcome, n)}
 	var wg sync.WaitGroup
+	work := func(id int) {
+		defer wg.Done()
+		if wc != nil {
+			defer wc.WorkerDone(id)
+		}
+		res.Nodes[id].Err = runGuarded(id, progs[id], eps[id])
+	}
+	crew, _ := nw.(Crew)
 	for id := 0; id < n; id++ {
 		if progs[id] == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if wc != nil {
-				defer wc.WorkerDone(id)
-			}
-			res.Nodes[id].Err = runGuarded(id, progs[id], eps[id])
-		}(id)
+		if crew != nil {
+			crew.Go(id, work)
+		} else {
+			go work(id)
+		}
 	}
 	if hostProg != nil {
 		wg.Add(1)

@@ -13,6 +13,10 @@
 // than risk a stale frame corrupting a later tenant's job. The
 // built/reused/discarded counters on /metrics make the amortization
 // visible: a healthy server shows jobs ≫ networks built.
+//
+// Every network the pool builds comes with a crew (crew.go): resident
+// node workers that run its jobs' node programs, started with the
+// network and stopped when the pool discards it.
 package server
 
 import (
@@ -49,7 +53,7 @@ type Pool struct {
 	maxIdle int
 
 	mu     sync.Mutex
-	idle   map[poolKey][]transport.Network
+	idle   map[poolKey][]member
 	closed bool
 
 	// built/reused/discarded/idleGauge are fleet-wide metrics (may be
@@ -58,6 +62,13 @@ type Pool struct {
 	reused    *obs.Counter
 	discarded *obs.Counter
 	idleGauge *obs.Gauge
+}
+
+// member is a network the pool built, with the crew that runs its
+// node programs.
+type member struct {
+	transport.Network
+	*crew
 }
 
 // PoolStats is a point-in-time summary for /stats.
@@ -81,7 +92,7 @@ func NewPool(newNet func(cfg reliablesort.NetConfig) (transport.Network, error),
 	p := &Pool{
 		newNet:  newNet,
 		maxIdle: maxIdle,
-		idle:    make(map[poolKey][]transport.Network),
+		idle:    make(map[poolKey][]member),
 	}
 	if reg != nil {
 		p.built = reg.Counter("server_pool_networks_built_total",
@@ -110,36 +121,45 @@ func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 			p.mu.Unlock()
 			return nil, errors.New("server: pool closed")
 		}
-		var nw transport.Network
+		var mb member
 		if q := p.idle[key]; len(q) > 0 {
-			nw = q[len(q)-1]
+			mb = q[len(q)-1]
 			p.idle[key] = q[:len(q)-1]
 		}
 		p.mu.Unlock()
-		if nw == nil {
+		if mb.Network == nil {
 			break
 		}
 		p.idleGauge.Add(-1)
-		r, ok := nw.(resettable)
+		r, ok := mb.Network.(resettable)
 		if !ok {
 			// Should not happen (put refuses to park these), but never
 			// hand out a network we cannot drain.
-			p.discard(nw)
+			p.discard(mb)
 			continue
 		}
 		if err := r.Reset(cfg.Obs, cfg.Flight); err != nil {
-			p.discard(nw)
+			p.discard(mb)
 			continue
 		}
 		p.reused.Inc()
-		return &lease{Network: nw, pool: p, key: key}, nil
+		return &lease{member: mb, pool: p, key: key}, nil
 	}
-	nw, err := p.newNet(cfg)
+	mb, err := p.build(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return &lease{member: mb, pool: p, key: key}, nil
+}
+
+// build constructs a network and starts its crew.
+func (p *Pool) build(cfg reliablesort.NetConfig) (member, error) {
+	nw, err := p.newNet(cfg)
+	if err != nil {
+		return member{}, err
+	}
 	p.built.Inc()
-	return &lease{Network: nw, pool: p, key: key}, nil
+	return member{Network: nw, crew: newCrew(nw.Topology().Nodes())}, nil
 }
 
 // Warm pre-builds count idle networks for the given geometry so the
@@ -148,38 +168,39 @@ func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 // Get time).
 func (p *Pool) Warm(cfg reliablesort.NetConfig, count int) error {
 	for i := 0; i < count; i++ {
-		nw, err := p.newNet(cfg)
+		mb, err := p.build(cfg)
 		if err != nil {
 			return err
 		}
-		p.built.Inc()
-		p.put(nw, poolKey{dim: cfg.Dim, spares: cfg.Spares}, true)
+		p.put(mb, poolKey{dim: cfg.Dim, spares: cfg.Spares}, true)
 	}
 	return nil
 }
 
 // put returns a network to the pool (healthy) or quarantines it.
-func (p *Pool) put(nw transport.Network, key poolKey, healthy bool) {
-	if _, ok := nw.(resettable); !ok {
+func (p *Pool) put(mb member, key poolKey, healthy bool) {
+	if _, ok := mb.Network.(resettable); !ok {
 		healthy = false
 	}
 	if healthy {
 		p.mu.Lock()
 		if !p.closed && len(p.idle[key]) < p.maxIdle {
-			p.idle[key] = append(p.idle[key], nw)
+			p.idle[key] = append(p.idle[key], mb)
 			p.mu.Unlock()
 			p.idleGauge.Add(1)
 			return
 		}
 		p.mu.Unlock()
 	}
-	p.discard(nw)
+	p.discard(mb)
 }
 
-// discard closes a network that will not be reused.
-func (p *Pool) discard(nw transport.Network) {
+// discard stops the crew of a network that will not be reused and
+// closes the network.
+func (p *Pool) discard(mb member) {
 	p.discarded.Inc()
-	if c, ok := nw.(closable); ok {
+	mb.crew.stop()
+	if c, ok := mb.Network.(closable); ok {
 		c.Close()
 	}
 }
@@ -193,15 +214,15 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	var all []transport.Network
+	var all []member
 	for k, q := range p.idle {
 		all = append(all, q...)
 		delete(p.idle, k)
 	}
 	p.mu.Unlock()
-	for _, nw := range all {
+	for _, mb := range all {
 		p.idleGauge.Add(-1)
-		p.discard(nw)
+		p.discard(mb)
 	}
 }
 
@@ -224,8 +245,11 @@ func (p *Pool) Stats() PoolStats {
 // lease is the per-attempt handle reliablesort runs against. Its
 // Release implements the attempt-teardown seam: healthy networks go
 // back into the pool, fault-stricken ones are quarantined and closed.
+// Through the embedded crew, node.RunPer runs the attempt's node
+// programs on the network's resident workers (node.Crew) and
+// core.RunBlocks in their kept runners (core.Runners).
 type lease struct {
-	transport.Network
+	member
 	pool *Pool
 	key  poolKey
 
@@ -235,7 +259,7 @@ type lease struct {
 // Release returns the underlying network to the pool. clean must be
 // true only if the attempt that used it finished verified.
 func (l *lease) Release(clean bool) {
-	l.once.Do(func() { l.pool.put(l.Network, l.key, clean) })
+	l.once.Do(func() { l.pool.put(l.member, l.key, clean) })
 }
 
 // WorkerStart and WorkerDone forward transport.WorkerControl, so

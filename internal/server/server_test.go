@@ -436,25 +436,70 @@ func TestServerOverloadBackpressure(t *testing.T) {
 }
 
 // TestServerDrainsGoroutines pins the serve-forever lifecycle: jobs
-// through a server leave no goroutines behind once Close drains it.
+// through a server leave no goroutines behind once Close drains it,
+// the resident node workers of every network its pool built included:
+// networks parked at Close, a network discarded after a persistent
+// fault struck its attempt, and a network built beyond PoolIdle.
 func TestServerDrainsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	s := New(testConfig())
 	keys := []int64{9, 1, 8, 2, 7, 3, 6, 4}
-	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(Request{Keys: keys, Dim: 2}); err != nil {
+	submit := func(t *testing.T, s *Server, inject *ChaosSpec) *Response {
+		t.Helper()
+		resp, err := s.Submit(Request{Keys: keys, Dim: 2, Inject: inject})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return resp
 	}
-	s.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > before+2 {
-		t.Errorf("goroutine leak: %d before, %d after Close", before, n)
+	for _, tc := range []struct {
+		name string
+		idle int
+		jobs func(t *testing.T, s *Server)
+	}{
+		{"honest", 0, func(t *testing.T, s *Server) {
+			for i := 0; i < 6; i++ {
+				submit(t, s, nil)
+			}
+		}},
+		{"fault-discarded", 0, func(t *testing.T, s *Server) {
+			lie := &ChaosSpec{Class: "message", Node: 1, Strategy: "key-lie", Lie: 999999}
+			if resp := submit(t, s, lie); resp.Stats.Attempts < 2 {
+				t.Fatalf("persistent fault took %d attempts, want a retry", resp.Stats.Attempts)
+			}
+			submit(t, s, nil)
+			if st := s.Stats().Pool; st.Discarded == 0 {
+				t.Fatalf("no network discarded after a fault-stricken attempt: %+v", st)
+			}
+		}},
+		{"surplus", 1, func(t *testing.T, s *Server) {
+			if err := s.Warm(2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats().Pool; st.Discarded != 2 || st.Idle != 1 {
+				t.Fatalf("warming 3 networks with PoolIdle 1: %+v, want 2 discarded and 1 idle", st)
+			}
+			for i := 0; i < 3; i++ {
+				submit(t, s, nil)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := testConfig()
+			cfg.PoolIdle = tc.idle
+			s := New(cfg)
+			defer s.Close() // on a failed check; Close is idempotent
+			tc.jobs(t, s)
+			s.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			n := runtime.NumGoroutine()
+			for n > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > before {
+				t.Errorf("goroutine leak: %d before, %d after Close", before, n)
+			}
+		})
 	}
 }
 
@@ -571,9 +616,11 @@ func TestPoolIdleGaugeTracksDiscards(t *testing.T) {
 	if err := p.Warm(cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Get(cfg); err != nil {
+	nw, err := p.Get(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.(*lease).Release(true) // stops the network's crew at Close
 	st := p.Stats()
 	if st.Idle != 0 || st.Discarded != 1 || p.idleGauge.Value() != int64(st.Idle) {
 		t.Errorf("after a failed Reset: gauge %d, stats %+v; want gauge = idle = 0, 1 discarded", p.idleGauge.Value(), st)

@@ -181,6 +181,12 @@ type Network struct {
 	// buffers outlive runs. Each slot belongs to its processor's
 	// goroutine.
 	held [][]byte
+	// timers[id+1] is processor id's receive timer, indexed like held and
+	// likewise kept across runs, so the steady state allocates no
+	// timers. It is only ever Reset after a clean Stop or after its tick
+	// was consumed, which is safe under both pre- and post-1.23 timer
+	// semantics.
+	timers []*time.Timer
 
 	// ctrl is non-nil iff the network runs under a controlled
 	// scheduler; every delivery then routes through it instead of the
@@ -263,6 +269,7 @@ func New(cfg Config) (*Network, error) {
 	net.hostOut = make([]chan packet, n+net.Spares())
 	net.freeCap = 4*n + 16
 	net.held = make([][]byte, 1+n+net.Spares())
+	net.timers = make([]*time.Timer, len(net.held))
 	for id := 0; id < n; id++ {
 		net.links[id] = make([]chan packet, topo.Dim())
 		for b := 0; b < topo.Dim(); b++ {
@@ -383,12 +390,6 @@ func (nw *Network) queue(q QueueID) chan packet {
 type proc struct {
 	transport.Port
 	net *Network
-
-	// timer is reused across blocking receives so the steady state
-	// allocates no timers. It is only ever Reset after a clean Stop or
-	// after its tick was consumed, which is safe under both pre- and
-	// post-1.23 timer semantics.
-	timer *time.Timer
 }
 
 // send frames m at the port and queues it on q: a cube link, the host
@@ -453,19 +454,20 @@ func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
 		if poll {
 			return packet{}, false
 		}
-		if p.timer == nil {
-			p.timer = time.NewTimer(nw.RecvTimeout())
+		timer := &nw.timers[p.ID()+1]
+		if *timer == nil {
+			*timer = time.NewTimer(nw.RecvTimeout())
 		} else {
-			p.timer.Reset(nw.RecvTimeout())
+			(*timer).Reset(nw.RecvTimeout())
 		}
 		select {
 		case pkt = <-ch:
-			if !p.timer.Stop() {
+			if !(*timer).Stop() {
 				// The timer fired meanwhile and its tick may still be in
 				// flight: retire it rather than risk a stale tick on reuse.
-				p.timer = nil
+				*timer = nil
 			}
-		case <-p.timer.C:
+		case <-(*timer).C:
 			return packet{}, false
 		}
 	}

@@ -176,8 +176,8 @@ func (s MetricsSnapshot) TotalBytes() int64 {
 // host, and reports traffic. A Network serves a single run.
 type Network interface {
 	Topology() hypercube.Topology
-	// Endpoint returns node id's endpoint. Call once per node, before
-	// starting its goroutine.
+	// Endpoint returns node id's endpoint. Call once per node and run,
+	// before starting the node's run.
 	Endpoint(id int) (Endpoint, error)
 	// Host returns the host endpoint. Call at most once.
 	Host() Host
@@ -198,15 +198,15 @@ type Network interface {
 //
 // Harnesses that run node programs (internal/node) type-assert for
 // this interface and, when present, declare every worker before its
-// goroutine starts and retire it when the goroutine returns. The host
-// worker is declared with id wire.HostID. Wrappers around a network
-// (internal/server's pool lease) must forward both calls. Networks
-// without the interface (internal/tcpnet) detect absence by timeout
-// alone.
+// run starts and retire it when the run returns, whether the run has a
+// goroutine of its own or a resident one. The host worker is declared
+// with id wire.HostID. Wrappers around a network (internal/server's
+// pool lease) must forward both calls. Networks without the interface
+// (internal/tcpnet) detect absence by timeout alone.
 type WorkerControl interface {
 	// WorkerStart declares that the worker with the given node label
 	// (wire.HostID for the host) is about to start executing. It must
-	// be called before the worker's goroutine is launched.
+	// be called before the worker's run is launched.
 	WorkerStart(id int)
 	// WorkerDone retires a started worker: it will issue no further
 	// transport operations.
