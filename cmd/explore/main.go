@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/recovery/chaostest"
 )
 
@@ -59,7 +58,6 @@ func run(args []string, out io.Writer) error {
 		MaxDepth:     *maxDepth,
 		MaxBranches:  *maxBranches,
 		WeakenChecks: *weaken,
-		Obs:          obs.NewMetrics(obs.NewRegistry()),
 	}
 	if *caseFilter != "" {
 		var cases []fault.Case

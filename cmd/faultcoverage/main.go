@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -78,7 +77,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-rates: %w", err)
 	}
 
-	o := obs.New(obs.NewRegistry(), 64)
 	cells, err := experiments.MeasureCoverage(experiments.CoverageSweep{
 		Dims:     dimList,
 		Rates:    rateList,
@@ -87,20 +85,11 @@ func run(args []string, out io.Writer) error {
 		Lie:      *lie,
 		Seed:     *seed,
 		Timeout:  *timeout,
-	}, o)
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s\n", experiments.RenderCoverage(cells))
-
-	m := o.Metrics()
-	fmt.Fprintf(out, "obs counters (runs/detected/silent-wrong by class):")
-	for c := obs.FaultClass(0); c < obs.NumFaultClasses; c++ {
-		fmt.Fprintf(out, " %s=%d/%d/%d", c,
-			m.FaultRuns[c].Value(), m.FaultDetected[c].Value(), m.FaultSilent[c].Value())
-	}
-	fmt.Fprintln(out)
-	fmt.Fprintln(out)
 
 	// Coverage-calibrated cost regime: the measured per-class fractions
 	// folded into the recovery model, against the idealized DetectFrac=1

@@ -30,7 +30,6 @@ func TestSmokeReport(t *testing.T) {
 		"cmp-persistent",
 		"mem-wipe",
 		"Per-class totals",
-		"obs counters",
 		"effective detection fraction",
 		"S_FT+repair (ideal detection)",
 		"S_FT+repair (measured coverage)",

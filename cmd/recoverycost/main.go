@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/plot"
 )
 
@@ -113,8 +112,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  persistent share:   %.2f\n\n", cal.PersistentFrac)
 
 	// Validate model against every measured cell.
-	o := obs.New(obs.NewRegistry(), 64)
-	vals, err := experiments.ValidateRecovery(cells, cal, o, *tol)
+	vals, err := experiments.ValidateRecovery(cells, cal, *tol)
 	if err != nil {
 		return err
 	}
@@ -131,9 +129,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%5d %6.2f %7d  %12.0f %12.0f %7.1f%% %7s\n",
 			v.Cell.Dim, v.Cell.Load, v.Cell.Spares, v.Predicted, v.Measured, 100*v.RelErr, mark)
 	}
-	m := o.Metrics()
-	fmt.Fprintf(out, "\n%d/%d cells within tolerance (obs: %d recorded, %d within)\n\n",
-		within, len(vals), m.CostModelCells.Value(), m.CostModelWithin.Value())
+	fmt.Fprintf(out, "\n%d/%d cells within tolerance\n\n", within, len(vals))
 
 	if *plotFlag {
 		chart, err := overheadChart(cells, cal)

@@ -179,18 +179,6 @@ func MergeSplitParallelInto(dst, a, b []int64, workers int) (lo, hi []int64, com
 	return mergeSplitParallelInto(dst, a, b, workers, DefaultParallelCutoff)
 }
 
-// MergeSplitParallelFuncInto is the comparator-pluggable variant. A
-// non-nil leq cannot be assumed pure (fault injection deliberately
-// plugs in lying, stateful comparators), so that case stays on the
-// sequential MergeSplitFuncInto path; only the honest nil-comparator
-// case parallelizes.
-func MergeSplitParallelFuncInto(dst, a, b []int64, leq Comparator, workers int) (lo, hi []int64, compares int, err error) {
-	if leq != nil {
-		return MergeSplitFuncInto(dst, a, b, leq)
-	}
-	return MergeSplitParallelInto(dst, a, b, workers)
-}
-
 // psortCount is msortCount with the two half-sorts recursing in
 // parallel and the combining merge fanned out, below which (n < cutoff
 // or a single worker) it defers to msortCount. Output and comparison

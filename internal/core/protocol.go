@@ -24,17 +24,9 @@ import (
 // virtual-time series, and its steady-state exchange path allocates
 // nothing.
 
-// endStage counts stage s, begun at virtual time begunVT, and
-// publishes the node's verified sequence seq over sc on the stage-view
-// stream.
-func (r *runner) endStage(s int, begunVT int64, sc hypercube.Subcube, seq []int64) {
+// endStage counts a completed stage, begun at virtual time begunVT.
+func (r *runner) endStage(begunVT int64) {
 	r.opts.Obs.StageEnd(int64(r.ep.Clock()) - begunVT)
-	r.opts.Obs.PublishStage(obs.StageView{
-		Node: r.ep.ID(), Stage: s, Final: s == r.ep.Topology().Dim(),
-		SubcubeStart: sc.Start, SubcubeSize: sc.Size(),
-		BlockLen: r.m, Assembled: seq,
-		Causal: r.opts.Forensic.LastID(),
-	})
 }
 
 // --- evidence ----------------------------------------------------------------

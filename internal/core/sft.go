@@ -79,13 +79,13 @@ type Options struct {
 	Forensic *forensic.Recorder
 	// Obs, when non-nil, counts the node's completed stages and rounds,
 	// Φ evaluations by verdict, merge-split compares, digest checks and
-	// accusations, observes each stage's virtual-time cost, and
-	// receives its stage views. It journals nothing: the Φ evaluations
-	// and accusations themselves are Forensic's records. Recording
-	// reads the endpoint clock but never charges it, so virtual-time
-	// results are identical with and without an observer; all Observer
-	// methods are nil-safe and allocation-free, so the steady-state
-	// exchange path stays zero-allocation.
+	// accusations, and observes each stage's virtual-time cost. It
+	// journals nothing: the Φ evaluations and accusations themselves
+	// are Forensic's records. Recording reads the endpoint clock but
+	// never charges it, so virtual-time results are identical with and
+	// without an observer; all Observer methods are nil-safe and
+	// allocation-free, so the steady-state exchange path stays
+	// zero-allocation.
 	Obs *obs.Observer
 
 	// The remaining flags are ablation switches used to quantify how
@@ -172,8 +172,8 @@ type runner struct {
 	//
 	// Stage s gathers into views[s%2] (view points at it), and the final
 	// round into views[n%2]. Alternating leaves the previous stage's
-	// verified sequence intact in the other view's arena, where Φ_F and
-	// the stage-view stream read it as a sub-slice instead of a copy.
+	// verified sequence intact in the other view's arena, where Φ_F
+	// reads it as a sub-slice instead of a copy.
 	views    [2]blockView
 	view     *blockView
 	bufs     [2][]int64
@@ -310,7 +310,7 @@ func (r *runner) run(block []int64) ([]int64, error) {
 		prevFlat = view.seq(0, sc.Size())
 		prevDig = view.digest()
 		r.ep.ChargeKeyMove(len(prevFlat)) // LLBS update
-		r.endStage(s, stageVT, sc, prevFlat)
+		r.endStage(stageVT)
 		prevSC = sc
 	}
 
@@ -350,7 +350,7 @@ func (r *runner) run(block []int64) ([]int64, error) {
 			return nil, err
 		}
 	}
-	r.endStage(n, finalVT, scAll, finalSeq)
+	r.endStage(finalVT)
 	return mine, nil
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // TestDigestAwareTampersNeverSilent is the adversarial check for the
 // digest fast path: a tamper that corrupts the aggregate digest while
@@ -15,8 +11,7 @@ import (
 // on receivers whose state it cannot change is harmless); silent-wrong
 // is not, per Theorem 3.
 func TestDigestAwareTampersNeverSilent(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 16)
-	cells, err := MeasureCoverage(goldenSweep(), o)
+	cells, err := MeasureCoverage(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@
 //	           (MeasureCoverage, cmd/faultcoverage)
 //	Recovery — supervised-recovery sweep that calibrates and checks the
 //	           recovery cost model (MeasureRecovery, cmd/recoverycost)
-//	E9       — schedule-space explorer sweep (MeasureExplore)
 //
 // Every §5 sort runs through one Measure over block length m, Figure 6
 // being Figure 8's m = 1 case. The golden virtual-tick series is the

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // Algorithm names used in coverage cells.
@@ -153,9 +152,8 @@ func coverageRows(rates []float64) []coverageRow {
 // MeasureCoverage runs the sweep and returns the matrix cells, in
 // (algorithm, dim, row) order. Cells run concurrently on the shared
 // worker pool; runs within a cell are sequential and deterministic in
-// the sweep seed. Each run's outcome is recorded on the observer's
-// per-class fault counters (nil-safe).
-func MeasureCoverage(cfg CoverageSweep, o *obs.Observer) ([]CoverageCell, error) {
+// the sweep seed.
+func MeasureCoverage(cfg CoverageSweep) ([]CoverageCell, error) {
 	cfg = cfg.withDefaults()
 	for _, d := range cfg.Dims {
 		if d < 1 {
@@ -184,7 +182,7 @@ func MeasureCoverage(cfg CoverageSweep, o *obs.Observer) ([]CoverageCell, error)
 	cells := make([]CoverageCell, len(coords))
 	err := forEach(len(coords), func(i int) error {
 		c := coords[i]
-		cell, err := measureCoverageCell(cfg, c.algo, c.dim, c.row, cfg.Seed+int64(i)*7919, o)
+		cell, err := measureCoverageCell(cfg, c.algo, c.dim, c.row, cfg.Seed+int64(i)*7919)
 		if err != nil {
 			return fmt.Errorf("experiments: coverage cell %s d%d %s rate %v: %w",
 				c.algo, c.dim, c.row.label, c.row.rate, err)
@@ -198,7 +196,7 @@ func MeasureCoverage(cfg CoverageSweep, o *obs.Observer) ([]CoverageCell, error)
 	return cells, nil
 }
 
-func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRow, cellSeed int64, o *obs.Observer) (CoverageCell, error) {
+func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRow, cellSeed int64) (CoverageCell, error) {
 	n := 1 << uint(dim)
 	m := 1 // S_FT: one key per node
 	if algo == AlgoBlockFT {
@@ -245,7 +243,6 @@ func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRo
 		default:
 			return CoverageCell{}, fmt.Errorf("run %d node %d: unclassified verdict %v", run, node, res.Verdict)
 		}
-		o.FaultOutcome(row.class.Obs(), res.Verdict == fault.Detected, res.Verdict == fault.SilentWrong)
 	}
 	return cell, nil
 }

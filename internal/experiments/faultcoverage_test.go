@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 var updateCoverage = flag.Bool("update", false, "rewrite golden files")
@@ -30,8 +29,7 @@ func goldenSweep() CoverageSweep {
 // any change to the verdicts, the detector attribution, or the table
 // format shows up as a diff against testdata/coverage_matrix.golden.
 func TestCoverageMatrixGolden(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 16)
-	cells, err := MeasureCoverage(goldenSweep(), o)
+	cells, err := MeasureCoverage(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,36 +52,31 @@ func TestCoverageMatrixGolden(t *testing.T) {
 	}
 
 	// The sweep is the Theorem 3 check in matrix form: no escapes, and
-	// every run lands on the observer's per-class counters.
+	// every run of every cell lands on exactly one verdict.
 	if esc := SilentWrongCells(cells); len(esc) != 0 {
 		t.Fatalf("silent-wrong cells: %+v", esc)
 	}
-	m := o.Metrics()
-	var runs, detected int64
-	for c := obs.FaultClass(0); c < obs.NumFaultClasses; c++ {
-		runs += m.FaultRuns[c].Value()
-		detected += m.FaultDetected[c].Value()
-		if m.FaultSilent[c].Value() != 0 {
-			t.Errorf("class %v silent-wrong counter = %d", c, m.FaultSilent[c].Value())
+	detected := 0
+	for _, c := range cells {
+		if c.Runs != goldenSweep().Runs || c.Detected+c.Correct+c.Silent != c.Runs {
+			t.Errorf("%s %s dim %d: verdicts %d+%d+%d don't cover %d runs of %d",
+				c.Algo, c.Label, c.Dim, c.Detected, c.Correct, c.Silent, c.Runs, goldenSweep().Runs)
 		}
+		detected += c.Detected
 	}
-	wantRuns := int64(len(cells) * goldenSweep().Runs)
-	if runs != wantRuns {
-		t.Errorf("obs runs = %d, want %d", runs, wantRuns)
-	}
-	if detected+0 == 0 {
-		t.Error("obs detected nothing")
+	if detected == 0 {
+		t.Error("the sweep detected nothing")
 	}
 }
 
 func TestCoverageSweepRejectsBadConfig(t *testing.T) {
-	if _, err := MeasureCoverage(CoverageSweep{Dims: []int{0}}, nil); err == nil {
+	if _, err := MeasureCoverage(CoverageSweep{Dims: []int{0}}); err == nil {
 		t.Error("dim 0 accepted")
 	}
-	if _, err := MeasureCoverage(CoverageSweep{Rates: []float64{0}}, nil); err == nil {
+	if _, err := MeasureCoverage(CoverageSweep{Rates: []float64{0}}); err == nil {
 		t.Error("rate 0 accepted")
 	}
-	if _, err := MeasureCoverage(CoverageSweep{Rates: []float64{1.5}}, nil); err == nil {
+	if _, err := MeasureCoverage(CoverageSweep{Rates: []float64{1.5}}); err == nil {
 		t.Error("rate 1.5 accepted")
 	}
 }

@@ -122,7 +122,7 @@ func TestObservedSeriesMatchBaseline(t *testing.T) {
 			}
 			res, err = node.RunPer(nw, progs, nil)
 		case SFT:
-			// S_FT with the full event stream: counters, Φ checks, stage views.
+			// S_FT fully observed: counters, Φ checks, flight records.
 			opts := make([]core.Options, n)
 			for id := range opts {
 				opts[id].Obs = o

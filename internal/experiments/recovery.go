@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/recovery/chaostest"
 	"repro/internal/reliablesort"
@@ -385,11 +384,10 @@ type RecoveryValidation struct {
 }
 
 // ValidateRecovery compares the calibrated model's expected total
-// vticks against every measured cell, records each comparison on the
-// observer's cost-model counters (nil-safe), and returns the per-cell
-// results. tol is the acceptance tolerance as a fraction (0.10 for the
-// 10% criterion).
-func ValidateRecovery(cells []RecoveryCell, cal RecoveryCalibration, o *obs.Observer, tol float64) ([]RecoveryValidation, error) {
+// vticks against every measured cell and returns the per-cell results.
+// tol is the acceptance tolerance as a fraction (0.10 for the 10%
+// criterion).
+func ValidateRecovery(cells []RecoveryCell, cal RecoveryCalibration, tol float64) ([]RecoveryValidation, error) {
 	out := make([]RecoveryValidation, 0, len(cells))
 	for _, cell := range cells {
 		bd, err := CellModel(cell, cal).Breakdown(cell.Dim)
@@ -406,7 +404,6 @@ func ValidateRecovery(cells []RecoveryCell, cal RecoveryCalibration, o *obs.Obse
 			v.RelErr = absf(v.Predicted-v.Measured) / v.Measured
 		}
 		v.Within = v.RelErr <= tol
-		o.CostModelPoint(v.RelErr, v.Within)
 		out = append(out, v)
 	}
 	return out, nil

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
 )
@@ -77,9 +76,6 @@ type Config struct {
 	// controlled scheduling absence resolves at quiescence, so this
 	// only bounds a wedged run. Zero means 10s.
 	RecvTimeout time.Duration
-	// Obs receives explorer counters (explore_branches_total & co);
-	// nil means obs.DefaultMetrics().
-	Obs *obs.Metrics
 }
 
 // Diagnosis is the explorer's classification of one branch, the same
@@ -222,7 +218,6 @@ type explorer struct {
 	cfg   Config
 	cases []fault.Case
 	keys  []int64
-	obs   *obs.Metrics
 }
 
 func newExplorer(cfg Config) (*explorer, error) {
@@ -236,11 +231,7 @@ func newExplorer(cfg Config) (*explorer, error) {
 	if cases == nil {
 		cases = fault.SingleFaultCases(cfg.Dim)
 	}
-	m := cfg.Obs
-	if m == nil {
-		m = obs.DefaultMetrics()
-	}
-	return &explorer{cfg: cfg, cases: cases, keys: Workload(cfg.Dim), obs: m}, nil
+	return &explorer{cfg: cfg, cases: cases, keys: Workload(cfg.Dim)}, nil
 }
 
 // enumSched drives one branch of the DFS: decisions below the prefix
@@ -251,8 +242,6 @@ type enumSched struct {
 	prefix   []simnet.Action
 	mismatch bool
 }
-
-func (s *enumSched) Controlled() bool { return true }
 
 func (s *enumSched) Pick(d simnet.Decision) int {
 	if d.Point < len(s.prefix) {
@@ -336,7 +325,6 @@ func (x *explorer) checkInvariant(c fault.Case, br branchRun) (string, string) {
 // stops once falsified — one counterexample suffices).
 func (x *explorer) exploreCase(c fault.Case) (CaseStats, *Violation, error) {
 	cs := CaseStats{Case: c.Name}
-	m := x.obs
 	prune := make(map[uint64]bool)
 	frontier := [][]simnet.Action{nil}
 	for len(frontier) > 0 {
@@ -357,8 +345,6 @@ func (x *explorer) exploreCase(c fault.Case) (CaseStats, *Violation, error) {
 		}
 		cs.Branches++
 		cs.Decisions += len(br.steps)
-		m.ExploreBranches.Inc()
-		m.ExploreDecisions.Add(int64(len(br.steps)))
 		if len(br.steps) > cs.MaxDepth {
 			cs.MaxDepth = len(br.steps)
 		}
@@ -368,7 +354,6 @@ func (x *explorer) exploreCase(c fault.Case) (CaseStats, *Violation, error) {
 			if err != nil {
 				return cs, nil, err
 			}
-			m.ExploreCounterexamples.Inc()
 			return cs, v, nil
 		}
 
@@ -384,7 +369,6 @@ func (x *explorer) exploreCase(c fault.Case) (CaseStats, *Violation, error) {
 			}
 			if prune[st.State] {
 				cs.Pruned++
-				m.ExplorePruned.Inc()
 				break
 			}
 			prune[st.State] = true

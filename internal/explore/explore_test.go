@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -15,8 +14,7 @@ import (
 // every schedule of every case must uphold its invariant, so the sweep
 // returns no violations.
 func TestExhaustiveDim1(t *testing.T) {
-	m := obs.NewMetrics(obs.NewRegistry())
-	res, err := Run(Config{Dim: 1, Obs: m})
+	res, err := Run(Config{Dim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,18 +36,6 @@ func TestExhaustiveDim1(t *testing.T) {
 	}
 	if res.Branches < len(res.Cases) {
 		t.Errorf("total branches %d < cases %d", res.Branches, len(res.Cases))
-	}
-	if m.ExploreBranches.Value() != int64(res.Branches) {
-		t.Errorf("obs explore_branches_total = %d, result says %d", m.ExploreBranches.Value(), res.Branches)
-	}
-	if m.ExploreDecisions.Value() != int64(res.Decisions) {
-		t.Errorf("obs explore_decisions_total = %d, result says %d", m.ExploreDecisions.Value(), res.Decisions)
-	}
-	if m.ExplorePruned.Value() != int64(res.Pruned) {
-		t.Errorf("obs explore_pruned_total = %d, result says %d", m.ExplorePruned.Value(), res.Pruned)
-	}
-	if m.ExploreCounterexamples.Value() != 0 {
-		t.Errorf("obs explore_counterexamples_total = %d on a clean sweep", m.ExploreCounterexamples.Value())
 	}
 }
 
@@ -136,8 +122,7 @@ func TestMaxBranchesTruncates(t *testing.T) {
 // corruption, and the explorer produces a shrunk, replayable
 // counterexample for it.
 func TestWeakenedChecksCounterexample(t *testing.T) {
-	m := obs.NewMetrics(obs.NewRegistry())
-	res, err := Run(Config{Dim: 1, Cases: []fault.Case{memStuckCase()}, WeakenChecks: true, Obs: m})
+	res, err := Run(Config{Dim: 1, Cases: []fault.Case{memStuckCase()}, WeakenChecks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +138,6 @@ func TestWeakenedChecksCounterexample(t *testing.T) {
 	}
 	if len(v.Schedule) > len(v.Full) {
 		t.Fatalf("shrunk schedule (%d) longer than original (%d)", len(v.Schedule), len(v.Full))
-	}
-	if m.ExploreCounterexamples.Value() != 1 {
-		t.Fatalf("obs explore_counterexamples_total = %d", m.ExploreCounterexamples.Value())
 	}
 
 	// The counterexample replays: the reproducer artifact round-trips

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Class partitions the adversary menu by which part of the machine
 // lies. The paper's fault model (and PRs through 5) covers the first
@@ -48,20 +44,6 @@ func (c Class) String() string {
 // AllClasses lists every adversary class, in matrix row order.
 func AllClasses() []Class {
 	return []Class{ClassMessage, ClassAbsence, ClassComparison, ClassMemory}
-}
-
-// Obs maps the class to its observability counter index.
-func (c Class) Obs() obs.FaultClass {
-	switch c {
-	case ClassAbsence:
-		return obs.FaultAbsence
-	case ClassComparison:
-		return obs.FaultComparison
-	case ClassMemory:
-		return obs.FaultMemory
-	default:
-		return obs.FaultMessage
-	}
 }
 
 // Class reports which adversary class a message strategy belongs to:

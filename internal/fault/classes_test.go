@@ -2,10 +2,8 @@ package fault
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -37,20 +35,6 @@ func TestStrategyClass(t *testing.T) {
 		}
 		if s.Class() != want {
 			t.Errorf("%v.Class() = %v, want %v", s, s.Class(), want)
-		}
-	}
-}
-
-func TestClassObsMapping(t *testing.T) {
-	want := map[Class]obs.FaultClass{
-		ClassMessage:    obs.FaultMessage,
-		ClassAbsence:    obs.FaultAbsence,
-		ClassComparison: obs.FaultComparison,
-		ClassMemory:     obs.FaultMemory,
-	}
-	for c, fc := range want {
-		if c.Obs() != fc {
-			t.Errorf("%v.Obs() = %v, want %v", c, c.Obs(), fc)
 		}
 	}
 }
@@ -326,32 +310,5 @@ func TestRandomAdversaryReturnsDistinctClones(t *testing.T) {
 	}
 	if mutated == 0 {
 		t.Fatal("adversary never mutated in 64 calls")
-	}
-}
-
-func TestFaultOutcomeCounters(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 8)
-	o.FaultOutcome(obs.FaultComparison, true, false)
-	o.FaultOutcome(obs.FaultComparison, false, false)
-	o.FaultOutcome(obs.FaultMemory, false, true)
-	m := o.Metrics()
-	if got := m.FaultRuns[obs.FaultComparison].Value(); got != 2 {
-		t.Errorf("comparison runs = %d", got)
-	}
-	if got := m.FaultDetected[obs.FaultComparison].Value(); got != 1 {
-		t.Errorf("comparison detected = %d", got)
-	}
-	if got := m.FaultSilent[obs.FaultMemory].Value(); got != 1 {
-		t.Errorf("memory silent = %d", got)
-	}
-	if got := m.FaultSilent[obs.FaultComparison].Value(); got != 0 {
-		t.Errorf("comparison silent = %d", got)
-	}
-	// Nil-safety and range guards.
-	var nilObs *obs.Observer
-	nilObs.FaultOutcome(obs.FaultMessage, true, false)
-	o.FaultOutcome(obs.FaultClass(99), true, false)
-	if got := strings.TrimSpace(obs.FaultClass(99).String()); got != "faultclass(99)" {
-		t.Errorf("unknown fault class = %q", got)
 	}
 }

@@ -191,16 +191,6 @@ func (r *Recorder) Node() int32 {
 	return r.node
 }
 
-// LastID returns the id of the most recent event, 0 if none. Nil-safe.
-func (r *Recorder) LastID() wire.EventID {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
-}
-
 // Len returns the number of events recorded so far (including any that
 // the ring has since overwritten). Nil-safe.
 func (r *Recorder) Len() uint64 {

@@ -41,10 +41,9 @@
 //   - Observer (observer.go): the façade protocol code records
 //     through — counters for stages, rounds, Φ checks and accusations,
 //     the stage-cost histogram, and recovery attempts, quarantines,
-//     substitutions and backoff waits, which it also journals — plus
-//     the stage-view stream internal/trace subscribes to. All methods
-//     are nil-receiver safe, so un-instrumented runs pay a single
-//     predictable branch.
+//     substitutions and backoff waits, which it also journals. All
+//     methods are nil-receiver safe, so un-instrumented runs pay a
+//     single predictable branch.
 //   - Handler/Serve (http.go): /metrics and /debug/journal.
 package obs
 

@@ -64,32 +64,6 @@ type Metrics struct {
 	RecoverySubstitutions *Counter
 	RecoveryWastedVTicks  *Counter
 	RecoveryBackoffNanos  *Counter
-
-	// CostModelCells, CostModelWithin and CostModelDevPpm track the
-	// recovery-aware cost model's predictive quality: validated sweep
-	// cells, how many predicted measured expected ticks within the
-	// acceptance tolerance, and the absolute relative deviation in
-	// parts per million.
-	CostModelCells  *Counter
-	CostModelWithin *Counter
-	CostModelDevPpm *Histogram
-
-	// FaultRuns, FaultDetected and FaultSilent count fault-injection
-	// runs by adversary class (indexed by FaultClass): total runs,
-	// runs some honest node detected, and runs that finished
-	// undetected with a wrong output — the Theorem 3 escapes.
-	FaultRuns     [NumFaultClasses]*Counter
-	FaultDetected [NumFaultClasses]*Counter
-	FaultSilent   [NumFaultClasses]*Counter
-
-	// ExploreBranches..ExploreCounterexamples are the interleaving
-	// explorer's telemetry: complete schedule branches executed,
-	// branches pruned by canonical state-hash match, scheduling
-	// decisions consulted, and invariant-violating branches found.
-	ExploreBranches        *Counter
-	ExplorePruned          *Counter
-	ExploreDecisions       *Counter
-	ExploreCounterexamples *Counter
 }
 
 // NewMetrics registers the standard instrument set on reg and returns
@@ -145,31 +119,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		"Virtual time burned by failed attempts (the recovery cost series).")
 	m.RecoveryBackoffNanos = reg.Counter("recovery_backoff_nanos_total",
 		"Wall-clock nanoseconds spent in between-attempt backoff.")
-	m.CostModelCells = reg.Counter("recovery_costmodel_cells_total",
-		"Sweep cells validated against the recovery-aware cost model.")
-	m.CostModelWithin = reg.Counter("recovery_costmodel_within_tolerance_total",
-		"Validated cells whose modeled expected ticks matched measurement within tolerance.")
-	m.CostModelDevPpm = reg.Histogram("recovery_costmodel_abs_deviation_ppm",
-		"Absolute modeled-vs-measured deviation of expected total vticks, in parts per million.",
-		[]int64{1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000})
-	for c := FaultClass(0); c < NumFaultClasses; c++ {
-		m.FaultRuns[c] = reg.Counter("fault_injection_runs_total",
-			"Fault-injection runs, by adversary class.", Label{"class", c.String()})
-		m.FaultDetected[c] = reg.Counter("fault_injection_detected_total",
-			"Fault-injection runs detected by some honest node, by adversary class.",
-			Label{"class", c.String()})
-		m.FaultSilent[c] = reg.Counter("fault_injection_silent_wrong_total",
-			"Fault-injection runs that finished undetected with a wrong output, by adversary class.",
-			Label{"class", c.String()})
-	}
-	m.ExploreBranches = reg.Counter("explore_branches_total",
-		"Complete schedule branches executed by the interleaving explorer.")
-	m.ExplorePruned = reg.Counter("explore_pruned_total",
-		"Branch prefixes pruned by canonical state-hash match.")
-	m.ExploreDecisions = reg.Counter("explore_decisions_total",
-		"Scheduling decisions consulted across explored branches.")
-	m.ExploreCounterexamples = reg.Counter("explore_counterexamples_total",
-		"Invariant-violating branches found by the explorer.")
 	return m
 }
 
@@ -210,58 +159,19 @@ func Default() *Observer {
 	return defaultObs
 }
 
-// StageView is the verified assembled sequence a node holds at the end
-// of a stage — the paper's LBS — published on the unified event stream
-// for subscribers such as internal/trace. Assembled aliases the
-// producer's scratch and is valid only for the duration of the
-// callback: subscribers that retain it must copy.
-type StageView struct {
-	// Node is the reporting node.
-	Node int
-	// Stage is the completed stage index (the cube dimension for the
-	// final verification round).
-	Stage int
-	// Final marks the final verification round.
-	Final bool
-	// SubcubeStart and SubcubeSize locate the home subcube the
-	// sequence covers.
-	SubcubeStart int
-	SubcubeSize  int
-	// BlockLen is the keys-per-slot width (1 for the scalar sort).
-	BlockLen int
-	// Assembled is the gathered verified sequence.
-	Assembled []int64
-	// Causal is the publishing node's most recent flight-recorder event
-	// id at publish time (zero when the run is untraced). It joins the
-	// stage-view stream — and anything downstream of it, such as
-	// cmd/tracesort output — against forensic dump chains.
-	Causal wire.EventID
-}
-
-// StageSubscriber receives stage views from the unified event stream.
-type StageSubscriber interface {
-	OnStageView(v StageView)
-}
-
-// Observer is the façade protocol code records through: metrics, the
-// recovery supervisor's journal, and the stage-view stream. Node
-// protocol events only bump counters here; the events themselves are
-// recorded once, in each node's flight ring (package forensic). A
-// single Observer is shared by every node of a run (its parts are
-// concurrency-safe). All methods are nil-receiver safe so
-// un-instrumented call sites pay one branch and nothing else.
+// Observer is the façade protocol code records through: metrics and
+// the recovery supervisor's journal. Node protocol events only bump
+// counters here; the events themselves are recorded once, in each
+// node's flight ring (package forensic). A single Observer is shared
+// by every node of a run (its parts are concurrency-safe). All methods
+// are nil-receiver safe so un-instrumented call sites pay one branch
+// and nothing else.
 type Observer struct {
 	// M receives counters and histograms; nil disables metrics.
 	M *Metrics
 	// J receives the supervisor's attempt, backoff, quarantine and
 	// substitution events; nil disables the journal.
 	J *Journal
-
-	// mu guards subs; subscription happens at setup, publishing on the
-	// protocol's stage boundaries (not per-message), so a read lock per
-	// stage is cheap.
-	mu   sync.RWMutex
-	subs []StageSubscriber
 }
 
 // New returns an Observer with a fresh Metrics bundle on reg and a
@@ -270,29 +180,6 @@ func New(reg *Registry, journalCap int) *Observer {
 	o := &Observer{M: NewMetrics(reg), J: NewJournal(journalCap)}
 	o.J.BindDroppedCounter(o.M.JournalDropped)
 	return o
-}
-
-// Subscribe registers a stage-view subscriber.
-func (o *Observer) Subscribe(s StageSubscriber) {
-	if o == nil || s == nil {
-		return
-	}
-	o.mu.Lock()
-	o.subs = append(o.subs, s)
-	o.mu.Unlock()
-}
-
-// PublishStage fans a stage view out to all subscribers.
-func (o *Observer) PublishStage(v StageView) {
-	if o == nil {
-		return
-	}
-	o.mu.RLock()
-	subs := o.subs
-	o.mu.RUnlock()
-	for _, s := range subs {
-		s.OnStageView(v)
-	}
 }
 
 // Journal returns the observer's journal (nil for a nil observer).
@@ -446,21 +333,6 @@ func (o *Observer) Substitution(suspect, spare, attempt int) {
 	}
 	o.J.Append(Event{Kind: EvSubstitution,
 		Node: int32(suspect), Stage: int32(attempt), Iter: -1, Aux: int64(spare)})
-}
-
-// CostModelPoint records one modeled-vs-measured validation of the
-// recovery-aware cost model: the absolute relative deviation of the
-// predicted expected total vticks (as a fraction; recorded in ppm) and
-// whether it landed within the acceptance tolerance.
-func (o *Observer) CostModelPoint(absRelDev float64, withinTol bool) {
-	if o == nil || o.M == nil {
-		return
-	}
-	o.M.CostModelCells.Inc()
-	if withinTol {
-		o.M.CostModelWithin.Inc()
-	}
-	o.M.CostModelDevPpm.Observe(int64(absRelDev * 1e6))
 }
 
 // Backoff records a between-attempt wait.

@@ -22,8 +22,6 @@ func TestObserverNilSafe(t *testing.T) {
 	o.Quarantine(2, 0)
 	o.Substitution(2, 4, 0)
 	o.Backoff(time.Millisecond)
-	o.PublishStage(StageView{})
-	o.Subscribe(nil)
 	if o.Journal() != nil || o.Metrics() != nil {
 		t.Fatal("nil observer accessors should return nil")
 	}
@@ -130,28 +128,6 @@ func TestRecordMessage(t *testing.T) {
 	}
 	var nilM *Metrics
 	nilM.RecordMessage(wire.KindExchange, 1) // nil-safe
-}
-
-type captureSub struct{ views []StageView }
-
-func (c *captureSub) OnStageView(v StageView) {
-	// Assembled aliases producer scratch; a real subscriber copies.
-	v.Assembled = append([]int64(nil), v.Assembled...)
-	c.views = append(c.views, v)
-}
-
-func TestPublishStageFansOut(t *testing.T) {
-	o := New(NewRegistry(), 8)
-	a, b := &captureSub{}, &captureSub{}
-	o.Subscribe(a)
-	o.Subscribe(b)
-	o.PublishStage(StageView{Node: 2, Stage: 1, Assembled: []int64{3, 1, 2}})
-	if len(a.views) != 1 || len(b.views) != 1 {
-		t.Fatal("both subscribers should receive the view")
-	}
-	if a.views[0].Node != 2 || a.views[0].Assembled[0] != 3 {
-		t.Fatalf("view %+v", a.views[0])
-	}
 }
 
 func TestDefaultSingletons(t *testing.T) {

@@ -114,14 +114,13 @@ type Options struct {
 	// nil.
 	Inject func(attempt, dim int, physical []int) []core.Options
 	// Obs, when non-nil, counts every attempt's stages, rounds, Φ
-	// evaluations, merge compares and accusations, and receives its
-	// stage views; message and byte counters flow to the metrics
-	// registry backing Obs.M. Under AutoRecover its journal records the
-	// supervisor's timeline: attempts, backoff waits, quarantines and
-	// substitutions. A single-shot sort journals nothing; each Φ
-	// evaluation and accusation is a record in Flight. Recording never
-	// charges virtual time, so instrumented runs cost the same ticks as
-	// bare ones.
+	// evaluations, merge compares and accusations; message and byte
+	// counters flow to the metrics registry backing Obs.M. Under
+	// AutoRecover its journal records the supervisor's timeline:
+	// attempts, backoff waits, quarantines and substitutions. A
+	// single-shot sort journals nothing; each Φ evaluation and
+	// accusation is a record in Flight. Recording never charges virtual
+	// time, so instrumented runs cost the same ticks as bare ones.
 	Obs *obs.Observer
 	// Flight, when non-nil, attaches causal flight recording to every
 	// attempt: the transport stamps each message with a trace trailer,

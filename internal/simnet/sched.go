@@ -2,14 +2,14 @@
 //
 // A simnet Network runs in one of two regimes:
 //
-//   - Free-running (the default, Config.Sched nil or Free()): links are
+//   - Free-running (the default, Config.Sched nil): links are
 //     raw buffered channels and delivery order is whatever the Go
 //     runtime produces. This is the zero-overhead path every benchmark
 //     and experiment pins — per-link order is still FIFO (each cube
 //     link has a unique writer), but multi-producer order into the
 //     host mailbox and timeout races are decided by the OS scheduler.
 //
-//   - Controlled (any other Scheduler): delivery is mediated by a
+//   - Controlled (a non-nil Scheduler): delivery is mediated by a
 //     coordinator (controlled.go). The network waits until every live
 //     worker is parked at a blocking receive, fires all *forced*
 //     deliveries — those whose order no realizable execution can vary:
@@ -153,31 +153,15 @@ type Step struct {
 	Picked  int      `json:"picked"`
 }
 
-// Scheduler decides delivery order for a Network. Implementations are
-// consulted from network-internal goroutines and are never called
-// concurrently with themselves.
+// Scheduler decides delivery order for a controlled Network.
+// Implementations are consulted from network-internal goroutines and
+// are never called concurrently with themselves.
 type Scheduler interface {
-	// Controlled reports whether the network must mediate delivery
-	// through the coordinator. The free scheduler returns false and is
-	// never consulted; everything else returns true.
-	Controlled() bool
 	// Pick chooses one of d.Enabled (returning its index) at a
 	// consulted decision point. Out-of-range returns are clamped to
 	// the canonical choice 0.
 	Pick(d Decision) int
 }
-
-// freeSched is the default free-running scheduler: raw channels, OS
-// scheduling, zero overhead.
-type freeSched struct{}
-
-func (freeSched) Controlled() bool  { return false }
-func (freeSched) Pick(Decision) int { return 0 }
-func (freeSched) String() string    { return "free" }
-
-// Free returns the default scheduler: the free-running channel
-// implementation the benchmarks pin. A nil Config.Sched means Free().
-func Free() Scheduler { return freeSched{} }
 
 // RandomSched picks uniformly among enabled actions, seeded — the
 // controlled analogue of the chaos the OS scheduler provides for free,
@@ -191,9 +175,6 @@ type RandomSched struct {
 func NewRandom(seed int64) *RandomSched {
 	return &RandomSched{rng: rand.New(rand.NewSource(seed))}
 }
-
-// Controlled reports true: random scheduling requires mediation.
-func (s *RandomSched) Controlled() bool { return true }
 
 // Pick implements Scheduler.
 func (s *RandomSched) Pick(d Decision) int { return s.rng.Intn(len(d.Enabled)) }
@@ -222,9 +203,6 @@ type ReplaySched struct {
 func NewReplay(directives []Action) *ReplaySched {
 	return &ReplaySched{directives: directives}
 }
-
-// Controlled reports true: replay requires mediation.
-func (s *ReplaySched) Controlled() bool { return true }
 
 // Pick implements Scheduler.
 func (s *ReplaySched) Pick(d Decision) int {

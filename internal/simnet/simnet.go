@@ -96,8 +96,9 @@ type packet struct {
 // LinkFault intercepts traffic on one directed link. Apply receives
 // the encoded message and returns the list of raw messages actually
 // delivered: return nil to drop, a modified buffer to corrupt, or
-// multiple buffers to duplicate. Implementations live in
-// internal/fault; simnet only defines the seam.
+// multiple buffers to duplicate. The fault implementations live in
+// internal/fault, and cmd/tracesort installs an identity tap that
+// reads the views on the wire; simnet only defines the seam.
 type LinkFault interface {
 	Apply(raw []byte) [][]byte
 }
@@ -133,13 +134,13 @@ type Config struct {
 	// bytes are excluded from cost charging and byte metrics
 	// (wire.CostedLen), so tracing never perturbs virtual time.
 	Flight *forensic.Flight
-	// Sched selects the delivery scheduler. Nil (or Free()) keeps the
-	// free-running channel implementation — the zero-overhead path the
-	// benchmarks pin. Any controlled scheduler (NewRandom, NewReplay,
-	// or the explorer's enumerator) mediates every delivery through the
-	// coordinator in controlled.go instead: slower, but every genuine
-	// race becomes a recorded, replayable decision. Harnesses must then
-	// declare workers via WorkerStart/WorkerDone (internal/node does).
+	// Sched selects the delivery scheduler. Nil keeps the free-running
+	// channel implementation — the zero-overhead path the benchmarks
+	// pin. A scheduler (NewRandom, NewReplay, or the explorer's
+	// enumerator) mediates every delivery through the coordinator in
+	// controlled.go instead: slower, but every genuine race becomes a
+	// recorded, replayable decision. Harnesses must then declare
+	// workers via WorkerStart/WorkerDone (internal/node does).
 	Sched Scheduler
 }
 
@@ -282,7 +283,7 @@ func New(cfg Config) (*Network, error) {
 	for id := range net.hostOut {
 		net.hostOut[id] = make(chan packet, linkQueueDepth)
 	}
-	if cfg.Sched != nil && cfg.Sched.Controlled() {
+	if cfg.Sched != nil {
 		net.ctrl = newController(net, cfg.Sched)
 	}
 	return net, nil

@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"testing"
 	"time"
 
@@ -205,7 +204,7 @@ func TestTCPMatchesSimnet(t *testing.T) {
 					tcp.HostClock, tcp.HostComm, tcp.HostComp, sn.HostClock, sn.HostComm, sn.HostComp)
 			}
 			tm, sm := tcp.Metrics, sn.Metrics
-			if !maps.Equal(tm.MsgsByKind, sm.MsgsByKind) || !maps.Equal(tm.BytesByKind, sm.BytesByKind) {
+			if tm != sm {
 				t.Errorf("traffic: tcp %v/%v vs simnet %v/%v", tm.MsgsByKind, tm.BytesByKind, sm.MsgsByKind, sm.BytesByKind)
 			}
 		})

@@ -99,15 +99,10 @@ func (c *Core) CheckNode(id int) error {
 
 // Metrics snapshots the traffic counters.
 func (c *Core) Metrics() MetricsSnapshot {
-	s := MetricsSnapshot{
-		MsgsByKind:  make(map[wire.Kind]int64),
-		BytesByKind: make(map[wire.Kind]int64),
-	}
-	for k := wire.Kind(1); int(k) < len(c.msgs); k++ {
-		if n := c.msgs[k].Load(); n != 0 {
-			s.MsgsByKind[k] = n
-			s.BytesByKind[k] = c.bytes[k].Load()
-		}
+	var s MetricsSnapshot
+	for k := range c.msgs {
+		s.MsgsByKind[k] = c.msgs[k].Load()
+		s.BytesByKind[k] = c.bytes[k].Load()
 	}
 	return s
 }

@@ -148,10 +148,10 @@ type Host interface {
 }
 
 // MetricsSnapshot is a point-in-time copy of a network's traffic
-// counters, per message kind.
+// counters, indexed by wire.Kind like the counters themselves.
 type MetricsSnapshot struct {
-	MsgsByKind  map[wire.Kind]int64
-	BytesByKind map[wire.Kind]int64
+	MsgsByKind  [8]int64
+	BytesByKind [8]int64
 }
 
 // TotalMsgs returns the message count across all kinds.

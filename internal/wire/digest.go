@@ -43,12 +43,6 @@ func (d *Digest) Add(v int64) {
 	d.Xor ^= h
 }
 
-// AddHash folds an already-mixed key hash into the digest.
-func (d *Digest) AddHash(h uint64) {
-	d.Sum += h
-	d.Xor ^= h
-}
-
 // Remove unfolds one key from the digest (the inverse of Add), letting
 // a slot be overwritten without rebuilding the whole digest.
 func (d *Digest) Remove(v int64) {
