@@ -98,3 +98,24 @@ func BenchmarkIsBitonic(b *testing.B) {
 		}
 	}
 }
+
+// comparesSink keeps the benchmarked sorts' counts live.
+var comparesSink int
+
+// BenchmarkMsortCount times the counting merge sort at the block
+// lengths the FT runner's local sort sees (m = 512–2,048 on the large
+// service workload).
+func BenchmarkMsortCount(b *testing.B) {
+	for _, n := range []int{64, 256, 1024, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			src := randKeys(n, 7)
+			xs, buf := make([]int64, n), make([]int64, n)
+			b.SetBytes(int64(8 * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(xs, src)
+				comparesSink = msortCount(xs, buf)
+			}
+		})
+	}
+}

@@ -252,36 +252,43 @@ func MergeSortCount(xs []int64) (sorted []int64, compares int) {
 	return out, msortCount(out, buf)
 }
 
+// msortCount sorts xs ascending in place with a top-down merge sort,
+// buf (at least len(xs) long) its scratch, and returns the comparison
+// count.
 func msortCount(xs, buf []int64) int {
+	return msort(xs, buf[:len(xs)], false)
+}
+
+// msort sorts xs ascending into buf when toBuf, else in place, using
+// the other slice (as long as xs) as scratch. It splits at n/2 and
+// sorts each half into the slice the merge reads, the other one, so no
+// level copies its input before merging. A merge compares once per key
+// it emits until one run runs out (seqMergeInto's count); a two-key
+// run is that merge of two one-key runs, written out.
+func msort(xs, buf []int64, toBuf bool) int {
 	n := len(xs)
 	if n <= 1 {
+		if toBuf {
+			copy(buf, xs)
+		}
 		return 0
 	}
-	mid := n / 2
-	c := msortCount(xs[:mid], buf[:mid])
-	c += msortCount(xs[mid:], buf[mid:])
-	copy(buf[:n], xs)
-	i, j := 0, mid
-	for k := 0; k < n; k++ {
-		switch {
-		case i >= mid:
-			xs[k] = buf[j]
-			j++
-		case j >= n:
-			xs[k] = buf[i]
-			i++
-		default:
-			c++
-			if buf[i] <= buf[j] {
-				xs[k] = buf[i]
-				i++
-			} else {
-				xs[k] = buf[j]
-				j++
-			}
+	if n == 2 {
+		dst := xs
+		if toBuf {
+			dst = buf
 		}
+		dst[0], dst[1] = CompareExchange(xs[0], xs[1])
+		return 1
 	}
-	return c
+	mid := n / 2
+	c := msort(xs[:mid], buf[:mid], !toBuf)
+	c += msort(xs[mid:], buf[mid:], !toBuf)
+	src, dst := buf, xs
+	if toBuf {
+		src, dst = xs, buf
+	}
+	return c + seqMergeInto(dst, src[:mid], src[mid:])
 }
 
 // Reverse reverses xs in place. Block sorting uses it to flip a sorted

@@ -91,8 +91,9 @@ func sequentialMergeCompares(a, b []int64) int {
 }
 
 // seqMergeInto merges sorted runs a and b into dst (len(a)+len(b)
-// long) with the canonical tie rule.
-func seqMergeInto(dst, a, b []int64) {
+// long) with the canonical tie rule and returns its comparison count:
+// the output index at which one run runs out.
+func seqMergeInto(dst, a, b []int64) int {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {
@@ -106,6 +107,7 @@ func seqMergeInto(dst, a, b []int64) {
 	}
 	copy(dst[k:], a[i:])
 	copy(dst[k+len(a)-i:], b[j:])
+	return k
 }
 
 // parallelMergeInto merges sorted runs a and b into dst across up to
@@ -181,15 +183,17 @@ func MergeSplitParallelInto(dst, a, b []int64, workers int) (lo, hi []int64, com
 
 // psortCount is msortCount with the two half-sorts recursing in
 // parallel and the combining merge fanned out, below which (n < cutoff
-// or a single worker) it defers to msortCount. Output and comparison
-// count are identical to msortCount.
+// or a single worker) it defers to msort. Output and comparison count
+// are identical to msortCount.
 func psortCount(xs, buf []int64, workers, cutoff int) int {
+	return psort(xs, buf[:len(xs)], false, workers, cutoff)
+}
+
+// psort is msort with the parallel split of psortCount.
+func psort(xs, buf []int64, toBuf bool, workers, cutoff int) int {
 	n := len(xs)
-	if n <= 1 {
-		return 0
-	}
-	if workers <= 1 || n < cutoff {
-		return msortCount(xs, buf)
+	if n <= 1 || workers <= 1 || n < cutoff {
+		return msort(xs, buf, toBuf)
 	}
 	mid := n / 2
 	var cLeft int
@@ -197,14 +201,16 @@ func psortCount(xs, buf []int64, workers, cutoff int) int {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cLeft = psortCount(xs[:mid], buf[:mid], workers/2, cutoff)
+		cLeft = psort(xs[:mid], buf[:mid], !toBuf, workers/2, cutoff)
 	}()
-	c := psortCount(xs[mid:], buf[mid:], workers-workers/2, cutoff)
+	c := psort(xs[mid:], buf[mid:], !toBuf, workers-workers/2, cutoff)
 	wg.Wait()
-	c += cLeft
-	copy(buf[:n], xs)
-	parallelMergeInto(xs, buf[:mid], buf[mid:n], workers)
-	return c + sequentialMergeCompares(buf[:mid], buf[mid:n])
+	src, dst := buf, xs
+	if toBuf {
+		src, dst = xs, buf
+	}
+	parallelMergeInto(dst, src[:mid], src[mid:], workers)
+	return c + cLeft + sequentialMergeCompares(src[:mid], src[mid:])
 }
 
 // ParallelMergeSortCount is MergeSortCount across up to workers cores
@@ -224,5 +230,5 @@ func ParallelMergeSortCount(xs []int64, workers int) (sorted []int64, compares i
 // so a caller that keeps both arenas sorts without allocating. It
 // returns the comparison count MergeSortCount reports for xs.
 func ParallelSortInPlace(xs, buf []int64, workers int) (compares int) {
-	return psortCount(xs, buf[:len(xs)], resolveWorkers(workers), DefaultParallelCutoff)
+	return psortCount(xs, buf, resolveWorkers(workers), DefaultParallelCutoff)
 }

@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-
-	"repro/internal/bitonic"
+	"slices"
 )
 
 // Progress is Φ_P as the paper states it for one key per node (Figure
@@ -64,7 +63,7 @@ func firstDisorder(seq []int64, ascending bool) int {
 // concatenations are checked at their seams and never built.
 func ProgressBlocks(blocks [][]int64, final bool) error {
 	for i, b := range blocks {
-		if !bitonic.IsSorted(b, true) {
+		if !slices.IsSorted(b) {
 			return fmt.Errorf("block %d not internally sorted: %w", i, ErrProgress)
 		}
 	}

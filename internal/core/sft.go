@@ -393,7 +393,7 @@ func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 		if err := r.mergeView(rv, s, j, partner, false); err != nil {
 			return nil, err
 		}
-		if !r.opts.SkipChecks && !bitonic.IsSorted(theirs, true) {
+		if !r.opts.SkipChecks && !slices.IsSorted(theirs) {
 			return nil, r.failFrom(ErrProtocol, s, j, partner, "block from %d not sorted", partner)
 		}
 		// At the stage's first iteration the sender's block and its own
@@ -463,7 +463,7 @@ func (r *runner) passiveReply(mine []int64, s, j, partner int, ascending bool) (
 	}
 	keep, give := keys[:r.m], keys[r.m:]
 	if !r.opts.SkipChecks {
-		if !bitonic.IsSorted(keep, true) || !bitonic.IsSorted(give, true) {
+		if !slices.IsSorted(keep) || !slices.IsSorted(give) {
 			return nil, r.failFrom(ErrProtocol, s, j, partner, "merge-split reply from %d has unsorted halves", partner)
 		}
 		if ascending && keep[r.m-1] > give[0] {

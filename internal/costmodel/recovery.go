@@ -20,8 +20,10 @@
 package costmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FaultRegime is the fault environment a supervision runs in: a
@@ -258,6 +260,21 @@ type state struct {
 	streak int
 }
 
+// sortedStates returns mass's states ordered by (dim, spares, streak).
+// The recursion folds states in this order, not the map's, so its
+// floating-point sums add up the same way, to the same bits, on every
+// run.
+func sortedStates(mass map[state]float64) []state {
+	sts := make([]state, 0, len(mass))
+	for st := range mass {
+		sts = append(sts, st)
+	}
+	slices.SortFunc(sts, func(a, b state) int {
+		return cmp.Or(cmp.Compare(a.dim, b.dim), cmp.Compare(a.spares, b.spares), cmp.Compare(a.streak, b.streak))
+	})
+	return sts
+}
+
 // Breakdown runs the probability-mass recursion for an initial cube of
 // dimension dim and returns the expectation decomposition.
 //
@@ -307,7 +324,8 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		next := make(map[state]float64, len(mass))
-		for st, w := range mass {
+		for _, st := range sortedStates(mass) {
+			w := mass[st]
 			if w == 0 {
 				continue
 			}
@@ -392,8 +410,8 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 		}
 		mass = next
 	}
-	for _, w := range mass {
-		bd.PExhausted += w
+	for _, st := range sortedStates(mass) {
+		bd.PExhausted += mass[st]
 	}
 	if bd.BaselineTicks > 0 {
 		bd.Overhead = bd.ExpectedTicks/bd.BaselineTicks - 1

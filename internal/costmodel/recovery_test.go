@@ -203,3 +203,31 @@ func TestRecoveryModelErrors(t *testing.T) {
 		t.Error("base Eval failure: want error")
 	}
 }
+
+// Breakdown must add its floating-point expectations in one order, so
+// one model gives one bit pattern on every call. Iterating the state
+// map in Go's random order made the last digits of the expectations
+// differ between calls, and with them the recoverycost artifact.
+func TestRecoveryBreakdownRepeatsBitForBit(t *testing.T) {
+	rm := &RecoveryModel{
+		Name:         "mixed",
+		AttemptTicks: func(dim int) (float64, error) { return 1000 * float64(dim*dim), nil },
+		Regime:       FaultRegime{MTTF: 3e4, PersistentFrac: 0.4},
+		Policy: PolicyParams{MaxAttempts: 12, PersistStreak: 3, MinDim: 1, Spares: 2,
+			BackoffBaseNanos: 1e6, BackoffMaxNanos: 8e6},
+		Calib: Calibration{DetectFrac: 0.9, WasteFrac: 0.6},
+	}
+	want, err := rm.Breakdown(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		got, err := rm.Breakdown(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("call %d: %+v\nfirst call: %+v", i, got, want)
+		}
+	}
+}

@@ -38,6 +38,8 @@ import (
 	"net"
 	"slices"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // StreamMagic begins every request frame ("SRT1").
@@ -211,9 +213,7 @@ func (fc *frameConn) readKeys(n int) ([]int64, error) {
 		return nil, err
 	}
 	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	wire.ReadVals(keys, b)
 	return keys, nil
 }
 
@@ -235,11 +235,7 @@ func appendHead(b []byte, w0, w1 uint32, js []byte) []byte {
 // appendKeys appends a key count and the keys.
 func appendKeys(b []byte, keys []int64) []byte {
 	b = slices.Grow(b, 8+8*len(keys))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = binary.LittleEndian.AppendUint64(b, uint64(k))
-	}
-	return b
+	return wire.AppendVals(binary.LittleEndian.AppendUint64(b, uint64(len(keys))), keys)
 }
 
 // readRequestFrame parses one request frame. maxKeys bounds the key

@@ -81,3 +81,55 @@ func BenchmarkBitsetOps(b *testing.B) {
 		_ = c.Count()
 	}
 }
+
+// The per-key kernels of a large job's hops, at block lengths m = 64
+// and 1,024, with values where a frame puts them: an FT-exchange
+// view's values start at 5 mod 8 from the frame's start.
+
+// digestSink keeps the benchmarked digests live.
+var digestSink Digest
+
+func BenchmarkAppendVals(b *testing.B) {
+	for _, m := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			keys := codecKeys(m, 1)
+			buf := make([]byte, 5, 5+8*m)
+			b.SetBytes(int64(8 * m))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = AppendVals(buf[:5], keys)
+			}
+		})
+	}
+}
+
+func BenchmarkFrameViewBlock(b *testing.B) {
+	for _, m := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			v := NewBlockView(0, 2, m)
+			v.Mask.Add(0)
+			v.Mask.Add(1)
+			v.Vals = codecKeys(2*m, 1)
+			fv, _ := receivedView(b, KindFTExchange, v)
+			dst := make([]int64, m)
+			b.SetBytes(int64(8 * m))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				digestSink = fv.Block(i&1, dst)
+			}
+		})
+	}
+}
+
+func BenchmarkDigestOf(b *testing.B) {
+	for _, m := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			keys := codecKeys(m, 1)
+			b.SetBytes(int64(8 * m))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				digestSink = DigestOf(keys)
+			}
+		})
+	}
+}

@@ -63,13 +63,26 @@ func (d Digest) Merged(o Digest) Digest {
 	return Digest{Sum: d.Sum + o.Sum, Xor: d.Xor ^ o.Xor}
 }
 
-// DigestOf returns the digest of a whole key slice.
+// DigestOf returns the digest of a whole key slice. It folds the keys
+// into four independent lanes, so consecutive keys do not wait on one
+// accumulator, and combines the lanes at the end; addition and XOR
+// being associative and commutative, the digest is the one Add would
+// fold key by key.
 func DigestOf(keys []int64) Digest {
-	var d Digest
-	for _, v := range keys {
-		d.Add(v)
+	var s0, s1, s2, s3, x0, x1, x2, x3 uint64
+	n := len(keys) &^ 3
+	for i := 0; i < n; i += 4 {
+		k := keys[i : i+4 : i+4]
+		h0, h1, h2, h3 := MixKey(k[0]), MixKey(k[1]), MixKey(k[2]), MixKey(k[3])
+		s0, s1, s2, s3 = s0+h0, s1+h1, s2+h2, s3+h3
+		x0, x1, x2, x3 = x0^h0, x1^h1, x2^h2, x3^h3
 	}
-	return d
+	for _, v := range keys[n:] {
+		h := MixKey(v)
+		s0 += h
+		x0 ^= h
+	}
+	return Digest{Sum: s0 + s1 + s2 + s3, Xor: x0 ^ x1 ^ x2 ^ x3}
 }
 
 // DigestCompareCost is the virtual comparisons charged for one digest

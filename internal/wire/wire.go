@@ -222,19 +222,6 @@ func AppendKeys(buf []byte, keys []int64) []byte {
 	return AppendVals(binary.LittleEndian.AppendUint32(buf, uint32(len(keys))), keys)
 }
 
-// AppendVals appends keys to buf, 8 bytes each with no length prefix,
-// in one 8-byte-stride pass over a pre-grown buffer rather than
-// element-wise appends.
-func AppendVals(buf []byte, keys []int64) []byte {
-	off := len(buf)
-	buf = extend(buf, 8*len(keys))
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(k))
-		off += 8
-	}
-	return buf
-}
-
 // reader is a cursor over a payload buffer.
 type reader struct {
 	buf []byte
@@ -281,13 +268,10 @@ func (r *reader) keyCount() (int, error) {
 	return int(n), nil
 }
 
-// readKeys fills dst from the buffer in one 8-byte-stride pass. The
-// caller must have bounds-checked len(dst) via keyCount or equivalent.
+// readKeys fills dst from the buffer (ReadVals). The caller must have
+// bounds-checked len(dst) via keyCount or equivalent.
 func (r *reader) readKeys(dst []int64) {
-	src := r.buf[r.off:]
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+	ReadVals(dst, r.buf[r.off:])
 	r.off += 8 * len(dst)
 }
 
@@ -425,18 +409,31 @@ func (v *FrameView) Val(j int) int64 {
 
 // Block decodes the keys of the i-th known slot (in mask index order)
 // into dst, which must hold BlockLen keys, and returns their multiset
-// digest, folded in the same pass.
+// digest, folded in the same pass in four lanes as DigestOf folds.
 func (v *FrameView) Block(i int, dst []int64) Digest {
 	b := int(v.BlockLen)
 	src := v.vals[8*i*b : 8*(i+1)*b]
 	dst = dst[:b]
-	var d Digest
-	for k := range dst {
-		x := int64(binary.LittleEndian.Uint64(src[8*k:]))
-		dst[k] = x
-		d.Add(x)
+	var s0, s1, s2, s3, x0, x1, x2, x3 uint64
+	n := b &^ 3
+	for k := 0; k < n; k += 4 {
+		w := src[8*k : 8*k+32 : 8*k+32]
+		d := dst[k : k+4 : k+4]
+		d[0] = int64(binary.LittleEndian.Uint64(w[0:]))
+		d[1] = int64(binary.LittleEndian.Uint64(w[8:]))
+		d[2] = int64(binary.LittleEndian.Uint64(w[16:]))
+		d[3] = int64(binary.LittleEndian.Uint64(w[24:]))
+		h0, h1, h2, h3 := MixKey(d[0]), MixKey(d[1]), MixKey(d[2]), MixKey(d[3])
+		s0, s1, s2, s3 = s0+h0, s1+h1, s2+h2, s3+h3
+		x0, x1, x2, x3 = x0^h0, x1^h1, x2^h2, x3^h3
 	}
-	return d
+	for k := n; k < b; k++ {
+		dst[k] = int64(binary.LittleEndian.Uint64(src[8*k:]))
+		h := MixKey(dst[k])
+		s0 += h
+		x0 ^= h
+	}
+	return Digest{Sum: s0 + s1 + s2 + s3, Xor: x0 ^ x1 ^ x2 ^ x3}
 }
 
 // view returns v with its values decoded into storage of its own. The
