@@ -11,9 +11,9 @@
 // Input is whitespace-separated 64-bit integers; output is one key per
 // line in the requested order. With -obs.listen the process serves the
 // observability endpoints (/metrics Prometheus text, /metrics?json=1,
-// /debug/journal, /debug/forensic) while sorting, and -obs.linger
-// keeps it alive after the sort so the series — and any forensic dumps
-// a detection produced — can be scraped.
+// /debug/forensic) while sorting, and -obs.linger keeps it alive after
+// the sort so the series — and any forensic dumps a detection
+// produced — can be scraped.
 package main
 
 import (
@@ -45,7 +45,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	dim := fs.Int("dim", 0, "force hypercube dimension (0 = automatic)")
 	stats := fs.Bool("stats", false, "print run statistics to stderr")
 	timeout := fs.Duration("timeout", 30*time.Second, "absence-detection timeout")
-	obsListen := fs.String("obs.listen", "", "serve /metrics and /debug/journal on this address (e.g. localhost:9141)")
+	obsListen := fs.String("obs.listen", "", "serve /metrics and /debug/forensic on this address (e.g. localhost:9141)")
 	obsLinger := fs.Duration("obs.linger", 0, "keep serving the observability endpoints this long after the sort")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,21 +54,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var observer *obs.Observer
 	var flight *forensic.Flight
 	if *obsListen != "" {
-		observer = obs.Default()
+		observer = &obs.Observer{M: obs.DefaultMetrics()}
 		flight = forensic.New(0)
-		// One mux for the whole observability surface: the obs handler's
-		// /metrics and /debug/journal plus the flight's /debug/forensic.
-		obsH := obs.Handler(obs.DefaultRegistry(), observer.Journal())
+		// One mux for the whole observability surface: the registry's
+		// /metrics plus the flight's /debug/forensic.
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obsH)
-		mux.Handle("/debug/journal", obsH)
+		mux.Handle("/metrics", obs.Handler(obs.DefaultRegistry()))
 		mux.Handle("/debug/forensic", flight.Handler())
 		ln, err := net.Listen("tcp", *obsListen)
 		if err != nil {
 			return fmt.Errorf("obs.listen: %w", err)
 		}
 		go (&http.Server{Handler: mux}).Serve(ln)
-		fmt.Fprintf(stderr, "observability endpoints on http://%s/metrics, /debug/journal, /debug/forensic\n", ln.Addr())
+		fmt.Fprintf(stderr, "observability endpoints on http://%s/metrics and /debug/forensic\n", ln.Addr())
 	}
 
 	in := stdin

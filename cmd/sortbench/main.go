@@ -40,18 +40,18 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1989, "workload seed")
 	plotFlag := fs.Bool("plot", false, "also render ASCII charts of the figures")
 	maxProjDim := fs.Int("maxprojdim", 16, "largest cube dimension in fig7 projections")
-	obsListen := fs.String("obs.listen", "", "serve /metrics and /debug/journal on this address while the experiments run")
+	obsListen := fs.String("obs.listen", "", "serve /metrics on this address while the experiments run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *obsListen != "" {
 		// The simnet transports feed the process-wide default registry,
 		// so the endpoint sees every experiment's traffic counters.
-		addr, err := obs.Serve(*obsListen, obs.DefaultRegistry(), obs.Default().Journal())
+		addr, err := obs.Serve(*obsListen, obs.DefaultRegistry())
 		if err != nil {
 			return fmt.Errorf("obs.listen: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "observability endpoints on http://%s/metrics and /debug/journal\n", addr)
+		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s/metrics\n", addr)
 	}
 
 	dimList, err := parseDims(*dims)

@@ -69,7 +69,7 @@ func TestFTRoundZeroAllocs(t *testing.T) {
 				active.view.set(0, blocks[0])
 				passive.view.reset(pairCube, m)
 				passive.view.set(1, blocks[1])
-				if err := passive.sendParts(0, 0, blocks[1]); err != nil {
+				if err := passive.sendParts(0, 0, blocks[1], nil); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := active.exchange(blocks[0], 0, 0); err != nil {

@@ -30,7 +30,8 @@ func stagedView(g *blockView) wire.View {
 // random subcubes and knowledge masks), the runner's arena encoder
 // writes exactly the bytes wire.AppendExchange, wire.AppendFTExchange
 // and wire.AppendVerify write for the same keys and staged view, and
-// Len predicts their length.
+// Len predicts their length. A body whose keys come in two parts, the
+// active side's kept and given halves, encodes as their concatenation.
 func TestSendBodyMatchesPayloadEncoders(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	topo := hypercube.MustNew(6)
@@ -64,20 +65,21 @@ func TestSendBodyMatchesPayloadEncoders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cut := rng.Intn(len(keys) + 1)
 			for _, tc := range []struct {
 				kind wire.Kind
+				keys [2][]int64
 				want []byte
 			}{
-				{wire.KindExchange, wire.AppendExchange(nil, keys)},
-				{wire.KindFTExchange, ft},
-				{wire.KindVerify, verify},
+				{wire.KindExchange, [2][]int64{keys}, wire.AppendExchange(nil, keys)},
+				{wire.KindFTExchange, [2][]int64{keys}, ft},
+				{wire.KindFTExchange, [2][]int64{keys[:cut], keys[cut:]}, ft},
+				{wire.KindExchange, [2][]int64{keys[:cut], keys[cut:]}, wire.AppendExchange(nil, keys)},
+				{wire.KindVerify, [2][]int64{}, verify},
 			} {
-				body := sendBody{kind: tc.kind, keys: keys, view: g}
-				if tc.kind == wire.KindVerify {
-					body.keys = nil
-				}
+				body := sendBody{kind: tc.kind, keys: tc.keys, view: g}
 				got := body.AppendTo([]byte{0xAA})[1:]
-				name := fmt.Sprintf("m=%d %v mask %s %v", m, sc, g.have.String(), tc.kind)
+				name := fmt.Sprintf("m=%d %v mask %s %v parts %d+%d", m, sc, g.have.String(), tc.kind, len(tc.keys[0]), len(tc.keys[1]))
 				if !bytes.Equal(got, tc.want) {
 					t.Fatalf("%s: arena encoding differs from the payload encoder's", name)
 				}

@@ -218,11 +218,13 @@ func (r *runner) expectedMask(s, j, sender int, postExchange bool) (bitset.Set, 
 
 // sendBody is the payload of the runner's next send, encoded straight
 // into the transport's frame (wire.Body): the keys of an exchange leg,
-// the current view from its arena, or both, as the kind says. It holds
-// no copy of either, so a send encodes each key exactly once.
+// the current view from its arena, or both, as the kind says. The keys
+// come in up to two parts sent under one count, so the active side's
+// reply encodes its kept and given halves from the merge buffer. It
+// holds no copy of either, so a send encodes each key exactly once.
 type sendBody struct {
 	kind wire.Kind
-	keys []int64
+	keys [2][]int64
 	view *blockView
 }
 
@@ -230,7 +232,7 @@ type sendBody struct {
 func (b *sendBody) Len() int {
 	n := 0
 	if b.kind != wire.KindVerify {
-		n += 4 + 8*len(b.keys)
+		n += 4 + 8*(len(b.keys[0])+len(b.keys[1]))
 	}
 	if b.kind != wire.KindExchange {
 		n += b.view.wireLen()
@@ -239,11 +241,11 @@ func (b *sendBody) Len() int {
 }
 
 // AppendTo implements wire.Body: the bytes of wire.AppendExchange,
-// wire.AppendFTExchange or wire.AppendVerify for the same keys and
-// view.
+// wire.AppendFTExchange or wire.AppendVerify for the concatenated keys
+// and the view.
 func (b *sendBody) AppendTo(buf []byte) []byte {
 	if b.kind != wire.KindVerify {
-		buf = wire.AppendKeys(buf, b.keys)
+		buf = wire.AppendKeys(buf, b.keys[:]...)
 	}
 	if b.kind != wire.KindExchange {
 		buf = b.view.appendWire(buf)
@@ -251,30 +253,32 @@ func (b *sendBody) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// sendParts transmits one exchange leg on link bit: keys plus the
-// current view, piggybacked in one message normally, or as two
-// messages under the SeparateCheckMessages ablation.
-func (r *runner) sendParts(bit, stage int, keys []int64) error {
+// sendParts transmits one exchange leg on link bit: keys, then more
+// under the same count, plus the current view, piggybacked in one
+// message normally, or as two messages under the
+// SeparateCheckMessages ablation.
+func (r *runner) sendParts(bit, stage int, keys, more []int64) error {
 	if r.opts.SeparateCheckMessages {
-		if err := r.transmit(bit, wire.KindExchange, stage, keys); err != nil {
+		if err := r.transmit(bit, wire.KindExchange, stage, keys, more); err != nil {
 			return err
 		}
 		return r.sendVerify(bit, stage)
 	}
-	return r.transmit(bit, wire.KindFTExchange, stage, keys)
+	return r.transmit(bit, wire.KindFTExchange, stage, keys, more)
 }
 
 // sendVerify transmits the current view alone.
 func (r *runner) sendVerify(bit, stage int) error {
-	return r.transmit(bit, wire.KindVerify, stage, nil)
+	return r.transmit(bit, wire.KindVerify, stage, nil, nil)
 }
 
-// transmit sends a message of the given kind carrying keys and, unless
-// it is a keys-only exchange, the current view (iteration = link bit).
-// The runner's sendBody encodes them into the transport's frame during
-// the send; only the Byzantine tamper hook gets payload bytes.
-func (r *runner) transmit(bit int, kind wire.Kind, stage int, keys []int64) error {
-	r.body = sendBody{kind: kind, keys: keys, view: r.view}
+// transmit sends a message of the given kind carrying keys followed by
+// more and, unless it is a keys-only exchange, the current view
+// (iteration = link bit). The runner's sendBody encodes them into the
+// transport's frame during the send; only the Byzantine tamper hook
+// gets payload bytes.
+func (r *runner) transmit(bit int, kind wire.Kind, stage int, keys, more []int64) error {
+	r.body = sendBody{kind: kind, keys: [2][]int64{keys, more}, view: r.view}
 	m := wire.Message{Kind: kind, Stage: int32(stage), Iter: int32(bit), Body: &r.body}
 	if r.opts.Tamper != nil {
 		return r.transmitTampered(bit, m)

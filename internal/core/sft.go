@@ -164,26 +164,24 @@ type runner struct {
 	// Per-node arenas reused across every stage and iteration, all
 	// sized once when the run starts, so the steady-state exchange path
 	// performs no allocation: the two block views, the two alternating
-	// merge-split buffers, the keep·give send staging buffer, the
-	// merge-split verification scratch, the decode scratch, and the
-	// vect_mask prediction scratch. A send encodes from the arenas into
-	// the transport's frame (body); enc holds payload bytes only for the
-	// tamper hook.
+	// merge-split buffers, the merge-split verification scratch, the
+	// decode scratch, and the vect_mask prediction scratch. A send
+	// encodes from the arenas into the transport's frame (body); enc
+	// holds payload bytes only for the tamper hook.
 	//
 	// Stage s gathers into views[s%2] (view points at it), and the final
 	// round into views[n%2]. Alternating leaves the previous stage's
 	// verified sequence intact in the other view's arena, where Φ_F
 	// reads it as a sub-slice instead of a copy.
-	views    [2]blockView
-	view     *blockView
-	bufs     [2][]int64
-	cur      int
-	keyStage []int64
-	msCheck  []int64
-	body     sendBody
-	enc      []byte
-	dec      wire.DecodeScratch
-	expect   bitset.Set
+	views   [2]blockView
+	view    *blockView
+	bufs    [2][]int64
+	cur     int
+	msCheck []int64
+	body    sendBody
+	enc     []byte
+	dec     wire.DecodeScratch
+	expect  bitset.Set
 
 	// The backing stores reserve carves the arenas above from, kept so
 	// that a Runner's next run carves them again instead of allocating.
@@ -202,7 +200,7 @@ type runner struct {
 // from an earlier run are never observed.
 func (r *runner) reserve(scAll hypercube.Subcube) {
 	slots, m := scAll.Size(), r.m
-	if need := 2*slots*m + 8*m; cap(r.keyArena) < need {
+	if need := 2*slots*m + 6*m; cap(r.keyArena) < need {
 		r.keyArena = make([]int64, need)
 	}
 	if cap(r.blockArena) < 2*slots {
@@ -222,8 +220,7 @@ func (r *runner) reserve(scAll hypercube.Subcube) {
 		v.slotDig = digs[i*slots : (i+1)*slots : (i+1)*slots]
 		v.reset(scAll, m)
 	}
-	r.bufs[0], r.bufs[1] = carve(2 * m)[:0], carve(2 * m)[:0]
-	r.keyStage, r.msCheck = carve(2 * m)[:0], carve(2 * m)[:0]
+	r.bufs[0], r.bufs[1], r.msCheck = carve(2 * m)[:0], carve(2 * m)[:0], carve(2 * m)[:0]
 }
 
 // nextBuf flips to the merge-split buffer NOT holding the node's
@@ -369,7 +366,7 @@ func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 	if !hypercube.Active(id, j) {
 		// Passive side: send our block and current view, then adopt the
 		// returned half after validating the merge-split.
-		if err := r.sendParts(j, s, mine); err != nil {
+		if err := r.sendParts(j, s, mine, nil); err != nil {
 			return nil, err
 		}
 		return r.passiveReply(mine, s, j, partner, ascending)
@@ -434,8 +431,7 @@ func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 	if !ascending {
 		keep, give = hi, lo
 	}
-	r.keyStage = append(append(r.keyStage[:0], keep...), give...)
-	if err := r.sendParts(j, s, r.keyStage); err != nil {
+	if err := r.sendParts(j, s, keep, give); err != nil {
 		return nil, err
 	}
 	return keep, nil

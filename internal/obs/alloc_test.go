@@ -2,7 +2,6 @@ package obs
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -26,8 +25,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"gauge-set", func() { reg.Gauge("alloc_g", "").Set(7) }},
 		{"histogram-observe", func() { h.Observe(123456) }},
 		{"record-message", func() { m.RecordMessage(wire.KindFTExchange, 96) }},
-		{"journal-append", func() { o.J.Append(Event{Kind: EvAttemptBegin, Node: 1}) }},
-		{"journal-reset", func() { o.J.Append(Event{Kind: EvAttemptBegin, Node: 1}); o.J.Reset() }},
+		{"journal-append", func() { o.J.Append(Event{Kind: EvSpanBegin, Label: "job", Node: 1}) }},
 		{"stage-end", func() { o.StageEnd(300) }},
 		{"round-end", func() { o.RoundEnd() }},
 		{"phi-check", func() { o.PhiCheck(PhiC, true) }},
@@ -35,9 +33,6 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"digest-slow-scan", func() { o.DigestSlowScan() }},
 		{"accusation", func() { o.Accusation() }},
 		{"merge-compares", func() { o.MergeCompares(31) }},
-		{"attempt-span", func() { o.AttemptBegin(1, 3); o.AttemptEnd(1, 3, 500, true) }},
-		{"quarantine", func() { o.Quarantine(4, 1) }},
-		{"backoff", func() { o.Backoff(time.Millisecond) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,7 +51,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	j := NewJournal(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Append(Event{Kind: EvAttemptBegin, Node: 1, Stage: 2, Iter: 3, VTicks: int64(i)})
+		j.Append(Event{Kind: EvSpanBegin, Label: "job", Node: 1, Stage: -1, Iter: -1, Aux: int64(i)})
 	}
 }
 

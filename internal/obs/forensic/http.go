@@ -7,7 +7,7 @@ import (
 )
 
 // Handler serves the flight's forensic dumps over HTTP, mounted next
-// to the obs /metrics and /debug/journal endpoints:
+// to the obs /metrics endpoint:
 //
 //	/debug/forensic            — all reports as a JSON array
 //	/debug/forensic?latest=1   — the most recent report only

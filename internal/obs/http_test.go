@@ -10,7 +10,7 @@ import (
 )
 
 func TestHandlerMetricsText(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry(), NewJournal(8)))
+	srv := httptest.NewServer(Handler(goldenRegistry()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -34,7 +34,7 @@ func TestHandlerMetricsText(t *testing.T) {
 }
 
 func TestHandlerMetricsJSON(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry(), nil))
+	srv := httptest.NewServer(Handler(goldenRegistry()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics?json=1")
 	if err != nil {
@@ -52,8 +52,8 @@ func TestHandlerMetricsJSON(t *testing.T) {
 
 func TestHandlerJournal(t *testing.T) {
 	j := NewJournal(8)
-	j.Append(Event{Kind: EvAttemptEnd, Label: "attempt", Node: -1, Pass: true})
-	srv := httptest.NewServer(Handler(nil, j))
+	j.Append(Event{Kind: EvSpanEnd, Label: "job", Node: 3, Pass: true})
+	srv := httptest.NewServer(j)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/journal")
 	if err != nil {
@@ -71,13 +71,13 @@ func TestHandlerJournal(t *testing.T) {
 	if got.Total != 1 || len(got.Events) != 1 {
 		t.Fatalf("journal response %+v", got)
 	}
-	if got.Events[0].Kind != EvAttemptEnd || got.Events[0].Label != "attempt" || !got.Events[0].Pass {
+	if got.Events[0].Kind != EvSpanEnd || got.Events[0].Label != "job" || !got.Events[0].Pass {
 		t.Fatalf("event %+v", got.Events[0])
 	}
 }
 
 func TestServeBindsAndServes(t *testing.T) {
-	addr, err := Serve("127.0.0.1:0", goldenRegistry(), NewJournal(8))
+	addr, err := Serve("127.0.0.1:0", goldenRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,5 +89,15 @@ func TestServeBindsAndServes(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(body), "sort_msgs_total") {
 		t.Fatalf("served metrics missing expected counter:\n%s", body)
+	}
+	// Serve exposes the registry only; a journal is served where its
+	// owner mounts it.
+	resp, err = http.Get("http://" + addr + "/debug/journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/journal: status %d, want 404", resp.StatusCode)
 	}
 }

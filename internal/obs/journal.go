@@ -6,18 +6,16 @@ import (
 )
 
 // DefaultJournalCap is the journal capacity used when callers pass a
-// non-positive capacity. A supervised sort journals two events per
-// attempt plus one per backoff wait, quarantine and substitution, so
-// one sort's timeline fills a small fraction of it.
+// non-positive capacity: sortserver's journal keeps the spans of its
+// last 2,048 jobs, two events each.
 const DefaultJournalCap = 4096
 
-// Journal is a bounded ring buffer of supervisor and service Events:
-// recovery attempts, backoff waits, quarantines, substitutions and job
-// spans. Node protocol events are recorded in the flight rings of
-// package forensic instead. Appending is allocation-free: the ring is
-// preallocated and events are fixed-size structs copied by value; once
-// full, the oldest events are overwritten (Dropped counts them). Safe
-// for concurrent use.
+// Journal is a bounded ring buffer of the service's job spans. Node
+// protocol events are recorded in the flight rings of package
+// forensic, and a supervision's attempts in its recovery.Report.
+// Appending is allocation-free: the ring is preallocated and events
+// are fixed-size structs copied by value; once full, the oldest events
+// are overwritten (Dropped counts them). Safe for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
 	ring    []Event
@@ -56,20 +54,6 @@ func (j *Journal) Append(ev Event) {
 		j.dropped++
 		j.dropCtr.Inc()
 	}
-	j.mu.Unlock()
-}
-
-// Reset empties the journal for reuse: Len, Total and Dropped restart
-// from zero and the ring keeps its capacity. It clears no memory, so
-// it costs the same however many events the journal held. Any
-// dropped-counter binding stays attached.
-func (j *Journal) Reset() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.ring = j.ring[:0]
-	j.next, j.dropped = 0, 0
 	j.mu.Unlock()
 }
 

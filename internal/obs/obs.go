@@ -11,9 +11,10 @@
 // histogrammed, without perturbing the quantities the paper measures.
 // Each node protocol event itself — a Φ evaluation with its verdict
 // and view digest, an accusation — is recorded once, in the node's
-// flight-recorder ring (package forensic). The journal keeps what no
-// ring records: the recovery supervisor's timeline and the service's
-// job spans.
+// flight-recorder ring (package forensic), and each supervision once,
+// in its recovery.Report, which adds itself to the recovery counters
+// when the supervision ends. The journal keeps what neither records:
+// the service's job spans.
 //
 // Design constraints, in order:
 //
@@ -28,23 +29,22 @@
 //     series (vticks, vcomm, vcomp, msgs, wirebytes) is bit-identical
 //     with and without an Observer attached.
 //  3. Everything is injectable. Registries, journals, and observers
-//     are plain values; Default()/DefaultMetrics() provide the
-//     process-wide instance the commands serve over HTTP, but tests
-//     and libraries can build private ones.
+//     are plain values; DefaultRegistry()/DefaultMetrics() provide the
+//     process-wide instance the transports count into when nothing is
+//     injected, but tests and libraries can build private ones.
 //
 // The pieces:
 //
 //   - Registry (registry.go): named counters, gauges, and fixed-bucket
 //     histograms, exported as Prometheus text and JSON (export.go).
-//   - Journal (journal.go): a bounded ring buffer of supervisor and
-//     service Events.
+//   - Journal (journal.go): a bounded ring buffer of the service's job
+//     spans.
 //   - Observer (observer.go): the façade protocol code records
 //     through — counters for stages, rounds, Φ checks and accusations,
-//     the stage-cost histogram, and recovery attempts, quarantines,
-//     substitutions and backoff waits, which it also journals. All
-//     methods are nil-receiver safe, so un-instrumented runs pay a
-//     single predictable branch.
-//   - Handler/Serve (http.go): /metrics and /debug/journal.
+//     and the stage-cost histogram. All methods are nil-receiver safe,
+//     so un-instrumented runs pay a single predictable branch.
+//   - Handler/Serve (http.go): /metrics, and Journal's own handler for
+//     /debug/journal.
 package obs
 
 import (
@@ -80,7 +80,7 @@ func (p Phi) String() string {
 
 // EventKind discriminates journal events. The values are part of
 // /debug/journal's output, which serializes kind as a number, so they
-// stay fixed; 0 to 6 name no kind.
+// stay fixed; 0 to 6 and 9 upward name no kind.
 type EventKind uint8
 
 const (
@@ -88,32 +88,12 @@ const (
 	// schedule (the service's job spans).
 	EvSpanBegin EventKind = iota + 7
 	EvSpanEnd
-	// EvAttemptBegin/EvAttemptEnd bracket one recovery attempt
-	// (Stage = attempt index, Iter = cube dimension; on end Aux = the
-	// attempt's virtual-time cost and Pass = verified).
-	EvAttemptBegin
-	EvAttemptEnd
-	// EvQuarantine records a persistent suspect being dropped
-	// (Node = physical label, Stage = attempt index).
-	EvQuarantine
-	// EvBackoff records a between-attempt wait (Aux = nanoseconds).
-	EvBackoff
-	// EvSubstitution records a spare node being activated at a
-	// quarantined suspect's logical slot, preserving the cube dimension
-	// (Node = suspect physical label, Aux = spare physical label,
-	// Stage = attempt index).
-	EvSubstitution
 )
 
 // eventKindNames is indexed by EventKind.
 var eventKindNames = [...]string{
-	EvSpanBegin:    "span-begin",
-	EvSpanEnd:      "span-end",
-	EvAttemptBegin: "attempt-begin",
-	EvAttemptEnd:   "attempt-end",
-	EvQuarantine:   "quarantine",
-	EvBackoff:      "backoff",
-	EvSubstitution: "substitution",
+	EvSpanBegin: "span-begin",
+	EvSpanEnd:   "span-end",
 }
 
 // String returns the kind's kebab-case name.
@@ -132,24 +112,22 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the event.
 	Kind EventKind `json:"kind"`
-	// Label names the span ("job", "attempt"). Always a constant
-	// string, so assigning it allocates nothing.
+	// Label names the span ("job"). Always a constant string, so
+	// assigning it allocates nothing.
 	Label string `json:"label,omitempty"`
-	// Node is the node the event concerns (-1 for the supervisor
-	// itself).
+	// Node is what the span concerns: a job span's job ID (mod 2^31).
 	Node int32 `json:"node"`
-	// Stage and Iter carry the attempt index and cube dimension of
-	// recovery events. -1 when not applicable.
+	// Stage and Iter are -1 on job spans.
 	Stage int32 `json:"stage"`
 	Iter  int32 `json:"iter"`
-	// Pass is the verdict for EvAttemptEnd and a job's EvSpanEnd.
+	// Pass is the verdict of a job's EvSpanEnd.
 	Pass bool `json:"pass,omitempty"`
 	// VTicks is the producer's virtual clock when the event fired.
 	VTicks int64 `json:"vticks"`
 	// Wall is the wall-clock time in Unix nanoseconds, stamped at
 	// append.
 	Wall int64 `json:"wall"`
-	// Aux is a kind-specific scalar: attempt cost for EvAttemptEnd,
-	// nanoseconds for EvBackoff, spare label for EvSubstitution.
+	// Aux is a kind-specific scalar: a job's key count on its
+	// EvSpanBegin, its run milliseconds on its EvSpanEnd.
 	Aux int64 `json:"aux,omitempty"`
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -52,7 +51,8 @@ type Metrics struct {
 	StageVTicks *Histogram
 
 	// RecoveryAttempts..RecoveryBackoffNanos are the supervisor's
-	// telemetry: total attempts, retries (attempts after the first),
+	// telemetry, which a finished supervision's recovery.Report adds
+	// once: total attempts, retries (attempts after the first),
 	// verified completions, quarantines, spare substitutions (the
 	// subset of quarantines repaired at full dimension), the virtual
 	// time burned by failed attempts (the ROADMAP's recovery-cost
@@ -136,8 +136,6 @@ func (m *Metrics) RecordMessage(kind wire.Kind, bytes int) {
 var (
 	defaultMetricsOnce sync.Once
 	defaultMetrics     *Metrics
-	defaultObsOnce     sync.Once
-	defaultObs         *Observer
 )
 
 // DefaultMetrics returns the process-wide Metrics bundle, registered
@@ -148,29 +146,19 @@ func DefaultMetrics() *Metrics {
 	return defaultMetrics
 }
 
-// Default returns the process-wide Observer: DefaultMetrics plus a
-// DefaultJournalCap journal, on DefaultRegistry. This is what the
-// commands' -obs.listen endpoint serves.
-func Default() *Observer {
-	defaultObsOnce.Do(func() {
-		defaultObs = &Observer{M: DefaultMetrics(), J: NewJournal(DefaultJournalCap)}
-		defaultObs.J.BindDroppedCounter(defaultObs.M.JournalDropped)
-	})
-	return defaultObs
-}
-
-// Observer is the façade protocol code records through: metrics and
-// the recovery supervisor's journal. Node protocol events only bump
-// counters here; the events themselves are recorded once, in each
-// node's flight ring (package forensic). A single Observer is shared
-// by every node of a run (its parts are concurrency-safe). All methods
-// are nil-receiver safe so un-instrumented call sites pay one branch
-// and nothing else.
+// Observer is the façade protocol code records through. Node
+// protocol events only bump counters here; the events themselves are
+// recorded once, in each node's flight ring (package forensic), and a
+// supervision's attempts once, in its recovery.Report. A single
+// Observer is shared by every node of a run (its parts are
+// concurrency-safe). All methods are nil-receiver safe so
+// un-instrumented call sites pay one branch and nothing else.
 type Observer struct {
 	// M receives counters and histograms; nil disables metrics.
 	M *Metrics
-	// J receives the supervisor's attempt, backoff, quarantine and
-	// substitution events; nil disables the journal.
+	// J is the journal of the service that owns the observer, which
+	// appends its job spans there; no protocol or supervisor code
+	// writes it.
 	J *Journal
 }
 
@@ -180,14 +168,6 @@ func New(reg *Registry, journalCap int) *Observer {
 	o := &Observer{M: NewMetrics(reg), J: NewJournal(journalCap)}
 	o.J.BindDroppedCounter(o.M.JournalDropped)
 	return o
-}
-
-// Journal returns the observer's journal (nil for a nil observer).
-func (o *Observer) Journal() *Journal {
-	if o == nil {
-		return nil
-	}
-	return o.J
 }
 
 // Metrics returns the observer's metrics bundle (nil for a nil
@@ -269,79 +249,4 @@ func (o *Observer) DigestSlowScan() {
 		return
 	}
 	o.M.DigestSlowScans.Inc()
-}
-
-// AttemptBegin records the start of recovery attempt attempt on a
-// cube of dimension dim.
-func (o *Observer) AttemptBegin(attempt, dim int) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		o.M.RecoveryAttempts.Inc()
-		if attempt > 0 {
-			o.M.RecoveryRetries.Inc()
-		}
-	}
-	o.J.Append(Event{Kind: EvAttemptBegin, Label: "attempt",
-		Node: -1, Stage: int32(attempt), Iter: int32(dim)})
-}
-
-// AttemptEnd records the outcome of a recovery attempt: its
-// virtual-time cost and whether it produced a verified result. Failed
-// attempts accumulate into the wasted-vticks counter.
-func (o *Observer) AttemptEnd(attempt, dim int, costVT int64, verified bool) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		if verified {
-			o.M.RecoveryVerified.Inc()
-		} else {
-			o.M.RecoveryWastedVTicks.Add(costVT)
-		}
-	}
-	o.J.Append(Event{Kind: EvAttemptEnd, Label: "attempt",
-		Node: -1, Stage: int32(attempt), Iter: int32(dim),
-		Pass: verified, VTicks: costVT, Aux: costVT})
-}
-
-// Quarantine records physical node node being dropped after attempt
-// attempt.
-func (o *Observer) Quarantine(node, attempt int) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		o.M.RecoveryQuarantines.Inc()
-	}
-	o.J.Append(Event{Kind: EvQuarantine,
-		Node: int32(node), Stage: int32(attempt), Iter: -1})
-}
-
-// Substitution records spare taking over the logical slot of the
-// quarantined physical node suspect after attempt attempt, preserving
-// the full cube dimension. Emitted alongside Quarantine: every
-// substitution is a quarantine, but not every quarantine finds a
-// spare.
-func (o *Observer) Substitution(suspect, spare, attempt int) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		o.M.RecoverySubstitutions.Inc()
-	}
-	o.J.Append(Event{Kind: EvSubstitution,
-		Node: int32(suspect), Stage: int32(attempt), Iter: -1, Aux: int64(spare)})
-}
-
-// Backoff records a between-attempt wait.
-func (o *Observer) Backoff(d time.Duration) {
-	if o == nil {
-		return
-	}
-	if o.M != nil {
-		o.M.RecoveryBackoffNanos.Add(int64(d))
-	}
-	o.J.Append(Event{Kind: EvBackoff, Node: -1, Stage: -1, Iter: -1, Aux: int64(d)})
 }

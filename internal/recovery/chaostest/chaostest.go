@@ -367,7 +367,7 @@ func TCPNetwork(cfg reliablesort.NetConfig) (transport.Network, error) {
 // concurrent scenarios.
 func Run(sc Scenario, tr Transport) Result {
 	keys := Workload(sc)
-	o := obs.New(obs.NewRegistry(), 256)
+	o := &obs.Observer{M: obs.NewMetrics(obs.NewRegistry())}
 	flight := forensic.New(0)
 	opts := reliablesort.Options{
 		Dim:         sc.Dim,
@@ -401,20 +401,10 @@ func Check(sc Scenario, r Result) error {
 		if len(ex.Attempts) != sc.MaxAttempts {
 			return fmt.Errorf("ExhaustedError with %d attempts, budget was %d", len(ex.Attempts), sc.MaxAttempts)
 		}
-		rep := &recovery.Report{
-			Attempts:      ex.Attempts,
-			FinalDim:      ex.Attempts[len(ex.Attempts)-1].Dim,
-			Quarantined:   ex.Quarantined,
-			Substitutions: ex.Substitutions,
-		}
-		for _, a := range ex.Attempts {
-			rep.WastedCost += a.Cost
-			rep.TotalBackoff += a.Backoff
-		}
-		if err := VerifyReport(rep, r.Obs.Metrics()); err != nil {
+		if err := VerifyReport(ex.Report, r.Obs.Metrics()); err != nil {
 			return err
 		}
-		return checkAttemptHistory(sc, rep)
+		return checkAttemptHistory(sc, ex.Report)
 	}
 
 	if err := checkSorted(r.In, r.Out); err != nil {
@@ -563,9 +553,9 @@ func checkAttemptHistory(sc Scenario, rep *recovery.Report) error {
 //     relabeling that reflects the previous attempt's repair.
 //
 // When m is non-nil it must be the run's private metrics bundle; the
-// report is additionally cross-checked against the observability
-// series the supervisor emitted — TotalBackoff against the backoff
-// counter, WastedCost against the wasted-vticks counter, and the
+// report is additionally cross-checked against the recovery series
+// Sort counted from it — TotalBackoff against the backoff counter,
+// WastedCost against the wasted-vticks counter, and the
 // attempt/quarantine/substitution counts against theirs — so a drift
 // between the Report and the obs layer fails every chaos run.
 func VerifyReport(rep *recovery.Report, m *obs.Metrics) error {

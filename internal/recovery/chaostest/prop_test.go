@@ -32,7 +32,7 @@ func scriptedRunner(rng *rand.Rand, failBias float64) recovery.Runner {
 			out.HostErrors = accuseLogical(rng.Intn(len(p.Physical)))
 		default:
 			// Sticky accusation: the same logical slot accused again
-			// and again, the pattern that trips PersistStreak.
+			// and again, the pattern that trips the persistence streak.
 			if stickySuspect < 0 || stickySuspect >= len(p.Physical) {
 				stickySuspect = rng.Intn(len(p.Physical))
 			}
@@ -66,7 +66,6 @@ func TestReportSelfConsistencyProperty(t *testing.T) {
 		spares := spareLabels(dim, rng.Intn(4))
 		pol := recovery.Policy{
 			MaxAttempts: 1 + rng.Intn(8),
-			MinDim:      1,
 			Spares:      spares,
 			Seed:        rng.Int63() | 1,
 			Sleep:       func(time.Duration) {},
@@ -80,16 +79,7 @@ func TestReportSelfConsistencyProperty(t *testing.T) {
 			if !errors.As(err, &ex) {
 				t.Fatalf("run %d (seed %d): unstructured error: %v", i, runSeed, err)
 			}
-			rep = &recovery.Report{
-				Attempts:      ex.Attempts,
-				FinalDim:      ex.Attempts[len(ex.Attempts)-1].Dim,
-				Quarantined:   ex.Quarantined,
-				Substitutions: ex.Substitutions,
-			}
-			for _, a := range ex.Attempts {
-				rep.WastedCost += a.Cost
-				rep.TotalBackoff += a.Backoff
-			}
+			rep = ex.Report
 		}
 		if err := VerifyReport(rep, nil); err != nil {
 			t.Fatalf("run %d (seed %d, dim %d, spares %d): %v\nattempts: %+v",
@@ -98,10 +88,11 @@ func TestReportSelfConsistencyProperty(t *testing.T) {
 		if len(rep.Attempts) > pol.MaxAttempts {
 			t.Fatalf("run %d: %d attempts exceed budget %d", i, len(rep.Attempts), pol.MaxAttempts)
 		}
-		// The dimension floor holds in every trajectory.
+		// The supervisor's dimension floor, 1, holds in every
+		// trajectory.
 		for _, a := range rep.Attempts {
-			if a.Dim < pol.MinDim {
-				t.Fatalf("run %d: attempt %d ran below MinDim: %d < %d", i, a.Index, a.Dim, pol.MinDim)
+			if a.Dim < 1 {
+				t.Fatalf("run %d: attempt %d ran below the floor: dim %d", i, a.Index, a.Dim)
 			}
 		}
 		// Spares are consumed at most once each, in pool order.

@@ -16,7 +16,7 @@ import (
 func FuzzRemap(f *testing.F) {
 	f.Add(3, 5, 1, 2, int64(11), false)
 	f.Add(3, 0, 1, 0, int64(7), false)  // dry pool: shrink
-	f.Add(1, 1, 1, 0, int64(3), false)  // at the MinDim floor: no action
+	f.Add(1, 1, 1, 0, int64(3), false)  // at the dimension floor: no action
 	f.Add(0, 0, 0, 0, int64(1), false)  // dim 0: must refuse to shrink
 	f.Add(0, 0, 0, 1, int64(1), false)  // dim 0 with a spare: substitution ok
 	f.Add(2, 7, 1, 3, int64(9), true)   // corrupted map length: reject

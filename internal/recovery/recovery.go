@@ -19,9 +19,11 @@
 // environment's reliable checkpoint), so every attempt restarts from
 // scratch; no partial distributed state is ever trusted. When the
 // attempt budget is spent the supervisor escalates with an
-// ExhaustedError carrying the full attempt history — it never returns
+// ExhaustedError carrying the supervision's Report — it never returns
 // an unverified result, preserving the fail-stop contract one layer
-// up.
+// up. The Report is the supervision's only record: the supervisor
+// journals nothing, and a caller adds the finished Report to its
+// recovery counters with Count.
 package recovery
 
 import (
@@ -39,6 +41,15 @@ import (
 
 // NoNode marks "no node" in quarantine fields.
 const NoNode = -1
+
+// persistStreak is how many consecutive attempts must accuse the same
+// prime suspect before the fault is judged persistent and the suspect
+// quarantined: one retry proves the episode was not transient.
+const persistStreak = 2
+
+// dimFloor is the smallest cube dimension quarantine may shrink to: a
+// pair of nodes, since dimension 0 cannot cross-check.
+const dimFloor = 1
 
 // Backoff configures the capped exponential backoff (with equal
 // jitter) applied before every attempt after the first. The zero value
@@ -97,14 +108,6 @@ type Policy struct {
 	MaxAttempts int
 	// Backoff shapes the waits between attempts.
 	Backoff Backoff
-	// PersistStreak is how many consecutive attempts must accuse the
-	// same prime suspect before the fault is judged persistent and the
-	// suspect quarantined. Default 2 (one retry proves the episode was
-	// not transient).
-	PersistStreak int
-	// MinDim is the smallest cube dimension quarantine may shrink to.
-	// Default 1 (a pair of nodes; dimension 0 cannot cross-check).
-	MinDim int
 	// Spares is the pool of spare physical node labels, consumed in
 	// order. While the pool lasts, a quarantine substitutes the next
 	// spare at the suspect's logical slot instead of shrinking the
@@ -118,10 +121,6 @@ type Policy struct {
 	// Sleep replaces time.Sleep between attempts; tests inject a no-op
 	// or a recorder. Nil means real sleeping.
 	Sleep func(time.Duration)
-	// Obs, when non-nil, receives attempt begin/end events (failed
-	// attempts accumulate their virtual-time cost into the wasted-vticks
-	// counter), quarantine decisions, and backoff waits.
-	Obs *obs.Observer
 	// Flight, when non-nil, receives a supervisor-level forensic dump on
 	// every quarantine decision: the Quarantine event lands on the host
 	// ring and the resulting report names the culprit. Share the Flight
@@ -135,14 +134,6 @@ func (p Policy) withDefaults() Policy {
 		p.MaxAttempts = 4
 	}
 	p.Backoff = p.Backoff.withDefaults()
-	if p.PersistStreak <= 0 {
-		p.PersistStreak = 2
-	}
-	if p.MinDim < 0 {
-		p.MinDim = 0
-	} else if p.MinDim == 0 {
-		p.MinDim = 1
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -253,17 +244,33 @@ type Report struct {
 	TotalBackoff time.Duration
 }
 
+// Count adds the finished supervision to m's recovery counters: its
+// attempts, the retries among them, a verified result, its
+// quarantines and substitutions, the virtual time its failed attempts
+// burned and its backoff waits. Call it once per supervision, verified
+// or exhausted. Nil-safe on both sides.
+func (r *Report) Count(m *obs.Metrics) {
+	if r == nil || m == nil {
+		return
+	}
+	n := len(r.Attempts)
+	m.RecoveryAttempts.Add(int64(n))
+	m.RecoveryRetries.Add(int64(n - 1))
+	if n > 0 && r.Attempts[n-1].Verified {
+		m.RecoveryVerified.Inc()
+	}
+	m.RecoveryQuarantines.Add(int64(len(r.Quarantined)))
+	m.RecoverySubstitutions.Add(int64(len(r.Substitutions)))
+	m.RecoveryWastedVTicks.Add(r.WastedCost)
+	m.RecoveryBackoffNanos.Add(int64(r.TotalBackoff))
+}
+
 // ExhaustedError escalates a supervision that spent its budget without
-// a verified result. It carries the full attempt history so the
-// operator inherits every diagnosis the supervisor made.
+// a verified result. It carries the supervision's Report, so the
+// operator inherits every diagnosis the supervisor made and knows
+// which spares were consumed in vain.
 type ExhaustedError struct {
-	// Attempts is the full per-attempt history.
-	Attempts []Attempt
-	// Quarantined lists the physical nodes dropped along the way.
-	Quarantined []int
-	// Substitutions lists the spare activations performed along the
-	// way, so the operator knows which spares were consumed in vain.
-	Substitutions []Substitution
+	*Report
 }
 
 // Error implements the error interface.
@@ -300,9 +307,10 @@ func (e *ExhaustedError) lastErr() error {
 
 // Supervise drives runner to a verified result on a cube of dimension
 // dim. It returns the telemetry report on success and an
-// *ExhaustedError when the attempt budget is spent; any other error is
-// a configuration problem. The supervisor itself never sees result
-// data, so it structurally cannot return an unverified answer.
+// *ExhaustedError carrying it when the attempt budget is spent; any
+// other error is a configuration problem. The supervisor itself never
+// sees result data, so it structurally cannot return an unverified
+// answer.
 func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 	if runner == nil {
 		return nil, fmt.Errorf("recovery: nil runner")
@@ -334,7 +342,6 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 			wait = pol.Backoff.wait(attempt, rng)
 			pol.Sleep(wait)
 			rep.TotalBackoff += wait
-			pol.Obs.Backoff(wait)
 		}
 		plan := Plan{
 			Attempt:  attempt,
@@ -342,9 +349,7 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 			Physical: append([]int(nil), physical...),
 			Spares:   append([]int(nil), spares...),
 		}
-		pol.Obs.AttemptBegin(attempt, dim)
 		out := runner(plan)
-		pol.Obs.AttemptEnd(attempt, dim, out.Cost, out.Err == nil)
 		att := Attempt{
 			Index:       attempt,
 			Dim:         dim,
@@ -369,21 +374,19 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 		} else {
 			hist.Record(diagnose.NoSuspect)
 		}
-		if culprit, ok := hist.Persistent(pol.PersistStreak); ok {
+		if culprit, ok := hist.Persistent(persistStreak); ok {
 			if logical := logicalOf(physical, culprit); logical >= 0 {
-				newPhys, newSpares, newDim, spare, acted := remap(physical, spares, logical, dim, pol.MinDim)
+				newPhys, newSpares, newDim, spare, acted := remap(physical, spares, logical, dim, dimFloor)
 				if acted {
 					physical, spares, dim = newPhys, newSpares, newDim
 					att.Quarantined = culprit
 					att.Substituted = spare
 					rep.Quarantined = append(rep.Quarantined, culprit)
-					pol.Obs.Quarantine(culprit, attempt)
 					pol.Flight.Quarantine(culprit, attempt,
 						fmt.Sprintf("persistent accusation streak against physical node %d", culprit))
 					if spare != NoNode {
 						rep.Substitutions = append(rep.Substitutions,
 							Substitution{Suspect: culprit, Spare: spare, Attempt: attempt})
-						pol.Obs.Substitution(culprit, spare, attempt)
 					}
 					// The suspect is gone; accusations against it must not
 					// condemn whoever inherits its traffic pattern.
@@ -393,11 +396,7 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 		}
 		rep.Attempts = append(rep.Attempts, att)
 	}
-	return nil, &ExhaustedError{
-		Attempts:      rep.Attempts,
-		Quarantined:   rep.Quarantined,
-		Substitutions: rep.Substitutions,
-	}
+	return nil, &ExhaustedError{rep}
 }
 
 // validateSpares rejects spare pools the substitution policy cannot

@@ -88,23 +88,24 @@ func TestSuperviseTransientRetries(t *testing.T) {
 	}
 }
 
-// TestSuperviseObservability checks the metric family the supervisor
-// feeds: a persistent fault supervised to a degraded verified result
-// must account every attempt, retry, quarantine, wasted tick, and
-// backoff wait.
+// TestSuperviseObservability checks the metric family a supervision
+// feeds: a persistent fault supervised to a degraded verified result,
+// counted once from its Report, must account every attempt, retry,
+// quarantine, wasted tick, and backoff wait; an exhausted one counts
+// its attempts but no verified result.
 func TestSuperviseObservability(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), 64)
+	m := obs.NewMetrics(obs.NewRegistry())
 	var waits []time.Duration
-	_, err := Supervise(3, func(p Plan) Outcome {
+	rep, err := Supervise(3, func(p Plan) Outcome {
 		if p.Attempt < 2 {
 			return Outcome{HostErrors: accuse(5), Cost: 70, Err: errors.New("fault detected")}
 		}
 		return Outcome{Cost: 80}
-	}, Policy{Sleep: noSleep(&waits), Obs: o})
+	}, Policy{Sleep: noSleep(&waits)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := o.Metrics()
+	rep.Count(m)
 	if got := m.RecoveryAttempts.Value(); got != 3 {
 		t.Errorf("attempts counter = %d, want 3", got)
 	}
@@ -127,10 +128,21 @@ func TestSuperviseObservability(t *testing.T) {
 	if got := m.RecoveryBackoffNanos.Value(); got != int64(total) {
 		t.Errorf("backoff nanos counter = %d, slept %d", got, int64(total))
 	}
-	// 3 attempt begin/end pairs + 1 quarantine + 2 backoffs.
-	if got := o.Journal().Total(); got != 9 {
-		t.Errorf("journal events = %d, want 9", got)
+
+	_, err = Supervise(2, func(p Plan) Outcome {
+		return Outcome{Cost: 10, Err: errors.New("fault detected")}
+	}, Policy{MaxAttempts: 2, Sleep: noSleep(&waits)})
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("err = %v", err)
 	}
+	ex.Count(m)
+	if a, v, w := m.RecoveryAttempts.Value(), m.RecoveryVerified.Value(), m.RecoveryWastedVTicks.Value(); a != 5 || v != 1 || w != 160 {
+		t.Errorf("after an exhausted supervision attempts/verified/wasted = %d/%d/%d, want 5/1/160", a, v, w)
+	}
+	// Count is nil-safe on both sides.
+	(*Report)(nil).Count(m)
+	rep.Count(nil)
 }
 
 // A fault that follows physical node 5 across attempts is judged
@@ -248,10 +260,10 @@ func TestSuperviseRespectsMinDim(t *testing.T) {
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v", err)
 	}
-	// Persistent at dim 1 == MinDim: nothing to shrink to, so the
-	// supervisor retries until the budget runs out.
+	// Persistent at dim 1, the quarantine floor: nothing to shrink to,
+	// so the supervisor retries until the budget runs out.
 	if len(ex.Quarantined) != 0 {
-		t.Fatalf("Quarantined = %v below MinDim", ex.Quarantined)
+		t.Fatalf("Quarantined = %v below the dimension floor", ex.Quarantined)
 	}
 	for _, a := range ex.Attempts {
 		if a.Dim != 1 || len(a.Physical) != 2 {
@@ -432,7 +444,7 @@ func TestSuperviseSparePoolConsumedInOrderThenShrinks(t *testing.T) {
 }
 
 // Substitution needs no smaller cube to fall back to, so it works even
-// at the MinDim floor where a shrink would be refused.
+// at the dimension floor where a shrink would be refused.
 func TestSuperviseSubstitutesAtMinDim(t *testing.T) {
 	var waits []time.Duration
 	rep, err := Supervise(1, func(p Plan) Outcome {
@@ -454,35 +466,26 @@ func TestSuperviseSubstitutesAtMinDim(t *testing.T) {
 	}
 }
 
-// With MinDim forced to 0 the cube may shrink to a single node, but
-// never below: a persistent accusation against the last node must
-// surface as a clean ExhaustedError, not a panic from a negative
-// shrink axis.
+// A supervision may start below the dimension floor, on a single
+// node. A persistent accusation against that node must surface as a
+// clean ExhaustedError, not a panic from a negative shrink axis.
 func TestSuperviseDimZeroNeverShrinksBelow(t *testing.T) {
 	var waits []time.Duration
-	_, err := Supervise(1, func(p Plan) Outcome {
-		// Always accuse logical node 0: after the 1→0 shrink the
-		// accusation chases the sole survivor.
+	_, err := Supervise(0, func(p Plan) Outcome {
+		// Always accuse logical node 0, the sole node.
 		return Outcome{HostErrors: accuse(0), Cost: 1, Err: errors.New("fault detected")}
-	}, Policy{MaxAttempts: 6, MinDim: -1, Sleep: noSleep(&waits)})
+	}, Policy{MaxAttempts: 6, Sleep: noSleep(&waits)})
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v", err)
 	}
-	sawDimZero := false
+	if len(ex.Attempts) != 6 || len(ex.Quarantined) != 0 {
+		t.Fatalf("attempts %d, quarantined %v: want 6 attempts and no quarantine", len(ex.Attempts), ex.Quarantined)
+	}
 	for _, a := range ex.Attempts {
-		if a.Dim < 0 || len(a.Physical) != 1<<uint(a.Dim) {
+		if a.Dim != 0 || len(a.Physical) != 1 || a.Quarantined != NoNode {
 			t.Fatalf("attempt = %+v", a)
 		}
-		if a.Dim == 0 {
-			sawDimZero = true
-			if a.Quarantined != NoNode {
-				t.Fatalf("quarantine acted on a dim-0 cube: %+v", a)
-			}
-		}
-	}
-	if !sawDimZero {
-		t.Fatal("supervision never reached dim 0")
 	}
 }
 

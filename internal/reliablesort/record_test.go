@@ -7,16 +7,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
-	"repro/internal/recovery"
 	"repro/internal/wire"
 )
 
-// TestJournalKeepsSupervisorTimeline pins where each event of a sort is
+// TestSortRecordsEachEventOnce pins where each event of a sort is
 // recorded. A node's Φ evaluations and accusations are records in its
-// flight ring, which the observer only counts; the journal keeps the
-// supervisor's timeline: attempts, backoff waits, quarantines and
-// substitutions.
-func TestJournalKeepsSupervisorTimeline(t *testing.T) {
+// flight ring, which the observer only counts; a supervision's
+// attempts, backoff waits, quarantines and substitutions are its
+// Report, which the recovery counters count. Sort journals nothing.
+func TestSortRecordsEachEventOnce(t *testing.T) {
 	// An honest single-shot sort journals nothing but counts every
 	// stage, round and Φ evaluation.
 	o, flight := obs.New(obs.NewRegistry(), 0), forensic.New(0)
@@ -62,26 +61,24 @@ func TestJournalKeepsSupervisorTimeline(t *testing.T) {
 	if rec == nil || len(rec.Substitutions) == 0 {
 		t.Fatalf("persistent fault recovered without a substitution: %+v", rec)
 	}
-	var want []obs.EventKind
-	for _, at := range rec.Attempts {
-		if at.Index > 0 {
-			want = append(want, obs.EvBackoff)
-		}
-		want = append(want, obs.EvAttemptBegin, obs.EvAttemptEnd)
-		if at.Quarantined != recovery.NoNode {
-			want = append(want, obs.EvQuarantine)
-		}
-		if at.Substituted != recovery.NoNode {
-			want = append(want, obs.EvSubstitution)
-		}
+	if n := o.J.Total(); n != 0 {
+		t.Errorf("supervised sort journaled %d events: %+v", n, o.J.Events())
 	}
-	evs := o.J.Events()
-	if len(evs) != len(want) {
-		t.Fatalf("journal holds %d events, want the supervisor's %d: %+v", len(evs), len(want), evs)
-	}
-	for i, ev := range evs {
-		if ev.Kind != want[i] {
-			t.Errorf("journal event %d is %v, want %v", i, ev.Kind, want[i])
+	m = o.M
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"attempts", m.RecoveryAttempts.Value(), int64(len(rec.Attempts))},
+		{"retries", m.RecoveryRetries.Value(), int64(len(rec.Attempts) - 1)},
+		{"verified", m.RecoveryVerified.Value(), 1},
+		{"quarantines", m.RecoveryQuarantines.Value(), int64(len(rec.Quarantined))},
+		{"substitutions", m.RecoverySubstitutions.Value(), int64(len(rec.Substitutions))},
+		{"wasted vticks", m.RecoveryWastedVTicks.Value(), rec.WastedCost},
+		{"backoff nanos", m.RecoveryBackoffNanos.Value(), int64(rec.TotalBackoff)},
+	} {
+		if c.got != c.want {
+			t.Errorf("recovery %s counter = %d, report says %d", c.name, c.got, c.want)
 		}
 	}
 

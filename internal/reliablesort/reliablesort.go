@@ -116,11 +116,12 @@ type Options struct {
 	// Obs, when non-nil, counts every attempt's stages, rounds, Φ
 	// evaluations, merge compares and accusations; message and byte
 	// counters flow to the metrics registry backing Obs.M. Under
-	// AutoRecover its journal records the supervisor's timeline:
-	// attempts, backoff waits, quarantines and substitutions. A
-	// single-shot sort journals nothing; each Φ evaluation and
-	// accusation is a record in Flight. Recording never charges virtual
-	// time, so instrumented runs cost the same ticks as bare ones.
+	// AutoRecover the finished supervision's Report adds its attempts,
+	// backoff waits, quarantines and substitutions to Obs.M's recovery
+	// counters once, whether it verified or was exhausted. Sort
+	// journals nothing; each Φ evaluation and accusation is a record in
+	// Flight. Recording never charges virtual time, so instrumented
+	// runs cost the same ticks as bare ones.
 	Obs *obs.Observer
 	// Flight, when non-nil, attaches causal flight recording to every
 	// attempt: the transport stamps each message with a trace trailer,
@@ -280,24 +281,29 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 		return recovery.Outcome{HostErrors: hostErrs, Cost: at.makespan, Err: err}
 	}
 	rep, err := recovery.Supervise(dim, runner, recovery.Policy{
-		MaxAttempts:   opts.MaxAttempts,
-		Backoff:       opts.Backoff,
-		Spares:        spareLabels(dim, opts.Spares),
-		Seed:          opts.Seed,
-		Sleep:         opts.Sleep,
-		PersistStreak: 2,
-		Obs:           opts.Obs,
-		Flight:        opts.Flight,
+		MaxAttempts: opts.MaxAttempts,
+		Backoff:     opts.Backoff,
+		Spares:      spareLabels(dim, opts.Spares),
+		Seed:        opts.Seed,
+		Sleep:       opts.Sleep,
+		Flight:      opts.Flight,
 	})
 	if err != nil {
+		// Declared here, not above: the errors.As target escapes, and a
+		// verified sort should not pay its allocation.
 		var ex *recovery.ExhaustedError
 		if errors.As(err, &ex) {
-			stats.Attempts = len(ex.Attempts)
+			rep = ex.Report
 		}
+	}
+	rep.Count(opts.Obs.Metrics())
+	if rep != nil {
+		stats.Attempts = len(rep.Attempts)
+	}
+	if err != nil {
 		return nil, stats, fmt.Errorf("reliablesort: %w", err)
 	}
 	stats.fromAttempt(okStats)
-	stats.Attempts = len(rep.Attempts)
 	stats.Recovery = rep
 	return finish(result, len(keys), opts.Descending), stats, nil
 }

@@ -105,8 +105,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	mux.Handle("GET /metrics", obs.Handler(s.reg, s.obs.J))
-	mux.Handle("GET /debug/journal", obs.Handler(s.reg, s.obs.J))
+	mux.Handle("GET /metrics", obs.Handler(s.reg))
+	mux.Handle("GET /debug/journal", s.obs.J)
 	return mux
 }
 

@@ -3,10 +3,10 @@
 // concurrent sort jobs, runs each through reliablesort.Sort with
 // AutoRecover and spares on a pre-warmed pooled transport, and returns
 // verified results with per-job statistics and forensics. Each worker
-// records its job's journal events and causal flight records on a
-// journal and a flight recorder it empties before the job, and counts
-// the job's Φ, accusation, recovery and traffic metrics in the fleet
-// registry.
+// records its job's causal flight records on a flight recorder it
+// empties before the job and counts the job's Φ, accusation, recovery
+// and traffic metrics in the fleet registry; the fleet journal keeps
+// each job's span.
 //
 // The paper's contract survives the service boundary intact:
 // verification stays end-to-end *per job* — every job's attempt runs
@@ -104,9 +104,6 @@ type Config struct {
 	Weights map[string]int
 	// MaxKeys bounds a single job's input size; <= 0 means 1<<20.
 	MaxKeys int
-	// MaxDim bounds a job's requested cube dimension; <= 0 means
-	// hypercube.MaxDim.
-	MaxDim int
 	// RecvTimeout bounds absence detection per attempt; 0 means 30s.
 	// On simnet it is only the backstop for a partner that is alive but
 	// silent (see reliablesort.Options.RecvTimeout).
@@ -123,10 +120,6 @@ type Config struct {
 	PoolIdle int
 	// AllowChaos accepts Request.Inject (load generators, chaos tests).
 	AllowChaos bool
-	// Registry receives fleet-wide metrics; nil means a fresh one.
-	Registry *obs.Registry
-	// JournalCap sizes the fleet job-lifecycle journal; <= 0 default.
-	JournalCap int
 	// Sleep replaces the recovery backoff sleep (tests); nil is real.
 	Sleep func(time.Duration)
 }
@@ -173,20 +166,14 @@ func New(cfg Config) *Server {
 	if cfg.MaxKeys <= 0 {
 		cfg.MaxKeys = 1 << 20
 	}
-	if cfg.MaxDim <= 0 {
-		cfg.MaxDim = hypercube.MaxDim
-	}
 	if cfg.RecvTimeout == 0 {
 		cfg.RecvTimeout = 30 * time.Second
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:  cfg,
 		reg:  reg,
-		obs:  obs.New(reg, cfg.JournalCap),
+		obs:  obs.New(reg, 0),
 		pool: NewPool(cfg.NewNetwork, cfg.PoolIdle, reg),
 		sch:  newScheduler(cfg.QueueDepth, cfg.Weights),
 	}
@@ -263,8 +250,8 @@ func (s *Server) validate(req *Request) (func(attempt, dim int, physical []int) 
 	if len(req.Keys) > s.cfg.MaxKeys {
 		return nil, fmt.Errorf("%w: %d keys exceeds limit %d", ErrInvalid, len(req.Keys), s.cfg.MaxKeys)
 	}
-	if req.Dim < 0 || req.Dim > s.cfg.MaxDim {
-		return nil, fmt.Errorf("%w: dim %d outside [0,%d]", ErrInvalid, req.Dim, s.cfg.MaxDim)
+	if req.Dim < 0 || req.Dim > hypercube.MaxDim {
+		return nil, fmt.Errorf("%w: dim %d outside [0,%d]", ErrInvalid, req.Dim, hypercube.MaxDim)
 	}
 	if req.Inject == nil {
 		return nil, nil
@@ -317,15 +304,12 @@ func (s *Server) Submit(req Request) (*Response, error) {
 }
 
 // worker drains the scheduler until close-and-empty. It records every
-// job on one journal and one flight recorder of its own, and counts it
-// in the fleet metrics. A worker runs one job at a time, and Sort joins
-// every node goroutine before it returns, so no writer from one job
-// reaches the next job's recorders. The journal is not bound to
-// obs_journal_dropped_total, which describes the fleet journal that
-// /debug/journal serves.
+// job on one flight recorder of its own, and counts it in the fleet
+// metrics. A worker runs one job at a time, and Sort joins every node
+// goroutine before it returns, so no writer from one job reaches the
+// next job's recorder.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	o := &obs.Observer{M: s.obs.M, J: obs.NewJournal(0)}
 	flight := forensic.New(0)
 	for {
 		j := s.sch.next()
@@ -334,16 +318,17 @@ func (s *Server) worker() {
 		}
 		s.gQueue.Set(int64(s.sch.depthNow()))
 		s.gInflight.Add(1)
-		resp, err := s.runJob(j, o, flight)
+		resp, err := s.runJob(j, flight)
 		s.gInflight.Add(-1)
 		j.done <- jobResult{resp: resp, err: err}
 	}
 }
 
-// runJob executes one job end to end: it empties the worker's journal
-// and flight recorder for the job, then runs it on a pooled transport
-// with AutoRecover and spares and classifies the result.
-func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Response, error) {
+// runJob executes one job end to end: it empties the worker's flight
+// recorder for the job, then runs it on a pooled transport with
+// AutoRecover and spares and counts the result by the class the front
+// ends answer with.
+func (s *Server) runJob(j *job, flight *forensic.Flight) (*Response, error) {
 	started := time.Now()
 	queueMs := started.Sub(j.enqueued).Milliseconds()
 	s.hQueueMs.Observe(queueMs)
@@ -351,7 +336,6 @@ func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Resp
 		Kind: obs.EvSpanBegin, Label: "job", Node: int32(j.id % (1 << 31)),
 		Stage: -1, Iter: -1, Aux: int64(len(j.req.Keys)),
 	})
-	o.J.Reset()
 	flight.Reset()
 
 	opts := reliablesort.Options{
@@ -363,7 +347,7 @@ func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Resp
 		Spares:      s.cfg.Spares,
 		Seed:        int64(j.id),
 		Sleep:       s.cfg.Sleep,
-		Obs:         o,
+		Obs:         s.obs,
 		Flight:      flight,
 		Inject:      j.inject,
 		NewNetwork:  s.pool.Get,
@@ -378,12 +362,10 @@ func (s *Server) runJob(j *job, o *obs.Observer, flight *forensic.Flight) (*Resp
 		Stage: -1, Iter: -1, Pass: verified, Aux: runMs,
 	})
 	if err != nil {
-		var fe *reliablesort.FaultError
-		var ex *recovery.ExhaustedError
-		switch {
-		case errors.As(err, &fe):
+		switch _, eb := classify(err); eb.Error {
+		case "fault_detected":
 			s.mFaulted.Inc()
-		case errors.As(err, &ex):
+		case "recovery_exhausted":
 			s.mExhausted.Inc()
 		default:
 			s.mInternal.Inc()

@@ -3,7 +3,10 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"sort"
@@ -213,10 +216,10 @@ func TestServerChaos(t *testing.T) {
 }
 
 // TestServerReusedRecordersIsolateJobs runs honest and injected jobs
-// at once on four workers, each reusing one journal and flight
-// recorder across its jobs (run it under -race). Every job verifies,
-// only an injected job reports accusations and they name its liar, and
-// every job's counters reach the fleet registry.
+// at once on four workers, each reusing one flight recorder across its
+// jobs (run it under -race). Every job verifies, only an injected job
+// reports accusations and they name its liar, and every job's counters
+// reach the fleet registry.
 func TestServerReusedRecordersIsolateJobs(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -382,8 +385,112 @@ func TestServerFailStopWithoutRecovery(t *testing.T) {
 	if !errors.Is(err, reliablesort.ErrFaultDetected) {
 		t.Fatalf("want ErrFaultDetected, got %v", err)
 	}
-	if s.Stats().Faulted != 1 {
-		t.Errorf("fault counter: %+v", s.Stats())
+	if st := s.Stats(); st.Faulted != 1 || st.Exhausted != 0 {
+		t.Errorf("fault counters: %+v", st)
+	}
+}
+
+// TestServerCountsExhaustedJobs pins that a job which spends its whole
+// attempt budget counts as exhausted, the class both front ends answer
+// with, and not as fault-stopped, although the exhaustion unwraps to
+// the last attempt's fault.
+func TestServerCountsExhaustedJobs(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxAttempts = 1
+	s := New(cfg)
+	defer s.Close()
+
+	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5, 31, -6, 14, 0, 22, -9, 17, 1}
+	_, err := s.Submit(Request{
+		Keys: keys, Dim: 2,
+		Inject: &ChaosSpec{Class: "message", Node: 1, Strategy: "key-lie", Lie: 777777},
+	})
+	var ex *recovery.ExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("want an ExhaustedError, got %v", err)
+	}
+	if _, eb := classify(err); eb.Error != "recovery_exhausted" {
+		t.Fatalf("classified %q, want recovery_exhausted", eb.Error)
+	}
+	if st := s.Stats(); st.Exhausted != 1 || st.Faulted != 0 {
+		t.Errorf("exhausted/faulted = %d/%d, want 1/0", st.Exhausted, st.Faulted)
+	}
+	if got := s.obs.M.RecoveryAttempts.Value(); got != 1 {
+		t.Errorf("recovery_attempts_total = %d, want the exhausted job's 1", got)
+	}
+}
+
+// TestJournalScrapesDuringSubmits races the fleet journal's readers,
+// /debug/journal and /metrics scrapes, against its one producer, the
+// job spans concurrent Submits append on four workers (run it under
+// -race). The journal ends holding two spans per job.
+func TestJournalScrapesDuringSubmits(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const jobs = 32
+	done := make(chan struct{})
+	var scrapers, ready sync.WaitGroup
+	for _, path := range []string{"/debug/journal", "/metrics"} {
+		scrapers.Add(1)
+		ready.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for first := true; ; first = false {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + path)
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", resp.StatusCode)
+					}
+				}
+				if first {
+					ready.Done()
+				}
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+			}
+		}()
+	}
+	// Submit only once both scrapers are reading, so their reads
+	// overlap the spans' appends.
+	ready.Wait()
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			keys := []int64{int64(i), 5, -3, 8, 1, 9, 2, 7}
+			if _, err := s.Submit(Request{Tenant: fmt.Sprintf("t%d", i%3), Keys: keys, Dim: 2}); err != nil {
+				t.Errorf("job %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(done)
+	scrapers.Wait()
+
+	begins, ends := 0, 0
+	for _, ev := range s.Journal().Events() {
+		switch ev.Kind {
+		case obs.EvSpanBegin:
+			begins++
+		case obs.EvSpanEnd:
+			ends++
+		}
+	}
+	if total := s.Journal().Total(); total != 2*jobs || begins != jobs || ends != jobs {
+		t.Errorf("journal holds %d events (%d begins, %d ends), want two spans for each of %d jobs", total, begins, ends, jobs)
 	}
 }
 

@@ -217,9 +217,19 @@ func EncodedSize(payloadLen int) int { return headerLen + payloadLen + TraceWire
 
 // --- payload building blocks -------------------------------------------
 
-// AppendKeys appends a length-prefixed key slice to buf.
-func AppendKeys(buf []byte, keys []int64) []byte {
-	return AppendVals(binary.LittleEndian.AppendUint32(buf, uint32(len(keys))), keys)
+// AppendKeys appends a length-prefixed key sequence to buf: the parts
+// in order under one count, the bytes of their concatenation, growing
+// buf at most once.
+func AppendKeys(buf []byte, parts ...[]int64) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	buf = slices.Grow(binary.LittleEndian.AppendUint32(buf, uint32(n)), 8*n)
+	for _, p := range parts {
+		buf = AppendVals(buf, p)
+	}
+	return buf
 }
 
 // reader is a cursor over a payload buffer.
