@@ -21,12 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
+	"repro/internal/flaglist"
 )
 
 func main() {
@@ -68,11 +67,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	dimList, err := parseInts(*dims)
+	dimList, err := flaglist.Parse[int](*dims)
 	if err != nil {
 		return fmt.Errorf("-dims: %w", err)
 	}
-	rateList, err := parseFloats(*rates)
+	rateList, err := flaglist.Parse[float64](*rates)
 	if err != nil {
 		return fmt.Errorf("-rates: %w", err)
 	}
@@ -165,42 +164,4 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "self-check passed: no silent-wrong outcomes across the sweep")
 	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no values in %q", s)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no values in %q", s)
-	}
-	return out, nil
 }

@@ -5,15 +5,12 @@
 //	forensic dump.json               # causal timeline + accusation chain
 //	forensic -seq 1 dump.json        # pick a report from a JSON array
 //	forensic -diff dump.json         # accused-vs-accuser digest diff
-//	forensic -repro -seed 42 dump.json  # chaostest reproducer stanza
 //	forensic -chrome dump.json       # Chrome trace_event JSON to stdout
 //
 // The timeline merges every snapshotted ring into one virtual-time
 // ordered view, chain hops starred; the diff walks the accused's and
 // the accuser's recorded view digests per (stage, iter) to the first
-// divergence — the hop where the lie entered; the reproducer stanza is
-// a ready-to-paste chaostest.Scenario for the run that produced the
-// accusation.
+// divergence — the hop where the lie entered.
 package main
 
 import (
@@ -38,14 +35,12 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("forensic", flag.ContinueOnError)
 	seq := fs.Int("seq", -1, "report index when the dump holds an array (default: last)")
 	diff := fs.Bool("diff", false, "diff the accused node's recorded digests against the accuser's")
-	repro := fs.Bool("repro", false, "emit a chaostest reproducer stanza for the accusation")
-	seed := fs.Int64("seed", 0, "workload seed to stamp into the -repro stanza")
 	chrome := fs.Bool("chrome", false, "emit Chrome trace_event JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: forensic [-seq N] [-diff] [-repro] [-chrome] dump.json")
+		return fmt.Errorf("usage: forensic [-seq N] [-diff] [-chrome] dump.json")
 	}
 	rep, total, err := load(fs.Arg(0), *seq)
 	if err != nil {
@@ -62,8 +57,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	case *diff:
 		renderDiff(out, rep)
-	case *repro:
-		renderRepro(out, rep, *seed)
 	default:
 		renderTimeline(out, rep, total)
 	}
@@ -269,37 +262,4 @@ func renderDiff(out io.Writer, rep *forensic.Report) {
 	if !diverged {
 		fmt.Fprintln(out, "no common-step digest divergence recorded (the lie may have been absence, or the accused's ring held no overlapping steps)")
 	}
-}
-
-// renderRepro emits a chaostest.Scenario literal reproducing the run
-// shape the report came from: the accused physical node as the fault
-// site, the cube dimension recovered from the snapshotted rings.
-func renderRepro(out io.Writer, rep *forensic.Report, seed int64) {
-	maxNode := int32(0)
-	for _, log := range rep.Nodes {
-		if log.Node > maxNode {
-			maxNode = log.Node
-		}
-	}
-	dim := 0
-	for (1 << uint(dim)) <= int(maxNode) {
-		dim++
-	}
-	site := rep.Accused
-	if site < 0 {
-		site = rep.Accuser
-	}
-	fmt.Fprintf(out, "// Reproducer for report %d: %s accused of violating %s at stage %d iter %d.\n",
-		rep.Seq, nodeName(rep.Accused), rep.Predicate, rep.Stage, rep.Iter)
-	fmt.Fprintf(out, "// Fill in the adversary fields (Strategy / CmpMode+Rate / MemMode+Rate)\n")
-	fmt.Fprintf(out, "// from the failing scenario's name, then: Check(sc, Run(sc, Simnet))\n")
-	fmt.Fprintf(out, "sc := chaostest.Scenario{\n")
-	fmt.Fprintf(out, "\tSeed:        %d,\n", seed)
-	fmt.Fprintf(out, "\tDim:         %d,\n", dim)
-	fmt.Fprintf(out, "\tBlockLen:    2,\n")
-	fmt.Fprintf(out, "\tSite:        %d,\n", site)
-	fmt.Fprintf(out, "\tPersistent:  true,\n")
-	fmt.Fprintf(out, "\tSpares:      1,\n")
-	fmt.Fprintf(out, "\tMaxAttempts: 6,\n")
-	fmt.Fprintf(out, "}\n")
 }

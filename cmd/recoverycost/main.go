@@ -22,9 +22,9 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/flaglist"
 	"repro/internal/plot"
 )
 
@@ -66,23 +66,23 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	dimList, err := parseInts(*dims)
+	dimList, err := flaglist.Parse[int](*dims)
 	if err != nil {
 		return fmt.Errorf("-dims: %w", err)
 	}
-	fitList, err := parseInts(*fitDims)
+	fitList, err := flaglist.Parse[int](*fitDims)
 	if err != nil {
 		return fmt.Errorf("-fitdims: %w", err)
 	}
-	spareList, err := parseInts(*spares)
+	spareList, err := flaglist.Parse[int](*spares)
 	if err != nil {
 		return fmt.Errorf("-spares: %w", err)
 	}
-	loadList, err := parseFloats(*loads)
+	loadList, err := flaglist.Parse[float64](*loads)
 	if err != nil {
 		return fmt.Errorf("-loads: %w", err)
 	}
-	mttfList, err := parseFloats(*mttfs)
+	mttfList, err := flaglist.Parse[float64](*mttfs)
 	if err != nil {
 		return fmt.Errorf("-mttf: %w", err)
 	}
@@ -258,42 +258,4 @@ func projectionChart(fig experiments.Figure7Result) (string, error) {
 		XTicks: ticks,
 		LogY:   true,
 	}, series)
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no values in %q", s)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no values in %q", s)
-	}
-	return out, nil
 }

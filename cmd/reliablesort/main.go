@@ -54,18 +54,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var observer *obs.Observer
 	var flight *forensic.Flight
 	if *obsListen != "" {
-		observer = &obs.Observer{M: obs.DefaultMetrics()}
+		reg := obs.NewRegistry()
+		observer = &obs.Observer{M: obs.NewMetrics(reg)}
 		flight = forensic.New(0)
 		// One mux for the whole observability surface: the registry's
 		// /metrics plus the flight's /debug/forensic.
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(obs.DefaultRegistry()))
+		mux.Handle("/metrics", obs.Handler(reg))
 		mux.Handle("/debug/forensic", flight.Handler())
 		ln, err := net.Listen("tcp", *obsListen)
 		if err != nil {
 			return fmt.Errorf("obs.listen: %w", err)
 		}
-		go (&http.Server{Handler: mux}).Serve(ln)
+		srv := &http.Server{Handler: mux}
+		go srv.Serve(ln)
+		defer srv.Close()
 		fmt.Fprintf(stderr, "observability endpoints on http://%s/metrics and /debug/forensic\n", ln.Addr())
 	}
 

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,4 +76,77 @@ func TestRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-dim", "99"}, strings.NewReader("1 2"), &out, &errb); err == nil {
 		t.Error("bad dim: want error")
 	}
+}
+
+// TestObsListenServesItsOwnRegistry runs the command with -obs.listen
+// on an ephemeral port and scrapes /metrics while it lingers after the
+// sort: the sort's traffic and passed Φ checks are in the registry the
+// command built and passed down through Options.Obs.
+func TestObsListenServesItsOwnRegistry(t *testing.T) {
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		var out bytes.Buffer
+		err := run([]string{"-obs.listen", "127.0.0.1:0", "-obs.linger", "2s"},
+			strings.NewReader("10 8 3 9 4 2 7 5"), &out, pw)
+		pw.Close()
+		done <- err
+	}()
+	defer func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	// Keep stderr drained whatever this test reads of it.
+	defer io.Copy(io.Discard, pr)
+
+	var addr string
+	sc := bufio.NewScanner(pr)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "observability endpoints on http://"); ok {
+			addr, _, _ = strings.Cut(rest, "/")
+		}
+		if strings.HasPrefix(line, "lingering") {
+			break
+		}
+	}
+	if addr == "" {
+		t.Fatal("no endpoint address on stderr before the linger")
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sumSeries(string(body), "sort_msgs_total", ""); n == 0 {
+		t.Errorf("sort_msgs_total = 0:\n%s", body)
+	}
+	if n := sumSeries(string(body), "sort_phi_checks_total", `result="pass"`); n == 0 {
+		t.Errorf(`sort_phi_checks_total{result="pass"} = 0:\n%s`, body)
+	}
+}
+
+// sumSeries adds up the Prometheus samples of the named family whose
+// label set contains label ("" for all of them).
+func sumSeries(text, name, label string) float64 {
+	var total float64
+	for _, line := range strings.Split(text, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:i]
+		if fam, _, _ := strings.Cut(series, "{"); fam != name || !strings.Contains(series, label) {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			total += v
+		}
+	}
+	return total
 }

@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
+	"repro/internal/flaglist"
 )
 
 func main() {
@@ -40,32 +38,24 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1989, "workload seed")
 	plotFlag := fs.Bool("plot", false, "also render ASCII charts of the figures")
 	maxProjDim := fs.Int("maxprojdim", 16, "largest cube dimension in fig7 projections")
-	obsListen := fs.String("obs.listen", "", "serve /metrics on this address while the experiments run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *obsListen != "" {
-		// The simnet transports feed the process-wide default registry,
-		// so the endpoint sees every experiment's traffic counters.
-		addr, err := obs.Serve(*obsListen, obs.DefaultRegistry())
-		if err != nil {
-			return fmt.Errorf("obs.listen: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s/metrics\n", addr)
-	}
 
-	dimList, err := parseDims(*dims)
-	if err != nil {
-		return err
+	var lists [3][]int
+	for i, f := range []struct{ name, val string }{{"dims", *dims}, {"fitdims", *fitDims}, {"blockdims", *blockDims}} {
+		l, err := flaglist.Parse[int](f.val)
+		if err != nil {
+			return fmt.Errorf("-%s: %w", f.name, err)
+		}
+		for _, d := range l {
+			if d < 0 || d > 20 {
+				return fmt.Errorf("-%s: dimension %d out of range [0,20]", f.name, d)
+			}
+		}
+		lists[i] = l
 	}
-	fitList, err := parseDims(*fitDims)
-	if err != nil {
-		return err
-	}
-	blockList, err := parseDims(*blockDims)
-	if err != nil {
-		return err
-	}
+	dimList, fitList, blockList := lists[0], lists[1], lists[2]
 
 	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 	ran := false
@@ -151,26 +141,4 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown experiment %q (want table1|fig6|fig7|fig8|all)", *experiment)
 	}
 	return nil
-}
-
-func parseDims(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		d, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad dimension %q: %w", part, err)
-		}
-		if d < 0 || d > 20 {
-			return nil, fmt.Errorf("dimension %d out of range [0,20]", d)
-		}
-		out = append(out, d)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no dimensions in %q", s)
-	}
-	return out, nil
 }

@@ -98,13 +98,3 @@ func TestRejectsBadFlags(t *testing.T) {
 		t.Error("empty dims: want error")
 	}
 }
-
-func TestParseDims(t *testing.T) {
-	got, err := parseDims(" 2, 3 ,5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 2 || got[2] != 5 {
-		t.Fatalf("parseDims = %v", got)
-	}
-}

@@ -24,12 +24,12 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flaglist"
 	"repro/internal/server"
 )
 
@@ -168,13 +168,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		nodes = 1 << uint(*dim)
 	}
 	tenants := strings.Split(*tenantsFlag, ",")
-	var sizes []int
-	for _, s := range strings.Split(*sizesFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad size %q", s)
+	sizes, err := flaglist.Parse[int](*sizesFlag)
+	if err != nil {
+		return fmt.Errorf("-sizes: %w", err)
+	}
+	for _, n := range sizes {
+		if n <= 0 {
+			return fmt.Errorf("-sizes: size %d is not positive", n)
 		}
-		sizes = append(sizes, n)
 	}
 
 	var (

@@ -22,12 +22,12 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flaglist"
 	"repro/internal/hypercube"
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
@@ -48,9 +48,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	keys, err := parseKeys(*keysFlag)
+	keys, err := flaglist.Parse[int64](*keysFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-keys: %w", err)
 	}
 	if !hypercube.IsPow2(len(keys)) {
 		return fmt.Errorf("key count %d is not a power of two", len(keys))
@@ -229,23 +229,4 @@ func (t *viewTap) causal() []nodeID {
 		return cmp.Or(cmp.Compare(a.stage, b.stage), cmp.Compare(a.node, b.node))
 	})
 	return ids
-}
-
-func parseKeys(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad key %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no keys in %q", s)
-	}
-	return out, nil
 }

@@ -77,17 +77,6 @@ func (g *blockView) rangeDigest(lo, hi int) wire.Digest {
 // digest is the multiset digest of every held slot.
 func (g *blockView) digest() wire.Digest { return g.rangeDigest(0, g.sc.Size()) }
 
-// slotBound is slot idx's term in the aggregate digest a view carries:
-// the slot's multiset digest mixed with its index. The aggregate is
-// then bound to the slots the blocks are filed under, so a view whose
-// blocks trade places no longer matches it (ABFT's weighted checksums
-// tie each block to its position the same way). Φ_F keeps the unbound
-// fold, because keys legitimately move between slots within a stage.
-func slotBound(idx int, d wire.Digest) wire.Digest {
-	k := wire.MixKey(int64(idx))
-	return wire.Digest{Sum: wire.MixKey(int64(d.Sum ^ k)), Xor: wire.MixKey(int64(d.Xor + k))}
-}
-
 func (g *blockView) complete() bool { return g.have.Full() }
 
 // seq returns the slot-order concatenation of slots [lo, hi) as a
@@ -107,7 +96,7 @@ func (g *blockView) wireLen() int {
 func (g *blockView) appendWire(buf []byte) []byte {
 	var dig wire.Digest
 	g.have.Each(func(idx int) bool {
-		dig.Merge(slotBound(idx, g.slotDig[idx]))
+		dig.Merge(wire.SlotBound(idx, g.slotDig[idx]))
 		return true
 	})
 	buf = wire.AppendViewHeader(buf, int32(g.sc.Start), int32(g.sc.Size()), int32(g.m), dig, g.have)
@@ -160,7 +149,7 @@ func (g *blockView) mergeChecked(rv wire.FrameView, expected bitset.Set) (Digest
 			g.have.Add(idx)
 			g.slotDig[idx] = rv.Block(i, g.blocks[idx])
 		}
-		acc.Merge(slotBound(idx, g.slotDig[idx]))
+		acc.Merge(wire.SlotBound(idx, g.slotDig[idx]))
 		i++
 		return true
 	})

@@ -19,7 +19,7 @@ func stagedView(g *blockView) wire.View {
 	var dig wire.Digest
 	g.have.Each(func(idx int) bool {
 		vals = append(vals, g.blocks[idx]...)
-		dig.Merge(slotBound(idx, wire.DigestOf(g.blocks[idx])))
+		dig.Merge(wire.SlotBound(idx, wire.DigestOf(g.blocks[idx])))
 		return true
 	})
 	return wire.View{Base: int32(g.sc.Start), Size: int32(g.sc.Size()), BlockLen: int32(g.m),

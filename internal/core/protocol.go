@@ -132,7 +132,6 @@ func (r *runner) checkFeasibility(stage int, got, want wire.Digest, prev, cur []
 		r.opts.Obs.DigestCheck(true)
 	} else {
 		r.opts.Obs.DigestCheck(false)
-		r.opts.Obs.DigestSlowScan()
 		r.ep.ChargeCompare(2 * len(prev))
 		err = Feasibility(prev, cur)
 	}
@@ -187,7 +186,6 @@ func (r *runner) mergeView(rv wire.FrameView, s, j, sender int, postExchange boo
 	case DigestMiss:
 		r.ep.ChargeCompare(rv.Mask.Count() + wire.DigestCompareCost + rv.Mask.Count()*int(rv.BlockLen))
 		r.opts.Obs.DigestCheck(false)
-		r.opts.Obs.DigestSlowScan()
 	default:
 		r.ep.ChargeCompare(rv.Mask.Count() * int(rv.BlockLen))
 	}

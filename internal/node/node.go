@@ -167,25 +167,20 @@ func RunPer(nw transport.Network, progs []Program, hostProg HostProgram) (*Resul
 	// block, so a late-declared worker would let a decision fire on an
 	// incomplete picture (and an undeclared crashed node would stall
 	// quiescence forever).
-	wc, _ := nw.(transport.WorkerControl)
-	if wc != nil {
-		for id := 0; id < n; id++ {
-			if progs[id] != nil {
-				wc.WorkerStart(id)
-			}
+	for id := 0; id < n; id++ {
+		if progs[id] != nil {
+			nw.WorkerStart(id)
 		}
-		if hostProg != nil {
-			wc.WorkerStart(int(wire.HostID))
-		}
+	}
+	if hostProg != nil {
+		nw.WorkerStart(int(wire.HostID))
 	}
 
 	res := &Result{Nodes: make([]NodeOutcome, n)}
 	var wg sync.WaitGroup
 	work := func(id int) {
 		defer wg.Done()
-		if wc != nil {
-			defer wc.WorkerDone(id)
-		}
+		defer nw.WorkerDone(id)
 		res.Nodes[id].Err = runGuarded(id, progs[id], eps[id])
 	}
 	crew, _ := nw.(Crew)
@@ -204,9 +199,7 @@ func RunPer(nw transport.Network, progs []Program, hostProg HostProgram) (*Resul
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if wc != nil {
-				defer wc.WorkerDone(int(wire.HostID))
-			}
+			defer nw.WorkerDone(int(wire.HostID))
 			res.HostErr = runHostGuarded(hostProg, host)
 		}()
 	}

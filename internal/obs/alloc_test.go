@@ -30,7 +30,6 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"round-end", func() { o.RoundEnd() }},
 		{"phi-check", func() { o.PhiCheck(PhiC, true) }},
 		{"digest-check", func() { o.DigestCheck(true); o.DigestCheck(false) }},
-		{"digest-slow-scan", func() { o.DigestSlowScan() }},
 		{"accusation", func() { o.Accusation() }},
 		{"merge-compares", func() { o.MergeCompares(31) }},
 	}

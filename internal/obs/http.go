@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 )
 
@@ -48,20 +47,4 @@ func (j *Journal) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp)
-}
-
-// Serve listens on addr (e.g. "localhost:9141" or ":0") and serves
-// Handler(reg) in a background goroutine. It returns the bound
-// address — useful with ":0" — or an error if the listen fails. The
-// listener runs until the process exits; there is deliberately no
-// shutdown plumbing, because the endpoint exists to outlive the run it
-// observes.
-func Serve(addr string, reg *Registry) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: Handler(reg)}
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
 }

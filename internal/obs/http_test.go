@@ -75,29 +75,3 @@ func TestHandlerJournal(t *testing.T) {
 		t.Fatalf("event %+v", got.Events[0])
 	}
 }
-
-func TestServeBindsAndServes(t *testing.T) {
-	addr, err := Serve("127.0.0.1:0", goldenRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "sort_msgs_total") {
-		t.Fatalf("served metrics missing expected counter:\n%s", body)
-	}
-	// Serve exposes the registry only; a journal is served where its
-	// owner mounts it.
-	resp, err = http.Get("http://" + addr + "/debug/journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/journal: status %d, want 404", resp.StatusCode)
-	}
-}

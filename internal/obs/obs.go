@@ -1,7 +1,6 @@
-// Package obs is the repository's unified observability layer: a
-// process-wide but injectable core of metrics and a bounded event
-// journal, with Prometheus and JSON exporters and an HTTP
-// introspection endpoint.
+// Package obs is the repository's unified observability layer:
+// metrics registries and a bounded event journal, with Prometheus and
+// JSON exporters and an HTTP handler for them.
 //
 // The paper's whole argument is that visibility into the running
 // algorithm — the constraint predicate Φ = (Φ_P, Φ_F, Φ_C) — *is* the
@@ -28,10 +27,10 @@
 //     endpoint clocks; it never charges them, so every virtual-tick
 //     series (vticks, vcomm, vcomp, msgs, wirebytes) is bit-identical
 //     with and without an Observer attached.
-//  3. Everything is injectable. Registries, journals, and observers
-//     are plain values; DefaultRegistry()/DefaultMetrics() provide the
-//     process-wide instance the transports count into when nothing is
-//     injected, but tests and libraries can build private ones.
+//  3. Everything is injected. Registries, journals, and observers
+//     are plain values that their owner builds and passes down; there
+//     is no process-wide instance, so a network or run given no
+//     Metrics counts into none.
 //
 // The pieces:
 //
@@ -43,7 +42,7 @@
 //     through — counters for stages, rounds, Φ checks and accusations,
 //     and the stage-cost histogram. All methods are nil-receiver safe,
 //     so un-instrumented runs pay a single predictable branch.
-//   - Handler/Serve (http.go): /metrics, and Journal's own handler for
+//   - Handler (http.go): /metrics, and Journal's own handler for
 //     /debug/journal.
 package obs
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Metrics bundles the pre-registered instruments the protocol layers
 // record into. Resolving instruments once at construction keeps record
@@ -26,13 +22,10 @@ type Metrics struct {
 	MergeCompares *Counter
 
 	// DigestHits and DigestMisses count digest-accelerated predicate
-	// checks by result: a hit skipped the element-level scan, a miss
-	// fell through to it. DigestSlowScans counts the slow-path scans
-	// actually run (one per miss; kept separate so the slow-path rate
-	// maps directly onto the paper's §5 overhead accounting).
-	DigestHits      *Counter
-	DigestMisses    *Counter
-	DigestSlowScans *Counter
+	// checks by result: a hit skipped the element-level scan, and each
+	// miss ran one.
+	DigestHits   *Counter
+	DigestMisses *Counter
 
 	// Accusations counts ERROR signals that implicate a specific peer.
 	Accusations *Counter
@@ -92,8 +85,6 @@ func NewMetrics(reg *Registry) *Metrics {
 	m.DigestMisses = reg.Counter("sort_digest_checks_total",
 		"Digest-accelerated predicate checks, by result.",
 		Label{"result", "miss"})
-	m.DigestSlowScans = reg.Counter("sort_digest_slow_scans_total",
-		"Element-level slow-path scans run after a digest mismatch.")
 	m.Accusations = reg.Counter("sort_accusations_total",
 		"ERROR signals implicating a specific peer.")
 	m.JournalDropped = reg.Counter("obs_journal_dropped_total",
@@ -131,19 +122,6 @@ func (m *Metrics) RecordMessage(kind wire.Kind, bytes int) {
 	}
 	m.MsgsTotal[kind].Inc()
 	m.BytesTotal[kind].Add(int64(bytes))
-}
-
-var (
-	defaultMetricsOnce sync.Once
-	defaultMetrics     *Metrics
-)
-
-// DefaultMetrics returns the process-wide Metrics bundle, registered
-// on DefaultRegistry. The transports record message traffic here when
-// no explicit bundle is injected.
-func DefaultMetrics() *Metrics {
-	defaultMetricsOnce.Do(func() { defaultMetrics = NewMetrics(defaultRegistry) })
-	return defaultMetrics
 }
 
 // Observer is the façade protocol code records through. Node
@@ -240,13 +218,4 @@ func (o *Observer) DigestCheck(hit bool) {
 	} else {
 		o.M.DigestMisses.Inc()
 	}
-}
-
-// DigestSlowScan records one element-level slow-path scan run after a
-// digest mismatch.
-func (o *Observer) DigestSlowScan() {
-	if o == nil || o.M == nil {
-		return
-	}
-	o.M.DigestSlowScans.Inc()
 }

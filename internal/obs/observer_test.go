@@ -17,7 +17,6 @@ func TestObserverNilSafe(t *testing.T) {
 	o.Accusation()
 	o.MergeCompares(5)
 	o.DigestCheck(true)
-	o.DigestSlowScan()
 	if o.Metrics() != nil {
 		t.Fatal("nil observer accessor should return nil")
 	}
@@ -88,13 +87,4 @@ func TestRecordMessage(t *testing.T) {
 	}
 	var nilM *Metrics
 	nilM.RecordMessage(wire.KindExchange, 1) // nil-safe
-}
-
-func TestDefaultSingletons(t *testing.T) {
-	if DefaultRegistry() != DefaultRegistry() {
-		t.Fatal("DefaultRegistry should be a singleton")
-	}
-	if DefaultMetrics() != DefaultMetrics() {
-		t.Fatal("DefaultMetrics should be a singleton")
-	}
 }

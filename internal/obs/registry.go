@@ -171,13 +171,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// defaultRegistry is the process-wide registry served by the commands'
-// -obs.listen endpoint.
-var defaultRegistry = NewRegistry()
-
-// DefaultRegistry returns the process-wide registry.
-func DefaultRegistry() *Registry { return defaultRegistry }
-
 // renderLabels produces the canonical `{k="v",...}` form ("" for no
 // labels), used both as the series dedup key and in the Prometheus
 // exposition.

@@ -385,13 +385,12 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	// Release and decides for itself whether to recycle or rebuild —
 	// clean is true exactly when the attempt verified, so a
 	// fault-stricken network (which may still have frames in flight) is
-	// never returned to the pool as healthy. Otherwise, tcpnet (and
-	// other socket-backed transports) hold real resources per attempt
-	// and are closed here; simnet has no Close and is left to the GC.
+	// never returned to the pool as healthy. Any other network serves
+	// this attempt only and is closed here.
 	if rel, ok := nw.(interface{ Release(clean bool) }); ok {
 		defer func() { rel.Release(err == nil) }()
-	} else if c, ok := nw.(interface{ Close() }); ok {
-		defer c.Close()
+	} else {
+		defer nw.Close()
 	}
 	if o != nil || flight != nil {
 		if nodeOpts == nil {

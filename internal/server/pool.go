@@ -24,19 +24,9 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/forensic"
 	"repro/internal/reliablesort"
 	"repro/internal/transport"
 )
-
-// resettable is the lifecycle seam a pooled transport must implement:
-// both internal/simnet and internal/tcpnet do.
-type resettable interface {
-	Reset(obsM *obs.Metrics, flight *forensic.Flight) error
-}
-
-// closable matches transports holding real resources (tcpnet).
-type closable interface{ Close() }
 
 // poolKey identifies interchangeable networks: same cube geometry,
 // same spare pre-registration. RecvTimeout is uniform per pool (it is
@@ -131,14 +121,7 @@ func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 			break
 		}
 		p.idleGauge.Add(-1)
-		r, ok := mb.Network.(resettable)
-		if !ok {
-			// Should not happen (put refuses to park these), but never
-			// hand out a network we cannot drain.
-			p.discard(mb)
-			continue
-		}
-		if err := r.Reset(cfg.Obs, cfg.Flight); err != nil {
+		if err := mb.Reset(cfg.Obs, cfg.Flight); err != nil {
 			p.discard(mb)
 			continue
 		}
@@ -179,9 +162,6 @@ func (p *Pool) Warm(cfg reliablesort.NetConfig, count int) error {
 
 // put returns a network to the pool (healthy) or quarantines it.
 func (p *Pool) put(mb member, key poolKey, healthy bool) {
-	if _, ok := mb.Network.(resettable); !ok {
-		healthy = false
-	}
 	if healthy {
 		p.mu.Lock()
 		if !p.closed && len(p.idle[key]) < p.maxIdle {
@@ -200,9 +180,7 @@ func (p *Pool) put(mb member, key poolKey, healthy bool) {
 func (p *Pool) discard(mb member) {
 	p.discarded.Inc()
 	mb.crew.stop()
-	if c, ok := mb.Network.(closable); ok {
-		c.Close()
-	}
+	mb.Close()
 }
 
 // Close empties the pool and closes every idle network. Leased
@@ -245,9 +223,11 @@ func (p *Pool) Stats() PoolStats {
 // lease is the per-attempt handle reliablesort runs against. Its
 // Release implements the attempt-teardown seam: healthy networks go
 // back into the pool, fault-stricken ones are quarantined and closed.
-// Through the embedded crew, node.RunPer runs the attempt's node
-// programs on the network's resident workers (node.Crew) and
-// core.RunBlocks in their kept runners (core.Runners).
+// The network's own methods are promoted from the embedded member, so
+// node.RunPer's worker census reaches the leased network. Through the
+// embedded crew, node.RunPer runs the attempt's node programs on the
+// network's resident workers (node.Crew) and core.RunBlocks in their
+// kept runners (core.Runners).
 type lease struct {
 	member
 	pool *Pool
@@ -260,20 +240,4 @@ type lease struct {
 // true only if the attempt that used it finished verified.
 func (l *lease) Release(clean bool) {
 	l.once.Do(func() { l.pool.put(l.member, l.key, clean) })
-}
-
-// WorkerStart and WorkerDone forward transport.WorkerControl, so
-// node.RunPer reaches the leased network through the lease: on simnet
-// that is what turns a finished node's silence into immediate absence
-// instead of a wait for the receive timeout.
-func (l *lease) WorkerStart(id int) {
-	if wc, ok := l.Network.(transport.WorkerControl); ok {
-		wc.WorkerStart(id)
-	}
-}
-
-func (l *lease) WorkerDone(id int) {
-	if wc, ok := l.Network.(transport.WorkerControl); ok {
-		wc.WorkerDone(id)
-	}
 }

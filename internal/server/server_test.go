@@ -278,8 +278,9 @@ func TestServerReusedRecordersIsolateJobs(t *testing.T) {
 // TestServerFaultRecoveryIsProtocolBounded pins exit-bounded absence
 // through the pool: with a one-hour receive timeout, a job whose node
 // lies on every attempt still returns verified at once. Each accusing
-// node's exit reaches its blocked peers through the lease's
-// WorkerControl forwarding; without it they would wait out the timer.
+// node's exit reaches its blocked peers through the WorkerDone the
+// lease promotes from its network; without it they would wait out the
+// timer.
 func TestServerFaultRecoveryIsProtocolBounded(t *testing.T) {
 	cfg := testConfig()
 	cfg.RecvTimeout = time.Hour

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -554,9 +553,6 @@ func qHash(q QueueID) uint64 {
 }
 
 // --- Network surface --------------------------------------------------------
-
-// Compile-time check: every network exposes worker control.
-var _ transport.WorkerControl = (*Network)(nil)
 
 // WorkerStart implements transport.WorkerControl: it declares a live
 // worker before its goroutine launches. No-op on free-running networks.

@@ -123,10 +123,8 @@ type Config struct {
 	// attempt's cube. Negative is treated as zero.
 	Spares int
 	// Obs receives per-kind message and byte counters in addition to
-	// the network's own Metrics. Nil means obs.DefaultMetrics(), so the
-	// process-wide /metrics endpoint sees traffic without explicit
-	// plumbing; recording is allocation-free and does not touch virtual
-	// clocks.
+	// the network's own Metrics; nil counts into none. Recording is
+	// allocation-free and does not touch virtual clocks.
 	Obs *obs.Metrics
 	// Flight, when non-nil, attaches causal tracing: every endpoint
 	// stamps outgoing messages with a trace trailer and records
@@ -317,6 +315,11 @@ func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	nw.Core.Reset(obsM, flight)
 	return nil
 }
+
+// Close implements transport.Network. A simnet network holds only
+// memory, which the garbage collector reclaims, so there is nothing to
+// release.
+func (nw *Network) Close() {}
 
 // drainPackets empties a mailbox without blocking, recycling pooled
 // buffers.

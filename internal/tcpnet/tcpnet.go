@@ -66,7 +66,7 @@ type Config struct {
 	// into a future attempt's cube. Negative is treated as zero.
 	Spares int
 	// Obs receives per-kind message and byte counters in addition to
-	// the network's own Metrics. Nil means obs.DefaultMetrics().
+	// the network's own Metrics; nil counts into none.
 	Obs *obs.Metrics
 	// Flight, when non-nil, attaches causal tracing exactly as in
 	// simnet: trace trailers on every frame, send/recv events in
@@ -313,6 +313,12 @@ func (nw *Network) Close() {
 		nw.readers.Wait()
 	})
 }
+
+// WorkerStart and WorkerDone implement transport.WorkerControl as
+// no-ops. A marker written to a socket could outlive a pool Reset, so
+// tcpnet sends none and detects every absence by the receive timeout.
+func (nw *Network) WorkerStart(int) {}
+func (nw *Network) WorkerDone(int)  {}
 
 // Endpoint returns node id's endpoint. Call once per node before
 // starting its goroutine. Spare labels (beyond the cube, when

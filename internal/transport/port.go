@@ -35,10 +35,10 @@ type Core struct {
 
 // Init sets up the core of a network named name over a cube of the
 // given dimension, applying the defaults both networks share: a zero
-// cost model means DefaultCostModel, a zero receive timeout 2 seconds,
-// negative spares zero, and a nil obsM obs.DefaultMetrics() (see
-// Reset). A network embeds its Core by value, so the core costs no
-// allocation of its own, and calls Init once, from its constructor.
+// cost model means DefaultCostModel, a zero receive timeout 2 seconds
+// and negative spares zero; obsM and flight are bound as by Reset. A
+// network embeds its Core by value, so the core costs no allocation of
+// its own, and calls Init once, from its constructor.
 func (c *Core) Init(name string, dim int, cost CostModel, recvTimeout time.Duration, spares int,
 	obsM *obs.Metrics, flight *forensic.Flight) error {
 	topo, err := hypercube.New(dim)
@@ -57,17 +57,14 @@ func (c *Core) Init(name string, dim int, cost CostModel, recvTimeout time.Durat
 }
 
 // Reset zeroes the traffic counters and rebinds the observability
-// sinks for the next run. A nil obsM selects obs.DefaultMetrics(), so
-// the process-wide /metrics endpoint sees traffic without explicit
-// plumbing; a nil flight detaches causal tracing. Call it only between
-// runs, when no port is live.
+// sinks for the next run. A nil obsM counts traffic into no metrics,
+// only into the network's own counters (Metrics); a nil flight
+// detaches causal tracing. Call it only between runs, when no port is
+// live.
 func (c *Core) Reset(obsM *obs.Metrics, flight *forensic.Flight) {
 	for k := range c.msgs {
 		c.msgs[k].Store(0)
 		c.bytes[k].Store(0)
-	}
-	if obsM == nil {
-		obsM = obs.DefaultMetrics()
 	}
 	c.obsM, c.flight = obsM, flight
 }

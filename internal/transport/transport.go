@@ -25,6 +25,8 @@ import (
 	"errors"
 
 	"repro/internal/hypercube"
+	"repro/internal/obs"
+	"repro/internal/obs/forensic"
 	"repro/internal/wire"
 )
 
@@ -173,21 +175,33 @@ func (s MetricsSnapshot) TotalBytes() int64 {
 }
 
 // Network is a multicomputer instance: it hands out endpoints and the
-// host, and reports traffic. A Network serves a single run.
+// host, reports traffic, and takes the lifecycle calls of the harnesses
+// that run programs on it. A Network serves one run at a time.
 type Network interface {
 	Topology() hypercube.Topology
 	// Endpoint returns node id's endpoint. Call once per node and run,
 	// before starting the node's run.
 	Endpoint(id int) (Endpoint, error)
-	// Host returns the host endpoint. Call at most once.
+	// Host returns the host endpoint. Call at most once per run.
 	Host() Host
 	// Metrics snapshots the traffic counters.
 	Metrics() MetricsSnapshot
+	// WorkerStart and WorkerDone bracket each node and host run.
+	WorkerControl
+	// Reset readies a quiescent network for another run: it drains what
+	// the last run left queued, zeroes the traffic counters and binds
+	// the next run's observability sinks (nil for none). A network that
+	// cannot be reused says so with an error; internal/server's pool
+	// then closes it and builds another.
+	Reset(obsM *obs.Metrics, flight *forensic.Flight) error
+	// Close releases what the network holds (tcpnet's sockets and their
+	// readers). It is safe to call more than once.
+	Close()
 }
 
-// WorkerControl is optionally implemented by networks that want to know
-// which node and host goroutines exist and when each one ends.
-// internal/simnet implements it in both modes:
+// WorkerControl is the part of a Network that learns which node and
+// host goroutines exist and when each one ends. internal/simnet uses it
+// in both modes:
 //
 //   - Under a controlled scheduler, delivery decisions fire only once
 //     every live worker has reached a blocking receive, so the network
@@ -196,13 +210,11 @@ type Network interface {
 //     marker behind its last message, so a partner blocked on it learns
 //     of the absence at once instead of after the receive timeout.
 //
-// Harnesses that run node programs (internal/node) type-assert for
-// this interface and, when present, declare every worker before its
-// run starts and retire it when the run returns, whether the run has a
-// goroutine of its own or a resident one. The host worker is declared
-// with id wire.HostID. Wrappers around a network (internal/server's
-// pool lease) must forward both calls. Networks without the interface
-// (internal/tcpnet) detect absence by timeout alone.
+// Harnesses that run node programs (internal/node) declare every
+// worker before its run starts and retire it when the run returns,
+// whether the run has a goroutine of its own or a resident one. The
+// host worker is declared with id wire.HostID. internal/tcpnet
+// implements both calls as no-ops: it detects absence by timeout alone.
 type WorkerControl interface {
 	// WorkerStart declares that the worker with the given node label
 	// (wire.HostID for the host) is about to start executing. It must

@@ -85,6 +85,18 @@ func DigestOf(keys []int64) Digest {
 	return Digest{Sum: s0 + s1 + s2 + s3, Xor: x0 ^ x1 ^ x2 ^ x3}
 }
 
+// SlotBound is slot idx's term in the aggregate digest a view carries
+// (View.Dig): the slot's multiset digest d mixed with its index. The
+// aggregate, the Merge of every held slot's term, is then bound to the
+// slots the blocks are filed under, so a view whose blocks trade places
+// no longer matches it (ABFT's weighted checksums tie each block to its
+// position the same way). Φ_F keeps the unbound fold, because keys
+// legitimately move between slots within a stage.
+func SlotBound(idx int, d Digest) Digest {
+	k := MixKey(int64(idx))
+	return Digest{Sum: MixKey(int64(d.Sum ^ k)), Xor: MixKey(int64(d.Xor + k))}
+}
+
 // DigestCompareCost is the virtual comparisons charged for one digest
 // check: the Sum and Xor word comparisons. Fast paths charge this
 // instead of the element-level scan they replace, keeping vcomp

@@ -307,11 +307,12 @@ type View struct {
 	Base     int32
 	Size     int32
 	BlockLen int32
-	// Dig is the sender-claimed multiset digest of Vals (all known
-	// keys, order-independent). Receivers use it for the constant-time
-	// Φ_F/Φ_C fast paths; Validate deliberately does NOT check Dig
-	// against Vals — an inconsistent claim is Byzantine evidence the
-	// merge logic detects and attributes, not a malformed message.
+	// Dig is the sender-claimed aggregate digest of the view: the
+	// Merge, over every known slot, of the slot's multiset digest bound
+	// to its index (SlotBound). Receivers use it for the Φ_C fast path;
+	// Validate deliberately does NOT check Dig against Vals — an
+	// inconsistent claim is Byzantine evidence the merge logic detects
+	// and attributes, not a malformed message.
 	Dig  Digest
 	Mask bitset.Set
 	Vals []int64
