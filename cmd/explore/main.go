@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/recovery/chaostest"
 )
 
 func main() {
@@ -97,7 +96,7 @@ func run(args []string, out io.Writer) error {
 	for i, v := range res.Violations {
 		base := fmt.Sprintf("counterexample-%d-%s", i, sanitize(v.Case))
 		rep := v.Reproducer(*dim, *weaken)
-		if err := chaostest.WriteCounterexample(*artifactDir, base, rep, v.Dump); err != nil {
+		if err := explore.WriteCounterexample(*artifactDir, base, rep, v.Dump); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "counterexample: case %s broke %s: %s\n", v.Case, v.Invariant, v.Detail)
@@ -131,7 +130,7 @@ func replay(path string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	diag, dump, err := chaostest.ReplayCounterexample(rep)
+	diag, dump, err := explore.Replay(rep)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
 // Command recoverdemo exercises the recovery supervisor end to end: it
 // injects a chosen Byzantine strategy at a chosen node, runs
-// reliablesort.Sort with AutoRecover, and narrates the supervision —
-// per-attempt diagnostics, backoff waits, quarantine decisions, cube
-// shrinks, and the final overhead accounting.
+// reliablesort.Sort with an attempt budget, and narrates the
+// supervision — per-attempt diagnostics, backoff waits, quarantine
+// decisions, cube shrinks, and the final overhead accounting.
 //
 //	recoverdemo -strategy view-lie -site 6 -persistent
 //	recoverdemo -strategy silence -site 3
@@ -75,7 +75,6 @@ func run(args []string, out io.Writer) error {
 	sorted, stats, err := reliablesort.Sort(keys, reliablesort.Options{
 		Dim:         *dim,
 		RecvTimeout: *timeout,
-		AutoRecover: true,
 		MaxAttempts: *attempts,
 		Spares:      *spares,
 		Inject:      fault.Follow(fault.Set{{Msg: &spec}}, *persistent),
@@ -83,9 +82,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		var ex *recovery.ExhaustedError
 		if errors.As(err, &ex) {
-			fmt.Fprintf(out, "supervision ESCALATED after %d attempts (quarantined %v", len(ex.Attempts), ex.Quarantined)
-			if len(ex.Substitutions) > 0 {
-				fmt.Fprintf(out, ", %d spare(s) consumed in vain", len(ex.Substitutions))
+			fmt.Fprintf(out, "supervision ESCALATED after %d attempts (quarantined %v", len(ex.Attempts), ex.Quarantined())
+			if used := ex.SparesUsed(); len(used) > 0 {
+				fmt.Fprintf(out, ", %d spare(s) consumed in vain", len(used))
 			}
 			fmt.Fprintf(out, "):\n")
 			narrate(out, ex.Attempts)
@@ -100,17 +99,13 @@ func run(args []string, out io.Writer) error {
 	rep := stats.Recovery
 	fmt.Fprintf(out, "\nOverhead accounting:\n")
 	fmt.Fprintf(out, "  attempts:        %d\n", stats.Attempts)
-	fmt.Fprintf(out, "  final cube dim:  %d (%d nodes x %d keys)\n", rep.FinalDim, stats.Nodes, stats.BlockLen)
-	fmt.Fprintf(out, "  quarantined:     %v\n", rep.Quarantined)
-	if len(rep.Substitutions) > 0 {
-		consumed := make([]int, len(rep.Substitutions))
-		for i, s := range rep.Substitutions {
-			consumed[i] = s.Spare
-		}
-		fmt.Fprintf(out, "  spares consumed: %v (of %d pooled)\n", consumed, *spares)
+	fmt.Fprintf(out, "  final cube dim:  %d (%d nodes x %d keys)\n", rep.FinalDim(), stats.Nodes, stats.BlockLen)
+	fmt.Fprintf(out, "  quarantined:     %v\n", rep.Quarantined())
+	if used := rep.SparesUsed(); len(used) > 0 {
+		fmt.Fprintf(out, "  spares consumed: %v (of %d pooled)\n", used, *spares)
 	}
-	fmt.Fprintf(out, "  wasted ticks:    %d (virtual time of failed attempts)\n", rep.WastedCost)
-	fmt.Fprintf(out, "  total backoff:   %v\n", rep.TotalBackoff.Round(time.Millisecond))
+	fmt.Fprintf(out, "  wasted ticks:    %d (virtual time of failed attempts)\n", rep.WastedCost())
+	fmt.Fprintf(out, "  total backoff:   %v\n", rep.TotalBackoff().Round(time.Millisecond))
 	return nil
 }
 

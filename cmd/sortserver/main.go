@@ -1,13 +1,15 @@
 // Command sortserver runs the multi-tenant sort-as-a-service daemon:
 // a long-running process accepting concurrent sort jobs over HTTP/JSON
 // and (optionally) the length-prefixed streaming wire protocol, running
-// each through the fault-tolerant distributed sort with AutoRecover and
-// spares on a pre-warmed pooled transport, and returning verified
-// results with per-job statistics.
+// each through the fault-tolerant distributed sort with a recovery
+// budget and spares on a pre-warmed pooled transport, and returning
+// verified results with per-job statistics. -max.attempts 1 is the
+// fail-stop server: a job's first detected fault ends it.
 //
 //	sortserver -listen localhost:9199
 //	sortserver -listen :0 -stream.listen :0 -transport tcpnet -chaos
 //	sortserver -tenants 'batch=1,interactive=4' -concurrency 8 -warm 3
+//	sortserver -max.attempts 1 -chaos
 //
 // Endpoints on -listen:
 //
@@ -97,12 +99,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- [2]string) error 
 	tenants := fs.String("tenants", "", "tenant dispatch weights, e.g. 'batch=1,interactive=4'")
 	maxKeys := fs.Int("max.keys", 1<<20, "per-job key limit")
 	spares := fs.Int("spares", 2, "spare nodes per job for recovery substitution")
-	maxAttempts := fs.Int("max.attempts", 0, "recovery attempt budget per job (0 = default)")
+	maxAttempts := fs.Int("max.attempts", 0, "sort attempt budget per job (0 = default 4; 1 = fail-stop)")
 	poolIdle := fs.Int("pool.idle", 4, "warm networks kept per cube geometry")
 	warm := fs.Int("warm", 0, "pre-build this many pooled networks of -warm.dim before serving")
 	warmDim := fs.Int("warm.dim", 2, "cube dimension to pre-warm")
 	chaos := fs.Bool("chaos", false, "accept fault-injection requests (load generators, chaos tests)")
-	noRecover := fs.Bool("no.recover", false, "disable AutoRecover: fail-stop jobs on first detected fault")
 	recvTimeout := fs.Duration("recv.timeout", 5*time.Second, "absence-detection timeout per attempt")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,17 +118,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- [2]string) error 
 	}
 
 	s := server.New(server.Config{
-		NewNetwork:      newNet,
-		Concurrency:     *concurrency,
-		QueueDepth:      *queueDepth,
-		Weights:         weights,
-		MaxKeys:         *maxKeys,
-		RecvTimeout:     *recvTimeout,
-		DisableRecovery: *noRecover,
-		MaxAttempts:     *maxAttempts,
-		Spares:          *spares,
-		PoolIdle:        *poolIdle,
-		AllowChaos:      *chaos,
+		NewNetwork:  newNet,
+		Concurrency: *concurrency,
+		QueueDepth:  *queueDepth,
+		Weights:     weights,
+		MaxKeys:     *maxKeys,
+		RecvTimeout: *recvTimeout,
+		MaxAttempts: *maxAttempts,
+		Spares:      *spares,
+		PoolIdle:    *poolIdle,
+		AllowChaos:  *chaos,
 	})
 	if *warm > 0 {
 		if err := s.Warm(*warmDim, *warm); err != nil {

@@ -52,30 +52,32 @@ func (r FaultRegime) ArrivalProb(nodes int, ticks float64) float64 {
 	return 1 - math.Exp(-float64(nodes)*ticks/r.MTTF)
 }
 
-// PolicyParams mirrors the recovery supervisor's policy knobs in plain
+// PolicyParams mirrors the recovery supervisor's policy in plain
 // numbers, so the model and the supervisor agree on the state machine
-// without this package importing the recovery runtime.
+// without this package importing the recovery runtime. The recovery
+// package's tests hold DefaultPolicyParams to the supervisor.
 type PolicyParams struct {
-	// MaxAttempts is the attempt budget (supervisor default 4).
+	// MaxAttempts is the attempt budget (the supervisor's default is
+	// 4).
 	MaxAttempts int
 	// PersistStreak is how many consecutive same-suspect accusations
-	// judge a fault persistent (supervisor default 2).
+	// judge a fault persistent (the supervisor's is 2).
 	PersistStreak int
-	// MinDim floors the quarantine shrink (supervisor default 1).
+	// MinDim floors the quarantine shrink (the supervisor's is 1).
 	MinDim int
 	// Spares is the spare-pool size; substitutions preserve the cube
 	// dimension while the pool lasts.
 	Spares int
 	// BackoffBaseNanos, BackoffMaxNanos and BackoffJitter shape the
-	// capped exponential between-attempt waits (supervisor defaults
-	// 10ms, 2s, 0.5 equal jitter).
+	// capped exponential between-attempt waits (the supervisor's are
+	// 10ms, 2s and 0.5 equal jitter).
 	BackoffBaseNanos float64
 	BackoffMaxNanos  float64
 	BackoffJitter    float64
 }
 
-// DefaultPolicyParams returns the supervisor's default policy in model
-// form.
+// DefaultPolicyParams returns the supervisor's policy, with its
+// default budget and no spares, in model form.
 func DefaultPolicyParams() PolicyParams {
 	return PolicyParams{
 		MaxAttempts:      4,

@@ -1,76 +1,102 @@
-package diagnose
+package diagnose_test
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/recovery"
+)
+
+// The accusation history across the attempts of one sort lives in
+// recovery.Supervise: a fault is persistent once consecutive failed
+// attempts name the same prime suspect, the head of Rank's list. These
+// tests feed the supervisor evidence of each kind Rank weighs, so they
+// pin that the streak follows Rank's prime suspect, not every accused
+// node.
+
+func value(node int) core.HostError {
+	return core.HostError{Node: 0, Stage: 1, Iter: 0, Predicate: "consistency",
+		Kind: core.KindValue, Accused: node, Detail: "copies differ"}
+}
+
+func absence(node int) core.HostError {
+	return core.HostError{Node: 0, Stage: 1, Iter: 0, Predicate: "protocol",
+		Kind: core.KindAbsence, Accused: node, Detail: "expected message absent (timeout)"}
+}
+
+func shape() core.HostError {
+	return core.HostError{Node: 0, Stage: 1, Iter: -1, Predicate: "protocol",
+		Kind: core.KindShape, Accused: -1, Detail: "not a permutation"}
+}
+
+// quarantines supervises a dim-3 sort with three spares whose failed
+// attempts raise the given evidence, one list per attempt in logical
+// labels, and returns the physical node quarantined after each failed
+// attempt (recovery.NoNode for none). The attempt after the last
+// verifies.
+func quarantines(t *testing.T, evidence ...[]core.HostError) []int {
+	t.Helper()
+	rep, err := recovery.Supervise(3, func(p recovery.Plan) recovery.Outcome {
+		if p.Attempt == len(evidence) {
+			return recovery.Outcome{Cost: 1}
+		}
+		return recovery.Outcome{HostErrors: evidence[p.Attempt], Cost: 1, Err: errors.New("fault detected")}
+	}, recovery.Policy{MaxAttempts: len(evidence) + 1, Spares: 3, Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, a := range rep.Attempts[:len(rep.Attempts)-1] {
+		got = append(got, a.Quarantined)
+	}
+	return got
+}
+
+func ev(hes ...core.HostError) []core.HostError { return hes }
 
 func TestHistoryStreaks(t *testing.T) {
-	h := NewHistory()
-	if _, ok := h.Persistent(2); ok {
-		t.Fatal("empty history reported persistence")
+	const none = recovery.NoNode
+	if got := quarantines(t, ev(value(5))); !slices.Equal(got, []int{none}) {
+		t.Fatalf("single accusation quarantined %v", got)
 	}
-	h.Record(5)
-	if node, n := h.Streak(); node != 5 || n != 1 {
-		t.Fatalf("Streak = %d,%d", node, n)
-	}
-	if _, ok := h.Persistent(2); ok {
-		t.Fatal("single accusation reported persistent at threshold 2")
-	}
-	h.Record(5)
-	node, ok := h.Persistent(2)
-	if !ok || node != 5 {
-		t.Fatalf("Persistent = %d,%v after two accusations of 5", node, ok)
-	}
-	if h.Attempts() != 2 || h.Votes(5) != 2 {
-		t.Fatalf("Attempts=%d Votes(5)=%d", h.Attempts(), h.Votes(5))
+	if got := quarantines(t, ev(value(5)), ev(value(5))); !slices.Equal(got, []int{none, 5}) {
+		t.Fatalf("two accusations of 5 quarantined %v, want [-1 5]", got)
 	}
 }
 
+// Node 5 is accused on both attempts, but on the second its absence
+// evidence ranks below the direct evidence against 3, so the prime
+// suspect changes and the streak restarts.
 func TestHistoryStreakBrokenByOtherSuspect(t *testing.T) {
-	h := NewHistory()
-	h.Record(5)
-	h.Record(3)
-	if node, n := h.Streak(); node != 3 || n != 1 {
-		t.Fatalf("Streak = %d,%d, want 3,1", node, n)
+	const none = recovery.NoNode
+	if got := quarantines(t, ev(value(5)), ev(value(3), absence(5))); !slices.Equal(got, []int{none, none}) {
+		t.Fatalf("alternating prime suspects quarantined %v", got)
 	}
-	if _, ok := h.Persistent(2); ok {
-		t.Fatal("alternating suspects reported persistent")
-	}
-	// Cumulative votes survive streak changes.
-	if h.Votes(5) != 1 || h.Votes(3) != 1 {
-		t.Fatalf("votes = %d,%d", h.Votes(5), h.Votes(3))
+	if got := quarantines(t, ev(value(5)), ev(value(3), absence(5)), ev(value(3))); !slices.Equal(got, []int{none, none, 3}) {
+		t.Fatalf("the new suspect's streak quarantined %v, want [-1 -1 3]", got)
 	}
 }
 
+// Shape evidence accuses no node, and an attempt with no host errors
+// at all carries no evidence: either breaks the streak.
 func TestHistoryStreakBrokenByNoSuspect(t *testing.T) {
-	h := NewHistory()
-	h.Record(7)
-	h.Record(NoSuspect)
-	if node, n := h.Streak(); node != NoSuspect || n != 0 {
-		t.Fatalf("Streak = %d,%d after unattributed attempt", node, n)
-	}
-	h.Record(7)
-	if _, ok := h.Persistent(2); ok {
-		t.Fatal("interrupted streak counted as persistent")
+	const none = recovery.NoNode
+	for _, gap := range [][]core.HostError{ev(shape()), nil} {
+		if got := quarantines(t, ev(value(7)), gap, ev(value(7))); !slices.Equal(got, []int{none, none, none}) {
+			t.Fatalf("interrupted streak (gap %v) quarantined %v", gap, got)
+		}
 	}
 }
 
+// After a quarantine the streak restarts: spare 8, which took slot 2,
+// must earn its own two accusations before it is quarantined in turn.
 func TestHistoryReset(t *testing.T) {
-	h := NewHistory()
-	h.Record(2)
-	h.Record(2)
-	h.Reset()
-	if _, ok := h.Persistent(1); ok {
-		t.Fatal("reset history still persistent")
-	}
-	if h.Attempts() != 0 || h.Votes(2) != 0 {
-		t.Fatalf("reset left Attempts=%d Votes=%d", h.Attempts(), h.Votes(2))
-	}
-}
-
-func TestHistoryThresholdFloor(t *testing.T) {
-	h := NewHistory()
-	h.Record(4)
-	// threshold < 1 is clamped to 1: one accusation suffices.
-	if node, ok := h.Persistent(0); !ok || node != 4 {
-		t.Fatalf("Persistent(0) = %d,%v", node, ok)
+	const none = recovery.NoNode
+	got := quarantines(t, ev(value(2)), ev(value(2)), ev(value(2)), ev(value(2)))
+	if !slices.Equal(got, []int{none, 2, none, 8}) {
+		t.Fatalf("quarantined %v, want [-1 2 -1 8]", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Recovery sweep: the measured side of the recovery-aware cost model.
-// MeasureRecovery drives the AutoRecover supervisor over the simnet
-// chaos machinery's rate-based fault injector across a
-// (dim × fault-load × spare-pool) grid, CalibrateRecovery fits the
+// MeasureRecovery drives the recovery supervisor under a rate-based
+// fault injector across a (dim × fault-load × spare-pool) grid,
+// CalibrateRecovery fits the
 // model's empirical terms (per-attempt cost formula, detection
 // fraction, waste fraction) with the stats least-squares machinery,
 // and ValidateRecovery checks the fitted model's expected-total-vticks
@@ -13,12 +13,14 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fault"
 	"repro/internal/recovery"
-	"repro/internal/recovery/chaostest"
 	"repro/internal/reliablesort"
 	"repro/internal/stats"
 )
@@ -84,6 +86,123 @@ func (s RecoverySweep) withDefaults() RecoverySweep {
 // harness; here attribution noise would contaminate the calibration.)
 func calibrationStrategies() []fault.Strategy {
 	return []fault.Strategy{fault.KeyLie, fault.SplitLie, fault.WrongCompare}
+}
+
+// recoveryTimeout is the sweep's absence timeout. It must be short:
+// tamper strategies can desynchronize an exchange so that a node waits
+// out the full timeout in wall-clock time, and the sweep runs hundreds
+// of supervisions. (Timeout waits are idle virtual time, so the choice
+// does not move measured vtick costs.)
+const recoveryTimeout = 80 * time.Millisecond
+
+// rateConfig parameterizes a rateInjector: a memoryless fault-arrival
+// process in the MTTF framing of the recovery-aware cost model
+// (costmodel.FaultRegime).
+type rateConfig struct {
+	// MTTF is the per-node mean virtual time between fault arrivals,
+	// in vticks. The probability that some fault arrives during an
+	// attempt of T ticks on n nodes is 1 − exp(−n·T/MTTF).
+	MTTF float64
+	// Baselines maps cube dimension → fault-free attempt vticks for
+	// the workload under test; the injector prices each attempt's
+	// exposure window with the same numbers the cost model uses, so
+	// measured and modeled arrival rates agree exactly.
+	Baselines map[int]float64
+	// PersistentFrac is the probability an arrival is persistent: it
+	// re-manifests at its site every attempt until the site is
+	// quarantined out of the cube.
+	PersistentFrac float64
+	// Strategies is the Byzantine behaviour pool, drawn uniformly per
+	// arrival.
+	Strategies []fault.Strategy
+	// Seed drives the injector's private arrival/site/strategy stream.
+	Seed int64
+}
+
+// rateInjector drives a rate-based fault process through
+// reliablesort.Options.Inject. It is stateful: a persistent arrival
+// follows its physical site through remaps until quarantined, and at
+// most one fault is active at a time (the single-fault regime of the
+// paper's Theorem 3, which both the detection guarantee and the cost
+// model's recursion assume). Each supervision needs its own injector.
+type rateInjector struct {
+	cfg rateConfig
+	rng *rand.Rand
+
+	// active injects the live persistent fault at activeSite; nil
+	// means none.
+	active     func(attempt, dim int, physical []int) []core.Options
+	activeSite int
+	// lastSite is the most recently manifested site. New arrivals
+	// avoid it so a transient episode and an unrelated follow-up at
+	// the same site cannot masquerade as a persistent streak — real
+	// independent arrivals on distinct parts, which is also exactly
+	// what the cost model's state machine prices.
+	lastSite int
+
+	// manifestations counts attempts in which a fault was active —
+	// the denominator of the measured detection fraction.
+	manifestations int64
+}
+
+func newRateInjector(cfg rateConfig) *rateInjector {
+	return &rateInjector{
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		lastSite: -1,
+	}
+}
+
+// inject implements reliablesort.Options.Inject for the rate process.
+func (ri *rateInjector) inject(attempt, dim int, physical []int) []core.Options {
+	// A live persistent fault re-manifests while its site is mapped;
+	// once quarantine removed the site, the episode is over.
+	if ri.active != nil {
+		if opts := ri.active(attempt, dim, physical); opts != nil {
+			ri.manifestations++
+			ri.lastSite = ri.activeSite
+			return opts
+		}
+		ri.active = nil
+	}
+	t, ok := ri.cfg.Baselines[dim]
+	if !ok || ri.cfg.MTTF <= 0 || len(ri.cfg.Strategies) == 0 {
+		return nil
+	}
+	p := 1 - math.Exp(-float64(int64(1)<<uint(dim))*t/ri.cfg.MTTF)
+	if ri.rng.Float64() >= p {
+		return nil
+	}
+	// Fresh arrival: uniform over mapped sites, avoiding the most
+	// recently manifested one.
+	site := ri.pickSite(physical)
+	if site < 0 {
+		return nil
+	}
+	st := ri.cfg.Strategies[ri.rng.Intn(len(ri.cfg.Strategies))]
+	inject := fault.Follow(fault.Set{{Msg: &fault.Spec{Node: site, Strategy: st, ActivateStage: 1, LieValue: 7777}}}, true)
+	if ri.rng.Float64() < ri.cfg.PersistentFrac {
+		ri.active, ri.activeSite = inject, site
+	}
+	ri.manifestations++
+	ri.lastSite = site
+	return inject(attempt, dim, physical)
+}
+
+func (ri *rateInjector) pickSite(physical []int) int {
+	candidates := make([]int, 0, len(physical))
+	for _, ph := range physical {
+		if ph != ri.lastSite {
+			candidates = append(candidates, ph)
+		}
+	}
+	if len(candidates) == 0 {
+		candidates = physical
+	}
+	if len(candidates) == 0 {
+		return -1
+	}
+	return candidates[ri.rng.Intn(len(candidates))]
 }
 
 // RecoveryCell is one sweep cell's configuration and measured
@@ -173,20 +292,12 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 	n := 1 << uint(dim)
 	keys := Keys(n*cfg.BlockLen, cellSeed)
 
-	// Absence detection must be short here: tamper strategies can
-	// desynchronize an exchange so that a node waits out the full
-	// timeout in wall-clock time, and the sweep runs hundreds of
-	// supervisions. The chaos harness's simnet timeout is calibrated
-	// for exactly this trade-off. (Timeout waits are idle virtual
-	// time, so the choice does not move measured vtick costs.)
-	timeout := chaostest.RecvTimeout(chaostest.Simnet)
-
 	// Fault-free baselines for every dimension quarantine can reach:
 	// the same workload on the degraded geometry, measured with the
 	// same entry point the supervised attempts use.
 	baselines := make(map[int]float64, dim)
 	for d := dim; d >= 1; d-- {
-		_, st, err := reliablesort.Sort(keys, reliablesort.Options{Dim: d, RecvTimeout: timeout})
+		_, st, err := reliablesort.Sort(keys, reliablesort.Options{Dim: d, RecvTimeout: recoveryTimeout})
 		if err != nil {
 			return RecoveryCell{}, fmt.Errorf("baseline dim %d: %w", d, err)
 		}
@@ -207,7 +318,7 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 
 	var totalTicks, totalAttempts, wasted, backoff float64
 	for r := 0; r < cfg.Runs; r++ {
-		inj := chaostest.NewRateInjector(chaostest.RateConfig{
+		inj := newRateInjector(rateConfig{
 			MTTF:           cell.MTTF,
 			Baselines:      baselines,
 			PersistentFrac: cfg.PersistentFrac,
@@ -216,13 +327,12 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 		})
 		_, st, err := reliablesort.Sort(keys, reliablesort.Options{
 			Dim:         dim,
-			RecvTimeout: timeout,
-			AutoRecover: true,
+			RecvTimeout: recoveryTimeout,
 			MaxAttempts: cfg.MaxAttempts,
 			Spares:      spares,
 			Sleep:       func(time.Duration) {},
 			Seed:        cellSeed + int64(r) + 1,
-			Inject:      inj.Inject,
+			Inject:      inj.inject,
 		})
 		var attempts []recovery.Attempt
 		switch {
@@ -255,7 +365,7 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 				}
 			}
 		}
-		cell.Manifestations += inj.Manifestations
+		cell.Manifestations += inj.manifestations
 	}
 	runs := float64(cfg.Runs)
 	cell.MeanTotalTicks = totalTicks / runs

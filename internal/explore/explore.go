@@ -27,8 +27,7 @@
 // A failing branch is shrunk to a 1-minimal schedule (removing any
 // single directive makes it pass), replayed deterministically for its
 // forensic dump, and packaged as a Reproducer — a self-contained JSON
-// artifact the chaostest harness replays bit-identically
-// (chaostest.ReplayCounterexample).
+// artifact Replay re-executes bit-identically.
 package explore
 
 import (
@@ -78,10 +77,9 @@ type Config struct {
 	RecvTimeout time.Duration
 }
 
-// Diagnosis is the explorer's classification of one branch, the same
-// fields the chaostest replay must reproduce: verdict, accused node,
-// earliest evidence coordinate, and the forensic first-divergence
-// locator.
+// Diagnosis is the explorer's classification of one branch, the
+// fields Replay must reproduce: verdict, accused node, earliest
+// evidence coordinate, and the forensic first-divergence locator.
 type Diagnosis struct {
 	// Verdict classifies the run (fault.Detected,
 	// fault.CorrectDespiteFault, fault.SilentWrong).
@@ -173,8 +171,8 @@ type Result struct {
 
 // Workload returns the explorer's canonical deterministic input for a
 // dim-cube: the reversed sequence, maximally out of order so every
-// stage moves keys. Exported so replay harnesses (chaostest) rebuild
-// the identical run.
+// stage moves keys. Replay rebuilds the identical run from a
+// reproducer's Dim alone.
 func Workload(dim int) []int64 {
 	n := 1 << uint(dim)
 	keys := make([]int64, n)

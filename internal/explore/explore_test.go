@@ -2,6 +2,8 @@ package explore
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -155,12 +157,9 @@ func TestWeakenedChecksCounterexample(t *testing.T) {
 	if !reflect.DeepEqual(rep, back) {
 		t.Fatalf("reproducer did not round-trip:\n%+v\n%+v", rep, back)
 	}
-	diag, inv, _, err := Replay(back)
+	diag, _, err := Replay(back)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if inv != v.Invariant {
-		t.Fatalf("replay broke %q, counterexample records %q", inv, v.Invariant)
 	}
 	if diag != v.Diag {
 		t.Fatalf("replay diagnosis %+v, counterexample records %+v", diag, v.Diag)
@@ -170,11 +169,8 @@ func TestWeakenedChecksCounterexample(t *testing.T) {
 	// the replay pass (vacuously true for an already-empty schedule).
 	for i := range v.Schedule {
 		cand := append(append([]simnet.Action(nil), v.Schedule[:i]...), v.Schedule[i+1:]...)
-		_, inv, _, err := Replay(Reproducer{Dim: 1, Case: v.Placement, WeakenChecks: true, Schedule: cand})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv == v.Invariant {
+		cr := Reproducer{Dim: 1, Case: v.Placement, WeakenChecks: true, Invariant: v.Invariant, Schedule: cand}
+		if _, _, err := Replay(cr); err == nil {
 			t.Fatalf("schedule not 1-minimal: removing directive %d still breaks %s", i, v.Invariant)
 		}
 	}
@@ -226,15 +222,57 @@ func TestRecordedScheduleReplaysIdentically(t *testing.T) {
 		if diag.Verdict != fault.Detected {
 			t.Fatalf("seed %d: verdict %v", seed, diag.Verdict)
 		}
-		got, inv, _, err := Replay(Reproducer{Dim: 2, Case: c, Schedule: sched})
+		// The reproducer records no invariant, so a replay that breaks
+		// one is an error.
+		got, _, err := Replay(Reproducer{Dim: 2, Case: c, Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inv != "" {
-			t.Fatalf("seed %d: healthy replay reported violation %q", seed, inv)
-		}
 		if got != diag {
 			t.Fatalf("seed %d: replay diagnosis %+v, recorded %+v", seed, got, diag)
+		}
+	}
+}
+
+// TestReplayRejectsNonReproducing: a reproducer whose schedule no
+// longer breaks its recorded invariant is an error, not a silent pass.
+func TestReplayRejectsNonReproducing(t *testing.T) {
+	rep := Reproducer{
+		Dim:       1,
+		Case:      fault.Case{Name: "none"},
+		Invariant: InvVerifiedOrEscalated,
+	}
+	if _, _, err := Replay(rep); err == nil {
+		t.Fatal("non-reproducing artifact replayed without error")
+	}
+}
+
+// TestWriteCounterexample checks the artifact files land and parse.
+func TestWriteCounterexample(t *testing.T) {
+	dir := t.TempDir()
+	c := keyLieCase()
+	sched, _, dump, err := Record(Config{Dim: 2}, c, simnet.NewRandom(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Reproducer{Dim: 2, Case: c, Schedule: sched}
+	if err := WriteCounterexample(dir, "ce-test", rep, dump); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, "ce-test.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseReproducer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Schedule) != len(sched) || back.Dim != 2 {
+		t.Fatalf("artifact round-trip: %d directives dim %d, wrote %d dim 2", len(back.Schedule), back.Dim, len(sched))
+	}
+	if dump != nil {
+		if _, err := os.Stat(filepath.Join(dir, "ce-test-forensic.json")); err != nil {
+			t.Fatalf("forensic artifact: %v", err)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package explore
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"repro/internal/fault"
 	"repro/internal/obs/forensic"
@@ -13,7 +15,7 @@ import (
 // cube geometry, the fault placement, and the shrunk schedule. Anyone
 // holding the artifact replays the exact failing execution —
 // bit-identical virtual-tick series, identical forensic dump — via
-// Replay (or the chaostest bridge, chaostest.ReplayCounterexample).
+// Replay.
 type Reproducer struct {
 	// Dim is the cube dimension; the workload is Workload(Dim).
 	Dim int `json:"dim"`
@@ -55,8 +57,8 @@ func ParseReproducer(data []byte) (Reproducer, error) {
 // Record executes one controlled branch of a case (under any
 // controlled scheduler — enumerating, random, replay) and returns the
 // recorded schedule alongside the branch's diagnosis and forensic
-// dump. The schedule feeds a Reproducer: replaying it through
-// chaostest.ReplayCounterexample must reproduce the same diagnosis.
+// dump. The schedule feeds a Reproducer: replaying it through Replay
+// must reproduce the same diagnosis.
 func Record(cfg Config, c fault.Case, sched simnet.Scheduler) ([]simnet.Action, Diagnosis, *forensic.Report, error) {
 	x, err := newExplorer(cfg)
 	if err != nil {
@@ -70,19 +72,51 @@ func Record(cfg Config, c fault.Case, sched simnet.Scheduler) ([]simnet.Action, 
 }
 
 // Replay re-executes a reproducer once under schedule replay and
-// returns the branch's diagnosis, the invariant it broke ("" when the
-// replay unexpectedly passes), and the forensic dump (nil when the run
-// raised no accusation).
-func Replay(r Reproducer) (Diagnosis, string, *forensic.Report, error) {
+// returns the branch's diagnosis and forensic dump (nil when the run
+// raised no accusation). A replay that does not break exactly the
+// invariant the reproducer records ("" for a passing run) is an error:
+// a reproducer that does not reproduce is a determinism bug, the one
+// thing a counterexample artifact must never be.
+func Replay(r Reproducer) (Diagnosis, *forensic.Report, error) {
 	x, err := newExplorer(Config{Dim: r.Dim, WeakenChecks: r.WeakenChecks})
 	if err != nil {
-		return Diagnosis{}, "", nil, err
+		return Diagnosis{}, nil, err
 	}
 	c := r.Case
 	br, err := x.runOnce(c, simnet.NewReplay(append([]simnet.Action(nil), r.Schedule...)))
 	if err != nil {
-		return Diagnosis{}, "", nil, err
+		return Diagnosis{}, nil, err
 	}
-	inv, _ := x.checkInvariant(c, br)
-	return br.diag, inv, br.dump, nil
+	if inv, _ := x.checkInvariant(c, br); inv != r.Invariant {
+		return br.diag, br.dump, fmt.Errorf("explore: replay broke %q, reproducer records %q", inv, r.Invariant)
+	}
+	return br.diag, br.dump, nil
+}
+
+// WriteCounterexample saves a reproducer (and, when present, the
+// forensic dump of its run) to dir under the given base name:
+// <base>.json is the artifact cmd/explore -replay runs, and
+// <base>-forensic.json renders with cmd/forensic.
+func WriteCounterexample(dir, base string, r Reproducer, dump *forensic.Report) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("explore: artifact dir: %w", err)
+	}
+	buf, err := r.JSON()
+	if err != nil {
+		return fmt.Errorf("explore: reproducer render: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, base+".json"), buf, 0o644); err != nil {
+		return fmt.Errorf("explore: reproducer write: %w", err)
+	}
+	if dump == nil {
+		return nil
+	}
+	fbuf, err := dump.JSON()
+	if err != nil {
+		return fmt.Errorf("explore: forensic render: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, base+"-forensic.json"), fbuf, 0o644); err != nil {
+		return fmt.Errorf("explore: forensic write: %w", err)
+	}
+	return nil
 }

@@ -11,10 +11,9 @@
 //   - the full cube dimension is preserved while the spare pool
 //     lasts: a quarantine substitutes a spare at the suspect's slot,
 //     and the subcube shrink happens only after pool exhaustion;
-//   - the supervisor's Report bookkeeping is self-consistent: every
-//     attempt is accounted exactly once, wasted virtual time is the
-//     sum of the failed attempts' costs, and the virtual-time
-//     accounting is monotone;
+//   - the supervisor's Report is self-consistent: each repair shows
+//     in the next attempt's map, the recovery counters agree with it,
+//     and every attempt charges virtual time;
 //   - transient faults are repaired by retry alone (no quarantine),
 //     and persistent faults are localized to the injected site.
 //
@@ -26,7 +25,6 @@ package chaostest
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -205,125 +203,6 @@ func ScenarioInjector(sc Scenario) func(attempt, dim int, physical []int) []core
 	return fault.Follow(fault.Set{c}, sc.Persistent)
 }
 
-// RateConfig parameterizes a RateInjector: a memoryless fault-arrival
-// process in the MTTF framing of the recovery-aware cost model
-// (internal/costmodel.FaultRegime), rather than the single scripted
-// fault of a Scenario.
-type RateConfig struct {
-	// MTTF is the per-node mean virtual time between fault arrivals,
-	// in vticks. The probability that some fault arrives during an
-	// attempt of T ticks on n nodes is 1 − exp(−n·T/MTTF).
-	MTTF float64
-	// Baselines maps cube dimension → fault-free attempt vticks for
-	// the workload under test; the injector prices each attempt's
-	// exposure window with the same numbers the cost model uses, so
-	// measured and modeled arrival rates agree exactly.
-	Baselines map[int]float64
-	// PersistentFrac is the probability an arrival is persistent: it
-	// re-manifests at its site every attempt until the site is
-	// quarantined out of the cube.
-	PersistentFrac float64
-	// Strategies is the Byzantine behaviour pool, drawn uniformly per
-	// arrival. Calibration sweeps restrict it to strongly attributed
-	// strategies so the supervisor's suspect ranking names the
-	// injected site.
-	Strategies []fault.Strategy
-	// Seed drives the injector's private arrival/site/strategy stream.
-	Seed int64
-}
-
-// RateInjector drives a rate-based fault process through
-// reliablesort.Options.Inject. It is stateful: a persistent arrival
-// follows its physical site through remaps until quarantined, and at
-// most one fault is active at a time (the single-fault regime of the
-// paper's Theorem 3, which both the detection guarantee and the cost
-// model's recursion assume).
-type RateInjector struct {
-	cfg RateConfig
-	rng *rand.Rand
-
-	// active injects the live persistent fault at activeSite; nil
-	// means none.
-	active     func(attempt, dim int, physical []int) []core.Options
-	activeSite int
-	// lastSite is the most recently manifested site. New arrivals
-	// avoid it so a transient episode and an unrelated follow-up at
-	// the same site cannot masquerade as a persistent streak — real
-	// independent arrivals on distinct parts, which is also exactly
-	// what the cost model's state machine prices.
-	lastSite int
-
-	// Manifestations counts attempts in which a fault was active —
-	// the denominator of the measured detection fraction.
-	Manifestations int64
-	// Arrivals counts fresh fault arrivals (first manifestations).
-	Arrivals int64
-}
-
-// NewRateInjector returns a rate injector for one supervision. Each
-// supervised run needs its own injector (state follows the attempt
-// sequence).
-func NewRateInjector(cfg RateConfig) *RateInjector {
-	return &RateInjector{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		lastSite: -1,
-	}
-}
-
-// Inject implements reliablesort.Options.Inject for the rate process.
-func (ri *RateInjector) Inject(attempt, dim int, physical []int) []core.Options {
-	// A live persistent fault re-manifests while its site is mapped;
-	// once quarantine removed the site, the episode is over.
-	if ri.active != nil {
-		if opts := ri.active(attempt, dim, physical); opts != nil {
-			ri.Manifestations++
-			ri.lastSite = ri.activeSite
-			return opts
-		}
-		ri.active = nil
-	}
-	t, ok := ri.cfg.Baselines[dim]
-	if !ok || ri.cfg.MTTF <= 0 || len(ri.cfg.Strategies) == 0 {
-		return nil
-	}
-	p := 1 - math.Exp(-float64(int64(1)<<uint(dim))*t/ri.cfg.MTTF)
-	if ri.rng.Float64() >= p {
-		return nil
-	}
-	// Fresh arrival: uniform over mapped sites, avoiding the most
-	// recently manifested one.
-	site := ri.pickSite(physical)
-	if site < 0 {
-		return nil
-	}
-	st := ri.cfg.Strategies[ri.rng.Intn(len(ri.cfg.Strategies))]
-	inject := fault.Follow(fault.Set{messageFault(st, site)}, true)
-	if ri.rng.Float64() < ri.cfg.PersistentFrac {
-		ri.active, ri.activeSite = inject, site
-	}
-	ri.Arrivals++
-	ri.Manifestations++
-	ri.lastSite = site
-	return inject(attempt, dim, physical)
-}
-
-func (ri *RateInjector) pickSite(physical []int) int {
-	candidates := make([]int, 0, len(physical))
-	for _, ph := range physical {
-		if ph != ri.lastSite {
-			candidates = append(candidates, ph)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = physical
-	}
-	if len(candidates) == 0 {
-		return -1
-	}
-	return candidates[ri.rng.Intn(len(candidates))]
-}
-
 // Result is everything one supervised scenario produced.
 type Result struct {
 	In    []int64
@@ -372,7 +251,6 @@ func Run(sc Scenario, tr Transport) Result {
 	opts := reliablesort.Options{
 		Dim:         sc.Dim,
 		RecvTimeout: RecvTimeout(tr),
-		AutoRecover: true,
 		MaxAttempts: sc.MaxAttempts,
 		Spares:      sc.Spares,
 		Sleep:       func(time.Duration) {},
@@ -412,7 +290,7 @@ func Check(sc Scenario, r Result) error {
 	}
 	rep := r.Stats.Recovery
 	if rep == nil {
-		return errors.New("AutoRecover success without recovery report")
+		return errors.New("verified sort without recovery report")
 	}
 	if err := VerifyReport(rep, r.Obs.Metrics()); err != nil {
 		return err
@@ -421,7 +299,7 @@ func Check(sc Scenario, r Result) error {
 		return err
 	}
 
-	quarantined := rep.Quarantined
+	quarantined := rep.Quarantined()
 	if !sc.Persistent {
 		// A transient fault must be repaired by retry alone.
 		if len(quarantined) != 0 {
@@ -446,18 +324,18 @@ func Check(sc Scenario, r Result) error {
 	// dimension (a mislocalized memory fault can quarantine twice and
 	// legitimately outrun the pool).
 	if sc.Spares >= 1 && len(quarantined) > 0 && len(quarantined) <= sc.Spares {
-		if rep.FinalDim != sc.Dim {
-			return fmt.Errorf("spares available but FinalDim = %d (started %d)", rep.FinalDim, sc.Dim)
+		if rep.FinalDim() != sc.Dim {
+			return fmt.Errorf("spares available but FinalDim = %d (started %d)", rep.FinalDim(), sc.Dim)
 		}
-		if len(rep.Substitutions) == 0 {
+		if len(rep.SparesUsed()) == 0 {
 			return errors.New("spares available but quarantine recorded no substitution")
 		}
 		if r.Stats.Nodes != 1<<uint(sc.Dim) {
 			return fmt.Errorf("degraded geometry %d nodes despite spare substitution", r.Stats.Nodes)
 		}
 	}
-	if sc.Spares == 0 && len(rep.Substitutions) != 0 {
-		return fmt.Errorf("empty pool produced substitutions %v", rep.Substitutions)
+	if used := rep.SparesUsed(); sc.Spares == 0 && len(used) != 0 {
+		return fmt.Errorf("empty pool activated spares %v", used)
 	}
 	return nil
 }
@@ -492,7 +370,9 @@ func checkSorted(in, out []int64) error {
 // attempt history: full dimension preserved while spares remain,
 // shrink only after pool exhaustion, spare labels consumed in order,
 // and per-attempt virtual costs positive (the monotone virtual-time
-// series).
+// series). A budget-exhausted run whose final act was a shrink never
+// ran the shrunk cube, so the trajectory may end one dimension below
+// the last attempt's.
 func checkAttemptHistory(sc Scenario, rep *recovery.Report) error {
 	wantDim := sc.Dim
 	sparesUsed := 0
@@ -524,46 +404,23 @@ func checkAttemptHistory(sc Scenario, rep *recovery.Report) error {
 			wantDim--
 		}
 	}
-	if rep.FinalDim != wantDim {
-		// FinalDim is the dimension of the last attempt actually run,
-		// so a budget-exhausted run whose final act was a
-		// shrink-quarantine legally sits one dimension above the
-		// trajectory endpoint: the shrunk cube never got an attempt.
-		last := rep.Attempts[len(rep.Attempts)-1]
-		trailingShrink := !last.Verified && last.Quarantined != recovery.NoNode &&
-			last.Substituted == recovery.NoNode
-		if !(trailingShrink && rep.FinalDim == wantDim+1 && rep.FinalDim == last.Dim) {
-			return fmt.Errorf("FinalDim = %d, trajectory says %d", rep.FinalDim, wantDim)
-		}
-	}
 	return nil
 }
 
-// VerifyReport checks the supervisor's bookkeeping for internal
+// VerifyReport checks the supervisor's Report for internal
 // self-consistency, independent of any scenario:
 //
-//   - attempts partition exactly into retries + shrink-quarantines +
-//     substitutions + verified successes;
-//   - the verified attempt, if any, is unique and last;
-//   - WastedCost equals the sum of the failed attempts' costs and
-//     TotalBackoff the sum of the per-attempt waits;
-//   - Quarantined and Substitutions mirror the per-attempt records in
-//     order;
+//   - the first attempt waited no backoff;
+//   - the verified attempt, if any, is unique and last, and every
+//     other attempt failed with an error;
 //   - each attempt's logical→physical map is a well-formed injective
 //     relabeling that reflects the previous attempt's repair.
 //
 // When m is non-nil it must be the run's private metrics bundle; the
 // report is additionally cross-checked against the recovery series
-// Sort counted from it — TotalBackoff against the backoff counter,
-// WastedCost against the wasted-vticks counter, and the
-// attempt/quarantine/substitution counts against theirs — so a drift
-// between the Report and the obs layer fails every chaos run.
+// Sort counted from it, so a drift between the Report and the obs
+// layer fails every chaos run.
 func VerifyReport(rep *recovery.Report, m *obs.Metrics) error {
-	var wasted int64
-	var backoff time.Duration
-	var quarantined []int
-	var subs []recovery.Substitution
-	retries, shrinks, substitutions, successes := 0, 0, 0, 0
 	for i, a := range rep.Attempts {
 		if a.Index != i {
 			return fmt.Errorf("attempt %d records index %d", i, a.Index)
@@ -581,7 +438,6 @@ func VerifyReport(rep *recovery.Report, m *obs.Metrics) error {
 		if i == 0 && a.Backoff != 0 {
 			return fmt.Errorf("first attempt waited %v", a.Backoff)
 		}
-		backoff += a.Backoff
 		if a.Verified {
 			if a.Err != nil {
 				return fmt.Errorf("attempt %d verified with error %v", i, a.Err)
@@ -589,55 +445,11 @@ func VerifyReport(rep *recovery.Report, m *obs.Metrics) error {
 			if i != len(rep.Attempts)-1 {
 				return fmt.Errorf("verified attempt %d is not last of %d", i, len(rep.Attempts))
 			}
-			successes++
 			continue
 		}
 		if a.Err == nil {
 			return fmt.Errorf("attempt %d failed with nil error", i)
 		}
-		wasted += a.Cost
-		switch {
-		case a.Substituted != recovery.NoNode:
-			substitutions++
-			quarantined = append(quarantined, a.Quarantined)
-			subs = append(subs, recovery.Substitution{Suspect: a.Quarantined, Spare: a.Substituted, Attempt: i})
-		case a.Quarantined != recovery.NoNode:
-			shrinks++
-			quarantined = append(quarantined, a.Quarantined)
-		default:
-			retries++
-		}
-	}
-	if total := retries + shrinks + substitutions + successes; total != len(rep.Attempts) {
-		return fmt.Errorf("classification covers %d of %d attempts", total, len(rep.Attempts))
-	}
-	if wasted != rep.WastedCost {
-		return fmt.Errorf("WastedCost = %d, per-attempt failed costs sum to %d", rep.WastedCost, wasted)
-	}
-	if backoff != rep.TotalBackoff {
-		return fmt.Errorf("TotalBackoff = %v, per-attempt waits sum to %v", rep.TotalBackoff, backoff)
-	}
-	if len(quarantined) != len(rep.Quarantined) {
-		return fmt.Errorf("Quarantined = %v, attempts record %v", rep.Quarantined, quarantined)
-	}
-	for i := range quarantined {
-		if quarantined[i] != rep.Quarantined[i] {
-			return fmt.Errorf("Quarantined = %v, attempts record %v", rep.Quarantined, quarantined)
-		}
-	}
-	if len(subs) != len(rep.Substitutions) {
-		return fmt.Errorf("Substitutions = %v, attempts record %v", rep.Substitutions, subs)
-	}
-	for i := range subs {
-		if subs[i] != rep.Substitutions[i] {
-			return fmt.Errorf("Substitutions = %v, attempts record %v", rep.Substitutions, subs)
-		}
-	}
-	if len(rep.Substitutions) > len(rep.Quarantined) {
-		return fmt.Errorf("%d substitutions exceed %d quarantines", len(rep.Substitutions), len(rep.Quarantined))
-	}
-	if n := len(rep.Attempts); n > 0 && rep.FinalDim != rep.Attempts[n-1].Dim {
-		return fmt.Errorf("FinalDim = %d, last attempt ran at %d", rep.FinalDim, rep.Attempts[n-1].Dim)
 	}
 	if m != nil {
 		verified := int64(0)
@@ -652,10 +464,10 @@ func VerifyReport(rep *recovery.Report, m *obs.Metrics) error {
 			{"recovery_attempts_total", m.RecoveryAttempts.Value(), int64(len(rep.Attempts))},
 			{"recovery_retries_total", m.RecoveryRetries.Value(), int64(max(0, len(rep.Attempts)-1))},
 			{"recovery_verified_total", m.RecoveryVerified.Value(), verified},
-			{"recovery_quarantines_total", m.RecoveryQuarantines.Value(), int64(len(rep.Quarantined))},
-			{"recovery_substitutions_total", m.RecoverySubstitutions.Value(), int64(len(rep.Substitutions))},
-			{"recovery_wasted_vticks_total", m.RecoveryWastedVTicks.Value(), rep.WastedCost},
-			{"recovery_backoff_nanos_total", m.RecoveryBackoffNanos.Value(), int64(rep.TotalBackoff)},
+			{"recovery_quarantines_total", m.RecoveryQuarantines.Value(), int64(len(rep.Quarantined()))},
+			{"recovery_substitutions_total", m.RecoverySubstitutions.Value(), int64(len(rep.SparesUsed()))},
+			{"recovery_wasted_vticks_total", m.RecoveryWastedVTicks.Value(), rep.WastedCost()},
+			{"recovery_backoff_nanos_total", m.RecoveryBackoffNanos.Value(), int64(rep.TotalBackoff())},
 		}
 		for _, c := range checks {
 			if c.got != c.want {

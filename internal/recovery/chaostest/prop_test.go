@@ -52,24 +52,20 @@ func accuseLogical(node int) []core.HostError {
 }
 
 // TestReportSelfConsistencyProperty drives many random scripted
-// supervisions straight into recovery.Supervise and asserts the
-// Report/ExhaustedError bookkeeping is self-consistent in every one:
-// attempts partition into retries + shrinks + substitutions +
-// successes, wasted vticks equal the failed attempts' costs, backoff
-// totals match the recorded waits, and the quarantine/substitution
-// lists mirror the per-attempt records.
+// supervisions straight into recovery.Supervise and asserts every
+// Report is self-consistent (VerifyReport), stays within its budget
+// and the dimension floor, and activates spares in pool order.
 func TestReportSelfConsistencyProperty(t *testing.T) {
 	const runs = 400
 	rng := rand.New(rand.NewSource(19890612))
 	for i := 0; i < runs; i++ {
 		dim := 1 + rng.Intn(3)
-		spares := spareLabels(dim, rng.Intn(4))
+		spares := rng.Intn(4)
 		pol := recovery.Policy{
 			MaxAttempts: 1 + rng.Intn(8),
 			Spares:      spares,
 			Seed:        rng.Int63() | 1,
 			Sleep:       func(time.Duration) {},
-			Backoff:     recovery.Backoff{Base: time.Millisecond, Max: 16 * time.Millisecond},
 		}
 		failBias := 0.3 + rng.Float64()*0.6
 		runSeed := rng.Int63()
@@ -83,7 +79,7 @@ func TestReportSelfConsistencyProperty(t *testing.T) {
 		}
 		if err := VerifyReport(rep, nil); err != nil {
 			t.Fatalf("run %d (seed %d, dim %d, spares %d): %v\nattempts: %+v",
-				i, runSeed, dim, len(spares), err, rep.Attempts)
+				i, runSeed, dim, spares, err, rep.Attempts)
 		}
 		if len(rep.Attempts) > pol.MaxAttempts {
 			t.Fatalf("run %d: %d attempts exceed budget %d", i, len(rep.Attempts), pol.MaxAttempts)
@@ -95,23 +91,16 @@ func TestReportSelfConsistencyProperty(t *testing.T) {
 				t.Fatalf("run %d: attempt %d ran below the floor: dim %d", i, a.Index, a.Dim)
 			}
 		}
-		// Spares are consumed at most once each, in pool order.
-		next := 0
-		for _, s := range rep.Substitutions {
-			if next >= len(spares) || s.Spare != spares[next] {
-				t.Fatalf("run %d: substitution %+v out of pool order %v", i, s, spares)
+		// Spares are consumed at most once each, in pool order: the
+		// labels just above the initial cube.
+		used := rep.SparesUsed()
+		if len(used) > spares {
+			t.Fatalf("run %d: %d spares activated from a pool of %d", i, len(used), spares)
+		}
+		for j, s := range used {
+			if s != 1<<uint(dim)+j {
+				t.Fatalf("run %d: spares activated %v, out of pool order", i, used)
 			}
-			next++
 		}
 	}
-}
-
-// spareLabels mirrors reliablesort's pool construction for direct
-// Supervise property runs.
-func spareLabels(dim, count int) []int {
-	out := make([]int, count)
-	for i := range out {
-		out[i] = 1<<uint(dim) + i
-	}
-	return out
 }

@@ -57,7 +57,6 @@ func TestConcurrentScrapesDuringChaos(t *testing.T) {
 			opts := reliablesort.Options{
 				Dim:         sc.Dim,
 				RecvTimeout: RecvTimeout(Simnet),
-				AutoRecover: true,
 				MaxAttempts: sc.MaxAttempts,
 				Spares:      sc.Spares,
 				Sleep:       func(time.Duration) {},

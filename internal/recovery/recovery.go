@@ -21,9 +21,10 @@
 // attempt budget is spent the supervisor escalates with an
 // ExhaustedError carrying the supervision's Report — it never returns
 // an unverified result, preserving the fail-stop contract one layer
-// up. The Report is the supervision's only record: the supervisor
-// journals nothing, and a caller adds the finished Report to its
-// recovery counters with Count.
+// up. A budget of one attempt is the paper's plain fail-stop: the
+// first detected fault ends the supervision. The Report is the
+// supervision's only record: the supervisor journals nothing, and a
+// caller adds the finished Report to its recovery counters with Count.
 package recovery
 
 import (
@@ -51,70 +52,43 @@ const persistStreak = 2
 // pair of nodes, since dimension 0 cannot cross-check.
 const dimFloor = 1
 
-// Backoff configures the capped exponential backoff (with equal
-// jitter) applied before every attempt after the first. The zero value
-// selects the defaults.
-type Backoff struct {
-	// Base is the nominal wait before the first retry; it doubles per
-	// subsequent retry. Default 10ms.
-	Base time.Duration
-	// Max caps the nominal wait. Default 2s.
-	Max time.Duration
-	// Jitter is the fraction of each wait that is randomized (equal
-	// jitter: wait = nominal·(1−Jitter) + U[0,1)·nominal·Jitter).
-	// Negative disables jitter; 0 selects the default 0.5.
-	Jitter float64
-}
+// The wait before every attempt after the first is a capped
+// exponential backoff with equal jitter: backoffBase doubling per
+// retry up to backoffMax, of which the fraction backoffJitter is drawn
+// at random (wait = nominal·(1−jitter) + U[0,1)·nominal·jitter).
+const (
+	backoffBase   = 10 * time.Millisecond
+	backoffMax    = 2 * time.Second
+	backoffJitter = 0.5
+)
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 10 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 2 * time.Second
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.5
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
-	}
-	if b.Jitter > 1 {
-		b.Jitter = 1
-	}
-	return b
-}
+// DefaultMaxAttempts is the attempt budget of a Policy that sets none,
+// and the budget internal/server gives each job.
+const DefaultMaxAttempts = 4
 
-// wait returns the backoff before retry number retry (1-based).
-func (b Backoff) wait(retry int, rng *rand.Rand) time.Duration {
-	nominal := b.Base
-	for i := 1; i < retry && nominal < b.Max; i++ {
+// backoff returns the wait before retry number retry (1-based).
+func backoff(retry int, rng *rand.Rand) time.Duration {
+	nominal := backoffBase
+	for i := 1; i < retry && nominal < backoffMax; i++ {
 		nominal *= 2
 	}
-	if nominal > b.Max {
-		nominal = b.Max
-	}
-	if b.Jitter == 0 {
-		return nominal
-	}
-	fixed := float64(nominal) * (1 - b.Jitter)
-	return time.Duration(fixed + rng.Float64()*float64(nominal)*b.Jitter)
+	nominal = min(nominal, backoffMax)
+	fixed := float64(nominal) * (1 - backoffJitter)
+	return time.Duration(fixed + rng.Float64()*float64(nominal)*backoffJitter)
 }
 
 // Policy tunes a supervision. The zero value selects the defaults.
 type Policy struct {
 	// MaxAttempts is the total sort-attempt budget, quarantined
-	// re-runs included. Default 4.
+	// re-runs included. Default DefaultMaxAttempts.
 	MaxAttempts int
-	// Backoff shapes the waits between attempts.
-	Backoff Backoff
-	// Spares is the pool of spare physical node labels, consumed in
-	// order. While the pool lasts, a quarantine substitutes the next
-	// spare at the suspect's logical slot instead of shrinking the
-	// cube, so repair costs one node instead of half the machine (the
-	// N-modular-sparing alternative to graceful degradation). Labels
-	// must be distinct and outside the initial cube [0, 2^dim).
-	Spares []int
+	// Spares is the number of spare nodes, labelled 2^dim .. 2^dim+
+	// Spares−1 and consumed in that order. While the pool lasts, a
+	// quarantine substitutes the next spare at the suspect's logical
+	// slot instead of shrinking the cube, so repair costs one node
+	// instead of half the machine (the N-modular-sparing alternative to
+	// graceful degradation).
+	Spares int
 	// Seed makes the backoff jitter deterministic; 0 uses a fixed
 	// default seed so supervisions are reproducible by default.
 	Seed int64
@@ -131,9 +105,9 @@ type Policy struct {
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
+		p.MaxAttempts = DefaultMaxAttempts
 	}
-	p.Backoff = p.Backoff.withDefaults()
+	p.Spares = max(p.Spares, 0)
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -156,11 +130,11 @@ type Plan struct {
 	// substitutions (a spare keeps its own label when it enters the
 	// cube).
 	Physical []int
-	// Spares is the remaining spare pool, in consumption order. A
-	// runner that models the machine pre-registers these as idle
-	// endpoints so a substituted spare is a part that was already
+	// Spares is the number of spares left in the pool. A runner that
+	// models the machine pre-registers that many idle endpoints beyond
+	// the cube, so a substituted spare is a part that was already
 	// powered, not one conjured at quarantine time.
-	Spares []int
+	Spares int
 }
 
 // Outcome is what one attempt produced.
@@ -169,7 +143,8 @@ type Outcome struct {
 	// delivered (empty on success or on unattributable failures).
 	HostErrors []core.HostError
 	// Cost is the attempt's virtual-time makespan in ticks, whether or
-	// not it succeeded; failed attempts accumulate into WastedCost.
+	// not it succeeded; failed attempts' costs sum to the Report's
+	// WastedCost.
 	Cost int64
 	// Err is nil exactly when the attempt produced a *verified*
 	// result. The runner must not report success on any other basis.
@@ -209,39 +184,64 @@ type Attempt struct {
 	Verified bool
 }
 
-// Substitution records one spare activation: after attempt Attempt
-// the persistently accused Suspect was dropped and Spare took over its
-// logical slot, preserving the cube dimension.
-type Substitution struct {
-	// Suspect is the quarantined physical label.
-	Suspect int
-	// Spare is the activated spare's physical label.
-	Spare int
-	// Attempt is the 0-based attempt index after which the
-	// substitution was decided.
-	Attempt int
+// Report is a supervision's record: its attempts, in order. The
+// recovery-overhead accounting, the analogue of the paper's S_FT
+// overhead numbers for the recovery layer, is read off them.
+type Report struct {
+	Attempts []Attempt
 }
 
-// Report aggregates a supervision: the attempt history plus the
-// recovery-overhead accounting, the analogue of the paper's S_FT
-// overhead numbers for the recovery layer.
-type Report struct {
-	// Attempts is the full history, in order.
-	Attempts []Attempt
-	// FinalDim is the cube dimension of the last attempt.
-	FinalDim int
-	// Quarantined lists the physical labels dropped, in order
-	// (suspects repaired by substitution included).
-	Quarantined []int
-	// Substitutions lists the spare activations, in order. Every
-	// substitution corresponds to one Quarantined entry; quarantines
-	// beyond len(Substitutions) fell back to subcube shrinks.
-	Substitutions []Substitution
-	// WastedCost is the virtual time burned by failed attempts.
-	WastedCost int64
-	// TotalBackoff is the wall-clock time spent waiting between
-	// attempts.
-	TotalBackoff time.Duration
+// FinalDim is the cube dimension of the last attempt.
+func (r *Report) FinalDim() int {
+	if len(r.Attempts) == 0 {
+		return 0
+	}
+	return r.Attempts[len(r.Attempts)-1].Dim
+}
+
+// Quarantined lists the physical labels dropped, in order (suspects
+// repaired by substitution included).
+func (r *Report) Quarantined() []int {
+	var out []int
+	for _, a := range r.Attempts {
+		if a.Quarantined != NoNode {
+			out = append(out, a.Quarantined)
+		}
+	}
+	return out
+}
+
+// SparesUsed lists the spares activated, in order. Each took over the
+// slot of one Quarantined entry; quarantines beyond len(SparesUsed())
+// fell back to subcube shrinks.
+func (r *Report) SparesUsed() []int {
+	var out []int
+	for _, a := range r.Attempts {
+		if a.Substituted != NoNode {
+			out = append(out, a.Substituted)
+		}
+	}
+	return out
+}
+
+// WastedCost is the virtual time burned by failed attempts.
+func (r *Report) WastedCost() int64 {
+	var sum int64
+	for _, a := range r.Attempts {
+		if !a.Verified {
+			sum += a.Cost
+		}
+	}
+	return sum
+}
+
+// TotalBackoff is the wall-clock time spent waiting between attempts.
+func (r *Report) TotalBackoff() time.Duration {
+	var sum time.Duration
+	for _, a := range r.Attempts {
+		sum += a.Backoff
+	}
+	return sum
 }
 
 // Count adds the finished supervision to m's recovery counters: its
@@ -259,10 +259,10 @@ func (r *Report) Count(m *obs.Metrics) {
 	if n > 0 && r.Attempts[n-1].Verified {
 		m.RecoveryVerified.Inc()
 	}
-	m.RecoveryQuarantines.Add(int64(len(r.Quarantined)))
-	m.RecoverySubstitutions.Add(int64(len(r.Substitutions)))
-	m.RecoveryWastedVTicks.Add(r.WastedCost)
-	m.RecoveryBackoffNanos.Add(int64(r.TotalBackoff))
+	m.RecoveryQuarantines.Add(int64(len(r.Quarantined())))
+	m.RecoverySubstitutions.Add(int64(len(r.SparesUsed())))
+	m.RecoveryWastedVTicks.Add(r.WastedCost())
+	m.RecoveryBackoffNanos.Add(int64(r.TotalBackoff()))
 }
 
 // ExhaustedError escalates a supervision that spent its budget without
@@ -277,15 +277,11 @@ type ExhaustedError struct {
 func (e *ExhaustedError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "recovery: attempt budget exhausted after %d attempts", len(e.Attempts))
-	if len(e.Quarantined) > 0 {
-		fmt.Fprintf(&b, " (quarantined nodes %v)", e.Quarantined)
+	if q := e.Quarantined(); len(q) > 0 {
+		fmt.Fprintf(&b, " (quarantined nodes %v)", q)
 	}
-	if len(e.Substitutions) > 0 {
-		spares := make([]int, len(e.Substitutions))
-		for i, s := range e.Substitutions {
-			spares[i] = s.Spare
-		}
-		fmt.Fprintf(&b, " (spares consumed %v)", spares)
+	if used := e.SparesUsed(); len(used) > 0 {
+		fmt.Fprintf(&b, " (spares consumed %v)", used)
 	}
 	if last := e.lastErr(); last != nil {
 		fmt.Fprintf(&b, "; last error: %v", last)
@@ -311,6 +307,11 @@ func (e *ExhaustedError) lastErr() error {
 // other error is a configuration problem. The supervisor itself never
 // sees result data, so it structurally cannot return an unverified
 // answer.
+//
+// A fault is judged persistent once persistStreak consecutive failed
+// attempts name the same prime suspect, in physical labels so the
+// streak survives remapping; an attempt that names another suspect, or
+// none, starts the count again.
 func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 	if runner == nil {
 		return nil, fmt.Errorf("recovery: nil runner")
@@ -319,9 +320,6 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 		return nil, fmt.Errorf("recovery: dimension %d out of range [0,%d]", dim, hypercube.MaxDim)
 	}
 	pol = pol.withDefaults()
-	if err := validateSpares(pol.Spares, dim); err != nil {
-		return nil, err
-	}
 	// The jitter source is seeded at the first retry, so a run that
 	// verifies on its first attempt never pays for seeding it.
 	var rng *rand.Rand
@@ -329,9 +327,13 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 	for i := range physical {
 		physical[i] = i
 	}
-	spares := append([]int(nil), pol.Spares...)
-	hist := diagnose.NewHistory()
-	rep := &Report{FinalDim: dim}
+	// spares holds the labels of the spares not yet activated, the
+	// pol.Spares labels just above the initial cube; it is built at the
+	// first quarantine.
+	var spares []int
+	firstSpare := len(physical)
+	suspect, streak := NoNode, 0
+	rep := &Report{}
 
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		var wait time.Duration
@@ -339,15 +341,14 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 			if rng == nil {
 				rng = rand.New(rand.NewSource(pol.Seed))
 			}
-			wait = pol.Backoff.wait(attempt, rng)
+			wait = backoff(attempt, rng)
 			pol.Sleep(wait)
-			rep.TotalBackoff += wait
 		}
 		plan := Plan{
 			Attempt:  attempt,
 			Dim:      dim,
 			Physical: append([]int(nil), physical...),
-			Spares:   append([]int(nil), spares...),
+			Spares:   pol.Spares,
 		}
 		out := runner(plan)
 		att := Attempt{
@@ -361,60 +362,47 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 			Cost:        out.Cost,
 			Err:         out.Err,
 		}
-		rep.FinalDim = dim
 		if out.Err == nil {
 			att.Verified = true
 			rep.Attempts = append(rep.Attempts, att)
 			return rep, nil
 		}
-		rep.WastedCost += out.Cost
 		att.Suspects = physicalSuspects(diagnose.Rank(out.HostErrors), physical)
+		prime := NoNode
 		if len(att.Suspects) > 0 {
-			hist.Record(att.Suspects[0].Node)
-		} else {
-			hist.Record(diagnose.NoSuspect)
+			prime = att.Suspects[0].Node
 		}
-		if culprit, ok := hist.Persistent(persistStreak); ok {
-			if logical := logicalOf(physical, culprit); logical >= 0 {
+		if prime != suspect {
+			suspect, streak = prime, 0
+		}
+		if prime != NoNode {
+			streak++
+		}
+		if streak >= persistStreak {
+			if logical := logicalOf(physical, prime); logical >= 0 {
+				if spares == nil && pol.Spares > 0 {
+					spares = make([]int, pol.Spares)
+					for i := range spares {
+						spares[i] = firstSpare + i
+					}
+				}
 				newPhys, newSpares, newDim, spare, acted := remap(physical, spares, logical, dim, dimFloor)
 				if acted {
 					physical, spares, dim = newPhys, newSpares, newDim
-					att.Quarantined = culprit
+					pol.Spares = len(spares)
+					att.Quarantined = prime
 					att.Substituted = spare
-					rep.Quarantined = append(rep.Quarantined, culprit)
-					pol.Flight.Quarantine(culprit, attempt,
-						fmt.Sprintf("persistent accusation streak against physical node %d", culprit))
-					if spare != NoNode {
-						rep.Substitutions = append(rep.Substitutions,
-							Substitution{Suspect: culprit, Spare: spare, Attempt: attempt})
-					}
+					pol.Flight.Quarantine(prime, attempt,
+						fmt.Sprintf("persistent accusation streak against physical node %d", prime))
 					// The suspect is gone; accusations against it must not
 					// condemn whoever inherits its traffic pattern.
-					hist.Reset()
+					suspect, streak = NoNode, 0
 				}
 			}
 		}
 		rep.Attempts = append(rep.Attempts, att)
 	}
 	return nil, &ExhaustedError{rep}
-}
-
-// validateSpares rejects spare pools the substitution policy cannot
-// honor: labels inside the initial cube would collide with an active
-// node's identity, and duplicates would activate the same part twice.
-func validateSpares(spares []int, dim int) error {
-	n := 1 << uint(dim)
-	seen := make(map[int]bool, len(spares))
-	for _, s := range spares {
-		if s < n {
-			return fmt.Errorf("recovery: spare label %d inside the initial cube [0,%d)", s, n)
-		}
-		if seen[s] {
-			return fmt.Errorf("recovery: duplicate spare label %d", s)
-		}
-		seen[s] = true
-	}
-	return nil
 }
 
 // remap decides and applies the quarantine action for the persistent

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/diagnose"
 	"repro/internal/obs"
 )
@@ -45,10 +46,10 @@ func TestSuperviseFirstAttemptSuccess(t *testing.T) {
 	if calls != 1 || len(rep.Attempts) != 1 || !rep.Attempts[0].Verified {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.WastedCost != 0 || rep.TotalBackoff != 0 || len(waits) != 0 {
+	if rep.WastedCost() != 0 || rep.TotalBackoff() != 0 || len(waits) != 0 {
 		t.Fatalf("clean run accrued overhead: %+v waits=%v", rep, waits)
 	}
-	if rep.FinalDim != 3 || len(rep.Quarantined) != 0 {
+	if rep.FinalDim() != 3 || len(rep.Quarantined()) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 }
@@ -69,21 +70,21 @@ func TestSuperviseTransientRetries(t *testing.T) {
 	if calls != 2 || len(rep.Attempts) != 2 {
 		t.Fatalf("calls=%d attempts=%d", calls, len(rep.Attempts))
 	}
-	if rep.WastedCost != 70 {
-		t.Fatalf("WastedCost = %d", rep.WastedCost)
+	if rep.WastedCost() != 70 {
+		t.Fatalf("WastedCost = %d", rep.WastedCost())
 	}
 	if len(waits) != 1 || waits[0] <= 0 {
 		t.Fatalf("waits = %v", waits)
 	}
-	if rep.TotalBackoff != waits[0] {
-		t.Fatalf("TotalBackoff = %v, slept %v", rep.TotalBackoff, waits)
+	if rep.TotalBackoff() != waits[0] {
+		t.Fatalf("TotalBackoff = %v, slept %v", rep.TotalBackoff(), waits)
 	}
 	a0 := rep.Attempts[0]
 	if len(a0.Suspects) != 1 || a0.Suspects[0].Node != 5 || a0.Quarantined != NoNode {
 		t.Fatalf("attempt 0 = %+v", a0)
 	}
 	// One transient accusation must not shrink the cube.
-	if rep.FinalDim != 3 || len(rep.Quarantined) != 0 {
+	if rep.FinalDim() != 3 || len(rep.Quarantined()) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 }
@@ -167,14 +168,14 @@ func TestSupervisePersistentQuarantineAndShrink(t *testing.T) {
 	if len(rep.Attempts) != 3 {
 		t.Fatalf("attempts = %d, want 3 (fail, fail+quarantine, verified)", len(rep.Attempts))
 	}
-	if got := rep.Quarantined; len(got) != 1 || got[0] != 5 {
+	if got := rep.Quarantined(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("Quarantined = %v", got)
 	}
 	if rep.Attempts[1].Quarantined != 5 {
 		t.Fatalf("attempt 1 = %+v", rep.Attempts[1])
 	}
-	if rep.FinalDim != 2 {
-		t.Fatalf("FinalDim = %d", rep.FinalDim)
+	if rep.FinalDim() != 2 {
+		t.Fatalf("FinalDim = %d", rep.FinalDim())
 	}
 	last := plans[len(plans)-1]
 	if last.Dim != 2 || len(last.Physical) != 4 {
@@ -187,8 +188,8 @@ func TestSupervisePersistentQuarantineAndShrink(t *testing.T) {
 			t.Fatalf("final mapping = %v", last.Physical)
 		}
 	}
-	if rep.WastedCost != 100 {
-		t.Fatalf("WastedCost = %d", rep.WastedCost)
+	if rep.WastedCost() != 100 {
+		t.Fatalf("WastedCost = %d", rep.WastedCost())
 	}
 }
 
@@ -241,8 +242,8 @@ func TestSuperviseAlternatingSuspectsNeverQuarantines(t *testing.T) {
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(ex.Quarantined) != 0 {
-		t.Fatalf("Quarantined = %v", ex.Quarantined)
+	if len(ex.Quarantined()) != 0 {
+		t.Fatalf("Quarantined = %v", ex.Quarantined())
 	}
 	for _, a := range ex.Attempts {
 		if a.Dim != 3 {
@@ -262,8 +263,8 @@ func TestSuperviseRespectsMinDim(t *testing.T) {
 	}
 	// Persistent at dim 1, the quarantine floor: nothing to shrink to,
 	// so the supervisor retries until the budget runs out.
-	if len(ex.Quarantined) != 0 {
-		t.Fatalf("Quarantined = %v below the dimension floor", ex.Quarantined)
+	if len(ex.Quarantined()) != 0 {
+		t.Fatalf("Quarantined = %v below the dimension floor", ex.Quarantined())
 	}
 	for _, a := range ex.Attempts {
 		if a.Dim != 1 || len(a.Physical) != 2 {
@@ -273,15 +274,11 @@ func TestSuperviseRespectsMinDim(t *testing.T) {
 }
 
 func TestBackoffCappedExponentialWithJitter(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.5}.withDefaults()
 	rng := rand.New(rand.NewSource(42))
 	prevNominal := time.Duration(0)
-	for retry := 1; retry <= 6; retry++ {
-		nominal := b.Base << uint(retry-1)
-		if nominal > b.Max {
-			nominal = b.Max
-		}
-		w := b.wait(retry, rng)
+	for retry := 1; retry <= 10; retry++ {
+		nominal := min(backoffBase<<uint(retry-1), backoffMax)
+		w := backoff(retry, rng)
 		lo, hi := nominal/2, nominal
 		if w < lo || w > hi {
 			t.Fatalf("retry %d: wait %v outside [%v,%v]", retry, w, lo, hi)
@@ -294,17 +291,16 @@ func TestBackoffCappedExponentialWithJitter(t *testing.T) {
 }
 
 func TestBackoffDeterministicBySeed(t *testing.T) {
-	b := Backoff{}.withDefaults()
-	a1 := b.wait(3, rand.New(rand.NewSource(7)))
-	a2 := b.wait(3, rand.New(rand.NewSource(7)))
+	a1 := backoff(3, rand.New(rand.NewSource(7)))
+	a2 := backoff(3, rand.New(rand.NewSource(7)))
 	if a1 != a2 {
 		t.Fatalf("same seed, different waits: %v vs %v", a1, a2)
 	}
 }
 
 // TestSuperviseWaitsFollowSeed pins the waits Supervise sleeps
-// between three failed attempts to the sequence Backoff.wait draws
-// from a source seeded with the policy's seed.
+// between three failed attempts to the sequence backoff draws from a
+// source seeded with the policy's seed.
 func TestSuperviseWaitsFollowSeed(t *testing.T) {
 	const seed = 42
 	var waits []time.Duration
@@ -317,11 +313,32 @@ func TestSuperviseWaitsFollowSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := Backoff{}.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	want := []time.Duration{b.wait(1, rng), b.wait(2, rng), b.wait(3, rng)}
+	want := []time.Duration{backoff(1, rng), backoff(2, rng), backoff(3, rng)}
 	if !slices.Equal(waits, want) {
 		t.Fatalf("waits = %v, want %v", waits, want)
+	}
+}
+
+// TestCostModelPricesThisPolicy ties the recovery cost model's default
+// policy to the supervisor it prices: the same budget, persistence
+// streak, dimension floor and backoff shape.
+func TestCostModelPricesThisPolicy(t *testing.T) {
+	got := costmodel.DefaultPolicyParams()
+	want := costmodel.PolicyParams{
+		MaxAttempts:      Policy{}.withDefaults().MaxAttempts,
+		PersistStreak:    persistStreak,
+		MinDim:           dimFloor,
+		BackoffBaseNanos: float64(backoffBase),
+		BackoffMaxNanos:  float64(backoffMax),
+		BackoffJitter:    backoffJitter,
+	}
+	if got != want {
+		t.Fatalf("costmodel.DefaultPolicyParams() = %+v, supervisor runs %+v", got, want)
+	}
+	if want.MaxAttempts != 4 || want.PersistStreak != 2 || want.MinDim != 1 ||
+		backoffBase != 10*time.Millisecond || backoffMax != 2*time.Second || backoffJitter != 0.5 {
+		t.Fatalf("supervisor policy moved: %+v", want)
 	}
 }
 
@@ -363,24 +380,24 @@ func TestSuperviseSubstitutesSpareAtFullDim(t *testing.T) {
 			}
 		}
 		return Outcome{Cost: 60}
-	}, Policy{Spares: []int{8, 9}, Sleep: noSleep(&waits)})
+	}, Policy{Spares: 2, Sleep: noSleep(&waits)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Attempts) != 3 {
 		t.Fatalf("attempts = %d, want 3 (fail, fail+substitute, verified)", len(rep.Attempts))
 	}
-	if got := rep.Quarantined; len(got) != 1 || got[0] != 5 {
+	if got := rep.Quarantined(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("Quarantined = %v", got)
 	}
-	if len(rep.Substitutions) != 1 || rep.Substitutions[0] != (Substitution{Suspect: 5, Spare: 8, Attempt: 1}) {
-		t.Fatalf("Substitutions = %+v", rep.Substitutions)
+	if got := rep.SparesUsed(); len(got) != 1 || got[0] != 8 {
+		t.Fatalf("SparesUsed = %v, want [8]", got)
 	}
 	if rep.Attempts[1].Quarantined != 5 || rep.Attempts[1].Substituted != 8 {
 		t.Fatalf("attempt 1 = %+v", rep.Attempts[1])
 	}
-	if rep.FinalDim != 3 {
-		t.Fatalf("FinalDim = %d, substitution must preserve the dimension", rep.FinalDim)
+	if rep.FinalDim() != 3 {
+		t.Fatalf("FinalDim = %d, substitution must preserve the dimension", rep.FinalDim())
 	}
 	last := plans[len(plans)-1]
 	if last.Dim != 3 || len(last.Physical) != 8 {
@@ -394,8 +411,8 @@ func TestSuperviseSubstitutesSpareAtFullDim(t *testing.T) {
 			t.Fatalf("substitution disturbed slot %d: %v", l, last.Physical)
 		}
 	}
-	if len(last.Spares) != 1 || last.Spares[0] != 9 {
-		t.Fatalf("remaining pool = %v, want [9]", last.Spares)
+	if last.Spares != 1 {
+		t.Fatalf("remaining pool = %d, want 1", last.Spares)
 	}
 }
 
@@ -411,30 +428,20 @@ func TestSuperviseSparePoolConsumedInOrderThenShrinks(t *testing.T) {
 			return Outcome{HostErrors: accuse(5), Cost: 10, Err: errors.New("fault detected")}
 		}
 		return Outcome{Cost: 20}
-	}, Policy{MaxAttempts: 8, Spares: []int{8, 9}, Sleep: noSleep(&waits)})
+	}, Policy{MaxAttempts: 8, Spares: 2, Sleep: noSleep(&waits)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantQ := []int{5, 8, 9}
-	if len(rep.Quarantined) != len(wantQ) {
-		t.Fatalf("Quarantined = %v, want %v", rep.Quarantined, wantQ)
+	if got, want := rep.Quarantined(), []int{5, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("Quarantined = %v, want %v", got, want)
 	}
-	for i := range wantQ {
-		if rep.Quarantined[i] != wantQ[i] {
-			t.Fatalf("Quarantined = %v, want %v", rep.Quarantined, wantQ)
-		}
-	}
-	if len(rep.Substitutions) != 2 ||
-		rep.Substitutions[0].Spare != 8 || rep.Substitutions[1].Spare != 9 {
-		t.Fatalf("Substitutions = %+v, want spares 8 then 9", rep.Substitutions)
-	}
-	if rep.Substitutions[0].Suspect != 5 || rep.Substitutions[1].Suspect != 8 {
-		t.Fatalf("Substitutions = %+v, want suspects 5 then 8", rep.Substitutions)
+	if got, want := rep.SparesUsed(), []int{8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("SparesUsed = %v, want %v", got, want)
 	}
 	// Two substitutions held dim 3; the third quarantine had a dry
 	// pool and shrank.
-	if rep.FinalDim != 2 {
-		t.Fatalf("FinalDim = %d, want 2 after pool exhaustion", rep.FinalDim)
+	if rep.FinalDim() != 2 {
+		t.Fatalf("FinalDim = %d, want 2 after pool exhaustion", rep.FinalDim())
 	}
 	for _, a := range rep.Attempts {
 		if a.Substituted != NoNode && a.Dim != 3 {
@@ -454,15 +461,15 @@ func TestSuperviseSubstitutesAtMinDim(t *testing.T) {
 			}
 		}
 		return Outcome{Cost: 5}
-	}, Policy{MaxAttempts: 5, Spares: []int{2}, Sleep: noSleep(&waits)})
+	}, Policy{MaxAttempts: 5, Spares: 1, Sleep: noSleep(&waits)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FinalDim != 1 {
-		t.Fatalf("FinalDim = %d", rep.FinalDim)
+	if rep.FinalDim() != 1 {
+		t.Fatalf("FinalDim = %d", rep.FinalDim())
 	}
-	if len(rep.Substitutions) != 1 || rep.Substitutions[0].Spare != 2 || rep.Substitutions[0].Suspect != 1 {
-		t.Fatalf("Substitutions = %+v", rep.Substitutions)
+	if q, used := rep.Quarantined(), rep.SparesUsed(); !slices.Equal(q, []int{1}) || !slices.Equal(used, []int{2}) {
+		t.Fatalf("quarantined %v, spares used %v; want spare 2 at suspect 1", q, used)
 	}
 }
 
@@ -479,8 +486,8 @@ func TestSuperviseDimZeroNeverShrinksBelow(t *testing.T) {
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(ex.Attempts) != 6 || len(ex.Quarantined) != 0 {
-		t.Fatalf("attempts %d, quarantined %v: want 6 attempts and no quarantine", len(ex.Attempts), ex.Quarantined)
+	if len(ex.Attempts) != 6 || len(ex.Quarantined()) != 0 {
+		t.Fatalf("attempts %d, quarantined %v: want 6 attempts and no quarantine", len(ex.Attempts), ex.Quarantined())
 	}
 	for _, a := range ex.Attempts {
 		if a.Dim != 0 || len(a.Physical) != 1 || a.Quarantined != NoNode {
@@ -489,15 +496,50 @@ func TestSuperviseDimZeroNeverShrinksBelow(t *testing.T) {
 	}
 }
 
-func TestSuperviseRejectsBadSparePools(t *testing.T) {
-	runner := func(Plan) Outcome { return Outcome{} }
-	if _, err := Supervise(3, runner, Policy{Spares: []int{3}}); err == nil {
-		t.Error("spare label inside the cube accepted")
+// TestSupervisePersistenceStreak pins when the supervisor judges a
+// fault persistent. Each case lists the logical slot every failed
+// attempt's evidence accuses (NoNode: no attributable evidence) and
+// wants, per failed attempt, the physical node quarantined after it.
+// Spares keep the logical slots in place across quarantines.
+func TestSupervisePersistenceStreak(t *testing.T) {
+	cases := []struct {
+		name    string
+		accused []int
+		want    []int
+	}{
+		{"two in a row quarantine", []int{5, 5}, []int{NoNode, 5}},
+		{"one accusation is transient", []int{5}, []int{NoNode}},
+		{"another suspect restarts the streak", []int{5, 3}, []int{NoNode, NoNode}},
+		{"no suspect restarts the streak", []int{7, NoNode, 7}, []int{NoNode, NoNode, NoNode}},
+		{"the streak resumes after a break", []int{7, NoNode, 7, 7}, []int{NoNode, NoNode, NoNode, 7}},
+		{"the new suspect's streak counts", []int{5, 3, 3}, []int{NoNode, NoNode, 3}},
+		// Spare 8 takes slot 5 after the first quarantine; it must earn
+		// its own streak.
+		{"a quarantine restarts the streak", []int{5, 5, 5, 5}, []int{NoNode, 5, NoNode, 8}},
 	}
-	if _, err := Supervise(3, runner, Policy{Spares: []int{8, 8}}); err == nil {
-		t.Error("duplicate spare labels accepted")
-	}
-	if _, err := Supervise(3, runner, Policy{Spares: []int{8, 9}}); err != nil {
-		t.Errorf("valid pool rejected: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var waits []time.Duration
+			rep, err := Supervise(3, func(p Plan) Outcome {
+				if p.Attempt == len(tc.accused) {
+					return Outcome{Cost: 1}
+				}
+				var errs []core.HostError
+				if l := tc.accused[p.Attempt]; l != NoNode {
+					errs = accuse(l)
+				}
+				return Outcome{HostErrors: errs, Cost: 1, Err: errors.New("fault detected")}
+			}, Policy{MaxAttempts: len(tc.accused) + 1, Spares: 3, Sleep: noSleep(&waits)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for _, a := range rep.Attempts[:len(rep.Attempts)-1] {
+				got = append(got, a.Quarantined)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("quarantined per attempt %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

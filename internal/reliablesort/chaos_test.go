@@ -3,12 +3,14 @@ package reliablesort
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/recovery"
 )
 
@@ -37,7 +39,7 @@ var harmlessPersistent = map[fault.Strategy]bool{fault.ViewLie: true}
 
 // TestChaosAutoRecover sweeps every Byzantine strategy × every fault
 // site × transient/persistent on a dim-3 cube and asserts the
-// supervisor's invariant: Sort with AutoRecover either returns a
+// supervisor's invariant: Sort with a recovery budget either returns a
 // verified-clean result (via retry or quarantine+shrink) or escalates
 // with a structured *recovery.ExhaustedError — it never returns an
 // unverified slice. Persistent faults must be localized: the
@@ -60,7 +62,6 @@ func TestChaosAutoRecover(t *testing.T) {
 					out, stats, err := Sort(chaosKeys, Options{
 						Dim:         3,
 						RecvTimeout: 150 * time.Millisecond,
-						AutoRecover: true,
 						MaxAttempts: 6,
 						Sleep:       func(time.Duration) {},
 						Seed:        1,
@@ -77,7 +78,7 @@ func TestChaosAutoRecover(t *testing.T) {
 							t.Fatalf("ExhaustedError without history: %v", err)
 						}
 						t.Fatalf("recovery exhausted (history: %d attempts, quarantined %v): %v",
-							len(ex.Attempts), ex.Quarantined, err)
+							len(ex.Attempts), ex.Quarantined(), err)
 					}
 					if len(out) != len(want) {
 						t.Fatalf("result length %d, want %d", len(out), len(want))
@@ -89,7 +90,7 @@ func TestChaosAutoRecover(t *testing.T) {
 					}
 					rec := stats.Recovery
 					if rec == nil {
-						t.Fatal("AutoRecover success without recovery report")
+						t.Fatal("verified sort without recovery report")
 					}
 					if persistent {
 						// Recovery must have engaged (attempt 0 faulted)
@@ -103,26 +104,26 @@ func TestChaosAutoRecover(t *testing.T) {
 							// is nothing to localize.
 							return
 						}
-						if len(rec.Quarantined) != 1 || rec.Quarantined[0] != site {
+						if q := rec.Quarantined(); len(q) != 1 || q[0] != site {
 							t.Fatalf("quarantined %v, want [%d] (attempts: %d)",
-								rec.Quarantined, site, stats.Attempts)
+								q, site, stats.Attempts)
 						}
-						if rec.FinalDim != 2 {
-							t.Fatalf("FinalDim = %d after one quarantine", rec.FinalDim)
+						if rec.FinalDim() != 2 {
+							t.Fatalf("FinalDim = %d after one quarantine", rec.FinalDim())
 						}
 						if stats.Nodes != 4 || stats.BlockLen != 4 {
 							t.Fatalf("degraded geometry %d×%d, want 4×4", stats.Nodes, stats.BlockLen)
 						}
 					} else {
-						if len(rec.Quarantined) != 0 {
-							t.Fatalf("transient fault quarantined %v", rec.Quarantined)
+						if q := rec.Quarantined(); len(q) != 0 {
+							t.Fatalf("transient fault quarantined %v", q)
 						}
 						if stats.Attempts > 2 {
 							t.Fatalf("transient fault took %d attempts", stats.Attempts)
 						}
 					}
-					if stats.Attempts > 1 && rec.WastedCost <= 0 {
-						t.Fatalf("recovery engaged but WastedCost = %d", rec.WastedCost)
+					if stats.Attempts > 1 && rec.WastedCost() <= 0 {
+						t.Fatalf("recovery engaged but WastedCost = %d", rec.WastedCost())
 					}
 				})
 			}
@@ -156,7 +157,6 @@ func TestInjectedJobEvidenceRepeats(t *testing.T) {
 					_, stats, err := Sort(chaosKeys, Options{
 						Dim:         3,
 						RecvTimeout: time.Hour,
-						AutoRecover: true,
 						MaxAttempts: 6,
 						Sleep:       func(time.Duration) {},
 						Seed:        1,
@@ -213,16 +213,43 @@ func evidence(rep *recovery.Report) []string {
 func TestChaosNoFault(t *testing.T) {
 	out, stats, err := Sort(chaosKeys, Options{
 		Dim:         3,
-		AutoRecover: true,
+		MaxAttempts: 4,
 		Sleep:       func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsSorted(out, Options{}) {
+	if !slices.IsSorted(out) {
 		t.Fatalf("unsorted: %v", out)
 	}
-	if stats.Attempts != 1 || stats.Recovery.WastedCost != 0 || stats.Recovery.TotalBackoff != 0 {
+	if stats.Attempts != 1 || stats.Recovery.WastedCost() != 0 || stats.Recovery.TotalBackoff() != 0 {
 		t.Fatalf("clean run stats = %+v", stats)
+	}
+}
+
+// TestFailStopIsOneSupervisedAttempt pins the zero Options as a
+// one-attempt supervision: a persistent key-lie fail-stops the sort
+// with the attempt's own *FaultError, not an escalation, and the
+// supervision is counted like any other.
+func TestFailStopIsOneSupervisedAttempt(t *testing.T) {
+	o := obs.New(obs.NewRegistry(), 0)
+	_, stats, err := Sort(chaosKeys, Options{
+		Dim:    3,
+		Obs:    o,
+		Inject: chaosInjector(fault.KeyLie, 5, true),
+	})
+	var fe *FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("err = %v, want a *FaultError", err)
+	}
+	var ex *recovery.ExhaustedError
+	if errors.As(err, &ex) {
+		t.Fatalf("fail-stop escalated: %v", err)
+	}
+	if stats.Attempts != 1 {
+		t.Errorf("Attempts = %d, want 1", stats.Attempts)
+	}
+	if a, v := o.M.RecoveryAttempts.Value(), o.M.RecoveryVerified.Value(); a != 1 || v != 0 {
+		t.Errorf("recovery_attempts_total/recovery_verified_total = %d/%d, want 1/0", a, v)
 	}
 }

@@ -3,6 +3,7 @@ package reliablesort
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -54,7 +55,6 @@ func TestConcurrentSortIsolation(t *testing.T) {
 			Descending:  r.desc,
 			Dim:         2 + i%2,
 			RecvTimeout: 500 * time.Millisecond,
-			AutoRecover: true,
 			MaxAttempts: 6,
 			Spares:      1,
 			Seed:        int64(i + 1),
@@ -122,9 +122,9 @@ func TestConcurrentSortIsolation(t *testing.T) {
 			if acc == 0 || len(accused) == 0 {
 				t.Errorf("faulty job: no accusations recorded (counter %d, flight %d)", acc, len(accused))
 			}
-			if r.stats.Recovery == nil || len(r.stats.Recovery.Quarantined) == 0 {
+			if r.stats.Recovery == nil || len(r.stats.Recovery.Quarantined()) == 0 {
 				t.Errorf("faulty job: persistent fault recovered without quarantine: %+v", r.stats.Recovery)
-			} else if q := r.stats.Recovery.Quarantined[0]; q != faultSite {
+			} else if q := r.stats.Recovery.Quarantined()[0]; q != faultSite {
 				t.Errorf("faulty job: quarantined node %d, fault was at %d", q, faultSite)
 			}
 			if r.stats.Attempts < 2 {
@@ -177,7 +177,6 @@ func TestSortNeverMutatesInput(t *testing.T) {
 				Descending:  desc,
 				Dim:         2,
 				RecvTimeout: 500 * time.Millisecond,
-				AutoRecover: true,
 				MaxAttempts: 6,
 				Sleep:       func(time.Duration) {},
 				Seed:        seed + 1,
@@ -189,8 +188,13 @@ func TestSortNeverMutatesInput(t *testing.T) {
 			if stats.Attempts < 2 {
 				t.Fatalf("transient memory fault never forced a retry (attempts: %d)", stats.Attempts)
 			}
-			if !IsSorted(out, Options{Descending: desc}) {
-				t.Fatalf("unsorted output: %v", out)
+			want := slices.Clone(snapshot)
+			slices.Sort(want)
+			if desc {
+				slices.Reverse(want)
+			}
+			if !slices.Equal(out, want) {
+				t.Fatalf("output %v, want %v", out, want)
 			}
 			for j := range snapshot {
 				if keys[j] != snapshot[j] {

@@ -16,8 +16,8 @@ import (
 // attempts, backoff waits, quarantines and substitutions are its
 // Report, which the recovery counters count. Sort journals nothing.
 func TestSortRecordsEachEventOnce(t *testing.T) {
-	// An honest single-shot sort journals nothing but counts every
-	// stage, round and Φ evaluation.
+	// An honest fail-stop sort journals nothing but counts every stage,
+	// round and Φ evaluation.
 	o, flight := obs.New(obs.NewRegistry(), 0), forensic.New(0)
 	if _, _, err := Sort(chaosKeys, Options{Dim: 3, Obs: o, Flight: flight}); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,6 @@ func TestSortRecordsEachEventOnce(t *testing.T) {
 	_, stats, err := Sort(chaosKeys, Options{
 		Dim:         3,
 		RecvTimeout: 500 * time.Millisecond,
-		AutoRecover: true,
 		MaxAttempts: 6,
 		Spares:      1,
 		Seed:        1,
@@ -58,7 +57,7 @@ func TestSortRecordsEachEventOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := stats.Recovery
-	if rec == nil || len(rec.Substitutions) == 0 {
+	if rec == nil || len(rec.SparesUsed()) == 0 {
 		t.Fatalf("persistent fault recovered without a substitution: %+v", rec)
 	}
 	if n := o.J.Total(); n != 0 {
@@ -72,10 +71,10 @@ func TestSortRecordsEachEventOnce(t *testing.T) {
 		{"attempts", m.RecoveryAttempts.Value(), int64(len(rec.Attempts))},
 		{"retries", m.RecoveryRetries.Value(), int64(len(rec.Attempts) - 1)},
 		{"verified", m.RecoveryVerified.Value(), 1},
-		{"quarantines", m.RecoveryQuarantines.Value(), int64(len(rec.Quarantined))},
-		{"substitutions", m.RecoverySubstitutions.Value(), int64(len(rec.Substitutions))},
-		{"wasted vticks", m.RecoveryWastedVTicks.Value(), rec.WastedCost},
-		{"backoff nanos", m.RecoveryBackoffNanos.Value(), int64(rec.TotalBackoff)},
+		{"quarantines", m.RecoveryQuarantines.Value(), int64(len(rec.Quarantined()))},
+		{"substitutions", m.RecoverySubstitutions.Value(), int64(len(rec.SparesUsed()))},
+		{"wasted vticks", m.RecoveryWastedVTicks.Value(), rec.WastedCost()},
+		{"backoff nanos", m.RecoveryBackoffNanos.Value(), int64(rec.TotalBackoff())},
 	} {
 		if c.got != c.want {
 			t.Errorf("recovery %s counter = %d, report says %d", c.name, c.got, c.want)

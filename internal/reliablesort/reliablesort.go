@@ -5,13 +5,15 @@
 // block sort, verifies the result against the Theorem 1 oracle, and
 // returns a plain sorted slice.
 //
-// With Options.AutoRecover the call additionally closes the paper's
-// detect → act loop: a recovery supervisor (internal/recovery)
-// diagnoses every fail-stop, retries transient faults with capped
-// exponential backoff, quarantines persistently accused nodes onto the
-// next-smaller subcube, and escalates with a structured
-// *recovery.ExhaustedError when the attempt budget is spent. In every
-// case the contract is unchanged: the caller receives a verified
+// Every call runs under the recovery supervisor (internal/recovery),
+// which closes the paper's detect → act loop. With the default budget
+// of one attempt that is the paper's fail-stop: the first detected
+// fault ends the call with a *FaultError. With Options.MaxAttempts > 1
+// the supervisor diagnoses every fail-stop, retries transient faults
+// with capped exponential backoff, quarantines persistently accused
+// nodes onto a spare or the next-smaller subcube, and escalates with a
+// structured *recovery.ExhaustedError when the budget is spent. In
+// every case the contract is unchanged: the caller receives a verified
 // result or an error — never an unverified slice.
 //
 // This is the entry point a downstream user who just wants "a sort
@@ -77,28 +79,22 @@ type Options struct {
 	// once. tcpnet detects every absence by this timeout.
 	RecvTimeout time.Duration
 
-	// AutoRecover turns Sort into a self-healing call: instead of
-	// returning a *FaultError on the first detected fail-stop, the
-	// recovery supervisor diagnoses the ERROR evidence, retries
-	// transient faults with backoff, quarantines persistently accused
-	// nodes (re-running degraded on the next-smaller subcube, with the
-	// host-held input as the reliable checkpoint), and escalates with
-	// a *recovery.ExhaustedError when MaxAttempts is spent.
-	AutoRecover bool
-	// MaxAttempts bounds the total sort attempts under AutoRecover,
-	// quarantined re-runs included; 0 means the supervisor default (4).
+	// MaxAttempts bounds the total sort attempts, quarantined re-runs
+	// included. 0 or 1 means one attempt: the first detected fault
+	// returns a *FaultError. A larger budget makes Sort self-healing:
+	// the recovery supervisor diagnoses the ERROR evidence, retries
+	// transient faults with backoff (10ms doubling to a 2s cap, half of
+	// it jittered), quarantines persistently accused nodes (re-running
+	// on a spare or the next-smaller subcube, with the host-held input
+	// as the reliable checkpoint), and escalates with a
+	// *recovery.ExhaustedError when the budget is spent.
 	MaxAttempts int
-	// Backoff shapes the waits between attempts under AutoRecover; the
-	// zero value selects capped exponential backoff with equal jitter
-	// (10ms base, 2s cap, 50% jitter).
-	Backoff recovery.Backoff
-	// Spares is the number of spare physical nodes available under
-	// AutoRecover: labels 2^dim .. 2^dim+Spares-1 are pre-registered
-	// as idle endpoints on every attempt's network, and on a
-	// persistent accusation the supervisor substitutes the next spare
-	// at the suspect's logical slot instead of shrinking the cube —
-	// full capacity is preserved until the pool runs dry, after which
-	// quarantine falls back to the subcube shrink.
+	// Spares is the number of spare physical nodes: labels 2^dim ..
+	// 2^dim+Spares-1 are pre-registered as idle endpoints on every
+	// attempt's network, and on a persistent accusation the supervisor
+	// substitutes the next spare at the suspect's logical slot instead
+	// of shrinking the cube — full capacity is preserved until the pool
+	// runs dry, after which quarantine falls back to the subcube shrink.
 	Spares int
 	// Seed makes the backoff jitter deterministic; 0 uses a fixed
 	// default seed.
@@ -115,10 +111,10 @@ type Options struct {
 	Inject func(attempt, dim int, physical []int) []core.Options
 	// Obs, when non-nil, counts every attempt's stages, rounds, Φ
 	// evaluations, merge compares and accusations; message and byte
-	// counters flow to the metrics registry backing Obs.M. Under
-	// AutoRecover the finished supervision's Report adds its attempts,
-	// backoff waits, quarantines and substitutions to Obs.M's recovery
-	// counters once, whether it verified or was exhausted. Sort
+	// counters flow to the metrics registry backing Obs.M. The finished
+	// supervision's Report adds its attempts, backoff waits,
+	// quarantines and substitutions to Obs.M's recovery counters once,
+	// whether it verified or not. Sort
 	// journals nothing; each Φ evaluation and accusation is a record in
 	// Flight. Recording never charges virtual time, so instrumented
 	// runs cost the same ticks as bare ones.
@@ -168,9 +164,10 @@ type NetConfig struct {
 // parallelism returns.
 const MaxAutoDim = 6
 
-// Stats reports what a Sort run cost. With AutoRecover the geometry
-// and traffic fields describe the successful attempt; Recovery holds
-// the per-attempt history including the cost of wasted attempts.
+// Stats reports what a Sort run cost. The geometry and traffic fields
+// describe the last attempt, which on success is the verified one;
+// Recovery holds the per-attempt history including the cost of wasted
+// attempts.
 type Stats struct {
 	// Nodes and BlockLen are the chosen geometry (including padding).
 	Nodes    int
@@ -182,24 +179,24 @@ type Stats struct {
 	// Msgs and Bytes are the network traffic totals.
 	Msgs  int64
 	Bytes int64
-	// Attempts is how many sort attempts ran (1 without AutoRecover).
+	// Attempts is how many sort attempts ran.
 	Attempts int
-	// Recovery is the supervisor's telemetry when AutoRecover ran:
+	// Recovery is the supervisor's telemetry of a verified sort:
 	// attempt history, suspects, quarantined nodes, backoff waits, and
-	// the virtual-time cost of wasted attempts. Nil for single-shot
-	// calls and for AutoRecover calls that escalated (the same history
-	// then rides the *recovery.ExhaustedError).
+	// the virtual-time cost of wasted attempts. Nil when the sort
+	// failed (an escalation carries the same history in its
+	// *recovery.ExhaustedError).
 	Recovery *recovery.Report
 }
 
 // Sort returns a new slice with the elements of keys in the requested
 // order, sorted by the fault-tolerant distributed block bitonic sort
-// and verified end to end. Without AutoRecover it returns a
+// and verified end to end. With a one-attempt budget it returns a
 // *FaultError (matching ErrFaultDetected) if any constraint predicate
 // fired — by Theorem 3 a single Byzantine processor cannot cause a
-// silently wrong result. With AutoRecover it instead supervises
-// retries and quarantine as described on Options, returning a
-// *recovery.ExhaustedError once the attempt budget is spent.
+// silently wrong result. With a larger budget it supervises retries
+// and quarantine as described on Options, returning a
+// *recovery.ExhaustedError once the budget is spent.
 func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 	var stats Stats
 	if len(keys) == 0 {
@@ -244,46 +241,21 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 		newNet = NewSimnet
 	}
 
-	if !opts.AutoRecover {
-		// Single-shot calls honor Inject too (attempt 0, identity
-		// physical mapping), so fail-stop-only deployments can still be
-		// chaos-tested through the same hook.
-		var nodeOpts []core.Options
-		if opts.Inject != nil {
-			physical := make([]int, 1<<uint(dim))
-			for i := range physical {
-				physical[i] = i
-			}
-			nodeOpts = opts.Inject(0, dim, physical)
-		}
-		flat, at, _, err := runAttempt(base, NetConfig{Dim: dim, RecvTimeout: timeout, Flight: opts.Flight}, newNet, nodeOpts, opts.Obs, opts.Flight)
-		stats.fromAttempt(at)
-		stats.Attempts = 1
-		if err != nil {
-			return nil, stats, err
-		}
-		return finish(flat, len(keys), opts.Descending), stats, nil
-	}
-
 	var result []int64
-	var okStats attemptStats
 	runner := func(p recovery.Plan) recovery.Outcome {
 		var nodeOpts []core.Options
 		if opts.Inject != nil {
 			nodeOpts = opts.Inject(p.Attempt, p.Dim, p.Physical)
 		}
-		cfg := NetConfig{Dim: p.Dim, Spares: len(p.Spares), RecvTimeout: timeout, Flight: opts.Flight}
-		flat, at, hostErrs, err := runAttempt(base, cfg, newNet, nodeOpts, opts.Obs, opts.Flight)
-		if err == nil {
-			result = flat
-			okStats = at
-		}
-		return recovery.Outcome{HostErrors: hostErrs, Cost: at.makespan, Err: err}
+		cfg := NetConfig{Dim: p.Dim, Spares: p.Spares, RecvTimeout: timeout, Flight: opts.Flight}
+		flat, hostErrs, err := runAttempt(base, cfg, newNet, nodeOpts, opts.Obs, &stats)
+		result = flat
+		return recovery.Outcome{HostErrors: hostErrs, Cost: stats.Makespan, Err: err}
 	}
+	budget := max(opts.MaxAttempts, 1)
 	rep, err := recovery.Supervise(dim, runner, recovery.Policy{
-		MaxAttempts: opts.MaxAttempts,
-		Backoff:     opts.Backoff,
-		Spares:      spareLabels(dim, opts.Spares),
+		MaxAttempts: budget,
+		Spares:      opts.Spares,
 		Seed:        opts.Seed,
 		Sleep:       opts.Sleep,
 		Flight:      opts.Flight,
@@ -292,39 +264,22 @@ func Sort(keys []int64, opts Options) ([]int64, Stats, error) {
 		// Declared here, not above: the errors.As target escapes, and a
 		// verified sort should not pay its allocation.
 		var ex *recovery.ExhaustedError
-		if errors.As(err, &ex) {
-			rep = ex.Report
+		if !errors.As(err, &ex) {
+			return nil, stats, fmt.Errorf("reliablesort: %w", err)
 		}
+		rep = ex.Report
 	}
 	rep.Count(opts.Obs.Metrics())
-	if rep != nil {
-		stats.Attempts = len(rep.Attempts)
-	}
+	stats.Attempts = len(rep.Attempts)
 	if err != nil {
+		if budget == 1 {
+			// A fail-stop sort answers with its one attempt's own error.
+			return nil, stats, rep.Attempts[0].Err
+		}
 		return nil, stats, fmt.Errorf("reliablesort: %w", err)
 	}
-	stats.fromAttempt(okStats)
 	stats.Recovery = rep
 	return finish(result, len(keys), opts.Descending), stats, nil
-}
-
-// attemptStats is the geometry and cost of one attempt.
-type attemptStats struct {
-	nodes    int
-	blockLen int
-	padded   int
-	makespan int64
-	msgs     int64
-	bytes    int64
-}
-
-func (s *Stats) fromAttempt(at attemptStats) {
-	s.Nodes = at.nodes
-	s.BlockLen = at.blockLen
-	s.Padded = at.padded
-	s.Makespan = at.makespan
-	s.Msgs = at.msgs
-	s.Bytes = at.bytes
 }
 
 // NewSimnet is the default transport constructor (Options.NewNetwork
@@ -340,35 +295,20 @@ func NewSimnet(cfg NetConfig) (transport.Network, error) {
 	})
 }
 
-// spareLabels returns the physical labels of the spare pool: the
-// count labels immediately above the initial cube.
-func spareLabels(dim, count int) []int {
-	if count <= 0 {
-		return nil
-	}
-	n := 1 << uint(dim)
-	out := make([]int, count)
-	for i := range out {
-		out[i] = n + i
-	}
-	return out
-}
-
 // runAttempt executes one fault-tolerant block sort of base (the
 // negated-and-unpadded checkpoint) on a fresh cube of the given
 // dimension, and post-verifies the output against the Theorem 1
 // oracle. It returns the full padded ascending sequence; err is nil
-// exactly when that sequence is verified.
-func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []core.Options, o *obs.Observer, flight *forensic.Flight) (flatOut []int64, at attemptStats, hostErrs []core.HostError, err error) {
+// exactly when that sequence is verified. It overwrites *st with the
+// attempt's geometry and cost.
+func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.Network, error), nodeOpts []core.Options, o *obs.Observer, st *Stats) (flatOut []int64, hostErrs []core.HostError, err error) {
 	n := 1 << uint(cfg.Dim)
 	m := (len(base) + n - 1) / n
 	if m == 0 {
 		m = 1
 	}
 	total := n * m
-	at.nodes = n
-	at.blockLen = m
-	at.padded = total - len(base)
+	*st = Stats{Nodes: n, BlockLen: m, Padded: total - len(base)}
 
 	working := make([]int64, 0, total)
 	working = append(working, base...)
@@ -379,7 +319,7 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	cfg.Obs = o.Metrics()
 	nw, err := newNet(cfg)
 	if err != nil {
-		return nil, at, nil, fmt.Errorf("reliablesort: %w", err)
+		return nil, nil, fmt.Errorf("reliablesort: %w", err)
 	}
 	// Lifecycle: a pooled transport (internal/server) implements
 	// Release and decides for itself whether to recycle or rebuild —
@@ -392,33 +332,33 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	} else {
 		defer nw.Close()
 	}
-	if o != nil || flight != nil {
+	if o != nil || cfg.Flight != nil {
 		if nodeOpts == nil {
 			nodeOpts = make([]core.Options, n)
 		}
 		for i := range nodeOpts {
 			nodeOpts[i].Obs = o
-			nodeOpts[i].Forensic = flight.Node(i)
+			nodeOpts[i].Forensic = cfg.Flight.Node(i)
 		}
 	}
 	oc, err := core.RunBlocks(nw, working, m, nodeOpts)
 	if err != nil {
-		return nil, at, nil, fmt.Errorf("reliablesort: %w", err)
+		return nil, nil, fmt.Errorf("reliablesort: %w", err)
 	}
-	at.makespan = int64(oc.Result.Makespan())
-	at.msgs = oc.Result.Metrics.TotalMsgs()
-	at.bytes = oc.Result.Metrics.TotalBytes()
+	st.Makespan = int64(oc.Result.Makespan())
+	st.Msgs = oc.Result.Metrics.TotalMsgs()
+	st.Bytes = oc.Result.Metrics.TotalBytes()
 	if oc.Detected() {
-		return nil, at, oc.HostErrors, &FaultError{HostErrors: oc.HostErrors, NodeErr: oc.Result.FirstNodeErr()}
+		return nil, oc.HostErrors, &FaultError{HostErrors: oc.HostErrors, NodeErr: oc.Result.FirstNodeErr()}
 	}
 
 	// Belt and braces: the distributed predicates already verified the
 	// run; re-verify locally against the Theorem 1 oracle so the
 	// library's contract does not rest on a single mechanism.
 	if err := checker.Verify(working, oc.Sorted, true); err != nil {
-		return nil, at, oc.HostErrors, fmt.Errorf("reliablesort: post-verification: %w", err)
+		return nil, oc.HostErrors, fmt.Errorf("reliablesort: post-verification: %w", err)
 	}
-	return oc.Sorted, at, oc.HostErrors, nil
+	return oc.Sorted, oc.HostErrors, nil
 }
 
 // finish strips the padding sentinels from the tail of the verified
@@ -448,18 +388,4 @@ func AutoDim(keyCount int) int {
 		dim = 2 // a 1- or 2-node "cube" defeats the purpose
 	}
 	return dim
-}
-
-// IsSorted reports whether xs is ordered per the options — a
-// convenience for callers asserting on results.
-func IsSorted(xs []int64, opts Options) bool {
-	for i := 1; i < len(xs); i++ {
-		if opts.Descending && xs[i-1] < xs[i] {
-			return false
-		}
-		if !opts.Descending && xs[i-1] > xs[i] {
-			return false
-		}
-	}
-	return true
 }

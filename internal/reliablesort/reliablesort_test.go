@@ -36,9 +36,6 @@ func TestSortBasic(t *testing.T) {
 			if len(out) != len(tc.in) {
 				t.Fatalf("len(out) = %d, want %d", len(out), len(tc.in))
 			}
-			if !IsSorted(out, tc.opts) {
-				t.Fatalf("out = %v not sorted (desc=%v)", out, tc.opts.Descending)
-			}
 			want := append([]int64{}, tc.in...)
 			sort.Slice(want, func(i, j int) bool {
 				if tc.opts.Descending {
@@ -129,15 +126,6 @@ func TestSortMatchesStdlibProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int64{1, 2, 2}, Options{}) || IsSorted([]int64{2, 1}, Options{}) {
-		t.Error("ascending IsSorted wrong")
-	}
-	if !IsSorted([]int64{3, 2, 2}, Options{Descending: true}) || IsSorted([]int64{1, 2}, Options{Descending: true}) {
-		t.Error("descending IsSorted wrong")
 	}
 }
 

@@ -43,7 +43,7 @@ func classify(err error) (int, ErrorBody) {
 	case errors.As(err, &ex):
 		return http.StatusUnprocessableEntity, ErrorBody{
 			Error: "recovery_exhausted", Detail: err.Error(),
-			Quarantined: ex.Quarantined, Attempts: len(ex.Attempts),
+			Quarantined: ex.Quarantined(), Attempts: len(ex.Attempts),
 		}
 	case errors.Is(err, reliablesort.ErrFaultDetected):
 		return http.StatusUnprocessableEntity, ErrorBody{Error: "fault_detected", Detail: err.Error()}

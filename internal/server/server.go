@@ -1,12 +1,12 @@
 // Package server is sort-as-a-service over the fault-tolerant
 // machinery: a long-running multi-tenant process that accepts
-// concurrent sort jobs, runs each through reliablesort.Sort with
-// AutoRecover and spares on a pre-warmed pooled transport, and returns
-// verified results with per-job statistics and forensics. Each worker
-// records its job's causal flight records on a flight recorder it
-// empties before the job and counts the job's Φ, accusation, recovery
-// and traffic metrics in the fleet registry; the fleet journal keeps
-// each job's span.
+// concurrent sort jobs, runs each through reliablesort.Sort with a
+// recovery budget and spares on a pre-warmed pooled transport, and
+// returns verified results with per-job statistics and forensics. Each
+// worker records its job's causal flight records on a flight recorder
+// it empties before the job and counts the job's Φ, accusation,
+// recovery and traffic metrics in the fleet registry; the fleet
+// journal keeps each job's span.
 //
 // The paper's contract survives the service boundary intact:
 // verification stays end-to-end *per job* — every job's attempt runs
@@ -108,11 +108,10 @@ type Config struct {
 	// On simnet it is only the backstop for a partner that is alive but
 	// silent (see reliablesort.Options.RecvTimeout).
 	RecvTimeout time.Duration
-	// DisableRecovery turns AutoRecover off: jobs fail-stop with a
-	// *reliablesort.FaultError on the first detected fault.
-	DisableRecovery bool
-	// MaxAttempts bounds recovery attempts per job; 0 means the
-	// supervisor default (4).
+	// MaxAttempts bounds the sort attempts per job; 0 means
+	// recovery.DefaultMaxAttempts (4). 1 makes the server fail-stop:
+	// a job's first detected fault answers with its
+	// *reliablesort.FaultError.
 	MaxAttempts int
 	// Spares is the spare-node pool size per job under recovery.
 	Spares int
@@ -169,6 +168,9 @@ func New(cfg Config) *Server {
 	if cfg.RecvTimeout == 0 {
 		cfg.RecvTimeout = 30 * time.Second
 	}
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = recovery.DefaultMaxAttempts
+	}
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:  cfg,
@@ -180,7 +182,7 @@ func New(cfg Config) *Server {
 	s.mSubmitted = reg.Counter("server_jobs_submitted_total", "Jobs accepted into a tenant queue.")
 	s.mRejected = reg.Counter("server_jobs_rejected_total", "Jobs refused at admission (overload or invalid).")
 	s.mVerified = reg.Counter("server_jobs_verified_total", "Jobs completed with a verified result.")
-	s.mFaulted = reg.Counter("server_jobs_fault_detected_total", "Jobs fail-stopped on detected faults (recovery disabled).")
+	s.mFaulted = reg.Counter("server_jobs_fault_detected_total", "Jobs fail-stopped on detected faults (a one-attempt budget).")
 	s.mExhausted = reg.Counter("server_jobs_recovery_exhausted_total", "Jobs whose recovery attempt budget ran out.")
 	s.mInternal = reg.Counter("server_jobs_internal_error_total", "Jobs failed on transport or internal errors.")
 	s.mKeys = reg.Counter("server_keys_sorted_total", "Keys in verified results.")
@@ -325,9 +327,9 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job end to end: it empties the worker's flight
-// recorder for the job, then runs it on a pooled transport with
-// AutoRecover and spares and counts the result by the class the front
-// ends answer with.
+// recorder for the job, then runs it on a pooled transport under the
+// recovery budget and spares and counts the result by the class the
+// front ends answer with.
 func (s *Server) runJob(j *job, flight *forensic.Flight) (*Response, error) {
 	started := time.Now()
 	queueMs := started.Sub(j.enqueued).Milliseconds()
@@ -342,7 +344,6 @@ func (s *Server) runJob(j *job, flight *forensic.Flight) (*Response, error) {
 		Descending:  j.req.Descending,
 		Dim:         j.req.Dim,
 		RecvTimeout: s.cfg.RecvTimeout,
-		AutoRecover: !s.cfg.DisableRecovery,
 		MaxAttempts: s.cfg.MaxAttempts,
 		Spares:      s.cfg.Spares,
 		Seed:        int64(j.id),
@@ -389,10 +390,8 @@ func (s *Server) runJob(j *job, flight *forensic.Flight) (*Response, error) {
 		QueueMillis: queueMs,
 		RunMillis:   runMs,
 	}
-	if st.Recovery != nil {
-		stats.Quarantined = st.Recovery.Quarantined
-		stats.Accused = accusedNodes(st.Recovery.Attempts)
-	}
+	stats.Quarantined = st.Recovery.Quarantined()
+	stats.Accused = accusedNodes(st.Recovery.Attempts)
 	return &Response{JobID: j.id, Tenant: j.tenant, Sorted: sorted, Stats: stats}, nil
 }
 

@@ -199,8 +199,8 @@ func TestServerChaos(t *testing.T) {
 		}
 		verified++
 	}
-	// AutoRecover with spares should pull most injected jobs through to
-	// a verified result; all honest jobs must verify.
+	// Recovery with spares should pull most injected jobs through to a
+	// verified result; all honest jobs must verify.
 	if verified < 6 {
 		t.Errorf("only %d/%d jobs verified", verified, len(injections)*2)
 	}
@@ -369,12 +369,13 @@ func TestAccusedNodesMapsToPhysical(t *testing.T) {
 	}
 }
 
-// TestServerFailStopWithoutRecovery pins the DisableRecovery path: a
-// persistent fault yields a structured *reliablesort.FaultError, not a
-// wrong result.
+// TestServerFailStopWithoutRecovery pins the fail-stop server, a
+// one-attempt budget: a persistent fault yields a structured
+// *reliablesort.FaultError, not a wrong result, and counts as
+// fault-stopped.
 func TestServerFailStopWithoutRecovery(t *testing.T) {
 	cfg := testConfig()
-	cfg.DisableRecovery = true
+	cfg.MaxAttempts = 1
 	s := New(cfg)
 	defer s.Close()
 
@@ -397,7 +398,7 @@ func TestServerFailStopWithoutRecovery(t *testing.T) {
 // the last attempt's fault.
 func TestServerCountsExhaustedJobs(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxAttempts = 1
+	cfg.MaxAttempts = 2
 	s := New(cfg)
 	defer s.Close()
 
@@ -416,8 +417,8 @@ func TestServerCountsExhaustedJobs(t *testing.T) {
 	if st := s.Stats(); st.Exhausted != 1 || st.Faulted != 0 {
 		t.Errorf("exhausted/faulted = %d/%d, want 1/0", st.Exhausted, st.Faulted)
 	}
-	if got := s.obs.M.RecoveryAttempts.Value(); got != 1 {
-		t.Errorf("recovery_attempts_total = %d, want the exhausted job's 1", got)
+	if got := s.obs.M.RecoveryAttempts.Value(); got != 2 {
+		t.Errorf("recovery_attempts_total = %d, want the exhausted job's 2", got)
 	}
 }
 

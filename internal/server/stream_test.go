@@ -300,7 +300,11 @@ func TestWriteResponseFrameMatchesReference(t *testing.T) {
 		{"invalid", nil, fmt.Errorf("%w: empty keys", ErrInvalid)},
 		{"overloaded", nil, ErrOverloaded},
 		{"closed", nil, ErrClosed},
-		{"exhausted", nil, &recovery.ExhaustedError{Report: &recovery.Report{Attempts: make([]recovery.Attempt, 3), Quarantined: []int{2, 5}}}},
+		{"exhausted", nil, &recovery.ExhaustedError{Report: &recovery.Report{Attempts: []recovery.Attempt{
+			{Quarantined: 2, Substituted: recovery.NoNode},
+			{Quarantined: 5, Substituted: recovery.NoNode},
+			{Quarantined: recovery.NoNode, Substituted: recovery.NoNode},
+		}}}},
 		{"fault", nil, fmt.Errorf("attempt: %w", reliablesort.ErrFaultDetected)},
 		{"internal", nil, errors.New("boom")},
 		{"ok-after-errors", &Response{JobID: 9, Tenant: "gamma", Sorted: []int64{1}}, nil},

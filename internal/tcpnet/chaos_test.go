@@ -1,12 +1,12 @@
 package tcpnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/reliablesort"
 	"repro/internal/transport"
 )
@@ -56,8 +56,9 @@ func TestBlocksortChaosOverTCP(t *testing.T) {
 
 // TestSpareSubstitutionOverTCP closes the loop at the top of the
 // stack: a persistent Byzantine node over real sockets, supervised by
-// the full AutoRecover path with one spare pooled and *real* backoff
-// sleeps (no virtual Sleep injection). The run must detect, retry,
+// the full recovery path with one spare pooled and *real* backoff
+// sleeps (no virtual Sleep injection): the supervisor's own 10ms base
+// doubling per retry. The run must detect, retry,
 // quarantine the fault site, activate the pre-registered spare
 // connection, and complete at full cube dimension.
 func TestSpareSubstitutionOverTCP(t *testing.T) {
@@ -67,12 +68,8 @@ func TestSpareSubstitutionOverTCP(t *testing.T) {
 	opts := reliablesort.Options{
 		Dim:         dim,
 		RecvTimeout: 400 * time.Millisecond,
-		AutoRecover: true,
 		MaxAttempts: 6,
 		Spares:      1,
-		// Real sleeping between attempts, kept short: the point is
-		// that the wall-clock backoff path runs, not that it is long.
-		Backoff: recovery.Backoff{Base: 2 * time.Millisecond, Max: 8 * time.Millisecond},
 		Inject: fault.Follow(fault.Set{{Msg: &fault.Spec{Node: faulty, Strategy: fault.KeyLie,
 			ActivateStage: 1, LieValue: 7777}}}, true),
 		NewNetwork: func(cfg reliablesort.NetConfig) (transport.Network, error) {
@@ -84,28 +81,26 @@ func TestSpareSubstitutionOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reliablesort.IsSorted(out, opts) || len(out) != len(keys) {
+	if !slices.IsSorted(out) || len(out) != len(keys) {
 		t.Fatalf("unsorted or truncated result: %v", out)
 	}
 	rep := stats.Recovery
 	if rep == nil {
 		t.Fatal("no recovery report")
 	}
-	if rep.FinalDim != dim || stats.Nodes != 1<<dim {
-		t.Fatalf("recovered at dim %d with %d nodes, want full dim %d", rep.FinalDim, stats.Nodes, dim)
+	if rep.FinalDim() != dim || stats.Nodes != 1<<dim {
+		t.Fatalf("recovered at dim %d with %d nodes, want full dim %d", rep.FinalDim(), stats.Nodes, dim)
 	}
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != faulty {
-		t.Fatalf("quarantined %v, want [%d]", rep.Quarantined, faulty)
-	}
-	if len(rep.Substitutions) != 1 || rep.Substitutions[0].Spare != 1<<dim || rep.Substitutions[0].Suspect != faulty {
-		t.Fatalf("substitutions %v, want spare %d at suspect %d", rep.Substitutions, 1<<dim, faulty)
+	if q, used := rep.Quarantined(), rep.SparesUsed(); !slices.Equal(q, []int{faulty}) || !slices.Equal(used, []int{1 << dim}) {
+		t.Fatalf("quarantined %v, spares used %v; want spare %d at suspect %d", q, used, 1<<dim, faulty)
 	}
 	// The backoff really slept: the supervisor records nonzero waits
 	// and the run took at least that long on the wall clock.
-	if rep.TotalBackoff <= 0 {
-		t.Fatalf("TotalBackoff = %v, want real wall-clock waits", rep.TotalBackoff)
+	backoff := rep.TotalBackoff()
+	if backoff <= 0 {
+		t.Fatalf("TotalBackoff = %v, want real wall-clock waits", backoff)
 	}
-	if elapsed := time.Since(start); elapsed < rep.TotalBackoff {
-		t.Fatalf("run finished in %v, less than its own recorded backoff %v", elapsed, rep.TotalBackoff)
+	if elapsed := time.Since(start); elapsed < backoff {
+		t.Fatalf("run finished in %v, less than its own recorded backoff %v", elapsed, backoff)
 	}
 }
