@@ -155,7 +155,7 @@ func BenchmarkE6Coverage(b *testing.B) {
 	keys := experiments.Keys(8, benchSeed)
 	var sum fault.Summary
 	for i := 0; i < b.N; i++ {
-		results, err := fault.Coverage(3, keys, 1, fault.AllStrategies(), 999, 60*time.Millisecond)
+		results, err := fault.Coverage(3, keys, 1, fault.AllStrategies(), 999)
 		if err != nil {
 			b.Fatal(err)
 		}

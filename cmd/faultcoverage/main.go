@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
@@ -57,7 +56,6 @@ func run(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 8, "seeded injections per matrix cell")
 	blockLen := fs.Int("blocklen", 2, "keys per node in the block-sort cells")
 	seed := fs.Int64("seed", 1989, "sweep seed")
-	timeout := fs.Duration("timeout", 150*time.Millisecond, "absence-detection timeout per run")
 	lie := fs.Int64("lie", 1<<30, "lie value for message faults and stuck-at memory cells")
 	mttf := fs.Float64("mttf", 1e6, "per-node MTTF (vticks) for the cost-model comparison")
 	pfrac := fs.Float64("pfrac", 0.5, "persistent share of arrivals in the cost-model comparison")
@@ -83,7 +81,6 @@ func run(args []string, out io.Writer) error {
 		BlockLen: *blockLen,
 		Lie:      *lie,
 		Seed:     *seed,
-		Timeout:  *timeout,
 	})
 	if err != nil {
 		return err
@@ -105,7 +102,7 @@ func run(args []string, out io.Writer) error {
 		"S_FT+repair (ideal detection)",
 		costmodel.PaperSFT(),
 		costmodel.FaultRegime{MTTF: *mttf, PersistentFrac: *pfrac},
-		costmodel.DefaultPolicyParams(),
+		costmodel.PolicyParams{},
 		costmodel.DefaultCalibration(),
 	)
 	cov, err := base.WithCoverage("S_FT+repair (measured coverage)", cal)

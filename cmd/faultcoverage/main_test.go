@@ -14,7 +14,7 @@ import (
 func smokeArgs(extra ...string) []string {
 	args := []string{
 		"-dims", "2", "-rates", "1", "-runs", "2", "-blocklen", "2",
-		"-seed", "1989", "-timeout", "100ms",
+		"-seed", "1989",
 	}
 	return append(args, extra...)
 }

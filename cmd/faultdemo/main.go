@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diagnose"
@@ -34,7 +33,6 @@ func run(args []string, out io.Writer) error {
 	dim := fs.Int("dim", 3, "hypercube dimension (N = 2^dim nodes)")
 	lie := fs.Int64("lie", 999, "bogus value used by lying strategies")
 	seed := fs.Int64("seed", 1989, "workload seed")
-	timeout := fs.Duration("timeout", 100*time.Millisecond, "absence-detection timeout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,7 +43,7 @@ func run(args []string, out io.Writer) error {
 	keys := experiments.Keys(n, *seed)
 
 	fmt.Fprintf(out, "Error coverage (Section 4) — S_FT, %d nodes, one Byzantine node per run\n\n", n)
-	results, err := fault.Coverage(*dim, keys, 1, fault.AllStrategies(), *lie, *timeout)
+	results, err := fault.Coverage(*dim, keys, 1, fault.AllStrategies(), *lie)
 	if err != nil {
 		return err
 	}
@@ -85,7 +83,7 @@ func run(args []string, out io.Writer) error {
 
 	// Beyond detection: localize the culprit from one run's diagnostics.
 	demoSpec := fault.Spec{Node: n / 2, Strategy: fault.SplitLie, ActivateStage: 1, LieValue: *lie}
-	nw, err := simnet.New(simnet.Config{Dim: *dim, RecvTimeout: *timeout})
+	nw, err := simnet.New(simnet.Config{Dim: *dim})
 	if err != nil {
 		return err
 	}
@@ -105,7 +103,7 @@ func run(args []string, out io.Writer) error {
 	silent := 0
 	for id := 0; id < n; id++ {
 		spec := fault.Spec{Node: id, Strategy: fault.KeyLie, ActivateStage: 1, LieValue: *lie}
-		r, err := fault.InjectSNR(*dim, keys, spec, *timeout)
+		r, err := fault.InjectSNR(*dim, keys, spec)
 		if err != nil {
 			return err
 		}

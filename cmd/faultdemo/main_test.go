@@ -8,7 +8,7 @@ import (
 
 func TestCoverageMatrixDim2(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-dim", "2", "-timeout", "60ms"}, &buf); err != nil {
+	if err := run([]string{"-dim", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

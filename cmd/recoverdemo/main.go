@@ -40,7 +40,6 @@ func run(args []string, out io.Writer) error {
 	spares := fs.Int("spares", 0, "spare nodes pooled for substitution (labels 2^dim and up)")
 	seed := fs.Int64("seed", 1989, "workload seed")
 	lie := fs.Int64("lie", 999, "bogus value used by lying strategies")
-	timeout := fs.Duration("timeout", 200*time.Millisecond, "absence-detection timeout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,7 +73,6 @@ func run(args []string, out io.Writer) error {
 	spec := fault.Spec{Node: *site, Strategy: st, ActivateStage: 1, LieValue: *lie}
 	sorted, stats, err := reliablesort.Sort(keys, reliablesort.Options{
 		Dim:         *dim,
-		RecvTimeout: *timeout,
 		MaxAttempts: *attempts,
 		Spares:      *spares,
 		Inject:      fault.Follow(fault.Set{{Msg: &spec}}, *persistent),

@@ -8,7 +8,7 @@ import (
 
 func TestTransientRecovery(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-strategy", "view-lie", "-site", "6", "-timeout", "100ms"}, &buf); err != nil {
+	if err := run([]string{"-strategy", "view-lie", "-site", "6"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -28,7 +28,7 @@ func TestTransientRecovery(t *testing.T) {
 
 func TestPersistentQuarantine(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-strategy", "split-lie", "-site", "5", "-persistent", "-timeout", "100ms"}, &buf); err != nil {
+	if err := run([]string{"-strategy", "split-lie", "-site", "5", "-persistent"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -61,7 +61,7 @@ func TestRejectsBadFlags(t *testing.T) {
 func TestPersistentSubstitution(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-strategy", "split-lie", "-site", "5", "-persistent",
-		"-spares", "1", "-timeout", "100ms"}, &buf); err != nil {
+		"-spares", "1"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

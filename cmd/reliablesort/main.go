@@ -10,8 +10,8 @@
 //
 // Input is whitespace-separated 64-bit integers; output is one key per
 // line in the requested order. With -obs.listen the process serves the
-// observability endpoints (/metrics Prometheus text, /metrics?json=1,
-// /debug/forensic) while sorting, and -obs.linger keeps it alive after
+// observability endpoints (/metrics Prometheus text, /debug/forensic)
+// while sorting, and -obs.linger keeps it alive after
 // the sort so the series — and any forensic dumps a detection
 // produced — can be scraped.
 package main
@@ -44,7 +44,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	desc := fs.Bool("desc", false, "sort descending")
 	dim := fs.Int("dim", 0, "force hypercube dimension (0 = automatic)")
 	stats := fs.Bool("stats", false, "print run statistics to stderr")
-	timeout := fs.Duration("timeout", 30*time.Second, "absence-detection timeout")
 	obsListen := fs.String("obs.listen", "", "serve /metrics and /debug/forensic on this address (e.g. localhost:9141)")
 	obsLinger := fs.Duration("obs.linger", 0, "keep serving the observability endpoints this long after the sort")
 	if err := fs.Parse(args); err != nil {
@@ -90,11 +89,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	out, st, err := reliablesort.Sort(keys, reliablesort.Options{
-		Descending:  *desc,
-		Dim:         *dim,
-		RecvTimeout: *timeout,
-		Obs:         observer,
-		Flight:      flight,
+		Descending: *desc,
+		Dim:        *dim,
+		Obs:        observer,
+		Flight:     flight,
 	})
 	if err != nil {
 		return err

@@ -15,7 +15,7 @@
 //
 //	POST /sort           {"tenant","keys","descending","dim","inject"}
 //	GET  /stats          pool/queue/outcome summary
-//	GET  /metrics        fleet Prometheus text (or ?json=1)
+//	GET  /metrics        fleet Prometheus text
 //	GET  /debug/journal  job-lifecycle journal
 //	GET  /healthz        liveness
 //

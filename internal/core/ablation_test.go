@@ -59,7 +59,7 @@ func TestAblationFinalVerificationIsLoadBearing(t *testing.T) {
 	faulty := 3 // passive at iterations 0 and 1 of the last stage
 
 	// Baseline: detected.
-	base, err := RunWithOptions(newFaultNet(t, dim), keys,
+	base, err := RunWithOptions(newNet(t, dim), keys,
 		ablationOpts(n, nil, faulty, finalStageLie(dim, 777)))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestAblationFinalVerificationIsLoadBearing(t *testing.T) {
 	}
 
 	// Ablated: the lie slips through as silent corruption.
-	ablated, err := RunWithOptions(newFaultNet(t, dim), keys,
+	ablated, err := RunWithOptions(newNet(t, dim), keys,
 		ablationOpts(n, func(o *Options) { o.SkipFinalVerification = true }, faulty, finalStageLie(dim, 777)))
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestAblationTrustMasksDelaysButDetects(t *testing.T) {
 		return m
 	}
 
-	base, err := RunWithOptions(newFaultNet(t, dim), keys, ablationOpts(n, nil, 1, tamper))
+	base, err := RunWithOptions(newNet(t, dim), keys, ablationOpts(n, nil, 1, tamper))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAblationTrustMasksDelaysButDetects(t *testing.T) {
 		t.Errorf("baseline detection not attributed to consistency: %v", base.HostErrors)
 	}
 
-	abl, err := RunWithOptions(newFaultNet(t, dim), keys,
+	abl, err := RunWithOptions(newNet(t, dim), keys,
 		ablationOpts(n, func(o *Options) { o.TrustSenderMasks = true }, 1, tamper))
 	if err != nil {
 		t.Fatal(err)

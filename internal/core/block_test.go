@@ -145,7 +145,7 @@ func TestFTByzantineBlockLieDetected(t *testing.T) {
 		msg.Payload = buf
 		return msg
 	}}
-	oc, err := RunBlocks(newFaultNet(t, dim), keys, m, opts)
+	oc, err := RunBlocks(newNet(t, dim), keys, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFTByzantineViewLieDetected(t *testing.T) {
 		msg.Payload = buf
 		return msg
 	}}
-	oc, err := RunBlocks(newFaultNet(t, dim), keys, m, opts)
+	oc, err := RunBlocks(newNet(t, dim), keys, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFTNeverSilentlyWrong(t *testing.T) {
 			msg.Payload = buf
 			return msg
 		}}
-		oc, err := RunBlocks(newFaultNet(t, dim), keys, m, opts)
+		oc, err := RunBlocks(newNet(t, dim), keys, m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +505,7 @@ func TestFTFeasibilityDigestMissEvidence(t *testing.T) {
 					tc.corrupt(keys)
 				}
 			}}
-			oc, err := RunBlocks(newFaultNet(t, 2), keys, 4, opts)
+			oc, err := RunBlocks(newNet(t, 2), keys, 4, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,7 +72,7 @@ func TestUndecodableAndMalformedViewEvidence(t *testing.T) {
 			}
 			opts := make([]Options, 4)
 			opts[1] = Options{SkipChecks: true, Tamper: corruptOnce(tc.kind, tc.stage, tc.edit)}
-			oc, err := RunBlocks(newFaultNet(t, 2), keys, m, opts)
+			oc, err := RunBlocks(newNet(t, 2), keys, m, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

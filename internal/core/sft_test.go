@@ -20,16 +20,6 @@ func newNet(t testing.TB, dim int) *simnet.Network {
 	return nw
 }
 
-// newFaultNet uses a short absence timeout so cascades resolve quickly.
-func newFaultNet(t testing.TB, dim int) *simnet.Network {
-	t.Helper()
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 60 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw
-}
-
 func TestSortsPaperExample(t *testing.T) {
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5} // Figure 5 input
 	oc, err := Run(newNet(t, 3), keys)
@@ -190,7 +180,7 @@ func TestByzantineKeyLieDetected(t *testing.T) {
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
 	opts := make([]Options, n)
 	opts[5] = Options{SkipChecks: true, Tamper: tamperKeys(0, 999)}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +211,7 @@ func TestByzantineViewLieDetected(t *testing.T) {
 		m.Payload = buf
 		return m
 	}}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +252,7 @@ func TestByzantineSplitLieDetected(t *testing.T) {
 		m.Payload = buf
 		return m
 	}}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +272,7 @@ func TestByzantineSilenceDetected(t *testing.T) {
 		}
 		return m
 	}}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +329,7 @@ func TestByzantineWrongCompareExchangeDetected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := make([]Options, n)
 			opts[tc.faulty] = Options{SkipChecks: true, Compare: tc.compare}
-			oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+			oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +381,7 @@ func TestByzantineMaskInflationDetected(t *testing.T) {
 		m.Payload = buf
 		return m
 	}}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +396,7 @@ func TestHostReceivesErrorSignal(t *testing.T) {
 	keys := []int64{4, 3, 2, 1}
 	opts := make([]Options, n)
 	opts[2] = Options{SkipChecks: true, Tamper: tamperKeys(0, -42)}
-	oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+	oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +428,7 @@ func TestNeverSilentlyWrong(t *testing.T) {
 		afterStage := rng.Intn(dim - 1)
 		opts := make([]Options, n)
 		opts[faulty] = Options{SkipChecks: true, Tamper: tamperKeys(afterStage, lie)}
-		oc, err := RunWithOptions(newFaultNet(t, dim), keys, opts)
+		oc, err := RunWithOptions(newNet(t, dim), keys, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +474,7 @@ func TestDimOneDetectsFinalLie(t *testing.T) {
 		m.Payload = buf
 		return m
 	}}
-	oc, err := RunWithOptions(newFaultNet(t, 1), keys, opts)
+	oc, err := RunWithOptions(newNet(t, 1), keys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

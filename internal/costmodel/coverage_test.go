@@ -56,7 +56,7 @@ func TestWithCoverageCalibration(t *testing.T) {
 		"ideal",
 		PaperSFT(),
 		FaultRegime{MTTF: 1e6, PersistentFrac: 0.5},
-		DefaultPolicyParams(),
+		PolicyParams{},
 		DefaultCalibration(),
 	)
 

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/recovery"
 )
 
 // FaultRegime is the fault environment a supervision runs in: a
@@ -52,88 +54,49 @@ func (r FaultRegime) ArrivalProb(nodes int, ticks float64) float64 {
 	return 1 - math.Exp(-float64(nodes)*ticks/r.MTTF)
 }
 
-// PolicyParams mirrors the recovery supervisor's policy in plain
-// numbers, so the model and the supervisor agree on the state machine
-// without this package importing the recovery runtime. The recovery
-// package's tests hold DefaultPolicyParams to the supervisor.
+// PolicyParams are the supervisor settings a caller picks: the attempt
+// budget and the spare pool. The zero value is the supervisor's default
+// budget and no spares. The rest of the policy the model prices is
+// internal/recovery's own constants: the persistence streak
+// (recovery.PersistStreak), the quarantine's dimension floor
+// (recovery.DimFloor) and the backoff shape (recovery.BackoffBase,
+// BackoffMax, BackoffJitter).
 type PolicyParams struct {
-	// MaxAttempts is the attempt budget (the supervisor's default is
-	// 4).
+	// MaxAttempts is the attempt budget; zero means
+	// recovery.DefaultMaxAttempts.
 	MaxAttempts int
-	// PersistStreak is how many consecutive same-suspect accusations
-	// judge a fault persistent (the supervisor's is 2).
-	PersistStreak int
-	// MinDim floors the quarantine shrink (the supervisor's is 1).
-	MinDim int
 	// Spares is the spare-pool size; substitutions preserve the cube
 	// dimension while the pool lasts.
 	Spares int
-	// BackoffBaseNanos, BackoffMaxNanos and BackoffJitter shape the
-	// capped exponential between-attempt waits (the supervisor's are
-	// 10ms, 2s and 0.5 equal jitter).
-	BackoffBaseNanos float64
-	BackoffMaxNanos  float64
-	BackoffJitter    float64
 }
 
-// DefaultPolicyParams returns the supervisor's policy, with its
-// default budget and no spares, in model form.
-func DefaultPolicyParams() PolicyParams {
-	return PolicyParams{
-		MaxAttempts:      4,
-		PersistStreak:    2,
-		MinDim:           1,
-		Spares:           0,
-		BackoffBaseNanos: 10e6,
-		BackoffMaxNanos:  2e9,
-		BackoffJitter:    0.5,
-	}
-}
+// Breakdown's recursion opens a streak at a fresh persistent fault and
+// completes it on a later attempt, so it needs the supervisor's streak
+// to be at least 2; this constant fails the build otherwise.
+const _ = uint(recovery.PersistStreak - 2)
 
 func (p PolicyParams) withDefaults() PolicyParams {
-	d := DefaultPolicyParams()
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.PersistStreak <= 0 {
-		p.PersistStreak = d.PersistStreak
-	}
-	if p.MinDim <= 0 {
-		p.MinDim = d.MinDim
+		p.MaxAttempts = recovery.DefaultMaxAttempts
 	}
 	if p.Spares < 0 {
 		p.Spares = 0
 	}
-	if p.BackoffBaseNanos <= 0 {
-		p.BackoffBaseNanos = d.BackoffBaseNanos
-	}
-	if p.BackoffMaxNanos <= 0 {
-		p.BackoffMaxNanos = d.BackoffMaxNanos
-	}
-	if p.BackoffJitter == 0 {
-		p.BackoffJitter = d.BackoffJitter
-	}
-	if p.BackoffJitter < 0 {
-		p.BackoffJitter = 0
-	}
-	if p.BackoffJitter > 1 {
-		p.BackoffJitter = 1
-	}
 	return p
 }
 
-// expectedBackoff returns the expected wait before retry number retry
-// (1-based): the capped doubled nominal scaled by the equal-jitter
-// expectation nominal·(1 − Jitter/2).
-func (p PolicyParams) expectedBackoff(retry int) float64 {
-	nominal := p.BackoffBaseNanos
-	for i := 1; i < retry && nominal < p.BackoffMaxNanos; i++ {
+// expectedBackoff returns the supervisor's expected wait in
+// nanoseconds before retry number retry (1-based): the capped doubled
+// nominal scaled by the equal-jitter expectation nominal·(1 − jitter/2).
+func expectedBackoff(retry int) float64 {
+	nominal, limit := float64(recovery.BackoffBase), float64(recovery.BackoffMax)
+	for i := 1; i < retry && nominal < limit; i++ {
 		nominal *= 2
 	}
-	if nominal > p.BackoffMaxNanos {
-		nominal = p.BackoffMaxNanos
+	if nominal > limit {
+		nominal = limit
 	}
-	return nominal * (1 - p.BackoffJitter/2)
+	return nominal * (1 - recovery.BackoffJitter/2)
 }
 
 // Calibration holds the empirically fitted per-attempt overhead terms
@@ -287,9 +250,9 @@ func sortedStates(mass map[state]float64) []state {
 // fault. A manifested fault fail-stops the attempt with probability
 // DetectFrac — an undetected manifestation completes verified (the
 // CorrectDespiteFault case), ending the supervision. Detected
-// persistent faults accumulate a same-suspect streak; at PersistStreak
-// the suspect is quarantined — substitution while spares last, shrink
-// above MinDim, and a floor state that can only retry once both are
+// persistent faults accumulate a same-suspect streak; at
+// recovery.PersistStreak the suspect is quarantined — substitution
+// while spares last, shrink above recovery.DimFloor, and a floor state that can only retry once both are
 // spent (the supervisor's acted == false branch).
 func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 	if rm == nil || rm.AttemptTicks == nil {
@@ -303,7 +266,7 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 
 	// Attempt costs for every reachable dimension, resolved up front
 	// so cost errors surface before any mass moves.
-	minDim := pol.MinDim
+	minDim := recovery.DimFloor
 	if minDim > dim {
 		minDim = dim
 	}
@@ -335,7 +298,7 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 			bd.ExpectedAttempts += w
 			if attempt > 0 {
 				bd.ExpectedRetries += w
-				bd.ExpectedBackoffNanos += w * pol.expectedBackoff(attempt)
+				bd.ExpectedBackoffNanos += w * expectedBackoff(attempt)
 			}
 
 			// pFail is this attempt's fail-stop probability; the
@@ -366,7 +329,7 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 				// policy threshold the suspect is quarantined.
 				ns := st
 				ns.streak++
-				if ns.streak < pol.PersistStreak {
+				if ns.streak < recovery.PersistStreak {
 					move(ns, w*pFail)
 					continue
 				}
@@ -375,7 +338,7 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 					bd.ExpectedQuarantines += w * pFail
 					bd.ExpectedSubstitutions += w * pFail
 					move(state{dim: st.dim, spares: st.spares - 1}, w*pFail)
-				case st.dim > pol.MinDim:
+				case st.dim > recovery.DimFloor:
 					bd.ExpectedQuarantines += w * pFail
 					bd.ExpectedShrinks += w * pFail
 					move(state{dim: st.dim - 1, spares: st.spares}, w*pFail)
@@ -388,26 +351,11 @@ func (rm *RecoveryModel) Breakdown(dim int) (Breakdown, error) {
 			}
 			// Fresh arrival, detected: transient episodes clear by the
 			// next attempt; persistent ones open a streak at 1 (this
-			// attempt's accusation), quarantined once it reaches the
-			// policy threshold — immediately when PersistStreak <= 1.
+			// attempt's accusation), quarantined once a later attempt
+			// brings it to the supervisor's threshold.
 			move(state{dim: st.dim, spares: st.spares}, w*pFail*(1-rho))
 			if rho > 0 {
-				if pol.PersistStreak > 1 {
-					move(state{dim: st.dim, spares: st.spares, streak: 1}, w*pFail*rho)
-				} else {
-					switch {
-					case st.spares > 0:
-						bd.ExpectedQuarantines += w * pFail * rho
-						bd.ExpectedSubstitutions += w * pFail * rho
-						move(state{dim: st.dim, spares: st.spares - 1}, w*pFail*rho)
-					case st.dim > pol.MinDim:
-						bd.ExpectedQuarantines += w * pFail * rho
-						bd.ExpectedShrinks += w * pFail * rho
-						move(state{dim: st.dim - 1, spares: st.spares}, w*pFail*rho)
-					default:
-						move(state{dim: st.dim, spares: st.spares, streak: 1}, w*pFail*rho)
-					}
-				}
+				move(state{dim: st.dim, spares: st.spares, streak: 1}, w*pFail*rho)
 			}
 		}
 		mass = next

@@ -48,7 +48,7 @@ func TestRecoveryModelFaultFree(t *testing.T) {
 // Hand-computed two-attempt recursion: dim 2, T=100 at every dim,
 // arrival prob p=0.2 per attempt (MTTF chosen so n·T/MTTF solves it),
 // every arrival persistent and detected, waste fraction 0.5,
-// MaxAttempts 2, PersistStreak 2, no spares.
+// MaxAttempts 2, the supervisor's persistence streak of 2, no spares.
 //
 // Attempt 0: succeeds w.p. 0.8 (cost 100); fails w.p. 0.2 (waste 50),
 // opening a persistent streak. Attempt 1: the persistent fault is
@@ -63,7 +63,7 @@ func TestRecoveryModelHandComputed(t *testing.T) {
 		Name:         "hand",
 		AttemptTicks: flatTable(100),
 		Regime:       FaultRegime{MTTF: mttf, PersistentFrac: 1},
-		Policy:       PolicyParams{MaxAttempts: 2, PersistStreak: 2, MinDim: 1},
+		Policy:       PolicyParams{MaxAttempts: 2},
 		Calib:        Calibration{DetectFrac: 1, WasteFrac: 0.5},
 	}
 	bd, err := rm.Breakdown(2)
@@ -97,7 +97,7 @@ func TestRecoveryModelSparesSubstitute(t *testing.T) {
 		Name:         "spared",
 		AttemptTicks: flatTable(100),
 		Regime:       FaultRegime{MTTF: 100, PersistentFrac: 1},
-		Policy:       PolicyParams{MaxAttempts: 6, PersistStreak: 2, MinDim: 1, Spares: 2},
+		Policy:       PolicyParams{MaxAttempts: 6, Spares: 2},
 		Calib:        DefaultCalibration(),
 	}
 	bd, err := rm.Breakdown(2)
@@ -124,7 +124,7 @@ func TestRecoveryModelSparesSubstitute(t *testing.T) {
 // Overhead must grow monotonically as the machine gets less reliable.
 func TestRecoveryOverheadCurveMonotone(t *testing.T) {
 	rm := NewRecoveryModel("curve", PaperSFT(),
-		FaultRegime{PersistentFrac: 0.5}, DefaultPolicyParams(), DefaultCalibration())
+		FaultRegime{PersistentFrac: 0.5}, PolicyParams{}, DefaultCalibration())
 	pts, err := rm.OverheadCurve(5, []float64{1e8, 1e6, 1e5, 1e4})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestRecoveryOverheadCurveMonotone(t *testing.T) {
 // crossover machinery next to formula models.
 func TestRecoveryModelProjects(t *testing.T) {
 	rm := NewRecoveryModel("S_FT+repair", PaperSFT(),
-		FaultRegime{MTTF: 1e7, PersistentFrac: 0.5}, DefaultPolicyParams(), DefaultCalibration())
+		FaultRegime{MTTF: 1e7, PersistentFrac: 0.5}, PolicyParams{}, DefaultCalibration())
 	rows, err := Project([]Coster{PaperSFT(), rm, PaperSequential()}, 2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +213,8 @@ func TestRecoveryBreakdownRepeatsBitForBit(t *testing.T) {
 		Name:         "mixed",
 		AttemptTicks: func(dim int) (float64, error) { return 1000 * float64(dim*dim), nil },
 		Regime:       FaultRegime{MTTF: 3e4, PersistentFrac: 0.4},
-		Policy: PolicyParams{MaxAttempts: 12, PersistStreak: 3, MinDim: 1, Spares: 2,
-			BackoffBaseNanos: 1e6, BackoffMaxNanos: 8e6},
-		Calib: Calibration{DetectFrac: 0.9, WasteFrac: 0.6},
+		Policy:       PolicyParams{MaxAttempts: 12, Spares: 2},
+		Calib:        Calibration{DetectFrac: 0.9, WasteFrac: 0.6},
 	}
 	want, err := rm.Breakdown(4)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -80,7 +79,7 @@ func TestDiagnosisAccuracyOverCoverageSweep(t *testing.T) {
 			total, attributed, correct := 0, 0, 0
 			for _, st := range strategies {
 				for id := 0; id < n; id++ {
-					nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 60 * time.Millisecond})
+					nw, err := simnet.New(simnet.Config{Dim: dim})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -127,7 +126,7 @@ func TestDiagnosisOfSilentNode(t *testing.T) {
 	n := 1 << uint(dim)
 	keys := []int64{10, 8, 3, 9, 4, 2, 7, 5}
 	silent := 5
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: 60 * time.Millisecond})
+	nw, err := simnet.New(simnet.Config{Dim: dim})
 	if err != nil {
 		t.Fatal(err)
 	}

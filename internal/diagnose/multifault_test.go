@@ -3,7 +3,6 @@ package diagnose
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -60,7 +59,7 @@ func TestRankTwoFaultRuns(t *testing.T) {
 			c, p := c, p
 			t.Run(fmt.Sprintf("%v@%d+%v@%d", c.a, p[0], c.b, p[1]), func(t *testing.T) {
 				t.Parallel()
-				nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: 100 * time.Millisecond})
+				nw, err := simnet.New(simnet.Config{Dim: 3})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/fault"
@@ -48,8 +47,6 @@ type CoverageSweep struct {
 	// Seed roots the whole sweep; every cell and run derives
 	// deterministically from it (default 1989).
 	Seed int64
-	// Timeout bounds absence detection per run (default 150ms).
-	Timeout time.Duration
 }
 
 func (s CoverageSweep) withDefaults() CoverageSweep {
@@ -70,9 +67,6 @@ func (s CoverageSweep) withDefaults() CoverageSweep {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1989
-	}
-	if s.Timeout <= 0 {
-		s.Timeout = 150 * time.Millisecond
 	}
 	return s
 }
@@ -221,7 +215,7 @@ func measureCoverageCell(cfg CoverageSweep, algo string, dim int, row coverageRo
 		default:
 			c.Msg = &fault.Spec{Node: node, Strategy: row.strategy, ActivateStage: 1, LieValue: cfg.Lie}
 		}
-		res, err := fault.Inject(dim, keys, m, fault.Set{c}, cfg.Timeout)
+		res, err := fault.Inject(dim, keys, m, fault.Set{c})
 		if err != nil {
 			return CoverageCell{}, fmt.Errorf("run %d node %d: %w", run, node, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -21,7 +20,6 @@ func goldenSweep() CoverageSweep {
 		Runs:     2,
 		BlockLen: 2,
 		Seed:     1989,
-		Timeout:  100 * time.Millisecond,
 	}
 }
 

@@ -88,13 +88,6 @@ func calibrationStrategies() []fault.Strategy {
 	return []fault.Strategy{fault.KeyLie, fault.SplitLie, fault.WrongCompare}
 }
 
-// recoveryTimeout is the sweep's absence timeout. It must be short:
-// tamper strategies can desynchronize an exchange so that a node waits
-// out the full timeout in wall-clock time, and the sweep runs hundreds
-// of supervisions. (Timeout waits are idle virtual time, so the choice
-// does not move measured vtick costs.)
-const recoveryTimeout = 80 * time.Millisecond
-
 // rateConfig parameterizes a rateInjector: a memoryless fault-arrival
 // process in the MTTF framing of the recovery-aware cost model
 // (costmodel.FaultRegime).
@@ -297,7 +290,7 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 	// same entry point the supervised attempts use.
 	baselines := make(map[int]float64, dim)
 	for d := dim; d >= 1; d-- {
-		_, st, err := reliablesort.Sort(keys, reliablesort.Options{Dim: d, RecvTimeout: recoveryTimeout})
+		_, st, err := reliablesort.Sort(keys, reliablesort.Options{Dim: d})
 		if err != nil {
 			return RecoveryCell{}, fmt.Errorf("baseline dim %d: %w", d, err)
 		}
@@ -327,7 +320,6 @@ func measureRecoveryCell(cfg RecoverySweep, dim int, load float64, spares int, c
 		})
 		_, st, err := reliablesort.Sort(keys, reliablesort.Options{
 			Dim:         dim,
-			RecvTimeout: recoveryTimeout,
 			MaxAttempts: cfg.MaxAttempts,
 			Spares:      spares,
 			Sleep:       func(time.Duration) {},
@@ -467,14 +459,11 @@ func CalibrateRecovery(cells []RecoveryCell) (RecoveryCalibration, error) {
 // cell: measured baselines as the attempt-cost table, the cell's fault
 // regime and supervisor policy, and the sweep-wide calibration.
 func CellModel(cell RecoveryCell, cal RecoveryCalibration) *costmodel.RecoveryModel {
-	pol := costmodel.DefaultPolicyParams()
-	pol.MaxAttempts = cell.MaxAttempts
-	pol.Spares = cell.Spares
 	return &costmodel.RecoveryModel{
 		Name:         fmt.Sprintf("d%d load %.2g spares %d", cell.Dim, cell.Load, cell.Spares),
 		AttemptTicks: costmodel.AttemptTable(cell.Baselines),
 		Regime:       costmodel.FaultRegime{MTTF: cell.MTTF, PersistentFrac: cell.PersistentFrac},
-		Policy:       pol,
+		Policy:       costmodel.PolicyParams{MaxAttempts: cell.MaxAttempts, Spares: cell.Spares},
 		Calib:        cal.Calib,
 	}
 }
@@ -536,7 +525,7 @@ func Figure7Faulty(fit Table1Result, cal RecoveryCalibration, mttfs []float64, m
 			fmt.Sprintf("S_FT+repair MTTF=%.3g", mttf),
 			fit.SFT,
 			costmodel.FaultRegime{MTTF: mttf, PersistentFrac: cal.PersistentFrac},
-			costmodel.DefaultPolicyParams(),
+			costmodel.PolicyParams{},
 			cal.Calib,
 		)
 		models = append(models, rm)

@@ -71,11 +71,12 @@ type Config struct {
 	// checks gone, a lying node yields a shrunk, replayable
 	// counterexample instead of a detection.
 	WeakenChecks bool
-	// RecvTimeout is the wall-clock watchdog handed to simnet. Under
-	// controlled scheduling absence resolves at quiescence, so this
-	// only bounds a wedged run. Zero means 10s.
-	RecvTimeout time.Duration
 }
+
+// watchdog is the receive timeout handed to simnet. Under controlled
+// scheduling absence resolves at quiescence, so it only bounds a wedged
+// run.
+const watchdog = 10 * time.Second
 
 // Diagnosis is the explorer's classification of one branch, the
 // fields Replay must reproduce: verdict, accused node, earliest
@@ -222,9 +223,6 @@ func newExplorer(cfg Config) (*explorer, error) {
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("explore: dim %d < 1", cfg.Dim)
 	}
-	if cfg.RecvTimeout == 0 {
-		cfg.RecvTimeout = 10 * time.Second
-	}
 	cases := cfg.Cases
 	if cases == nil {
 		cases = fault.SingleFaultCases(cfg.Dim)
@@ -274,7 +272,7 @@ func (x *explorer) runOnce(c fault.Case, sched simnet.Scheduler) (branchRun, err
 	flight := forensic.New(0)
 	nw, err := simnet.New(simnet.Config{
 		Dim:         x.cfg.Dim,
-		RecvTimeout: x.cfg.RecvTimeout,
+		RecvTimeout: watchdog,
 		Sched:       sched,
 		Flight:      flight,
 	})

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -84,7 +83,7 @@ func randomAdversary(seed int64, activateStage int) func(m *wire.Message) *wire.
 // against S_FT and returns the verdict tally. Any SilentWrong is a
 // counterexample to the fail-stop guarantee and is reported with its
 // reproduction seed.
-func AdversarySearch(dim int, keys []int64, trials int, seed int64, timeout time.Duration) (Summary, []int64, error) {
+func AdversarySearch(dim int, keys []int64, trials int, seed int64) (Summary, []int64, error) {
 	n := 1 << uint(dim)
 	rng := rand.New(rand.NewSource(seed))
 	sets := make([]Set, trials)
@@ -92,7 +91,7 @@ func AdversarySearch(dim int, keys []int64, trials int, seed int64, timeout time
 		trialSeed := rng.Int63()
 		sets[i] = Set{{Msg: &Spec{Node: rng.Intn(n), Strategy: Random, ActivateStage: 1, LieValue: trialSeed}}}
 	}
-	results, err := injectAll(dim, keys, 1, sets, timeout)
+	results, err := injectAll(dim, keys, 1, sets)
 	if err != nil {
 		return Summary{}, nil, fmt.Errorf("fault: adversary search: %w", err)
 	}

@@ -22,7 +22,7 @@ func blockWorkload(dim, m int, seed int64) []int64 {
 func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
 	keys := blockWorkload(3, 4, 55)
 	strategies := []Strategy{KeyLie, SplitLie, ViewLie, WrongCompare, Silence, MaskInflation}
-	results, err := Coverage(3, keys, 4, strategies, 7777, faultTimeout)
+	results, err := Coverage(3, keys, 4, strategies, 7777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestBlockFTCoverageNoSilentWrong(t *testing.T) {
 
 func TestInjectBlockFTValidation(t *testing.T) {
 	good := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}
-	if _, err := Inject(2, []int64{1}, 1, Set{{Msg: &good}}, faultTimeout); err == nil {
+	if _, err := Inject(2, []int64{1}, 1, Set{{Msg: &good}}); err == nil {
 		t.Error("wrong block count: want error")
 	}
 	bad := Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}
-	if _, err := Inject(2, blockWorkload(2, 2, 1), 2, Set{{Msg: &bad}}, faultTimeout); err == nil {
+	if _, err := Inject(2, blockWorkload(2, 2, 1), 2, Set{{Msg: &bad}}); err == nil {
 		t.Error("activate stage 0: want error")
 	}
 }
@@ -59,7 +59,7 @@ func TestInjectBlockFTHonestIsClean(t *testing.T) {
 	// honest run: correct despite "fault".
 	keys := blockWorkload(2, 3, 9)
 	spec := Spec{Node: 1, Strategy: KeyLie, ActivateStage: 99, LieValue: 1}
-	r, err := Inject(2, keys, 3, Set{{Msg: &spec}}, faultTimeout)
+	r, err := Inject(2, keys, 3, Set{{Msg: &spec}})
 	if err != nil {
 		t.Fatal(err)
 	}

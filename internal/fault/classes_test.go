@@ -194,7 +194,7 @@ func TestCorruptorModes(t *testing.T) {
 func TestCmpInjectorsDetect(t *testing.T) {
 	for _, mode := range AllCmpModes() {
 		spec := CmpSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1}
-		r, err := Inject(3, paperKeys(), 1, Set{{Cmp: &spec}}, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Cmp: &spec}})
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
@@ -202,7 +202,7 @@ func TestCmpInjectorsDetect(t *testing.T) {
 			t.Errorf("%v S_FT: verdict %v", mode, r.Verdict)
 		}
 		spec.Node = 1
-		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Cmp: &spec}}, faultTimeout)
+		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Cmp: &spec}})
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -218,7 +218,7 @@ func TestCmpInjectorsDetect(t *testing.T) {
 func TestMemInjectorsDetect(t *testing.T) {
 	for _, mode := range AllMemModes() {
 		spec := MemSpec{Node: 2, Mode: mode, Rate: 1, Seed: 11, ActivateStage: 1, StuckValue: 1 << 20}
-		r, err := Inject(3, paperKeys(), 1, Set{{Mem: &spec}}, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Mem: &spec}})
 		if err != nil {
 			t.Fatalf("%v S_FT: %v", mode, err)
 		}
@@ -226,7 +226,7 @@ func TestMemInjectorsDetect(t *testing.T) {
 			t.Errorf("%v S_FT: verdict %v", mode, r.Verdict)
 		}
 		spec.Node = 3
-		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Mem: &spec}}, faultTimeout)
+		rb, err := Inject(2, blockWorkload(2, 2, 5), 2, Set{{Mem: &spec}})
 		if err != nil {
 			t.Fatalf("%v BlockFT: %v", mode, err)
 		}
@@ -237,13 +237,13 @@ func TestMemInjectorsDetect(t *testing.T) {
 }
 
 func TestCmpMemInjectorsRejectBadSpecs(t *testing.T) {
-	if _, err := Inject(3, paperKeys(), 1, Set{{Cmp: &CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Set{{Cmp: &CmpSpec{Node: 0, Mode: CmpTransient, Rate: 1}}}); err == nil {
 		t.Error("activate-stage-0 cmp spec accepted")
 	}
-	if _, err := Inject(3, paperKeys()[:2], 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys()[:2], 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}); err == nil {
 		t.Error("short workload accepted")
 	}
-	if _, err := Inject(2, []int64{1}, 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}, faultTimeout); err == nil {
+	if _, err := Inject(2, []int64{1}, 1, Set{{Mem: &MemSpec{Node: 0, Mode: MemFlip, Rate: 1, ActivateStage: 1}}}); err == nil {
 		t.Error("short block workload accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/checker"
 	"repro/internal/core"
@@ -142,13 +141,12 @@ func Classify(oc *core.Outcome, verifyErr error, flight *forensic.Flight) Result
 }
 
 // Inject runs S_FT with the placement s armed on a fresh simnet cube
-// of dimension dim, m keys per node, and judges the run (Run). The
-// timeout bounds how long absence detection waits; keep it short (tens
-// of milliseconds), since a crashed or silent node is found only when
-// a partner's receive times out.
-func Inject(dim int, keys []int64, m int, s Set, timeout time.Duration) (Result, error) {
+// of dimension dim, m keys per node, and judges the run (Run). A
+// crashed or silent node is found at quiescence, as any absence on
+// simnet is, so no timer bounds the run.
+func Inject(dim int, keys []int64, m int, s Set) (Result, error) {
 	flight := forensic.New(0)
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout, Flight: flight})
+	nw, err := simnet.New(simnet.Config{Dim: dim, Flight: flight})
 	if err != nil {
 		return Result{}, err
 	}
@@ -197,8 +195,8 @@ func Run(nw transport.Network, flight *forensic.Flight, keys []int64, m int, s S
 // InjectSNR runs the unreliable S_NR under the same fault spec, for
 // the contrast experiment: S_NR has no detection machinery, so lies
 // become silent corruption. It sends the host no evidence, so Classify
-// finds any detection (a timeout) node-local.
-func InjectSNR(dim int, keys []int64, spec Spec, timeout time.Duration) (Result, error) {
+// finds any detection (an absence) node-local.
+func InjectSNR(dim int, keys []int64, spec Spec) (Result, error) {
 	n := 1 << uint(dim)
 	if err := spec.Validate(n); err != nil {
 		return Result{}, err
@@ -206,7 +204,7 @@ func InjectSNR(dim int, keys []int64, spec Spec, timeout time.Duration) (Result,
 	if len(keys) != n {
 		return Result{}, fmt.Errorf("fault: %d keys for %d nodes", len(keys), n)
 	}
-	nw, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: timeout})
+	nw, err := simnet.New(simnet.Config{Dim: dim})
 	if err != nil {
 		return Result{}, err
 	}
@@ -260,7 +258,7 @@ func snrTamper(spec Spec) func(m *wire.Message) *wire.Message {
 // Coverage sweeps the given strategies over every node of the cube,
 // m keys per node, one Byzantine node per run, and returns one Result
 // per (strategy, node) pair, in (strategy, node) order.
-func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, timeout time.Duration) ([]Result, error) {
+func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64) ([]Result, error) {
 	n := 1 << uint(dim)
 	sets := make([]Set, 0, len(strategies)*n)
 	for _, st := range strategies {
@@ -268,13 +266,13 @@ func Coverage(dim int, keys []int64, m int, strategies []Strategy, lie int64, ti
 			sets = append(sets, Set{{Msg: &Spec{Node: id, Strategy: st, ActivateStage: 1, LieValue: lie}}})
 		}
 	}
-	return injectAll(dim, keys, m, sets, timeout)
+	return injectAll(dim, keys, m, sets)
 }
 
 // injectAll runs Inject over every placement, each on its own network
 // and at most 16 at a time, and returns one Result per placement in
 // order.
-func injectAll(dim int, keys []int64, m int, sets []Set, timeout time.Duration) ([]Result, error) {
+func injectAll(dim int, keys []int64, m int, sets []Set) ([]Result, error) {
 	out := make([]Result, len(sets))
 	errs := make([]error, len(sets))
 	sem := make(chan struct{}, 16) // bound concurrent simulations
@@ -285,7 +283,7 @@ func injectAll(dim int, keys []int64, m int, sets []Set, timeout time.Duration) 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i], errs[i] = Inject(dim, keys, m, s, timeout)
+			out[i], errs[i] = Inject(dim, keys, m, s)
 		}()
 	}
 	wg.Wait()

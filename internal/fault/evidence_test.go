@@ -52,7 +52,7 @@ func TestEvidenceOrderRunsForwardWithinAStage(t *testing.T) {
 func TestClassifyAccusesTheLiarNotTheCascade(t *testing.T) {
 	s := Set{{Name: "key-lie/n5", Class: ClassMessage,
 		Msg: &Spec{Node: 5, Strategy: KeyLie, ActivateStage: 1, LieValue: 999}}}
-	r, err := Inject(3, paperKeys(), 1, s, faultTimeout)
+	r, err := Inject(3, paperKeys(), 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,12 @@ package fault
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/sortnr"
 	"repro/internal/wire"
 )
-
-const faultTimeout = 60 * time.Millisecond
 
 func paperKeys() []int64 { return []int64{10, 8, 3, 9, 4, 2, 7, 5} }
 
@@ -51,7 +48,7 @@ func TestStrategyString(t *testing.T) {
 // Every strategy injected at every node of a dim-3 cube must be either
 // detected or harmless — never silent-wrong. This is experiment E6.
 func TestSFTCoverageNoSilentWrong(t *testing.T) {
-	results, err := Coverage(3, paperKeys(), 1, AllStrategies(), 999, faultTimeout)
+	results, err := Coverage(3, paperKeys(), 1, AllStrategies(), 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +84,7 @@ func TestSNRContrastSilentlyWrong(t *testing.T) {
 	n := 8
 	for id := 0; id < n; id++ {
 		spec := Spec{Node: id, Strategy: KeyLie, ActivateStage: 1, LieValue: 999}
-		r, err := InjectSNR(3, paperKeys(), spec, faultTimeout)
+		r, err := InjectSNR(3, paperKeys(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,13 +98,13 @@ func TestSNRContrastSilentlyWrong(t *testing.T) {
 }
 
 func TestInjectValidatesInputs(t *testing.T) {
-	if _, err := Inject(3, []int64{1}, 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}}}, faultTimeout); err == nil {
+	if _, err := Inject(3, []int64{1}, 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}}}); err == nil {
 		t.Error("wrong key count: want error")
 	}
-	if _, err := Inject(3, paperKeys(), 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Set{{Msg: &Spec{Node: 0, Strategy: KeyLie, ActivateStage: 0}}}); err == nil {
 		t.Error("activate stage 0: want error")
 	}
-	if _, err := InjectSNR(3, []int64{1}, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}, faultTimeout); err == nil {
+	if _, err := InjectSNR(3, []int64{1}, Spec{Node: 0, Strategy: KeyLie, ActivateStage: 1}); err == nil {
 		t.Error("SNR wrong key count: want error")
 	}
 }
@@ -124,7 +121,7 @@ func TestVerdictString(t *testing.T) {
 
 func TestStaleReplayDetected(t *testing.T) {
 	spec := Spec{Node: 2, Strategy: StaleReplay, ActivateStage: 1}
-	r, err := Inject(3, paperKeys(), 1, Set{{Msg: &spec}}, faultTimeout)
+	r, err := Inject(3, paperKeys(), 1, Set{{Msg: &spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestStaleReplayDetected(t *testing.T) {
 }
 
 func TestLinkCorruptDetectedBySFT(t *testing.T) {
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: faultTimeout})
+	nw, err := simnet.New(simnet.Config{Dim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +148,7 @@ func TestLinkCorruptDetectedBySFT(t *testing.T) {
 }
 
 func TestLinkDropDetectedAsAbsence(t *testing.T) {
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: faultTimeout})
+	nw, err := simnet.New(simnet.Config{Dim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestLinkDropDetectedAsAbsence(t *testing.T) {
 func TestLinkDuplicateDetected(t *testing.T) {
 	// A duplicated message desynchronizes the lockstep schedule: the
 	// receiver sees a stale header at the next step.
-	nw, err := simnet.New(simnet.Config{Dim: 3, RecvTimeout: faultTimeout})
+	nw, err := simnet.New(simnet.Config{Dim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestLinkFaultsAgainstSNRSilentOrStall(t *testing.T) {
 	// failure surfaces as a node error) or the output silently
 	// corrupts. It must never produce a *diagnosed predicate* —
 	// there are none. This pins the asymmetry with S_FT.
-	nw, err := simnet.New(simnet.Config{Dim: 2, RecvTimeout: faultTimeout})
+	nw, err := simnet.New(simnet.Config{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +209,7 @@ func TestLinkFaultsAgainstSNRSilentOrStall(t *testing.T) {
 // must accuse it.
 func TestCrashedNodeAlwaysDetected(t *testing.T) {
 	for id := 0; id < 8; id++ {
-		r, err := Inject(3, paperKeys(), 1, Set{{Crashed: &id}}, faultTimeout)
+		r, err := Inject(3, paperKeys(), 1, Set{{Crashed: &id}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,11 +218,11 @@ func TestCrashedNodeAlwaysDetected(t *testing.T) {
 		}
 	}
 	crashed := 0
-	if _, err := Inject(3, []int64{1}, 1, Set{{Crashed: &crashed}}, faultTimeout); err == nil {
+	if _, err := Inject(3, []int64{1}, 1, Set{{Crashed: &crashed}}); err == nil {
 		t.Error("wrong key count: want error")
 	}
 	crashed = 9
-	if _, err := Inject(3, paperKeys(), 1, Set{{Crashed: &crashed}}, faultTimeout); err == nil {
+	if _, err := Inject(3, paperKeys(), 1, Set{{Crashed: &crashed}}); err == nil {
 		t.Error("bad node: want error")
 	}
 }

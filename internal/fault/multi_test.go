@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/reliablesort"
 	"repro/internal/wire"
@@ -42,7 +41,7 @@ func messagePairs(st Strategy, lie int64) []Set {
 // pair placement may produce a silently wrong result.
 func TestPairwiseFaultsNeverSilentlyWrong(t *testing.T) {
 	sets := messagePairs(KeyLie, 900)
-	res, err := injectAll(3, paperKeys(), 1, sets, faultTimeout)
+	res, err := injectAll(3, paperKeys(), 1, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestPairwiseFaultsNeverSilentlyWrong(t *testing.T) {
 }
 
 func TestPairwiseSplitLies(t *testing.T) {
-	res, err := injectAll(3, paperKeys(), 1, messagePairs(SplitLie, 700), faultTimeout)
+	res, err := injectAll(3, paperKeys(), 1, messagePairs(SplitLie, 700))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestMixedClassPairs(t *testing.T) {
 			}
 		}
 	}
-	res, err := injectAll(3, paperKeys(), 1, sets, faultTimeout)
+	res, err := injectAll(3, paperKeys(), 1, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestRandomTriplesNeverSilentlyWrong(t *testing.T) {
 		for i, lie := range []int64{500, 600, 700} {
 			s = append(s, Case{Msg: &Spec{Node: perm[i], Strategy: strategies[rng.Intn(len(strategies))], ActivateStage: 1, LieValue: lie}})
 		}
-		r, err := Inject(dim, keys, 1, s, faultTimeout)
+		r, err := Inject(dim, keys, 1, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +169,7 @@ func TestRandomTriplesNeverSilentlyWrong(t *testing.T) {
 // budget may produce a silently wrong output. Failures print the
 // reproduction seeds.
 func TestAdversarySearchFindsNoSilentWrong(t *testing.T) {
-	sum, counterexamples, err := AdversarySearch(3, paperKeys(), 40, 20260706, faultTimeout)
+	sum, counterexamples, err := AdversarySearch(3, paperKeys(), 40, 20260706)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestAdversarySearchFindsNoSilentWrong(t *testing.T) {
 }
 
 func TestAdversarySearchValidation(t *testing.T) {
-	if _, _, err := AdversarySearch(3, []int64{1}, 5, 1, faultTimeout); err == nil {
+	if _, _, err := AdversarySearch(3, []int64{1}, 5, 1); err == nil {
 		t.Error("wrong key count: want error")
 	}
 }
@@ -233,14 +232,14 @@ func TestSetValidate(t *testing.T) {
 	if err := mixed.Validate(8); err != nil {
 		t.Errorf("mixed placement: %v", err)
 	}
-	if _, err := Inject(3, []int64{1}, 1, Set{{Msg: &good}}, faultTimeout); err == nil {
+	if _, err := Inject(3, []int64{1}, 1, Set{{Msg: &good}}); err == nil {
 		t.Error("wrong key count: want error")
 	}
 }
 
 func TestZeroFaultMultiIsClean(t *testing.T) {
 	for _, s := range []Set{nil, {{Name: "none"}}} {
-		r, err := Inject(3, paperKeys(), 1, s, 2*time.Second)
+		r, err := Inject(3, paperKeys(), 1, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,11 +162,12 @@ func RunPer(nw transport.Network, progs []Program, hostProg HostProgram) (*Resul
 	}
 	host := nw.Host()
 
-	// Controlled-scheduler networks need the full worker census before
-	// any worker runs: delivery decisions wait for every live worker to
-	// block, so a late-declared worker would let a decision fire on an
-	// incomplete picture (and an undeclared crashed node would stall
-	// quiescence forever).
+	// The network needs the full worker census before any worker runs:
+	// simnet decides absence, and under a controlled scheduler every
+	// delivery, only once every live worker has blocked, so a
+	// late-declared worker would let a decision fire on an incomplete
+	// picture. A crashed node (nil program) is never declared, so its
+	// partners' receives resolve as absent once everyone else waits.
 	for id := 0; id < n; id++ {
 		if progs[id] != nil {
 			nw.WorkerStart(id)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -76,75 +75,4 @@ func bucketKey(key, le string) string {
 		return fmt.Sprintf("{le=%q}", le)
 	}
 	return fmt.Sprintf("%s,le=%q}", strings.TrimSuffix(key, "}"), le)
-}
-
-// SnapshotSeries is one exported series in a JSON snapshot.
-type SnapshotSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  int64             `json:"value,omitempty"`
-	// Histogram-only fields.
-	Buckets []SnapshotBucket `json:"buckets,omitempty"`
-	Sum     int64            `json:"sum,omitempty"`
-	Count   int64            `json:"count,omitempty"`
-}
-
-// SnapshotBucket is one cumulative histogram bucket; UpperBound is 0
-// with Inf=true for the +Inf bucket.
-type SnapshotBucket struct {
-	UpperBound int64 `json:"le"`
-	Inf        bool  `json:"inf,omitempty"`
-	Count      int64 `json:"count"`
-}
-
-// SnapshotFamily is one metric family in a JSON snapshot.
-type SnapshotFamily struct {
-	Name   string           `json:"name"`
-	Help   string           `json:"help,omitempty"`
-	Type   string           `json:"type"`
-	Series []SnapshotSeries `json:"series"`
-}
-
-// Snapshot returns a point-in-time copy of every registered metric,
-// in the same deterministic order as WritePrometheus.
-func (r *Registry) Snapshot() []SnapshotFamily {
-	fams := r.sortedFamilies()
-	out := make([]SnapshotFamily, 0, len(fams))
-	for _, f := range fams {
-		sf := SnapshotFamily{Name: f.name, Help: f.help, Type: f.typ.String()}
-		for _, s := range f.series {
-			ss := SnapshotSeries{}
-			if len(s.labels) > 0 {
-				ss.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					ss.Labels[l.Key] = l.Value
-				}
-			}
-			switch f.typ {
-			case typeCounter:
-				ss.Value = s.c.Value()
-			case typeGauge:
-				ss.Value = s.g.Value()
-			case typeHistogram:
-				cum := int64(0)
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					ss.Buckets = append(ss.Buckets, SnapshotBucket{UpperBound: bound, Count: cum})
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				ss.Buckets = append(ss.Buckets, SnapshotBucket{Inf: true, Count: cum})
-				ss.Sum = s.h.Sum()
-				ss.Count = s.h.Count()
-			}
-			sf.Series = append(sf.Series, ss)
-		}
-		out = append(out, sf)
-	}
-	return out
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

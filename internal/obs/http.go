@@ -5,24 +5,12 @@ import (
 	"net/http"
 )
 
-// Handler serves a registry's metrics:
-//
-//	GET /metrics         Prometheus text exposition
-//	GET /metrics?json=1  JSON snapshot of the same registry
-//
-// A nil registry serves an empty document.
+// Handler serves a registry's metrics at GET /metrics in the
+// Prometheus text exposition format. A nil registry serves an empty
+// document.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("json") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			if reg != nil {
-				reg.WriteJSON(w)
-			} else {
-				w.Write([]byte("[]\n"))
-			}
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if reg != nil {
 			reg.WritePrometheus(w)

@@ -33,23 +33,6 @@ func TestHandlerMetricsText(t *testing.T) {
 	}
 }
 
-func TestHandlerMetricsJSON(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry()))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics?json=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var fams []SnapshotFamily
-	if err := json.NewDecoder(resp.Body).Decode(&fams); err != nil {
-		t.Fatal(err)
-	}
-	if len(fams) != 4 {
-		t.Fatalf("families = %d, want 4", len(fams))
-	}
-}
-
 func TestHandlerJournal(t *testing.T) {
 	j := NewJournal(8)
 	j.Append(Event{Kind: EvSpanEnd, Label: "job", Node: 3, Pass: true})

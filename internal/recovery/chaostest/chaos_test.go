@@ -52,9 +52,9 @@ type failure struct {
 
 // runMatrix supervises scenarios over the transport on a bounded
 // worker pool. The pool — not t.Parallel — provides the concurrency:
-// scenarios are timer-bound (silence faults ride out RecvTimeout), so
-// overlapping them bounds wall time even on a single-CPU runner where
-// -parallel defaults to 1.
+// tcpnet scenarios are timer-bound (silence faults ride out its receive
+// timer), so overlapping them bounds wall time even on a single-CPU
+// runner where -parallel defaults to 1.
 func runMatrix(t *testing.T, scenarios []Scenario, tr Transport) {
 	t.Helper()
 	const workers = 8

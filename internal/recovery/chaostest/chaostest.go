@@ -218,15 +218,13 @@ type Result struct {
 	Flight *forensic.Flight
 }
 
-// RecvTimeout returns the absence-detection timeout used for the
-// transport: long enough that honest partners are never misdiagnosed,
-// short enough that silence strategies don't dominate wall time.
-func RecvTimeout(tr Transport) time.Duration {
-	if tr == TCP {
-		return 400 * time.Millisecond
-	}
-	return 80 * time.Millisecond
-}
+// tcpRecvTimeout is tcpnet's absence timer. tcpnet cannot see the
+// frames in flight in its sockets, so a silent partner is found only
+// when the timer expires: long enough that honest partners are never
+// misdiagnosed, short enough that silence strategies don't dominate
+// wall time. simnet decides absence at quiescence and keeps the
+// default watchdog.
+const tcpRecvTimeout = 400 * time.Millisecond
 
 // TCPNetwork is the reliablesort transport constructor for tcpnet,
 // spares pre-registered as real idle loopback connections.
@@ -250,7 +248,6 @@ func Run(sc Scenario, tr Transport) Result {
 	flight := forensic.New(0)
 	opts := reliablesort.Options{
 		Dim:         sc.Dim,
-		RecvTimeout: RecvTimeout(tr),
 		MaxAttempts: sc.MaxAttempts,
 		Spares:      sc.Spares,
 		Sleep:       func(time.Duration) {},
@@ -260,7 +257,7 @@ func Run(sc Scenario, tr Transport) Result {
 		Flight:      flight,
 	}
 	if tr == TCP {
-		opts.NewNetwork = TCPNetwork
+		opts.RecvTimeout, opts.NewNetwork = tcpRecvTimeout, TCPNetwork
 	}
 	out, stats, err := reliablesort.Sort(keys, opts)
 	return Result{In: keys, Out: out, Stats: stats, Err: err, Obs: o, Flight: flight}

@@ -18,7 +18,7 @@ import (
 // endpoints — /metrics and /debug/forensic — can be scraped
 // concurrently while a supervised chaos run is actively appending to
 // the metrics and the flight recorder. Run under -race this is the
-// data-race gate for the sort's read path: registry snapshots and
+// data-race gate for the sort's read path: registry exposition and
 // forensic ring snapshots race against node goroutines
 // mid-accusation. The journal's read path races the server's job spans
 // in internal/server's TestJournalScrapesDuringSubmits.
@@ -56,7 +56,6 @@ func TestConcurrentScrapesDuringChaos(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			opts := reliablesort.Options{
 				Dim:         sc.Dim,
-				RecvTimeout: RecvTimeout(Simnet),
 				MaxAttempts: sc.MaxAttempts,
 				Spares:      sc.Spares,
 				Sleep:       func(time.Duration) {},
@@ -73,8 +72,7 @@ func TestConcurrentScrapesDuringChaos(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	paths := []string{"/metrics", "/metrics?json=1",
-		"/debug/forensic", "/debug/forensic?latest=1"}
+	paths := []string{"/metrics", "/debug/forensic", "/debug/forensic?latest=1"}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {

@@ -43,23 +43,25 @@ import (
 // NoNode marks "no node" in quarantine fields.
 const NoNode = -1
 
-// persistStreak is how many consecutive attempts must accuse the same
+// The supervisor's fixed policy, which internal/costmodel prices.
+
+// PersistStreak is how many consecutive attempts must accuse the same
 // prime suspect before the fault is judged persistent and the suspect
 // quarantined: one retry proves the episode was not transient.
-const persistStreak = 2
+const PersistStreak = 2
 
-// dimFloor is the smallest cube dimension quarantine may shrink to: a
+// DimFloor is the smallest cube dimension quarantine may shrink to: a
 // pair of nodes, since dimension 0 cannot cross-check.
-const dimFloor = 1
+const DimFloor = 1
 
 // The wait before every attempt after the first is a capped
-// exponential backoff with equal jitter: backoffBase doubling per
-// retry up to backoffMax, of which the fraction backoffJitter is drawn
+// exponential backoff with equal jitter: BackoffBase doubling per
+// retry up to BackoffMax, of which the fraction BackoffJitter is drawn
 // at random (wait = nominal·(1−jitter) + U[0,1)·nominal·jitter).
 const (
-	backoffBase   = 10 * time.Millisecond
-	backoffMax    = 2 * time.Second
-	backoffJitter = 0.5
+	BackoffBase   = 10 * time.Millisecond
+	BackoffMax    = 2 * time.Second
+	BackoffJitter = 0.5
 )
 
 // DefaultMaxAttempts is the attempt budget of a Policy that sets none,
@@ -68,13 +70,13 @@ const DefaultMaxAttempts = 4
 
 // backoff returns the wait before retry number retry (1-based).
 func backoff(retry int, rng *rand.Rand) time.Duration {
-	nominal := backoffBase
-	for i := 1; i < retry && nominal < backoffMax; i++ {
+	nominal := BackoffBase
+	for i := 1; i < retry && nominal < BackoffMax; i++ {
 		nominal *= 2
 	}
-	nominal = min(nominal, backoffMax)
-	fixed := float64(nominal) * (1 - backoffJitter)
-	return time.Duration(fixed + rng.Float64()*float64(nominal)*backoffJitter)
+	nominal = min(nominal, BackoffMax)
+	fixed := float64(nominal) * (1 - BackoffJitter)
+	return time.Duration(fixed + rng.Float64()*float64(nominal)*BackoffJitter)
 }
 
 // Policy tunes a supervision. The zero value selects the defaults.
@@ -308,7 +310,7 @@ func (e *ExhaustedError) lastErr() error {
 // sees result data, so it structurally cannot return an unverified
 // answer.
 //
-// A fault is judged persistent once persistStreak consecutive failed
+// A fault is judged persistent once PersistStreak consecutive failed
 // attempts name the same prime suspect, in physical labels so the
 // streak survives remapping; an attempt that names another suspect, or
 // none, starts the count again.
@@ -378,7 +380,7 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 		if prime != NoNode {
 			streak++
 		}
-		if streak >= persistStreak {
+		if streak >= PersistStreak {
 			if logical := logicalOf(physical, prime); logical >= 0 {
 				if spares == nil && pol.Spares > 0 {
 					spares = make([]int, pol.Spares)
@@ -386,7 +388,7 @@ func Supervise(dim int, runner Runner, pol Policy) (*Report, error) {
 						spares[i] = firstSpare + i
 					}
 				}
-				newPhys, newSpares, newDim, spare, acted := remap(physical, spares, logical, dim, dimFloor)
+				newPhys, newSpares, newDim, spare, acted := remap(physical, spares, logical, dim, DimFloor)
 				if acted {
 					physical, spares, dim = newPhys, newSpares, newDim
 					pol.Spares = len(spares)

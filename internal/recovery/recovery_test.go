@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/diagnose"
 	"repro/internal/obs"
 )
@@ -277,7 +276,7 @@ func TestBackoffCappedExponentialWithJitter(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prevNominal := time.Duration(0)
 	for retry := 1; retry <= 10; retry++ {
-		nominal := min(backoffBase<<uint(retry-1), backoffMax)
+		nominal := min(BackoffBase<<uint(retry-1), BackoffMax)
 		w := backoff(retry, rng)
 		lo, hi := nominal/2, nominal
 		if w < lo || w > hi {
@@ -317,28 +316,6 @@ func TestSuperviseWaitsFollowSeed(t *testing.T) {
 	want := []time.Duration{backoff(1, rng), backoff(2, rng), backoff(3, rng)}
 	if !slices.Equal(waits, want) {
 		t.Fatalf("waits = %v, want %v", waits, want)
-	}
-}
-
-// TestCostModelPricesThisPolicy ties the recovery cost model's default
-// policy to the supervisor it prices: the same budget, persistence
-// streak, dimension floor and backoff shape.
-func TestCostModelPricesThisPolicy(t *testing.T) {
-	got := costmodel.DefaultPolicyParams()
-	want := costmodel.PolicyParams{
-		MaxAttempts:      Policy{}.withDefaults().MaxAttempts,
-		PersistStreak:    persistStreak,
-		MinDim:           dimFloor,
-		BackoffBaseNanos: float64(backoffBase),
-		BackoffMaxNanos:  float64(backoffMax),
-		BackoffJitter:    backoffJitter,
-	}
-	if got != want {
-		t.Fatalf("costmodel.DefaultPolicyParams() = %+v, supervisor runs %+v", got, want)
-	}
-	if want.MaxAttempts != 4 || want.PersistStreak != 2 || want.MinDim != 1 ||
-		backoffBase != 10*time.Millisecond || backoffMax != 2*time.Second || backoffJitter != 0.5 {
-		t.Fatalf("supervisor policy moved: %+v", want)
 	}
 }
 

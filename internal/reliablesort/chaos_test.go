@@ -61,7 +61,6 @@ func TestChaosAutoRecover(t *testing.T) {
 					t.Parallel()
 					out, stats, err := Sort(chaosKeys, Options{
 						Dim:         3,
-						RecvTimeout: 150 * time.Millisecond,
 						MaxAttempts: 6,
 						Sleep:       func(time.Duration) {},
 						Seed:        1,
@@ -131,7 +130,7 @@ func TestChaosAutoRecover(t *testing.T) {
 	}
 }
 
-// TestInjectedJobEvidenceRepeats pins that exit-bounded absence makes a
+// TestInjectedJobEvidenceRepeats pins that absence at quiescence makes a
 // faulty job's evidence a function of the node programs alone: repeated
 // runs of one injected job deliver the same set of ERROR signals on
 // every attempt and take the same number of attempts. The receive

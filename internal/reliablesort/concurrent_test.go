@@ -54,7 +54,6 @@ func TestConcurrentSortIsolation(t *testing.T) {
 		opts := Options{
 			Descending:  r.desc,
 			Dim:         2 + i%2,
-			RecvTimeout: 500 * time.Millisecond,
 			MaxAttempts: 6,
 			Spares:      1,
 			Seed:        int64(i + 1),
@@ -176,7 +175,6 @@ func TestSortNeverMutatesInput(t *testing.T) {
 			out, stats, err := Sort(keys, Options{
 				Descending:  desc,
 				Dim:         2,
-				RecvTimeout: 500 * time.Millisecond,
 				MaxAttempts: 6,
 				Sleep:       func(time.Duration) {},
 				Seed:        seed + 1,

@@ -44,7 +44,6 @@ func TestSortRecordsEachEventOnce(t *testing.T) {
 	const site = 5
 	_, stats, err := Sort(chaosKeys, Options{
 		Dim:         3,
-		RecvTimeout: 500 * time.Millisecond,
 		MaxAttempts: 6,
 		Spares:      1,
 		Seed:        1,

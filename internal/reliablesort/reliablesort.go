@@ -74,9 +74,9 @@ type Options struct {
 	// MaxAutoDim).
 	Dim int
 	// RecvTimeout bounds absence detection; 0 means 30 seconds. On
-	// simnet it only bounds waits on a partner that is alive but
-	// silent: a node whose program has returned is reported absent at
-	// once. tcpnet detects every absence by this timeout.
+	// simnet it is only a watchdog: absence is decided at quiescence,
+	// once every node waits and nothing is on its way to any of them.
+	// tcpnet detects every absence by this timeout.
 	RecvTimeout time.Duration
 
 	// MaxAttempts bounds the total sort attempts, quarantined re-runs

@@ -12,14 +12,15 @@ import (
 )
 
 // pooledJobAllocs bounds the heap allocations of one job on a warm
-// pooled network. A job makes 33 at m = 4 and at m = 256 alike: the
+// pooled network. A job makes 27 at m = 4 and at m = 256 alike: the
 // request and its queue entry, the recovery supervisor's plan and
-// report, the attempt's padded input and output, the run's endpoints,
-// program closures and result, and the reply. None is a node arena, a
-// local-sort buffer, a receive timer, a traffic snapshot or a spare
-// label. The bound leaves 8 for the runtime's own variation, fewer
-// than the 12 that reallocating the four nodes' arenas would add.
-const pooledJobAllocs = 41
+// report, the attempt's padded input and output, the run's program
+// closures and result, and the reply. None is a node arena, a
+// local-sort buffer, a receive timer, an endpoint or host handle, a
+// traffic snapshot or a spare label. The bound leaves 8 for the
+// runtime's own variation, fewer than the 12 that reallocating the
+// four nodes' arenas would add.
+const pooledJobAllocs = 35
 
 // TestPooledJobAllocs pins what a job costs the heap once its pooled
 // network is warm: its node programs run on the network's resident

@@ -66,7 +66,7 @@ const (
 //	POST /sort           one job: Request JSON in, Response JSON out
 //	GET  /stats          pool/queue/outcome summary
 //	GET  /healthz        liveness
-//	GET  /metrics        fleet Prometheus text (or ?json=1)
+//	GET  /metrics        fleet Prometheus text
 //	GET  /debug/journal  fleet job-lifecycle journal
 //
 // A POST /sort body is read through a limit of MaxKeys × 24 bytes plus

@@ -105,8 +105,8 @@ type Config struct {
 	// MaxKeys bounds a single job's input size; <= 0 means 1<<20.
 	MaxKeys int
 	// RecvTimeout bounds absence detection per attempt; 0 means 30s.
-	// On simnet it is only the backstop for a partner that is alive but
-	// silent (see reliablesort.Options.RecvTimeout).
+	// On simnet it is only a watchdog (see
+	// reliablesort.Options.RecvTimeout).
 	RecvTimeout time.Duration
 	// MaxAttempts bounds the sort attempts per job; 0 means
 	// recovery.DefaultMaxAttempts (4). 1 makes the server fail-stop:

@@ -23,15 +23,12 @@ import (
 )
 
 // testConfig is a fast simnet-backed server configuration: no real
-// backoff sleeps, short absence timeouts.
+// backoff sleeps. Absence on simnet is decided at quiescence, so no
+// receive timer is shortened.
 func testConfig() Config {
 	return Config{
 		Concurrency: 4,
 		QueueDepth:  64,
-		// Short absence timeout: honest-path receives are microseconds
-		// in-process, and every fault-stricken attempt drains for ~one
-		// timeout before the next attempt starts.
-		RecvTimeout: 500 * time.Millisecond,
 		Spares:      2,
 		AllowChaos:  true,
 		Sleep:       func(time.Duration) {},
@@ -275,12 +272,12 @@ func TestServerReusedRecordersIsolateJobs(t *testing.T) {
 	}
 }
 
-// TestServerFaultRecoveryIsProtocolBounded pins exit-bounded absence
+// TestServerFaultRecoveryIsProtocolBounded pins absence at quiescence
 // through the pool: with a one-hour receive timeout, a job whose node
 // lies on every attempt still returns verified at once. Each accusing
-// node's exit reaches its blocked peers through the WorkerDone the
-// lease promotes from its network; without it they would wait out the
-// timer.
+// node's exit reaches the census through the WorkerDone the lease
+// promotes from its network; without it its blocked peers would wait
+// out the timer.
 func TestServerFaultRecoveryIsProtocolBounded(t *testing.T) {
 	cfg := testConfig()
 	cfg.RecvTimeout = time.Hour

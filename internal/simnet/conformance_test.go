@@ -315,3 +315,85 @@ func TestControlledCrashAbsence(t *testing.T) {
 		})
 	}
 }
+
+// evidenceNet records every message the host drains from its mailbox,
+// so a test can compare the host evidence of runs judged by fault.Run.
+type evidenceNet struct {
+	transport.Network
+	drained []string
+}
+
+func (n *evidenceNet) Host() transport.Host { return &evidenceHost{n.Network.Host(), n} }
+
+type evidenceHost struct {
+	transport.Host
+	net *evidenceNet
+}
+
+func (h *evidenceHost) TryRecv() (wire.Message, bool, error) {
+	m, ok, err := h.Host.TryRecv()
+	if ok {
+		h.net.drained = append(h.net.drained, fmt.Sprintf("%v from %d at (%d,%d): %x", m.Kind, m.From, m.Stage, m.Iter, m.Payload))
+	}
+	return m, ok, err
+}
+
+// TestFreeAbsenceMatchesControlled runs every single-fault case at dim
+// 2 and 3, crashes and silence included, through fault.Run on a
+// free-running network whose watchdog is an hour and on a controlled
+// one under the canonical schedule. Both regimes decide absence by the
+// same rule at quiescence, and node programs read named links (a Kahn
+// network), so the two runs judge alike: verdict, detector, predicate,
+// accused node, stage, iteration and the host evidence as a set.
+func TestFreeAbsenceMatchesControlled(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		n := 1 << uint(dim)
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64((i*37 + 11) % 53)
+		}
+		run := func(t *testing.T, c fault.Case, sched simnet.Scheduler) (fault.Result, []string) {
+			flight := forensic.New(0)
+			sim, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: time.Hour, Sched: sched, Flight: flight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw := &evidenceNet{Network: sim}
+			done := make(chan struct{})
+			var r fault.Result
+			go func() {
+				defer close(done)
+				r, err = fault.Run(nw, flight, keys, 1, fault.Set{c}, false)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("%s (scheduler %T) still running after a minute: absence waited for the watchdog", c.Name, sched)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(nw.drained)
+			return r, nw.drained
+		}
+		for _, c := range fault.SingleFaultCases(dim) {
+			t.Run(fmt.Sprintf("dim%d/%s", dim, c.Name), func(t *testing.T) {
+				free, freeEv := run(t, c, nil)
+				ctl, ctlEv := run(t, c, simnet.NewReplay(nil))
+				type judged struct {
+					Verdict              fault.Verdict
+					Detector, Predicate  string
+					Accused, Stage, Iter int
+				}
+				f := judged{free.Verdict, free.Detector, free.Predicate, free.Accused, free.Stage, free.Iter}
+				k := judged{ctl.Verdict, ctl.Detector, ctl.Predicate, ctl.Accused, ctl.Stage, ctl.Iter}
+				if f != k {
+					t.Fatalf("free %+v, controlled %+v", f, k)
+				}
+				if !reflect.DeepEqual(freeEv, ctlEv) {
+					t.Fatalf("host evidence differs:\n free: %q\n ctl:  %q", freeEv, ctlEv)
+				}
+			})
+		}
+	}
+}

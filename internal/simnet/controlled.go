@@ -69,6 +69,10 @@ type cresult struct {
 	absent bool // blocking receive declared absent
 }
 
+// wphase is a worker's place in a census: the controller's, or the
+// free-running network's (which retires a worker to wIdle and has
+// wChosen: parked, and handed the absence rule's verdict it has not yet
+// taken).
 type wphase uint8
 
 const (
@@ -76,6 +80,7 @@ const (
 	wRunning
 	wParked
 	wDone
+	wChosen
 )
 
 // cworker is one worker's controller-side state: a node program, the
@@ -301,9 +306,9 @@ func (c *controller) anyLiveBeside(w *cworker) bool {
 // free-running TryRecv.
 //
 // Phase 3 — absence: nothing can ever arrive, so the parked worker
-// with the smallest (blockClock, id) times out, the virtual-time
-// analogue of the earliest-armed wall-clock timer; the cascade
-// re-evaluates after every wake since a timed-out worker may send.
+// absentee picks, the least by (blockClock, id), is told its message
+// is absent, as on the free path; the cascade re-evaluates after every
+// wake since a worker told so may send.
 func (c *controller) decide() {
 	// Keep deciding while the network stays quiescent: waking an
 	// external caller (a post-run drain loop) does not make any live
@@ -360,14 +365,11 @@ func (c *controller) decideOnce() bool {
 		return true
 	}
 	// Phase 3: absence.
-	var victim *cworker
-	for _, w := range c.parkedSorted() {
-		if victim == nil || w.blockClock < victim.blockClock ||
-			(w.blockClock == victim.blockClock && w.id < victim.id) {
-			victim = w
-		}
-	}
-	if victim != nil {
+	parked := c.parkedSorted()
+	if i := absentee(len(parked), func(i int) (Ticks, int, bool) {
+		return parked[i].blockClock, parked[i].id, true
+	}); i >= 0 {
+		victim := parked[i]
 		victim.histSeq = fnvU64(fnvU64(victim.histSeq, tagAbsent), qHash(victim.waitQ))
 		c.wakeWith(victim, cresult{absent: true})
 		return true
@@ -555,37 +557,41 @@ func qHash(q QueueID) uint64 {
 // --- Network surface --------------------------------------------------------
 
 // WorkerStart implements transport.WorkerControl: it declares a live
-// worker before its goroutine launches. No-op on free-running networks.
+// worker before its goroutine launches. Both regimes count it in their
+// census: the absence rule waits until every declared, live worker is
+// parked at a receive.
 func (nw *Network) WorkerStart(id int) {
 	if nw.ctrl != nil {
 		nw.ctrl.workerStart(id)
+	} else if p := nw.proc(id); p != nil {
+		nw.census.Lock()
+		if p.phase == wIdle {
+			p.phase = wRunning
+			nw.live++
+		}
+		nw.census.Unlock()
 	}
 }
 
 // WorkerDone implements transport.WorkerControl: it retires a started
-// worker, whose last delivered buffer goes back to the free lists. On a
-// free-running network a retiring cube node also enqueues one
-// end-of-traffic marker on each of its outbound links. Per-link FIFO
-// puts the marker behind every message the node sent, so the partner
-// drains those first and then learns at once that nothing more will
-// come. The enqueue never blocks and allocates nothing; on a full queue
-// the marker is skipped and the partner falls back to its timer. The
-// host and spares own no cube links.
+// worker, whose last delivered buffer goes back to the free lists. A
+// retirement can leave every remaining worker parked, so it applies
+// the absence rule as parking does. WorkerDone allocates nothing.
 func (nw *Network) WorkerDone(id int) {
-	nw.release(id)
+	p := nw.proc(id)
+	if p != nil {
+		p.release()
+	}
 	if nw.ctrl != nil {
 		nw.ctrl.workerDone(id)
-		return
-	}
-	if !nw.Topology().Contains(id) {
-		return
-	}
-	for bit := 0; bit < nw.Topology().Dim(); bit++ {
-		partner, _ := nw.Topology().Partner(id, bit)
-		select {
-		case nw.links[partner][bit] <- packet{gone: true}:
-		default:
+	} else if p != nil {
+		nw.census.Lock()
+		if p.phase == wRunning {
+			p.phase = wIdle
+			nw.live--
+			nw.settle()
 		}
+		nw.census.Unlock()
 	}
 }
 

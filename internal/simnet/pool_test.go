@@ -66,13 +66,13 @@ func TestRetiredNodeReturnsLastBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	class := bufClass(wire.EncodedSize(len(m.Payload)))
-	held := nw.held[1+1]
+	held := nw.eps[1].held
 	if held == nil || len(nw.free[class].bufs) != 0 {
 		t.Fatalf("node 1 holds %d bytes and class %d's free list %d buffers, want its frame and none",
 			len(held), class, len(nw.free[class].bufs))
 	}
 	nw.WorkerDone(1)
-	if nw.held[1+1] != nil {
+	if nw.eps[1].held != nil {
 		t.Fatal("retired node still holds its buffer")
 	}
 	buf := nw.getBuf(wire.EncodedSize(len(m.Payload)))

@@ -4,10 +4,11 @@
 //
 //   - Free-running (the default, Config.Sched nil): links are
 //     raw buffered channels and delivery order is whatever the Go
-//     runtime produces. This is the zero-overhead path every benchmark
-//     and experiment pins — per-link order is still FIFO (each cube
-//     link has a unique writer), but multi-producer order into the
-//     host mailbox and timeout races are decided by the OS scheduler.
+//     runtime produces. This is the path every benchmark and
+//     experiment pins — per-link order is still FIFO (each cube link
+//     has a unique writer), but multi-producer order into the host
+//     mailbox is decided by the OS scheduler. Absence is decided at
+//     quiescence by the same rule as under a controlled scheduler.
 //
 //   - Controlled (a non-nil Scheduler): delivery is mediated by a
 //     coordinator (controlled.go). The network waits until every live

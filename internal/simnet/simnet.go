@@ -12,10 +12,10 @@
 //  3. message passing over point-to-point links is the only
 //     communication; there is no atomic broadcast — a node can only
 //     Send/Recv across a single cube dimension at a time;
-//  4. the absence of a message is detectable — Recv surfaces ErrAbsent
-//     as soon as the partner's program has returned without sending
-//     (its end-of-traffic marker, see Network.WorkerDone), and after a
-//     wall-clock timeout for a partner that is alive but silent.
+//  4. the absence of a message is detectable — once every live worker
+//     is blocked at a receive and nothing can arrive for any of them,
+//     Recv surfaces ErrAbsent to the one with the least (blocked clock,
+//     id) (see Network.WorkerStart); a wall-clock watchdog backs it up.
 //
 // Time is virtual: every endpoint owns a deterministic tick clock, kept
 // by the transport.Port it embeds. Sending charges the sender,
@@ -57,8 +57,8 @@ type CostModel = transport.CostModel
 // transport.DefaultCostModel.
 func DefaultCostModel() CostModel { return transport.DefaultCostModel() }
 
-// ErrAbsent is returned by Recv when the partner has exited without
-// sending or no message arrives within the configured timeout. Per
+// ErrAbsent is returned by Recv when the expected message can no longer
+// arrive, or the receive's watchdog expired. Per
 // environmental assumption 4, absence of an expected message is itself
 // an error the application must surface. It wraps transport.ErrAbsent
 // so callers can classify absence without knowing which network
@@ -83,14 +83,24 @@ const linkQueueDepth = 32
 // marks buffers owned by the network's free lists: the receiver
 // recycles them at its next receive or when it retires. Fault-path
 // deliveries are never pooled, since interceptors may retain or alias
-// the buffer. gone marks an end-of-traffic marker instead of a
-// message: the sender's program has returned, so nothing follows it on
-// the link.
+// the buffer. absent marks the absence rule's verdict instead of a
+// message: the one worker it is handed to reports ErrAbsent.
 type packet struct {
 	raw     []byte
 	arrival Ticks
 	pooled  bool
-	gone    bool
+	absent  bool
+}
+
+// mailbox is one delivery queue and the counts the absence rule
+// compares: delivered, counted by a sender after queueing, and taken,
+// counted by the receiver (under Network.census when it leaves the
+// census). Once every sender has stopped, the two differ exactly while
+// a message is queued or in the hands of a receiver still parked.
+type mailbox struct {
+	ch        chan packet
+	delivered atomic.Uint64
+	taken     uint64
 }
 
 // LinkFault intercepts traffic on one directed link. Apply receives
@@ -110,10 +120,10 @@ type Config struct {
 	// Cost is the virtual-time cost model; zero value means DefaultCostModel.
 	Cost CostModel
 	// RecvTimeout bounds how long a Recv waits in wall-clock time
-	// before declaring the message absent. Zero means 2 seconds. On a
-	// free-running network it is only the backstop for a partner that
-	// is alive but silent (a dropped message, a crashed nil program):
-	// a partner whose program has returned is reported absent at once.
+	// before declaring the message absent. Zero means 2 seconds. It is
+	// a watchdog: absence is decided at quiescence for every worker a
+	// harness declared (Network.WorkerStart), and the timer decides it
+	// only for a receiver no harness declared.
 	RecvTimeout time.Duration
 	// Spares is the number of spare nodes pre-registered beyond the
 	// cube: physical labels 2^Dim .. 2^Dim+Spares-1 get endpoints and
@@ -138,7 +148,8 @@ type Config struct {
 	// enumerator) mediates every delivery through the coordinator in
 	// controlled.go instead: slower, but every genuine race becomes a
 	// recorded, replayable decision. Harnesses must then declare
-	// workers via WorkerStart/WorkerDone (internal/node does).
+	// workers via WorkerStart/WorkerDone (internal/node does), as they
+	// must for the free path's absence rule.
 	Sched Scheduler
 }
 
@@ -153,11 +164,11 @@ type Network struct {
 
 	// links[node][bit] is the inbound queue at node for messages from
 	// its partner across dimension bit.
-	links [][]chan packet
+	links [][]mailbox
 	// hostIn is the host's inbound mailbox (any node -> host).
-	hostIn chan packet
+	hostIn mailbox
 	// hostOut[node] is node's inbound mailbox for host messages.
-	hostOut []chan packet
+	hostOut []mailbox
 
 	mu     sync.RWMutex
 	faults map[[2]int][]LinkFault // key: {from, to}
@@ -173,19 +184,16 @@ type Network struct {
 	// itself allocate.
 	free    [bufClasses]freeList
 	freeCap int
-	// held[id+1] is the pooled buffer behind processor id's most
-	// recently delivered message (the host's at index 0), which its
-	// zero-copy Payload aliases. It goes back to the free lists at the
-	// processor's next receive or when it retires (WorkerDone), so frame
-	// buffers outlive runs. Each slot belongs to its processor's
-	// goroutine.
-	held [][]byte
-	// timers[id+1] is processor id's receive timer, indexed like held and
-	// likewise kept across runs, so the steady state allocates no
-	// timers. It is only ever Reset after a clean Stop or after its tick
-	// was consumed, which is safe under both pre- and post-1.23 timer
-	// semantics.
-	timers []*time.Timer
+	// eps[id] and host are the processors' handles, one per label, kept
+	// across runs (Endpoint and Host re-arm them).
+	eps  []Endpoint
+	host Host
+
+	// census guards the free-running worker census and each proc's
+	// entry in it: live counts the declared workers not yet retired,
+	// parked those waiting at an empty queue and not yet chosen.
+	census       sync.Mutex
+	live, parked int
 
 	// ctrl is non-nil iff the network runs under a controlled
 	// scheduler; every delivery then routes through it instead of the
@@ -247,12 +255,24 @@ func (nw *Network) putBuf(b []byte) {
 	fl.mu.Unlock()
 }
 
-// release recycles the buffer behind processor id's last delivered
-// message; only id's goroutine, or whoever retires it, may call it.
-func (nw *Network) release(id int) {
-	if i := id + 1; i >= 0 && i < len(nw.held) && nw.held[i] != nil {
-		nw.putBuf(nw.held[i])
-		nw.held[i] = nil
+// proc returns the state of processor id (hostWorker for the host),
+// nil for a label the network does not have.
+func (nw *Network) proc(id int) *proc {
+	switch {
+	case id == hostWorker:
+		return &nw.host.proc
+	case id >= 0 && id < len(nw.eps):
+		return &nw.eps[id].proc
+	}
+	return nil
+}
+
+// release recycles the buffer behind the processor's last delivered
+// message; only its goroutine, or whoever retires it, may call it.
+func (p *proc) release() {
+	if p.held != nil {
+		p.net.putBuf(p.held)
+		p.held = nil
 	}
 }
 
@@ -263,33 +283,34 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	topo, n := net.Topology(), net.Topology().Nodes()
-	net.links = make([][]chan packet, n)
-	net.hostIn = make(chan packet, 4*n+16)
-	net.hostOut = make([]chan packet, n+net.Spares())
+	net.links = make([][]mailbox, n)
+	net.hostIn.ch = make(chan packet, 4*n+16)
+	net.hostOut = make([]mailbox, n+net.Spares())
 	net.freeCap = 4*n + 16
-	net.held = make([][]byte, 1+n+net.Spares())
-	net.timers = make([]*time.Timer, len(net.held))
 	for id := 0; id < n; id++ {
-		net.links[id] = make([]chan packet, topo.Dim())
-		for b := 0; b < topo.Dim(); b++ {
-			net.links[id][b] = make(chan packet, linkQueueDepth)
+		net.links[id] = make([]mailbox, topo.Dim())
+		for b := range net.links[id] {
+			net.links[id][b].ch = make(chan packet, linkQueueDepth)
 		}
 	}
 	// Spares share the reliable host interface (that is how they would
 	// be loaded and activated) but have no cube links until a remap
 	// promotes one into the cube proper.
+	net.eps = make([]Endpoint, n+net.Spares())
 	for id := range net.hostOut {
-		net.hostOut[id] = make(chan packet, linkQueueDepth)
+		net.hostOut[id].ch = make(chan packet, linkQueueDepth)
+		net.eps[id].net = net
 	}
+	net.host.net = net
 	if cfg.Sched != nil {
 		net.ctrl = newController(net, cfg.Sched)
 	}
 	return net, nil
 }
 
-// Reset readies a quiescent free-running network for another run: all
-// link and host mailboxes are drained (pooled buffers returned to the
-// free list, end-of-traffic markers discarded), installed link faults
+// Reset readies a quiescent free-running network for another run: the
+// worker census is emptied, all link and host mailboxes are drained
+// (pooled buffers returned to the free list), installed link faults
 // are removed, and the core's traffic counters are zeroed and its
 // observability sinks rebound (transport.Core.Reset). Must only be
 // called between runs, when no endpoint or host goroutine is live.
@@ -299,15 +320,22 @@ func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	if nw.ctrl != nil {
 		return errors.New("simnet: controlled-scheduler networks are single-run")
 	}
-	for _, chans := range nw.links {
-		for _, ch := range chans {
-			nw.drainPackets(ch)
+	nw.census.Lock()
+	for id := hostWorker; id < len(nw.eps); id++ {
+		p := nw.proc(id)
+		p.phase, p.waitBox = wIdle, nil
+	}
+	nw.live, nw.parked = 0, 0
+	nw.census.Unlock()
+	for i := range nw.links {
+		for b := range nw.links[i] {
+			nw.drainPackets(&nw.links[i][b])
 		}
 	}
-	for _, ch := range nw.hostOut {
-		nw.drainPackets(ch)
+	for i := range nw.hostOut {
+		nw.drainPackets(&nw.hostOut[i])
 	}
-	nw.drainPackets(nw.hostIn)
+	nw.drainPackets(&nw.hostIn)
 	nw.mu.Lock()
 	clear(nw.faults)
 	nw.mu.Unlock()
@@ -322,15 +350,17 @@ func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 func (nw *Network) Close() {}
 
 // drainPackets empties a mailbox without blocking, recycling pooled
-// buffers.
-func (nw *Network) drainPackets(ch chan packet) {
+// buffers, and zeroes its counts.
+func (nw *Network) drainPackets(box *mailbox) {
 	for {
 		select {
-		case pkt := <-ch:
+		case pkt := <-box.ch:
 			if pkt.pooled {
 				nw.putBuf(pkt.raw)
 			}
 		default:
+			box.delivered.Store(0)
+			box.taken = 0
 			return
 		}
 	}
@@ -376,24 +406,38 @@ func (nw *Network) intercept(from int, q QueueID, raw []byte) [][]byte {
 // hostInbox is the host's inbound mailbox: every node writes it.
 var hostInbox = QueueID{Kind: QHostIn, Node: hostWorker}
 
-// queue returns the channel behind a delivery queue.
-func (nw *Network) queue(q QueueID) chan packet {
+// queue returns the mailbox behind a delivery queue.
+func (nw *Network) queue(q QueueID) *mailbox {
 	switch q.Kind {
 	case QLink:
-		return nw.links[q.Node][q.Bit]
+		return &nw.links[q.Node][q.Bit]
 	case QHostIn:
-		return nw.hostIn
+		return &nw.hostIn
 	default:
-		return nw.hostOut[q.Node]
+		return &nw.hostOut[q.Node]
 	}
 }
 
-// proc is what a simnet Endpoint and Host share: the port that keeps
-// the processor's virtual clock, and the receive state. Like the port
+// proc is what a simnet Endpoint and Host share, kept per label across
+// runs: the port that keeps the processor's virtual clock, the receive
+// state, and the processor's census entry. Apart from the census entry
 // it is confined to its processor's goroutine.
 type proc struct {
 	transport.Port
 	net *Network
+	// held is the pooled buffer behind the last delivered message,
+	// which its zero-copy Payload aliases. It goes back to the free
+	// lists at the next receive or when the processor retires.
+	held []byte
+	// timer is the receive watchdog. It is only ever Reset after a
+	// clean Stop or after its tick was consumed, which is safe under
+	// both pre- and post-1.23 timer semantics.
+	timer *time.Timer
+	// The census entry: the worker's phase and, while it is parked or
+	// chosen, the mailbox it waits on and its clock when it parked.
+	phase      wphase
+	waitBox    *mailbox
+	blockClock Ticks
 }
 
 // send frames m at the port and queues it on q: a cube link, the host
@@ -413,12 +457,14 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 		nw.ctrl.send(p.ID(), q, nw.intercept(p.ID(), q, raw), arrival, m.Kind, m.Stage, m.Iter)
 		return nil
 	}
-	ch := nw.queue(q)
+	box := nw.queue(q)
 	if q.Kind != QLink || nw.faultCount.Load() == 0 {
 		// Lock-free fast path: no fault can touch the frame, so skip
-		// the fault table and keep the buffer pooled.
+		// the fault table and keep the buffer pooled. The delivery is
+		// counted after it is queued (see mailbox).
 		select {
-		case ch <- packet{raw: raw, arrival: arrival, pooled: true}:
+		case box.ch <- packet{raw: raw, arrival: arrival, pooled: true}:
+			box.delivered.Add(1)
 			return nil
 		default:
 			nw.putBuf(raw)
@@ -429,7 +475,8 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 	// so deliveries leave the pool for good.
 	for _, d := range nw.intercept(p.ID(), q, raw) {
 		select {
-		case ch <- packet{raw: d, arrival: arrival}:
+		case box.ch <- packet{raw: d, arrival: arrival}:
+			box.delivered.Add(1)
 		default:
 			return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
 		}
@@ -440,70 +487,165 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 // wait takes the next packet from queue q, first recycling the buffer
 // behind the previous delivery, which is what bounds the validity of a
 // zero-copy Payload. Under a controlled scheduler the coordinator hands
-// the packet over; free-running it comes off the channel, and the timer
-// is armed only when nothing is queued yet. A poll never waits. ok is false when no packet came: the receive timed
-// out, the coordinator declared absence, or a poll found the queue
-// empty.
+// the packet over; free-running it comes off the channel, and only a
+// receive that finds nothing queued blocks (block). A poll never
+// waits. ok is false when no packet came: the message is absent, or a
+// poll found the queue empty.
 func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
 	nw := p.net
-	nw.release(p.ID())
+	p.release()
 	if nw.ctrl != nil {
 		res := nw.ctrl.block(p.ID(), q, poll, p.Clock())
 		return packet{raw: res.pkt.raw, arrival: res.pkt.arrival}, res.ok
 	}
-	ch := nw.queue(q)
+	box := nw.queue(q)
 	select {
-	case pkt = <-ch:
+	case pkt = <-box.ch:
+		box.taken++
 	default:
 		if poll {
 			return packet{}, false
 		}
-		timer := &nw.timers[p.ID()+1]
-		if *timer == nil {
-			*timer = time.NewTimer(nw.RecvTimeout())
-		} else {
-			(*timer).Reset(nw.RecvTimeout())
-		}
-		select {
-		case pkt = <-ch:
-			if !(*timer).Stop() {
-				// The timer fired meanwhile and its tick may still be in
-				// flight: retire it rather than risk a stale tick on reuse.
-				*timer = nil
-			}
-		case <-(*timer).C:
+		if pkt, ok = p.block(box); !ok {
 			return packet{}, false
 		}
 	}
 	// A pooled buffer is recycled at the next receive, so the zero-copy
 	// Payload of the message it carries stays valid until then.
 	if pkt.pooled {
-		nw.held[p.ID()+1] = pkt.raw
+		p.held = pkt.raw
 	}
 	return pkt, true
+}
+
+// block waits on box after a receive found it empty, the receive
+// timer armed as a watchdog: the only absence detector for a receiver
+// no harness declared. A declared worker waits parked (park).
+func (p *proc) block(box *mailbox) (packet, bool) {
+	nw := p.net
+	nw.park(p, box)
+	if p.timer == nil {
+		p.timer = time.NewTimer(nw.RecvTimeout())
+	} else {
+		p.timer.Reset(nw.RecvTimeout())
+	}
+	select {
+	case pkt := <-box.ch:
+		if !p.timer.Stop() {
+			// The timer fired meanwhile and its tick may still be in
+			// flight: retire it rather than risk a stale tick on reuse.
+			p.timer = nil
+		}
+		nw.unpark(p, box, !pkt.absent, false)
+		return pkt, !pkt.absent
+	case <-p.timer.C:
+		nw.unpark(p, box, false, true)
+		return packet{}, false
+	}
+}
+
+// park enters a declared worker in the census as blocked on box. A
+// message that arrived since the receive found box empty counts as
+// delivered and not taken, so the rule sees the worker as about to run.
+func (nw *Network) park(p *proc, box *mailbox) {
+	nw.census.Lock()
+	defer nw.census.Unlock()
+	if p.phase != wRunning {
+		return
+	}
+	p.phase, p.waitBox, p.blockClock = wParked, box, p.Clock()
+	nw.parked++
+	nw.settle()
+}
+
+// unpark ends a wait on box: it counts the message taken, if any, and
+// returns a declared worker to running. A worker the rule chose left
+// the parked count then; if its watchdog expired first, its verdict
+// still heads its queue and is taken here, not by its next receive.
+func (nw *Network) unpark(p *proc, box *mailbox, took, expired bool) {
+	nw.census.Lock()
+	defer nw.census.Unlock()
+	if took {
+		box.taken++
+	}
+	switch p.phase {
+	case wParked:
+		nw.parked--
+	case wChosen:
+		if expired {
+			<-box.ch // never blocks: settle queued the verdict under this lock
+		}
+	default:
+		return
+	}
+	p.phase, p.waitBox = wRunning, nil
+}
+
+// settle applies the absence rule. Once every live worker is parked
+// and each queue they wait on has had as many messages taken as
+// delivered, nothing can arrive for any of them: every sender is
+// parked or retired and counted its sends before. The worker absentee
+// picks is then handed the verdict on its queue. Comparing counts, not
+// queue lengths, keeps a worker that has taken its message but not yet
+// unparked from looking blocked. Callers hold nw.census.
+func (nw *Network) settle() {
+	if nw.parked == 0 || nw.parked < nw.live {
+		return
+	}
+	for id := hostWorker; id < len(nw.eps); id++ {
+		if p := nw.proc(id); p.phase == wParked && p.waitBox.delivered.Load() != p.waitBox.taken {
+			return // that message wakes its receiver
+		}
+	}
+	first := absentee(len(nw.eps)+1, func(i int) (Ticks, int, bool) {
+		p := nw.proc(i + hostWorker)
+		return p.blockClock, i + hostWorker, p.phase == wParked
+	})
+	p := nw.proc(first + hostWorker)
+	select {
+	case p.waitBox.ch <- packet{absent: true}:
+		p.phase = wChosen
+		nw.parked--
+	default: // unreachable: all p's messages were taken, so its queue is empty
+	}
+}
+
+// absentee is the absence rule both regimes share: when nothing can
+// arrive for any parked worker, the one with the least (blocked clock,
+// id) is told its message is absent, the virtual-time analogue of "the
+// timer armed first expires first". parked reports candidate i's
+// blocked clock and id and whether it is parked; absentee returns the
+// chosen index, -1 if none is.
+func absentee(n int, parked func(i int) (clock Ticks, id int, ok bool)) int {
+	first, firstClock, firstID := -1, Ticks(0), 0
+	for i := 0; i < n; i++ {
+		clock, id, ok := parked(i)
+		if ok && (first < 0 || clock < firstClock || clock == firstClock && id < firstID) {
+			first, firstClock, firstID = i, clock, id
+		}
+	}
+	return first
 }
 
 // Endpoint is a node's handle on the network. Its port owns the node's
 // virtual clock, and it is confined to that node's goroutine: none of
 // its methods are safe for concurrent use.
-type Endpoint struct {
-	proc
-	// gone has bit b set once the partner across dimension b is known
-	// to have exited: its end-of-traffic marker was dequeued, so every
-	// later Recv on b reports absence at once.
-	gone uint32
-}
+type Endpoint struct{ proc }
 
-// Endpoint returns the endpoint for a node. Call once per node before
-// starting its goroutine. Spare labels (beyond the cube, when
-// Config.Spares pre-registered them) get endpoints with host links
-// only: their Send/Recv across cube dimensions fail until a recovery
-// remap promotes the spare into a future attempt's cube.
+// Endpoint returns the endpoint for a node, its clocks at zero. Call
+// once per node and run, before starting the node's goroutine: the
+// network keeps one handle per label and re-arms it on each call.
+// Spare labels (beyond the cube, when Config.Spares pre-registered
+// them) get endpoints with host links only: their Send/Recv across cube
+// dimensions fail until a recovery remap promotes the spare into a
+// future attempt's cube.
 func (nw *Network) Endpoint(id int) (transport.Endpoint, error) {
 	if err := nw.CheckNode(id); err != nil {
 		return nil, err
 	}
-	return &Endpoint{proc: proc{Port: nw.Port(id), net: nw}}, nil
+	e := &nw.eps[id]
+	e.Port = nw.Port(id)
+	return e, nil
 }
 
 // Send transmits a message to the partner across the given dimension
@@ -521,13 +663,12 @@ func (e *Endpoint) Send(bit int, m wire.Message) error {
 // Recv blocks for the next message from the partner across the given
 // dimension bit. The receiver's clock advances to at least the
 // message's arrival time plus the receive cost. It returns ErrAbsent
-// once the partner's program has returned without sending (its
-// end-of-traffic marker follows every message it sent, and the verdict
-// is sticky for later receives on the bit), or if nothing arrives
-// within the network's wall-clock timeout from a partner that is still
-// running; absence leaves the virtual clock alone. A decode error
-// reports (possibly fault-corrupted) bytes that do not parse. Both are
-// detectable faults under the paper's model.
+// when the absence rule picks this receive (every live worker blocked,
+// nothing on its way to any of them, and this one the least by blocked
+// clock, then id) or the watchdog expires; absence leaves the virtual
+// clock alone. A decode error reports (possibly fault-corrupted) bytes
+// that do not parse. Both are detectable faults under the paper's
+// model.
 //
 // The returned message's Payload aliases a network-owned buffer and is
 // valid only until the endpoint's next receive (Recv or RecvHost):
@@ -537,14 +678,8 @@ func (e *Endpoint) Recv(bit int) (wire.Message, error) {
 	if err != nil {
 		return wire.Message{}, err
 	}
-	if e.gone&(1<<uint(bit)) == 0 {
-		pkt, ok := e.wait(QueueID{Kind: QLink, Node: e.ID(), Bit: bit}, false)
-		switch {
-		case pkt.gone:
-			e.gone |= 1 << uint(bit)
-		case ok:
-			return e.Accept(pkt.raw, pkt.arrival)
-		}
+	if pkt, ok := e.wait(QueueID{Kind: QLink, Node: e.ID(), Bit: bit}, false); ok {
+		return e.Accept(pkt.raw, pkt.arrival)
 	}
 	return wire.Message{}, fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.ID(), partner, ErrAbsent)
 }
@@ -566,9 +701,11 @@ func (e *Endpoint) RecvHost() (wire.Message, error) {
 // Endpoint its port owns a virtual clock, and it is goroutine-confined.
 type Host struct{ proc }
 
-// Host returns the host endpoint. Call at most once per network.
+// Host returns the host endpoint, its clocks at zero. Call at most once
+// per run: like Endpoint, it re-arms the network's one host handle.
 func (nw *Network) Host() transport.Host {
-	return &Host{proc{Port: nw.Port(int(wire.HostID)), net: nw}}
+	nw.host.Port = nw.Port(hostWorker)
+	return &nw.host
 }
 
 // Send transmits a message from the host to a node over the host
@@ -589,8 +726,8 @@ func (h *Host) Recv() (wire.Message, error) {
 	return wire.Message{}, fmt.Errorf("simnet: host: %w", ErrAbsent)
 }
 
-// TryRecv returns the next pending host message without waiting for
-// the full absence timeout; ok is false when the mailbox is empty.
+// TryRecv returns the next pending host message without waiting; ok
+// is false when the mailbox is empty.
 // The host uses this to poll for ERROR signals between phases.
 func (h *Host) TryRecv() (wire.Message, bool, error) {
 	pkt, ok := h.wait(hostInbox, true)

@@ -13,7 +13,7 @@ import (
 
 func newNet(t *testing.T, dim int) *Network {
 	t.Helper()
-	nw, err := New(Config{Dim: dim, RecvTimeout: 500 * time.Millisecond})
+	nw, err := New(Config{Dim: dim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,8 @@ func (f flipFault) Apply(raw []byte) [][]byte {
 }
 
 func TestLinkFaultDrop(t *testing.T) {
-	nw, err := New(Config{Dim: 1, RecvTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := hourNet(t, 1)
+	nw.WorkerStart(1) // the receiver, the only live worker
 	if err := nw.InstallLinkFault(0, 1, dropFault{}); err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +352,8 @@ func TestInstallLinkFaultValidation(t *testing.T) {
 }
 
 func TestFaultsComposeInOrder(t *testing.T) {
-	nw, err := New(Config{Dim: 1, RecvTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := hourNet(t, 1)
+	nw.WorkerStart(1) // the receiver, the only live worker
 	// duplicate then drop => nothing arrives
 	if err := nw.InstallLinkFault(0, 1, dupFault{}); err != nil {
 		t.Fatal(err)
@@ -396,7 +392,7 @@ func TestBackpressure(t *testing.T) {
 // the host interface (a spare is a powered part awaiting activation)
 // but with no cube links until a remap gives them a logical slot.
 func TestSpareEndpoints(t *testing.T) {
-	nw, err := New(Config{Dim: 2, Spares: 2, RecvTimeout: 500 * time.Millisecond})
+	nw, err := New(Config{Dim: 2, Spares: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +445,7 @@ func TestSpareEndpoints(t *testing.T) {
 // produces the identical virtual-time result as one without spares.
 func TestSparesDoNotPerturbCube(t *testing.T) {
 	run := func(spares int) (transportTicks int64) {
-		nw, err := New(Config{Dim: 1, Spares: spares, RecvTimeout: 500 * time.Millisecond})
+		nw, err := New(Config{Dim: 1, Spares: spares})
 		if err != nil {
 			t.Fatal(err)
 		}

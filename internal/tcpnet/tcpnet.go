@@ -315,8 +315,10 @@ func (nw *Network) Close() {
 }
 
 // WorkerStart and WorkerDone implement transport.WorkerControl as
-// no-ops. A marker written to a socket could outlive a pool Reset, so
-// tcpnet sends none and detects every absence by the receive timeout.
+// no-ops. Absence at quiescence needs to know that nothing is on its
+// way to a blocked receiver, and tcpnet cannot see the frames in
+// flight in its sockets, so it detects every absence by the receive
+// timeout.
 func (nw *Network) WorkerStart(int) {}
 func (nw *Network) WorkerDone(int)  {}
 

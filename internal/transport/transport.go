@@ -31,8 +31,9 @@ import (
 )
 
 // ErrAbsent is the transport-independent absence sentinel: Recv
-// established that an expected message will not arrive, because the
-// partner exited without sending it or the receive timeout expired.
+// established that an expected message will not arrive, because
+// nothing could reach any blocked worker any more (simnet) or the
+// receive timeout expired.
 // Environmental assumption 4 makes absence detectable, and both network
 // implementations wrap this sentinel in their absence errors so
 // protocol code can classify the evidence with errors.Is instead of
@@ -106,9 +107,9 @@ type Endpoint interface {
 	// Recv blocks for the next message from the partner across the
 	// given dimension bit, advancing the clock to at least the
 	// message's arrival. Message absence is an error wrapping
-	// ErrAbsent: reported as soon as the network knows the partner has
-	// exited without sending (simnet, see WorkerControl), otherwise
-	// after the network's receive timeout.
+	// ErrAbsent: on simnet reported at quiescence, once every declared
+	// worker is blocked and nothing is on its way to any of them (see
+	// WorkerControl), on tcpnet after the network's receive timeout.
 	Recv(bit int) (wire.Message, error)
 	// SendHost and RecvHost exchange messages with the reliable host.
 	SendHost(m wire.Message) error
@@ -136,8 +137,8 @@ type Host interface {
 	Send(node int, m wire.Message) error
 	// Recv blocks for the next message from any node.
 	Recv() (wire.Message, error)
-	// TryRecv returns a pending message without waiting for the full
-	// absence timeout; ok is false when none is queued.
+	// TryRecv returns a pending message without waiting; ok is false
+	// when none is queued.
 	TryRecv() (m wire.Message, ok bool, err error)
 
 	Compute(t Ticks)
@@ -200,15 +201,12 @@ type Network interface {
 }
 
 // WorkerControl is the part of a Network that learns which node and
-// host goroutines exist and when each one ends. internal/simnet uses it
-// in both modes:
-//
-//   - Under a controlled scheduler, delivery decisions fire only once
-//     every live worker has reached a blocking receive, so the network
-//     needs the exact worker census.
-//   - Free-running, a retired node's links carry an end-of-traffic
-//     marker behind its last message, so a partner blocked on it learns
-//     of the absence at once instead of after the receive timeout.
+// host goroutines exist and when each one ends. internal/simnet keeps
+// the exact worker census in both of its modes and applies one absence
+// rule: once every live worker is blocked at a receive and nothing can
+// arrive for any of them, the one with the least (blocked clock, id)
+// is told its message is absent. Under a controlled scheduler the
+// census also gates every delivery decision.
 //
 // Harnesses that run node programs (internal/node) declare every
 // worker before its run starts and retire it when the run returns,
