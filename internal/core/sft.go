@@ -420,12 +420,10 @@ func (r *runner) exchange(mine []int64, s, j int) ([]int64, error) {
 	}
 	r.ep.ChargeCompare(compares)
 	r.opts.Obs.MergeCompares(compares)
-	if r.opts.Forensic != nil {
-		// The kept half's digest fingerprints the merge-split verdict
-		// in the flight recorder (wall-clock only; never charged).
-		r.opts.Forensic.Merge(int32(s), int32(j), int64(compares),
-			wire.DigestOf(lo), int64(r.ep.Clock()))
-	}
+	// The merge-split is recorded without a digest: hashing the kept
+	// half would cost every recorded job a pass over its m keys, and
+	// the view merge recorded at this step carries the step's digest.
+	r.opts.Forensic.Merge(int32(s), int32(j), int64(compares), wire.Digest{}, int64(r.ep.Clock()))
 	r.ep.ChargeKeyMove(2 * r.m)
 	keep, give := lo, hi
 	if !ascending {
