@@ -137,9 +137,6 @@ func replay(path string, out io.Writer) error {
 	fmt.Fprintf(out, "replayed %s: case %s, invariant %s\n", path, rep.Case.Name, rep.Invariant)
 	fmt.Fprintf(out, "  verdict %v, accused %d, evidence at stage %d iter %d\n",
 		diag.Verdict, diag.Accused, diag.Stage, diag.Iter)
-	if diag.DivOK {
-		fmt.Fprintf(out, "  first divergence at stage %d iter %d\n", diag.DivStage, diag.DivIter)
-	}
 	if dump != nil {
 		fmt.Fprintf(out, "  forensic dump: accuser %d, %d chain hops (render with cmd/forensic)\n",
 			dump.Accuser, len(dump.Chain))

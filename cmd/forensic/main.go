@@ -4,13 +4,12 @@
 //
 //	forensic dump.json               # causal timeline + accusation chain
 //	forensic -seq 1 dump.json        # pick a report from a JSON array
-//	forensic -diff dump.json         # accused-vs-accuser digest diff
 //	forensic -chrome dump.json       # Chrome trace_event JSON to stdout
 //
 // The timeline merges every snapshotted ring into one virtual-time
-// ordered view, chain hops starred; the diff walks the accused's and
-// the accuser's recorded view digests per (stage, iter) to the first
-// divergence — the hop where the lie entered.
+// ordered view, chain hops starred, each phi and merge-split record
+// with the digest of the view it checked or kept; the accusation chain
+// walks from the accusation back to the offending message.
 package main
 
 import (
@@ -34,32 +33,27 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("forensic", flag.ContinueOnError)
 	seq := fs.Int("seq", -1, "report index when the dump holds an array (default: last)")
-	diff := fs.Bool("diff", false, "diff the accused node's recorded digests against the accuser's")
 	chrome := fs.Bool("chrome", false, "emit Chrome trace_event JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: forensic [-seq N] [-diff] [-chrome] dump.json")
+		return fmt.Errorf("usage: forensic [-seq N] [-chrome] dump.json")
 	}
 	rep, total, err := load(fs.Arg(0), *seq)
 	if err != nil {
 		return err
 	}
 
-	switch {
-	case *chrome:
+	if *chrome {
 		buf, err := rep.ChromeTrace()
 		if err != nil {
 			return err
 		}
 		_, err = out.Write(buf)
 		return err
-	case *diff:
-		renderDiff(out, rep)
-	default:
-		renderTimeline(out, rep, total)
 	}
+	renderTimeline(out, rep, total)
 	return nil
 }
 
@@ -184,82 +178,5 @@ func renderTimeline(out io.Writer, rep *forensic.Report, total int) {
 			}
 		}
 		fmt.Fprintf(out, "  %2d. %-5s %-12s %s%s\n", i, nodeName(h.Node), h.Kind, hopDetail(h), edge)
-	}
-}
-
-// digKey joins a digest-bearing hop to its protocol step.
-type digKey struct {
-	Stage, Iter int32
-	Kind        string
-}
-
-// renderDiff prints, per (stage, iter), the view digests the accused
-// and the accuser recorded, flagging divergences. Honest nodes
-// exchanging honest data agree on every merged digest; the first
-// mismatch is where the accused's story departs from the accuser's.
-func renderDiff(out io.Writer, rep *forensic.Report) {
-	digests := func(node int32) map[digKey]forensic.Hop {
-		m := map[digKey]forensic.Hop{}
-		for _, log := range rep.Nodes {
-			if log.Node != node {
-				continue
-			}
-			for _, h := range log.Events {
-				if h.DigSum == 0 && h.DigXor == 0 {
-					continue
-				}
-				// Last write per step wins: the ring is oldest-first.
-				m[digKey{h.Stage, h.Iter, h.Kind}] = h
-			}
-		}
-		return m
-	}
-	acd, acr := digests(rep.Accused), digests(rep.Accuser)
-
-	keys := make([]digKey, 0, len(acd)+len(acr))
-	seen := map[digKey]bool{}
-	for k := range acd {
-		keys = append(keys, k)
-		seen[k] = true
-	}
-	for k := range acr {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
-		}
-		return a.Kind < b.Kind
-	})
-
-	fmt.Fprintf(out, "Digest diff — accused %s vs accuser %s (%s at stage %d iter %d):\n",
-		nodeName(rep.Accused), nodeName(rep.Accuser), rep.Predicate, rep.Stage, rep.Iter)
-	fmt.Fprintf(out, "%-5s %-4s %-12s %-18s %-18s\n", "stage", "iter", "event", nodeName(rep.Accused), nodeName(rep.Accuser))
-	diverged := false
-	for _, k := range keys {
-		a, aok := acd[k]
-		b, bok := acr[k]
-		as, bs := "-", "-"
-		if aok {
-			as = fmt.Sprintf("%x/%x", a.DigSum, a.DigXor)
-		}
-		if bok {
-			bs = fmt.Sprintf("%x/%x", b.DigSum, b.DigXor)
-		}
-		mark := ""
-		if aok && bok && (a.DigSum != b.DigSum || a.DigXor != b.DigXor) {
-			mark = "  DIVERGED"
-			diverged = true
-		}
-		fmt.Fprintf(out, "%-5d %-4d %-12s %-18s %-18s%s\n", k.Stage, k.Iter, k.Kind, as, bs, mark)
-	}
-	if !diverged {
-		fmt.Fprintln(out, "no common-step digest divergence recorded (the lie may have been absence, or the accused's ring held no overlapping steps)")
 	}
 }

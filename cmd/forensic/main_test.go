@@ -35,7 +35,7 @@ func dumpFile(t *testing.T) string {
 	return path
 }
 
-func TestRenderTimelineDiffChrome(t *testing.T) {
+func TestRenderTimelineChrome(t *testing.T) {
 	path := dumpFile(t)
 
 	var out bytes.Buffer
@@ -46,14 +46,6 @@ func TestRenderTimelineDiffChrome(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("timeline output missing %q:\n%s", want, out.String())
 		}
-	}
-
-	out.Reset()
-	if err := run([]string{"-diff", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Digest diff") {
-		t.Errorf("diff output:\n%s", out.String())
 	}
 
 	out.Reset()

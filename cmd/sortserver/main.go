@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- [2]string) error 
 	warm := fs.Int("warm", 0, "pre-build this many pooled networks of -warm.dim before serving")
 	warmDim := fs.Int("warm.dim", 2, "cube dimension to pre-warm")
 	chaos := fs.Bool("chaos", false, "accept fault-injection requests (load generators, chaos tests)")
-	recvTimeout := fs.Duration("recv.timeout", 5*time.Second, "absence-detection timeout per attempt")
+	recvTimeout := fs.Duration("recv.timeout", 5*time.Second, "receive watchdog per attempt (absence is decided at quiescence)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

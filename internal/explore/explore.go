@@ -79,8 +79,8 @@ type Config struct {
 const watchdog = 10 * time.Second
 
 // Diagnosis is the explorer's classification of one branch, the
-// fields Replay must reproduce: verdict, accused node, earliest
-// evidence coordinate, and the forensic first-divergence locator.
+// fields Replay must reproduce: verdict, detector, predicate, accused
+// node and earliest evidence coordinate.
 type Diagnosis struct {
 	// Verdict classifies the run (fault.Detected,
 	// fault.CorrectDespiteFault, fault.SilentWrong).
@@ -96,13 +96,6 @@ type Diagnosis struct {
 	// Stage/Iter locate the earliest detection evidence.
 	Stage int `json:"stage"`
 	Iter  int `json:"iter"`
-	// DivStage/DivIter locate the first digest divergence between the
-	// accused's and the accuser's forensic rings
-	// (forensic.Report.FirstDivergence); DivOK reports whether the
-	// rings diverge at all.
-	DivStage int32 `json:"div_stage"`
-	DivIter  int32 `json:"div_iter"`
-	DivOK    bool  `json:"div_ok"`
 }
 
 // Violation is one counterexample: a schedule under which a case broke
@@ -286,9 +279,6 @@ func (x *explorer) runOnce(c fault.Case, sched simnet.Scheduler) (branchRun, err
 	br := branchRun{steps: nw.Steps(), verifyErr: r.Wrong, dump: r.Forensic}
 	br.diag = Diagnosis{Verdict: r.Verdict, Detector: r.Detector, Predicate: r.Predicate,
 		Accused: r.Accused, Stage: r.Stage, Iter: r.Iter}
-	if br.dump != nil {
-		br.diag.DivStage, br.diag.DivIter, br.diag.DivOK = br.dump.FirstDivergence()
-	}
 	return br, nil
 }
 

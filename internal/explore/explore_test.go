@@ -209,8 +209,7 @@ func TestEnumSchedulerConformance(t *testing.T) {
 
 // TestRecordedScheduleReplaysIdentically checks the Record→Replay loop
 // on a detected case: replaying a random recorded schedule reproduces
-// the identical diagnosis, including the forensic first-divergence
-// locator.
+// the identical diagnosis.
 func TestRecordedScheduleReplaysIdentically(t *testing.T) {
 	cfg := Config{Dim: 2}
 	c := keyLieCase()
@@ -221,13 +220,6 @@ func TestRecordedScheduleReplaysIdentically(t *testing.T) {
 		}
 		if diag.Verdict != fault.Detected {
 			t.Fatalf("seed %d: verdict %v", seed, diag.Verdict)
-		}
-		// Node 1 lies at stage 1 iter 1 and node 3 accuses it. The
-		// locator compares every step both rings recorded, and at
-		// stage 0 the two were not partners and held different views,
-		// so it reads stage 0 iter 0.
-		if !diag.DivOK || diag.DivStage != 0 || diag.DivIter != 0 {
-			t.Fatalf("seed %d: first divergence (%d, %d, %v), want (0, 0, true)", seed, diag.DivStage, diag.DivIter, diag.DivOK)
 		}
 		// The reproducer records no invariant, so a replay that breaks
 		// one is an error.

@@ -92,53 +92,6 @@ type Report struct {
 // JSON renders the report as indented JSON.
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// FirstDivergence scans the accused's and the accuser's ring snapshots
-// for the earliest (stage, iter) protocol step at which their recorded
-// view digests disagree — the same comparison `forensic -diff` renders.
-// ok is false when the rings never diverge (absence faults, node-local
-// detections, or reports missing one side's ring), in which case the
-// accusation's own (Stage, Iter) is the only locator available.
-func (r *Report) FirstDivergence() (stage, iter int32, ok bool) {
-	type key struct {
-		stage, iter int32
-		kind        string
-	}
-	digests := func(node int32) map[key][2]uint64 {
-		m := map[key][2]uint64{}
-		for _, log := range r.Nodes {
-			if log.Node != node {
-				continue
-			}
-			for _, h := range log.Events {
-				if h.DigSum == 0 && h.DigXor == 0 {
-					continue
-				}
-				// Last write per step wins: rings are oldest-first.
-				m[key{h.Stage, h.Iter, h.Kind}] = [2]uint64{h.DigSum, h.DigXor}
-			}
-		}
-		return m
-	}
-	acd, acr := digests(r.Accused), digests(r.Accuser)
-	if len(acd) == 0 || len(acr) == 0 {
-		return 0, 0, false
-	}
-	found := false
-	for k, a := range acd {
-		b, both := acr[k]
-		if both && a == b {
-			continue // agreement
-		}
-		if !both {
-			continue // one-sided steps happen legitimately (ring caps)
-		}
-		if !found || k.stage < stage || (k.stage == stage && k.iter < iter) {
-			stage, iter, found = k.stage, k.iter, true
-		}
-	}
-	return stage, iter, found
-}
-
 // maxChain bounds the reconstructed happens-before chain. Lineage past
 // this depth is protocol history, not evidence.
 const maxChain = 64

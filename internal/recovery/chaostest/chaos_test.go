@@ -51,10 +51,9 @@ type failure struct {
 }
 
 // runMatrix supervises scenarios over the transport on a bounded
-// worker pool. The pool — not t.Parallel — provides the concurrency:
-// tcpnet scenarios are timer-bound (silence faults ride out its receive
-// timer), so overlapping them bounds wall time even on a single-CPU
-// runner where -parallel defaults to 1.
+// worker pool. The pool — not t.Parallel — provides the concurrency,
+// so scenarios overlap even on a single-CPU runner where -parallel
+// defaults to 1.
 func runMatrix(t *testing.T, scenarios []Scenario, tr Transport) {
 	t.Helper()
 	const workers = 8
@@ -170,13 +169,14 @@ func TestChaosMatrixSimnet(t *testing.T) {
 	}
 }
 
-// TestChaosMatrixTCP runs a thinner slice of the same generator over
+// TestChaosMatrixTCP runs as many scenarios of the same generator over
 // real loopback sockets: same supervisor, same invariants, real
-// transport.
+// transport, and the same absence rule, so no scenario waits on a
+// timer.
 func TestChaosMatrixTCP(t *testing.T) {
-	count := 20
+	count := 160
 	if testing.Short() {
-		count = 6
+		count = 24
 	}
 	for _, seed := range seedMatrix(t) {
 		runMatrix(t, Generate(seed^0x7cb, count), TCP)

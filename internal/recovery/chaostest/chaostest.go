@@ -218,14 +218,6 @@ type Result struct {
 	Flight *forensic.Flight
 }
 
-// tcpRecvTimeout is tcpnet's absence timer. tcpnet cannot see the
-// frames in flight in its sockets, so a silent partner is found only
-// when the timer expires: long enough that honest partners are never
-// misdiagnosed, short enough that silence strategies don't dominate
-// wall time. simnet decides absence at quiescence and keeps the
-// default watchdog.
-const tcpRecvTimeout = 400 * time.Millisecond
-
 // TCPNetwork is the reliablesort transport constructor for tcpnet,
 // spares pre-registered as real idle loopback connections.
 func TCPNetwork(cfg reliablesort.NetConfig) (transport.Network, error) {
@@ -257,7 +249,7 @@ func Run(sc Scenario, tr Transport) Result {
 		Flight:      flight,
 	}
 	if tr == TCP {
-		opts.RecvTimeout, opts.NewNetwork = tcpRecvTimeout, TCPNetwork
+		opts.NewNetwork = TCPNetwork
 	}
 	out, stats, err := reliablesort.Sort(keys, opts)
 	return Result{In: keys, Out: out, Stats: stats, Err: err, Obs: o, Flight: flight}

@@ -12,10 +12,10 @@ import (
 // Record→Replay loop under the chaos seed matrix (CHAOS_SEEDS), on
 // detected single-fault placements from three adversary classes: a
 // schedule recorded under seeded random controlled scheduling replays
-// to the identical diagnosis — same verdict, detector, accused node,
-// earliest-evidence (stage, iter) and forensic first-divergence
-// locator. Seed 1 always runs beside the matrix, so CI's seeds vary the
-// host-merge races on top of a fixed baseline.
+// to the identical diagnosis — same verdict, detector, predicate,
+// accused node and earliest-evidence (stage, iter). Seed 1 always runs
+// beside the matrix, so CI's seeds vary the host-merge races on top of
+// a fixed baseline.
 func TestExplorerScheduleReplaysThroughChaostest(t *testing.T) {
 	cases := []fault.Case{
 		{Name: "msg/key-lie/n1/s1", Class: fault.ClassMessage,

@@ -73,10 +73,11 @@ type Options struct {
 	// (the smallest cube that keeps blocks reasonably sized, capped at
 	// MaxAutoDim).
 	Dim int
-	// RecvTimeout bounds absence detection; 0 means 30 seconds. On
-	// simnet it is only a watchdog: absence is decided at quiescence,
-	// once every node waits and nothing is on its way to any of them.
-	// tcpnet detects every absence by this timeout.
+	// RecvTimeout is each receive's watchdog; 0 means 30 seconds. On
+	// both networks absence is decided at quiescence, once every node
+	// waits and nothing is on its way to any of them; the watchdog
+	// bounds a receive that rule cannot decide (a frame lost with a
+	// failed socket).
 	RecvTimeout time.Duration
 
 	// MaxAttempts bounds the total sort attempts, quarantined re-runs
@@ -131,13 +132,11 @@ type Options struct {
 	// NewNetwork overrides the transport constructor used for each
 	// attempt; nil means NewSimnet. The returned network must
 	// honor the transport contract (including pre-registering
-	// cfg.Spares idle endpoints beyond the cube). When the attempt
-	// finishes, a network with a Release(clean bool) method is released
-	// with clean == (attempt verified) — the seam internal/server's
-	// transport pool uses to recycle healthy networks; otherwise a
-	// network with a Close method is closed. The chaos harness injects
-	// internal/tcpnet here to drive the same recovery path over real
-	// sockets.
+	// cfg.Spares idle endpoints beyond the cube). Each attempt Closes
+	// its network when it ends, verified or not; internal/server's
+	// transport pool hands out networks whose Close puts them back for
+	// reuse. The chaos harness injects internal/tcpnet here to drive
+	// the same recovery path over real sockets.
 	NewNetwork func(cfg NetConfig) (transport.Network, error)
 }
 
@@ -150,7 +149,7 @@ type NetConfig struct {
 	// Spares is the number of idle spare endpoints to pre-register
 	// beyond the cube (labels 2^Dim .. 2^Dim+Spares-1).
 	Spares int
-	// RecvTimeout bounds absence detection (see Options.RecvTimeout).
+	// RecvTimeout is the receive watchdog (see Options.RecvTimeout).
 	RecvTimeout time.Duration
 	// Obs receives the transport's message/byte counters (may be nil).
 	Obs *obs.Metrics
@@ -321,17 +320,7 @@ func runAttempt(base []int64, cfg NetConfig, newNet func(NetConfig) (transport.N
 	if err != nil {
 		return nil, nil, fmt.Errorf("reliablesort: %w", err)
 	}
-	// Lifecycle: a pooled transport (internal/server) implements
-	// Release and decides for itself whether to recycle or rebuild —
-	// clean is true exactly when the attempt verified, so a
-	// fault-stricken network (which may still have frames in flight) is
-	// never returned to the pool as healthy. Any other network serves
-	// this attempt only and is closed here.
-	if rel, ok := nw.(interface{ Release(clean bool) }); ok {
-		defer func() { rel.Release(err == nil) }()
-	} else {
-		defer nw.Close()
-	}
+	defer nw.Close()
 	if o != nil || cfg.Flight != nil {
 		if nodeOpts == nil {
 			nodeOpts = make([]core.Options, n)

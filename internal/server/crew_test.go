@@ -98,7 +98,7 @@ func TestCrewKeepsNodeGoroutines(t *testing.T) {
 			t.Fatal("the pool did not hand the same network and crew back")
 		}
 		res, err := node.RunPer(nw, []node.Program{prog(run, 0, run == 0), prog(run, 1, false)}, nil)
-		l.Release(true)
+		l.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

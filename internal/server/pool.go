@@ -1,18 +1,21 @@
 // Transport pool: the piece that turns the run-once transports into a
 // serve-forever substrate. Building a cube is the expensive part of a
 // job — tcpnet dials one real loopback connection per hypercube edge
-// plus one per host link — so the pool keeps verified-healthy networks
-// warm and hands them to the next job of the same geometry after a
-// Reset (drain mailboxes, zero per-run counters, rebind the job's
-// observability sinks).
+// plus one per host link — so the pool keeps networks warm and hands
+// them to the next job of the same geometry after a Reset (drain
+// mailboxes, zero per-run counters, rebind the job's observability
+// sinks).
 //
-// Health policy: a network is recycled only when the attempt that used
-// it finished *verified* (reliablesort releases with clean=true). A
-// fault-stricken attempt may leave frames in flight that no drain can
-// bound, so its network is quarantined — closed and rebuilt — rather
-// than risk a stale frame corrupting a later tenant's job. The
-// built/reused/discarded counters on /metrics make the amortization
-// visible: a healthy server shows jobs ≫ networks built.
+// Reuse policy: an attempt Closes its network when it ends, verified
+// or fault-stricken alike, and Close puts the network back. Every
+// frame a run writes is counted, and the attempt's node programs have
+// all returned before it ends, so Reset drains exactly what the run
+// left and no stale frame reaches a later tenant's job. The pool
+// discards only a network that refuses its Reset (a tcpnet socket
+// failed, or a drain outlived the receive watchdog) and a network
+// beyond PoolIdle. The built/reused/discarded counters on /metrics
+// make the amortization visible: a healthy server shows jobs ≫
+// networks built.
 //
 // Every network the pool builds comes with a crew (crew.go): resident
 // node workers that run its jobs' node programs, started with the
@@ -90,7 +93,7 @@ func NewPool(newNet func(cfg reliablesort.NetConfig) (transport.Network, error),
 		p.reused = reg.Counter("server_pool_networks_reused_total",
 			"Jobs served by a recycled pre-warmed transport network.")
 		p.discarded = reg.Counter("server_pool_networks_discarded_total",
-			"Pooled networks quarantined and closed (fault-stricken or surplus).")
+			"Pooled networks closed (failed Reset, surplus, or idle at pool close).")
 		p.idleGauge = reg.Gauge("server_pool_networks_idle",
 			"Warm networks currently parked in the pool.")
 	}
@@ -99,10 +102,8 @@ func NewPool(newNet func(cfg reliablesort.NetConfig) (transport.Network, error),
 
 // Get checks a network for one sort attempt out of the pool: a warm
 // network of the right geometry reset onto the job's observability
-// sinks when one is parked, a freshly built one otherwise. The
-// returned network implements Release(clean bool) — reliablesort's
-// attempt teardown seam — which returns it to the pool (clean) or
-// quarantines and closes it (unclean).
+// sinks when one is parked, a freshly built one otherwise. Closing the
+// returned network puts it back.
 func (p *Pool) Get(cfg reliablesort.NetConfig) (transport.Network, error) {
 	key := poolKey{dim: cfg.Dim, spares: cfg.Spares}
 	for {
@@ -155,23 +156,22 @@ func (p *Pool) Warm(cfg reliablesort.NetConfig, count int) error {
 		if err != nil {
 			return err
 		}
-		p.put(mb, poolKey{dim: cfg.Dim, spares: cfg.Spares}, true)
+		p.put(mb, poolKey{dim: cfg.Dim, spares: cfg.Spares})
 	}
 	return nil
 }
 
-// put returns a network to the pool (healthy) or quarantines it.
-func (p *Pool) put(mb member, key poolKey, healthy bool) {
-	if healthy {
-		p.mu.Lock()
-		if !p.closed && len(p.idle[key]) < p.maxIdle {
-			p.idle[key] = append(p.idle[key], mb)
-			p.mu.Unlock()
-			p.idleGauge.Add(1)
-			return
-		}
+// put parks a network in the pool, or discards it when the pool is
+// closed or already holds PoolIdle networks of its geometry.
+func (p *Pool) put(mb member, key poolKey) {
+	p.mu.Lock()
+	if !p.closed && len(p.idle[key]) < p.maxIdle {
+		p.idle[key] = append(p.idle[key], mb)
 		p.mu.Unlock()
+		p.idleGauge.Add(1)
+		return
 	}
+	p.mu.Unlock()
 	p.discard(mb)
 }
 
@@ -184,7 +184,7 @@ func (p *Pool) discard(mb member) {
 }
 
 // Close empties the pool and closes every idle network. Leased
-// networks are closed as they are released.
+// networks are closed as their attempts close them.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -220,10 +220,9 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// lease is the per-attempt handle reliablesort runs against. Its
-// Release implements the attempt-teardown seam: healthy networks go
-// back into the pool, fault-stricken ones are quarantined and closed.
-// The network's own methods are promoted from the embedded member, so
+// lease is the per-attempt handle reliablesort runs against. Its Close
+// puts the network back into the pool instead of closing it. The
+// network's other methods are promoted from the embedded member, so
 // node.RunPer's worker census reaches the leased network. Through the
 // embedded crew, node.RunPer runs the attempt's node programs on the
 // network's resident workers (node.Crew) and core.RunBlocks in their
@@ -236,8 +235,8 @@ type lease struct {
 	once sync.Once
 }
 
-// Release returns the underlying network to the pool. clean must be
-// true only if the attempt that used it finished verified.
-func (l *lease) Release(clean bool) {
-	l.once.Do(func() { l.pool.put(l.member, l.key, clean) })
+// Close returns the underlying network to the pool. Only the first
+// call does.
+func (l *lease) Close() {
+	l.once.Do(func() { l.pool.put(l.member, l.key) })
 }

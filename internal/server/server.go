@@ -15,8 +15,8 @@
 // faults its neighbours on the pool suffered. The service adds the
 // operational layers around that contract: admission control (reject
 // loudly at the door, never starve silently), weighted-fair tenant
-// dispatch, transport pooling with quarantine-on-fault health checks,
-// and fleet-wide observability.
+// dispatch, transport pooling whose Reset drains exactly what each run
+// wrote, and fleet-wide observability.
 package server
 
 import (
@@ -104,9 +104,9 @@ type Config struct {
 	Weights map[string]int
 	// MaxKeys bounds a single job's input size; <= 0 means 1<<20.
 	MaxKeys int
-	// RecvTimeout bounds absence detection per attempt; 0 means 30s.
-	// On simnet it is only a watchdog (see
-	// reliablesort.Options.RecvTimeout).
+	// RecvTimeout is each receive's watchdog; 0 means 30s. Both
+	// networks decide absence at quiescence, so it bounds only what
+	// that rule cannot decide (see reliablesort.Options.RecvTimeout).
 	RecvTimeout time.Duration
 	// MaxAttempts bounds the sort attempts per job; 0 means
 	// recovery.DefaultMaxAttempts (4). 1 makes the server fail-stop:

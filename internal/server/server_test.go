@@ -15,10 +15,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/forensic"
 	"repro/internal/recovery"
 	"repro/internal/reliablesort"
+	"repro/internal/tcpnet"
 	"repro/internal/transport"
 )
 
@@ -205,10 +207,10 @@ func TestServerChaos(t *testing.T) {
 	if st.Verified != int64(verified) {
 		t.Errorf("fleet counter says %d verified, client saw %d", st.Verified, verified)
 	}
-	// Fault-stricken attempts quarantine their networks instead of
-	// recycling them.
-	if s.pool.Stats().Discarded == 0 {
-		t.Error("chaos run never quarantined a pooled network")
+	// Fault-stricken attempts' networks are recycled like any other:
+	// with concurrency no higher than PoolIdle, none is surplus.
+	if ps := s.pool.Stats(); ps.Discarded != 0 {
+		t.Errorf("chaos run discarded pooled networks: %+v", ps)
 	}
 }
 
@@ -544,8 +546,8 @@ func TestServerOverloadBackpressure(t *testing.T) {
 // TestServerDrainsGoroutines pins the serve-forever lifecycle: jobs
 // through a server leave no goroutines behind once Close drains it,
 // the resident node workers of every network its pool built included:
-// networks parked at Close, a network discarded after a persistent
-// fault struck its attempt, and a network built beyond PoolIdle.
+// networks parked at Close, a network recycled after a persistent
+// fault struck its attempts, and a network built beyond PoolIdle.
 func TestServerDrainsGoroutines(t *testing.T) {
 	keys := []int64{9, 1, 8, 2, 7, 3, 6, 4}
 	submit := func(t *testing.T, s *Server, inject *ChaosSpec) *Response {
@@ -566,14 +568,14 @@ func TestServerDrainsGoroutines(t *testing.T) {
 				submit(t, s, nil)
 			}
 		}},
-		{"fault-discarded", 0, func(t *testing.T, s *Server) {
+		{"fault-recycled", 0, func(t *testing.T, s *Server) {
 			lie := &ChaosSpec{Class: "message", Node: 1, Strategy: "key-lie", Lie: 999999}
 			if resp := submit(t, s, lie); resp.Stats.Attempts < 2 {
 				t.Fatalf("persistent fault took %d attempts, want a retry", resp.Stats.Attempts)
 			}
 			submit(t, s, nil)
-			if st := s.Stats().Pool; st.Discarded == 0 {
-				t.Fatalf("no network discarded after a fault-stricken attempt: %+v", st)
+			if st := s.Stats().Pool; st.Discarded != 0 || st.Reused == 0 {
+				t.Fatalf("fault-stricken attempts' networks not recycled: %+v", st)
 			}
 		}},
 		{"surplus", 1, func(t *testing.T, s *Server) {
@@ -726,45 +728,110 @@ func TestPoolIdleGaugeTracksDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nw.(*lease).Release(true) // stops the network's crew at Close
+	defer nw.Close() // stops the network's crew at Close
 	st := p.Stats()
 	if st.Idle != 0 || st.Discarded != 1 || p.idleGauge.Value() != int64(st.Idle) {
 		t.Errorf("after a failed Reset: gauge %d, stats %+v; want gauge = idle = 0, 1 discarded", p.idleGauge.Value(), st)
 	}
 }
 
-// TestPoolQuarantineOnUnclean pins the health policy: an unclean
-// release closes the network instead of recycling it.
-func TestPoolQuarantineOnUnclean(t *testing.T) {
+// TestPoolRecyclesClosedLeases pins the reuse policy: closing a lease
+// puts its network back, once however often it is closed, and the next
+// Get of the geometry takes the warm one; closing the pool closes the
+// idle networks.
+func TestPoolRecyclesClosedLeases(t *testing.T) {
 	p := NewPool(nil, 4, obs.NewRegistry())
 	cfg := reliablesort.NetConfig{Dim: 2, RecvTimeout: time.Second}
 	nw, err := p.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.(interface{ Release(bool) }).Release(false)
-	if got := p.Stats(); got.Idle != 0 {
-		t.Errorf("unclean release was pooled: %+v", got)
+	nw.Close()
+	nw.Close()
+	if got := p.Stats(); got.Idle != 1 || got.Discarded != 0 {
+		t.Errorf("closed lease not pooled once: %+v", got)
 	}
 	nw2, err := p.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw2.(interface{ Release(bool) }).Release(true)
-	if got := p.Stats(); got.Idle != 1 {
-		t.Errorf("clean release not pooled: %+v", got)
-	}
-	// Clean reuse path: next Get of the same geometry takes the warm one.
-	nw3, err := p.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats(); got.Reused != 1 {
+	if got := p.Stats(); got.Reused != 1 || got.Built != 1 {
 		t.Errorf("warm network not reused: %+v", got)
 	}
-	nw3.(interface{ Release(bool) }).Release(true)
+	nw2.Close()
 	p.Close()
-	if got := p.Stats(); got.Idle != 0 {
+	if got := p.Stats(); got.Idle != 0 || got.Discarded != 1 {
 		t.Errorf("Close left idle networks: %+v", got)
+	}
+}
+
+// TestRecycledNetworkMatchesFresh pins the reuse rule on both
+// transports. A job struck by a persistent fault (each message
+// strategy, comparison mode and memory mode ChaosSpec accepts, at each
+// node of a dim-2 cube) leaves its networks to the pool, and the next
+// honest job, on the network the faulty job's first attempt ran on,
+// returns the same sorted keys, makespan and traffic as on a fresh
+// server. With one worker and PoolIdle 1 no network is ever surplus,
+// so the pool discards none.
+func TestRecycledNetworkMatchesFresh(t *testing.T) {
+	keys := []int64{41, -7, 13, 99, 0, -52, 8, 27, 64, -1, 300, 5, -9, 72, 2, 18}
+	var faults []ChaosSpec
+	for _, st := range fault.AllStrategies() {
+		faults = append(faults, ChaosSpec{Class: "message", Strategy: st.String(), Lie: 999999})
+	}
+	for _, m := range fault.AllCmpModes() {
+		faults = append(faults, ChaosSpec{Class: "comparison", Mode: m.String(), Seed: 7})
+	}
+	for _, m := range fault.AllMemModes() {
+		faults = append(faults, ChaosSpec{Class: "memory", Mode: m.String(), Seed: 9, Lie: -42})
+	}
+	for _, tr := range []struct {
+		name   string
+		newNet func(reliablesort.NetConfig) (transport.Network, error)
+	}{
+		{"simnet", nil},
+		{"tcpnet", func(cfg reliablesort.NetConfig) (transport.Network, error) {
+			return tcpnet.New(tcpnet.Config{Dim: cfg.Dim, Spares: cfg.Spares, RecvTimeout: cfg.RecvTimeout,
+				Obs: cfg.Obs, Flight: cfg.Flight})
+		}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.NewNetwork, cfg.Concurrency, cfg.PoolIdle = tr.newNet, 1, 1
+			honest := func(t *testing.T, s *Server) *Response {
+				t.Helper()
+				resp, err := s.Submit(Request{Keys: keys, Dim: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			fresh := New(cfg)
+			want := honest(t, fresh)
+			fresh.Close()
+
+			s := New(cfg)
+			defer s.Close()
+			for _, f := range faults {
+				for node := 0; node < 4; node++ {
+					f.Node = node
+					name := fmt.Sprintf("%s %s%s at node %d", f.Class, f.Strategy, f.Mode, node)
+					if resp, err := s.Submit(Request{Keys: keys, Dim: 2, Inject: &f}); err == nil &&
+						!slices.Equal(resp.Sorted, refSorted(keys, false)) {
+						t.Fatalf("%s: SILENT WRONG %v", name, resp.Sorted)
+					}
+					got := honest(t, s)
+					if !slices.Equal(got.Sorted, want.Sorted) || got.Stats.Makespan != want.Stats.Makespan ||
+						got.Stats.Msgs != want.Stats.Msgs || got.Stats.Bytes != want.Stats.Bytes {
+						t.Fatalf("after %s: recycled network sorted %v in %d vticks, %d msgs, %d bytes; a fresh one %v in %d, %d, %d",
+							name, got.Sorted, got.Stats.Makespan, got.Stats.Msgs, got.Stats.Bytes,
+							want.Sorted, want.Stats.Makespan, want.Stats.Msgs, want.Stats.Bytes)
+					}
+				}
+			}
+			if st := s.Stats().Pool; st.Discarded != 0 || st.Reused == 0 {
+				t.Errorf("pool after the faults: %+v, want networks reused and none discarded", st)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs/forensic"
 	"repro/internal/simnet"
+	"repro/internal/tcpnet"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -318,8 +320,11 @@ func TestControlledCrashAbsence(t *testing.T) {
 
 // evidenceNet records every message the host drains from its mailbox,
 // so a test can compare the host evidence of runs judged by fault.Run.
+// On tcpnet it records an ERROR signal's Detail text with the
+// transport's name mapped to simnet's, which absence errors carry.
 type evidenceNet struct {
 	transport.Network
+	tcp     bool
 	drained []string
 }
 
@@ -333,18 +338,24 @@ type evidenceHost struct {
 func (h *evidenceHost) TryRecv() (wire.Message, bool, error) {
 	m, ok, err := h.Host.TryRecv()
 	if ok {
-		h.net.drained = append(h.net.drained, fmt.Sprintf("%v from %d at (%d,%d): %x", m.Kind, m.From, m.Stage, m.Iter, m.Payload))
+		payload := m.Payload
+		if p, perr := wire.DecodeError(payload); h.net.tcp && m.Kind == wire.KindError && perr == nil {
+			p.Detail = strings.ReplaceAll(p.Detail, "tcpnet", "simnet")
+			payload = wire.EncodeError(p)
+		}
+		h.net.drained = append(h.net.drained, fmt.Sprintf("%v from %d at (%d,%d): %x", m.Kind, m.From, m.Stage, m.Iter, payload))
 	}
 	return m, ok, err
 }
 
 // TestFreeAbsenceMatchesControlled runs every single-fault case at dim
 // 2 and 3, crashes and silence included, through fault.Run on a
-// free-running network whose watchdog is an hour and on a controlled
-// one under the canonical schedule. Both regimes decide absence by the
-// same rule at quiescence, and node programs read named links (a Kahn
-// network), so the two runs judge alike: verdict, detector, predicate,
-// accused node, stage, iteration and the host evidence as a set.
+// free-running simnet and on a tcpnet, each with an hour-long watchdog,
+// and on a controlled simnet under the canonical schedule. All three
+// decide absence by the same rule at quiescence, and node programs
+// read named links (a Kahn network), so the runs judge alike: verdict,
+// detector, predicate, accused node, stage, iteration and the host
+// evidence as a set.
 func TestFreeAbsenceMatchesControlled(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		n := 1 << uint(dim)
@@ -352,13 +363,25 @@ func TestFreeAbsenceMatchesControlled(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64((i*37 + 11) % 53)
 		}
-		run := func(t *testing.T, c fault.Case, sched simnet.Scheduler) (fault.Result, []string) {
+		// run judges c on a simnet under sched (nil: free-running), or
+		// on a tcpnet when tcp is set.
+		run := func(t *testing.T, c fault.Case, sched simnet.Scheduler, tcp bool) (fault.Result, []string) {
 			flight := forensic.New(0)
-			sim, err := simnet.New(simnet.Config{Dim: dim, RecvTimeout: time.Hour, Sched: sched, Flight: flight})
+			nw := &evidenceNet{tcp: tcp}
+			var err error
+			if tcp {
+				var tn *tcpnet.Network
+				tn, err = tcpnet.New(tcpnet.Config{Dim: dim, RecvTimeout: time.Hour, Flight: flight})
+				if err == nil {
+					defer tn.Close()
+					nw.Network = tn
+				}
+			} else {
+				nw.Network, err = simnet.New(simnet.Config{Dim: dim, RecvTimeout: time.Hour, Sched: sched, Flight: flight})
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw := &evidenceNet{Network: sim}
 			done := make(chan struct{})
 			var r fault.Result
 			go func() {
@@ -368,7 +391,7 @@ func TestFreeAbsenceMatchesControlled(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(time.Minute):
-				t.Fatalf("%s (scheduler %T) still running after a minute: absence waited for the watchdog", c.Name, sched)
+				t.Fatalf("%s (scheduler %T, tcpnet %v) still running after a minute: absence waited for the watchdog", c.Name, sched, tcp)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -378,8 +401,9 @@ func TestFreeAbsenceMatchesControlled(t *testing.T) {
 		}
 		for _, c := range fault.SingleFaultCases(dim) {
 			t.Run(fmt.Sprintf("dim%d/%s", dim, c.Name), func(t *testing.T) {
-				free, freeEv := run(t, c, nil)
-				ctl, ctlEv := run(t, c, simnet.NewReplay(nil))
+				free, freeEv := run(t, c, nil, false)
+				ctl, ctlEv := run(t, c, simnet.NewReplay(nil), false)
+				tcp, tcpEv := run(t, c, nil, true)
 				type judged struct {
 					Verdict              fault.Verdict
 					Detector, Predicate  string
@@ -392,6 +416,12 @@ func TestFreeAbsenceMatchesControlled(t *testing.T) {
 				}
 				if !reflect.DeepEqual(freeEv, ctlEv) {
 					t.Fatalf("host evidence differs:\n free: %q\n ctl:  %q", freeEv, ctlEv)
+				}
+				if tc := (judged{tcp.Verdict, tcp.Detector, tcp.Predicate, tcp.Accused, tcp.Stage, tcp.Iter}); tc != k {
+					t.Fatalf("tcpnet %+v, controlled %+v", tc, k)
+				}
+				if !reflect.DeepEqual(tcpEv, ctlEv) {
+					t.Fatalf("host evidence differs:\n tcpnet: %q\n ctl:    %q", tcpEv, ctlEv)
 				}
 			})
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -69,10 +70,7 @@ type cresult struct {
 	absent bool // blocking receive declared absent
 }
 
-// wphase is a worker's place in a census: the controller's, or the
-// free-running network's (which retires a worker to wIdle and has
-// wChosen: parked, and handed the absence rule's verdict it has not yet
-// taken).
+// wphase is a worker's place in the controller's census.
 type wphase uint8
 
 const (
@@ -80,7 +78,6 @@ const (
 	wRunning
 	wParked
 	wDone
-	wChosen
 )
 
 // cworker is one worker's controller-side state: a node program, the
@@ -306,9 +303,9 @@ func (c *controller) anyLiveBeside(w *cworker) bool {
 // free-running TryRecv.
 //
 // Phase 3 — absence: nothing can ever arrive, so the parked worker
-// absentee picks, the least by (blockClock, id), is told its message
-// is absent, as on the free path; the cascade re-evaluates after every
-// wake since a worker told so may send.
+// transport.Absentee picks, the least by (blockClock, id), is told its
+// message is absent, as on the free path; the cascade re-evaluates
+// after every wake since a worker told so may send.
 func (c *controller) decide() {
 	// Keep deciding while the network stays quiescent: waking an
 	// external caller (a post-run drain loop) does not make any live
@@ -366,7 +363,7 @@ func (c *controller) decideOnce() bool {
 	}
 	// Phase 3: absence.
 	parked := c.parkedSorted()
-	if i := absentee(len(parked), func(i int) (Ticks, int, bool) {
+	if i := transport.Absentee(len(parked), func(i int) (Ticks, int, bool) {
 		return parked[i].blockClock, parked[i].id, true
 	}); i >= 0 {
 		victim := parked[i]
@@ -557,42 +554,30 @@ func qHash(q QueueID) uint64 {
 // --- Network surface --------------------------------------------------------
 
 // WorkerStart implements transport.WorkerControl: it declares a live
-// worker before its goroutine launches. Both regimes count it in their
-// census: the absence rule waits until every declared, live worker is
-// parked at a receive.
+// worker before its goroutine launches, in the controller's census
+// under a scheduler and in the core's free-running one otherwise
+// (transport.Core.WorkerStart). Either way the absence rule waits until
+// every declared, live worker is parked at a receive.
 func (nw *Network) WorkerStart(id int) {
 	if nw.ctrl != nil {
 		nw.ctrl.workerStart(id)
-	} else if p := nw.proc(id); p != nil {
-		nw.census.Lock()
-		if p.phase == wIdle {
-			p.phase = wRunning
-			nw.live++
-		}
-		nw.census.Unlock()
+		return
 	}
+	nw.Core.WorkerStart(id)
 }
 
 // WorkerDone implements transport.WorkerControl: it retires a started
-// worker, whose last delivered buffer goes back to the free lists. A
-// retirement can leave every remaining worker parked, so it applies
-// the absence rule as parking does. WorkerDone allocates nothing.
+// worker, whose last delivered buffer goes back to the free lists, in
+// the census WorkerStart declared it in. WorkerDone allocates nothing.
 func (nw *Network) WorkerDone(id int) {
-	p := nw.proc(id)
-	if p != nil {
+	if p := nw.proc(id); p != nil {
 		p.release()
 	}
 	if nw.ctrl != nil {
 		nw.ctrl.workerDone(id)
-	} else if p != nil {
-		nw.census.Lock()
-		if p.phase == wRunning {
-			p.phase = wIdle
-			nw.live--
-			nw.settle()
-		}
-		nw.census.Unlock()
+		return
 	}
+	nw.Core.WorkerDone(id)
 }
 
 // Steps returns the schedule a controlled run recorded: one Step per

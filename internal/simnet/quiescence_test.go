@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -239,63 +240,37 @@ func TestUndeclaredReceiverWaitsForTimer(t *testing.T) {
 	nw.WorkerDone(0)
 }
 
-// A watchdog that fires while its worker is being chosen finds the
-// verdict already handed over: unpark takes it, so the worker's next
-// receive sees the next message, not a stale absence.
-func TestWatchdogDuringChoiceLeavesNoVerdict(t *testing.T) {
-	nw := hourNet(t, 1)
-	nw.WorkerStart(1)
-	p, box := nw.proc(1), &nw.links[1][0]
-	nw.park(p, box)
-	// The only live worker parked: the rule chose it at once.
-	if p.phase != wChosen || len(box.ch) != 1 {
-		t.Fatalf("phase %d with %d queued, want chosen with its verdict queued", p.phase, len(box.ch))
-	}
-	nw.unpark(p, box, false, true) // as if its watchdog had fired first
-	if p.phase != wRunning || len(box.ch) != 0 || nw.parked != 0 {
-		t.Fatalf("after the watchdog: phase %d, %d queued, %d parked; want running, none, none",
-			p.phase, len(box.ch), nw.parked)
-	}
-	a, _ := nw.Endpoint(0)
-	if err := a.Send(0, exchangeMsg(7)); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := nw.Endpoint(1)
-	if m, err := b.Recv(0); err != nil || m.Iter != 7 {
-		t.Fatalf("next receive: iter %d, err %v; want the message", m.Iter, err)
-	}
-	nw.WorkerDone(1)
-}
-
-// Reset empties the census and drains a verdict a run left queued, so
-// a recycled network's next run starts from nothing.
+// Reset empties the census and drains what a run left queued, so a
+// recycled network's next run starts from nothing: workers a run left
+// declared no longer count as live, so absence still comes at once.
 func TestResetEmptiesCensus(t *testing.T) {
 	nw := hourNet(t, 2)
 	for id := 0; id < 4; id++ {
 		nw.WorkerStart(id)
 	}
 	nw.WorkerStart(hostWorker)
-	nw.park(nw.proc(3), &nw.links[3][1])
+	a, _ := nw.Endpoint(0)
+	if err := a.Send(0, exchangeMsg(9)); err != nil {
+		t.Fatal(err)
+	}
 	if err := nw.Reset(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if nw.live != 0 || nw.parked != 0 {
-		t.Fatalf("after Reset: %d live, %d parked; want none", nw.live, nw.parked)
-	}
-	for id := hostWorker; id < len(nw.eps); id++ {
-		if p := nw.proc(id); p.phase != wIdle || p.waitBox != nil {
-			t.Fatalf("after Reset: worker %d in phase %d", id, p.phase)
-		}
-	}
+	// Node 0 crashed: the others swap across both bits, and each is
+	// told of an absence (node 0's, or that of a partner it ended),
+	// neither handed the stale frame nor left waiting for the hour-long
+	// watchdog.
 	swap := make([]node.Program, 4)
-	for id := range swap {
+	for id := 1; id < 4; id++ {
 		swap[id] = func(ep transport.Endpoint) error {
 			for bit := 0; bit < 2; bit++ {
 				if err := ep.Send(bit, exchangeMsg(int32(bit))); err != nil {
 					return err
 				}
-				if _, err := ep.Recv(bit); err != nil {
+				if m, err := ep.Recv(bit); err != nil {
 					return err
+				} else if m.Iter != int32(bit) {
+					return fmt.Errorf("received a stale frame: %+v", m)
 				}
 			}
 			return nil
@@ -307,8 +282,10 @@ func TestResetEmptiesCensus(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := res.FirstNodeErr(); err != nil {
-			t.Errorf("recycled run saw a stale census: %v", err)
+		for id := 1; id < 4; id++ {
+			if err := res.Nodes[id].Err; !errors.Is(err, ErrAbsent) {
+				t.Errorf("node %d: got %v, want ErrAbsent", id, err)
+			}
 		}
 	})
 }
@@ -318,13 +295,17 @@ func TestResetEmptiesCensus(t *testing.T) {
 // when the absence rule picks a worker and hands it its verdict.
 func TestWorkerDoneZeroAllocs(t *testing.T) {
 	nw := hourNet(t, 3)
-	p, box := nw.proc(5), &nw.links[5][2]
+	if _, err := nw.Endpoint(5); err != nil {
+		t.Fatal(err)
+	}
+	p, q := nw.proc(5), QueueID{Kind: QLink, Node: 5, Bit: 2}
 	allocs := testing.AllocsPerRun(100, func() {
 		nw.WorkerStart(4)
 		nw.WorkerStart(5)
-		nw.park(p, box)
-		nw.WorkerDone(4) // leaves 5 alone and parked: chosen
-		nw.unpark(p, box, false, true)
+		nw.WorkerDone(4)
+		if _, ok := p.wait(q, false); ok { // 5 alone parks: chosen at once
+			t.Fatal("a message arrived on an idle link")
+		}
 		nw.WorkerDone(5)
 	})
 	if allocs != 0 {

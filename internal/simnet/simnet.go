@@ -15,7 +15,8 @@
 //  4. the absence of a message is detectable — once every live worker
 //     is blocked at a receive and nothing can arrive for any of them,
 //     Recv surfaces ErrAbsent to the one with the least (blocked clock,
-//     id) (see Network.WorkerStart); a wall-clock watchdog backs it up.
+//     id), by the census tcpnet shares (transport.Core.WorkerStart); a
+//     wall-clock watchdog backs it up.
 //
 // Time is virtual: every endpoint owns a deterministic tick clock, kept
 // by the transport.Port it embeds. Sending charges the sender,
@@ -71,38 +72,6 @@ var ErrAbsent = fmt.Errorf("simnet: expected message absent: %w", transport.ErrA
 // than a load condition.
 var ErrLinkBackpressure = errors.New("simnet: link queue full")
 
-// linkQueueDepth is the modelled per-link hardware queue. The bitonic
-// protocols keep at most a few messages in flight per link per
-// exchange, so this depth makes sends non-blocking while still
-// surfacing runaway senders via ErrLinkBackpressure. (The usual "size
-// one or none" channel guidance is intentionally relaxed here: the
-// queue depth is the modelled quantity.)
-const linkQueueDepth = 32
-
-// packet is a message in flight with its virtual arrival time. pooled
-// marks buffers owned by the network's free lists: the receiver
-// recycles them at its next receive or when it retires. Fault-path
-// deliveries are never pooled, since interceptors may retain or alias
-// the buffer. absent marks the absence rule's verdict instead of a
-// message: the one worker it is handed to reports ErrAbsent.
-type packet struct {
-	raw     []byte
-	arrival Ticks
-	pooled  bool
-	absent  bool
-}
-
-// mailbox is one delivery queue and the counts the absence rule
-// compares: delivered, counted by a sender after queueing, and taken,
-// counted by the receiver (under Network.census when it leaves the
-// census). Once every sender has stopped, the two differ exactly while
-// a message is queued or in the hands of a receiver still parked.
-type mailbox struct {
-	ch        chan packet
-	delivered atomic.Uint64
-	taken     uint64
-}
-
 // LinkFault intercepts traffic on one directed link. Apply receives
 // the encoded message and returns the list of raw messages actually
 // delivered: return nil to drop, a modified buffer to corrupt, or
@@ -153,22 +122,14 @@ type Config struct {
 	Sched Scheduler
 }
 
-// Network is one simulated multicomputer instance: the links, the host
-// mailboxes, and any installed link faults, around the core it shares
-// with tcpnet (cube, cost model, traffic counters, observability
-// sinks). Create one with New. A free-running network is reusable
-// across runs via Reset (controlled-scheduler networks are single-run:
-// their coordinator state is not rewindable).
+// Network is one simulated multicomputer instance: the frame buffers
+// and any installed link faults, around the core it shares with tcpnet
+// (cube, cost model, mailboxes, worker census, traffic counters,
+// observability sinks). Create one with New. A free-running network is
+// reusable across runs via Reset (controlled-scheduler networks are
+// single-run: their coordinator state is not rewindable).
 type Network struct {
 	transport.Core
-
-	// links[node][bit] is the inbound queue at node for messages from
-	// its partner across dimension bit.
-	links [][]mailbox
-	// hostIn is the host's inbound mailbox (any node -> host).
-	hostIn mailbox
-	// hostOut[node] is node's inbound mailbox for host messages.
-	hostOut []mailbox
 
 	mu     sync.RWMutex
 	faults map[[2]int][]LinkFault // key: {from, to}
@@ -188,12 +149,6 @@ type Network struct {
 	// across runs (Endpoint and Host re-arm them).
 	eps  []Endpoint
 	host Host
-
-	// census guards the free-running worker census and each proc's
-	// entry in it: live counts the declared workers not yet retired,
-	// parked those waiting at an empty queue and not yet chosen.
-	census       sync.Mutex
-	live, parked int
 
 	// ctrl is non-nil iff the network runs under a controlled
 	// scheduler; every delivery then routes through it instead of the
@@ -279,26 +234,16 @@ func (p *proc) release() {
 // New constructs a network for the given configuration.
 func New(cfg Config) (*Network, error) {
 	net := &Network{faults: make(map[[2]int][]LinkFault)}
-	if err := net.Init("simnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight); err != nil {
+	if err := net.Init("simnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight, nil); err != nil {
 		return nil, err
 	}
-	topo, n := net.Topology(), net.Topology().Nodes()
-	net.links = make([][]mailbox, n)
-	net.hostIn.ch = make(chan packet, 4*n+16)
-	net.hostOut = make([]mailbox, n+net.Spares())
+	n := net.Topology().Nodes()
 	net.freeCap = 4*n + 16
-	for id := 0; id < n; id++ {
-		net.links[id] = make([]mailbox, topo.Dim())
-		for b := range net.links[id] {
-			net.links[id][b].ch = make(chan packet, linkQueueDepth)
-		}
-	}
 	// Spares share the reliable host interface (that is how they would
 	// be loaded and activated) but have no cube links until a remap
 	// promotes one into the cube proper.
 	net.eps = make([]Endpoint, n+net.Spares())
-	for id := range net.hostOut {
-		net.hostOut[id].ch = make(chan packet, linkQueueDepth)
+	for id := range net.eps {
 		net.eps[id].net = net
 	}
 	net.host.net = net
@@ -308,63 +253,28 @@ func New(cfg Config) (*Network, error) {
 	return net, nil
 }
 
-// Reset readies a quiescent free-running network for another run: the
-// worker census is emptied, all link and host mailboxes are drained
-// (pooled buffers returned to the free list), installed link faults
-// are removed, and the core's traffic counters are zeroed and its
-// observability sinks rebound (transport.Core.Reset). Must only be
-// called between runs, when no endpoint or host goroutine is live.
-// Controlled networks refuse: their coordinator state is not
-// rewindable.
+// Reset readies a free-running network for another run: installed
+// link faults are removed, and the core empties the worker census,
+// drains every mailbox (pooled buffers back to the free lists), zeroes
+// the traffic counters and rebinds the observability sinks
+// (transport.Core.Reset). Call it only between runs, once every worker
+// has returned. Controlled networks refuse: their coordinator state is
+// not rewindable.
 func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
 	if nw.ctrl != nil {
 		return errors.New("simnet: controlled-scheduler networks are single-run")
 	}
-	nw.census.Lock()
-	for id := hostWorker; id < len(nw.eps); id++ {
-		p := nw.proc(id)
-		p.phase, p.waitBox = wIdle, nil
-	}
-	nw.live, nw.parked = 0, 0
-	nw.census.Unlock()
-	for i := range nw.links {
-		for b := range nw.links[i] {
-			nw.drainPackets(&nw.links[i][b])
-		}
-	}
-	for i := range nw.hostOut {
-		nw.drainPackets(&nw.hostOut[i])
-	}
-	nw.drainPackets(&nw.hostIn)
 	nw.mu.Lock()
 	clear(nw.faults)
 	nw.mu.Unlock()
 	nw.faultCount.Store(0)
-	nw.Core.Reset(obsM, flight)
-	return nil
+	return nw.Core.Reset(obsM, flight, nw.putBuf)
 }
 
 // Close implements transport.Network. A simnet network holds only
 // memory, which the garbage collector reclaims, so there is nothing to
 // release.
 func (nw *Network) Close() {}
-
-// drainPackets empties a mailbox without blocking, recycling pooled
-// buffers, and zeroes its counts.
-func (nw *Network) drainPackets(box *mailbox) {
-	for {
-		select {
-		case pkt := <-box.ch:
-			if pkt.pooled {
-				nw.putBuf(pkt.raw)
-			}
-		default:
-			box.delivered.Store(0)
-			box.taken = 0
-			return
-		}
-	}
-}
 
 // InstallLinkFault attaches a fault interceptor to the directed link
 // from -> to. Multiple faults compose in installation order. Host
@@ -407,21 +317,21 @@ func (nw *Network) intercept(from int, q QueueID, raw []byte) [][]byte {
 var hostInbox = QueueID{Kind: QHostIn, Node: hostWorker}
 
 // queue returns the mailbox behind a delivery queue.
-func (nw *Network) queue(q QueueID) *mailbox {
+func (nw *Network) queue(q QueueID) *transport.Mailbox {
 	switch q.Kind {
 	case QLink:
-		return &nw.links[q.Node][q.Bit]
+		return nw.Link(q.Node, q.Bit)
 	case QHostIn:
-		return &nw.hostIn
+		return nw.HostIn()
 	default:
-		return &nw.hostOut[q.Node]
+		return nw.HostOut(q.Node)
 	}
 }
 
 // proc is what a simnet Endpoint and Host share, kept per label across
-// runs: the port that keeps the processor's virtual clock, the receive
-// state, and the processor's census entry. Apart from the census entry
-// it is confined to its processor's goroutine.
+// runs: the port that keeps the processor's virtual clock, and the
+// buffer its last message aliases. It is confined to its processor's
+// goroutine.
 type proc struct {
 	transport.Port
 	net *Network
@@ -429,15 +339,6 @@ type proc struct {
 	// which its zero-copy Payload aliases. It goes back to the free
 	// lists at the next receive or when the processor retires.
 	held []byte
-	// timer is the receive watchdog. It is only ever Reset after a
-	// clean Stop or after its tick was consumed, which is safe under
-	// both pre- and post-1.23 timer semantics.
-	timer *time.Timer
-	// The census entry: the worker's phase and, while it is parked or
-	// chosen, the mailbox it waits on and its clock when it parked.
-	phase      wphase
-	waitBox    *mailbox
-	blockClock Ticks
 }
 
 // send frames m at the port and queues it on q: a cube link, the host
@@ -460,24 +361,18 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 	box := nw.queue(q)
 	if q.Kind != QLink || nw.faultCount.Load() == 0 {
 		// Lock-free fast path: no fault can touch the frame, so skip
-		// the fault table and keep the buffer pooled. The delivery is
-		// counted after it is queued (see mailbox).
-		select {
-		case box.ch <- packet{raw: raw, arrival: arrival, pooled: true}:
-			box.delivered.Add(1)
+		// the fault table and keep the buffer pooled. Offer counts the
+		// delivery after it queues it (see transport.Mailbox).
+		if box.Offer(transport.Packet{Raw: raw, Arrival: arrival, Pooled: true}) {
 			return nil
-		default:
-			nw.putBuf(raw)
-			return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
 		}
+		nw.putBuf(raw)
+		return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
 	}
 	// Fault path: interceptors may retain, alias, or split the buffer,
 	// so deliveries leave the pool for good.
 	for _, d := range nw.intercept(p.ID(), q, raw) {
-		select {
-		case box.ch <- packet{raw: d, arrival: arrival}:
-			box.delivered.Add(1)
-		default:
+		if !box.Offer(transport.Packet{Raw: d, Arrival: arrival}) {
 			return fmt.Errorf("simnet: %d -> %v: %w", p.ID(), q, ErrLinkBackpressure)
 		}
 	}
@@ -487,144 +382,23 @@ func (p *proc) send(q QueueID, m *wire.Message) error {
 // wait takes the next packet from queue q, first recycling the buffer
 // behind the previous delivery, which is what bounds the validity of a
 // zero-copy Payload. Under a controlled scheduler the coordinator hands
-// the packet over; free-running it comes off the channel, and only a
-// receive that finds nothing queued blocks (block). A poll never
-// waits. ok is false when no packet came: the message is absent, or a
-// poll found the queue empty.
-func (p *proc) wait(q QueueID, poll bool) (pkt packet, ok bool) {
+// the packet over; free-running it waits through the census
+// (transport.Port.Wait). ok is false when no packet came: the message
+// is absent, or a poll found the queue empty.
+func (p *proc) wait(q QueueID, poll bool) (transport.Packet, bool) {
 	nw := p.net
 	p.release()
 	if nw.ctrl != nil {
 		res := nw.ctrl.block(p.ID(), q, poll, p.Clock())
-		return packet{raw: res.pkt.raw, arrival: res.pkt.arrival}, res.ok
+		return transport.Packet{Raw: res.pkt.raw, Arrival: res.pkt.arrival}, res.ok
 	}
-	box := nw.queue(q)
-	select {
-	case pkt = <-box.ch:
-		box.taken++
-	default:
-		if poll {
-			return packet{}, false
-		}
-		if pkt, ok = p.block(box); !ok {
-			return packet{}, false
-		}
-	}
+	pkt, ok := p.Wait(nw.queue(q), poll)
 	// A pooled buffer is recycled at the next receive, so the zero-copy
 	// Payload of the message it carries stays valid until then.
-	if pkt.pooled {
-		p.held = pkt.raw
+	if ok && pkt.Pooled {
+		p.held = pkt.Raw
 	}
-	return pkt, true
-}
-
-// block waits on box after a receive found it empty, the receive
-// timer armed as a watchdog: the only absence detector for a receiver
-// no harness declared. A declared worker waits parked (park).
-func (p *proc) block(box *mailbox) (packet, bool) {
-	nw := p.net
-	nw.park(p, box)
-	if p.timer == nil {
-		p.timer = time.NewTimer(nw.RecvTimeout())
-	} else {
-		p.timer.Reset(nw.RecvTimeout())
-	}
-	select {
-	case pkt := <-box.ch:
-		if !p.timer.Stop() {
-			// The timer fired meanwhile and its tick may still be in
-			// flight: retire it rather than risk a stale tick on reuse.
-			p.timer = nil
-		}
-		nw.unpark(p, box, !pkt.absent, false)
-		return pkt, !pkt.absent
-	case <-p.timer.C:
-		nw.unpark(p, box, false, true)
-		return packet{}, false
-	}
-}
-
-// park enters a declared worker in the census as blocked on box. A
-// message that arrived since the receive found box empty counts as
-// delivered and not taken, so the rule sees the worker as about to run.
-func (nw *Network) park(p *proc, box *mailbox) {
-	nw.census.Lock()
-	defer nw.census.Unlock()
-	if p.phase != wRunning {
-		return
-	}
-	p.phase, p.waitBox, p.blockClock = wParked, box, p.Clock()
-	nw.parked++
-	nw.settle()
-}
-
-// unpark ends a wait on box: it counts the message taken, if any, and
-// returns a declared worker to running. A worker the rule chose left
-// the parked count then; if its watchdog expired first, its verdict
-// still heads its queue and is taken here, not by its next receive.
-func (nw *Network) unpark(p *proc, box *mailbox, took, expired bool) {
-	nw.census.Lock()
-	defer nw.census.Unlock()
-	if took {
-		box.taken++
-	}
-	switch p.phase {
-	case wParked:
-		nw.parked--
-	case wChosen:
-		if expired {
-			<-box.ch // never blocks: settle queued the verdict under this lock
-		}
-	default:
-		return
-	}
-	p.phase, p.waitBox = wRunning, nil
-}
-
-// settle applies the absence rule. Once every live worker is parked
-// and each queue they wait on has had as many messages taken as
-// delivered, nothing can arrive for any of them: every sender is
-// parked or retired and counted its sends before. The worker absentee
-// picks is then handed the verdict on its queue. Comparing counts, not
-// queue lengths, keeps a worker that has taken its message but not yet
-// unparked from looking blocked. Callers hold nw.census.
-func (nw *Network) settle() {
-	if nw.parked == 0 || nw.parked < nw.live {
-		return
-	}
-	for id := hostWorker; id < len(nw.eps); id++ {
-		if p := nw.proc(id); p.phase == wParked && p.waitBox.delivered.Load() != p.waitBox.taken {
-			return // that message wakes its receiver
-		}
-	}
-	first := absentee(len(nw.eps)+1, func(i int) (Ticks, int, bool) {
-		p := nw.proc(i + hostWorker)
-		return p.blockClock, i + hostWorker, p.phase == wParked
-	})
-	p := nw.proc(first + hostWorker)
-	select {
-	case p.waitBox.ch <- packet{absent: true}:
-		p.phase = wChosen
-		nw.parked--
-	default: // unreachable: all p's messages were taken, so its queue is empty
-	}
-}
-
-// absentee is the absence rule both regimes share: when nothing can
-// arrive for any parked worker, the one with the least (blocked clock,
-// id) is told its message is absent, the virtual-time analogue of "the
-// timer armed first expires first". parked reports candidate i's
-// blocked clock and id and whether it is parked; absentee returns the
-// chosen index, -1 if none is.
-func absentee(n int, parked func(i int) (clock Ticks, id int, ok bool)) int {
-	first, firstClock, firstID := -1, Ticks(0), 0
-	for i := 0; i < n; i++ {
-		clock, id, ok := parked(i)
-		if ok && (first < 0 || clock < firstClock || clock == firstClock && id < firstID) {
-			first, firstClock, firstID = i, clock, id
-		}
-	}
-	return first
+	return pkt, ok
 }
 
 // Endpoint is a node's handle on the network. Its port owns the node's
@@ -679,7 +453,7 @@ func (e *Endpoint) Recv(bit int) (wire.Message, error) {
 		return wire.Message{}, err
 	}
 	if pkt, ok := e.wait(QueueID{Kind: QLink, Node: e.ID(), Bit: bit}, false); ok {
-		return e.Accept(pkt.raw, pkt.arrival)
+		return e.Accept(pkt.Raw, pkt.Arrival)
 	}
 	return wire.Message{}, fmt.Errorf("simnet: node %d waiting on link from %d: %w", e.ID(), partner, ErrAbsent)
 }
@@ -692,7 +466,7 @@ func (e *Endpoint) SendHost(m wire.Message) error { return e.send(hostInbox, &m)
 // returned Payload is valid only until the endpoint's next receive.
 func (e *Endpoint) RecvHost() (wire.Message, error) {
 	if pkt, ok := e.wait(QueueID{Kind: QHostOut, Node: e.ID()}, false); ok {
-		return e.Accept(pkt.raw, pkt.arrival)
+		return e.Accept(pkt.Raw, pkt.Arrival)
 	}
 	return wire.Message{}, fmt.Errorf("simnet: node %d waiting on host: %w", e.ID(), ErrAbsent)
 }
@@ -721,7 +495,7 @@ func (h *Host) Send(node int, m wire.Message) error {
 // Payload is valid only until the host's next receive.
 func (h *Host) Recv() (wire.Message, error) {
 	if pkt, ok := h.wait(hostInbox, false); ok {
-		return h.Accept(pkt.raw, pkt.arrival)
+		return h.Accept(pkt.Raw, pkt.Arrival)
 	}
 	return wire.Message{}, fmt.Errorf("simnet: host: %w", ErrAbsent)
 }
@@ -734,6 +508,6 @@ func (h *Host) TryRecv() (wire.Message, bool, error) {
 	if !ok {
 		return wire.Message{}, false, nil
 	}
-	m, err := h.Accept(pkt.raw, pkt.arrival)
+	m, err := h.Accept(pkt.Raw, pkt.Arrival)
 	return m, err == nil, err
 }

@@ -23,13 +23,9 @@ func TestBlocksortChaosOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Short timeout: once honest nodes fail-stop, their partners wait
-	// out the absence timeout, so a long one only slows the test.
-	nw, err := New(Config{Dim: dim, RecvTimeout: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
+	// Once honest nodes fail-stop, their partners are told of the
+	// absence at quiescence, not by the watchdog.
+	nw := newNet(t, dim)
 
 	n := 1 << dim
 	keys := make([]int64, 0, 4*n)
@@ -67,7 +63,6 @@ func TestSpareSubstitutionOverTCP(t *testing.T) {
 
 	opts := reliablesort.Options{
 		Dim:         dim,
-		RecvTimeout: 400 * time.Millisecond,
 		MaxAttempts: 6,
 		Spares:      1,
 		Inject: fault.Follow(fault.Set{{Msg: &fault.Spec{Node: faulty, Strategy: fault.KeyLie,

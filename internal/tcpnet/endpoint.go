@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"time"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -22,8 +21,10 @@ type proc struct {
 }
 
 // send frames m at the port for label to and writes the frame to c:
-// the header (payload length, arrival tick) and then the message.
-func (p *proc) send(c net.Conn, to int, m *wire.Message) error {
+// the header (payload length, arrival tick) and then the message. Once
+// the write returns it counts the frame delivered to box, the mailbox
+// the reader at c's far end feeds.
+func (p *proc) send(c net.Conn, box *transport.Mailbox, to int, m *wire.Message) error {
 	var hdr [frameHeader]byte
 	raw, arrival, err := p.Frame(append(p.buf[:0], hdr[:]...), to, m)
 	if err != nil {
@@ -33,24 +34,11 @@ func (p *proc) send(c net.Conn, to int, m *wire.Message) error {
 	binary.LittleEndian.PutUint32(raw, uint32(len(raw)-frameHeader))
 	binary.LittleEndian.PutUint64(raw[4:], uint64(arrival))
 	if _, err := c.Write(raw); err != nil {
+		p.net.broken.Store(true)
 		return fmt.Errorf("tcpnet: %d -> %d: %w", p.ID(), to, err)
 	}
+	box.Written()
 	return nil
-}
-
-// await pops the next packet from an inbox, bounded by the configured
-// wall-clock timeout and the network lifetime.
-func (nw *Network) await(inbox chan packet) (packet, error) {
-	timer := time.NewTimer(nw.RecvTimeout())
-	defer timer.Stop()
-	select {
-	case pkt := <-inbox:
-		return pkt, nil
-	case <-nw.closed:
-		return packet{}, ErrClosed
-	case <-timer.C:
-		return packet{}, ErrAbsent
-	}
 }
 
 // Endpoint is a node's handle on the TCP mesh. Goroutine-confined,
@@ -65,37 +53,39 @@ func (e *Endpoint) Send(bit int, m wire.Message) error {
 	if err != nil {
 		return err
 	}
-	return e.send(e.net.nodeConns[e.ID()][bit], partner, &m)
+	return e.send(e.net.nodeConns[e.ID()][bit], e.net.Link(partner, bit), partner, &m)
 }
 
 // Recv blocks for the next message from the partner across the given
-// dimension bit, advancing the virtual clock to its arrival. The
-// reader goroutine allocated the frame for this message alone, so the
-// zero-copy Payload stays valid.
+// dimension bit, advancing the virtual clock to its arrival. It waits
+// through the census (transport.Port.Wait), so it returns ErrAbsent
+// once the absence rule picks it, and ErrClosed once the network
+// closes. The reader goroutine allocated the frame for this message
+// alone, so the zero-copy Payload stays valid.
 func (e *Endpoint) Recv(bit int) (wire.Message, error) {
 	partner, err := e.Partner(bit)
 	if err != nil {
 		return wire.Message{}, err
 	}
-	pkt, err := e.net.await(e.net.inboxes[e.ID()][bit])
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on link from %d: %w", e.ID(), partner, err)
+	pkt, ok := e.Wait(e.net.Link(e.ID(), bit), false)
+	if !ok {
+		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on link from %d: %w", e.ID(), partner, e.net.absence())
 	}
-	return e.Accept(pkt.raw, pkt.arrival)
+	return e.Accept(pkt.Raw, pkt.Arrival)
 }
 
 // SendHost transmits to the host over the node's host connection.
 func (e *Endpoint) SendHost(m wire.Message) error {
-	return e.send(e.net.nodeHostWrite[e.ID()], int(wire.HostID), &m)
+	return e.send(e.net.nodeHostWrite[e.ID()], e.net.HostIn(), int(wire.HostID), &m)
 }
 
 // RecvHost blocks for the next message from the host.
 func (e *Endpoint) RecvHost() (wire.Message, error) {
-	pkt, err := e.net.await(e.net.nodeHostInbox[e.ID()])
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on host: %w", e.ID(), err)
+	pkt, ok := e.Wait(e.net.HostOut(e.ID()), false)
+	if !ok {
+		return wire.Message{}, fmt.Errorf("tcpnet: node %d waiting on host: %w", e.ID(), e.net.absence())
 	}
-	return e.Accept(pkt.raw, pkt.arrival)
+	return e.Accept(pkt.Raw, pkt.Arrival)
 }
 
 // Host is the reliable host processor's handle on the TCP mesh.
@@ -106,26 +96,27 @@ func (h *Host) Send(node int, m wire.Message) error {
 	if err := h.net.CheckNode(node); err != nil {
 		return err
 	}
-	return h.send(h.net.hostConns[node], node, &m)
+	return h.send(h.net.hostConns[node], h.net.HostOut(node), node, &m)
 }
 
 // Recv blocks for the next message from any node.
 func (h *Host) Recv() (wire.Message, error) {
-	pkt, err := h.net.await(h.net.hostInbox)
-	if err != nil {
-		return wire.Message{}, fmt.Errorf("tcpnet: host: %w", err)
+	pkt, ok := h.Wait(h.net.HostIn(), false)
+	if !ok {
+		return wire.Message{}, fmt.Errorf("tcpnet: host: %w", h.net.absence())
 	}
-	return h.Accept(pkt.raw, pkt.arrival)
+	return h.Accept(pkt.Raw, pkt.Arrival)
 }
 
-// TryRecv returns a pending host message without waiting for the full
-// absence timeout.
+// TryRecv returns the next host message without waiting for one that
+// no node has written: it waits only while a frame a node has written
+// is still in its socket, so a drain after the nodes return takes every
+// ERROR signal they sent.
 func (h *Host) TryRecv() (wire.Message, bool, error) {
-	select {
-	case pkt := <-h.net.hostInbox:
-		m, err := h.Accept(pkt.raw, pkt.arrival)
-		return m, err == nil, err
-	default:
+	pkt, ok := h.Wait(h.net.HostIn(), true)
+	if !ok {
 		return wire.Message{}, false, nil
 	}
+	m, err := h.Accept(pkt.Raw, pkt.Arrival)
+	return m, err == nil, err
 }

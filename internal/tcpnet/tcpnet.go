@@ -1,7 +1,7 @@
 // Package tcpnet implements the transport abstraction over real TCP
 // connections (stdlib net): every hypercube link is a loopback TCP
 // connection, every message crosses a genuine socket, and a reader
-// goroutine per connection feeds per-dimension inboxes.
+// goroutine per connection feeds the receiver's mailbox.
 //
 // The virtual-time accounting is shared with internal/simnet: both
 // networks embed transport.Core, and their endpoints and host embed
@@ -12,6 +12,13 @@
 // equivalence tests). This demonstrates that the algorithms and the
 // paper's measured quantities are independent of the in-process
 // simulation.
+//
+// Absence is decided as on simnet, by the census in transport.Core: a
+// sender counts a frame delivered once its socket write returns, so
+// once every declared worker waits and no counted frame is still on
+// its way to any of them, the rule tells one its message is absent. A
+// frame in a socket is therefore never mistaken for a missing one, and
+// the receive timeout is only a watchdog.
 package tcpnet
 
 import (
@@ -21,6 +28,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -36,17 +44,14 @@ var (
 	_ transport.Host     = (*Host)(nil)
 )
 
-// ErrAbsent mirrors simnet.ErrAbsent: an expected message did not
-// arrive within the timeout. It wraps transport.ErrAbsent so callers
-// can classify timeouts independently of the network implementation.
+// ErrAbsent mirrors simnet.ErrAbsent: an expected message can no
+// longer arrive, or the receive's watchdog expired. It wraps
+// transport.ErrAbsent so callers can classify absence independently of
+// the network implementation.
 var ErrAbsent = fmt.Errorf("tcpnet: expected message absent: %w", transport.ErrAbsent)
 
 // ErrClosed is returned when the network has been shut down.
 var ErrClosed = errors.New("tcpnet: network closed")
-
-// inboxDepth bounds each per-dimension inbox; the TCP connection
-// itself provides backpressure once an inbox fills.
-const inboxDepth = 32
 
 // Config parameterizes a Network.
 type Config struct {
@@ -55,8 +60,12 @@ type Config struct {
 	// Cost is the virtual-time cost model; zero value means
 	// transport.DefaultCostModel.
 	Cost transport.CostModel
-	// RecvTimeout bounds how long a Recv waits in wall-clock time.
-	// Zero means 2 seconds.
+	// RecvTimeout bounds how long a Recv waits in wall-clock time
+	// before declaring the message absent. Zero means 2 seconds. It is
+	// a watchdog, as on simnet: absence is decided at quiescence for
+	// every worker a harness declared (transport.Core.WorkerStart), and
+	// the timer decides it only for a receiver no harness declared or
+	// for a frame lost with a failed socket.
 	RecvTimeout time.Duration
 	// Spares is the number of spare nodes pre-registered beyond the
 	// cube: physical labels 2^Dim .. 2^Dim+Spares-1 get endpoints and
@@ -75,19 +84,13 @@ type Config struct {
 	Flight *forensic.Flight
 }
 
-// packet is a received frame with its virtual arrival time.
-type packet struct {
-	raw     []byte
-	arrival transport.Ticks
-}
-
 // Network is one TCP-backed multicomputer instance. Create with New,
 // release with Close. A completed run leaves the connections and
 // reader goroutines intact, so the mesh is reusable: call Reset
-// between runs to drain stale mailboxes, zero the per-run traffic
-// counters, and rebind the observability sinks. The transport pool in
-// internal/server leans on exactly this to amortize socket setup
-// across jobs.
+// between runs to drain what the last run wrote, zero the per-run
+// traffic counters, and rebind the observability sinks. The transport
+// pool in internal/server leans on exactly this to amortize socket
+// setup across jobs.
 type Network struct {
 	transport.Core
 
@@ -98,13 +101,10 @@ type Network struct {
 	nodeHostWrite []net.Conn
 	hostConns     []net.Conn
 
-	// inboxes[id][bit] receives frames from the partner across bit;
-	// hostInbox receives node->host frames; nodeHostInbox[id] receives
-	// host->node frames.
-	inboxes       [][]chan packet
-	hostInbox     chan packet
-	nodeHostInbox []chan packet
-
+	// broken records a socket failure: a write error, or a reader that
+	// stopped before Close. A frame may then be lost or half-sent, so
+	// Reset refuses the network.
+	broken    atomic.Bool
 	closeOnce sync.Once
 	closed    chan struct{}
 	readers   sync.WaitGroup
@@ -116,7 +116,7 @@ type Network struct {
 // error.
 func New(cfg Config) (_ *Network, err error) {
 	nw := &Network{closed: make(chan struct{})}
-	if err := nw.Init("tcpnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight); err != nil {
+	if err := nw.Init("tcpnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight, nw.closed); err != nil {
 		return nil, err
 	}
 	topo := nw.Topology()
@@ -124,9 +124,6 @@ func New(cfg Config) (_ *Network, err error) {
 	nw.nodeConns = make([][]net.Conn, n)
 	nw.nodeHostWrite = make([]net.Conn, hosted)
 	nw.hostConns = make([]net.Conn, hosted)
-	nw.inboxes = make([][]chan packet, n)
-	nw.hostInbox = make(chan packet, 4*n+16)
-	nw.nodeHostInbox = make([]chan packet, hosted)
 	// nw is not a named result, so a return below cannot overwrite it
 	// before this deferred Close runs.
 	defer func() {
@@ -136,10 +133,6 @@ func New(cfg Config) (_ *Network, err error) {
 	}()
 	for id := 0; id < n; id++ {
 		nw.nodeConns[id] = make([]net.Conn, topo.Dim())
-		nw.inboxes[id] = make([]chan packet, topo.Dim())
-		for b := 0; b < topo.Dim(); b++ {
-			nw.inboxes[id][b] = make(chan packet, inboxDepth)
-		}
 	}
 
 	// Node-to-node links: one TCP connection per undirected edge.
@@ -158,15 +151,14 @@ func New(cfg Config) (_ *Network, err error) {
 			}
 			nw.nodeConns[id][b] = c1
 			nw.nodeConns[partner][b] = c2
-			nw.startReader(c1, nw.inboxes[id][b])
-			nw.startReader(c2, nw.inboxes[partner][b])
+			nw.startReader(c1, nw.Link(id, b))
+			nw.startReader(c2, nw.Link(partner, b))
 		}
 	}
 	// Host links — spares included: a spare's host socket is dialed
 	// now, so activating one later is a relabeling, not a connection
 	// setup.
 	for id := 0; id < hosted; id++ {
-		nw.nodeHostInbox[id] = make(chan packet, inboxDepth)
 		c1, c2, cerr := loopbackPair()
 		if cerr != nil {
 			return nil, fmt.Errorf("tcpnet: host link %d: %w", id, cerr)
@@ -174,8 +166,8 @@ func New(cfg Config) (_ *Network, err error) {
 		// c1 is the node side, c2 the host side.
 		nw.nodeHostWrite[id] = c1
 		nw.hostConns[id] = c2
-		nw.startReader(c1, nw.nodeHostInbox[id])
-		nw.startReader(c2, nw.hostInbox)
+		nw.startReader(c1, nw.HostOut(id))
+		nw.startReader(c2, nw.HostIn())
 	}
 	return nw, nil
 }
@@ -216,80 +208,81 @@ const frameHeader = 4 + 8
 // allocation.
 const maxFrame = wire.MaxPayload + 64
 
-// startReader pumps frames from the connection into the inbox until
-// the connection or network closes.
-func (nw *Network) startReader(c net.Conn, inbox chan packet) {
+// startReader pumps frames from the connection into the mailbox until
+// the connection or network closes. A reader that stops before Close
+// marks the network broken.
+func (nw *Network) startReader(c net.Conn, box *transport.Mailbox) {
 	nw.readers.Add(1)
 	go func() {
 		defer nw.readers.Done()
 		hdr := make([]byte, frameHeader)
 		for {
 			if _, err := io.ReadFull(c, hdr); err != nil {
-				return
+				break
 			}
 			n := binary.LittleEndian.Uint32(hdr)
 			if n > maxFrame {
-				return
+				break
 			}
 			arrival := transport.Ticks(binary.LittleEndian.Uint64(hdr[4:]))
 			raw := make([]byte, n)
 			if _, err := io.ReadFull(c, raw); err != nil {
+				break
+			}
+			if !box.Put(transport.Packet{Raw: raw, Arrival: arrival}, nw.closed) {
 				return
 			}
-			select {
-			case inbox <- packet{raw: raw, arrival: arrival}:
-			case <-nw.closed:
-				return
-			}
+		}
+		if !nw.isClosed() {
+			nw.broken.Store(true)
 		}
 	}()
 }
 
-// Reset readies a quiescent network for another run: every inbox is
-// drained of stale frames, and the core's traffic counters are zeroed
-// and its observability sinks rebound (transport.Core.Reset). The TCP
-// connections and their reader goroutines are untouched — that is the
-// point: a reused mesh skips the whole socket-setup cost of New.
-//
-// Reset must only be called between runs (no endpoint or host is
-// live), and only after a run that terminated cleanly: a run that
-// fail-stopped may still have frames crossing sockets, which a drain
-// cannot bound. Callers that cannot prove quiescence should Close and
-// rebuild instead — internal/server's pool does exactly that for
-// fault-stricken networks.
-func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
+// isClosed reports whether Close has begun.
+func (nw *Network) isClosed() bool {
 	select {
 	case <-nw.closed:
-		return ErrClosed
+		return true
 	default:
-	}
-	for _, inboxes := range nw.inboxes {
-		for _, inbox := range inboxes {
-			drainPackets(inbox)
-		}
-	}
-	for _, inbox := range nw.nodeHostInbox {
-		drainPackets(inbox)
-	}
-	drainPackets(nw.hostInbox)
-	nw.Core.Reset(obsM, flight)
-	return nil
-}
-
-// drainPackets empties an inbox without blocking.
-func drainPackets(ch chan packet) {
-	for {
-		select {
-		case <-ch:
-		default:
-			return
-		}
+		return false
 	}
 }
 
-// Close shuts the network down: all connections are closed and reader
-// goroutines drained. Safe to call multiple times, and on a network
-// New left half-built.
+// absence is why a receive ended without a message: the network
+// closed, or the message is absent.
+func (nw *Network) absence() error {
+	if nw.isClosed() {
+		return ErrClosed
+	}
+	return ErrAbsent
+}
+
+// Reset readies the network for another run, as simnet's does: the
+// core empties the worker census, drains every mailbox until it has
+// taken each frame the last run wrote to it, zeroes the traffic
+// counters and rebinds the observability sinks (transport.Core.Reset).
+// The TCP connections and their reader goroutines are untouched — that
+// is the point: a reused mesh skips the whole socket-setup cost of New.
+//
+// Call it only between runs, once every worker has returned, so that
+// every sender has counted what it wrote. Reset refuses a closed
+// network, one whose socket failed (a lost or half-written frame
+// cannot be drained), and one whose drain outlives the receive
+// watchdog; internal/server's pool then closes it and builds another.
+func (nw *Network) Reset(obsM *obs.Metrics, flight *forensic.Flight) error {
+	if nw.isClosed() {
+		return ErrClosed
+	}
+	if nw.broken.Load() {
+		return errors.New("tcpnet: reset: a socket failed")
+	}
+	return nw.Core.Reset(obsM, flight, nil)
+}
+
+// Close shuts the network down: every wait ends, all connections are
+// closed and reader goroutines drained. Safe to call multiple times,
+// and on a network New left half-built.
 func (nw *Network) Close() {
 	nw.closeOnce.Do(func() {
 		close(nw.closed)
@@ -313,14 +306,6 @@ func (nw *Network) Close() {
 		nw.readers.Wait()
 	})
 }
-
-// WorkerStart and WorkerDone implement transport.WorkerControl as
-// no-ops. Absence at quiescence needs to know that nothing is on its
-// way to a blocked receiver, and tcpnet cannot see the frames in
-// flight in its sockets, so it detects every absence by the receive
-// timeout.
-func (nw *Network) WorkerStart(int) {}
-func (nw *Network) WorkerDone(int)  {}
 
 // Endpoint returns node id's endpoint. Call once per node before
 // starting its goroutine. Spare labels (beyond the cube, when

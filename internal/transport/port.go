@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 
 // Core is the state a network shares with every port it hands out: the
 // cube, the cost model, the receive timeout, the spare inventory, the
-// per-kind traffic counters and the observability sinks. Both network
-// implementations embed one.
+// mailboxes and the worker census, the per-kind traffic counters and
+// the observability sinks. Both network implementations embed one.
 type Core struct {
 	// name prefixes errors: "simnet" or "tcpnet".
 	name        string
@@ -31,16 +32,40 @@ type Core struct {
 	bytes  [8]atomic.Int64
 	obsM   *obs.Metrics
 	flight *forensic.Flight
+
+	// links[id][bit] is node id's mailbox for frames from its partner
+	// across bit; labels holds each processor's host-link mailbox and
+	// census entry, the host's first (see Core.worker).
+	links  [][]Mailbox
+	labels []label
+	// census guards the worker census: live counts the declared
+	// workers not yet retired, parked those waiting at an empty mailbox
+	// and not yet chosen.
+	census       sync.Mutex
+	live, parked int
+	// done ends every wait once it closes: tcpnet's Close closes it;
+	// nil (simnet) never does.
+	done <-chan struct{}
+}
+
+// label is one processor's host-link mailbox and census entry. The
+// host's mailbox takes every node's frames, a node's (a spare's too)
+// the host's.
+type label struct {
+	box Mailbox
+	w   worker
 }
 
 // Init sets up the core of a network named name over a cube of the
 // given dimension, applying the defaults both networks share: a zero
 // cost model means DefaultCostModel, a zero receive timeout 2 seconds
-// and negative spares zero; obsM and flight are bound as by Reset. A
-// network embeds its Core by value, so the core costs no allocation of
-// its own, and calls Init once, from its constructor.
+// and negative spares zero. It makes every mailbox and an empty census,
+// binds obsM and flight as Reset does, and keeps done, the channel
+// whose closing ends every wait (nil for none). A network embeds its
+// Core by value, so the core costs no allocation of its own, and calls
+// Init once, from its constructor.
 func (c *Core) Init(name string, dim int, cost CostModel, recvTimeout time.Duration, spares int,
-	obsM *obs.Metrics, flight *forensic.Flight) error {
+	obsM *obs.Metrics, flight *forensic.Flight, done <-chan struct{}) error {
 	topo, err := hypercube.New(dim)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
@@ -52,22 +77,72 @@ func (c *Core) Init(name string, dim int, cost CostModel, recvTimeout time.Durat
 		recvTimeout = 2 * time.Second
 	}
 	c.name, c.topo, c.cost, c.recvTimeout, c.spares = name, topo, cost, recvTimeout, max(spares, 0)
-	c.Reset(obsM, flight)
+	c.obsM, c.flight, c.done = obsM, flight, done
+	n := topo.Nodes()
+	c.links = make([][]Mailbox, n)
+	for id := range c.links {
+		c.links[id] = make([]Mailbox, topo.Dim())
+		for b := range c.links[id] {
+			c.links[id][b].ch = make(chan Packet, linkDepth)
+		}
+	}
+	c.labels = make([]label, n+c.spares+1)
+	// Every node writes the host's mailbox: room for a few frames each.
+	c.labels[0].box.ch = make(chan Packet, 4*n+16)
+	for i := 1; i < len(c.labels); i++ {
+		c.labels[i].box.ch = make(chan Packet, linkDepth)
+	}
 	return nil
 }
 
-// Reset zeroes the traffic counters and rebinds the observability
-// sinks for the next run. A nil obsM counts traffic into no metrics,
-// only into the network's own counters (Metrics); a nil flight
-// detaches causal tracing. Call it only between runs, when no port is
-// live.
-func (c *Core) Reset(obsM *obs.Metrics, flight *forensic.Flight) {
+// Reset readies the core for another run. It empties the census,
+// drains every mailbox until it has taken each frame the last run
+// wrote to it, handing each pooled buffer to recycle (nil for none),
+// zeroes the traffic counters and rebinds the observability sinks: a
+// nil obsM counts traffic into no metrics, only into the network's own
+// counters (Metrics); a nil flight detaches causal tracing. Call it
+// only between runs, once every worker of the last one has returned
+// (node.RunPer waits for them), so that every sender has counted its
+// frames. Reset fails when a frame counted delivered has still not
+// arrived once the receive watchdog expires, or done closes first.
+func (c *Core) Reset(obsM *obs.Metrics, flight *forensic.Flight, recycle func([]byte)) error {
+	c.census.Lock()
+	for i := range c.labels {
+		c.labels[i].w.phase, c.labels[i].w.box = idle, nil
+	}
+	c.live, c.parked = 0, 0
+	c.census.Unlock()
+	// The host's census entry lends the drain its watchdog timer.
+	p := &Port{core: c, w: c.worker(int(wire.HostID))}
+	ok := true
+	for id := range c.links {
+		for b := range c.links[id] {
+			ok = c.drain(p, &c.links[id][b], recycle) && ok
+		}
+	}
+	for i := range c.labels {
+		ok = c.drain(p, &c.labels[i].box, recycle) && ok
+	}
+	if !ok {
+		return fmt.Errorf("%s: reset: a frame the last run wrote never arrived", c.name)
+	}
 	for k := range c.msgs {
 		c.msgs[k].Store(0)
 		c.bytes[k].Store(0)
 	}
 	c.obsM, c.flight = obsM, flight
+	return nil
 }
+
+// Link returns node id's mailbox for frames from its partner across
+// dimension bit.
+func (c *Core) Link(id, bit int) *Mailbox { return &c.links[id][bit] }
+
+// HostIn returns the host's mailbox, which every node writes.
+func (c *Core) HostIn() *Mailbox { return &c.labels[0].box }
+
+// HostOut returns node id's mailbox for frames from the host.
+func (c *Core) HostOut(id int) *Mailbox { return &c.labels[id-int(wire.HostID)].box }
 
 // Topology returns the underlying hypercube.
 func (c *Core) Topology() hypercube.Topology { return c.topo }
@@ -108,7 +183,7 @@ func (c *Core) Metrics() MetricsSnapshot {
 // wire.HostID, with its clocks at zero. Validate id with CheckNode
 // first.
 func (c *Core) Port(id int) Port {
-	p := Port{core: c, id: id, rec: c.flight.Node(id),
+	p := Port{core: c, id: id, w: c.worker(id), rec: c.flight.Node(id),
 		send: charge{c.cost.SendFixed, c.cost.SendPerByte},
 		recv: charge{c.cost.RecvFixed, c.cost.RecvPerByte}}
 	if id == int(wire.HostID) {
@@ -132,12 +207,14 @@ func (c charge) of(costed int) Ticks { return c.fixed + Ticks(costed)*c.perByte 
 // HostFixed/HostPerByte both ways. Every framed message is counted per
 // kind and, with a flight recorder attached, traced. Each network's
 // Endpoint and Host embed a Port and add only how a frame reaches its
-// queue and how a receive waits. Like them, a Port is confined to its
-// processor's goroutine.
+// mailbox; every receive waits through the port (Wait). Like them, a
+// Port is confined to its processor's goroutine.
 type Port struct {
 	core *Core
 	// id is the node label, or wire.HostID for the host.
 	id int
+	// w is the processor's census entry.
+	w *worker
 	// rec is the processor's flight recorder, nil when the network has
 	// no Flight attached (a nil recorder discards, so hot paths pay one
 	// pointer test).

@@ -15,10 +15,15 @@
 // regardless of wall-clock scheduling. That rule is written once, in
 // Port, which each implementation's endpoints and host embed; each
 // network embeds a Core holding the cube, the cost model, the spare
-// inventory and the traffic counters. An implementation adds only how
-// a frame reaches its queue and how a receive waits, so both produce
-// identical virtual-time results for the same protocol run (asserted
-// by tcpnet's equivalence table).
+// inventory, the mailboxes, the worker census and the traffic
+// counters. An implementation adds only how a frame reaches its
+// mailbox, so both produce identical virtual-time results for the same
+// protocol run (asserted by tcpnet's equivalence table).
+//
+// The census (census.go) counts every frame when its sender has queued
+// or written it and when its receiver takes it, so both networks
+// decide absence by one rule at quiescence (WorkerControl) and Reset
+// drains exactly the frames the last run wrote.
 package transport
 
 import (
@@ -32,13 +37,12 @@ import (
 
 // ErrAbsent is the transport-independent absence sentinel: Recv
 // established that an expected message will not arrive, because
-// nothing could reach any blocked worker any more (simnet) or the
-// receive timeout expired.
-// Environmental assumption 4 makes absence detectable, and both network
-// implementations wrap this sentinel in their absence errors so
-// protocol code can classify the evidence with errors.Is instead of
-// parsing error text.
-var ErrAbsent = errors.New("transport: expected message absent (timeout)")
+// nothing could reach any blocked worker any more, or the receive's
+// watchdog expired. Environmental assumption 4 makes absence
+// detectable, and both network implementations wrap this sentinel in
+// their absence errors so protocol code can classify the evidence with
+// errors.Is instead of parsing error text.
+var ErrAbsent = errors.New("transport: expected message absent")
 
 // Ticks is a quantity of virtual time.
 type Ticks int64
@@ -107,9 +111,10 @@ type Endpoint interface {
 	// Recv blocks for the next message from the partner across the
 	// given dimension bit, advancing the clock to at least the
 	// message's arrival. Message absence is an error wrapping
-	// ErrAbsent: on simnet reported at quiescence, once every declared
-	// worker is blocked and nothing is on its way to any of them (see
-	// WorkerControl), on tcpnet after the network's receive timeout.
+	// ErrAbsent, reported on either network at quiescence, once every
+	// declared worker is blocked and nothing is on its way to any of
+	// them (see WorkerControl); the receive timeout reports it only
+	// for a receiver no harness declared.
 	Recv(bit int) (wire.Message, error)
 	// SendHost and RecvHost exchange messages with the reliable host.
 	SendHost(m wire.Message) error
@@ -189,11 +194,12 @@ type Network interface {
 	Metrics() MetricsSnapshot
 	// WorkerStart and WorkerDone bracket each node and host run.
 	WorkerControl
-	// Reset readies a quiescent network for another run: it drains what
-	// the last run left queued, zeroes the traffic counters and binds
-	// the next run's observability sinks (nil for none). A network that
-	// cannot be reused says so with an error; internal/server's pool
-	// then closes it and builds another.
+	// Reset readies a network for another run once every worker of the
+	// last one has returned: it drains every frame the last run wrote,
+	// zeroes the traffic counters and binds the next run's
+	// observability sinks (nil for none). A network that cannot be
+	// reused says so with an error; internal/server's pool then closes
+	// it and builds another.
 	Reset(obsM *obs.Metrics, flight *forensic.Flight) error
 	// Close releases what the network holds (tcpnet's sockets and their
 	// readers). It is safe to call more than once.
@@ -201,18 +207,17 @@ type Network interface {
 }
 
 // WorkerControl is the part of a Network that learns which node and
-// host goroutines exist and when each one ends. internal/simnet keeps
-// the exact worker census in both of its modes and applies one absence
-// rule: once every live worker is blocked at a receive and nothing can
-// arrive for any of them, the one with the least (blocked clock, id)
-// is told its message is absent. Under a controlled scheduler the
-// census also gates every delivery decision.
+// host goroutines exist and when each one ends. Both networks keep the
+// exact worker census (Core's; simnet's controlled scheduler keeps its
+// own) and apply one absence rule: once every live worker is blocked
+// at a receive and nothing can arrive for any of them, the one with
+// the least (blocked clock, id) is told its message is absent. Under a
+// controlled scheduler the census also gates every delivery decision.
 //
 // Harnesses that run node programs (internal/node) declare every
 // worker before its run starts and retire it when the run returns,
 // whether the run has a goroutine of its own or a resident one. The
-// host worker is declared with id wire.HostID. internal/tcpnet
-// implements both calls as no-ops: it detects absence by timeout alone.
+// host worker is declared with id wire.HostID.
 type WorkerControl interface {
 	// WorkerStart declares that the worker with the given node label
 	// (wire.HostID for the host) is about to start executing. It must
