@@ -37,9 +37,9 @@ const (
 	// KindValue: the evidence is a concrete bad value, view, or header
 	// received from an identifiable sender.
 	KindValue ErrorKind = iota
-	// KindAbsence: an expected message never arrived (timeout). Weak
-	// evidence — once one honest node fail-stops, its silent links
-	// accuse *it* in cascades.
+	// KindAbsence: an expected message never arrived
+	// (transport.ErrAbsent). Weak evidence — once one honest node
+	// fail-stops, its silent links accuse *it* in cascades.
 	KindAbsence
 	// KindShape: a shape or permutation check over an assembled
 	// sequence failed without implicating a specific sender.

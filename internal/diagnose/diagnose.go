@@ -12,9 +12,9 @@
 //     message. For a single faulty node these point at the culprit or
 //     at a relay of its lie — and the earliest such accusation (by
 //     stage, then iteration) is upstream of any relaying.
-//  2. Absence (timeout) accusations are weak: once an honest node
-//     fail-stops, its now-silent links accuse *it* in cascades. They
-//     are consulted only when no value evidence exists.
+//  2. Absence accusations are weak: once an honest node fail-stops,
+//     its now-silent links accuse *it* in cascades. They are consulted
+//     only when no value evidence exists.
 //  3. Unattributed evidence (shape/permutation failures over an
 //     assembled sequence, Accused == -1) contributes no suspect.
 package diagnose

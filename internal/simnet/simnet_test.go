@@ -372,16 +372,21 @@ func TestFaultsComposeInOrder(t *testing.T) {
 	}
 }
 
+// A link queues the modelled hardware depth of 32 frames (transport's
+// linkDepth, pinned by its TestMailboxDepth): the 33rd send to an
+// unread link is refused.
 func TestBackpressure(t *testing.T) {
+	const linkDepth = 32
 	nw := newNet(t, 1)
 	a, _ := nw.Endpoint(0)
 	msg := wire.Message{Kind: wire.KindExchange, Payload: wire.EncodeExchange(wire.ExchangePayload{})}
-	var err error
-	for i := 0; i < 1000 && err == nil; i++ {
-		err = a.Send(0, msg)
+	for i := 0; i < linkDepth; i++ {
+		if err := a.Send(0, msg); err != nil {
+			t.Fatalf("send %d of %d: %v", i+1, linkDepth, err)
+		}
 	}
-	if !errors.Is(err, ErrLinkBackpressure) {
-		t.Fatalf("want ErrLinkBackpressure after flooding, got %v", err)
+	if err := a.Send(0, msg); !errors.Is(err, ErrLinkBackpressure) {
+		t.Fatalf("send %d: want ErrLinkBackpressure, got %v", linkDepth+1, err)
 	}
 }
 

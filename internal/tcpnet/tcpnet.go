@@ -112,8 +112,8 @@ type Network struct {
 
 // New constructs the mesh: one loopback TCP connection per hypercube
 // edge plus one per node-host pair, with reader goroutines feeding the
-// inboxes. On any setup error it closes what it built and returns the
-// error.
+// core's mailboxes. On any setup error it closes what it built and
+// returns the error.
 func New(cfg Config) (_ *Network, err error) {
 	nw := &Network{closed: make(chan struct{})}
 	if err := nw.Init("tcpnet", cfg.Dim, cfg.Cost, cfg.RecvTimeout, cfg.Spares, cfg.Obs, cfg.Flight, nw.closed); err != nil {

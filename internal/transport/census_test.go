@@ -97,3 +97,23 @@ func TestFrameOnItsWayIsAwaited(t *testing.T) {
 		t.Fatal("poll of a drained mailbox found a frame")
 	}
 }
+
+// Every link mailbox and every node's host-link mailbox holds exactly
+// linkDepth frames, the modelled hardware queue: Offer accepts that
+// many and refuses the next, queueing nothing.
+func TestMailboxDepth(t *testing.T) {
+	c := newCore(t)
+	for _, box := range []*Mailbox{c.Link(0, 0), c.Link(1, 0), c.HostOut(0), c.HostOut(1)} {
+		for i := 0; i < linkDepth; i++ {
+			if !box.Offer(Packet{}) {
+				t.Fatalf("Offer refused frame %d of %d", i+1, linkDepth)
+			}
+		}
+		if box.Offer(Packet{}) {
+			t.Fatalf("Offer accepted frame %d beyond the depth %d", linkDepth+1, linkDepth)
+		}
+		if got := box.delivered.Load(); got != linkDepth || len(box.ch) != linkDepth {
+			t.Fatalf("%d delivered, %d queued; want %d each", got, len(box.ch), linkDepth)
+		}
+	}
+}
